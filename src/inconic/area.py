@@ -33,9 +33,9 @@ from .geometry import (
     Tolerances,
 )
 from .inscribed import (
+    InscribedResult,
     NormalForm,
     inscribe_at_center,
-    locus,
     locus_line,
     normalize,
     _param_in_interval,
@@ -74,6 +74,7 @@ class MaxAreaResult:
     center: Point
     area: float
     h0: float  # normalized-frame abscissa of the center
+    inscribed: InscribedResult
 
 
 def _tri_area(a: Point, b: Point, c: Point) -> float:
@@ -123,70 +124,43 @@ def inscribed_area(nf: NormalForm, h, tol: Tolerances = DEFAULT_TOL) -> float:
     return math.pi / (2 * abs(float(nf.s) - 1)) * math.sqrt(value)
 
 
-def _real_quadratic_roots(a: float, b: float, c: float) -> tuple[float, float]:
-    """Both real roots of a x^2 + b x + c, stable against cancellation."""
+def _real_quadratic_roots(a: float, b: float, c: float) -> tuple[float, ...]:
+    """Real roots of a x^2 + b x + c, stable against cancellation; the one
+    root -c/b when a == 0."""
     disc = b * b - 4 * a * c
     if disc < 0:
         raise NumericalFailure("expected a real quadratic discriminant")
     q = -(b + math.copysign(math.sqrt(disc), b if b != 0 else 1.0)) / 2
+    if a == 0:
+        return (c / q,)
     if q == 0:
         return (0.0, 0.0) if c == 0 else (-b / a, 0.0)
     return q / a, c / q
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float) -> float:
-    """Golden-section maximizer of a unimodal function on [lo, hi]."""
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (a + b) / 2
-
-
 def max_area(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> MaxAreaResult:
     """The unique maximal-area inscribed ellipse.
 
-    With no parallel sides the critical abscissa is the closed-form root of
-    A'(h) inside the open interval (exactly one exists).  With one parallel
-    pair the cubic degenerates, so the original-frame area is maximized by
-    golden section over the locus parameter to 1e-12.
+    The critical abscissa is the closed-form root of A'(h) inside the open
+    interval (exactly one exists).  With one parallel side pair (t = 1)
+    A'(h) is linear and its root is h = (s + 1)/4, the interval midpoint.
     """
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("no unique inscribed ellipse for a parallelogram")
     nf = normalize(q, tol)
-    seg = locus(q)
     s, t = float(nf.s), float(nf.t)
-    if q.kind is QuadKind.TRAPEZIUM:
-        # A'(h) = -24(t-1) h^2 + 8((s+1)(t-1) - s) h + 2s(s + 2 - t)
-        roots = _real_quadratic_roots(-24 * (t - 1),
-                                      8 * ((s + 1) * (t - 1) - s),
-                                      2 * s * (s + 2 - t))
-        lo, hi = nf.interval()
-        inside = [r for r in roots if lo < r < hi]
-        if len(inside) != 1:
-            raise NumericalFailure(
-                f"expected exactly one critical abscissa inside ({lo}, {hi})")
-        h0 = inside[0]
-        k0 = locus_line(nf, tol)(h0)
-        center = nf.T.inverse().apply(Point(h0, k0))
-        result = inscribe_at_center(q, center, tol)
-    else:
-        def original_area(u: float) -> float:
-            return inscribe_at_center(q, seg.point_at(u), tol).ellipse.area
-
-        u0 = _golden_max(original_area, 1e-6, 1 - 1e-6, 1e-12)
-        center = seg.point_at(u0)
-        result = inscribe_at_center(q, center, tol)
-        h0 = nf.T.apply_xy(center.x, center.y)[0]
+    # A'(h) = -24(t-1) h^2 + 8((s+1)(t-1) - s) h + 2s(s + 2 - t)
+    roots = _real_quadratic_roots(-24 * (t - 1),
+                                  8 * ((s + 1) * (t - 1) - s),
+                                  2 * s * (s + 2 - t))
+    lo, hi = nf.interval()
+    inside = [r for r in roots if lo < r < hi]
+    if len(inside) != 1:
+        raise NumericalFailure(
+            f"expected exactly one critical abscissa inside ({lo}, {hi})")
+    h0 = inside[0]
+    k0 = locus_line(nf, tol)(h0)
+    center = nf.T.inverse().apply(Point(h0, k0))
+    result = inscribe_at_center(q, center, tol)
     ellipse = result.ellipse
-    return MaxAreaResult(ellipse, ellipse.center, ellipse.area, h0)
+    return MaxAreaResult(ellipse, ellipse.center, ellipse.area, h0, result)

@@ -27,7 +27,6 @@ from .geometry import (
 )
 from .inscribed import (
     ChordX,
-    _marden_conic,
     chord_x,
     inscribe_at_center,
     inscribe_at_param,
@@ -220,8 +219,7 @@ def cmd_maxarea(args) -> int:
     tol = _tolerances(args)
     q = validate_quad(_load_vertices(args), tol)
     res = max_area(q, tol)
-    result = inscribe_at_center(q, res.center, tol)
-    doc = _ellipse_output(result)
+    doc = _ellipse_output(res.inscribed)
     doc.update({"h0": res.h0})
     print(dumps(doc))
     return EXIT_OK
@@ -237,11 +235,8 @@ def cmd_verify(args) -> int:
         result = inscribe_at_center(q, center, tol)
         conic = result.conic
         classification = "ellipse"
-        nf = normalize(q, tol)
-        h = nf.T.apply_xy(center.x, center.y)[0]
         pen = pencil_from_lines(*lines, tol=tol)
-        marden_distance = conic_distance(_marden_conic(nf, h, tol),
-                                         member_with_center(pen, center, tol))
+        marden_distance = conic_distance(conic, member_with_center(pen, center, tol))
     except _OFF_LOCUS:
         if not args.allow_hyperbola:
             raise
@@ -292,7 +287,7 @@ def cmd_render(args) -> int:
         chord = chord_x(q, tol)
     results = []
     if args.maxarea:
-        results.append(inscribe_at_center(q, max_area(q, tol).center, tol))
+        results.append(max_area(q, tol).inscribed)
     elif args.center is not None:
         results.append(inscribe_at_center(q, _center_point(args.center), tol))
     elif args.u is not None:

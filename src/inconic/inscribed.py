@@ -7,9 +7,11 @@ affine change of frame putting the vertices at (0,0), (1,0), (s,t), (0,1),
 the two triangles cut off by the side lines carry tangent ellipses whose
 focal quadratics coincide, z^2 - 2(h + i*L(h)) z + i(s-2h)/(s-1), and both
 touch the line x = 0 at the same point — so they are one ellipse, tangent
-to all four sides.  Quadrilaterals with one parallel side pair are served
-by the dual-conic pencil instead, and centers on the chord beyond the
-diagonal midpoints yield tangent hyperbolas.
+to all four sides.  The construction divides by s - 1 and h but never by
+t - 1, so it also serves quadrilaterals with one parallel side pair (t = 1,
+where only the first triangle exists).  Centers on the chord beyond the
+diagonal midpoints yield tangent hyperbolas, built from the dual-conic
+pencil.
 """
 from __future__ import annotations
 
@@ -185,7 +187,7 @@ def locus_line(nf: NormalForm, tol: Tolerances = DEFAULT_TOL) -> LocusLine:
 
     Passes through both diagonal midpoints (1/2, 1/2) and (s/2, t/2).
     Requires s != 1 (otherwise the line is vertical and this slope form
-    does not exist; the pencil path covers that case).
+    does not exist; ``normalize`` gives s = 1 only to parallelograms).
     """
     s, t = nf.s, nf.t
     if abs(s - 1) <= tol.tol_par:
@@ -221,22 +223,25 @@ def foci_quadratic(nf: NormalForm, h,
     """(root sum, root product) of the shared monic focal quadratic
     z^2 - 2(h + i L(h)) z + i (s - 2h)/(s - 1).
 
-    Verifies that the focal numerators of both side-line triangles reduce
-    to the same monic form within 1e-10; requires both s != 1 and t != 1.
+    Verifies within 1e-10 that the focal numerators of the side-line
+    triangles reduce to this monic form: always for the first triangle,
+    and for the second only when t != 1 (with one parallel side pair it
+    does not exist).  Requires s != 1, which ``locus_line`` enforces.
     """
     s, t = float(nf.s), float(nf.t)
-    if abs(s - 1) <= tol.tol_par or abs(t - 1) <= tol.tol_par:
-        raise TrapezoidForm("focal quadratic requires s != 1 and t != 1")
+    line = locus_line(nf, tol)
     _param_in_interval(nf, h, tol)
     h = float(h)
-    k = float(locus_line(nf, tol)(h))
+    k = float(line(h))
     root_sum = complex(2 * h, 2 * k)
     root_product = 1j * (s - 2 * h) / (s - 1)
 
     wt, ws = weights_from_center(nf, h, tol)
-    z = (0j, 1 + 0j, complex(0, -t / (s - 1)))
-    w = (0j, 1j, complex(-s / (t - 1), 0))
-    for tri, (a1, a2, a3) in ((z, wt.as_tuple()), (w, ws.as_tuple())):
+    triangles = [((0j, 1 + 0j, complex(0, -t / (s - 1))), wt)]
+    if abs(t - 1) > tol.tol_par:
+        triangles.append(((0j, 1j, complex(-s / (t - 1), 0)), ws))
+    for tri, weights in triangles:
+        a1, a2, a3 = weights.as_tuple()
         esum = a1 * (tri[1] + tri[2]) + a2 * (tri[0] + tri[2]) + a3 * (tri[0] + tri[1])
         eprod = a1 * tri[1] * tri[2] + a2 * tri[0] * tri[2] + a3 * tri[0] * tri[1]
         if abs(esum - root_sum) > 1e-10 * max(1.0, abs(root_sum)) or \
@@ -257,7 +262,7 @@ def _project_to_segment(p: Point, a: Point, b: Point) -> tuple[float, float]:
 def _marden_conic(nf: NormalForm, h: float, tol: Tolerances) -> Conic:
     """Original-frame inscribed conic from the focal construction."""
     s = float(nf.s)
-    root_sum, root_product = _shared_quadratic(nf, h, tol)
+    root_sum, root_product = foci_quadratic(nf, h, tol)
     f1, f2 = stable_quadratic_roots(root_sum, root_product)
     contact_y = (s - 2 * h) / (2 * h * (s - 1))
     ellipse_n = ellipse_from_foci_point(
@@ -267,26 +272,14 @@ def _marden_conic(nf: NormalForm, h: float, tol: Tolerances) -> Conic:
     return transform_conic(conic_n, nf.T.inverse(), tol)
 
 
-def _shared_quadratic(nf: NormalForm, h: float, tol: Tolerances) -> tuple[complex, complex]:
-    """Monic focal quadratic; for one parallel side pair (t = 1) only the
-    first triangle exists, so the cross-assertion is skipped."""
-    s, t = float(nf.s), float(nf.t)
-    if abs(t - 1) > tol.tol_par:
-        return foci_quadratic(nf, h, tol)
-    _param_in_interval(nf, h, tol)
-    k = float(locus_line(nf, tol)(h))
-    return complex(2 * h, 2 * k), 1j * (s - 2 * h) / (s - 1)
-
-
 def inscribe_at_center(q: ConvexQuad, center: Point,
                        tol: Tolerances = DEFAULT_TOL) -> InscribedResult:
     """The unique inscribed ellipse with the given center.
 
-    The center must lie strictly inside the open locus segment.  With no
-    parallel sides the focal construction runs in the normalized frame and
-    is mapped back; with one parallel pair the dual-conic pencil supplies
-    the member directly.  Parallelograms are rejected: four common tangent
-    lines of two distinct concentric ellipses would have to form a
+    The center must lie strictly inside the open locus segment.  The focal
+    construction runs in the normalized frame and is mapped back, with or
+    without a parallel side pair.  Parallelograms are rejected: four common
+    tangent lines of two distinct concentric ellipses would have to form a
     parallelogram, so uniqueness fails there.
     """
     if q.kind is QuadKind.PARALLELOGRAM:
@@ -299,11 +292,7 @@ def inscribe_at_center(q: ConvexQuad, center: Point,
         raise CenterOffLocus("center is not strictly between the diagonal midpoints")
     nf = normalize(q, tol)
     h = nf.T.apply_xy(center.x, center.y)[0]
-    if q.kind is QuadKind.TRAPEZIUM:
-        conic = _marden_conic(nf, h, tol)
-    else:
-        pen = pencil_from_lines(*q.side_lines(), tol=tol)
-        conic = member_with_center(pen, center, tol)
+    conic = _marden_conic(nf, h, tol)
     ellipse = ellipse_from_conic(conic, tol)
     lines = q.side_lines()
     for line in lines:

@@ -262,14 +262,22 @@ class TestMaxArea:
     def test_trapezoid_maximum_is_midparameter(self, rng):
         # in the normalized trapezoid frame the cubic degenerates to
         # s(s-2h)(2h-1), whose maximum sits at the midpoint of the interval;
-        # the golden-section result must match that analytic oracle
+        # the linear root of A'(h) must match that analytic oracle
         for _ in range(5):
             q = random_trapezoid(rng)
             res = ic.max_area(q)
             seg = ic.locus(q)
             mid = seg.point_at(0.5)
             assert math.hypot(res.center.x - mid.x, res.center.y - mid.y) \
-                < 1e-6 * (1 + seg.length())
+                < 1e-11 * (1 + seg.length())
+
+    def test_worked_trapezoid_maximum(self):
+        # t = 1 exactly, so A'(h) is linear with root (s+1)/4 at s = 3/4,
+        # and the area is pi*sqrt(3)/4
+        q = ic.validate_quad([(0, 0), (2, 0), (1.5, 1), (0, 1)])
+        res = ic.max_area(q)
+        assert res.h0 == 0.4375
+        assert res.area == pytest.approx(math.pi * math.sqrt(3) / 4, rel=1e-14)
 
     def test_parallelogram_rejected(self):
         q = ic.validate_quad([(0, 0), (1, 0), (1, 1), (0, 1)])

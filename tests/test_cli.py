@@ -1,12 +1,15 @@
 """Command-line contract: JSON shapes, exit codes, determinism, SVG."""
 import json
 import math
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import inconic
 from inconic.cli import main
 
 QUAD = "0,0 1,0 3,2 0,1"
@@ -247,9 +250,13 @@ class TestUsageAndTolerances:
 
 
 def test_module_entry_point():
+    # run the package this suite imported, whatever the caller's PYTHONPATH
+    src = str(Path(inconic.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "inconic", "inspect", "--vertices", QUAD],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "trapezium"
 

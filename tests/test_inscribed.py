@@ -256,6 +256,9 @@ class TestInscribeAtCenter:
                               r.ellipse.center.y - center.y) < 1e-9 * (1 + seg.length())
             for line in q.side_lines():
                 assert ic.tangency_residual(r.conic, line) < 1e-8
+            # the focal construction agrees with the pencil oracle
+            pencil = ic.pencil_from_lines(*q.side_lines())
+            assert ic.conic_distance(r.conic, ic.member_with_center(pencil, center)) < 1e-10
             # the first-triangle weights stay meaningful when t = 1
             assert r.weights_t.product > 0
 

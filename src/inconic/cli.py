@@ -45,8 +45,6 @@ EXIT_PARALLELOGRAM = 4
 EXIT_NUMERICAL = 5
 EXIT_IO = 6
 
-_OFF_LOCUS = (errors.CenterOffLocus, errors.CenterOffChord,
-              errors.DegenerateAtMidpoint, errors.CenterOffCentersLine)
 _BAD_QUAD = (errors.NotConvex, errors.DegenerateQuad)
 
 
@@ -237,7 +235,7 @@ def cmd_verify(args) -> int:
         classification = "ellipse"
         pen = pencil_from_lines(*lines, tol=tol)
         marden_distance = conic_distance(conic, member_with_center(pen, center, tol))
-    except _OFF_LOCUS:
+    except errors.CenterOffLocus:
         if not args.allow_hyperbola:
             raise
         conic, classification_enum, _ = tangent_conic_at_center(q, center, tol)
@@ -333,7 +331,7 @@ def main(argv=None) -> int:
     except _BAD_QUAD as exc:
         print(f"invalid quadrilateral: {exc}", file=sys.stderr)
         return EXIT_BAD_QUAD
-    except _OFF_LOCUS as exc:
+    except errors.CenterOffLocus as exc:
         print(f"center not admissible: {exc}", file=sys.stderr)
         return EXIT_OFF_LOCUS
     except errors.ParallelogramUnsupported as exc:

@@ -2,7 +2,12 @@
 
 Every operation raises a subclass of :class:`InconicError` when its
 preconditions fail; plain ``ValueError`` is reserved for malformed values
-(non-finite coordinates, all-zero conics and the like).
+(non-finite coordinates, all-zero conics and the like).  Each class names
+one meaning: a conic that is not a real ellipse is always
+:class:`NotAnEllipse`, and a requested center outside the admissible set
+(locus segment, interior chord, the pencil's line of centers, or a
+diagonal midpoint) is always a :class:`CenterOffLocus`, the one class the
+CLI maps to exit code 3.
 """
 
 
@@ -23,7 +28,9 @@ class ParallelogramUnsupported(InconicError):
 
 
 class NotAnEllipse(InconicError):
-    """Conic does not classify as a real nondegenerate ellipse."""
+    """Conic does not classify as a real nondegenerate ellipse, or a
+    triangle's weight product is not positive so its tangent conic is not
+    one."""
 
 
 class SingularMap(InconicError):
@@ -46,28 +53,18 @@ class DegenerateFoci(InconicError):
     """Focal quadratic degenerates below degree two."""
 
 
-class NotEllipse(InconicError):
-    """Weight product is not positive; the tangent conic is not an ellipse."""
-
-
 class AsymptoteContact(InconicError):
     """A pairwise weight sum vanishes: the contact point is at infinity."""
 
 
 class CenterOffLocus(InconicError):
-    """Requested center is not strictly inside the open center locus."""
+    """Requested center is not admissible: not strictly inside the open
+    locus segment (ellipses), not on the open interior chord of the center
+    line (tangent conics), or not on the pencil's line of centers."""
 
 
-class CenterOffChord(InconicError):
-    """Requested center is not on the open chord of the center line."""
-
-
-class DegenerateAtMidpoint(InconicError):
+class DegenerateAtMidpoint(CenterOffLocus):
     """Requested center coincides with a diagonal midpoint."""
-
-
-class TrapezoidForm(InconicError):
-    """Normal form has a parallel side pair where the closed forms divide by zero."""
 
 
 class NoRealEllipse(InconicError):
@@ -76,10 +73,6 @@ class NoRealEllipse(InconicError):
 
 class DegenerateConfiguration(InconicError):
     """Lines are not in general position (duplicates or three concurrent)."""
-
-
-class CenterOffCentersLine(InconicError):
-    """Requested center does not lie on the pencil's line of centers."""
 
 
 class DegenerateMember(InconicError):

@@ -171,7 +171,8 @@ class Line:
 
 @dataclass(frozen=True)
 class AffineMap:
-    """Invertible planar affine map x -> M x + t."""
+    """Invertible planar affine map x -> M x + t; singular, whatever its
+    scale, when |det| <= tol_det * (|m11 m22| + |m12 m21|)."""
 
     m11: float
     m12: float
@@ -184,7 +185,8 @@ class AffineMap:
         vals = (self.m11, self.m12, self.m21, self.m22, self.tx, self.ty)
         if not all(math.isfinite(float(v)) for v in vals):
             raise ValueError("affine map entries must be finite")
-        if abs(self.det) <= DEFAULT_TOL.tol_det:
+        scale = abs(self.m11 * self.m22) + abs(self.m12 * self.m21)
+        if abs(self.det) <= DEFAULT_TOL.tol_det * scale:
             raise SingularMap(f"linear part is singular (det={self.det:g})")
 
     @classmethod
@@ -516,35 +518,38 @@ def ellipse_from_conic(c: Conic, tol: Tolerances = DEFAULT_TOL) -> EllipseGeo:
     return EllipseGeo(center, semi_major, semi_minor, angle, f1, f2)
 
 
-def transform_conic(c: Conic, t: AffineMap, tol: Tolerances = DEFAULT_TOL) -> Conic:
+def transform_conic(c: Conic, t: AffineMap) -> Conic:
     """Conic whose zero set is the image of c's zero set under t."""
-    if abs(t.det) <= tol.tol_det:
-        raise SingularMap("cannot transform a conic by a singular map")
     hi = np.linalg.inv(t.matrix3)
     return Conic.from_matrix(hi.T @ c.matrix @ hi)
 
 
-def transform_line(l: Line, t: AffineMap, tol: Tolerances = DEFAULT_TOL) -> Line:
+def transform_line(l: Line, t: AffineMap) -> Line:
     """Line through the image of l's points under t."""
-    if abs(t.det) <= tol.tol_det:
-        raise SingularMap("cannot transform a line by a singular map")
     a, b, c = np.linalg.inv(t.matrix3).T @ l.as_array()
     return Line(a, b, c)
+
+
+def _residual_and_pole(c: Conic, l: Line) -> tuple[float, np.ndarray]:
+    """Tangency residual of l and its pole adj(M) l, from one adjugate."""
+    adj = adjugate3(c.matrix)
+    v = l.as_array()
+    residual = abs(float(v @ adj @ v)) / float(np.linalg.norm(adj))
+    return residual, adj @ v
 
 
 def tangency_residual(c: Conic, l: Line) -> float:
     """|l^T adj(M) l| / ||adj(M)||; zero iff l is tangent to the conic
     (asymptotes of hyperbolas count as tangent at infinity)."""
-    adj = adjugate3(c.matrix)
-    v = l.as_array()
-    return abs(float(v @ adj @ v)) / float(np.linalg.norm(adj))
+    return _residual_and_pole(c, l)[0]
 
 
 def tangency_point(c: Conic, l: Line, tol: Tolerances = DEFAULT_TOL) -> HomPoint:
-    """Contact point of a tangent line, as the pole of l; w = 0 at infinity."""
-    if tangency_residual(c, l) >= tol.tol_tan:
+    """Contact point of a tangent line, as the pole of l; w = 0 at infinity.
+    Raises NotTangent when the tangency residual reaches ``tol.tol_tan``."""
+    residual, p = _residual_and_pole(c, l)
+    if residual >= tol.tol_tan:
         raise NotTangent("line is not tangent to the conic")
-    p = adjugate3(c.matrix) @ l.as_array()
     return HomPoint(float(p[0]), float(p[1]), float(p[2])).dehomogenized(tol)
 
 

@@ -19,12 +19,10 @@ import math
 from dataclasses import dataclass
 
 from .errors import (
-    CenterOffChord,
     CenterOffLocus,
     DegenerateAtMidpoint,
     NumericalFailure,
     ParallelogramUnsupported,
-    TrapezoidForm,
 )
 from .geometry import (
     DEFAULT_TOL,
@@ -42,7 +40,6 @@ from .geometry import (
     ellipse_from_foci_point,
     midpoint,
     tangency_point,
-    tangency_residual,
     transform_conic,
 )
 from .marden import WeightTriple, stable_quadratic_roots
@@ -55,9 +52,10 @@ class NormalForm:
 
     ``T`` maps the original frame to the normalized one; ``labeling`` lists
     which canonical-quad vertex indices land on (0,0), (1,0), (s,t), (0,1).
-    Convexity forces s > 0, t > 0, s + t > 1; with no parallel sides also
-    s != 1 and t != 1, and with one parallel pair the labeling is chosen so
-    that the pair maps to y = 0 and y = 1, i.e. t = 1.
+    Convexity forces s > 0, t > 0, s + t > 1.  The closed forms divide by
+    s - 1 but never by t - 1, so ``normalize`` picks, of the two cyclic
+    labelings, the one whose sides (1,0)-(s,t) and (0,1)-(0,0) are furthest
+    from parallel; with one parallel side pair that gives t = 1.
     """
 
     T: AffineMap
@@ -146,24 +144,27 @@ def locus(q: ConvexQuad) -> LocusSegment:
 def normalize(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     """Affine normal form of a non-parallelogram quadrilateral.
 
-    Picks the cyclic labeling deterministically: identity for no parallel
-    sides; for one parallel pair, the rotation that maps the pair onto
-    y = 0 and y = 1 (hence t = 1).
+    Builds the form for cyclic rotations 0 and 1 of the vertices and keeps
+    the one with the larger normalized-frame sine |s-1| / hypot(s-1, t),
+    rotation 0 on a tie.  That keeps s - 1, which the closed forms divide
+    by, safely away from zero; a parallel side pair gets t = 1, since its
+    other rotation has s = 1 and sine 0.
     """
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("parallelograms have no unique normal form here")
-    rot = 0
-    if q.kind is QuadKind.TRAPEZOID:
-        v = q.vertices
-        d02 = _unit_dir(v[0], v[1]), _unit_dir(v[2], v[3])
-        cross02 = d02[0][0] * d02[1][1] - d02[0][1] * d02[1][0]
-        rot = 0 if abs(cross02) <= tol.tol_par else 1
+    forms = [_labeled_form(q, rot, tol) for rot in (0, 1)]
+    return max(forms, key=lambda nf: abs(nf.s - 1) / math.hypot(nf.s - 1, nf.t))
+
+
+def _labeled_form(q: ConvexQuad, rot: int, tol: Tolerances) -> NormalForm:
+    """Normal form sending vertices rot, rot+1, rot+2, rot+3 (mod 4) to
+    (0,0), (1,0), (s,t), (0,1)."""
     v = q.vertices
     p0, p1, p2, p3 = (v[(rot + i) % 4] for i in range(4))
     b11, b12 = p1.x - p0.x, p3.x - p0.x
     b21, b22 = p1.y - p0.y, p3.y - p0.y
     det = b11 * b22 - b12 * b21
-    if abs(det) <= tol.tol_det:
+    if abs(det) <= tol.tol_det * (abs(b11 * b22) + abs(b12 * b21)):
         raise NumericalFailure("normalization basis is singular")
     m11, m12 = b22 / det, -b12 / det
     m21, m22 = -b21 / det, b11 / det
@@ -177,21 +178,18 @@ def normalize(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     return NormalForm(t_map, s, t, labeling)
 
 
-def _unit_dir(p: Point, q: Point) -> tuple[float, float]:
-    n = math.hypot(q.x - p.x, q.y - p.y)
-    return ((q.x - p.x) / n, (q.y - p.y) / n)
-
-
 def locus_line(nf: NormalForm, tol: Tolerances = DEFAULT_TOL) -> LocusLine:
     """Normalized-frame center line y = (s - t + 2x(t-1)) / (2(s-1)).
 
     Passes through both diagonal midpoints (1/2, 1/2) and (s/2, t/2).
-    Requires s != 1 (otherwise the line is vertical and this slope form
-    does not exist; ``normalize`` gives s = 1 only to parallelograms).
+    Requires s != 1: otherwise the line is vertical and this slope form
+    does not exist.  ``normalize`` keeps |s-1| away from zero, so only a
+    quadrilateral that is numerically a parallelogram in both labelings
+    reaches the guard, which raises NumericalFailure.
     """
     s, t = nf.s, nf.t
     if abs(s - 1) <= tol.tol_par:
-        raise TrapezoidForm("s = 1: center line is vertical in this labeling")
+        raise NumericalFailure("s = 1: center line is vertical in this labeling")
     return LocusLine((t - 1) / (s - 1), (s - t) / (2 * (s - 1)), nf.interval())
 
 
@@ -269,7 +267,7 @@ def _marden_conic(nf: NormalForm, h: float, tol: Tolerances) -> Conic:
         Point(f1.real, f1.imag), Point(f2.real, f2.imag),
         Point(0.0, contact_y), tol)
     conic_n = conic_from_ellipse(ellipse_n)
-    return transform_conic(conic_n, nf.T.inverse(), tol)
+    return transform_conic(conic_n, nf.T.inverse())
 
 
 def inscribe_at_center(q: ConvexQuad, center: Point,
@@ -280,7 +278,8 @@ def inscribe_at_center(q: ConvexQuad, center: Point,
     construction runs in the normalized frame and is mapped back, with or
     without a parallel side pair.  Parallelograms are rejected: four common
     tangent lines of two distinct concentric ellipses would have to form a
-    parallelogram, so uniqueness fails there.
+    parallelogram, so uniqueness fails there.  A side the conic misses
+    raises NotTangent from ``tangency_point``.
     """
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("inscribed ellipses of a parallelogram are not unique")
@@ -294,14 +293,10 @@ def inscribe_at_center(q: ConvexQuad, center: Point,
     h = nf.T.apply_xy(center.x, center.y)[0]
     conic = _marden_conic(nf, h, tol)
     ellipse = ellipse_from_conic(conic, tol)
-    lines = q.side_lines()
-    for line in lines:
-        if tangency_residual(conic, line) >= tol.tol_tan:
-            raise NumericalFailure("inscribed conic misses a side tangency")
+    tangencies = tuple(tangency_point(conic, line, tol) for line in q.side_lines())
     if math.hypot(ellipse.center.x - center.x, ellipse.center.y - center.y) > \
             1e-6 * (1 + seg.length()):
         raise NumericalFailure("inscribed conic center drifted from the request")
-    tangencies = tuple(tangency_point(conic, line, tol) for line in lines)
     wt, ws = weights_from_center(nf, h, tol)
     return InscribedResult(ellipse, conic, tangencies, wt, ws)
 
@@ -346,25 +341,23 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
     the chord beyond them give a hyperbola tangent to all four side lines,
     where a tangency "at infinity" (contact point with w = 0) means the
     side line is an asymptote.  The midpoints themselves are degenerate
-    members and are rejected.
+    members and are rejected with DegenerateAtMidpoint; a missed side
+    raises NotTangent.
     """
     ch = chord_x(q, tol)
     u, dist = _project_to_segment(center, ch.p_start, ch.p_end)
     if dist > tol.tol_on * (1 + ch.length()):
-        raise CenterOffChord("center is not on the center line")
+        raise CenterOffLocus("center is not on the center line")
     if not (tol.tol_interval < u < 1 - tol.tol_interval):
-        raise CenterOffChord("center is not strictly inside the chord")
+        raise CenterOffLocus("center is not strictly inside the chord")
     seg = locus(q)
     for m in (seg.m1, seg.m2):
         um, _ = _project_to_segment(m, ch.p_start, ch.p_end)
         if abs(u - um) <= tol.tol_interval:
             raise DegenerateAtMidpoint("center coincides with a diagonal midpoint")
-    pen = pencil_from_lines(*q.side_lines(), tol=tol)
+    lines = q.side_lines()
+    pen = pencil_from_lines(*lines, tol=tol)
     conic = member_with_center(pen, center, tol)
     classification = classify_conic(conic, tol)
-    lines = q.side_lines()
-    for line in lines:
-        if tangency_residual(conic, line) >= tol.tol_tan:
-            raise NumericalFailure("tangent conic misses a side tangency")
     tangencies = tuple(tangency_point(conic, line, tol) for line in lines)
     return conic, classification, tangencies

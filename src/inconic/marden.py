@@ -12,7 +12,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import AsymptoteContact, DegenerateFoci, NotEllipse, NumericalFailure
+from .errors import AsymptoteContact, DegenerateFoci, NotAnEllipse, NumericalFailure
 from .geometry import (
     DEFAULT_TOL,
     EllipseGeo,
@@ -151,7 +151,7 @@ def marden_ellipse(tri: TriangleZ, w: WeightTriple,
     """Ellipse with the partial-fraction zeros as foci, tangent to all three
     side lines of the triangle."""
     if not marden_validity(w):
-        raise NotEllipse("weight product is not positive")
+        raise NotAnEllipse("weight product is not positive")
     f1, f2 = foci_from_weights(tri, w)
     contacts = tangent_points(tri, w, tol)
     ellipse = ellipse_from_foci_point(

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    CenterOffCentersLine,
+    CenterOffLocus,
     DegenerateConfiguration,
     DegenerateMember,
 )
@@ -175,7 +175,7 @@ def member_with_center(p: TangentPencil, center: Point,
     o0, o1 = eqs[1 - idx]
     residual = abs(o0 * den + o1 * num)
     if residual >= tol.tol_center * dn:
-        raise CenterOffCentersLine(
+        raise CenterOffLocus(
             "center is not on the pencil's line of centers "
             f"(residual {residual:.3e})")
     conic = _point_conic(d, tol)

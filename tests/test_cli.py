@@ -149,6 +149,13 @@ class TestVerify:
                              "--u", "1e-12")
         assert code == 3
 
+    def test_midpoint_center_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--vertices", QUAD,
+                                 "--center", "0.5,0.5", "--allow-hyperbola")
+        assert code == 3
+        assert not out
+        assert "diagonal midpoint" in err
+
     def test_hyperbola_requires_flag(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--vertices", QUAD,
                              "--center", "2.3,1.4")

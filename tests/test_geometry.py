@@ -112,6 +112,26 @@ class TestNormalize:
         with pytest.raises(errors.ParallelogramUnsupported):
             ic.normalize(q)
 
+    def test_micro_scale_quad_keeps_its_normal_form(self):
+        # s and t are affine invariants: scaling by 1e-6 leaves (3, 2)
+        q = ic.validate_quad([(0, 0), (1e-6, 0), (3e-6, 2e-6), (0, 1e-6)])
+        nf = ic.normalize(q)
+        assert nf.s == pytest.approx(3.0, rel=1e-12)
+        assert nf.t == pytest.approx(2.0, rel=1e-12)
+
+
+class TestAffineMap:
+    def test_singularity_is_relative_to_scale(self):
+        tiny = ic.AffineMap(1e-7, 0, 0, 1e-7)
+        inv = tiny.inverse()
+        assert (inv.m11, inv.m22) == (pytest.approx(1e7, rel=1e-15),
+                                      pytest.approx(1e7, rel=1e-15))
+        assert inv.compose(tiny).apply_xy(3.0, -2.0) == \
+            (pytest.approx(3.0, rel=1e-15), pytest.approx(-2.0, rel=1e-15))
+        for scale in (1e-7, 1.0, 1e7):
+            with pytest.raises(errors.SingularMap):
+                ic.AffineMap(scale, 2 * scale, 2 * scale, 4 * scale)
+
 
 class TestConicConversions:
     def test_unit_circle(self):

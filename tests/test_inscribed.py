@@ -7,7 +7,7 @@ import pytest
 
 import inconic as ic
 from inconic import errors
-from inconic.inscribed import _marden_conic
+from inconic.inscribed import _marden_conic, _project_to_segment
 
 from conftest import (
     quad_s3t2,
@@ -322,6 +322,53 @@ class TestInscribeAtParam:
             assert abs(det) < 1e-10 * (1 + seg.length() ** 2)
 
 
+# Trapezia with one side pair within eps of parallel: (1,0)-(1+eps,2) is
+# nearly parallel to (0,1)-(0,0), so the identity labeling has s - 1 = eps;
+# in the second family t - 1 = eps instead.
+NEAR_PARALLEL = [pytest.param(v, id=f"{name}-{eps:g}")
+                 for eps in (1e-7, 1e-8, 3e-9)
+                 for name, v in (("s", [(0, 0), (1, 0), (1 + eps, 2), (0, 1)]),
+                                 ("t", [(0, 0), (1, 0), (2, 1 + eps), (0, 1)]))]
+
+
+def _assert_inscribed_at(q, result, center):
+    seg = ic.locus(q)
+    for line in q.side_lines():
+        assert ic.tangency_residual(result.conic, line) < ic.DEFAULT_TOL.tol_tan
+    got = result.ellipse.center
+    assert math.hypot(got.x - center.x, got.y - center.y) <= 1e-9 * (1 + seg.length())
+
+
+class TestNearParallelSides:
+    @pytest.mark.parametrize("u", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("vertices", NEAR_PARALLEL)
+    def test_inscribe_at_param(self, vertices, u):
+        q = ic.validate_quad(vertices)
+        _assert_inscribed_at(q, ic.inscribe_at_param(q, u), ic.locus(q).point_at(u))
+
+    @pytest.mark.parametrize("vertices", NEAR_PARALLEL)
+    def test_max_area(self, vertices):
+        q = ic.validate_quad(vertices)
+        res = ic.max_area(q)
+        seg = ic.locus(q)
+        u, _ = _project_to_segment(res.center, seg.m1, seg.m2)
+        assert 0 < u < 1
+        _assert_inscribed_at(q, res.inscribed, seg.point_at(u))
+        for v in (0.05, 0.5, 0.95):
+            assert ic.inscribe_at_param(q, v).ellipse.area <= res.area * (1 + 1e-12)
+
+    def test_labeling_follows_the_normalized_sine(self):
+        # rotation 1 has the larger |s-1| here (s ~ 1119, t ~ 2999) but the
+        # smaller sine |s-1|/hypot(s-1, t); choosing it by |s-1| alone left
+        # center errors above 1e-9 (1 + length) near u = 0.9
+        q = ic.validate_quad([(0.21699625849056825, 7.487488201359036),
+                              (1.6995804402089831, 6.414904605394848),
+                              (5.677028988149596, 3.5403964208103056),
+                              (6.0468672395088685, 6.625065470129343)])
+        assert ic.normalize(q).labeling == (0, 1, 2, 3)
+        _assert_inscribed_at(q, ic.inscribe_at_param(q, 0.9), ic.locus(q).point_at(0.9))
+
+
 class TestChordX:
     def test_worked_quad_chord(self):
         # oracle: clip the midpoint line against each side line directly
@@ -375,7 +422,7 @@ class TestTangentConicAtCenter:
             ic.tangent_conic_at_center(quad_s3t2(), ic.Point(0.5, 0.5))
 
     def test_off_chord_rejected(self):
-        with pytest.raises(errors.CenterOffChord):
+        with pytest.raises(errors.CenterOffLocus, match="not on the center line"):
             ic.tangent_conic_at_center(quad_s3t2(), ic.Point(0.7, 0.7))
 
 

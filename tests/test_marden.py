@@ -213,7 +213,7 @@ class TestMardenEllipse:
                                        rel=1e-12)
 
     def test_invalid_weights_rejected(self):
-        with pytest.raises(errors.NotEllipse):
+        with pytest.raises(errors.NotAnEllipse, match="weight product"):
             ic.marden_ellipse(TRI_1, ic.WeightTriple(0.5, 0.5))
 
     def test_valid_weights_give_tangent_ellipse(self, rng):

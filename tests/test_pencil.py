@@ -75,7 +75,7 @@ class TestMemberWithCenter:
         det = (m2[0] - m1[0]) * (p[1] - m1[1]) - (m2[1] - m1[1]) * (p[0] - m1[0])
         assert abs(det) == pytest.approx(0.1, abs=1e-12)  # clearly nonzero
         pen = ic.pencil_from_lines(*q.side_lines())
-        with pytest.raises(errors.CenterOffCentersLine):
+        with pytest.raises(errors.CenterOffLocus, match="line of centers"):
             ic.member_with_center(pen, ic.Point(0.7, 0.7))
 
     def test_diagonal_midpoint_is_degenerate(self):

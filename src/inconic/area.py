@@ -35,9 +35,10 @@ from .geometry import (
 from .inscribed import (
     InscribedResult,
     NormalForm,
-    inscribe_at_center,
+    locus,
     locus_line,
     normalize,
+    _construct,
     _param_in_interval,
 )
 
@@ -144,6 +145,7 @@ def max_area(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> MaxAreaResult:
     The critical abscissa is the closed-form root of A'(h) inside the open
     interval (exactly one exists).  With one parallel side pair (t = 1)
     A'(h) is linear and its root is h = (s + 1)/4, the interval midpoint.
+    The ellipse is built at h0 from the same normal form.
     """
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("no unique inscribed ellipse for a parallelogram")
@@ -161,6 +163,6 @@ def max_area(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> MaxAreaResult:
     h0 = inside[0]
     k0 = locus_line(nf, tol)(h0)
     center = nf.T.inverse().apply(Point(h0, k0))
-    result = inscribe_at_center(q, center, tol)
+    result = _construct(q, locus(q), nf, h0, center, tol)
     ellipse = result.ellipse
     return MaxAreaResult(ellipse, ellipse.center, ellipse.area, h0, result)

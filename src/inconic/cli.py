@@ -33,6 +33,7 @@ from .inscribed import (
     locus,
     normalize,
     tangent_conic_at_center,
+    _inscribe_centers,
 )
 from .pencil import member_with_center, pencil_from_lines
 from . import svg
@@ -173,6 +174,12 @@ def _resolve_center(q, args, tol) -> Point:
     return locus(q).point_at(u)
 
 
+def _sample_results(q, n: int, tol):
+    """Inscribed ellipses at u = i/(n+1), i = 1..n, from one normal form."""
+    seg = locus(q)
+    return _inscribe_centers(q, seg, [seg.point_at(i / (n + 1)) for i in range(1, n + 1)], tol)
+
+
 def cmd_inspect(args) -> int:
     tol = _tolerances(args)
     q = validate_quad(_load_vertices(args), tol)
@@ -268,11 +275,7 @@ def cmd_sample(args) -> int:
     if args.n < 1:
         raise SystemExit(EXIT_USAGE)
     q = validate_quad(_load_vertices(args), tol)
-    outputs = []
-    for i in range(1, args.n + 1):
-        result = inscribe_at_param(q, i / (args.n + 1), tol)
-        outputs.append(_ellipse_output(result))
-    print(dumps(outputs))
+    print(dumps([_ellipse_output(r) for r in _sample_results(q, args.n, tol)]))
     return EXIT_OK
 
 
@@ -293,8 +296,7 @@ def cmd_render(args) -> int:
     elif args.n is not None:
         if args.n < 1:
             raise SystemExit(EXIT_USAGE)
-        for i in range(1, args.n + 1):
-            results.append(inscribe_at_param(q, i / (args.n + 1), tol))
+        results.extend(_sample_results(q, args.n, tol))
     ellipses = [r.ellipse for r in results]
     contacts = [t.to_point(tol) for r in results for t in r.tangencies
                 if not t.is_infinite(tol)]

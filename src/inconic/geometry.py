@@ -282,14 +282,19 @@ def validate_quad(vertices, tol: Tolerances = DEFAULT_TOL) -> ConvexQuad:
     pts = [v if isinstance(v, Point) else Point(v[0], v[1]) for v in vertices]
     if len(pts) != 4:
         raise ValueError("exactly four vertices required")
-    scale = max(1.0, max(abs(p.x) for p in pts), max(abs(p.y) for p in pts))
+    # degeneracy is judged against the quad's own extent, so neither where
+    # the quad sits nor the unit of its coordinates changes the verdict
+    xs, ys = [p.x for p in pts], [p.y for p in pts]
+    extent = max(max(xs) - min(xs), max(ys) - min(ys))
     for i in range(4):
         for j in range(i + 1, 4):
-            if math.hypot(pts[i].x - pts[j].x, pts[i].y - pts[j].y) <= 1e-12 * scale:
+            if math.hypot(pts[i].x - pts[j].x, pts[i].y - pts[j].y) <= 1e-12 * extent:
                 raise DegenerateQuad(f"vertices {i} and {j} coincide")
-    area2 = sum(pts[i].x * pts[(i + 1) % 4].y - pts[(i + 1) % 4].x * pts[i].y
-                for i in range(4))
-    if abs(area2) <= 1e-12 * scale * scale:
+    p0, p1, p2, p3 = pts
+    # the shoelace sum with the vertices translated to p0
+    area2 = (_cross(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y)
+             + _cross(p0.x, p0.y, p2.x, p2.y, p3.x, p3.y))
+    if abs(area2) <= 1e-12 * extent * extent:
         raise DegenerateQuad("vertex set has (near) zero area")
     if area2 < 0:
         pts.reverse()
@@ -387,12 +392,15 @@ class Conic:
         return Point(x, y)
 
 
+_FROBENIUS_WEIGHTS = (1.0, 0.5, 1.0, 0.5, 0.5, 1.0)
+
+
 def conic_distance(c1: Conic, c2: Conic) -> float:
     """Distance between canonical forms, invariant to the leading-sign flip."""
-    u = np.array(c1.coefficients())
-    v = np.array(c2.coefficients())
-    w = np.array([1.0, 0.5, 1.0, 0.5, 0.5, 1.0])  # Frobenius weights
-    return min(float(np.sqrt(w @ (u - v) ** 2)), float(np.sqrt(w @ (u + v) ** 2)))
+    u, v = c1.coefficients(), c2.coefficients()
+    minus = sum(w * (x - y) ** 2 for w, x, y in zip(_FROBENIUS_WEIGHTS, u, v))
+    plus = sum(w * (x + y) ** 2 for w, x, y in zip(_FROBENIUS_WEIGHTS, u, v))
+    return math.sqrt(min(minus, plus))
 
 
 def adjugate3(m: np.ndarray) -> np.ndarray:
@@ -410,6 +418,15 @@ def adjugate3(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _adjugate6(c: Conic) -> tuple[float, float, float, float, float, float]:
+    """Entries (A00, A11, A22, A01, A02, A12) of the symmetric adjugate of
+    c.matrix, from the six coefficients in closed form."""
+    p, q, r = c.a, c.b / 2, c.c
+    u, v, w = c.d / 2, c.e / 2, c.f
+    return (r * w - v * v, p * w - u * u, p * r - q * q,
+            u * v - q * w, q * v - u * r, q * u - p * v)
+
+
 def classify_conic(c: Conic, tol: Tolerances = DEFAULT_TOL) -> ConicClass:
     """Classify by the sign of b^2 - 4ac and rank tests (canonical scale).
 
@@ -419,7 +436,8 @@ def classify_conic(c: Conic, tol: Tolerances = DEFAULT_TOL) -> ConicClass:
     """
     det33 = c.a * c.c - c.b * c.b / 4
     if abs(det33) <= tol.tol_class:
-        det = float(np.linalg.det(c.matrix))
+        a00, _, _, a01, a02, _ = _adjugate6(c)
+        det = c.a * a00 + c.b / 2 * a01 + c.d / 2 * a02
         if abs(det) <= tol.tol_class:
             return ConicClass.DEGENERATE_LINES
         return ConicClass.PARABOLA
@@ -476,40 +494,56 @@ def _ordered_foci(f1: Point, f2: Point) -> tuple[Point, Point]:
     return f2, f1
 
 
-def conic_from_ellipse(e: EllipseGeo) -> Conic:
-    """Implicit form of the ellipse, canonically scaled."""
+def _ellipse_form(e: EllipseGeo) -> tuple[float, float, float]:
+    """(q11, q12, q22) of the quadratic form Q = u u^T / a^2 + v v^T / b^2,
+    u and v the axis directions, so that the ellipse is (x-c)^T Q (x-c) = 1."""
     ca, sa = math.cos(e.angle), math.sin(e.angle)
-    # quadratic form u u^T / a^2 + v v^T / b^2 with u, v the axis directions
     q11 = ca * ca / e.semi_major**2 + sa * sa / e.semi_minor**2
     q22 = sa * sa / e.semi_major**2 + ca * ca / e.semi_minor**2
     q12 = ca * sa * (1 / e.semi_major**2 - 1 / e.semi_minor**2)
-    cx, cy = e.center.x, e.center.y
+    return q11, q12, q22
+
+
+def _central_conic(q11: float, q12: float, q22: float, cx: float, cy: float) -> Conic:
+    """The conic (x-c)^T Q (x-c) = 1, Q = [[q11, q12], [q12, q22]], canonically scaled."""
     lin_x = -2 * (q11 * cx + q12 * cy)
     lin_y = -2 * (q12 * cx + q22 * cy)
     const = q11 * cx * cx + 2 * q12 * cx * cy + q22 * cy * cy - 1
     return Conic(q11, 2 * q12, q22, lin_x, lin_y, const)
 
 
+def conic_from_ellipse(e: EllipseGeo) -> Conic:
+    """Implicit form of the ellipse, canonically scaled."""
+    return _central_conic(*_ellipse_form(e), e.center.x, e.center.y)
+
+
 def ellipse_from_conic(c: Conic, tol: Tolerances = DEFAULT_TOL) -> EllipseGeo:
     """Metric data of a real nondegenerate ellipse; inverse of
-    conic_from_ellipse up to the canonical scale."""
+    conic_from_ellipse up to the canonical scale.
+
+    The block [[p, q], [q, r]] = [[a, b/2], [b/2, c]] has the closed-form
+    eigenvalues lam_hi = (p+r)/2 + hypot((p-r)/2, q) and
+    lam_lo = (pr - q^2)/lam_hi (a quotient, so the small one does not
+    cancel); semi-axis^2 = -F(center)/eigenvalue.  lam_hi's eigenvector
+    lies at 1/2 atan2(2q, p-r), so the major axis lies a quarter turn on.
+    """
     if classify_conic(c, tol) is not ConicClass.REAL_ELLIPSE:
         raise NotAnEllipse("conic does not classify as a real ellipse")
-    block = c.matrix[:2, :2]
     center = c.center(tol)
-    evals, evecs = np.linalg.eigh(block)
-    # semi-axis^2 = -F(center)/eigenvalue; the canonical sign rule makes the
-    # block positive definite and the center value negative for real ellipses
-    axes = np.sqrt(-c.evaluate(center.x, center.y) / evals)
-    # eigh sorts ascending, so index 0 carries the major axis
-    semi_major, semi_minor = float(axes[0]), float(axes[1])
+    p, q, r = c.a, c.b / 2, c.c
+    lam_hi = (p + r) / 2 + math.hypot((p - r) / 2, q)
+    lam_lo = (p * r - q * q) / lam_hi
+    # the canonical sign rule makes the block positive definite and the
+    # center value negative for real ellipses
+    value = -c.evaluate(center.x, center.y)
+    semi_major, semi_minor = math.sqrt(value / lam_lo), math.sqrt(value / lam_hi)
     if semi_major + 1e-15 < semi_minor:
         raise NotAnEllipse("inconsistent axis extraction")
     semi_minor = min(semi_minor, semi_major)
     if semi_major - semi_minor <= 1e-14 * semi_major:
         angle = 0.0
     else:
-        angle = _norm_angle(math.atan2(float(evecs[1, 0]), float(evecs[0, 0])))
+        angle = _norm_angle(math.atan2(2 * q, p - r) / 2 + math.pi / 2)
     cdist = math.sqrt(max(semi_major**2 - semi_minor**2, 0.0))
     ux, uy = math.cos(angle), math.sin(angle)
     f1 = Point(center.x - cdist * ux, center.y - cdist * uy)
@@ -518,10 +552,31 @@ def ellipse_from_conic(c: Conic, tol: Tolerances = DEFAULT_TOL) -> EllipseGeo:
     return EllipseGeo(center, semi_major, semi_minor, angle, f1, f2)
 
 
+def _pull_back_form(q11: float, q12: float, q22: float,
+                   m: AffineMap) -> tuple[float, float, float]:
+    """(p11, p12, p22) of L^T Q L, L the linear part of m: the quadratic
+    form Q read through the map, x -> Q(L x)."""
+    r11, r12 = q11 * m.m11 + q12 * m.m21, q11 * m.m12 + q12 * m.m22
+    r21, r22 = q12 * m.m11 + q22 * m.m21, q12 * m.m12 + q22 * m.m22
+    return (m.m11 * r11 + m.m21 * r21, m.m11 * r12 + m.m21 * r22,
+            m.m12 * r12 + m.m22 * r22)
+
+
 def transform_conic(c: Conic, t: AffineMap) -> Conic:
-    """Conic whose zero set is the image of c's zero set under t."""
-    hi = np.linalg.inv(t.matrix3)
-    return Conic.from_matrix(hi.T @ c.matrix @ hi)
+    """Conic whose zero set is the image of c's zero set under t.
+
+    With G = t^-1 = (L, g), the image matrix G3^T M G3 is written out:
+    quadratic part L^T Q L, linear part L^T (Q g + l) and constant
+    g.(Q g + l) + l.g + f, where M = [[Q, l], [l^T, f]].
+    """
+    g = t.inverse()
+    p, q, r, lx, ly = c.a, c.b / 2, c.c, c.d / 2, c.e / 2
+    wx = p * g.tx + q * g.ty + lx
+    wy = q * g.tx + r * g.ty + ly
+    q11, q12, q22 = _pull_back_form(p, q, r, g)
+    return Conic(q11, 2 * q12, q22,
+                 2 * (g.m11 * wx + g.m21 * wy), 2 * (g.m12 * wx + g.m22 * wy),
+                 g.tx * wx + g.ty * wy + lx * g.tx + ly * g.ty + c.f)
 
 
 def transform_line(l: Line, t: AffineMap) -> Line:
@@ -530,17 +585,22 @@ def transform_line(l: Line, t: AffineMap) -> Line:
     return Line(a, b, c)
 
 
-def _residual_and_pole(c: Conic, l: Line) -> tuple[float, np.ndarray]:
+def _residual_and_pole(c: Conic, l: Line) -> tuple[float, tuple[float, float, float]]:
     """Tangency residual of l and its pole adj(M) l, from one adjugate."""
-    adj = adjugate3(c.matrix)
-    v = l.as_array()
-    residual = abs(float(v @ adj @ v)) / float(np.linalg.norm(adj))
-    return residual, adj @ v
+    a00, a11, a22, a01, a02, a12 = _adjugate6(c)
+    la, lb, lc = l.a, l.b, l.c
+    px = a00 * la + a01 * lb + a02 * lc
+    py = a01 * la + a11 * lb + a12 * lc
+    pw = a02 * la + a12 * lb + a22 * lc
+    norm = math.sqrt(a00 * a00 + a11 * a11 + a22 * a22
+                     + 2 * (a01 * a01 + a02 * a02 + a12 * a12))
+    return abs(la * px + lb * py + lc * pw) / norm, (px, py, pw)
 
 
 def tangency_residual(c: Conic, l: Line) -> float:
-    """|l^T adj(M) l| / ||adj(M)||; zero iff l is tangent to the conic
-    (asymptotes of hyperbolas count as tangent at infinity)."""
+    """|l^T adj(M) l| / ||adj(M)||_F; zero iff l is tangent to the conic
+    (asymptotes of hyperbolas count as tangent at infinity).  The symmetric
+    adjugate comes in closed form from the six coefficients."""
     return _residual_and_pole(c, l)[0]
 
 
@@ -550,7 +610,7 @@ def tangency_point(c: Conic, l: Line, tol: Tolerances = DEFAULT_TOL) -> HomPoint
     residual, p = _residual_and_pole(c, l)
     if residual >= tol.tol_tan:
         raise NotTangent("line is not tangent to the conic")
-    return HomPoint(float(p[0]), float(p[1]), float(p[2])).dehomogenized(tol)
+    return HomPoint(*p).dehomogenized(tol)
 
 
 def ellipse_from_foci_point(f1: Point, f2: Point, p: Point,

@@ -34,13 +34,14 @@ from .geometry import (
     Point,
     QuadKind,
     Tolerances,
+    _central_conic,
+    _ellipse_form,
+    _pull_back_form,
     classify_conic,
-    conic_from_ellipse,
     ellipse_from_conic,
     ellipse_from_foci_point,
     midpoint,
     tangency_point,
-    transform_conic,
 )
 from .marden import WeightTriple, stable_quadratic_roots
 from .pencil import member_with_center, pencil_from_lines
@@ -144,21 +145,31 @@ def locus(q: ConvexQuad) -> LocusSegment:
 def normalize(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     """Affine normal form of a non-parallelogram quadrilateral.
 
-    Builds the form for cyclic rotations 0 and 1 of the vertices and keeps
-    the one with the larger normalized-frame sine |s-1| / hypot(s-1, t),
+    Computes (s, t) for cyclic rotations 0 and 1 of the vertices and keeps
+    the rotation with the larger normalized-frame sine |s-1| / hypot(s-1, t),
     rotation 0 on a tie.  That keeps s - 1, which the closed forms divide
     by, safely away from zero; a parallel side pair gets t = 1, since its
-    other rotation has s = 1 and sine 0.
+    other rotation has s = 1 and sine 0.  Only the kept rotation's map is
+    built.
     """
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("parallelograms have no unique normal form here")
-    forms = [_labeled_form(q, rot, tol) for rot in (0, 1)]
-    return max(forms, key=lambda nf: abs(nf.s - 1) / math.hypot(nf.s - 1, nf.t))
+    frames = [_frame(q, rot, tol) for rot in (0, 1)]
+    sines = [abs(s - 1) / math.hypot(s - 1, t) for s, t, _ in frames]
+    rot = 1 if sines[1] > sines[0] else 0
+    s, t, (m11, m12, m21, m22) = frames[rot]
+    p0 = q.vertices[rot]
+    t_map = AffineMap(m11, m12, m21, m22,
+                      -(m11 * p0.x + m12 * p0.y),
+                      -(m21 * p0.x + m22 * p0.y))
+    return NormalForm(t_map, s, t, tuple((rot + i) % 4 for i in range(4)))
 
 
-def _labeled_form(q: ConvexQuad, rot: int, tol: Tolerances) -> NormalForm:
-    """Normal form sending vertices rot, rot+1, rot+2, rot+3 (mod 4) to
-    (0,0), (1,0), (s,t), (0,1)."""
+def _frame(q: ConvexQuad, rot: int,
+           tol: Tolerances) -> tuple[float, float, tuple[float, float, float, float]]:
+    """(s, t, inverse basis) of the frame sending vertices rot, rot+1,
+    rot+2, rot+3 (mod 4) to (0,0), (1,0), (s,t), (0,1); (s, t) is solved
+    from vertex differences, so it does not depend on where the quad sits."""
     v = q.vertices
     p0, p1, p2, p3 = (v[(rot + i) % 4] for i in range(4))
     b11, b12 = p1.x - p0.x, p3.x - p0.x
@@ -168,14 +179,11 @@ def _labeled_form(q: ConvexQuad, rot: int, tol: Tolerances) -> NormalForm:
         raise NumericalFailure("normalization basis is singular")
     m11, m12 = b22 / det, -b12 / det
     m21, m22 = -b21 / det, b11 / det
-    t_map = AffineMap(m11, m12, m21, m22,
-                      -(m11 * p0.x + m12 * p0.y),
-                      -(m21 * p0.x + m22 * p0.y))
-    s, t = t_map.apply_xy(p2.x, p2.y)
+    dx, dy = p2.x - p0.x, p2.y - p0.y
+    s, t = m11 * dx + m12 * dy, m21 * dx + m22 * dy
     if not (s > 0 and t > 0 and s + t > 1):
         raise NumericalFailure("normal form violates convexity bounds")
-    labeling = tuple((rot + i) % 4 for i in range(4))
-    return NormalForm(t_map, s, t, labeling)
+    return s, t, (m11, m12, m21, m22)
 
 
 def locus_line(nf: NormalForm, tol: Tolerances = DEFAULT_TOL) -> LocusLine:
@@ -209,6 +217,10 @@ def weights_from_center(nf: NormalForm, h,
     interval.  Exact number types pass through unchanged.
     """
     _param_in_interval(nf, h, tol)
+    return _weights(nf, h)
+
+
+def _weights(nf: NormalForm, h) -> tuple[WeightTriple, WeightTriple]:
     s, t = nf.s, nf.t
     wt = WeightTriple((2 * h - s) / t, 1 - 2 * h)
     ws = WeightTriple((t - 1) * (2 * h - s) / (s * (s - 1)),
@@ -234,7 +246,7 @@ def foci_quadratic(nf: NormalForm, h,
     root_sum = complex(2 * h, 2 * k)
     root_product = 1j * (s - 2 * h) / (s - 1)
 
-    wt, ws = weights_from_center(nf, h, tol)
+    wt, ws = _weights(nf, h)
     triangles = [((0j, 1 + 0j, complex(0, -t / (s - 1))), wt)]
     if abs(t - 1) > tol.tol_par:
         triangles.append(((0j, 1j, complex(-s / (t - 1), 0)), ws))
@@ -258,7 +270,14 @@ def _project_to_segment(p: Point, a: Point, b: Point) -> tuple[float, float]:
 
 
 def _marden_conic(nf: NormalForm, h: float, tol: Tolerances) -> Conic:
-    """Original-frame inscribed conic from the focal construction."""
+    """Original-frame inscribed conic from the focal construction.
+
+    The normal-frame ellipse (x-c)^T Q_n (x-c) = 1 goes out through T's
+    2x2 linear part L only: the original-frame form is Q = L^T Q_n L and
+    the center is T^-1(c); the linear and constant terms follow from
+    (Q, center).  Pushing out the full 3x3 matrix instead rounds the
+    center worse.
+    """
     s = float(nf.s)
     root_sum, root_product = foci_quadratic(nf, h, tol)
     f1, f2 = stable_quadratic_roots(root_sum, root_product)
@@ -266,8 +285,39 @@ def _marden_conic(nf: NormalForm, h: float, tol: Tolerances) -> Conic:
     ellipse_n = ellipse_from_foci_point(
         Point(f1.real, f1.imag), Point(f2.real, f2.imag),
         Point(0.0, contact_y), tol)
-    conic_n = conic_from_ellipse(ellipse_n)
-    return transform_conic(conic_n, nf.T.inverse())
+    cx, cy = nf.T.inverse().apply_xy(ellipse_n.center.x, ellipse_n.center.y)
+    return _central_conic(*_pull_back_form(*_ellipse_form(ellipse_n), nf.T), cx, cy)
+
+
+def _construct(q: ConvexQuad, seg: LocusSegment, nf: NormalForm, h: float,
+               center: Point, tol: Tolerances) -> InscribedResult:
+    """The inscribed ellipse at normalized abscissa h, whose original-frame
+    center ``center`` was requested; runs the classification, tangency and
+    center-drift checks."""
+    conic = _marden_conic(nf, h, tol)
+    ellipse = ellipse_from_conic(conic, tol)
+    tangencies = tuple(tangency_point(conic, line, tol) for line in q.side_lines())
+    if math.hypot(ellipse.center.x - center.x, ellipse.center.y - center.y) > \
+            1e-6 * (1 + seg.length()):
+        raise NumericalFailure("inscribed conic center drifted from the request")
+    wt, ws = weights_from_center(nf, h, tol)
+    return InscribedResult(ellipse, conic, tangencies, wt, ws)
+
+
+def _inscribe_centers(q: ConvexQuad, seg: LocusSegment, centers,
+                      tol: Tolerances) -> list[InscribedResult]:
+    """Inscribed ellipses at each of ``centers`` on ``seg`` = locus(q),
+    from one normal form; every center is checked before it is built."""
+    if q.kind is QuadKind.PARALLELOGRAM:
+        raise ParallelogramUnsupported("inscribed ellipses of a parallelogram are not unique")
+    for center in centers:
+        u, dist = _project_to_segment(center, seg.m1, seg.m2)
+        if dist > tol.tol_on * (1 + seg.length()):
+            raise CenterOffLocus("center is not on the line of the locus segment")
+        if not (tol.tol_interval < u < 1 - tol.tol_interval):
+            raise CenterOffLocus("center is not strictly between the diagonal midpoints")
+    nf = normalize(q, tol)
+    return [_construct(q, seg, nf, nf.T.apply_xy(c.x, c.y)[0], c, tol) for c in centers]
 
 
 def inscribe_at_center(q: ConvexQuad, center: Point,
@@ -281,24 +331,7 @@ def inscribe_at_center(q: ConvexQuad, center: Point,
     parallelogram, so uniqueness fails there.  A side the conic misses
     raises NotTangent from ``tangency_point``.
     """
-    if q.kind is QuadKind.PARALLELOGRAM:
-        raise ParallelogramUnsupported("inscribed ellipses of a parallelogram are not unique")
-    seg = locus(q)
-    u, dist = _project_to_segment(center, seg.m1, seg.m2)
-    if dist > tol.tol_on * (1 + seg.length()):
-        raise CenterOffLocus("center is not on the line of the locus segment")
-    if not (tol.tol_interval < u < 1 - tol.tol_interval):
-        raise CenterOffLocus("center is not strictly between the diagonal midpoints")
-    nf = normalize(q, tol)
-    h = nf.T.apply_xy(center.x, center.y)[0]
-    conic = _marden_conic(nf, h, tol)
-    ellipse = ellipse_from_conic(conic, tol)
-    tangencies = tuple(tangency_point(conic, line, tol) for line in q.side_lines())
-    if math.hypot(ellipse.center.x - center.x, ellipse.center.y - center.y) > \
-            1e-6 * (1 + seg.length()):
-        raise NumericalFailure("inscribed conic center drifted from the request")
-    wt, ws = weights_from_center(nf, h, tol)
-    return InscribedResult(ellipse, conic, tangencies, wt, ws)
+    return _inscribe_centers(q, locus(q), (center,), tol)[0]
 
 
 def inscribe_at_param(q: ConvexQuad, u: float,
@@ -306,7 +339,8 @@ def inscribe_at_param(q: ConvexQuad, u: float,
     """Inscribed ellipse at the locus point m1 + u*(m2 - m1), 0 < u < 1."""
     if not (tol.tol_interval < u < 1 - tol.tol_interval):
         raise CenterOffLocus(f"parameter {u} outside the open unit interval")
-    return inscribe_at_center(q, locus(q).point_at(u), tol)
+    seg = locus(q)
+    return _inscribe_centers(q, seg, (seg.point_at(u),), tol)[0]
 
 
 def chord_x(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> ChordX:

@@ -284,6 +284,18 @@ class TestMaxArea:
         with pytest.raises(errors.ParallelogramUnsupported):
             ic.max_area(q)
 
+    def test_one_normal_form_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(q, tol=ic.DEFAULT_TOL):
+            calls.append(q)
+            return ic.normalize(q, tol)
+        for module in (ic.area, ic.inscribed):
+            monkeypatch.setattr(module, "normalize", counted)
+        res = ic.max_area(quad_s3t2())
+        assert len(calls) == 1
+        assert res.inscribed.ellipse == res.ellipse
+
     def test_affine_invariance_of_optimizer(self, rng):
         base = ic.max_area(quad_s3t2())
         for _ in range(20):

@@ -186,6 +186,16 @@ class TestSample:
         assert all(areas[i] < areas[i + 1] for i in range(peak))
         assert all(areas[i] > areas[i + 1] for i in range(peak, 8))
 
+    @pytest.mark.parametrize("vertices", [QUAD, "0,0 2,0 1.5,1 0,1"])
+    def test_samples_match_single_inscribes(self, capsys, vertices):
+        n = 6
+        _, out, _ = run_cli(capsys, "sample", "--vertices", vertices, "--n", str(n))
+        singles = []
+        for i in range(1, n + 1):
+            _, one, _ = run_cli(capsys, "inscribe", "--vertices", vertices, "--u", repr(i / (n + 1)))
+            singles.append(json.loads(one))
+        assert json.loads(out) == singles
+
     def test_zero_samples_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "sample", "--vertices", QUAD, "--n", "0")
         assert code == 1

@@ -53,6 +53,15 @@ class TestValidateQuad:
         with pytest.raises(errors.DegenerateQuad):
             ic.validate_quad([(0, 0), (1, 0), (1, 0), (0, 1)])
 
+    @pytest.mark.parametrize("offset,scale", [(1e8, 1.0), (0.0, 1e-9), (-1e8, 1e6)])
+    def test_degeneracy_is_relative_to_the_quads_extent(self, offset, scale):
+        def place(points):
+            return [(offset + scale * x, offset + scale * y) for x, y in points]
+        q = ic.validate_quad(place([(0, 0), (1, 0), (3, 2), (0, 1)]))
+        assert q.kind is ic.QuadKind.TRAPEZIUM
+        with pytest.raises(errors.DegenerateQuad):
+            ic.validate_quad(place([(0, 0), (1, 1), (2, 2), (3, 3)]))
+
     def test_canonical_order_stable_under_rotation_and_reversal(self):
         base = [(0, 0), (1, 0), (3, 2), (0, 1)]
         expect = ic.validate_quad(base).vertices
@@ -197,6 +206,104 @@ class TestConicConversions:
             for got, exp in ((back.focus1, e.focus1), (back.focus2, e.focus2)):
                 assert got.x == pytest.approx(exp.x, abs=1e-8)
                 assert got.y == pytest.approx(exp.y, abs=1e-8)
+
+
+def _adjugate_oracle(c, line):
+    adj = ic.geometry.adjugate3(c.matrix)
+    v = line.as_array()
+    return abs(v @ adj @ v) / np.linalg.norm(adj), adj @ v, np.linalg.norm(adj)
+
+
+_coeff = st.floats(-2, 2)
+_line = st.tuples(st.floats(-1, 1), st.floats(-1, 1), st.floats(-3, 3)).filter(
+    lambda v: math.hypot(v[0], v[1]) > 1e-3)
+
+
+def _conic_of_kind(kind, k1, k2, ang, cx, cy, eps):
+    """A conic from its axis form: an ellipse (k1, k2 > 0), a hyperbola
+    (k2 < 0) or two lines plus eps times a circle (near-degenerate)."""
+    ca, sa = math.cos(ang), math.sin(ang)
+    rot = np.array([[ca, -sa], [sa, ca]])
+    sign = {"ellipse": 1.0, "hyperbola": -1.0, "near_degenerate": -1.0}[kind]
+    q = rot @ np.diag([k1, sign * k2]) @ rot.T
+    m = np.zeros((3, 3))
+    m[:2, :2] = q
+    ctr = np.array([cx, cy])
+    m[:2, 2] = m[2, :2] = -q @ ctr
+    m[2, 2] = ctr @ q @ ctr - (eps if kind == "near_degenerate" else 1.0)
+    return ic.Conic.from_matrix(m)
+
+
+_conics = st.builds(_conic_of_kind, st.sampled_from(["ellipse", "hyperbola", "near_degenerate"]),
+                    st.floats(0.05, 5), st.floats(0.05, 5), st.floats(-3.2, 3.2),
+                    st.floats(-5, 5), st.floats(-5, 5), st.floats(1e-12, 1e-6))
+
+
+class TestClosedFormsAgainstNumpy:
+    """The scalar closed forms against the numpy formulas they replace."""
+
+    @given(_conics, _line)
+    @settings(max_examples=300, deadline=None)
+    def test_residual_and_pole_match_the_adjugate(self, c, abc):
+        line = ic.Line(*abc)
+        want_residual, want_pole, adj_norm = _adjugate_oracle(c, line)
+        residual, pole = ic.geometry._residual_and_pole(c, line)
+        scale = 1 + line.c * line.c
+        assert residual == pytest.approx(want_residual, abs=1e-13 * scale)
+        assert np.abs(np.array(pole) - want_pole).max() <= 1e-13 * adj_norm * scale
+        assert ic.tangency_residual(c, line) == residual
+
+    @given(_coeff, _coeff, _coeff, _coeff, _coeff, _coeff,
+           st.tuples(*[st.floats(-2, 2)] * 4), st.floats(-3, 3), st.floats(-3, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_transform_conic_matches_the_inverse_congruence(self, a, b, c, d, e, f,
+                                                           lin, tx, ty):
+        if max(abs(v) for v in (a, b, c, d, e, f)) < 1e-3:
+            return
+        if abs(lin[0] * lin[3] - lin[1] * lin[2]) < 0.2:
+            return
+        conic = ic.Conic(a, b, c, d, e, f)
+        t = ic.AffineMap(*lin, tx, ty)
+        hi = np.linalg.inv(t.matrix3)
+        want = ic.Conic.from_matrix(hi.T @ conic.matrix @ hi)
+        assert ic.conic_distance(ic.transform_conic(conic, t), want) < 1e-12
+
+    def test_ellipse_from_conic_matches_eigh(self, rng):
+        cases = []
+        for _ in range(700):
+            a = rng.uniform(0.1, 10.0)
+            cases.append((a, rng.uniform(0.02, 1.0) * a, rng.uniform(-math.pi / 2, math.pi / 2)))
+        for _ in range(100):   # near-circles
+            a = rng.uniform(0.1, 10.0)
+            cases.append((a, a * (1 - 10.0 ** rng.uniform(-15, -4)),
+                          rng.uniform(-math.pi / 2, math.pi / 2)))
+        for _ in range(50):    # axis-aligned
+            a = rng.uniform(0.1, 10.0)
+            cases.append((a, rng.uniform(0.02, 0.99) * a, float(rng.choice([0.0, math.pi / 2]))))
+        for _ in range(150):   # either side of the +-pi/2 boundary
+            a = rng.uniform(0.1, 10.0)
+            gap = 10.0 ** rng.uniform(-15, -3)
+            cases.append((a, rng.uniform(0.02, 0.99) * a,
+                          float(rng.choice([math.pi / 2 - gap, -math.pi / 2 + gap]))))
+        for a, b, ang in cases:
+            c = ic.conic_from_ellipse(_ellipse(*rng.uniform(-10, 10, 2), a, b, ang))
+            got = ic.ellipse_from_conic(c)
+            evals, evecs = np.linalg.eigh(c.matrix[:2, :2])
+            axes = np.sqrt(-c.evaluate(got.center.x, got.center.y) / evals)
+            assert got.semi_major == pytest.approx(axes[0], rel=1e-12)
+            assert got.semi_minor == pytest.approx(min(axes[1], axes[0]), rel=1e-12)
+            assert -math.pi / 2 < got.angle <= math.pi / 2
+            if axes[0] - axes[1] > 1e-6 * axes[0]:
+                want = math.atan2(evecs[1, 0], evecs[0, 0])
+                turn = (got.angle - want) / math.pi
+                assert abs(turn - round(turn)) < 1e-9 / math.pi
+
+    def test_axis_aligned_angles_are_exact(self):
+        # x^2/4 + y^2 = 1 has its major axis on x, x^2 + y^2/4 = 1 on y,
+        # which EllipseGeo reports as +pi/2 (the interval is (-pi/2, pi/2])
+        assert ic.ellipse_from_conic(ic.Conic(0.25, 0, 1, 0, 0, -1)).angle == 0.0
+        assert ic.ellipse_from_conic(ic.Conic(1, 0, 0.25, 0, 0, -1)).angle == math.pi / 2
+        assert ic.ellipse_from_conic(ic.Conic(1, -0.0, 0.25, 0, 0, -1)).angle == math.pi / 2
 
 
 class TestClassify:

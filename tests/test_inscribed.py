@@ -312,6 +312,17 @@ class TestInscribeAtParam:
         with pytest.raises(errors.CenterOffLocus):
             ic.inscribe_at_param(quad_s3t2(), 1.0 - 1e-12)
 
+    def test_center_error_pin(self):
+        # the bench's timed-call check: every constructed conic's center
+        # within 1e-9 (1 + length) of the requested locus point
+        rng = np.random.default_rng(4242)
+        for _ in range(200):
+            q = random_trapezium(rng)
+            seg = ic.locus(q)
+            for u in (0.01, 0.5, 0.99):
+                got, want = ic.inscribe_at_param(q, u).conic.center(), seg.point_at(u)
+                assert math.hypot(got.x - want.x, got.y - want.y) <= 1e-9 * (1 + seg.length())
+
     def test_centers_collinear_with_midpoints(self, rng):
         q = random_trapezium(rng)
         seg = ic.locus(q)

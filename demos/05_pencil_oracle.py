@@ -26,11 +26,11 @@ print(f"\nline of centers: {line.a:+.4f} x {line.b:+.4f} y {line.c:+.4f} = 0")
 print(f"  distance to diagonal midpoint {m1.as_tuple()}: {abs(line.eval(m1)):.2e}")
 print(f"  distance to diagonal midpoint {m2.as_tuple()}: {abs(line.eval(m2)):.2e}")
 
-print("\nagreement of the two constructions along the locus:")
-seg = ic.locus(quad)
-for u in np.linspace(0.15, 0.85, 6):
-    center = seg.point_at(float(u))
-    focal = ic.inscribe_at_center(quad, center).conic
+print("\nagreement of the two constructions along the interior chord:")
+chord = ic.chord_x(quad)
+for u in np.linspace(0.06, 0.94, 8):
+    center = chord.point_at(float(u))
+    focal, cls, _ = ic.tangent_conic_at_center(quad, center)
     dual = ic.member_with_center(pen, center)
-    print(f"  u = {u:.2f}: canonical distance "
+    print(f"  u = {u:.2f}: {cls.value:<9} canonical distance "
           f"{ic.conic_distance(focal, dual):.2e}")

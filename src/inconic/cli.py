@@ -235,18 +235,16 @@ def cmd_verify(args) -> int:
     q = validate_quad(_load_vertices(args), tol)
     center = _resolve_center(q, args, tol)
     lines = q.side_lines()
-    marden_distance = None
     try:
-        result = inscribe_at_center(q, center, tol)
-        conic = result.conic
+        conic = inscribe_at_center(q, center, tol).conic
         classification = "ellipse"
-        pen = pencil_from_lines(*lines, tol=tol)
-        marden_distance = conic_distance(conic, member_with_center(pen, center, tol))
     except errors.CenterOffLocus:
         if not args.allow_hyperbola:
             raise
         conic, classification_enum, _ = tangent_conic_at_center(q, center, tol)
         classification = classification_enum.value
+    marden_distance = conic_distance(
+        conic, member_with_center(pencil_from_lines(*lines), center, tol))
     residuals = [tangency_residual(conic, line) for line in lines]
     got = conic.center(tol)
     center_error = math.hypot(got.x - center.x, got.y - center.y)
@@ -262,7 +260,7 @@ def cmd_verify(args) -> int:
         failures.append("tangency_residuals")
     if center_error >= 1e-9 * (1 + locus(q).length()):
         failures.append("center_error")
-    if marden_distance is not None and marden_distance >= 1e-8:
+    if marden_distance >= 1e-8:
         failures.append("marden_vs_pencil_distance")
     if failures:
         print(f"verification failed: {', '.join(failures)}", file=sys.stderr)

@@ -42,7 +42,8 @@ class NotTangent(InconicError):
 
 
 class DegeneratePoint(InconicError):
-    """Point lies on the closed focal segment; no ellipse through it."""
+    """Point lies on the focal line: no ellipse through it on the closed
+    focal segment, no hyperbola outside it."""
 
 
 class DegenerateTriangle(InconicError):

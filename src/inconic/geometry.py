@@ -494,14 +494,11 @@ def _ordered_foci(f1: Point, f2: Point) -> tuple[Point, Point]:
     return f2, f1
 
 
-def _ellipse_form(e: EllipseGeo) -> tuple[float, float, float]:
-    """(q11, q12, q22) of the quadratic form Q = u u^T / a^2 + v v^T / b^2,
-    u and v the axis directions, so that the ellipse is (x-c)^T Q (x-c) = 1."""
-    ca, sa = math.cos(e.angle), math.sin(e.angle)
-    q11 = ca * ca / e.semi_major**2 + sa * sa / e.semi_minor**2
-    q22 = sa * sa / e.semi_major**2 + ca * ca / e.semi_minor**2
-    q12 = ca * sa * (1 / e.semi_major**2 - 1 / e.semi_minor**2)
-    return q11, q12, q22
+def _axis_form(ux: float, uy: float, p: float, q: float) -> tuple[float, float, float]:
+    """(q11, q12, q22) of Q = p u u^T + q v v^T, u = (ux, uy) a unit axis and
+    v = (-uy, ux), so that (x-c)^T Q (x-c) = 1 is an ellipse (p, q > 0) or a
+    hyperbola (p > 0 > q)."""
+    return (ux * ux * p + uy * uy * q, ux * uy * (p - q), uy * uy * p + ux * ux * q)
 
 
 def _central_conic(q11: float, q12: float, q22: float, cx: float, cy: float) -> Conic:
@@ -514,7 +511,9 @@ def _central_conic(q11: float, q12: float, q22: float, cx: float, cy: float) -> 
 
 def conic_from_ellipse(e: EllipseGeo) -> Conic:
     """Implicit form of the ellipse, canonically scaled."""
-    return _central_conic(*_ellipse_form(e), e.center.x, e.center.y)
+    return _central_conic(*_axis_form(math.cos(e.angle), math.sin(e.angle),
+                                      1 / e.semi_major**2, 1 / e.semi_minor**2),
+                          e.center.x, e.center.y)
 
 
 def ellipse_from_conic(c: Conic, tol: Tolerances = DEFAULT_TOL) -> EllipseGeo:

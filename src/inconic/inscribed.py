@@ -10,8 +10,9 @@ touch the line x = 0 at the same point — so they are one ellipse, tangent
 to all four sides.  The construction divides by s - 1 and h but never by
 t - 1, so it also serves quadrilaterals with one parallel side pair (t = 1,
 where only the first triangle exists).  Centers on the chord beyond the
-diagonal midpoints yield tangent hyperbolas, built from the dual-conic
-pencil.
+diagonal midpoints yield tangent hyperbolas from the same quadratic: its
+roots are then the hyperbola's foci, and the contact point on x = 0 fixes
+the difference of the focal distances instead of their sum.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 from .errors import (
     CenterOffLocus,
     DegenerateAtMidpoint,
+    DegeneratePoint,
     NumericalFailure,
     ParallelogramUnsupported,
 )
@@ -34,17 +36,15 @@ from .geometry import (
     Point,
     QuadKind,
     Tolerances,
+    _axis_form,
     _central_conic,
-    _ellipse_form,
     _pull_back_form,
     classify_conic,
     ellipse_from_conic,
-    ellipse_from_foci_point,
     midpoint,
     tangency_point,
 )
 from .marden import WeightTriple, stable_quadratic_roots
-from .pencil import member_with_center, pencil_from_lines
 
 
 @dataclass(frozen=True)
@@ -233,6 +233,9 @@ def foci_quadratic(nf: NormalForm, h,
     """(root sum, root product) of the shared monic focal quadratic
     z^2 - 2(h + i L(h)) z + i (s - 2h)/(s - 1).
 
+    Holds along the whole center line: the roots are the foci of the
+    inscribed ellipse between the diagonal midpoints, of the tangent
+    hyperbola beyond them.
     Verifies within 1e-10 that the focal numerators of the side-line
     triangles reduce to this monic form: always for the first triangle,
     and for the second only when t != 1 (with one parallel side pair it
@@ -240,7 +243,6 @@ def foci_quadratic(nf: NormalForm, h,
     """
     s, t = float(nf.s), float(nf.t)
     line = locus_line(nf, tol)
-    _param_in_interval(nf, h, tol)
     h = float(h)
     k = float(line(h))
     root_sum = complex(2 * h, 2 * k)
@@ -270,23 +272,31 @@ def _project_to_segment(p: Point, a: Point, b: Point) -> tuple[float, float]:
 
 
 def _marden_conic(nf: NormalForm, h: float, tol: Tolerances) -> Conic:
-    """Original-frame inscribed conic from the focal construction.
-
-    The normal-frame ellipse (x-c)^T Q_n (x-c) = 1 goes out through T's
-    2x2 linear part L only: the original-frame form is Q = L^T Q_n L and
-    the center is T^-1(c); the linear and constant terms follow from
-    (Q, center).  Pushing out the full 3x3 matrix instead rounds the
-    center worse.
+    """Original-frame tangent conic at normalized abscissa h, from the focal
+    construction: foci f1, f2 from ``foci_quadratic``, through the contact
+    point (0, (s-2h)/(2h(s-1))), whose focal distances sum to 2a between
+    the diagonal midpoints (ellipse) and differ by 2a beyond them
+    (hyperbola).  With c = |f2-f1|/2 and u, v the unit focal direction and
+    its normal, Q_n = u u^T / a^2 + v v^T / ((a-c)(a+c)); a = c raises
+    DegeneratePoint.  Q_n goes out through T's 2x2 linear part L only, as
+    Q = L^T Q_n L about the center T^-1((f1+f2)/2); pushing out the full
+    3x3 matrix instead rounds the center worse.
     """
     s = float(nf.s)
-    root_sum, root_product = foci_quadratic(nf, h, tol)
-    f1, f2 = stable_quadratic_roots(root_sum, root_product)
-    contact_y = (s - 2 * h) / (2 * h * (s - 1))
-    ellipse_n = ellipse_from_foci_point(
-        Point(f1.real, f1.imag), Point(f2.real, f2.imag),
-        Point(0.0, contact_y), tol)
-    cx, cy = nf.T.inverse().apply_xy(ellipse_n.center.x, ellipse_n.center.y)
-    return _central_conic(*_pull_back_form(*_ellipse_form(ellipse_n), nf.T), cx, cy)
+    f1, f2 = stable_quadratic_roots(*foci_quadratic(nf, h, tol))
+    contact = complex(0.0, (s - 2 * h) / (2 * h * (s - 1)))
+    d1, d2 = abs(contact - f1), abs(contact - f2)
+    lo, hi = nf.interval()
+    a = (d1 + d2) / 2 if lo < h < hi else abs(d1 - d2) / 2
+    half = (f2 - f1) / 2
+    c = abs(half)
+    if abs(a - c) <= 1e-12 * max(1.0, a):
+        raise DegeneratePoint("contact point lies on the focal line")
+    ux, uy = (half.real / c, half.imag / c) if c else (1.0, 0.0)
+    m = (f1 + f2) / 2
+    cx, cy = nf.T.inverse().apply_xy(m.real, m.imag)
+    form = _axis_form(ux, uy, 1 / (a * a), 1 / ((a - c) * (a + c)))
+    return _central_conic(*_pull_back_form(*form, nf.T), cx, cy)
 
 
 def _construct(q: ConvexQuad, seg: LocusSegment, nf: NormalForm, h: float,
@@ -374,9 +384,10 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
     between the diagonal midpoints give the inscribed ellipse; centers on
     the chord beyond them give a hyperbola tangent to all four side lines,
     where a tangency "at infinity" (contact point with w = 0) means the
-    side line is an asymptote.  The midpoints themselves are degenerate
-    members and are rejected with DegenerateAtMidpoint; a missed side
-    raises NotTangent.
+    side line is an asymptote.  Both come from the focal construction of
+    ``inscribe_at_center`` (``_marden_conic``), at the center's abscissa in
+    the normal form.  The midpoints themselves are degenerate members and
+    are rejected with DegenerateAtMidpoint; a missed side raises NotTangent.
     """
     ch = chord_x(q, tol)
     u, dist = _project_to_segment(center, ch.p_start, ch.p_end)
@@ -389,9 +400,8 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
         um, _ = _project_to_segment(m, ch.p_start, ch.p_end)
         if abs(u - um) <= tol.tol_interval:
             raise DegenerateAtMidpoint("center coincides with a diagonal midpoint")
-    lines = q.side_lines()
-    pen = pencil_from_lines(*lines, tol=tol)
-    conic = member_with_center(pen, center, tol)
+    nf = normalize(q, tol)
+    conic = _marden_conic(nf, nf.T.apply_xy(center.x, center.y)[0], tol)
     classification = classify_conic(conic, tol)
-    tangencies = tuple(tangency_point(conic, line, tol) for line in lines)
+    tangencies = tuple(tangency_point(conic, line, tol) for line in q.side_lines())
     return conic, classification, tangencies

@@ -67,10 +67,6 @@ class DualConic:
         v = l.as_array()
         return float(v @ self.m @ v)
 
-    def center_column(self) -> np.ndarray:
-        """Homogeneous center of the underlying point conic."""
-        return np.array(self.m[:, 2])
-
 
 @dataclass(frozen=True, eq=False)
 class TangentPencil:
@@ -104,8 +100,7 @@ def _rank2_dual(p: np.ndarray, q: np.ndarray) -> DualConic:
     return DualConic(np.outer(p, q) + np.outer(q, p))
 
 
-def pencil_from_lines(l1: Line, l2: Line, l3: Line, l4: Line,
-                      tol: Tolerances = DEFAULT_TOL) -> TangentPencil:
+def pencil_from_lines(l1: Line, l2: Line, l3: Line, l4: Line) -> TangentPencil:
     """Span the pencil from the complete quadrilateral's point pairs.
 
     Degenerate members are built deterministically from the pairs
@@ -132,7 +127,7 @@ def pencil_from_lines(l1: Line, l2: Line, l3: Line, l4: Line,
     return TangentPencil(d_a, d_b, lines)
 
 
-def _point_conic(dual_m: np.ndarray, tol: Tolerances) -> Conic:
+def _point_conic(dual_m: np.ndarray) -> Conic:
     dual_m = dual_m / float(np.linalg.norm(dual_m))
     # rank-2 members (the degenerate duals themselves) still have a nonzero
     # adjugate, so the determinant test is the one that matters
@@ -178,7 +173,7 @@ def member_with_center(p: TangentPencil, center: Point,
         raise CenterOffLocus(
             "center is not on the pencil's line of centers "
             f"(residual {residual:.3e})")
-    conic = _point_conic(d, tol)
+    conic = _point_conic(d)
     got = conic.center(tol)
     if math.hypot(got.x - h, got.y - k) > 1e-6 * max(1.0, abs(h), abs(k)):
         raise DegenerateMember("member center drifted from the request")

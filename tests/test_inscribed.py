@@ -34,6 +34,11 @@ def _exact_weights(s, t, h):
     return (t1, t2, 1 - t1 - t2), (s1, s2, 1 - s1 - s2)
 
 
+def _chord_param(ch, p):
+    dx, dy = ch.p_end.x - ch.p_start.x, ch.p_end.y - ch.p_start.y
+    return ((p.x - ch.p_start.x) * dx + (p.y - ch.p_start.y) * dy) / (dx * dx + dy * dy)
+
+
 def _fraction_nf(s, t):
     return ic.NormalForm(ic.AffineMap.identity(), s, t, (0, 1, 2, 3))
 
@@ -162,6 +167,36 @@ class TestFociQuadratic:
             root_sum, _ = ic.foci_quadratic(nf, h)
             k = ic.locus_line(nf)(h)
             assert root_sum / 2 == pytest.approx(complex(h, k), abs=1e-10)
+
+    def test_hyperbola_foci_beyond_midpoints(self, rng):
+        # beyond the diagonal midpoints the roots are the foci of the tangent
+        # hyperbola: in the normal frame the pencil oracle's finite contact
+        # points all have the same focal distance difference
+        shapes = [(3.0, 2.0)]
+        for _ in range(20):
+            nf = ic.normalize(random_trapezium(rng))
+            shapes.append((nf.s, nf.t))
+        for s, t in shapes:
+            q = ic.validate_quad([(0, 0), (1, 0), (s, t), (0, 1)])
+            nf = ic.NormalForm(ic.AffineMap.identity(), s, t, (0, 1, 2, 3))
+            ch, seg = ic.chord_x(q), ic.locus(q)
+            u1, u2 = sorted(_chord_param(ch, m) for m in (seg.m1, seg.m2))
+            pen = ic.pencil_from_lines(*q.side_lines())
+            lo, hi = nf.interval()
+            for u in (u1 / 2, (u2 + 1) / 2):
+                center = ch.point_at(u)
+                assert not lo < center.x < hi
+                f1, f2 = ic.stable_quadratic_roots(*ic.foci_quadratic(nf, center.x))
+                conic = ic.member_with_center(pen, center)
+                assert ic.classify_conic(conic) is ic.ConicClass.HYPERBOLA
+                diffs = []
+                for line in q.side_lines():
+                    contact = ic.tangency_point(conic, line)
+                    if not contact.is_infinite():
+                        z = complex(contact.x, contact.y)
+                        diffs.append(abs(abs(z - f1) - abs(z - f2)))
+                assert len(diffs) >= 3
+                assert max(diffs) - min(diffs) < 1e-8 * max(diffs)
 
     def test_monic_agreement_is_enforced(self, rng):
         # the operation itself asserts both numerators reduce to the same
@@ -428,6 +463,22 @@ class TestTangentConicAtCenter:
             assert ic.tangency_residual(conic, line) < 1e-8
         assert len(tangencies) == 4
 
+    def test_focal_route_matches_pencil_oracle(self, rng):
+        quads = [random_trapezium(rng) for _ in range(30)]
+        quads += [random_trapezoid(rng) for _ in range(30)]
+        for q in quads:
+            pen = ic.pencil_from_lines(*q.side_lines())
+            ch = ic.chord_x(q)
+            for j in range(16):
+                center = ch.point_at((j + 0.5) / 16)
+                conic, cls, tangencies = ic.tangent_conic_at_center(q, center)
+                oracle = ic.member_with_center(pen, center)
+                assert cls is ic.classify_conic(oracle)
+                assert ic.conic_distance(conic, oracle) < 1e-10
+                for contact in tangencies:
+                    if contact.is_infinite():
+                        assert contact.w == 0.0
+
     def test_midpoint_rejected(self):
         with pytest.raises(errors.DegenerateAtMidpoint):
             ic.tangent_conic_at_center(quad_s3t2(), ic.Point(0.5, 0.5))
@@ -448,6 +499,13 @@ class TestWeightPositivity:
                 wt, ws = ic.weights_from_center(nf, h)
                 assert wt.product > 0
                 assert ws.product > 0
+
+
+def test_pencil_is_not_a_construction_route():
+    # the pencil is an oracle only: the construction module never reaches it
+    import inconic.inscribed
+    assert "pencil_from_lines" not in vars(inconic.inscribed)
+    assert "member_with_center" not in vars(inconic.inscribed)
 
 
 def test_marden_conic_helper_matches_public_result():

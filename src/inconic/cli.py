@@ -119,6 +119,13 @@ def _center_point(text: str) -> Point:
         raise SystemExit(EXIT_USAGE)
 
 
+def _sample_count(n: int) -> int:
+    if n < 1:
+        print(f"bad --n value: {n} (must be at least 1)", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
+    return n
+
+
 def _load_vertices(args) -> list[tuple[float, float]]:
     if args.vertices:
         chunks = args.vertices.split()
@@ -270,10 +277,9 @@ def cmd_verify(args) -> int:
 
 def cmd_sample(args) -> int:
     tol = _tolerances(args)
-    if args.n < 1:
-        raise SystemExit(EXIT_USAGE)
+    n = _sample_count(args.n)
     q = validate_quad(_load_vertices(args), tol)
-    print(dumps([_ellipse_output(r) for r in _sample_results(q, args.n, tol)]))
+    print(dumps([_ellipse_output(r) for r in _sample_results(q, n, tol)]))
     return EXIT_OK
 
 
@@ -292,9 +298,7 @@ def cmd_render(args) -> int:
     elif args.u is not None:
         results.append(inscribe_at_param(q, args.u, tol))
     elif args.n is not None:
-        if args.n < 1:
-            raise SystemExit(EXIT_USAGE)
-        results.extend(_sample_results(q, args.n, tol))
+        results.extend(_sample_results(q, _sample_count(args.n), tol))
     ellipses = [r.ellipse for r in results]
     contacts = [t.to_point(tol) for r in results for t in r.tangencies
                 if not t.is_infinite(tol)]

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
-import numpy as np
-
 from .errors import (
     DegeneratePoint,
     DegenerateQuad,
@@ -165,9 +163,6 @@ class Line:
     def direction(self) -> tuple[float, float]:
         return (-self.b, self.a)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c], dtype=float)
-
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -222,12 +217,6 @@ class AffineMap:
             self.m11 * inner.tx + self.m12 * inner.ty + self.tx,
             self.m21 * inner.tx + self.m22 * inner.ty + self.ty,
         )
-
-    @property
-    def matrix3(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12, self.tx],
-                         [self.m21, self.m22, self.ty],
-                         [0.0, 0.0, 1.0]])
 
 
 class QuadKind(Enum):
@@ -364,17 +353,6 @@ class Conic:
         for name, v in zip("abcdef", (a, b, c, d, e, f)):
             object.__setattr__(self, name, v)
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray) -> "Conic":
-        m = (m + m.T) / 2
-        return cls(m[0, 0], 2 * m[0, 1], m[1, 1], 2 * m[0, 2], 2 * m[1, 2], m[2, 2])
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.a, self.b / 2, self.d / 2],
-                         [self.b / 2, self.c, self.e / 2],
-                         [self.d / 2, self.e / 2, self.f]])
-
     def evaluate(self, x: float, y: float) -> float:
         return (self.a * x * x + self.b * x * y + self.c * y * y
                 + self.d * x + self.e * y + self.f)
@@ -403,24 +381,18 @@ def conic_distance(c1: Conic, c2: Conic) -> float:
     return math.sqrt(min(minus, plus))
 
 
-def adjugate3(m: np.ndarray) -> np.ndarray:
-    """Transposed cofactor matrix of a 3x3 matrix."""
-    out = np.empty((3, 3))
-    out[0, 0] = m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
-    out[0, 1] = m[0, 2] * m[2, 1] - m[0, 1] * m[2, 2]
-    out[0, 2] = m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1]
-    out[1, 0] = m[1, 2] * m[2, 0] - m[1, 0] * m[2, 2]
-    out[1, 1] = m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
-    out[1, 2] = m[0, 2] * m[1, 0] - m[0, 0] * m[1, 2]
-    out[2, 0] = m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]
-    out[2, 1] = m[0, 1] * m[2, 0] - m[0, 0] * m[2, 1]
-    out[2, 2] = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return out
+def adjugate3(m) -> tuple[tuple[float, float, float], ...]:
+    """Transposed cofactor matrix of a 3x3 matrix given as three rows."""
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    return ((m11 * m22 - m12 * m21, m02 * m21 - m01 * m22, m01 * m12 - m02 * m11),
+            (m12 * m20 - m10 * m22, m00 * m22 - m02 * m20, m02 * m10 - m00 * m12),
+            (m10 * m21 - m11 * m20, m01 * m20 - m00 * m21, m00 * m11 - m01 * m10))
 
 
 def _adjugate6(c: Conic) -> tuple[float, float, float, float, float, float]:
     """Entries (A00, A11, A22, A01, A02, A12) of the symmetric adjugate of
-    c.matrix, from the six coefficients in closed form."""
+    the conic's matrix [[a, b/2, d/2], [b/2, c, e/2], [d/2, e/2, f]], from
+    the six coefficients in closed form."""
     p, q, r = c.a, c.b / 2, c.c
     u, v, w = c.d / 2, c.e / 2, c.f
     return (r * w - v * v, p * w - u * u, p * r - q * q,
@@ -579,9 +551,14 @@ def transform_conic(c: Conic, t: AffineMap) -> Conic:
 
 
 def transform_line(l: Line, t: AffineMap) -> Line:
-    """Line through the image of l's points under t."""
-    a, b, c = np.linalg.inv(t.matrix3).T @ l.as_array()
-    return Line(a, b, c)
+    """Line through the image of l's points under t.
+
+    With G = t^-1 = (L, g), the image line is l read through G, written out
+    as G3^T l: coefficients L^T (a, b) and constant (a, b).g + c.
+    """
+    g = t.inverse()
+    return Line(l.a * g.m11 + l.b * g.m21, l.a * g.m12 + l.b * g.m22,
+                l.a * g.tx + l.b * g.ty + l.c)
 
 
 def _residual_and_pole(c: Conic, l: Line) -> tuple[float, tuple[float, float, float]]:

@@ -10,14 +10,12 @@ homogeneous center of a member is the third column of its dual matrix, so
 prescribing a center is a linear condition on the parameter.
 
 This is a construction independent of the focal approach and doubles as its
-brute-force oracle.
+brute-force oracle.  Matrices are 3x3 tuples of row tuples of floats.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import (
     CenterOffLocus,
@@ -33,22 +31,44 @@ from .geometry import (
     adjugate3,
 )
 
+Vec3 = tuple[float, float, float]
+Mat3 = tuple[Vec3, Vec3, Vec3]
 
-def _canonical_sym3(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    m = (m + m.T) / 2
-    norm = float(np.linalg.norm(m))
+
+def _cross3(u, v) -> Vec3:
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _dot3(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _frobenius(m) -> float:
+    return math.sqrt(sum(v * v for row in m for v in row))
+
+
+def _combine(a, wa: float, b, wb: float) -> Mat3:
+    return tuple(tuple(wa * x + wb * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _line_vec(l: Line) -> Vec3:
+    return (l.a, l.b, l.c)
+
+
+def _canonical_sym3(m) -> Mat3:
+    m = [[(m[i][j] + m[j][i]) / 2 for j in range(3)] for i in range(3)]
+    norm = _frobenius(m)
     if norm == 0 or not math.isfinite(norm):
         raise ValueError("matrix cannot be zero or non-finite")
-    m = m / norm
-    for v in (m[0, 0], m[0, 1], m[1, 1], m[0, 2], m[1, 2], m[2, 2]):
+    m = [[v / norm for v in row] for row in m]
+    for v in (m[0][0], m[0][1], m[1][1], m[0][2], m[1][2], m[2][2]):
         if abs(v) > 1e-12:
             if v < 0:
-                m = -m
+                m = [[-u for u in row] for row in m]
             break
-    m = np.ascontiguousarray(m)
-    m.setflags(write=False)
-    return m
+    return tuple(tuple(row) for row in m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,14 +78,14 @@ class DualConic:
     A line l is tangent to the underlying point conic iff l^T D l = 0.
     """
 
-    m: np.ndarray
+    m: Mat3
 
     def __post_init__(self):
         object.__setattr__(self, "m", _canonical_sym3(self.m))
 
     def apply_line(self, l: Line) -> float:
-        v = l.as_array()
-        return float(v @ self.m @ v)
+        v = _line_vec(l)
+        return _dot3(v, tuple(_dot3(row, v) for row in self.m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,24 +100,25 @@ class TangentPencil:
     d_b: DualConic
     lines: tuple[Line, Line, Line, Line]
 
-    def member_matrix(self, num: float, den: float = 1.0) -> np.ndarray:
+    def member_matrix(self, num: float, den: float = 1.0) -> Mat3:
         scale = math.hypot(num, den)
         if scale == 0:
             raise ValueError("projective parameter cannot be (0, 0)")
-        return (den / scale) * self.d_a.m + (num / scale) * self.d_b.m
+        return _combine(self.d_a.m, den / scale, self.d_b.m, num / scale)
 
     def member(self, num: float, den: float = 1.0) -> DualConic:
         return DualConic(self.member_matrix(num, den))
 
 
-def _meet(l1: Line, l2: Line) -> np.ndarray:
-    p = np.cross(l1.as_array(), l2.as_array())
-    n = float(np.linalg.norm(p))
-    return p / n
+def _meet(l1: Line, l2: Line) -> Vec3:
+    p = _cross3(_line_vec(l1), _line_vec(l2))
+    n = math.hypot(*p)
+    return (p[0] / n, p[1] / n, p[2] / n)
 
 
-def _rank2_dual(p: np.ndarray, q: np.ndarray) -> DualConic:
-    return DualConic(np.outer(p, q) + np.outer(q, p))
+def _rank2_dual(p: Vec3, q: Vec3) -> DualConic:
+    return DualConic(tuple(tuple(p[i] * q[j] + q[i] * p[j] for j in range(3))
+                           for i in range(3)))
 
 
 def pencil_from_lines(l1: Line, l2: Line, l3: Line, l4: Line) -> TangentPencil:
@@ -109,16 +130,16 @@ def pencil_from_lines(l1: Line, l2: Line, l3: Line, l4: Line) -> TangentPencil:
     a point at infinity).
     """
     lines = (l1, l2, l3, l4)
-    arrays = [l.as_array() for l in lines]
+    vecs = [_line_vec(l) for l in lines]
     for i in range(4):
         for j in range(i + 1, 4):
-            if float(np.linalg.norm(np.cross(arrays[i], arrays[j]))) <= 1e-12 * (
+            if math.hypot(*_cross3(vecs[i], vecs[j])) <= 1e-12 * (
                     1 + abs(lines[i].c)) * (1 + abs(lines[j].c)):
                 raise DegenerateConfiguration(f"lines {i} and {j} coincide")
     for i in range(4):
         for j in range(i + 1, 4):
             for k in range(j + 1, 4):
-                det = float(np.linalg.det(np.array([arrays[i], arrays[j], arrays[k]])))
+                det = _dot3(vecs[i], _cross3(vecs[j], vecs[k]))
                 scale = max(1.0, abs(lines[i].c), abs(lines[j].c), abs(lines[k].c))
                 if abs(det) <= 1e-12 * scale:
                     raise DegenerateConfiguration(f"lines {i}, {j}, {k} are concurrent")
@@ -127,16 +148,17 @@ def pencil_from_lines(l1: Line, l2: Line, l3: Line, l4: Line) -> TangentPencil:
     return TangentPencil(d_a, d_b, lines)
 
 
-def _point_conic(dual_m: np.ndarray) -> Conic:
-    dual_m = dual_m / float(np.linalg.norm(dual_m))
-    # rank-2 members (the degenerate duals themselves) still have a nonzero
-    # adjugate, so the determinant test is the one that matters
-    if abs(float(np.linalg.det(dual_m))) < 1e-14:
-        raise DegenerateMember("pencil member is a degenerate dual")
+def _point_conic(dual_m) -> Conic:
+    norm = _frobenius(dual_m)
+    dual_m = tuple(tuple(v / norm for v in row) for row in dual_m)
     adj = adjugate3(dual_m)
-    if float(np.linalg.norm(adj)) < 1e-14:
-        raise DegenerateMember("pencil member has rank below 3")
-    return Conic.from_matrix(adj)
+    # rank-2 members (the degenerate duals themselves) still have a nonzero
+    # adjugate, so the determinant test is the one that matters; it also
+    # bounds the adjugate away from zero, as |det| <= ||row 0|| ||adj||
+    if abs(_dot3(dual_m[0], (adj[0][0], adj[1][0], adj[2][0]))) < 1e-14:
+        raise DegenerateMember("pencil member is a degenerate dual")
+    return Conic(adj[0][0], 2 * adj[0][1], adj[1][1],
+                 2 * adj[0][2], 2 * adj[1][2], adj[2][2])
 
 
 def member_with_center(p: TangentPencil, center: Point,
@@ -153,8 +175,8 @@ def member_with_center(p: TangentPencil, center: Point,
     # coefficients of the two affine-in-lambda center equations
     eqs = []
     for row, coord in ((0, h), (1, k)):
-        c0 = a[row, 2] - coord * a[2, 2]
-        c1 = b[row, 2] - coord * b[2, 2]
+        c0 = a[row][2] - coord * a[2][2]
+        c1 = b[row][2] - coord * b[2][2]
         eqs.append((c0, c1))
     idx = 0 if math.hypot(*eqs[0]) >= math.hypot(*eqs[1]) else 1
     c0, c1 = eqs[idx]
@@ -163,8 +185,8 @@ def member_with_center(p: TangentPencil, center: Point,
     if scale <= tol.tol_det:
         raise DegenerateMember("center equations are degenerate for this pencil")
     num, den = num / scale, den / scale
-    d = den * a + num * b
-    dn = float(np.linalg.norm(d))
+    d = _combine(a, den, b, num)
+    dn = _frobenius(d)
     if dn <= tol.tol_det:
         raise DegenerateMember("selected pencil member vanishes")
     o0, o1 = eqs[1 - idx]
@@ -192,15 +214,15 @@ def centers_line(p: TangentPencil, tol: Tolerances = DEFAULT_TOL) -> Line:
     centers = []
     for num, den in samples:
         m = p.member_matrix(num, den)
-        col = m[:, 2]
-        n = float(np.linalg.norm(col))
+        col = (m[0][2], m[1][2], m[2][2])
+        n = math.hypot(*col)
         if n <= tol.tol_det:
             continue
-        centers.append(col / n)
+        centers.append((col[0] / n, col[1] / n, col[2] / n))
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
-            cross = np.cross(centers[i], centers[j])
-            if float(np.linalg.norm(cross)) > 1e-9:
+            cross = _cross3(centers[i], centers[j])
+            if math.hypot(*cross) > 1e-9:
                 if math.hypot(cross[0], cross[1]) <= tol.tol_det:
                     continue  # the "line at infinity" is not an affine line
                 return Line(cross[0], cross[1], cross[2])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from inconic import AffineMap, ConvexQuad, Point, QuadKind, validate_quad
+from inconic import AffineMap, Conic, ConvexQuad, Point, QuadKind, validate_quad
 
 
 @pytest.fixture
@@ -84,6 +84,24 @@ def quad_s3t2() -> ConvexQuad:
 
 def quad_s4t2() -> ConvexQuad:
     return validate_quad([(0, 0), (1, 0), (4, 2), (0, 1)])
+
+
+def conic_matrix(c) -> np.ndarray:
+    """Symmetric 3x3 matrix of a conic, for numpy formulas used as oracles."""
+    return np.array([[c.a, c.b / 2, c.d / 2],
+                     [c.b / 2, c.c, c.e / 2],
+                     [c.d / 2, c.e / 2, c.f]])
+
+
+def conic_from_matrix(m) -> Conic:
+    m = (m + m.T) / 2
+    return Conic(m[0, 0], 2 * m[0, 1], m[1, 1], 2 * m[0, 2], 2 * m[1, 2], m[2, 2])
+
+
+def affine_matrix3(t: AffineMap) -> np.ndarray:
+    return np.array([[t.m11, t.m12, t.tx],
+                     [t.m21, t.m22, t.ty],
+                     [0.0, 0.0, 1.0]])
 
 
 def point_on_side_lines(q: ConvexQuad, p: Point, tol: float) -> bool:

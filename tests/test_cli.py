@@ -197,8 +197,10 @@ class TestSample:
         assert json.loads(out) == singles
 
     def test_zero_samples_is_usage_error(self, capsys):
-        code, _, _ = run_cli(capsys, "sample", "--vertices", QUAD, "--n", "0")
+        code, out, err = run_cli(capsys, "sample", "--vertices", QUAD, "--n", "0")
         assert code == 1
+        assert out == ""
+        assert "--n" in err and "at least 1" in err
 
 
 class TestRender:
@@ -225,6 +227,15 @@ class TestRender:
         root = ET.parse(out_file).getroot()
         ns = {"s": "http://www.w3.org/2000/svg"}
         assert len(root.findall("s:ellipse", ns)) == 5
+
+    def test_zero_samples_is_usage_error(self, capsys, tmp_path):
+        out_file = tmp_path / "none.svg"
+        code, out, err = run_cli(capsys, "render", "--vertices", QUAD,
+                                 "--n", "0", "--out", str(out_file))
+        assert code == 1
+        assert out == ""
+        assert "--n" in err and "at least 1" in err
+        assert not out_file.exists()
 
     def test_unwritable_path_exits_6(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "render", "--vertices", QUAD,
@@ -266,16 +277,64 @@ class TestUsageAndTolerances:
         assert code != 0
 
 
-def test_module_entry_point():
+def _run_python(*args):
     # run the package this suite imported, whatever the caller's PYTHONPATH
     src = str(Path(inconic.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "inconic", "inspect", "--vertices", QUAD],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_module_entry_point():
+    proc = _run_python("-m", "inconic", "inspect", "--vertices", QUAD)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kind"] == "trapezium"
+
+
+def test_import_leaves_numpy_out():
+    proc = _run_python("-c", "import sys, inconic; print('numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+# README's command-line examples, run through cli.main with numpy unimportable
+_NO_NUMPY_RUN = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from inconic.cli import main
+report = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    report.append([code, out.getvalue()])
+print(json.dumps(report))
+"""
+
+
+def test_all_subcommands_run_without_numpy(tmp_path):
+    svg_file = tmp_path / "scene.svg"
+    commands = [
+        ["inspect", "--vertices", QUAD],
+        ["inscribe", "--vertices", QUAD, "--center", "1,0.75"],
+        ["inscribe", "--vertices", QUAD, "--u", "0.5"],
+        ["maxarea", "--vertices", WIDE],
+        ["verify", "--vertices", QUAD, "--u", "0.37"],
+        ["verify", "--vertices", QUAD, "--center", "2.3,1.4", "--allow-hyperbola"],
+        ["sample", "--vertices", QUAD, "--n", "9"],
+        ["render", "--vertices", WIDE, "--maxarea", "--out", str(svg_file)],
+    ]
+    proc = _run_python("-c", _NO_NUMPY_RUN, json.dumps(commands))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert len(report) == len(commands)
+    for argv, (code, out) in zip(commands, report):
+        assert code == 0, argv
+        if argv[0] == "render":
+            assert out == ""
+            assert ET.parse(svg_file).getroot().tag.endswith("svg")
+        else:
+            json.loads(out)
 
 
 def test_verify_property_run(capsys, rng):

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 import inconic as ic
 from inconic import errors
 
-from conftest import quad_s3t2, random_convex_quad
+from conftest import (
+    affine_matrix3,
+    conic_from_matrix,
+    conic_matrix,
+    quad_s3t2,
+    random_convex_quad,
+)
 
 # Inscribed ellipse of the worked quadrilateral (0,0),(1,0),(3,2),(0,1) at
 # center (1, 0.75); frozen from a 50-digit evaluation of the focal
@@ -177,7 +183,7 @@ class TestConicConversions:
         e = ic.ellipse_from_foci_point(S3T2_F1, S3T2_F2, ic.Point(0, 0.25))
         c = ic.conic_from_ellipse(e)
         # oracle: homogeneous center = third column of the adjugate
-        adj = ic.geometry.adjugate3(c.matrix)
+        adj = np.array(ic.geometry.adjugate3(conic_matrix(c)))
         hx, hy, hw = adj[:, 2]
         got = ic.ellipse_from_conic(c).center
         assert got.x == pytest.approx(hx / hw, abs=1e-9)
@@ -209,8 +215,8 @@ class TestConicConversions:
 
 
 def _adjugate_oracle(c, line):
-    adj = ic.geometry.adjugate3(c.matrix)
-    v = line.as_array()
+    adj = np.array(ic.geometry.adjugate3(conic_matrix(c)))
+    v = np.array([line.a, line.b, line.c])
     return abs(v @ adj @ v) / np.linalg.norm(adj), adj @ v, np.linalg.norm(adj)
 
 
@@ -231,7 +237,7 @@ def _conic_of_kind(kind, k1, k2, ang, cx, cy, eps):
     ctr = np.array([cx, cy])
     m[:2, 2] = m[2, :2] = -q @ ctr
     m[2, 2] = ctr @ q @ ctr - (eps if kind == "near_degenerate" else 1.0)
-    return ic.Conic.from_matrix(m)
+    return conic_from_matrix(m)
 
 
 _conics = st.builds(_conic_of_kind, st.sampled_from(["ellipse", "hyperbola", "near_degenerate"]),
@@ -264,9 +270,25 @@ class TestClosedFormsAgainstNumpy:
             return
         conic = ic.Conic(a, b, c, d, e, f)
         t = ic.AffineMap(*lin, tx, ty)
-        hi = np.linalg.inv(t.matrix3)
-        want = ic.Conic.from_matrix(hi.T @ conic.matrix @ hi)
+        hi = np.linalg.inv(affine_matrix3(t))
+        want = conic_from_matrix(hi.T @ conic_matrix(conic) @ hi)
         assert ic.conic_distance(ic.transform_conic(conic, t), want) < 1e-12
+
+    @given(_line, st.tuples(*[st.floats(-2, 2)] * 4), st.floats(-3, 3), st.floats(-3, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_transform_line_matches_the_inverse_transpose(self, abc, lin, tx, ty):
+        if abs(lin[0] * lin[3] - lin[1] * lin[2]) < 0.2:
+            return
+        line = ic.Line(*abc)
+        t = ic.AffineMap(*lin, tx, ty)
+        want = ic.Line(*(np.linalg.inv(affine_matrix3(t)).T @ np.array([line.a, line.b, line.c])))
+        got = ic.transform_line(line, t)
+        # the sign rule (first nonzero of a, b positive) flips either side
+        # when rounding leaves a tiny a where the other has a = 0
+        error = min(max(abs(g - sign * w) for g, w in zip((got.a, got.b, got.c),
+                                                          (want.a, want.b, want.c)))
+                    for sign in (1, -1))
+        assert error <= 1e-12 * (1 + abs(want.c))
 
     def test_ellipse_from_conic_matches_eigh(self, rng):
         cases = []
@@ -288,7 +310,7 @@ class TestClosedFormsAgainstNumpy:
         for a, b, ang in cases:
             c = ic.conic_from_ellipse(_ellipse(*rng.uniform(-10, 10, 2), a, b, ang))
             got = ic.ellipse_from_conic(c)
-            evals, evecs = np.linalg.eigh(c.matrix[:2, :2])
+            evals, evecs = np.linalg.eigh(conic_matrix(c)[:2, :2])
             axes = np.sqrt(-c.evaluate(got.center.x, got.center.y) / evals)
             assert got.semi_major == pytest.approx(axes[0], rel=1e-12)
             assert got.semi_minor == pytest.approx(min(axes[1], axes[0]), rel=1e-12)

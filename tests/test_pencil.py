@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import inconic as ic
 from inconic import errors
+from inconic.pencil import _point_conic
 
 from conftest import (
+    conic_from_matrix,
     quad_s3t2,
     random_convex_quad,
     random_trapezium,
@@ -133,7 +137,7 @@ class TestCentersLine:
         q = ic.validate_quad([(0, 0), (1, 0), (1, 1), (0, 1)])
         pen = ic.pencil_from_lines(*q.side_lines())
         for num, den in _sweep_params(10):
-            m = pen.member_matrix(num, den)
+            m = np.array(pen.member_matrix(num, den))
             if abs(m[2, 2]) < 1e-12:
                 continue
             assert m[0, 2] / m[2, 2] == pytest.approx(0.5, abs=1e-12)
@@ -170,3 +174,217 @@ def _chord_param(ch, p):
     u = ((p.x - ch.p_start.x) * dx + (p.y - ch.p_start.y) * dy) / den
     dist = abs((p.x - ch.p_start.x) * dy - (p.y - ch.p_start.y) * dx) / math.sqrt(den)
     return u, dist
+
+
+# --------------------------------------------------------------------------
+# The numpy formulas the plain-float pencil replaced, kept as its oracle.
+# --------------------------------------------------------------------------
+
+def _vec(line):
+    return np.array([line.a, line.b, line.c])
+
+
+def _np_canonical_sym3(m):
+    m = (m + m.T) / 2
+    m = m / np.linalg.norm(m)
+    for v in (m[0, 0], m[0, 1], m[1, 1], m[0, 2], m[1, 2], m[2, 2]):
+        if abs(v) > 1e-12:
+            return -m if v < 0 else m
+    return m
+
+
+def _np_meet(l1, l2):
+    p = np.cross(_vec(l1), _vec(l2))
+    return p / np.linalg.norm(p)
+
+
+def _np_rank2_dual(p, q):
+    return _np_canonical_sym3(np.outer(p, q) + np.outer(q, p))
+
+
+def _np_degeneracy_tests(lines):
+    """(name, value, threshold) of every coincidence and concurrency test."""
+    arrays = [_vec(l) for l in lines]
+    out = []
+    for i in range(4):
+        for j in range(i + 1, 4):
+            out.append((f"lines {i} and {j} coincide",
+                        float(np.linalg.norm(np.cross(arrays[i], arrays[j]))),
+                        1e-12 * (1 + abs(lines[i].c)) * (1 + abs(lines[j].c))))
+    for i in range(4):
+        for j in range(i + 1, 4):
+            for k in range(j + 1, 4):
+                with np.errstate(divide="ignore"):   # exactly concurrent lines
+                    det = float(np.linalg.det(np.array([arrays[i], arrays[j], arrays[k]])))
+                scale = max(1.0, abs(lines[i].c), abs(lines[j].c), abs(lines[k].c))
+                out.append((f"lines {i}, {j}, {k} are concurrent", abs(det), 1e-12 * scale))
+    return out
+
+
+def _np_pencil(lines):
+    """(d_a, d_b) as arrays, or the first failed test's message."""
+    for name, value, threshold in _np_degeneracy_tests(lines):
+        if value <= threshold:
+            return name
+    l1, l2, l3, l4 = lines
+    return (_np_rank2_dual(_np_meet(l1, l2), _np_meet(l3, l4)),
+            _np_rank2_dual(_np_meet(l1, l3), _np_meet(l2, l4)))
+
+
+def _np_adjugate(m):
+    out = np.empty((3, 3))
+    out[0, 0] = m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1]
+    out[0, 1] = m[0, 2] * m[2, 1] - m[0, 1] * m[2, 2]
+    out[0, 2] = m[0, 1] * m[1, 2] - m[0, 2] * m[1, 1]
+    out[1, 0] = m[1, 2] * m[2, 0] - m[1, 0] * m[2, 2]
+    out[1, 1] = m[0, 0] * m[2, 2] - m[0, 2] * m[2, 0]
+    out[1, 2] = m[0, 2] * m[1, 0] - m[0, 0] * m[1, 2]
+    out[2, 0] = m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]
+    out[2, 1] = m[0, 1] * m[2, 0] - m[0, 0] * m[2, 1]
+    out[2, 2] = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return out
+
+
+def _np_point_conic(dual_m):
+    dual_m = dual_m / np.linalg.norm(dual_m)
+    if abs(np.linalg.det(dual_m)) < 1e-14:
+        raise errors.DegenerateMember("pencil member is a degenerate dual")
+    return conic_from_matrix(_np_adjugate(dual_m))
+
+
+def _np_member_with_center(a, b, h, k, tol=ic.DEFAULT_TOL):
+    eqs = [(a[row, 2] - coord * a[2, 2], b[row, 2] - coord * b[2, 2])
+           for row, coord in ((0, h), (1, k))]
+    idx = 0 if math.hypot(*eqs[0]) >= math.hypot(*eqs[1]) else 1
+    num, den = -eqs[idx][0], eqs[idx][1]
+    scale = math.hypot(num, den)
+    num, den = num / scale, den / scale
+    d = den * a + num * b
+    o0, o1 = eqs[1 - idx]
+    if abs(o0 * den + o1 * num) >= tol.tol_center * np.linalg.norm(d):
+        raise errors.CenterOffLocus("center is not on the pencil's line of centers")
+    return _np_point_conic(d)
+
+
+def _np_centers_line(a, b, tol=ic.DEFAULT_TOL):
+    centers = []
+    for num, den in [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (-1.0, 1.0),
+                     (2.0, 1.0), (1.0, 2.0), (-1.0, 2.0), (3.0, 1.0)]:
+        scale = math.hypot(num, den)
+        col = ((den / scale) * a + (num / scale) * b)[:, 2]
+        if np.linalg.norm(col) > tol.tol_det:
+            centers.append(col / np.linalg.norm(col))
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            cross = np.cross(centers[i], centers[j])
+            if np.linalg.norm(cross) > 1e-9 and math.hypot(cross[0], cross[1]) > tol.tol_det:
+                return ic.Line(*cross)
+    return None
+
+
+_quads = st.builds(
+    lambda seed, trapezoid: (random_trapezoid if trapezoid else random_trapezium)(
+        np.random.default_rng(seed)),
+    st.integers(0, 2**32 - 1), st.booleans())
+
+
+@st.composite
+def _near_degenerate_lines(draw):
+    """Four lines with three almost through one point, or two almost equal;
+    the defect is eps, from exact to clearly separated."""
+    angle = st.floats(0, math.pi)
+    coord = st.floats(-3, 3)
+    eps = draw(st.sampled_from([0.0, 1e-16, 1e-14, 1e-13, 1e-12, 3e-12, 1e-11,
+                                1e-9, 1e-6]))
+    px, py = draw(coord), draw(coord)
+
+    def through(theta, shift=0.0):
+        a, b = math.cos(theta), math.sin(theta)
+        return ic.Line(a, b, -(a * px + b * py) + shift)
+
+    if draw(st.booleans()):
+        lines = [through(draw(angle)), through(draw(angle)),
+                 through(draw(angle), eps * draw(st.sampled_from([1, -1]))),
+                 through(draw(angle), draw(coord))]
+    else:
+        theta = draw(angle)
+        lines = [through(theta), through(theta + eps, eps),
+                 through(draw(angle), draw(coord)), through(draw(angle), draw(coord))]
+    order = draw(st.permutations(range(4)))
+    return [lines[i] for i in order]
+
+
+class TestFloatPencilAgainstNumpy:
+    """The plain-float pencil against the numpy formulas it replaced."""
+
+    @given(_quads)
+    @settings(max_examples=100, deadline=None)
+    def test_members_match(self, q):
+        pen = ic.pencil_from_lines(*q.side_lines())
+        d_a, d_b = _np_pencil(q.side_lines())
+        assert np.abs(np.array(pen.d_a.m) - d_a).max() <= 1e-14
+        assert np.abs(np.array(pen.d_b.m) - d_b).max() <= 1e-14
+        for num, den in _sweep_params(8):
+            scale = math.hypot(num, den)
+            want = (den / scale) * d_a + (num / scale) * d_b
+            got = np.array(pen.member_matrix(num, den))
+            assert np.abs(got - want).max() <= 1e-14
+            line = pen.lines[0]
+            assert pen.member(num, den).apply_line(line) == pytest.approx(
+                _vec(line) @ _np_canonical_sym3(want) @ _vec(line), abs=1e-14)
+
+    @given(_quads)
+    @settings(max_examples=100, deadline=None)
+    def test_point_conic_and_member_with_center_match(self, q):
+        # both sides read the same pencil: near the diagonal midpoints and
+        # the chord ends the member degenerates and amplifies the last-bit
+        # differences of the two norms, so the centers keep clear of them
+        pen = ic.pencil_from_lines(*q.side_lines())
+        d_a, d_b = np.array(pen.d_a.m), np.array(pen.d_b.m)
+        for num, den in _sweep_params(8):
+            m = pen.member_matrix(num, den)
+            try:
+                want = _np_point_conic(np.array(m))
+            except errors.DegenerateMember:
+                continue
+            assert ic.conic_distance(_point_conic(m), want) < 1e-13
+        seg, chord = ic.locus(q), ic.chord_x(q)
+        lo, hi = sorted(_chord_param(chord, m)[0] for m in (seg.m1, seg.m2))
+        for center in ([seg.point_at(u) for u in (0.2, 0.37, 0.5, 0.8)]
+                       + [chord.point_at(lo / 2), chord.point_at((hi + 1) / 2)]):
+            want = _np_member_with_center(d_a, d_b, center.x, center.y)
+            got = ic.member_with_center(pen, center)
+            assert ic.conic_distance(got, want) < 1e-13
+
+    @given(_quads)
+    @settings(max_examples=100, deadline=None)
+    def test_centers_line_matches(self, q):
+        got = ic.centers_line(ic.pencil_from_lines(*q.side_lines()))
+        want = _np_centers_line(*_np_pencil(q.side_lines()))
+        # up to the sign rule, which rounding can flip when a is near 0
+        error = min(max(abs(g - sign * w) for g, w in zip((got.a, got.b, got.c),
+                                                          (want.a, want.b, want.c)))
+                    for sign in (1, -1))
+        assert error <= 1e-12 * (1 + abs(want.c))
+
+    def test_parallelogram_has_no_centers_line_either_way(self):
+        sides = ic.validate_quad([(0, 0), (2, 0), (3, 1), (1, 1)]).side_lines()
+        assert _np_centers_line(*_np_pencil(sides)) is None
+        with pytest.raises(errors.DegenerateConfiguration):
+            ic.centers_line(ic.pencil_from_lines(*sides))
+
+    @given(_near_degenerate_lines())
+    @settings(max_examples=400, deadline=None)
+    def test_same_degeneracy_decisions(self, lines):
+        # a value within 1% of its threshold may round either way
+        assume(all(abs(value - threshold) > 1e-2 * threshold
+                   for _, value, threshold in _np_degeneracy_tests(lines)))
+        want = _np_pencil(lines)
+        if isinstance(want, str):
+            with pytest.raises(errors.DegenerateConfiguration) as exc:
+                ic.pencil_from_lines(*lines)
+            assert str(exc.value) == want
+        else:
+            pen = ic.pencil_from_lines(*lines)
+            assert np.abs(np.array(pen.d_a.m) - want[0]).max() <= 1e-9
+            assert np.abs(np.array(pen.d_b.m) - want[1]).max() <= 1e-9

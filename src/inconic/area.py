@@ -162,7 +162,7 @@ def max_area(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> MaxAreaResult:
             f"expected exactly one critical abscissa inside ({lo}, {hi})")
     h0 = inside[0]
     k0 = locus_line(nf, tol)(h0)
-    center = nf.T.inverse().apply(Point(h0, k0))
+    center = Point(*nf.to_original(h0, k0))
     result = _construct(q, locus(q), nf, h0, center, tol)
     ellipse = result.ellipse
     return MaxAreaResult(ellipse, ellipse.center, ellipse.area, h0, result)

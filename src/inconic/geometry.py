@@ -74,7 +74,7 @@ class Point:
     y: float
 
     def __post_init__(self):
-        if not (math.isfinite(float(self.x)) and math.isfinite(float(self.y))):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise ValueError("point components must be finite")
 
     def as_tuple(self) -> tuple[float, float]:
@@ -89,6 +89,15 @@ def _cross(ox, oy, ax, ay, bx, by):
     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
+def _unit_direction(x: float, y: float) -> tuple[float, float]:
+    """(x, y) scaled to unit length, signed so x > 0, or x = 0 and y > 0."""
+    n = math.hypot(x, y)
+    x, y = x / n, y / n
+    if x < 0 or (x == 0 and y < 0):
+        x, y = -x, -y
+    return x, y
+
+
 @dataclass(frozen=True)
 class HomPoint:
     """Homogeneous point (x : y : w); w = 0 encodes a point at infinity."""
@@ -98,7 +107,7 @@ class HomPoint:
     w: float
 
     def __post_init__(self):
-        if not all(math.isfinite(float(v)) for v in (self.x, self.y, self.w)):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.w)):
             raise ValueError("homogeneous components must be finite")
         if self.x == 0 and self.y == 0 and self.w == 0:
             raise ValueError("homogeneous point cannot be the zero triple")
@@ -112,11 +121,7 @@ class HomPoint:
     def dehomogenized(self, tol: Tolerances = DEFAULT_TOL) -> "HomPoint":
         """Scale to w = 1, or to a unit direction with w = 0 when at infinity."""
         if self.is_infinite(tol):
-            n = math.hypot(self.x, self.y)
-            x, y = self.x / n, self.y / n
-            if x < 0 or (x == 0 and y < 0):
-                x, y = -x, -y
-            return HomPoint(x, y, 0.0)
+            return HomPoint(*_unit_direction(self.x, self.y), 0.0)
         return HomPoint(self.x / self.w, self.y / self.w, 1.0)
 
     def to_point(self, tol: Tolerances = DEFAULT_TOL) -> Point:
@@ -177,8 +182,8 @@ class AffineMap:
     ty: float = 0.0
 
     def __post_init__(self):
-        vals = (self.m11, self.m12, self.m21, self.m22, self.tx, self.ty)
-        if not all(math.isfinite(float(v)) for v in vals):
+        if not all(map(math.isfinite, (self.m11, self.m12, self.m21, self.m22,
+                                       self.tx, self.ty))):
             raise ValueError("affine map entries must be finite")
         scale = abs(self.m11 * self.m22) + abs(self.m12 * self.m21)
         if abs(self.det) <= DEFAULT_TOL.tol_det * scale:
@@ -361,9 +366,15 @@ class Conic:
         return (self.a, self.b, self.c, self.d, self.e, self.f)
 
     def center(self, tol: Tolerances = DEFAULT_TOL) -> Point:
-        """Solve grad = 0; raises SingularMap for central-less conics."""
+        """Solve grad = 0; raises SingularMap for central-less conics.
+
+        Singularity is judged relative to the quadratic block's own size,
+        |ac - b^2/4| <= tol_det (|ac| + b^2/4), as for AffineMap: the
+        canonical scale shrinks that block for conics far from the origin,
+        where the constant term dominates, without making them centerless.
+        """
         det = self.a * self.c - self.b * self.b / 4
-        if abs(det) <= tol.tol_det:
+        if abs(det) <= tol.tol_det * (abs(self.a * self.c) + self.b * self.b / 4):
             raise SingularMap("conic has no unique center")
         x = (-self.d / 2 * self.c + self.e / 2 * self.b / 2) / det
         y = (-self.e / 2 * self.a + self.d / 2 * self.b / 2) / det
@@ -492,21 +503,32 @@ def ellipse_from_conic(c: Conic, tol: Tolerances = DEFAULT_TOL) -> EllipseGeo:
     """Metric data of a real nondegenerate ellipse; inverse of
     conic_from_ellipse up to the canonical scale.
 
-    The block [[p, q], [q, r]] = [[a, b/2], [b/2, c]] has the closed-form
-    eigenvalues lam_hi = (p+r)/2 + hypot((p-r)/2, q) and
-    lam_lo = (pr - q^2)/lam_hi (a quotient, so the small one does not
-    cancel); semi-axis^2 = -F(center)/eigenvalue.  lam_hi's eigenvector
-    lies at 1/2 atan2(2q, p-r), so the major axis lies a quarter turn on.
+    Reads the center and the center value back from the six coefficients;
+    the axes, angle and foci then come from ``_metric_ellipse``.
     """
     if classify_conic(c, tol) is not ConicClass.REAL_ELLIPSE:
         raise NotAnEllipse("conic does not classify as a real ellipse")
     center = c.center(tol)
-    p, q, r = c.a, c.b / 2, c.c
-    lam_hi = (p + r) / 2 + math.hypot((p - r) / 2, q)
-    lam_lo = (p * r - q * q) / lam_hi
     # the canonical sign rule makes the block positive definite and the
     # center value negative for real ellipses
-    value = -c.evaluate(center.x, center.y)
+    p, q, r = c.a, c.b / 2, c.c
+    return _metric_ellipse(p, q, r, p * r - q * q, -c.evaluate(center.x, center.y), center)
+
+
+def _metric_ellipse(p: float, q: float, r: float, det: float, value: float,
+                    center: Point) -> EllipseGeo:
+    """The ellipse (x-c)^T [[p, q], [q, r]] (x-c) = value, block positive
+    definite with determinant det = pr - q^2 and value > 0, in metric form.
+
+    The block has the closed-form eigenvalues
+    lam_hi = (p+r)/2 + hypot((p-r)/2, q) and lam_lo = det/lam_hi (a
+    quotient, so the small one does not cancel); semi-axis^2 =
+    value/eigenvalue.  A caller that knows det as a product passes it in,
+    since pr - q^2 cancels for thin ellipses.  lam_hi's eigenvector lies at
+    1/2 atan2(2q, p-r), so the major axis lies a quarter turn on.
+    """
+    lam_hi = (p + r) / 2 + math.hypot((p - r) / 2, q)
+    lam_lo = det / lam_hi
     semi_major, semi_minor = math.sqrt(value / lam_lo), math.sqrt(value / lam_hi)
     if semi_major + 1e-15 < semi_minor:
         raise NotAnEllipse("inconsistent axis extraction")
@@ -595,16 +617,17 @@ def ellipse_from_foci_point(f1: Point, f2: Point, p: Point,
 
     The point determines the distance sum 2a; p on the closed focal segment
     leaves no ellipse and raises DegeneratePoint.  Coincident foci give a
-    circle with angle 0 by convention.
+    circle with angle 0 by convention.  Both thresholds are relative to a,
+    so the verdicts do not depend on the unit of the coordinates.
     """
     d1 = math.hypot(p.x - f1.x, p.y - f1.y)
     d2 = math.hypot(p.x - f2.x, p.y - f2.y)
     a = (d1 + d2) / 2
     cdist = math.hypot(f2.x - f1.x, f2.y - f1.y) / 2
-    if a - cdist <= 1e-12 * max(1.0, a):
+    if a - cdist <= 1e-12 * a:
         raise DegeneratePoint("point lies on the closed focal segment")
     b = math.sqrt(a * a - cdist * cdist)
-    if cdist < tol.tol_det:
+    if cdist < tol.tol_det * a:
         angle = 0.0
     else:
         angle = _norm_angle(math.atan2(f2.y - f1.y, f2.x - f1.x))

@@ -23,6 +23,8 @@ from .errors import (
     CenterOffLocus,
     DegenerateAtMidpoint,
     DegeneratePoint,
+    NotAnEllipse,
+    NotTangent,
     NumericalFailure,
     ParallelogramUnsupported,
 )
@@ -30,6 +32,7 @@ from .geometry import (
     DEFAULT_TOL,
     AffineMap,
     Conic,
+    ConicClass,
     ConvexQuad,
     EllipseGeo,
     HomPoint,
@@ -38,11 +41,10 @@ from .geometry import (
     Tolerances,
     _axis_form,
     _central_conic,
+    _metric_ellipse,
     _pull_back_form,
-    classify_conic,
-    ellipse_from_conic,
+    _unit_direction,
     midpoint,
-    tangency_point,
 )
 from .marden import WeightTriple, stable_quadratic_roots
 
@@ -53,6 +55,11 @@ class NormalForm:
 
     ``T`` maps the original frame to the normalized one; ``labeling`` lists
     which canonical-quad vertex indices land on (0,0), (1,0), (s,t), (0,1).
+    ``inverse`` holds T^-1 as plain floats (b11, b12, b21, b22, x0, y0),
+    T^-1(y) = B y + p0: B's columns are the edge vectors p1 - p0 and
+    p3 - p0 of the frame and p0 is the vertex sent to (0,0).  ``normalize``
+    fills it from that basis, so no call inverts T; left out, it is solved
+    from T.
     Convexity forces s > 0, t > 0, s + t > 1.  The closed forms divide by
     s - 1 but never by t - 1, so ``normalize`` picks, of the two cyclic
     labelings, the one whose sides (1,0)-(s,t) and (0,1)-(0,0) are furthest
@@ -63,10 +70,19 @@ class NormalForm:
     s: float
     t: float
     labeling: tuple[int, int, int, int]
+    inverse: tuple[float, float, float, float, float, float] | None = None
 
     def __post_init__(self):
         if not (self.s > 0 and self.t > 0 and self.s + self.t > 1):
             raise ValueError("normal form requires s > 0, t > 0, s + t > 1")
+        if self.inverse is None:
+            g = self.T.inverse()
+            object.__setattr__(self, "inverse", (g.m11, g.m12, g.m21, g.m22, g.tx, g.ty))
+
+    def to_original(self, x: float, y: float) -> tuple[float, float]:
+        """T^-1(x, y): a normalized-frame point in the original frame."""
+        b11, b12, b21, b22, x0, y0 = self.inverse
+        return b11 * x + b12 * y + x0, b21 * x + b22 * y + y0
 
     def interval(self) -> tuple[float, float]:
         """Open interval of normalized abscissas swept by the center locus."""
@@ -155,21 +171,22 @@ def normalize(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("parallelograms have no unique normal form here")
     frames = [_frame(q, rot, tol) for rot in (0, 1)]
-    sines = [abs(s - 1) / math.hypot(s - 1, t) for s, t, _ in frames]
+    sines = [abs(s - 1) / math.hypot(s - 1, t) for s, t, _, _ in frames]
     rot = 1 if sines[1] > sines[0] else 0
-    s, t, (m11, m12, m21, m22) = frames[rot]
+    s, t, (m11, m12, m21, m22), basis = frames[rot]
     p0 = q.vertices[rot]
     t_map = AffineMap(m11, m12, m21, m22,
                       -(m11 * p0.x + m12 * p0.y),
                       -(m21 * p0.x + m22 * p0.y))
-    return NormalForm(t_map, s, t, tuple((rot + i) % 4 for i in range(4)))
+    return NormalForm(t_map, s, t, tuple((rot + i) % 4 for i in range(4)),
+                      (*basis, p0.x, p0.y))
 
 
-def _frame(q: ConvexQuad, rot: int,
-           tol: Tolerances) -> tuple[float, float, tuple[float, float, float, float]]:
-    """(s, t, inverse basis) of the frame sending vertices rot, rot+1,
-    rot+2, rot+3 (mod 4) to (0,0), (1,0), (s,t), (0,1); (s, t) is solved
-    from vertex differences, so it does not depend on where the quad sits."""
+def _frame(q: ConvexQuad, rot: int, tol: Tolerances):
+    """(s, t, inverse of the basis, basis) of the frame sending vertices
+    rot, rot+1, rot+2, rot+3 (mod 4) to (0,0), (1,0), (s,t), (0,1); (s, t)
+    is solved from vertex differences, so it does not depend on where the
+    quad sits."""
     v = q.vertices
     p0, p1, p2, p3 = (v[(rot + i) % 4] for i in range(4))
     b11, b12 = p1.x - p0.x, p3.x - p0.x
@@ -183,7 +200,7 @@ def _frame(q: ConvexQuad, rot: int,
     s, t = m11 * dx + m12 * dy, m21 * dx + m22 * dy
     if not (s > 0 and t > 0 and s + t > 1):
         raise NumericalFailure("normal form violates convexity bounds")
-    return s, t, (m11, m12, m21, m22)
+    return s, t, (m11, m12, m21, m22), (b11, b12, b21, b22)
 
 
 def locus_line(nf: NormalForm, tol: Tolerances = DEFAULT_TOL) -> LocusLine:
@@ -228,8 +245,9 @@ def _weights(nf: NormalForm, h) -> tuple[WeightTriple, WeightTriple]:
     return wt, ws
 
 
-def foci_quadratic(nf: NormalForm, h,
-                   tol: Tolerances = DEFAULT_TOL) -> tuple[complex, complex]:
+def foci_quadratic(nf: NormalForm, h, tol: Tolerances = DEFAULT_TOL,
+                   weights: tuple[WeightTriple, WeightTriple] | None = None
+                   ) -> tuple[complex, complex]:
     """(root sum, root product) of the shared monic focal quadratic
     z^2 - 2(h + i L(h)) z + i (s - 2h)/(s - 1).
 
@@ -240,6 +258,8 @@ def foci_quadratic(nf: NormalForm, h,
     triangles reduce to this monic form: always for the first triangle,
     and for the second only when t != 1 (with one parallel side pair it
     does not exist).  Requires s != 1, which ``locus_line`` enforces.
+    ``weights``, when given, are the triples ``_weights(nf, h)`` already
+    computed by the caller.
     """
     s, t = float(nf.s), float(nf.t)
     line = locus_line(nf, tol)
@@ -248,7 +268,7 @@ def foci_quadratic(nf: NormalForm, h,
     root_sum = complex(2 * h, 2 * k)
     root_product = 1j * (s - 2 * h) / (s - 1)
 
-    wt, ws = _weights(nf, h)
+    wt, ws = weights if weights is not None else _weights(nf, h)
     triangles = [((0j, 1 + 0j, complex(0, -t / (s - 1))), wt)]
     if abs(t - 1) > tol.tol_par:
         triangles.append(((0j, 1j, complex(-s / (t - 1), 0)), ws))
@@ -271,61 +291,145 @@ def _project_to_segment(p: Point, a: Point, b: Point) -> tuple[float, float]:
     return u, dist
 
 
-def _marden_conic(nf: NormalForm, h: float, tol: Tolerances) -> Conic:
-    """Original-frame tangent conic at normalized abscissa h, from the focal
-    construction: foci f1, f2 from ``foci_quadratic``, through the contact
-    point (0, (s-2h)/(2h(s-1))), whose focal distances sum to 2a between
-    the diagonal midpoints (ellipse) and differ by 2a beyond them
-    (hyperbola).  With c = |f2-f1|/2 and u, v the unit focal direction and
-    its normal, Q_n = u u^T / a^2 + v v^T / ((a-c)(a+c)); a = c raises
-    DegeneratePoint.  Q_n goes out through T's 2x2 linear part L only, as
-    Q = L^T Q_n L about the center T^-1((f1+f2)/2); pushing out the full
-    3x3 matrix instead rounds the center worse.
+@dataclass(frozen=True)
+class _FocalConic:
+    """One focal pass at a normalized abscissa: what the construction knows
+    in the normal frame, and the checked objects built from it once.
+
+    ``m``, ``a``, ``c``, ``b2`` and ``axis`` are the normal-frame center,
+    the half focal-distance sum (ellipse) or difference (hyperbola), the
+    half focal separation, a^2 - c^2 and the unit focal axis.  ``form`` is
+    the original-frame Q = L^T Q_n L of (x - center)^T Q (x - center) = 1,
+    ``center`` = T^-1(m).  ``contacts`` are indexed by original side, as
+    ``ConvexQuad.side_lines``.
     """
-    s = float(nf.s)
-    f1, f2 = stable_quadratic_roots(*foci_quadratic(nf, h, tol))
+
+    m: complex
+    a: float
+    c: float
+    b2: float
+    axis: tuple[float, float]
+    classification: ConicClass
+    form: tuple[float, float, float]
+    center: tuple[float, float]
+    conic: Conic
+    contacts: tuple[HomPoint, HomPoint, HomPoint, HomPoint]
+    weights: tuple[WeightTriple, WeightTriple]
+
+
+def _marden_conic(nf: NormalForm, h: float, tol: Tolerances) -> _FocalConic:
+    """Tangent conic at normalized abscissa h, from the focal construction,
+    in one plain-float pass through the normal frame.
+
+    Foci f1, f2 come from ``foci_quadratic`` and the contact point
+    (0, (s-2h)/(2h(s-1))) on x = 0 fixes 2a: the sum of its focal distances
+    between the diagonal midpoints (an ellipse, lo < h < hi), their
+    difference beyond them (a hyperbola).  The class is read off h, not off
+    the coefficients.  With c = |f2-f1|/2 and u, v the unit focal direction
+    and its normal, Q_n = u u^T / a^2 + v v^T / b2; a = c raises
+    DegeneratePoint.  b2 = a^2 - c^2 is taken as Re f1 Re f2, the product
+    of the foci's signed distances to the tangent x = 0 (positive for an
+    ellipse, negative for a hyperbola), which does not cancel as a - c does
+    when the normal-frame conic is thin.  Q_n goes out through T's 2x2
+    linear part L only, as Q = L^T Q_n L about the center
+    T^-1((f1+f2)/2); pushing out the full 3x3 matrix instead rounds the
+    center worse.  Q must be positive definite for an ellipse (else
+    NotAnEllipse) and indefinite for a hyperbola (else NumericalFailure).
+    The contact points come from ``_contacts``.
+    """
+    s = nf.s
+    weights = _weights(nf, h)
+    f1, f2 = stable_quadratic_roots(*foci_quadratic(nf, h, tol, weights))
     contact = complex(0.0, (s - 2 * h) / (2 * h * (s - 1)))
     d1, d2 = abs(contact - f1), abs(contact - f2)
     lo, hi = nf.interval()
-    a = (d1 + d2) / 2 if lo < h < hi else abs(d1 - d2) / 2
+    is_ellipse = lo < h < hi
+    a = (d1 + d2) / 2 if is_ellipse else abs(d1 - d2) / 2
     half = (f2 - f1) / 2
     c = abs(half)
     if abs(a - c) <= 1e-12 * max(1.0, a):
         raise DegeneratePoint("contact point lies on the focal line")
     ux, uy = (half.real / c, half.imag / c) if c else (1.0, 0.0)
     m = (f1 + f2) / 2
-    cx, cy = nf.T.inverse().apply_xy(m.real, m.imag)
-    form = _axis_form(ux, uy, 1 / (a * a), 1 / ((a - c) * (a + c)))
-    return _central_conic(*_pull_back_form(*form, nf.T), cx, cy)
+    b2 = f1.real * f2.real
+    q11, q12, q22 = form = _pull_back_form(
+        *_axis_form(ux, uy, 1 / (a * a), 1 / b2), nf.T)
+    det = q11 * q22 - q12 * q12
+    if is_ellipse and not (q11 > 0 and det > 0):
+        raise NotAnEllipse("pushed-out form is not positive definite")
+    if not is_ellipse and not det < 0:
+        raise NumericalFailure("pushed-out hyperbola form is not indefinite")
+    center = nf.to_original(m.real, m.imag)
+    return _FocalConic(
+        m, a, c, b2, (ux, uy),
+        ConicClass.REAL_ELLIPSE if is_ellipse else ConicClass.HYPERBOLA,
+        form, center, _central_conic(q11, q12, q22, *center),
+        _contacts(nf, m, a, b2, ux, uy, tol), weights)
+
+
+def _contacts(nf: NormalForm, m: complex, a: float, b2: float, ux: float,
+              uy: float, tol: Tolerances) -> tuple[HomPoint, HomPoint, HomPoint, HomPoint]:
+    """Contact points of the four sides with the conic of ``_marden_conic``,
+    checked and found in the normal frame.
+
+    The central conic about m with Q_n^-1 = a^2 u u^T + b2 v v^T has
+    the adjugate A = [[m m^T - Q_n^-1, m], [m^T, 1]] (up to scale; no
+    determinant is divided by, and hyperbolas need no other form).  Each
+    unit-normalized side l of y = 0, (1,0)-(s,t), (s,t)-(0,1), x = 0 must
+    have |l^T A l| / ||A||_F below tol_tan (else NotTangent); its contact
+    is the pole A l, at infinity when its w is, relative to its norm, at
+    most tol_infinity.  A contact goes out through T^-1 = (B, p0) and is
+    stored at the original side ``labeling`` maps that side to.
+    """
+    s, t = nf.s, nf.t
+    mx, my = m.real, m.imag
+    p, r = a * a, b2
+    a00 = mx * mx - (ux * ux * p + uy * uy * r)
+    a01 = mx * my - ux * uy * (p - r)
+    a11 = my * my - (uy * uy * p + ux * ux * r)
+    norm = math.sqrt(a00 * a00 + a11 * a11 + 2 * (a01 * a01 + mx * mx + my * my) + 1)
+    n1, n2 = math.hypot(s - 1, t), math.hypot(t - 1, s)
+    sides = ((0.0, 1.0, 0.0), (t / n1, (1 - s) / n1, -t / n1),
+             ((1 - t) / n2, s / n2, -s / n2), (1.0, 0.0, 0.0))
+    b11, b12, b21, b22, _, _ = nf.inverse
+    contacts = [None] * 4
+    for side, (la, lb, lc) in zip(nf.labeling, sides):
+        px = a00 * la + a01 * lb + mx * lc
+        py = a01 * la + a11 * lb + my * lc
+        pw = mx * la + my * lb + lc
+        if abs(la * px + lb * py + lc * pw) >= tol.tol_tan * norm:
+            raise NotTangent("side line is not tangent to the conic")
+        if abs(pw) <= tol.tol_infinity * math.sqrt(px * px + py * py + pw * pw):
+            contacts[side] = HomPoint(*_unit_direction(b11 * px + b12 * py,
+                                                       b21 * px + b22 * py), 0.0)
+        else:
+            contacts[side] = HomPoint(*nf.to_original(px / pw, py / pw), 1.0)
+    return tuple(contacts)
 
 
 def _construct(q: ConvexQuad, seg: LocusSegment, nf: NormalForm, h: float,
                center: Point, tol: Tolerances) -> InscribedResult:
     """The inscribed ellipse at normalized abscissa h, whose original-frame
-    center ``center`` was requested; runs the classification, tangency and
-    center-drift checks."""
-    conic = _marden_conic(nf, h, tol)
-    ellipse = ellipse_from_conic(conic, tol)
-    tangencies = tuple(tangency_point(conic, line, tol) for line in q.side_lines())
-    if math.hypot(ellipse.center.x - center.x, ellipse.center.y - center.y) > \
-            1e-6 * (1 + seg.length()):
+    center ``center`` was requested; the ellipse, its conic, contacts and
+    weights all come from one focal pass, and the carried center must lie
+    within 1e-6 (1 + locus length) of the request."""
+    _param_in_interval(nf, h, tol)
+    focal = _marden_conic(nf, h, tol)
+    cx, cy = focal.center
+    if math.hypot(cx - center.x, cy - center.y) > 1e-6 * (1 + seg.length()):
         raise NumericalFailure("inscribed conic center drifted from the request")
-    wt, ws = weights_from_center(nf, h, tol)
-    return InscribedResult(ellipse, conic, tangencies, wt, ws)
+    # det Q = det Q_n det(L)^2 with det Q_n = 1 / (a^2 b2), as a product
+    det = nf.T.det ** 2 / (focal.a * focal.a * focal.b2)
+    ellipse = _metric_ellipse(*focal.form, det, 1.0, Point(cx, cy))
+    return InscribedResult(ellipse, focal.conic, focal.contacts, *focal.weights)
 
 
 def _inscribe_centers(q: ConvexQuad, seg: LocusSegment, centers,
                       tol: Tolerances) -> list[InscribedResult]:
-    """Inscribed ellipses at each of ``centers`` on ``seg`` = locus(q),
-    from one normal form; every center is checked before it is built."""
+    """Inscribed ellipses at each of ``centers``, points strictly inside
+    ``seg`` = locus(q), from one normal form."""
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("inscribed ellipses of a parallelogram are not unique")
-    for center in centers:
-        u, dist = _project_to_segment(center, seg.m1, seg.m2)
-        if dist > tol.tol_on * (1 + seg.length()):
-            raise CenterOffLocus("center is not on the line of the locus segment")
-        if not (tol.tol_interval < u < 1 - tol.tol_interval):
-            raise CenterOffLocus("center is not strictly between the diagonal midpoints")
     nf = normalize(q, tol)
     return [_construct(q, seg, nf, nf.T.apply_xy(c.x, c.y)[0], c, tol) for c in centers]
 
@@ -334,19 +438,32 @@ def inscribe_at_center(q: ConvexQuad, center: Point,
                        tol: Tolerances = DEFAULT_TOL) -> InscribedResult:
     """The unique inscribed ellipse with the given center.
 
-    The center must lie strictly inside the open locus segment.  The focal
-    construction runs in the normalized frame and is mapped back, with or
-    without a parallel side pair.  Parallelograms are rejected: four common
-    tangent lines of two distinct concentric ellipses would have to form a
-    parallelogram, so uniqueness fails there.  A side the conic misses
-    raises NotTangent from ``tangency_point``.
+    The center must lie strictly inside the open locus segment: within
+    tol_on (1 + length) of its line, and strictly between the diagonal
+    midpoints.  The focal construction runs in the normalized frame and is
+    mapped back, with or without a parallel side pair.  Parallelograms are
+    rejected: four common tangent lines of two distinct concentric ellipses
+    would have to form a parallelogram, so uniqueness fails there.  A side
+    the conic misses raises NotTangent.
     """
-    return _inscribe_centers(q, locus(q), (center,), tol)[0]
+    seg = locus(q)
+    if not seg.degenerate:  # a parallelogram, which _inscribe_centers rejects
+        u, dist = _project_to_segment(center, seg.m1, seg.m2)
+        if dist > tol.tol_on * (1 + seg.length()):
+            raise CenterOffLocus("center is not on the line of the locus segment")
+        if not (tol.tol_interval < u < 1 - tol.tol_interval):
+            raise CenterOffLocus("center is not strictly between the diagonal midpoints")
+    return _inscribe_centers(q, seg, (center,), tol)[0]
 
 
 def inscribe_at_param(q: ConvexQuad, u: float,
                       tol: Tolerances = DEFAULT_TOL) -> InscribedResult:
-    """Inscribed ellipse at the locus point m1 + u*(m2 - m1), 0 < u < 1."""
+    """Inscribed ellipse at the locus point m1 + u*(m2 - m1), 0 < u < 1.
+
+    Only u is checked: the point is built on the segment, so projecting it
+    back would test nothing but the rounding of its coordinates, which far
+    from the origin exceeds tol_on (1 + length) for a short locus.
+    """
     if not (tol.tol_interval < u < 1 - tol.tol_interval):
         raise CenterOffLocus(f"parameter {u} outside the open unit interval")
     seg = locus(q)
@@ -357,18 +474,22 @@ def chord_x(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> ChordX:
     """Open chord cut by the quadrilateral's interior from the center line.
 
     Contains the locus segment strictly; its endpoints lie on the boundary.
+    A side counts as parallel to the center line when the sine of their
+    angle is at most tol_par, whatever the scale of the quadrilateral.
     """
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("center line degenerates for parallelograms")
     seg = locus(q)
     dx, dy = seg.m2.x - seg.m1.x, seg.m2.y - seg.m1.y
+    v = q.vertices
     taus = []
-    for line in q.side_lines():
-        den = line.a * dx + line.b * dy
-        if abs(den) <= tol.tol_par:
+    for i in range(4):
+        p, r = v[i], v[(i + 1) % 4]
+        nx, ny = r.y - p.y, p.x - r.x
+        den = nx * dx + ny * dy
+        if abs(den) <= tol.tol_par * math.hypot(nx, ny) * math.hypot(dx, dy):
             continue
-        tau = -line.eval(seg.m1) / den
-        taus.append(tau)
+        taus.append(-(nx * (seg.m1.x - p.x) + ny * (seg.m1.y - p.y)) / den)
     before = [t for t in taus if t < 0]
     after = [t for t in taus if t > 1]
     if not before or not after:
@@ -386,8 +507,11 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
     where a tangency "at infinity" (contact point with w = 0) means the
     side line is an asymptote.  Both come from the focal construction of
     ``inscribe_at_center`` (``_marden_conic``), at the center's abscissa in
-    the normal form.  The midpoints themselves are degenerate members and
-    are rejected with DegenerateAtMidpoint; a missed side raises NotTangent.
+    the normal form, and so does the classification: the construction
+    knows which side of the diagonal midpoints the center lies on, so the
+    coefficients are not classified again.  The midpoints themselves are
+    degenerate members and are rejected with DegenerateAtMidpoint; a missed
+    side raises NotTangent.
     """
     ch = chord_x(q, tol)
     u, dist = _project_to_segment(center, ch.p_start, ch.p_end)
@@ -401,7 +525,5 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
         if abs(u - um) <= tol.tol_interval:
             raise DegenerateAtMidpoint("center coincides with a diagonal midpoint")
     nf = normalize(q, tol)
-    conic = _marden_conic(nf, nf.T.apply_xy(center.x, center.y)[0], tol)
-    classification = classify_conic(conic, tol)
-    tangencies = tuple(tangency_point(conic, line, tol) for line in q.side_lines())
-    return conic, classification, tangencies
+    focal = _marden_conic(nf, nf.T.apply_xy(center.x, center.y)[0], tol)
+    return focal.conic, focal.classification, focal.contacts

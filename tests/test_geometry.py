@@ -459,6 +459,23 @@ class TestTangency:
             assert ic.tangency_residual(tc, ic.transform_line(secant, m)) > 1e-6
 
 
+class TestConicCenter:
+    def test_worked_ellipse_far_from_origin_has_a_center(self):
+        # at offset 1e4 the canonical scale leaves ac - b^2/4 near 1e-17,
+        # below an absolute tol_det but not below the block's own size
+        off = 1e4
+        q = ic.validate_quad([(x + off, y + off) for x, y in [(0, 0), (1, 0), (3, 2), (0, 1)]])
+        seg = ic.locus(q)
+        got, want = ic.inscribe_at_param(q, 0.37).conic.center(), seg.point_at(0.37)
+        assert math.hypot(got.x - want.x, got.y - want.y) <= 1e-9 * (1 + seg.length())
+
+    @pytest.mark.parametrize("coeffs", [(0, 0, 1, -1, 0, 0), (1, 2, 1, 0, -1, 0),
+                                        (1, -2, 1, 3, 5, 7)])
+    def test_parabola_still_has_none(self, coeffs):
+        with pytest.raises(errors.SingularMap):
+            ic.Conic(*coeffs).center()
+
+
 class TestEllipseFromFociPoint:
     def test_symmetric_case(self):
         e = ic.ellipse_from_foci_point(ic.Point(-1, 0), ic.Point(1, 0),
@@ -490,6 +507,16 @@ class TestEllipseFromFociPoint:
         assert e.semi_major == pytest.approx(2.0)
         assert e.semi_minor == pytest.approx(2.0)
         assert e.angle == 0.0
+
+    def test_thresholds_follow_the_scale(self):
+        # foci and point of a proper ellipse at the 1e-13 scale: the focal
+        # segment is not reached and the axis angle is still read
+        e = ic.ellipse_from_foci_point(ic.Point(0, 0), ic.Point(1e-13, 1e-13),
+                                       ic.Point(0, 3e-13))
+        assert e.angle == pytest.approx(math.pi / 4, rel=1e-12)
+        ref = ic.ellipse_from_foci_point(ic.Point(0, 0), ic.Point(1, 1), ic.Point(0, 3))
+        assert e.semi_major == pytest.approx(1e-13 * ref.semi_major, rel=1e-12)
+        assert e.semi_minor == pytest.approx(1e-13 * ref.semi_minor, rel=1e-12)
 
     def test_point_on_segment_rejected(self):
         with pytest.raises(errors.DegeneratePoint):

@@ -35,13 +35,13 @@ from .geometry import (
     validate_quad,
 )
 from .marden import (
+    AreaTriple,
     TriangleZ,
-    WeightTriple,
     foci_from_weights,
     marden_ellipse,
     marden_validity,
-    stable_quadratic_roots,
     tangent_points,
+    triangle_tangent_ellipse_area,
 )
 from .pencil import (
     DualConic,
@@ -56,6 +56,7 @@ from .inscribed import (
     LocusLine,
     LocusSegment,
     NormalForm,
+    WeightTriple,
     chord_x,
     foci_quadratic,
     inscribe_at_center,
@@ -63,16 +64,15 @@ from .inscribed import (
     locus,
     locus_line,
     normalize,
+    stable_quadratic_roots,
     tangent_conic_at_center,
     weights_from_center,
 )
 from .area import (
-    AreaTriple,
     MaxAreaResult,
     area_cubic,
     inscribed_area,
     max_area,
-    triangle_tangent_ellipse_area,
 )
 
 __version__ = "0.1.0"

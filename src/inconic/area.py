@@ -1,12 +1,8 @@
-"""Areas of tangent ellipses and the unique maximal-area inscribed ellipse.
+"""The unique maximal-area inscribed ellipse.
 
-For a triangle ABC and a center P off the side lines, the conic tangent to
-the three side lines centered at P has area
-4*pi/area(ABC) * sqrt(sigma (sigma-alpha)(sigma-beta)(sigma-gamma)) with
-alpha, beta, gamma the unsigned sub-triangle areas and sigma their
-half-sum — a Heron-like product that is labeling-invariant and covers
-exterior centers without a branch.  Along the center locus this reduces to
-pi/(2|s-1|) sqrt((2h-1)(s + 2h(t-1))(s-2h)) in the normalized frame, so
+Along the center locus the inscribed ellipse at normalized abscissa h has
+area pi/(2|s-1|) sqrt((2h-1)(s + 2h(t-1))(s-2h)) in the normalized frame
+(the Heron-like triangle formula of ``marden`` reduced to the locus), so
 maximizing the area means maximizing the cubic
 A(h) = (s-2h)(2h-1)(s+2h(t-1)), which vanishes at both interval ends and
 has a single interior critical point: the maximum exists and is unique,
@@ -15,19 +11,13 @@ while the infimum 0 is never attained.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import (
-    DegenerateTriangle,
-    NoRealEllipse,
-    NumericalFailure,
-    ParallelogramUnsupported,
-)
+from .errors import NumericalFailure, ParallelogramUnsupported
 from .geometry import (
     DEFAULT_TOL,
     ConvexQuad,
     EllipseGeo,
-    Line,
     Point,
     QuadKind,
     Tolerances,
@@ -44,30 +34,6 @@ from .inscribed import (
 
 
 @dataclass(frozen=True)
-class AreaTriple:
-    """Unsigned sub-triangle areas around a center, with their half-sum."""
-
-    alpha: float
-    beta: float
-    gamma: float
-    sigma: float = field(init=False)
-
-    def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ValueError("sub-triangle areas are unsigned")
-        object.__setattr__(self, "sigma", (self.alpha + self.beta + self.gamma) / 2)
-
-    @property
-    def product(self) -> float:
-        s = self.sigma
-        return s * (s - self.alpha) * (s - self.beta) * (s - self.gamma)
-
-    @property
-    def is_real(self) -> bool:
-        return self.product >= 0
-
-
-@dataclass(frozen=True)
 class MaxAreaResult:
     """Unique maximal-area inscribed ellipse and where it sits."""
 
@@ -76,31 +42,6 @@ class MaxAreaResult:
     area: float
     h0: float  # normalized-frame abscissa of the center
     inscribed: InscribedResult
-
-
-def _tri_area(a: Point, b: Point, c: Point) -> float:
-    return abs((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)) / 2
-
-
-def triangle_tangent_ellipse_area(a: Point, b: Point, c: Point, p: Point,
-                                  tol: Tolerances = DEFAULT_TOL) -> float:
-    """Area of the conic tangent to the three side lines centered at p.
-
-    p may be inside or outside the triangle but not on a side line; a
-    negative Heron-like product means no real tangent ellipse has that
-    center and raises NoRealEllipse.
-    """
-    scale = max(1.0, *(abs(v) for q in (a, b, c, p) for v in (q.x, q.y)))
-    area_abc = _tri_area(a, b, c)
-    if area_abc <= 1e-14 * scale * scale:
-        raise DegenerateTriangle("triangle vertices are collinear")
-    for u, v in ((a, b), (b, c), (c, a)):
-        if abs(Line.from_points(u, v).eval(p)) <= 1e-12 * scale:
-            raise DegenerateTriangle("center lies on a side line")
-    triple = AreaTriple(_tri_area(b, p, c), _tri_area(c, p, a), _tri_area(a, p, b))
-    if triple.product < 0:
-        raise NoRealEllipse("no real tangent ellipse is centered there")
-    return 4 * math.pi / area_abc * math.sqrt(triple.product)
 
 
 def area_cubic(nf: NormalForm, h):
@@ -163,6 +104,6 @@ def max_area(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> MaxAreaResult:
     h0 = inside[0]
     k0 = locus_line(nf, tol)(h0)
     center = Point(*nf.to_original(h0, k0))
-    result = _construct(q, locus(q), nf, h0, center, tol)
+    result = _construct(locus(q), nf, h0, center, tol)
     ellipse = result.ellipse
     return MaxAreaResult(ellipse, ellipse.center, ellipse.area, h0, result)

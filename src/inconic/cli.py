@@ -18,11 +18,14 @@ from .area import max_area
 from .fmt import dumps
 from .geometry import (
     DEFAULT_TOL,
+    AffineMap,
+    ConvexQuad,
     Point,
     QuadKind,
     Tolerances,
     conic_distance,
     tangency_residual,
+    transform_conic,
     validate_quad,
 )
 from .inscribed import (
@@ -237,6 +240,18 @@ def cmd_maxarea(args) -> int:
     return EXIT_OK
 
 
+def _pencil_member(q, center: Point, tol):
+    """The pencil oracle's conic with the given center, built on the side
+    lines translated to q.v0 and mapped back.  At the original placement
+    the pencil's unit-norm dual matrices have a determinant that falls like
+    offset^-6 and reads as degenerate already some 50 extents out."""
+    x0, y0 = q.v0.x, q.v0.y
+    shifted = ConvexQuad(*(Point(v.x - x0, v.y - y0) for v in q.vertices), q.kind)
+    member = member_with_center(pencil_from_lines(*shifted.side_lines()),
+                                Point(center.x - x0, center.y - y0), tol)
+    return transform_conic(member, AffineMap(1.0, 0.0, 0.0, 1.0, x0, y0))
+
+
 def cmd_verify(args) -> int:
     tol = _tolerances(args)
     q = validate_quad(_load_vertices(args), tol)
@@ -250,8 +265,7 @@ def cmd_verify(args) -> int:
             raise
         conic, classification_enum, _ = tangent_conic_at_center(q, center, tol)
         classification = classification_enum.value
-    marden_distance = conic_distance(
-        conic, member_with_center(pencil_from_lines(*lines), center, tol))
+    marden_distance = conic_distance(conic, _pencil_member(q, center, tol))
     residuals = [tangency_residual(conic, line) for line in lines]
     got = conic.center(tol)
     center_error = math.hypot(got.x - center.x, got.y - center.y)
@@ -300,8 +314,8 @@ def cmd_render(args) -> int:
     elif args.n is not None:
         results.extend(_sample_results(q, _sample_count(args.n), tol))
     ellipses = [r.ellipse for r in results]
-    contacts = [t.to_point(tol) for r in results for t in r.tangencies
-                if not t.is_infinite(tol)]
+    contacts = [t.to_point() for r in results for t in r.tangencies
+                if not t.is_infinite()]
     text = svg.scene(q.vertices, seg, chord, ellipses, contacts)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -100,7 +100,14 @@ def _unit_direction(x: float, y: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class HomPoint:
-    """Homogeneous point (x : y : w); w = 0 encodes a point at infinity."""
+    """Homogeneous point (x : y : w); w = 0 encodes a point at infinity.
+
+    The contact points the package returns are dehomogenized, with w
+    exactly 1 or 0, so ``is_infinite`` and ``to_point`` read w = 0 exactly:
+    a relative test on |w| would put a finite point beyond about
+    1/tol_infinity at infinity.  ``dehomogenized`` is where a raw pole
+    meets the relative test, |w| <= tol_infinity |(x, y, w)|.
+    """
 
     x: float
     y: float
@@ -115,17 +122,18 @@ class HomPoint:
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.w * self.w)
 
-    def is_infinite(self, tol: Tolerances = DEFAULT_TOL) -> bool:
-        return abs(self.w) <= tol.tol_infinity * self.norm()
+    def is_infinite(self) -> bool:
+        return self.w == 0
 
     def dehomogenized(self, tol: Tolerances = DEFAULT_TOL) -> "HomPoint":
-        """Scale to w = 1, or to a unit direction with w = 0 when at infinity."""
-        if self.is_infinite(tol):
+        """Scale to w = 1, or to a unit direction with w = 0 when |w| is at
+        most tol_infinity relative to the norm."""
+        if abs(self.w) <= tol.tol_infinity * self.norm():
             return HomPoint(*_unit_direction(self.x, self.y), 0.0)
         return HomPoint(self.x / self.w, self.y / self.w, 1.0)
 
-    def to_point(self, tol: Tolerances = DEFAULT_TOL) -> Point:
-        if self.is_infinite(tol):
+    def to_point(self) -> Point:
+        if self.is_infinite():
             raise ValueError("cannot dehomogenize a point at infinity")
         return Point(self.x / self.w, self.y / self.w)
 
@@ -164,9 +172,6 @@ class Line:
     def eval(self, p: Point) -> float:
         """Signed distance of p from the line."""
         return self.a * p.x + self.b * p.y + self.c
-
-    def direction(self) -> tuple[float, float]:
-        return (-self.b, self.a)
 
 
 @dataclass(frozen=True)
@@ -212,17 +217,6 @@ class AffineMap:
                          -(i11 * self.tx + i12 * self.ty),
                          -(i21 * self.tx + i22 * self.ty))
 
-    def compose(self, inner: "AffineMap") -> "AffineMap":
-        """self after inner (function composition)."""
-        return AffineMap(
-            self.m11 * inner.m11 + self.m12 * inner.m21,
-            self.m11 * inner.m12 + self.m12 * inner.m22,
-            self.m21 * inner.m11 + self.m22 * inner.m21,
-            self.m21 * inner.m12 + self.m22 * inner.m22,
-            self.m11 * inner.tx + self.m12 * inner.ty + self.tx,
-            self.m21 * inner.tx + self.m22 * inner.ty + self.ty,
-        )
-
 
 class QuadKind(Enum):
     TRAPEZIUM = "trapezium"          # no parallel side pair
@@ -249,15 +243,6 @@ class ConvexQuad:
         """Lines through the sides, in order (v0v1, v1v2, v2v3, v3v0)."""
         v = self.vertices
         return tuple(Line.from_points(v[i], v[(i + 1) % 4]) for i in range(4))
-
-    def contains_point(self, p: Point, slack: float = 0.0) -> bool:
-        """Closed-quad test; positive slack admits near-boundary points."""
-        v = self.vertices
-        for i in range(4):
-            a, b = v[i], v[(i + 1) % 4]
-            if _cross(a.x, a.y, b.x, b.y, p.x, p.y) < -slack:
-                return False
-        return True
 
 
 def _unit(dx: float, dy: float) -> tuple[float, float]:
@@ -415,18 +400,26 @@ def classify_conic(c: Conic, tol: Tolerances = DEFAULT_TOL) -> ConicClass:
 
     Central conics are ranked through det(M) = det33 * F(center), which
     stays accurate for eccentric conics far from the origin where the raw
-    3x3 determinant cancels.
+    3x3 determinant cancels.  Each quantity is judged against tol_class
+    times the size of its own terms: ac - b^2/4 against |ac| + b^2/4, as
+    ``Conic.center`` does, and F(center) against the sum of its terms'
+    magnitudes.  Far from the origin F(center) is the small difference of
+    terms some (offset/axis)^2 times its size, axis the smaller semi-axis,
+    so the verdict holds while offset/axis stays below about
+    tol_class^-1/2 = 1e5; beyond that a real conic reads as degenerate.
     """
     det33 = c.a * c.c - c.b * c.b / 4
-    if abs(det33) <= tol.tol_class:
+    if abs(det33) <= tol.tol_class * (abs(c.a * c.c) + c.b * c.b / 4):
         a00, _, _, a01, a02, _ = _adjugate6(c)
-        det = c.a * a00 + c.b / 2 * a01 + c.d / 2 * a02
-        if abs(det) <= tol.tol_class:
+        terms = (c.a * a00, c.b / 2 * a01, c.d / 2 * a02)
+        if abs(sum(terms)) <= tol.tol_class * sum(map(abs, terms)):
             return ConicClass.DEGENERATE_LINES
         return ConicClass.PARABOLA
     ctr = c.center(tol)
-    value = c.evaluate(ctr.x, ctr.y)
-    if abs(value) <= tol.tol_class:
+    x, y = ctr.x, ctr.y
+    terms = (c.a * x * x, c.b * x * y, c.c * y * y, c.d * x, c.e * y, c.f)
+    value = sum(terms)
+    if abs(value) <= tol.tol_class * sum(map(abs, terms)):
         return ConicClass.DEGENERATE_LINES
     if det33 > 0:
         if value * (c.a + c.c) < 0:

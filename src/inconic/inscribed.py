@@ -16,8 +16,9 @@ the difference of the focal distances instead of their sum.
 """
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import (
     CenterOffLocus,
@@ -46,7 +47,55 @@ from .geometry import (
     _unit_direction,
     midpoint,
 )
-from .marden import WeightTriple, stable_quadratic_roots
+
+
+@dataclass(frozen=True)
+class WeightTriple:
+    """Weights (t1, t2, t3) summing to 1; t3 is always stored as 1 - t1 - t2.
+
+    No coercion is applied, so exact number types (fractions.Fraction)
+    flow through product and validity checks unchanged.
+    """
+
+    t1: float
+    t2: float
+    t3: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "t3", 1 - self.t1 - self.t2)
+
+    def as_tuple(self):
+        return (self.t1, self.t2, self.t3)
+
+    @property
+    def product(self):
+        return self.t1 * self.t2 * self.t3
+
+
+def stable_quadratic_roots(root_sum: complex, root_product: complex) -> tuple[complex, complex]:
+    """Roots of z^2 - root_sum*z + root_product without subtractive cancellation.
+
+    The discriminant square root is sign-matched against the linear
+    coefficient, and the second root is recovered from the product.
+    """
+    disc = root_sum * root_sum - 4 * root_product
+    sq = cmath.sqrt(disc)
+    if (root_sum.real * sq.real + root_sum.imag * sq.imag) < 0:
+        sq = -sq
+    r1 = (root_sum + sq) / 2
+    if r1 == 0:
+        return (0j, root_sum)
+    return (r1, root_product / r1)
+
+
+def _focal_numerator(z, w) -> tuple[complex, complex]:
+    """(root sum, root product) of t1(z-z2)(z-z3) + t2(z-z1)(z-z3) +
+    t3(z-z1)(z-z2), the monic focal numerator of triangle z = (z1, z2, z3)
+    under weights w = (t1, t2, t3) summing to 1."""
+    z1, z2, z3 = z
+    t1, t2, t3 = w
+    return (t1 * (z2 + z3) + t2 * (z1 + z3) + t3 * (z1 + z2),
+            t1 * z2 * z3 + t2 * z1 * z3 + t3 * z1 * z2)
 
 
 @dataclass(frozen=True)
@@ -97,7 +146,6 @@ class LocusSegment:
 
     m1: Point
     m2: Point
-    open: bool = True
     degenerate: bool = False
 
     def point_at(self, u: float) -> Point:
@@ -154,8 +202,7 @@ def locus(q: ConvexQuad) -> LocusSegment:
     mb = midpoint(q.v1, q.v3)
     if (mb.x, mb.y) < (ma.x, ma.y):
         ma, mb = mb, ma
-    return LocusSegment(ma, mb, open=True,
-                        degenerate=q.kind is QuadKind.PARALLELOGRAM)
+    return LocusSegment(ma, mb, degenerate=q.kind is QuadKind.PARALLELOGRAM)
 
 
 def normalize(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
@@ -273,9 +320,7 @@ def foci_quadratic(nf: NormalForm, h, tol: Tolerances = DEFAULT_TOL,
     if abs(t - 1) > tol.tol_par:
         triangles.append(((0j, 1j, complex(-s / (t - 1), 0)), ws))
     for tri, weights in triangles:
-        a1, a2, a3 = weights.as_tuple()
-        esum = a1 * (tri[1] + tri[2]) + a2 * (tri[0] + tri[2]) + a3 * (tri[0] + tri[1])
-        eprod = a1 * tri[1] * tri[2] + a2 * tri[0] * tri[2] + a3 * tri[0] * tri[1]
+        esum, eprod = _focal_numerator(tri, weights.as_tuple())
         if abs(esum - root_sum) > 1e-10 * max(1.0, abs(root_sum)) or \
            abs(eprod - root_product) > 1e-10 * max(1.0, abs(root_product)):
             raise NumericalFailure("focal numerators disagree with the monic form")
@@ -296,19 +341,16 @@ class _FocalConic:
     """One focal pass at a normalized abscissa: what the construction knows
     in the normal frame, and the checked objects built from it once.
 
-    ``m``, ``a``, ``c``, ``b2`` and ``axis`` are the normal-frame center,
-    the half focal-distance sum (ellipse) or difference (hyperbola), the
-    half focal separation, a^2 - c^2 and the unit focal axis.  ``form`` is
-    the original-frame Q = L^T Q_n L of (x - center)^T Q (x - center) = 1,
-    ``center`` = T^-1(m).  ``contacts`` are indexed by original side, as
+    ``a`` and ``b2`` are the half focal-distance sum (ellipse) or
+    difference (hyperbola) and a^2 - c^2, c the half focal separation.
+    ``form`` is the original-frame Q = L^T Q_n L of
+    (x - center)^T Q (x - center) = 1, ``center`` = T^-1(m) with m the
+    normal-frame center.  ``contacts`` are indexed by original side, as
     ``ConvexQuad.side_lines``.
     """
 
-    m: complex
     a: float
-    c: float
     b2: float
-    axis: tuple[float, float]
     classification: ConicClass
     form: tuple[float, float, float]
     center: tuple[float, float]
@@ -361,8 +403,7 @@ def _marden_conic(nf: NormalForm, h: float, tol: Tolerances) -> _FocalConic:
         raise NumericalFailure("pushed-out hyperbola form is not indefinite")
     center = nf.to_original(m.real, m.imag)
     return _FocalConic(
-        m, a, c, b2, (ux, uy),
-        ConicClass.REAL_ELLIPSE if is_ellipse else ConicClass.HYPERBOLA,
+        a, b2, ConicClass.REAL_ELLIPSE if is_ellipse else ConicClass.HYPERBOLA,
         form, center, _central_conic(q11, q12, q22, *center),
         _contacts(nf, m, a, b2, ux, uy, tol), weights)
 
@@ -407,7 +448,7 @@ def _contacts(nf: NormalForm, m: complex, a: float, b2: float, ux: float,
     return tuple(contacts)
 
 
-def _construct(q: ConvexQuad, seg: LocusSegment, nf: NormalForm, h: float,
+def _construct(seg: LocusSegment, nf: NormalForm, h: float,
                center: Point, tol: Tolerances) -> InscribedResult:
     """The inscribed ellipse at normalized abscissa h, whose original-frame
     center ``center`` was requested; the ellipse, its conic, contacts and
@@ -431,7 +472,7 @@ def _inscribe_centers(q: ConvexQuad, seg: LocusSegment, centers,
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("inscribed ellipses of a parallelogram are not unique")
     nf = normalize(q, tol)
-    return [_construct(q, seg, nf, nf.T.apply_xy(c.x, c.y)[0], c, tol) for c in centers]
+    return [_construct(seg, nf, nf.T.apply_xy(c.x, c.y)[0], c, tol) for c in centers]
 
 
 def inscribe_at_center(q: ConvexQuad, center: Point,
@@ -440,19 +481,18 @@ def inscribe_at_center(q: ConvexQuad, center: Point,
 
     The center must lie strictly inside the open locus segment: within
     tol_on (1 + length) of its line, and strictly between the diagonal
-    midpoints.  The focal construction runs in the normalized frame and is
-    mapped back, with or without a parallel side pair.  Parallelograms are
-    rejected: four common tangent lines of two distinct concentric ellipses
-    would have to form a parallelogram, so uniqueness fails there.  A side
-    the conic misses raises NotTangent.
+    midpoints, tested on its normalized abscissa.  The focal construction
+    runs in the normalized frame and is mapped back, with or without a
+    parallel side pair.  Parallelograms are rejected: four common tangent
+    lines of two distinct concentric ellipses would have to form a
+    parallelogram, so uniqueness fails there.  A side the conic misses
+    raises NotTangent.
     """
     seg = locus(q)
     if not seg.degenerate:  # a parallelogram, which _inscribe_centers rejects
-        u, dist = _project_to_segment(center, seg.m1, seg.m2)
+        _, dist = _project_to_segment(center, seg.m1, seg.m2)
         if dist > tol.tol_on * (1 + seg.length()):
             raise CenterOffLocus("center is not on the line of the locus segment")
-        if not (tol.tol_interval < u < 1 - tol.tol_interval):
-            raise CenterOffLocus("center is not strictly between the diagonal midpoints")
     return _inscribe_centers(q, seg, (center,), tol)[0]
 
 

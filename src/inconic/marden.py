@@ -1,10 +1,17 @@
-"""Foci of conics tangent to a triangle's side lines.
+"""Conics tangent to a triangle's side lines: the per-triangle oracle.
 
 The zeros of t1/(z - z1) + t2/(z - z2) + t3/(z - z3) with t1 + t2 + t3 = 1
 are the foci of a conic tangent to the three lines through the triangle's
 sides; a positive weight product t1*t2*t3 makes it an ellipse, contacting
 side zj-zk at the weighted average (tj*zk + tk*zj)/(tj + tk).  Points in the
 plane are identified with complex numbers throughout.
+
+For a triangle ABC and a center P off the side lines, the conic tangent to
+the three side lines centered at P has area
+4*pi/area(ABC) * sqrt(sigma (sigma-alpha)(sigma-beta)(sigma-gamma)) with
+alpha, beta, gamma the unsigned sub-triangle areas and sigma their
+half-sum — a Heron-like product that is labeling-invariant and covers
+exterior centers without a branch.
 """
 from __future__ import annotations
 
@@ -12,7 +19,14 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import AsymptoteContact, DegenerateFoci, NotAnEllipse, NumericalFailure
+from .errors import (
+    AsymptoteContact,
+    DegenerateFoci,
+    DegenerateTriangle,
+    NoRealEllipse,
+    NotAnEllipse,
+    NumericalFailure,
+)
 from .geometry import (
     DEFAULT_TOL,
     EllipseGeo,
@@ -23,6 +37,7 @@ from .geometry import (
     tangency_residual,
     conic_from_ellipse,
 )
+from .inscribed import WeightTriple, _focal_numerator, stable_quadratic_roots
 
 
 @dataclass(frozen=True)
@@ -55,55 +70,6 @@ class TriangleZ:
         return (line(self.z2, self.z3), line(self.z1, self.z3), line(self.z1, self.z2))
 
 
-@dataclass(frozen=True)
-class WeightTriple:
-    """Weights (t1, t2, t3) summing to 1; t3 is always stored as 1 - t1 - t2.
-
-    No coercion is applied, so exact number types (fractions.Fraction)
-    flow through product and validity checks unchanged.
-    """
-
-    t1: float
-    t2: float
-    t3: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "t3", 1 - self.t1 - self.t2)
-
-    def as_tuple(self):
-        return (self.t1, self.t2, self.t3)
-
-    @property
-    def product(self):
-        return self.t1 * self.t2 * self.t3
-
-
-def stable_quadratic_roots(root_sum: complex, root_product: complex) -> tuple[complex, complex]:
-    """Roots of z^2 - root_sum*z + root_product without subtractive cancellation.
-
-    The discriminant square root is sign-matched against the linear
-    coefficient, and the second root is recovered from the product.
-    """
-    disc = root_sum * root_sum - 4 * root_product
-    sq = cmath.sqrt(disc)
-    if (root_sum.real * sq.real + root_sum.imag * sq.imag) < 0:
-        sq = -sq
-    r1 = (root_sum + sq) / 2
-    if r1 == 0:
-        return (0j, root_sum)
-    return (r1, root_product / r1)
-
-
-def _focal_polynomial(tri: TriangleZ, w: WeightTriple) -> tuple[complex, complex]:
-    """(root sum, root product) of the monic numerator of the weighted
-    partial-fraction sum over the triangle vertices."""
-    z1, z2, z3 = complex(tri.z1), complex(tri.z2), complex(tri.z3)
-    t1, t2, t3 = (complex(v) for v in w.as_tuple())
-    root_sum = t1 * (z2 + z3) + t2 * (z1 + z3) + t3 * (z1 + z2)
-    root_product = t1 * z2 * z3 + t2 * z1 * z3 + t3 * z1 * z2
-    return root_sum, root_product
-
-
 def foci_from_weights(tri: TriangleZ, w: WeightTriple) -> tuple[complex, complex]:
     """Both zeros of t1(z-z2)(z-z3) + t2(z-z1)(z-z3) + t3(z-z1)(z-z2).
 
@@ -114,7 +80,9 @@ def foci_from_weights(tri: TriangleZ, w: WeightTriple) -> tuple[complex, complex
     lead = float(w.t1 + w.t2 + w.t3)
     if abs(lead - 1.0) > 1e-9:
         raise DegenerateFoci("weights do not sum to 1")
-    root_sum, root_product = _focal_polynomial(tri, w)
+    root_sum, root_product = _focal_numerator(
+        (complex(tri.z1), complex(tri.z2), complex(tri.z3)),
+        tuple(complex(v) for v in w.as_tuple()))
     r1, r2 = stable_quadratic_roots(root_sum, root_product)
     if (r1.real, r1.imag) > (r2.real, r2.imag):
         r1, r2 = r2, r1
@@ -162,3 +130,52 @@ def marden_ellipse(tri: TriangleZ, w: WeightTriple,
         if tangency_residual(conic, line) >= tol.tol_tan:
             raise NumericalFailure("constructed ellipse misses a side-line tangency")
     return ellipse
+
+
+@dataclass(frozen=True)
+class AreaTriple:
+    """Unsigned sub-triangle areas around a center, with their half-sum."""
+
+    alpha: float
+    beta: float
+    gamma: float
+    sigma: float = field(init=False)
+
+    def __post_init__(self):
+        if min(self.alpha, self.beta, self.gamma) < 0:
+            raise ValueError("sub-triangle areas are unsigned")
+        object.__setattr__(self, "sigma", (self.alpha + self.beta + self.gamma) / 2)
+
+    @property
+    def product(self) -> float:
+        s = self.sigma
+        return s * (s - self.alpha) * (s - self.beta) * (s - self.gamma)
+
+    @property
+    def is_real(self) -> bool:
+        return self.product >= 0
+
+
+def _tri_area(a: Point, b: Point, c: Point) -> float:
+    return abs((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)) / 2
+
+
+def triangle_tangent_ellipse_area(a: Point, b: Point, c: Point, p: Point,
+                                  tol: Tolerances = DEFAULT_TOL) -> float:
+    """Area of the conic tangent to the three side lines centered at p.
+
+    p may be inside or outside the triangle but not on a side line; a
+    negative Heron-like product means no real tangent ellipse has that
+    center and raises NoRealEllipse.
+    """
+    scale = max(1.0, *(abs(v) for q in (a, b, c, p) for v in (q.x, q.y)))
+    area_abc = _tri_area(a, b, c)
+    if area_abc <= 1e-14 * scale * scale:
+        raise DegenerateTriangle("triangle vertices are collinear")
+    for u, v in ((a, b), (b, c), (c, a)):
+        if abs(Line.from_points(u, v).eval(p)) <= 1e-12 * scale:
+            raise DegenerateTriangle("center lies on a side line")
+    triple = AreaTriple(_tri_area(b, p, c), _tri_area(c, p, a), _tri_area(a, p, b))
+    if triple.product < 0:
+        raise NoRealEllipse("no real tangent ellipse is centered there")
+    return 4 * math.pi / area_abc * math.sqrt(triple.product)

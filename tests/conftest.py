@@ -106,3 +106,25 @@ def affine_matrix3(t: AffineMap) -> np.ndarray:
 
 def point_on_side_lines(q: ConvexQuad, p: Point, tol: float) -> bool:
     return any(abs(line.eval(p)) <= tol for line in q.side_lines())
+
+
+def compose(outer: AffineMap, inner: AffineMap) -> AffineMap:
+    """outer after inner (function composition)."""
+    return AffineMap(
+        outer.m11 * inner.m11 + outer.m12 * inner.m21,
+        outer.m11 * inner.m12 + outer.m12 * inner.m22,
+        outer.m21 * inner.m11 + outer.m22 * inner.m21,
+        outer.m21 * inner.m12 + outer.m22 * inner.m22,
+        outer.m11 * inner.tx + outer.m12 * inner.ty + outer.tx,
+        outer.m21 * inner.tx + outer.m22 * inner.ty + outer.ty,
+    )
+
+
+def contains_point(q: ConvexQuad, p: Point, slack: float = 0.0) -> bool:
+    """Closed-quad test; positive slack admits near-boundary points."""
+    v = q.vertices
+    for i in range(4):
+        a, b = v[i], v[(i + 1) % 4]
+        if (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x) < -slack:
+            return False
+    return True

@@ -7,7 +7,8 @@ import pytest
 
 import inconic as ic
 from inconic import errors
-from inconic.area import AreaTriple, _real_quadratic_roots
+from inconic.area import _real_quadratic_roots
+from inconic.marden import AreaTriple
 
 from conftest import (
     quad_s3t2,

@@ -156,6 +156,18 @@ class TestVerify:
         assert not out
         assert "diagonal midpoint" in err
 
+    @pytest.mark.parametrize("off", [1e3, 1e6])
+    def test_far_from_origin_passes(self, capsys, off):
+        # the pencil oracle is built about the quad's first vertex; at the
+        # original placement its dual determinant falls like off^-6
+        vertices = " ".join(f"{x + off!r},{y + off!r}"
+                            for x, y in [(0, 0), (1, 0), (3, 2), (0, 1)])
+        for args in (("--u", "0.37"),
+                     ("--center", f"{2.3 + off!r},{1.4 + off!r}", "--allow-hyperbola")):
+            code, out, err = run_cli(capsys, "verify", "--vertices", vertices, *args)
+            assert code == 0, err
+            assert json.loads(out)["marden_vs_pencil_distance"] < 1e-8
+
     def test_hyperbola_requires_flag(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--vertices", QUAD,
                              "--center", "2.3,1.4")
@@ -218,6 +230,18 @@ class TestRender:
         assert float(ellipses[0].get("cx")) == pytest.approx(4 / 3, abs=1e-9)
         assert float(ellipses[0].get("cy")) == pytest.approx(7 / 9, abs=1e-9)
         assert root.findall("s:polygon", ns)
+
+    def test_far_contacts_are_drawn(self, capsys, tmp_path):
+        off = 1e10
+        vertices = " ".join(f"{x + off!r},{y + off!r}"
+                            for x, y in [(0, 0), (1, 0), (3, 2), (0, 1)])
+        out_file = tmp_path / "far.svg"
+        code, _, _ = run_cli(capsys, "render", "--vertices", vertices,
+                             "--u", "0.37", "--out", str(out_file))
+        assert code == 0
+        root = ET.parse(out_file).getroot()
+        ns = {"s": "http://www.w3.org/2000/svg"}
+        assert len(root.findall("s:circle", ns)) == 4
 
     def test_multi_sample_scene(self, capsys, tmp_path):
         out_file = tmp_path / "five.svg"

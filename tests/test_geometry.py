@@ -12,6 +12,7 @@ from inconic import errors
 
 from conftest import (
     affine_matrix3,
+    compose,
     conic_from_matrix,
     conic_matrix,
     quad_s3t2,
@@ -141,7 +142,7 @@ class TestAffineMap:
         inv = tiny.inverse()
         assert (inv.m11, inv.m22) == (pytest.approx(1e7, rel=1e-15),
                                       pytest.approx(1e7, rel=1e-15))
-        assert inv.compose(tiny).apply_xy(3.0, -2.0) == \
+        assert compose(inv, tiny).apply_xy(3.0, -2.0) == \
             (pytest.approx(3.0, rel=1e-15), pytest.approx(-2.0, rel=1e-15))
         for scale in (1e-7, 1.0, 1e7):
             with pytest.raises(errors.SingularMap):
@@ -347,6 +348,47 @@ class TestClassify:
             assert ic.classify_conic(ic.conic_from_ellipse(e)) is \
                 ic.ConicClass.REAL_ELLIPSE
 
+    @pytest.mark.parametrize("off", [1e3, 1e4])
+    def test_far_conics_keep_their_class(self, off):
+        # F(center) and ac - b^2/4 are judged against their own terms, so the
+        # canonical scale's large constant term does not make them degenerate
+        q = ic.validate_quad([(x + off, y + off) for x, y in [(0, 0), (1, 0), (3, 2), (0, 1)]])
+        result = ic.inscribe_at_param(q, 0.37)
+        assert ic.classify_conic(result.conic) is ic.ConicClass.REAL_ELLIPSE
+        got, want = ic.ellipse_from_conic(result.conic), result.ellipse
+        assert math.hypot(got.center.x - want.center.x,
+                          got.center.y - want.center.y) < 1e-12 * off
+        assert got.semi_major == pytest.approx(want.semi_major, rel=1e-7)
+        assert got.semi_minor == pytest.approx(want.semi_minor, rel=1e-7)
+        assert got.angle == pytest.approx(want.angle, abs=1e-7)
+        hyperbola = ic.tangent_conic_at_center(q, ic.chord_x(q).point_at(0.9))[0]
+        assert ic.classify_conic(hyperbola) is ic.ConicClass.HYPERBOLA
+
+
+class TestHomPoint:
+    def test_far_contacts_stay_finite(self):
+        # dehomogenized contacts carry w = 1 exactly, however far out
+        off = 1e10
+        q = ic.validate_quad([(x + off, y + off) for x, y in [(0, 0), (1, 0), (3, 2), (0, 1)]])
+        for contact in ic.inscribe_at_param(q, 0.37).tangencies:
+            assert not contact.is_infinite()
+            p = contact.to_point()
+            assert min(abs(line.eval(p)) for line in q.side_lines()) < 1e-5
+
+    def test_asymptote_contact_stays_at_infinity(self):
+        # the center line of the worked quad meets the side y = 0 at
+        # (-0.5, 0), so the tangent hyperbola centered there has that side
+        # as an asymptote: its raw pole is judged relative to its norm
+        q = quad_s3t2()
+        lines = q.side_lines()
+        conic = ic.member_with_center(ic.pencil_from_lines(*lines), ic.Point(-0.5, 0.0))
+        contact = ic.tangency_point(conic, lines[0])
+        assert contact.is_infinite() and contact.w == 0.0
+        assert not ic.tangency_point(conic, lines[1]).is_infinite()
+        assert ic.HomPoint(1.0, 2.0, 1e-12).dehomogenized().is_infinite()
+        with pytest.raises(ValueError):
+            contact.to_point()
+
 
 class TestTransformConic:
     def test_scaled_circle(self):
@@ -388,7 +430,7 @@ class TestTransformConic:
             m1 = _random_map(rng)
             m2 = _random_map(rng)
             once = ic.transform_conic(ic.transform_conic(c, m1), m2)
-            combined = ic.transform_conic(c, m2.compose(m1))
+            combined = ic.transform_conic(c, compose(m2, m1))
             assert ic.conic_distance(once, combined) < 1e-9
 
 

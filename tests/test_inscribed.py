@@ -1,4 +1,6 @@
 """Center locus, weights, focal quadratic, per-center construction, chord."""
+import ast
+import inspect
 import math
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from inconic import errors
 from inconic.inscribed import _marden_conic, _project_to_segment
 
 from conftest import (
+    contains_point,
     quad_s3t2,
     quad_s4t2,
     random_affine,
@@ -50,7 +53,7 @@ class TestLocus:
         seg = ic.locus(quad_s3t2())
         assert seg.m1 == ic.Point(0.5, 0.5)
         assert seg.m2 == ic.Point(1.5, 1.0)
-        assert seg.open and not seg.degenerate
+        assert not seg.degenerate
 
     def test_square_degenerate_point(self):
         seg = ic.locus(ic.validate_quad([(0, 0), (1, 0), (1, 1), (0, 1)]))
@@ -65,7 +68,7 @@ class TestLocus:
             for p in (seg.m1, seg.m2):
                 for line in q.side_lines():
                     assert abs(line.eval(p)) > 1e-9
-                assert q.contains_point(p)
+                assert contains_point(q, p)
 
 
 class TestLocusLine:
@@ -434,7 +437,7 @@ class TestChordX:
             ch = ic.chord_x(q)
             for p in (ch.p_start, ch.p_end):
                 assert min(abs(line.eval(p)) for line in q.side_lines()) < 1e-9
-                assert q.contains_point(p, slack=1e-9)
+                assert contains_point(q, p, slack=1e-9)
 
     @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1.0])
     def test_scales_with_the_quad(self, scale):
@@ -514,9 +517,36 @@ class TestWeightPositivity:
                 assert ws.product > 0
 
 
+def _imported_modules(module) -> set[str]:
+    """Last name component of every module an ``import`` or ``from``
+    statement in the module's source names, at any depth."""
+    tree = ast.parse(inspect.getsource(module))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module.rpartition(".")[2])
+            names.update(alias.name for alias in node.names)
+    return names
+
+
 def test_pencil_is_not_a_construction_route():
-    # the pencil is an oracle only: the construction module never reaches it
+    # the kernel/oracle boundary: the per-triangle route (marden) and the
+    # dual-conic pencil are oracles only, so no construction module imports
+    # them, and the CLI reaches the pencil for ``verify`` alone
+    import inconic.area
+    import inconic.cli
+    import inconic.fmt
+    import inconic.geometry
     import inconic.inscribed
+    import inconic.svg
+    oracles = {"marden", "pencil"}
+    for module in (inconic.inscribed, inconic.area, inconic.geometry,
+                   inconic.fmt, inconic.svg):
+        assert not _imported_modules(module) & oracles, module.__name__
+    assert _imported_modules(inconic.cli) & oracles == {"pencil"}
     assert "pencil_from_lines" not in vars(inconic.inscribed)
     assert "member_with_center" not in vars(inconic.inscribed)
 

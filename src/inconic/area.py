@@ -11,7 +11,6 @@ while the infimum 0 is never attained.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NumericalFailure, ParallelogramUnsupported
 from .geometry import (
@@ -21,6 +20,7 @@ from .geometry import (
     Point,
     QuadKind,
     Tolerances,
+    _Value,
 )
 from .inscribed import (
     InscribedResult,
@@ -33,15 +33,14 @@ from .inscribed import (
 )
 
 
-@dataclass(frozen=True)
-class MaxAreaResult:
-    """Unique maximal-area inscribed ellipse and where it sits."""
+class MaxAreaResult(_Value):
+    """Unique maximal-area inscribed ellipse and where it sits; h0 is the
+    normalized-frame abscissa of the center."""
+    __slots__ = ("ellipse", "center", "area", "h0", "inscribed")
 
-    ellipse: EllipseGeo
-    center: Point
-    area: float
-    h0: float  # normalized-frame abscissa of the center
-    inscribed: InscribedResult
+    def __init__(self, ellipse: EllipseGeo, center: Point, area: float, h0: float,
+                 inscribed: InscribedResult):
+        self._fill((ellipse, center, area, h0, inscribed))
 
 
 def area_cubic(nf: NormalForm, h):

@@ -148,11 +148,12 @@ def _load_vertices(args) -> list[tuple[float, float]]:
 
 def _tolerances(args) -> Tolerances:
     tol = DEFAULT_TOL
-    env = os.environ.get("INCONIC_TOL")
-    if env:
-        tol = Tolerances.from_string(env, tol)
-    if getattr(args, "tol", None):
-        tol = Tolerances.from_string(args.tol, tol)
+    for source, text in (("INCONIC_TOL", os.environ.get("INCONIC_TOL")), ("--tol", args.tol)):
+        try:
+            tol = Tolerances.from_string(text or "", tol)
+        except ValueError as exc:
+            print(f"bad {source} value: {exc}", file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
     return tol
 
 

@@ -1,15 +1,17 @@
 """Planar primitives: points, homogeneous points, lines, affine maps, conics.
 
-All types are immutable values and all operations are pure functions, so
-everything here is safe to share between concurrent tasks.  Conics are kept
-in a canonical homogeneous scale (unit Frobenius norm of the symmetric
-matrix, first nonzero coefficient positive) so that equality and distance
-between conics are well defined.
+All operations are pure functions on immutable values, so everything here
+is safe to share between concurrent tasks.  The package's value types derive
+from ``_Value``: the fields are ``__slots__``, set once by an ``__init__``
+that makes the type's checks; assigning or deleting one raises
+AttributeError; equality, hashing, repr, copy and pickle go by the slots.
+Conics are kept in a canonical homogeneous scale (unit Frobenius norm of the
+symmetric matrix, first nonzero coefficient positive) so that equality and
+distance between conics are well defined.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 
 from .errors import (
@@ -22,28 +24,79 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numeric tolerances shared by all operations.
+_set = object.__setattr__
+
+
+def _rebuild(cls, values):
+    """cls holding values, not checked or normalized again by ``__init__``."""
+    obj = object.__new__(cls)
+    obj._fill(values)
+    return obj
+
+
+class _Value:
+    """Immutable value over ``__slots__``, compared, hashed, printed, copied
+    and pickled by its slots; ``__init__`` sets each slot once, by ``_fill``
+    or, in types built several times per construction, by ``_set``."""
+    __slots__ = ()
+
+    def _fill(self, values) -> None:
+        for name, value in zip(self.__slots__, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return _rebuild, (self.__class__, self._values())
+
+
+class Tolerances(_Value):
+    """Numeric tolerances shared by all operations, each finite and > 0.
 
     A single record so the whole pipeline can be tightened or loosened at
     once (see the CLI's ``--tol`` flag and the INCONIC_TOL variable).
     """
+    __slots__ = ("tol_det", "tol_tan", "tol_class", "tol_par", "tol_pair",
+                 "tol_interval", "tol_on", "tol_center", "tol_infinity")
 
-    tol_det: float = 1e-12       # singularity threshold for linear maps
-    tol_tan: float = 1e-8        # tangency residual acceptance
-    tol_class: float = 1e-10     # conic classification thresholds
-    tol_par: float = 1e-9        # parallelism of unit edge directions
-    tol_pair: float = 1e-12      # vanishing pairwise weight sums
-    tol_interval: float = 1e-9   # open-interval margin on locus parameters
-    tol_on: float = 1e-9         # distance-to-locus acceptance
-    tol_center: float = 1e-8     # center consistency in the dual pencil
-    tol_infinity: float = 1e-10  # relative |w| below which a point is at infinity
+    def __init__(self,
+                 tol_det: float = 1e-12,       # singularity threshold for linear maps
+                 tol_tan: float = 1e-8,        # tangency residual acceptance
+                 tol_class: float = 1e-10,     # conic classification thresholds
+                 tol_par: float = 1e-9,        # parallelism of unit edge directions
+                 tol_pair: float = 1e-12,      # vanishing pairwise weight sums
+                 tol_interval: float = 1e-9,   # open-interval margin on locus parameters
+                 tol_on: float = 1e-9,         # distance-to-locus acceptance
+                 tol_center: float = 1e-8,     # center consistency in the dual pencil
+                 tol_infinity: float = 1e-10):  # relative |w| below which a point is at infinity
+        values = (tol_det, tol_tan, tol_class, tol_par, tol_pair, tol_interval,
+                  tol_on, tol_center, tol_infinity)
+        for name, value in zip(self.__slots__, values):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"tolerance {name} must be finite and positive, got {value!r}")
+        self._fill(values)
 
     def replace(self, **kwargs) -> "Tolerances":
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update(kwargs)
-        return Tolerances(**values)
+        return Tolerances(**dict(zip(self.__slots__, self._values()), **kwargs))
 
     @classmethod
     def from_string(cls, text: str, base: "Tolerances | None" = None) -> "Tolerances":
@@ -52,12 +105,11 @@ class Tolerances:
         text = text.strip()
         if not text:
             return tol
-        known = {f.name for f in fields(cls)}
         overrides = {}
         for item in text.split(","):
             name, _, value = item.partition("=")
             name = name.strip()
-            if name not in known or not value:
+            if name not in cls.__slots__ or not value:
                 raise ValueError(f"unknown tolerance setting {item!r}")
             overrides[name] = float(value)
         return tol.replace(**overrides)
@@ -66,16 +118,15 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(_Value):
     """Affine plane point."""
+    __slots__ = ("x", "y")
 
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+    def __init__(self, x: float, y: float):
+        if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError("point components must be finite")
+        _set(self, "x", x)
+        _set(self, "y", y)
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
@@ -98,8 +149,7 @@ def _unit_direction(x: float, y: float) -> tuple[float, float]:
     return x, y
 
 
-@dataclass(frozen=True)
-class HomPoint:
+class HomPoint(_Value):
     """Homogeneous point (x : y : w); w = 0 encodes a point at infinity.
 
     The contact points the package returns are dehomogenized, with w
@@ -108,16 +158,16 @@ class HomPoint:
     1/tol_infinity at infinity.  ``dehomogenized`` is where a raw pole
     meets the relative test, |w| <= tol_infinity |(x, y, w)|.
     """
+    __slots__ = ("x", "y", "w")
 
-    x: float
-    y: float
-    w: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.w)):
+    def __init__(self, x: float, y: float, w: float):
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(w)):
             raise ValueError("homogeneous components must be finite")
-        if self.x == 0 and self.y == 0 and self.w == 0:
+        if x == 0 and y == 0 and w == 0:
             raise ValueError("homogeneous point cannot be the zero triple")
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "w", w)
 
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.w * self.w)
@@ -138,28 +188,22 @@ class HomPoint:
         return Point(self.x / self.w, self.y / self.w)
 
 
-@dataclass(frozen=True)
-class Line:
+class Line(_Value):
     """Oriented line a*x + b*y + c = 0, stored with a^2 + b^2 = 1.
 
     The sign is fixed so the first nonzero of (a, b) is positive, which makes
     the representation canonical; ``eval`` is then a signed distance.
     """
+    __slots__ = ("a", "b", "c")
 
-    a: float
-    b: float
-    c: float
-
-    def __post_init__(self):
-        n = math.hypot(self.a, self.b)
-        if n == 0 or not math.isfinite(n) or not math.isfinite(float(self.c)):
+    def __init__(self, a: float, b: float, c: float):
+        n = math.hypot(a, b)
+        if n == 0 or not math.isfinite(n) or not math.isfinite(float(c)):
             raise ValueError("line requires finite (a, b) != (0, 0)")
-        a, b, c = self.a / n, self.b / n, self.c / n
+        a, b, c = a / n, b / n, c / n
         if a < 0 or (a == 0 and b < 0):
             a, b, c = -a, -b, -c
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        self._fill((a, b, c))
 
     @classmethod
     def from_points(cls, p: Point, q: Point) -> "Line":
@@ -174,24 +218,17 @@ class Line:
         return self.a * p.x + self.b * p.y + self.c
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(_Value):
     """Invertible planar affine map x -> M x + t; singular, whatever its
     scale, when |det| <= tol_det * (|m11 m22| + |m12 m21|)."""
+    __slots__ = ("m11", "m12", "m21", "m22", "tx", "ty")
 
-    m11: float
-    m12: float
-    m21: float
-    m22: float
-    tx: float = 0.0
-    ty: float = 0.0
-
-    def __post_init__(self):
-        if not all(map(math.isfinite, (self.m11, self.m12, self.m21, self.m22,
-                                       self.tx, self.ty))):
+    def __init__(self, m11: float, m12: float, m21: float, m22: float,
+                 tx: float = 0.0, ty: float = 0.0):
+        if not all(map(math.isfinite, (m11, m12, m21, m22, tx, ty))):
             raise ValueError("affine map entries must be finite")
-        scale = abs(self.m11 * self.m22) + abs(self.m12 * self.m21)
-        if abs(self.det) <= DEFAULT_TOL.tol_det * scale:
+        self._fill((m11, m12, m21, m22, tx, ty))
+        if abs(self.det) <= DEFAULT_TOL.tol_det * (abs(m11 * m22) + abs(m12 * m21)):
             raise SingularMap(f"linear part is singular (det={self.det:g})")
 
     @classmethod
@@ -224,16 +261,13 @@ class QuadKind(Enum):
     PARALLELOGRAM = "parallelogram"  # both side pairs parallel
 
 
-@dataclass(frozen=True)
-class ConvexQuad:
+class ConvexQuad(_Value):
     """Strictly convex quadrilateral, counterclockwise from the lexicographic
     smallest vertex (see :func:`validate_quad`)."""
+    __slots__ = ("v0", "v1", "v2", "v3", "kind")
 
-    v0: Point
-    v1: Point
-    v2: Point
-    v3: Point
-    kind: QuadKind
+    def __init__(self, v0: Point, v1: Point, v2: Point, v3: Point, kind: QuadKind):
+        self._fill((v0, v1, v2, v3, kind))
 
     @property
     def vertices(self) -> tuple[Point, Point, Point, Point]:
@@ -326,22 +360,12 @@ def _canonical_six(a, b, c, d, e, f):
     return coeffs
 
 
-@dataclass(frozen=True)
-class Conic:
+class Conic(_Value):
     """Conic a x^2 + b xy + c y^2 + d x + e y + f = 0, canonically scaled."""
+    __slots__ = ("a", "b", "c", "d", "e", "f")
 
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f: float
-
-    def __post_init__(self):
-        a, b, c, d, e, f = _canonical_six(self.a, self.b, self.c,
-                                          self.d, self.e, self.f)
-        for name, v in zip("abcdef", (a, b, c, d, e, f)):
-            object.__setattr__(self, name, v)
+    def __init__(self, a: float, b: float, c: float, d: float, e: float, f: float):
+        self._fill(_canonical_six(a, b, c, d, e, f))
 
     def evaluate(self, x: float, y: float) -> float:
         return (self.a * x * x + self.b * x * y + self.c * y * y
@@ -428,28 +452,23 @@ def classify_conic(c: Conic, tol: Tolerances = DEFAULT_TOL) -> ConicClass:
     return ConicClass.HYPERBOLA
 
 
-@dataclass(frozen=True)
-class EllipseGeo:
+class EllipseGeo(_Value):
     """Ellipse in metric form: center, semi-axes, major-axis angle, foci.
 
     angle lies in (-pi/2, pi/2]; foci are ordered lexicographically and are
     symmetric about the center with |f1 - f2| = 2 sqrt(a^2 - b^2).
     """
+    __slots__ = ("center", "semi_major", "semi_minor", "angle", "focus1", "focus2")
 
-    center: Point
-    semi_major: float
-    semi_minor: float
-    angle: float
-    focus1: Point
-    focus2: Point
-
-    def __post_init__(self):
-        if not (self.semi_major > 0 and self.semi_minor > 0):
+    def __init__(self, center: Point, semi_major: float, semi_minor: float,
+                 angle: float, focus1: Point, focus2: Point):
+        if not (semi_major > 0 and semi_minor > 0):
             raise ValueError("semi-axes must be positive")
-        if self.semi_major < self.semi_minor:
+        if semi_major < semi_minor:
             raise ValueError("semi_major must be the larger axis")
-        if not (-math.pi / 2 < self.angle <= math.pi / 2):
+        if not (-math.pi / 2 < angle <= math.pi / 2):
             raise ValueError("angle must lie in (-pi/2, pi/2]")
+        self._fill((center, semi_major, semi_minor, angle, focus1, focus2))
 
     @property
     def area(self) -> float:

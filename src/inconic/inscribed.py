@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 from .errors import (
     CenterOffLocus,
@@ -40,29 +39,29 @@ from .geometry import (
     Point,
     QuadKind,
     Tolerances,
+    _Value,
     _axis_form,
     _central_conic,
     _metric_ellipse,
     _pull_back_form,
+    _set,
     _unit_direction,
     midpoint,
 )
 
 
-@dataclass(frozen=True)
-class WeightTriple:
+class WeightTriple(_Value):
     """Weights (t1, t2, t3) summing to 1; t3 is always stored as 1 - t1 - t2.
 
     No coercion is applied, so exact number types (fractions.Fraction)
     flow through product and validity checks unchanged.
     """
+    __slots__ = ("t1", "t2", "t3")
 
-    t1: float
-    t2: float
-    t3: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "t3", 1 - self.t1 - self.t2)
+    def __init__(self, t1: float, t2: float):
+        _set(self, "t1", t1)
+        _set(self, "t2", t2)
+        _set(self, "t3", 1 - t1 - t2)
 
     def as_tuple(self):
         return (self.t1, self.t2, self.t3)
@@ -98,8 +97,7 @@ def _focal_numerator(z, w) -> tuple[complex, complex]:
             t1 * z2 * z3 + t2 * z1 * z3 + t3 * z1 * z2)
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(_Value):
     """Affine change of frame onto vertices (0,0), (1,0), (s,t), (0,1).
 
     ``T`` maps the original frame to the normalized one; ``labeling`` lists
@@ -114,19 +112,17 @@ class NormalForm:
     labelings, the one whose sides (1,0)-(s,t) and (0,1)-(0,0) are furthest
     from parallel; with one parallel side pair that gives t = 1.
     """
+    __slots__ = ("T", "s", "t", "labeling", "inverse")
 
-    T: AffineMap
-    s: float
-    t: float
-    labeling: tuple[int, int, int, int]
-    inverse: tuple[float, float, float, float, float, float] | None = None
-
-    def __post_init__(self):
-        if not (self.s > 0 and self.t > 0 and self.s + self.t > 1):
+    def __init__(self, T: AffineMap, s: float, t: float,
+                 labeling: tuple[int, int, int, int],
+                 inverse: tuple[float, float, float, float, float, float] | None = None):
+        if not (s > 0 and t > 0 and s + t > 1):
             raise ValueError("normal form requires s > 0, t > 0, s + t > 1")
-        if self.inverse is None:
-            g = self.T.inverse()
-            object.__setattr__(self, "inverse", (g.m11, g.m12, g.m21, g.m22, g.tx, g.ty))
+        if inverse is None:
+            g = T.inverse()
+            inverse = (g.m11, g.m12, g.m21, g.m22, g.tx, g.ty)
+        self._fill((T, s, t, labeling, inverse))
 
     def to_original(self, x: float, y: float) -> tuple[float, float]:
         """T^-1(x, y): a normalized-frame point in the original frame."""
@@ -139,14 +135,13 @@ class NormalForm:
         return (half, shalf) if half <= shalf else (shalf, half)
 
 
-@dataclass(frozen=True)
-class LocusSegment:
+class LocusSegment(_Value):
     """Open segment of admissible ellipse centers (diagonal midpoints
     excluded); degenerate (a single point) exactly for parallelograms."""
+    __slots__ = ("m1", "m2", "degenerate")
 
-    m1: Point
-    m2: Point
-    degenerate: bool = False
+    def __init__(self, m1: Point, m2: Point, degenerate: bool = False):
+        self._fill((m1, m2, degenerate))
 
     def point_at(self, u: float) -> Point:
         return Point(self.m1.x + u * (self.m2.x - self.m1.x),
@@ -156,12 +151,12 @@ class LocusSegment:
         return math.hypot(self.m2.x - self.m1.x, self.m2.y - self.m1.y)
 
 
-@dataclass(frozen=True)
-class ChordX:
+class ChordX(_Value):
     """Open chord cut from the center line by the quadrilateral's interior."""
+    __slots__ = ("p_start", "p_end")
 
-    p_start: Point
-    p_end: Point
+    def __init__(self, p_start: Point, p_end: Point):
+        self._fill((p_start, p_end))
 
     def point_at(self, u: float) -> Point:
         return Point(self.p_start.x + u * (self.p_end.x - self.p_start.x),
@@ -172,27 +167,25 @@ class ChordX:
                           self.p_end.y - self.p_start.y)
 
 
-@dataclass(frozen=True)
-class LocusLine:
+class LocusLine(_Value):
     """Center line y = slope*x + intercept over the open interval of h."""
+    __slots__ = ("slope", "intercept", "interval")
 
-    slope: float
-    intercept: float
-    interval: tuple[float, float]
+    def __init__(self, slope: float, intercept: float, interval: tuple[float, float]):
+        self._fill((slope, intercept, interval))
 
     def __call__(self, x: float) -> float:
         return self.slope * x + self.intercept
 
 
-@dataclass(frozen=True)
-class InscribedResult:
+class InscribedResult(_Value):
     """Inscribed ellipse with its conic, contact points and weights."""
+    __slots__ = ("ellipse", "conic", "tangencies", "weights_t", "weights_s")
 
-    ellipse: EllipseGeo
-    conic: Conic
-    tangencies: tuple[HomPoint, HomPoint, HomPoint, HomPoint]
-    weights_t: WeightTriple
-    weights_s: WeightTriple
+    def __init__(self, ellipse: EllipseGeo, conic: Conic,
+                 tangencies: tuple[HomPoint, HomPoint, HomPoint, HomPoint],
+                 weights_t: WeightTriple, weights_s: WeightTriple):
+        self._fill((ellipse, conic, tangencies, weights_t, weights_s))
 
 
 def locus(q: ConvexQuad) -> LocusSegment:
@@ -336,8 +329,7 @@ def _project_to_segment(p: Point, a: Point, b: Point) -> tuple[float, float]:
     return u, dist
 
 
-@dataclass(frozen=True)
-class _FocalConic:
+class _FocalConic(_Value):
     """One focal pass at a normalized abscissa: what the construction knows
     in the normal frame, and the checked objects built from it once.
 
@@ -348,15 +340,11 @@ class _FocalConic:
     normal-frame center.  ``contacts`` are indexed by original side, as
     ``ConvexQuad.side_lines``.
     """
+    __slots__ = ("a", "b2", "classification", "form", "center", "conic", "contacts",
+                 "weights")
 
-    a: float
-    b2: float
-    classification: ConicClass
-    form: tuple[float, float, float]
-    center: tuple[float, float]
-    conic: Conic
-    contacts: tuple[HomPoint, HomPoint, HomPoint, HomPoint]
-    weights: tuple[WeightTriple, WeightTriple]
+    def __init__(self, a, b2, classification, form, center, conic, contacts, weights):
+        self._fill((a, b2, classification, form, center, conic, contacts, weights))
 
 
 def _marden_conic(nf: NormalForm, h: float, tol: Tolerances) -> _FocalConic:

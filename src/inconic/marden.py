@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 
 from .errors import (
     AsymptoteContact,
@@ -33,6 +32,7 @@ from .geometry import (
     Line,
     Point,
     Tolerances,
+    _Value,
     ellipse_from_foci_point,
     tangency_residual,
     conic_from_ellipse,
@@ -40,18 +40,15 @@ from .geometry import (
 from .inscribed import WeightTriple, _focal_numerator, stable_quadratic_roots
 
 
-@dataclass(frozen=True)
-class TriangleZ:
+class TriangleZ(_Value):
     """Triangle given by three complex vertices; must not be collinear."""
+    __slots__ = ("z1", "z2", "z3")
 
-    z1: complex
-    z2: complex
-    z3: complex
-
-    def __post_init__(self):
-        for z in (self.z1, self.z2, self.z3):
+    def __init__(self, z1: complex, z2: complex, z3: complex):
+        for z in (z1, z2, z3):
             if not cmath.isfinite(complex(z)):
                 raise ValueError("triangle vertices must be finite")
+        self._fill((z1, z2, z3))
         if abs(self.signed_area()) <= 1e-14 * max(1.0, self._scale() ** 2):
             raise ValueError("triangle vertices are collinear")
 
@@ -132,19 +129,14 @@ def marden_ellipse(tri: TriangleZ, w: WeightTriple,
     return ellipse
 
 
-@dataclass(frozen=True)
-class AreaTriple:
+class AreaTriple(_Value):
     """Unsigned sub-triangle areas around a center, with their half-sum."""
+    __slots__ = ("alpha", "beta", "gamma", "sigma")
 
-    alpha: float
-    beta: float
-    gamma: float
-    sigma: float = field(init=False)
-
-    def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) < 0:
+    def __init__(self, alpha: float, beta: float, gamma: float):
+        if min(alpha, beta, gamma) < 0:
             raise ValueError("sub-triangle areas are unsigned")
-        object.__setattr__(self, "sigma", (self.alpha + self.beta + self.gamma) / 2)
+        self._fill((alpha, beta, gamma, (alpha + beta + gamma) / 2))
 
     @property
     def product(self) -> float:

@@ -15,7 +15,6 @@ brute-force oracle.  Matrices are 3x3 tuples of row tuples of floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import (
     CenterOffLocus,
@@ -28,6 +27,7 @@ from .geometry import (
     Line,
     Point,
     Tolerances,
+    _Value,
     adjugate3,
 )
 
@@ -71,34 +71,35 @@ def _canonical_sym3(m) -> Mat3:
     return tuple(tuple(row) for row in m)
 
 
-@dataclass(frozen=True, eq=False)
-class DualConic:
+class DualConic(_Value):
     """Symmetric 3x3 form on line coordinates, canonically scaled.
 
     A line l is tangent to the underlying point conic iff l^T D l = 0.
     """
+    __slots__ = ("m",)
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    m: Mat3
-
-    def __post_init__(self):
-        object.__setattr__(self, "m", _canonical_sym3(self.m))
+    def __init__(self, m: Mat3):
+        self._fill((_canonical_sym3(m),))
 
     def apply_line(self, l: Line) -> float:
         v = _line_vec(l)
         return _dot3(v, tuple(_dot3(row, v) for row in self.m))
 
 
-@dataclass(frozen=True, eq=False)
-class TangentPencil:
+class TangentPencil(_Value):
     """Pencil of dual conics through four tangent lines.
 
     Members are den*d_a + num*d_b over the projective parameter
     (num : den); (1 : 0) is d_b itself.
     """
+    __slots__ = ("d_a", "d_b", "lines")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    d_a: DualConic
-    d_b: DualConic
-    lines: tuple[Line, Line, Line, Line]
+    def __init__(self, d_a: DualConic, d_b: DualConic, lines: tuple[Line, Line, Line, Line]):
+        self._fill((d_a, d_b, lines))
 
     def member_matrix(self, num: float, den: float = 1.0) -> Mat3:
         scale = math.hypot(num, den)

@@ -300,6 +300,27 @@ class TestUsageAndTolerances:
                              "--tol", "nope=1")
         assert code != 0
 
+    # an unknown name, an unparsable value, and values Tolerances rejects:
+    # NaN would switch the tangency check off, -1 would fail every build
+    BAD_TOL = ["bogus=1", "tol_tan=abc", "tol_tan=nan", "tol_tan=-1", "tol_par=inf"]
+
+    @pytest.mark.parametrize("text", BAD_TOL)
+    def test_bad_tol_flag_exits_usage(self, capsys, monkeypatch, text):
+        monkeypatch.delenv("INCONIC_TOL", raising=False)
+        code, out, err = run_cli(capsys, "inscribe", "--vertices", QUAD,
+                                 "--u", "0.37", "--tol", text)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("bad --tol value: ")
+
+    @pytest.mark.parametrize("text", BAD_TOL)
+    def test_bad_env_tolerance_exits_usage(self, capsys, monkeypatch, text):
+        monkeypatch.setenv("INCONIC_TOL", text)
+        code, out, err = run_cli(capsys, "inscribe", "--vertices", QUAD, "--u", "0.37")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("bad INCONIC_TOL value: ")
+
 
 def _run_python(*args):
     # run the package this suite imported, whatever the caller's PYTHONPATH
@@ -319,6 +340,28 @@ def test_import_leaves_numpy_out():
     proc = _run_python("-c", "import sys, inconic; print('numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+_STARTUP_MODULES = """
+import sys
+def loaded():
+    return [m for m in ("dataclasses", "inspect") if m in sys.modules]
+import inconic
+print(loaded())
+from inconic.cli import main
+main(["inspect", "--vertices", sys.argv[1]])
+print(loaded())
+"""
+
+
+def test_startup_leaves_dataclasses_and_inspect_out():
+    # both cost a CLI process more start-up time than its computation
+    proc = _run_python("-c", _STARTUP_MODULES, QUAD)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "[]"
+    assert json.loads(lines[1])["kind"] == "trapezium"
 
 
 # README's command-line examples, run through cli.main with numpy unimportable

@@ -342,22 +342,31 @@ class ConicClass(Enum):
     IMAGINARY_ELLIPSE = "imaginary_ellipse"
 
 
-def _canonical_six(a, b, c, d, e, f):
-    coeffs = [float(v) for v in (a, b, c, d, e, f)]
-    if not all(math.isfinite(v) for v in coeffs):
-        raise ValueError("conic coefficients must be finite")
-    a, b, c, d, e, f = coeffs
-    # Frobenius norm of [[a, b/2, d/2], [b/2, c, e/2], [d/2, e/2, f]]
-    norm = math.sqrt(a * a + c * c + f * f + (b * b + d * d + e * e) / 2)
-    if norm == 0:
-        raise ValueError("conic coefficients cannot all vanish")
-    coeffs = [v / norm for v in coeffs]
-    for v in coeffs:
+def _canonical_six(x0, x1, x2, x3, x4, x5, off):
+    """Entries (00, 01, 11, 02, 12, 22) of a symmetric 3x3 matrix, scaled to
+    unit Frobenius norm with the first of them above 1e-12 in magnitude
+    positive; None when one is not finite or all vanish.
+
+    The off-diagonal entries count ``off`` times in the squared norm: 2 for
+    the matrix's own entries, 1/2 for a conic's b, d and e, which are twice
+    theirs.  Where the squares overflow or underflow, the entries are first
+    divided by the largest magnitude; every other matrix keeps the bits of
+    one division by its plain norm.
+    """
+    norm = math.sqrt(x0 * x0 + x2 * x2 + x5 * x5 + off * (x1 * x1 + x3 * x3 + x4 * x4))
+    if not 1e-150 < norm < math.inf:
+        xs = (x0, x1, x2, x3, x4, x5)
+        if not all(map(math.isfinite, xs)) or not any(xs):
+            return None
+        big = max(map(abs, xs))
+        return _canonical_six(*(x / big for x in xs), off)
+    x0, x1, x2, x3, x4, x5 = x0 / norm, x1 / norm, x2 / norm, x3 / norm, x4 / norm, x5 / norm
+    for v in (x0, x1, x2, x3, x4, x5):
         if abs(v) > 1e-12:
             if v < 0:
-                coeffs = [-u for u in coeffs]
+                return (-x0, -x1, -x2, -x3, -x4, -x5)
             break
-    return coeffs
+    return (x0, x1, x2, x3, x4, x5)
 
 
 class Conic(_Value):
@@ -365,7 +374,13 @@ class Conic(_Value):
     __slots__ = ("a", "b", "c", "d", "e", "f")
 
     def __init__(self, a: float, b: float, c: float, d: float, e: float, f: float):
-        self._fill(_canonical_six(a, b, c, d, e, f))
+        coeffs = _canonical_six(float(a), float(b), float(c), float(d), float(e),
+                                float(f), 0.5)
+        if coeffs is None:
+            if all(map(math.isfinite, (a, b, c, d, e, f))):
+                raise ValueError("conic coefficients cannot all vanish")
+            raise ValueError("conic coefficients must be finite")
+        self._fill(coeffs)
 
     def evaluate(self, x: float, y: float) -> float:
         return (self.a * x * x + self.b * x * y + self.c * y * y
@@ -390,14 +405,15 @@ class Conic(_Value):
         return Point(x, y)
 
 
-_FROBENIUS_WEIGHTS = (1.0, 0.5, 1.0, 0.5, 0.5, 1.0)
-
-
 def conic_distance(c1: Conic, c2: Conic) -> float:
     """Distance between canonical forms, invariant to the leading-sign flip."""
-    u, v = c1.coefficients(), c2.coefficients()
-    minus = sum(w * (x - y) ** 2 for w, x, y in zip(_FROBENIUS_WEIGHTS, u, v))
-    plus = sum(w * (x + y) ** 2 for w, x, y in zip(_FROBENIUS_WEIGHTS, u, v))
+    a1, b1, cc1, d1, e1, f1 = c1.a, c1.b, c1.c, c1.d, c1.e, c1.f
+    a2, b2, cc2, d2, e2, f2 = c2.a, c2.b, c2.c, c2.d, c2.e, c2.f
+    # the Frobenius norm of the matrix difference: b, d and e are twice its entries
+    da, db, dc, dd, de, df = a1 - a2, b1 - b2, cc1 - cc2, d1 - d2, e1 - e2, f1 - f2
+    minus = da * da + 0.5 * (db * db) + dc * dc + 0.5 * (dd * dd) + 0.5 * (de * de) + df * df
+    da, db, dc, dd, de, df = a1 + a2, b1 + b2, cc1 + cc2, d1 + d2, e1 + e2, f1 + f2
+    plus = da * da + 0.5 * (db * db) + dc * dc + 0.5 * (dd * dd) + 0.5 * (de * de) + df * df
     return math.sqrt(min(minus, plus))
 
 

@@ -49,6 +49,8 @@ from .geometry import (
     midpoint,
 )
 
+_ULP = 2.0 ** -52  # spacing of the floats in [1, 2)
+
 
 class WeightTriple(_Value):
     """Weights (t1, t2, t3) summing to 1; t3 is always stored as 1 - t1 - t2.
@@ -329,6 +331,15 @@ def _project_to_segment(p: Point, a: Point, b: Point) -> tuple[float, float]:
     return u, dist
 
 
+def _on_line_bound(p: Point, a: Point, b: Point, tol: Tolerances) -> float:
+    """Largest distance at which p counts as on the line through a and b:
+    tol_on (1 + |ab|), but at least 4 ulps of the largest coordinate of the
+    three points, the rounding their coordinates carry far from the origin."""
+    magnitude = max(abs(p.x), abs(p.y), abs(a.x), abs(a.y), abs(b.x), abs(b.y))
+    return max(tol.tol_on * (1 + math.hypot(b.x - a.x, b.y - a.y)),
+               4 * _ULP * magnitude)
+
+
 class _FocalConic(_Value):
     """One focal pass at a normalized abscissa: what the construction knows
     in the normal frame, and the checked objects built from it once.
@@ -479,7 +490,7 @@ def inscribe_at_center(q: ConvexQuad, center: Point,
     seg = locus(q)
     if not seg.degenerate:  # a parallelogram, which _inscribe_centers rejects
         _, dist = _project_to_segment(center, seg.m1, seg.m2)
-        if dist > tol.tol_on * (1 + seg.length()):
+        if dist > _on_line_bound(center, seg.m1, seg.m2, tol):
             raise CenterOffLocus("center is not on the line of the locus segment")
     return _inscribe_centers(q, seg, (center,), tol)[0]
 
@@ -543,7 +554,7 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
     """
     ch = chord_x(q, tol)
     u, dist = _project_to_segment(center, ch.p_start, ch.p_end)
-    if dist > tol.tol_on * (1 + ch.length()):
+    if dist > _on_line_bound(center, ch.p_start, ch.p_end, tol):
         raise CenterOffLocus("center is not on the center line")
     if not (tol.tol_interval < u < 1 - tol.tol_interval):
         raise CenterOffLocus("center is not strictly inside the chord")

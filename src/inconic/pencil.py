@@ -10,7 +10,13 @@ homogeneous center of a member is the third column of its dual matrix, so
 prescribing a center is a linear condition on the parameter.
 
 This is a construction independent of the focal approach and doubles as its
-brute-force oracle.  Matrices are 3x3 tuples of row tuples of floats.
+brute-force oracle.  Matrices are 3x3 tuples of row tuples of floats.  The
+arithmetic is written out in scalars: ``pencil_from_lines`` forms each of
+the six cross products l_i x l_j of the line vectors, and its length, once
+and reads the coincidence tests, the four concurrency determinants
+l_i . (l_j x l_k) and the four meets off them; a symmetric matrix is built
+from its six distinct entries, and ``member_with_center`` reuses the
+member's Frobenius norm for its own checks and for the point conic.
 """
 from __future__ import annotations
 
@@ -27,8 +33,9 @@ from .geometry import (
     Line,
     Point,
     Tolerances,
+    _canonical_six,
+    _rebuild,
     _Value,
-    adjugate3,
 )
 
 Vec3 = tuple[float, float, float]
@@ -45,30 +52,24 @@ def _dot3(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _frobenius(m) -> float:
-    return math.sqrt(sum(v * v for row in m for v in row))
-
-
 def _combine(a, wa: float, b, wb: float) -> Mat3:
     return tuple(tuple(wa * x + wb * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def _line_vec(l: Line) -> Vec3:
-    return (l.a, l.b, l.c)
+def _sym3(m00, m01, m11, m02, m12, m22) -> Mat3:
+    """The symmetric matrix with these entries, canonically scaled: unit
+    Frobenius norm, and the first entry of magnitude above 1e-12, in the
+    order 00, 01, 11, 02, 12, 22, positive."""
+    entries = _canonical_six(m00, m01, m11, m02, m12, m22, 2.0)
+    if entries is None:
+        raise ValueError("matrix cannot be zero or non-finite")
+    m00, m01, m11, m02, m12, m22 = entries
+    return ((m00, m01, m02), (m01, m11, m12), (m02, m12, m22))
 
 
 def _canonical_sym3(m) -> Mat3:
-    m = [[(m[i][j] + m[j][i]) / 2 for j in range(3)] for i in range(3)]
-    norm = _frobenius(m)
-    if norm == 0 or not math.isfinite(norm):
-        raise ValueError("matrix cannot be zero or non-finite")
-    m = [[v / norm for v in row] for row in m]
-    for v in (m[0][0], m[0][1], m[1][1], m[0][2], m[1][2], m[2][2]):
-        if abs(v) > 1e-12:
-            if v < 0:
-                m = [[-u for u in row] for row in m]
-            break
-    return tuple(tuple(row) for row in m)
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+    return _sym3(m00, (m01 + m10) / 2, m11, (m02 + m20) / 2, (m12 + m21) / 2, m22)
 
 
 class DualConic(_Value):
@@ -84,8 +85,10 @@ class DualConic(_Value):
         self._fill((_canonical_sym3(m),))
 
     def apply_line(self, l: Line) -> float:
-        v = _line_vec(l)
-        return _dot3(v, tuple(_dot3(row, v) for row in self.m))
+        a, b, c = l.a, l.b, l.c
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = self.m
+        return (a * (m00 * a + m01 * b + m02 * c) + b * (m10 * a + m11 * b + m12 * c)
+                + c * (m20 * a + m21 * b + m22 * c))
 
 
 class TangentPencil(_Value):
@@ -111,15 +114,12 @@ class TangentPencil(_Value):
         return DualConic(self.member_matrix(num, den))
 
 
-def _meet(l1: Line, l2: Line) -> Vec3:
-    p = _cross3(_line_vec(l1), _line_vec(l2))
-    n = math.hypot(*p)
-    return (p[0] / n, p[1] / n, p[2] / n)
-
-
-def _rank2_dual(p: Vec3, q: Vec3) -> DualConic:
-    return DualConic(tuple(tuple(p[i] * q[j] + q[i] * p[j] for j in range(3))
-                           for i in range(3)))
+def _rank2_dual(p: Vec3, p_norm: float, q: Vec3, q_norm: float) -> DualConic:
+    """The dual P Q^T + Q P^T of the meets P = p/|p| and Q = q/|q|."""
+    p0, p1, p2 = p[0] / p_norm, p[1] / p_norm, p[2] / p_norm
+    q0, q1, q2 = q[0] / q_norm, q[1] / q_norm, q[2] / q_norm
+    return _rebuild(DualConic, (_sym3(2 * p0 * q0, p0 * q1 + q0 * p1, 2 * p1 * q1,
+                                      p0 * q2 + q0 * p2, p1 * q2 + q1 * p2, 2 * p2 * q2),))
 
 
 def pencil_from_lines(l1: Line, l2: Line, l3: Line, l4: Line) -> TangentPencil:
@@ -128,38 +128,56 @@ def pencil_from_lines(l1: Line, l2: Line, l3: Line, l4: Line) -> TangentPencil:
     Degenerate members are built deterministically from the pairs
     ((l1^l2), (l3^l4)) and ((l1^l3), (l2^l4)).  Requires four distinct
     lines with no three concurrent; parallel pairs are fine (their meet is
-    a point at infinity).
+    a point at infinity).  Lines i and j coincide when |l_i x l_j| is at
+    most 1e-12 (1 + |c_i|) (1 + |c_j|); lines i, j, k are concurrent when
+    |l_i . (l_j x l_k)| is at most 1e-12 max(1, |c_i|, |c_j|, |c_k|).
     """
-    lines = (l1, l2, l3, l4)
-    vecs = [_line_vec(l) for l in lines]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if math.hypot(*_cross3(vecs[i], vecs[j])) <= 1e-12 * (
-                    1 + abs(lines[i].c)) * (1 + abs(lines[j].c)):
-                raise DegenerateConfiguration(f"lines {i} and {j} coincide")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            for k in range(j + 1, 4):
-                det = _dot3(vecs[i], _cross3(vecs[j], vecs[k]))
-                scale = max(1.0, abs(lines[i].c), abs(lines[j].c), abs(lines[k].c))
-                if abs(det) <= 1e-12 * scale:
-                    raise DegenerateConfiguration(f"lines {i}, {j}, {k} are concurrent")
-    d_a = _rank2_dual(_meet(l1, l2), _meet(l3, l4))
-    d_b = _rank2_dual(_meet(l1, l3), _meet(l2, l4))
-    return TangentPencil(d_a, d_b, lines)
+    v0, v1, v2, v3 = (l1.a, l1.b, l1.c), (l2.a, l2.b, l2.c), (l3.a, l3.b, l3.c), (l4.a, l4.b, l4.c)
+    x01, x02, x03 = _cross3(v0, v1), _cross3(v0, v2), _cross3(v0, v3)
+    x12, x13, x23 = _cross3(v1, v2), _cross3(v1, v3), _cross3(v2, v3)
+    n01, n02, n03 = math.hypot(*x01), math.hypot(*x02), math.hypot(*x03)
+    n12, n13, n23 = math.hypot(*x12), math.hypot(*x13), math.hypot(*x23)
+    c0, c1, c2, c3 = abs(l1.c), abs(l2.c), abs(l3.c), abs(l4.c)
+    s0, s1, s2, s3 = 1 + c0, 1 + c1, 1 + c2, 1 + c3
+    if n01 <= 1e-12 * s0 * s1:
+        raise DegenerateConfiguration("lines 0 and 1 coincide")
+    if n02 <= 1e-12 * s0 * s2:
+        raise DegenerateConfiguration("lines 0 and 2 coincide")
+    if n03 <= 1e-12 * s0 * s3:
+        raise DegenerateConfiguration("lines 0 and 3 coincide")
+    if n12 <= 1e-12 * s1 * s2:
+        raise DegenerateConfiguration("lines 1 and 2 coincide")
+    if n13 <= 1e-12 * s1 * s3:
+        raise DegenerateConfiguration("lines 1 and 3 coincide")
+    if n23 <= 1e-12 * s2 * s3:
+        raise DegenerateConfiguration("lines 2 and 3 coincide")
+    if abs(_dot3(v0, x12)) <= 1e-12 * max(1.0, c0, c1, c2):
+        raise DegenerateConfiguration("lines 0, 1, 2 are concurrent")
+    if abs(_dot3(v0, x13)) <= 1e-12 * max(1.0, c0, c1, c3):
+        raise DegenerateConfiguration("lines 0, 1, 3 are concurrent")
+    if abs(_dot3(v0, x23)) <= 1e-12 * max(1.0, c0, c2, c3):
+        raise DegenerateConfiguration("lines 0, 2, 3 are concurrent")
+    if abs(_dot3(v1, x23)) <= 1e-12 * max(1.0, c1, c2, c3):
+        raise DegenerateConfiguration("lines 1, 2, 3 are concurrent")
+    return TangentPencil(_rank2_dual(x01, n01, x23, n23), _rank2_dual(x02, n02, x13, n13),
+                         (l1, l2, l3, l4))
 
 
-def _point_conic(dual_m) -> Conic:
-    norm = _frobenius(dual_m)
-    dual_m = tuple(tuple(v / norm for v in row) for row in dual_m)
-    adj = adjugate3(dual_m)
+def _point_conic(d00, d01, d11, d02, d12, d22, norm: float) -> Conic:
+    """The point conic of the symmetric dual with these entries and
+    Frobenius norm ``norm``: the adjugate of the unit-norm dual."""
+    d00, d01, d11 = d00 / norm, d01 / norm, d11 / norm
+    d02, d12, d22 = d02 / norm, d12 / norm, d22 / norm
+    a00 = d11 * d22 - d12 * d12
+    a01 = d02 * d12 - d01 * d22
+    a02 = d01 * d12 - d02 * d11
     # rank-2 members (the degenerate duals themselves) still have a nonzero
     # adjugate, so the determinant test is the one that matters; it also
     # bounds the adjugate away from zero, as |det| <= ||row 0|| ||adj||
-    if abs(_dot3(dual_m[0], (adj[0][0], adj[1][0], adj[2][0]))) < 1e-14:
+    if abs(d00 * a00 + d01 * a01 + d02 * a02) < 1e-14:
         raise DegenerateMember("pencil member is a degenerate dual")
-    return Conic(adj[0][0], 2 * adj[0][1], adj[1][1],
-                 2 * adj[0][2], 2 * adj[1][2], adj[2][2])
+    return Conic(a00, 2 * a01, d00 * d22 - d02 * d02,
+                 2 * a02, 2 * (d02 * d01 - d00 * d12), d00 * d11 - d01 * d01)
 
 
 def member_with_center(p: TangentPencil, center: Point,
@@ -171,32 +189,32 @@ def member_with_center(p: TangentPencil, center: Point,
     one is solved projectively and the other must be consistent, which
     happens exactly when the center lies on the pencil's line of centers.
     """
-    a, b = p.d_a.m, p.d_b.m
+    (a00, a01, a02), (_, a11, a12), (_, _, a22) = p.d_a.m
+    (b00, b01, b02), (_, b11, b12), (_, _, b22) = p.d_b.m
     h, k = center.x, center.y
-    # coefficients of the two affine-in-lambda center equations
-    eqs = []
-    for row, coord in ((0, h), (1, k)):
-        c0 = a[row][2] - coord * a[2][2]
-        c1 = b[row][2] - coord * b[2][2]
-        eqs.append((c0, c1))
-    idx = 0 if math.hypot(*eqs[0]) >= math.hypot(*eqs[1]) else 1
-    c0, c1 = eqs[idx]
+    # the two center equations read den*c0 + num*c1 = 0 for the member
+    # den*d_a + num*d_b; the one with the larger coefficients is solved and
+    # the other, (o0, o1), checked
+    c0, c1 = a02 - h * a22, b02 - h * b22
+    o0, o1 = a12 - k * a22, b12 - k * b22
+    if math.hypot(c0, c1) < math.hypot(o0, o1):
+        c0, c1, o0, o1 = o0, o1, c0, c1
     num, den = -c0, c1
     scale = math.hypot(num, den)
     if scale <= tol.tol_det:
         raise DegenerateMember("center equations are degenerate for this pencil")
     num, den = num / scale, den / scale
-    d = _combine(a, den, b, num)
-    dn = _frobenius(d)
+    d00, d01, d11 = den * a00 + num * b00, den * a01 + num * b01, den * a11 + num * b11
+    d02, d12, d22 = den * a02 + num * b02, den * a12 + num * b12, den * a22 + num * b22
+    dn = math.sqrt(d00 * d00 + d11 * d11 + d22 * d22 + 2 * (d01 * d01 + d02 * d02 + d12 * d12))
     if dn <= tol.tol_det:
         raise DegenerateMember("selected pencil member vanishes")
-    o0, o1 = eqs[1 - idx]
     residual = abs(o0 * den + o1 * num)
     if residual >= tol.tol_center * dn:
         raise CenterOffLocus(
             "center is not on the pencil's line of centers "
             f"(residual {residual:.3e})")
-    conic = _point_conic(d)
+    conic = _point_conic(d00, d01, d11, d02, d12, d22, dn)
     got = conic.center(tol)
     if math.hypot(got.x - h, got.y - k) > 1e-6 * max(1.0, abs(h), abs(k)):
         raise DegenerateMember("member center drifted from the request")

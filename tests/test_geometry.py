@@ -501,6 +501,40 @@ class TestTangency:
             assert ic.tangency_residual(tc, ic.transform_line(secant, m)) > 1e-6
 
 
+class TestCanonicalScale:
+    # the squared norm of these overflows to inf or underflows to 0, which
+    # gave the zero conic and "cannot all vanish"
+    def test_huge_coefficient_keeps_the_small_ones(self):
+        got = ic.Conic(1e200, 0, 1, 0, 0, -1).coefficients()
+        assert got == pytest.approx((1.0, 0.0, 1e-200, 0.0, 0.0, -1e-200), rel=1e-15)
+
+    def test_tiny_conic_is_the_unit_one(self):
+        got = ic.Conic(1e-200, 0, 1e-200, 0, 0, -1e-200).coefficients()
+        k = 1 / math.sqrt(3)
+        assert got == pytest.approx((k, 0.0, k, 0.0, 0.0, -k), rel=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+    def test_scale_invariance_at_the_float_limits(self, scale):
+        coeffs = (0.3, -1.2, 2.0, 0.7, -0.1, -4.0)
+        want = ic.Conic(*coeffs).coefficients()
+        got = ic.Conic(*(scale * c for c in coeffs)).coefficients()
+        assert got == pytest.approx(want, rel=1e-15, abs=1e-16)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_each_coefficient_must_be_finite(self, bad):
+        for i in range(6):
+            coeffs = [1.0, 0.0, 1.0, 0.0, 0.0, -1.0]
+            coeffs[i] = bad
+            with pytest.raises(ValueError, match="conic coefficients must be finite"):
+                ic.Conic(*coeffs)
+
+    def test_ordinary_conic_keeps_one_plain_division(self):
+        a, b, c, d, e, f = (0.3, -1.2, 2.0, 0.7, -0.1, -4.0)
+        norm = math.sqrt(a * a + c * c + f * f + (b * b + d * d + e * e) / 2)
+        assert ic.Conic(a, b, c, d, e, f).coefficients() == tuple(
+            v / norm for v in (a, b, c, d, e, f))
+
+
 class TestConicCenter:
     def test_worked_ellipse_far_from_origin_has_a_center(self):
         # at offset 1e4 the canonical scale leaves ac - b^2/4 near 1e-17,

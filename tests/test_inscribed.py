@@ -504,6 +504,41 @@ class TestTangentConicAtCenter:
             ic.tangent_conic_at_center(quad_s3t2(), ic.Point(0.7, 0.7))
 
 
+def _worked_moved(off):
+    return ic.validate_quad([(x + off, y + off) for x, y in [(0, 0), (1, 0), (3, 2), (0, 1)]])
+
+
+class TestCallerCentersFarOut:
+    """A center given at offset D is known only to about eps D; the on-locus
+    and on-chord checks accept a few ulps of the coordinates beyond
+    tol_on (1 + length)."""
+
+    def test_hyperbola_center_at_offset_1e8(self):
+        near, far = _worked_moved(0.0), _worked_moved(1e8)
+        _, want_kind, want = ic.tangent_conic_at_center(near, ic.Point(2.3, 1.4))
+        _, kind, got = ic.tangent_conic_at_center(far, ic.Point(2.3 + 1e8, 1.4 + 1e8))
+        assert kind is want_kind is ic.ConicClass.HYPERBOLA
+        for g, w in zip(got, want):
+            assert g.w == w.w == 1.0
+            assert math.hypot(g.x - 1e8 - w.x, g.y - 1e8 - w.y) <= 1e-6 * (1 + math.hypot(w.x, w.y))
+
+    def test_own_locus_point_at_offset_1e10(self):
+        q = _worked_moved(1e10)
+        got = ic.inscribe_at_center(q, ic.locus(q).point_at(0.37))
+        assert got == ic.inscribe_at_param(q, 0.37)
+
+    def test_center_off_the_line_still_rejected_at_the_origin(self):
+        q = quad_s3t2()
+        seg, chord = ic.locus(q), ic.chord_x(q)
+        for fn, a, b, u in ((ic.inscribe_at_center, seg.m1, seg.m2, 0.37),
+                            (ic.tangent_conic_at_center, chord.p_start, chord.p_end, 0.9)):
+            length = math.hypot(b.x - a.x, b.y - a.y)
+            nx, ny = (a.y - b.y) / length, (b.x - a.x) / length   # unit normal
+            px, py = a.x + u * (b.x - a.x), a.y + u * (b.y - a.y)
+            with pytest.raises(errors.CenterOffLocus):
+                fn(q, ic.Point(px + 1e-6 * length * nx, py + 1e-6 * length * ny))
+
+
 class TestWeightPositivity:
     def test_products_positive_across_sample(self, rng):
         for _ in range(100):

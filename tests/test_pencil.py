@@ -19,9 +19,42 @@ from conftest import (
 )
 
 
+_quads = st.builds(
+    lambda seed, trapezoid: (random_trapezoid if trapezoid else random_trapezium)(
+        np.random.default_rng(seed)),
+    st.integers(0, 2**32 - 1), st.booleans())
+
+
 def _sweep_params(n):
     # n finite parameters plus the member at infinity
     return [(math.tan(x), 1.0) for x in np.linspace(-1.5, 1.5, n)] + [(1.0, 0.0)]
+
+
+class TestDualConicScale:
+    # the squared norm of these overflows to inf or underflows to 0
+    def test_huge_entry_keeps_the_small_ones(self):
+        got = ic.DualConic(((1e200, 0, 0), (0, 1, 0), (0, 0, -1))).m
+        assert np.array(got) == pytest.approx(np.diag([1.0, 1e-200, -1e-200]), rel=1e-15)
+
+    def test_tiny_matrix_is_the_unit_one(self):
+        got = ic.DualConic(((1e-200, 0, 0), (0, 1e-200, 0), (0, 0, -1e-200))).m
+        k = 1 / math.sqrt(3)
+        assert np.array(got) == pytest.approx(np.diag([k, k, -k]), rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_each_entry_must_be_finite(self, bad):
+        for i, j in ((0, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 2)):
+            m = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]
+            m[i][j] = m[j][i] = bad
+            with pytest.raises(ValueError, match="matrix cannot be zero or non-finite"):
+                ic.DualConic(m)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e160, 1e200, 1e300])
+    def test_scale_invariance_at_the_float_limits(self, scale):
+        m = ((0.3, -0.6, 0.35), (-0.6, 2.0, -0.05), (0.35, -0.05, -4.0))
+        want = np.array(ic.DualConic(m).m)
+        got = np.array(ic.DualConic(tuple(tuple(scale * v for v in row) for row in m)).m)
+        assert got == pytest.approx(want, rel=1e-15, abs=1e-16)
 
 
 class TestPencilFromLines:
@@ -98,6 +131,23 @@ class TestMemberWithCenter:
                 got = ic.member_with_center(pen, center)
                 ref = ic.inscribe_at_center(q, center).conic
                 assert ic.conic_distance(got, ref) < 1e-8
+
+    @given(q=_quads, u=st.floats(0.02, 0.98), v=st.floats(0.05, 0.95))
+    @settings(max_examples=200, deadline=None)
+    def test_oracle_matches_the_focal_route_along_the_chord(self, q, u, v):
+        # verify's bound, on the centers chord_verify crosscheck uses: the
+        # locus, and the chord beyond each diagonal midpoint (hyperbolas)
+        pen = ic.pencil_from_lines(*q.side_lines())
+        seg, chord = ic.locus(q), ic.chord_x(q)
+        center = seg.point_at(u)
+        focal = ic.inscribe_at_center(q, center).conic
+        assert ic.conic_distance(ic.member_with_center(pen, center), focal) < 1e-8
+        lo, hi = sorted(_chord_param(chord, m)[0] for m in (seg.m1, seg.m2))
+        for w in (v * lo, hi + v * (1 - hi)):
+            center = chord.point_at(w)
+            focal, kind, _ = ic.tangent_conic_at_center(q, center)
+            assert kind is ic.ConicClass.HYPERBOLA
+            assert ic.conic_distance(ic.member_with_center(pen, center), focal) < 1e-8
 
     def test_vertical_centers_line_is_handled(self):
         # diagonal midpoints share the abscissa, so the x-coordinate
@@ -282,12 +332,6 @@ def _np_centers_line(a, b, tol=ic.DEFAULT_TOL):
     return None
 
 
-_quads = st.builds(
-    lambda seed, trapezoid: (random_trapezoid if trapezoid else random_trapezium)(
-        np.random.default_rng(seed)),
-    st.integers(0, 2**32 - 1), st.booleans())
-
-
 @st.composite
 def _near_degenerate_lines(draw):
     """Four lines with three almost through one point, or two almost equal;
@@ -347,7 +391,9 @@ class TestFloatPencilAgainstNumpy:
                 want = _np_point_conic(np.array(m))
             except errors.DegenerateMember:
                 continue
-            assert ic.conic_distance(_point_conic(m), want) < 1e-13
+            (m00, m01, m02), (_, m11, m12), (_, _, m22) = m
+            got = _point_conic(m00, m01, m11, m02, m12, m22, float(np.linalg.norm(m)))
+            assert ic.conic_distance(got, want) < 1e-13
         seg, chord = ic.locus(q), ic.chord_x(q)
         lo, hi = sorted(_chord_param(chord, m)[0] for m in (seg.m1, seg.m2))
         for center in ([seg.point_at(u) for u in (0.2, 0.37, 0.5, 0.8)]

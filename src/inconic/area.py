@@ -25,8 +25,6 @@ from .geometry import (
 from .inscribed import (
     InscribedResult,
     NormalForm,
-    locus,
-    locus_line,
     normalize,
     _construct,
     _param_in_interval,
@@ -101,8 +99,6 @@ def max_area(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> MaxAreaResult:
         raise NumericalFailure(
             f"expected exactly one critical abscissa inside ({lo}, {hi})")
     h0 = inside[0]
-    k0 = locus_line(nf, tol)(h0)
-    center = Point(*nf.to_original(h0, k0))
-    result = _construct(locus(q), nf, h0, center, tol)
+    result = _construct(nf, h0, tol)
     ellipse = result.ellipse
     return MaxAreaResult(ellipse, ellipse.center, ellipse.area, h0, result)

@@ -36,7 +36,7 @@ from .inscribed import (
     locus,
     normalize,
     tangent_conic_at_center,
-    _inscribe_centers,
+    _inscribe_params,
 )
 from .pencil import member_with_center, pencil_from_lines
 from . import svg
@@ -140,7 +140,8 @@ def _load_vertices(args) -> list[tuple[float, float]]:
             data = json.load(fh)
         verts = data.get("vertices") if isinstance(data, dict) else None
         if (not isinstance(verts, list) or len(verts) != 4
-                or not all(isinstance(v, list) and len(v) == 2 for v in verts)):
+                or not all(isinstance(v, list) and len(v) == 2  # JSON numbers, not bool
+                           and all(type(c) in (int, float) for c in v) for v in verts)):
             raise errors.DegenerateQuad('input must be {"vertices": [[x,y] x 4]}')
         return [(float(v[0]), float(v[1])) for v in verts]
     raise SystemExit(EXIT_USAGE)
@@ -176,19 +177,9 @@ def _ellipse_output(result, classification: str = "ellipse") -> dict:
     }
 
 
-def _resolve_center(q, args, tol) -> Point:
-    if args.center is not None:
-        return _center_point(args.center)
-    u = args.u
-    if not (0 < u < 1):
-        raise errors.CenterOffLocus("parameter u must be in (0,1)")
-    return locus(q).point_at(u)
-
-
 def _sample_results(q, n: int, tol):
     """Inscribed ellipses at u = i/(n+1), i = 1..n, from one normal form."""
-    seg = locus(q)
-    return _inscribe_centers(q, seg, [seg.point_at(i / (n + 1)) for i in range(1, n + 1)], tol)
+    return _inscribe_params(q, [i / (n + 1) for i in range(1, n + 1)], tol)
 
 
 def cmd_inspect(args) -> int:
@@ -256,16 +247,20 @@ def _pencil_member(q, center: Point, tol):
 def cmd_verify(args) -> int:
     tol = _tolerances(args)
     q = validate_quad(_load_vertices(args), tol)
-    center = _resolve_center(q, args, tol)
     lines = q.side_lines()
-    try:
-        conic = inscribe_at_center(q, center, tol).conic
-        classification = "ellipse"
-    except errors.CenterOffLocus:
-        if not args.allow_hyperbola:
-            raise
-        conic, classification_enum, _ = tangent_conic_at_center(q, center, tol)
-        classification = classification_enum.value
+    classification = "ellipse"
+    if args.center is None:
+        result = inscribe_at_param(q, args.u, tol)
+        conic, center = result.conic, result.ellipse.center
+    else:
+        center = _center_point(args.center)
+        try:
+            conic = inscribe_at_center(q, center, tol).conic
+        except errors.CenterOffLocus:
+            if not args.allow_hyperbola:
+                raise
+            conic, classification_enum, _ = tangent_conic_at_center(q, center, tol)
+            classification = classification_enum.value
     marden_distance = conic_distance(conic, _pencil_member(q, center, tol))
     residuals = [tangency_residual(conic, line) for line in lines]
     got = conic.center(tol)

@@ -447,31 +447,30 @@ def _contacts(nf: NormalForm, m: complex, a: float, b2: float, ux: float,
     return tuple(contacts)
 
 
-def _construct(seg: LocusSegment, nf: NormalForm, h: float,
-               center: Point, tol: Tolerances) -> InscribedResult:
-    """The inscribed ellipse at normalized abscissa h, whose original-frame
-    center ``center`` was requested; the ellipse, its conic, contacts and
-    weights all come from one focal pass, and the carried center must lie
-    within 1e-6 (1 + locus length) of the request."""
+def _construct(nf: NormalForm, h: float, tol: Tolerances) -> InscribedResult:
+    """The inscribed ellipse at normalized abscissa h: the ellipse, its
+    conic, contacts and weights all come from one focal pass, centered
+    where that pass maps the normal-frame center."""
     _param_in_interval(nf, h, tol)
     focal = _marden_conic(nf, h, tol)
-    cx, cy = focal.center
-    if math.hypot(cx - center.x, cy - center.y) > 1e-6 * (1 + seg.length()):
-        raise NumericalFailure("inscribed conic center drifted from the request")
     # det Q = det Q_n det(L)^2 with det Q_n = 1 / (a^2 b2), as a product
     det = nf.T.det ** 2 / (focal.a * focal.a * focal.b2)
-    ellipse = _metric_ellipse(*focal.form, det, 1.0, Point(cx, cy))
+    ellipse = _metric_ellipse(*focal.form, det, 1.0, Point(*focal.center))
     return InscribedResult(ellipse, focal.conic, focal.contacts, *focal.weights)
 
 
-def _inscribe_centers(q: ConvexQuad, seg: LocusSegment, centers,
-                      tol: Tolerances) -> list[InscribedResult]:
-    """Inscribed ellipses at each of ``centers``, points strictly inside
-    ``seg`` = locus(q), from one normal form."""
+def _inscribe_params(q: ConvexQuad, params, tol: Tolerances) -> list[InscribedResult]:
+    """Inscribed ellipses at the locus parameters ``params``, from one
+    normal form: u goes straight to h1 + u (h2 - h1), the abscissas of
+    locus(q)'s m1 and m2 (s/2 for the diagonal ``labeling`` sends to
+    (0,0) and (s,t), 1/2 for the other), ordered as ``locus`` orders them."""
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("inscribed ellipses of a parallelogram are not unique")
     nf = normalize(q, tol)
-    return [_construct(seg, nf, nf.T.apply_xy(c.x, c.y)[0], c, tol) for c in centers]
+    ma, mb = midpoint(q.v0, q.v2), midpoint(q.v1, q.v3)
+    h_a, h_b = (nf.s / 2, 0.5) if nf.labeling[0] % 2 == 0 else (0.5, nf.s / 2)
+    h1, h2 = (h_b, h_a) if (mb.x, mb.y) < (ma.x, ma.y) else (h_a, h_b)
+    return [_construct(nf, h1 + u * (h2 - h1), tol) for u in params]
 
 
 def inscribe_at_center(q: ConvexQuad, center: Point,
@@ -479,34 +478,39 @@ def inscribe_at_center(q: ConvexQuad, center: Point,
     """The unique inscribed ellipse with the given center.
 
     The center must lie strictly inside the open locus segment: within
-    tol_on (1 + length) of its line, and strictly between the diagonal
-    midpoints, tested on its normalized abscissa.  The focal construction
-    runs in the normalized frame and is mapped back, with or without a
-    parallel side pair.  Parallelograms are rejected: four common tangent
-    lines of two distinct concentric ellipses would have to form a
-    parallelogram, so uniqueness fails there.  A side the conic misses
-    raises NotTangent.
+    tol_on (1 + length) of its line, or 4 ulps of the largest coordinate
+    of it and the midpoints where that is more, and strictly between the
+    diagonal midpoints, tested on its normalized abscissa.  The focal
+    construction runs in the normalized frame and is mapped back; the
+    carried center must land within 1e-6 (1 + length) of the request.
+    Parallelograms are rejected: four common tangent lines of two distinct
+    concentric ellipses would form a parallelogram, so uniqueness fails
+    there.  A side the conic misses raises NotTangent.
     """
+    if q.kind is QuadKind.PARALLELOGRAM:
+        raise ParallelogramUnsupported("inscribed ellipses of a parallelogram are not unique")
     seg = locus(q)
-    if not seg.degenerate:  # a parallelogram, which _inscribe_centers rejects
-        _, dist = _project_to_segment(center, seg.m1, seg.m2)
-        if dist > _on_line_bound(center, seg.m1, seg.m2, tol):
-            raise CenterOffLocus("center is not on the line of the locus segment")
-    return _inscribe_centers(q, seg, (center,), tol)[0]
+    _, dist = _project_to_segment(center, seg.m1, seg.m2)
+    if dist > _on_line_bound(center, seg.m1, seg.m2, tol):
+        raise CenterOffLocus("center is not on the line of the locus segment")
+    nf = normalize(q, tol)
+    result = _construct(nf, nf.T.apply_xy(center.x, center.y)[0], tol)
+    got = result.ellipse.center
+    if math.hypot(got.x - center.x, got.y - center.y) > 1e-6 * (1 + seg.length()):
+        raise NumericalFailure("inscribed conic center drifted from the request")
+    return result
 
 
 def inscribe_at_param(q: ConvexQuad, u: float,
                       tol: Tolerances = DEFAULT_TOL) -> InscribedResult:
     """Inscribed ellipse at the locus point m1 + u*(m2 - m1), 0 < u < 1.
 
-    Only u is checked: the point is built on the segment, so projecting it
-    back would test nothing but the rounding of its coordinates, which far
-    from the origin exceeds tol_on (1 + length) for a short locus.
+    u goes straight to the normalized abscissa, so no original-frame point
+    is built and rounded on the way; only u is checked.
     """
     if not (tol.tol_interval < u < 1 - tol.tol_interval):
         raise CenterOffLocus(f"parameter {u} outside the open unit interval")
-    seg = locus(q)
-    return _inscribe_centers(q, seg, (seg.point_at(u),), tol)[0]
+    return _inscribe_params(q, (u,), tol)[0]
 
 
 def chord_x(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> ChordX:

@@ -100,6 +100,16 @@ class TestInscribe:
         assert code == 0
         assert json.loads(out)["center"] == pytest.approx([1.0, 0.75], abs=1e-9)
 
+    @pytest.mark.parametrize("coordinate", [None, True, [1], {"x": 1}],
+                             ids=["null", "bool", "list", "object"])
+    def test_non_number_coordinate_exits_2(self, capsys, tmp_path, coordinate):
+        path = tmp_path / "quad.json"
+        path.write_text(json.dumps({"vertices": [[0, 0], [1, coordinate], [3, 2], [0, 1]]}))
+        code, out, err = run_cli(capsys, "inspect", "--input", str(path))
+        assert code == 2
+        assert not out
+        assert 'input must be {"vertices": [[x,y] x 4]}' in err
+
     def test_missing_input_file_exits_6(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "inscribe", "--input",
                              str(tmp_path / "nope.json"), "--u", "0.5")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import inconic as ic
 from inconic import errors
-from inconic.inscribed import _marden_conic, _project_to_segment
+from inconic.inscribed import _marden_conic, _on_line_bound, _project_to_segment
 
 from conftest import (
     contains_point,
@@ -524,8 +524,26 @@ class TestCallerCentersFarOut:
 
     def test_own_locus_point_at_offset_1e10(self):
         q = _worked_moved(1e10)
-        got = ic.inscribe_at_center(q, ic.locus(q).point_at(0.37))
-        assert got == ic.inscribe_at_param(q, 0.37)
+        seg = ic.locus(q)
+        got = ic.inscribe_at_center(q, seg.point_at(0.37)).ellipse.center
+        want = ic.inscribe_at_param(q, 0.37).ellipse.center
+        assert math.hypot(got.x - want.x, got.y - want.y) <= \
+            _on_line_bound(want, seg.m1, seg.m2, ic.DEFAULT_TOL)
+
+    @pytest.mark.parametrize("off", [1e2, 1e4, 1e6, 1e8, 1e10])
+    def test_param_semi_axes_do_not_depend_on_offset(self, off):
+        # u goes straight to the normal-frame abscissa, and (s, t) come
+        # from vertex differences, exact for the worked quad at any offset
+        want = ic.inscribe_at_param(_worked_moved(0.0), 0.37).ellipse
+        got = ic.inscribe_at_param(_worked_moved(off), 0.37).ellipse
+        for g, w in ((got.semi_major, want.semi_major), (got.semi_minor, want.semi_minor)):
+            assert abs(g - w) <= 4 * math.ulp(w)
+
+    @pytest.mark.parametrize("off", [0.0, 1e10])
+    def test_param_weights_are_exact(self, off):
+        # h = 1/2 + 0.37 (3/2 - 1/2) on s = 3, t = 2: t1 = (2h - 3)/2, t2 = 1 - 2h
+        result = ic.inscribe_at_param(_worked_moved(off), 0.37)
+        assert result.weights_t.as_tuple() == (-0.63, -0.74, 2.37)
 
     def test_center_off_the_line_still_rejected_at_the_origin(self):
         q = quad_s3t2()

@@ -1,0 +1,48 @@
+"""README's command-line examples at the origin, pinned byte for byte.
+
+``golden/readme_cli.json`` holds the stdout of README's seven JSON
+commands verbatim, and sha256 digests of ``sample --n 1000`` and of the
+``render --maxarea`` and ``render --n 20`` scenes.  The values were
+recorded before the parameter-driven constructions stopped building an
+original-frame locus point, and any change to the package's arithmetic
+that moves a printed digit shows up here.
+"""
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from inconic.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "golden" / "readme_cli.json")
+                    .read_text(encoding="utf-8"))
+
+
+def _name(case):
+    """inscribe_u_0.5 for ["inscribe", "--vertices", "...", "--u", "0.5"]."""
+    argv = case["argv"]
+    return "_".join(a.lstrip("-") for a in [argv[0], *argv[3:]])
+
+
+def _run(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return captured.out
+
+
+@pytest.mark.parametrize("case", GOLDEN["stdout"], ids=_name)
+def test_stdout_is_byte_identical(capsys, case):
+    assert _run(capsys, case["argv"]) == case["stdout"]
+
+
+@pytest.mark.parametrize("case", GOLDEN["sha256"], ids=_name)
+def test_digest_is_unchanged(capsys, tmp_path, case):
+    if case["of"] == "svg":
+        path = tmp_path / "scene.svg"
+        assert _run(capsys, [*case["argv"], "--out", str(path)]) == ""
+        data = path.read_bytes()
+    else:
+        data = _run(capsys, case["argv"]).encode("utf-8")
+    assert hashlib.sha256(data).hexdigest() == case["sha256"]

@@ -15,7 +15,7 @@ import sys
 
 from . import errors
 from .area import max_area
-from .fmt import dumps
+from .fmt import dumps, ellipse_json
 from .geometry import (
     DEFAULT_TOL,
     AffineMap,
@@ -139,11 +139,14 @@ def _load_vertices(args) -> list[tuple[float, float]]:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         verts = data.get("vertices") if isinstance(data, dict) else None
-        if (not isinstance(verts, list) or len(verts) != 4
-                or not all(isinstance(v, list) and len(v) == 2  # JSON numbers, not bool
-                           and all(type(c) in (int, float) for c in v) for v in verts)):
-            raise errors.DegenerateQuad('input must be {"vertices": [[x,y] x 4]}')
-        return [(float(v[0]), float(v[1])) for v in verts]
+        if (isinstance(verts, list) and len(verts) == 4
+                and all(isinstance(v, list) and len(v) == 2  # JSON numbers, not bool
+                        and all(type(c) in (int, float) for c in v) for v in verts)):
+            try:
+                return [(float(v[0]), float(v[1])) for v in verts]
+            except OverflowError:  # an integer too large for a float
+                pass
+        raise errors.DegenerateQuad('input must be {"vertices": [[x,y] x 4]}')
     raise SystemExit(EXIT_USAGE)
 
 
@@ -158,27 +161,9 @@ def _tolerances(args) -> Tolerances:
     return tol
 
 
-def _hom_triple(hp) -> list[float]:
-    return [hp.x, hp.y, hp.w]
-
-
-def _ellipse_output(result, classification: str = "ellipse") -> dict:
-    e = result.ellipse
-    return {
-        "center": [e.center.x, e.center.y],
-        "semi_major": e.semi_major,
-        "semi_minor": e.semi_minor,
-        "angle_rad": e.angle,
-        "foci": [[e.focus1.x, e.focus1.y], [e.focus2.x, e.focus2.y]],
-        "conic": list(result.conic.coefficients()),
-        "tangencies": [_hom_triple(t) for t in result.tangencies],
-        "area": e.area,
-        "classification": classification,
-    }
-
-
 def _sample_results(q, n: int, tol):
-    """Inscribed ellipses at u = i/(n+1), i = 1..n, from one normal form."""
+    """Inscribed ellipses at u = i/(n+1), i = 1..n, from one normal form,
+    each built as the iterator reaches it."""
     return _inscribe_params(q, [i / (n + 1) for i in range(1, n + 1)], tol)
 
 
@@ -218,7 +203,7 @@ def cmd_inscribe(args) -> int:
         result = inscribe_at_center(q, _center_point(args.center), tol)
     else:
         result = inscribe_at_param(q, args.u, tol)
-    print(dumps(_ellipse_output(result)))
+    print(ellipse_json(result))
     return EXIT_OK
 
 
@@ -226,9 +211,7 @@ def cmd_maxarea(args) -> int:
     tol = _tolerances(args)
     q = validate_quad(_load_vertices(args), tol)
     res = max_area(q, tol)
-    doc = _ellipse_output(res.inscribed)
-    doc.update({"h0": res.h0})
-    print(dumps(doc))
+    print(ellipse_json(res.inscribed, res.h0))
     return EXIT_OK
 
 
@@ -289,7 +272,10 @@ def cmd_sample(args) -> int:
     tol = _tolerances(args)
     n = _sample_count(args.n)
     q = validate_quad(_load_vertices(args), tol)
-    print(dumps([_ellipse_output(r) for r in _sample_results(q, n, tol)]))
+    # each record is written as its ellipse is built; a failure at any
+    # member raises before anything is printed
+    records = [ellipse_json(r) for r in _sample_results(q, n, tol)]
+    print("[" + ",".join(records) + "]")
     return EXIT_OK
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Iterator
 
 from .errors import (
     CenterOffLocus,
@@ -459,18 +460,26 @@ def _construct(nf: NormalForm, h: float, tol: Tolerances) -> InscribedResult:
     return InscribedResult(ellipse, focal.conic, focal.contacts, *focal.weights)
 
 
-def _inscribe_params(q: ConvexQuad, params, tol: Tolerances) -> list[InscribedResult]:
-    """Inscribed ellipses at the locus parameters ``params``, from one
-    normal form: u goes straight to h1 + u (h2 - h1), the abscissas of
-    locus(q)'s m1 and m2 (s/2 for the diagonal ``labeling`` sends to
-    (0,0) and (s,t), 1/2 for the other), ordered as ``locus`` orders them."""
+def _locus_abscissas(q: ConvexQuad, tol: Tolerances) -> tuple[NormalForm, float, float]:
+    """The normal form of q and the abscissas h1, h2 of locus(q)'s m1 and
+    m2 (s/2 for the diagonal ``labeling`` sends to (0,0) and (s,t), 1/2 for
+    the other), ordered as ``locus`` orders them.  A locus parameter u goes
+    straight to h1 + u (h2 - h1)."""
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("inscribed ellipses of a parallelogram are not unique")
     nf = normalize(q, tol)
     ma, mb = midpoint(q.v0, q.v2), midpoint(q.v1, q.v3)
     h_a, h_b = (nf.s / 2, 0.5) if nf.labeling[0] % 2 == 0 else (0.5, nf.s / 2)
     h1, h2 = (h_b, h_a) if (mb.x, mb.y) < (ma.x, ma.y) else (h_a, h_b)
-    return [_construct(nf, h1 + u * (h2 - h1), tol) for u in params]
+    return nf, h1, h2
+
+
+def _inscribe_params(q: ConvexQuad, params, tol: Tolerances) -> Iterator[InscribedResult]:
+    """Inscribed ellipses at the locus parameters ``params``, from one
+    normal form.  The quad is checked and normalized at the call; each
+    ellipse is built as the iterator reaches it."""
+    nf, h1, h2 = _locus_abscissas(q, tol)
+    return (_construct(nf, h1 + u * (h2 - h1), tol) for u in params)
 
 
 def inscribe_at_center(q: ConvexQuad, center: Point,
@@ -510,7 +519,8 @@ def inscribe_at_param(q: ConvexQuad, u: float,
     """
     if not (tol.tol_interval < u < 1 - tol.tol_interval):
         raise CenterOffLocus(f"parameter {u} outside the open unit interval")
-    return _inscribe_params(q, (u,), tol)[0]
+    nf, h1, h2 = _locus_abscissas(q, tol)
+    return _construct(nf, h1 + u * (h2 - h1), tol)
 
 
 def chord_x(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> ChordX:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -105,6 +106,15 @@ class TestInscribe:
     def test_non_number_coordinate_exits_2(self, capsys, tmp_path, coordinate):
         path = tmp_path / "quad.json"
         path.write_text(json.dumps({"vertices": [[0, 0], [1, coordinate], [3, 2], [0, 1]]}))
+        code, out, err = run_cli(capsys, "inspect", "--input", str(path))
+        assert code == 2
+        assert not out
+        assert 'input must be {"vertices": [[x,y] x 4]}' in err
+
+    def test_integer_too_large_for_a_float_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "quad.json"
+        big = "1" + "0" * 400
+        path.write_text('{"vertices": [[0, 0], [1, %s], [3, 2], [0, 1]]}' % big)
         code, out, err = run_cli(capsys, "inspect", "--input", str(path))
         assert code == 2
         assert not out
@@ -217,6 +227,49 @@ class TestSample:
             _, one, _ = run_cli(capsys, "inscribe", "--vertices", vertices, "--u", repr(i / (n + 1)))
             singles.append(json.loads(one))
         assert json.loads(out) == singles
+
+    def test_failed_member_prints_nothing(self, capsys, monkeypatch):
+        # the records are written as the members are built, but printed
+        # only once all of them are
+        import inconic.inscribed
+        construct, built = inconic.inscribed._construct, []
+
+        def fifth_fails(*args):
+            built.append(args)
+            if len(built) == 5:
+                raise inconic.errors.NotTangent("side 2 missed")
+            return construct(*args)
+
+        monkeypatch.setattr(inconic.inscribed, "_construct", fifth_fails)
+        code, out, err = run_cli(capsys, "sample", "--vertices", QUAD, "--n", "9")
+        assert code == 5
+        assert out == ""
+        assert "side 2 missed" in err
+        assert len(built) == 5
+
+    @pytest.mark.parametrize("argv", [("inscribe", "--u", "0.37"), ("maxarea",),
+                                      ("sample", "--n", "9")],
+                             ids=["inscribe", "maxarea", "sample"])
+    def test_non_finite_number_exits_2(self, capsys, monkeypatch, argv):
+        # a result the number rule cannot print is an invalid-input exit
+        # with empty stdout, as when dumps printed the records
+        import inconic.area
+        import inconic.inscribed
+        construct = inconic.inscribed._construct
+
+        def nan_area(*args):
+            result = construct(*args)
+            return SimpleNamespace(ellipse=SimpleNamespace(
+                **{k: getattr(result.ellipse, k) for k in
+                   ("center", "semi_major", "semi_minor", "angle", "focus1", "focus2")},
+                area=math.nan), conic=result.conic, tangencies=result.tangencies)
+
+        for module in (inconic.inscribed, inconic.area):
+            monkeypatch.setattr(module, "_construct", nan_area)
+        code, out, err = run_cli(capsys, argv[0], "--vertices", QUAD, *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
 
     def test_zero_samples_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "sample", "--vertices", QUAD, "--n", "0")

@@ -21,6 +21,7 @@ from .geometry import (
     QuadKind,
     Tolerances,
     _Value,
+    _set,
 )
 from .inscribed import (
     InscribedResult,
@@ -38,7 +39,11 @@ class MaxAreaResult(_Value):
 
     def __init__(self, ellipse: EllipseGeo, center: Point, area: float, h0: float,
                  inscribed: InscribedResult):
-        self._fill((ellipse, center, area, h0, inscribed))
+        _set(self, "ellipse", ellipse)
+        _set(self, "center", center)
+        _set(self, "area", area)
+        _set(self, "h0", h0)
+        _set(self, "inscribed", inscribed)
 
 
 def area_cubic(nf: NormalForm, h):

@@ -15,7 +15,7 @@ import sys
 
 from . import errors
 from .area import max_area
-from .fmt import dumps, ellipse_json
+from .fmt import NonFiniteNumber, dumps, ellipse_json
 from .geometry import (
     DEFAULT_TOL,
     AffineMap,
@@ -340,6 +340,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except NonFiniteNumber as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_QUAD

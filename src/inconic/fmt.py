@@ -1,9 +1,10 @@
 """Deterministic number and JSON formatting for CLI output.
 
 One number rule, ``fmt_number``, serves every printed number: a float
-that is not finite raises ValueError, one below 1e-12 in magnitude
-(-0.0 included) prints as 0, and every other float prints with 15
-significant digits, so identical inputs always produce identical bytes.
+that is not finite raises NonFiniteNumber (a ValueError; the CLI exits 5,
+numerical failure), one below 1e-12 in magnitude (-0.0 included) prints
+as 0, and every other float prints with 15 significant digits, so
+identical inputs always produce identical bytes.
 Two writers use it.  ``dumps`` walks any nest of dicts, lists and scalars
 and emits keys sorted.  ``ellipse_json`` writes the fixed ellipse record
 of ``inscribe``, ``maxarea`` and ``sample`` from one template whose keys
@@ -15,6 +16,11 @@ from __future__ import annotations
 import json
 
 
+class NonFiniteNumber(ValueError):
+    """A number to print is NaN or infinite: a result the computation
+    failed to produce, not a malformed input."""
+
+
 def fmt_number(x) -> str:
     """One printed number by the rule above; an int prints as it is.
     Plain floats are tested first: nearly every printed number is one."""
@@ -23,7 +29,7 @@ def fmt_number(x) -> str:
             return "0"
         if x - x == 0.0:  # nan and +-inf give nan
             return f"{x:.15g}"
-        raise ValueError("cannot format a non-finite number")
+        raise NonFiniteNumber("cannot format a non-finite number")
     if isinstance(x, bool):
         raise TypeError("booleans are not numbers here")
     if isinstance(x, int):

@@ -36,8 +36,10 @@ def _rebuild(cls, values):
 
 class _Value:
     """Immutable value over ``__slots__``, compared, hashed, printed, copied
-    and pickled by its slots; ``__init__`` sets each slot once, by ``_fill``
-    or, in types built several times per construction, by ``_set``."""
+    and pickled by its slots; ``__init__`` sets each slot once.  A type
+    built on every construction (or, as ``Line``, on every side) sets its
+    slots one by one with ``_set``, which skips ``_fill``'s loop; the
+    others hand ``_fill`` their values in slot order."""
     __slots__ = ()
 
     def _fill(self, values) -> None:
@@ -203,7 +205,9 @@ class Line(_Value):
         a, b, c = a / n, b / n, c / n
         if a < 0 or (a == 0 and b < 0):
             a, b, c = -a, -b, -c
-        self._fill((a, b, c))
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
 
     @classmethod
     def from_points(cls, p: Point, q: Point) -> "Line":
@@ -225,11 +229,19 @@ class AffineMap(_Value):
 
     def __init__(self, m11: float, m12: float, m21: float, m22: float,
                  tx: float = 0.0, ty: float = 0.0):
-        if not all(map(math.isfinite, (m11, m12, m21, m22, tx, ty))):
+        isfinite = math.isfinite
+        if not (isfinite(m11) and isfinite(m12) and isfinite(m21) and isfinite(m22)
+                and isfinite(tx) and isfinite(ty)):
             raise ValueError("affine map entries must be finite")
-        self._fill((m11, m12, m21, m22, tx, ty))
-        if abs(self.det) <= DEFAULT_TOL.tol_det * (abs(m11 * m22) + abs(m12 * m21)):
-            raise SingularMap(f"linear part is singular (det={self.det:g})")
+        _set(self, "m11", m11)
+        _set(self, "m12", m12)
+        _set(self, "m21", m21)
+        _set(self, "m22", m22)
+        _set(self, "tx", tx)
+        _set(self, "ty", ty)
+        det = m11 * m22 - m12 * m21
+        if abs(det) <= DEFAULT_TOL.tol_det * (abs(m11 * m22) + abs(m12 * m21)):
+            raise SingularMap(f"linear part is singular (det={det:g})")
 
     @classmethod
     def identity(cls) -> "AffineMap":
@@ -275,8 +287,8 @@ class ConvexQuad(_Value):
 
     def side_lines(self) -> tuple[Line, Line, Line, Line]:
         """Lines through the sides, in order (v0v1, v1v2, v2v3, v3v0)."""
-        v = self.vertices
-        return tuple(Line.from_points(v[i], v[(i + 1) % 4]) for i in range(4))
+        v0, v1, v2, v3, line = self.v0, self.v1, self.v2, self.v3, Line.from_points
+        return (line(v0, v1), line(v1, v2), line(v2, v3), line(v3, v0))
 
 
 def _unit(dx: float, dy: float) -> tuple[float, float]:
@@ -380,7 +392,13 @@ class Conic(_Value):
             if all(map(math.isfinite, (a, b, c, d, e, f))):
                 raise ValueError("conic coefficients cannot all vanish")
             raise ValueError("conic coefficients must be finite")
-        self._fill(coeffs)
+        a, b, c, d, e, f = coeffs
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
+        _set(self, "e", e)
+        _set(self, "f", f)
 
     def evaluate(self, x: float, y: float) -> float:
         return (self.a * x * x + self.b * x * y + self.c * y * y
@@ -484,7 +502,12 @@ class EllipseGeo(_Value):
             raise ValueError("semi_major must be the larger axis")
         if not (-math.pi / 2 < angle <= math.pi / 2):
             raise ValueError("angle must lie in (-pi/2, pi/2]")
-        self._fill((center, semi_major, semi_minor, angle, focus1, focus2))
+        _set(self, "center", center)
+        _set(self, "semi_major", semi_major)
+        _set(self, "semi_minor", semi_minor)
+        _set(self, "angle", angle)
+        _set(self, "focus1", focus1)
+        _set(self, "focus2", focus2)
 
     @property
     def area(self) -> float:

@@ -90,16 +90,6 @@ def stable_quadratic_roots(root_sum: complex, root_product: complex) -> tuple[co
     return (r1, root_product / r1)
 
 
-def _focal_numerator(z, w) -> tuple[complex, complex]:
-    """(root sum, root product) of t1(z-z2)(z-z3) + t2(z-z1)(z-z3) +
-    t3(z-z1)(z-z2), the monic focal numerator of triangle z = (z1, z2, z3)
-    under weights w = (t1, t2, t3) summing to 1."""
-    z1, z2, z3 = z
-    t1, t2, t3 = w
-    return (t1 * (z2 + z3) + t2 * (z1 + z3) + t3 * (z1 + z2),
-            t1 * z2 * z3 + t2 * z1 * z3 + t3 * z1 * z2)
-
-
 class NormalForm(_Value):
     """Affine change of frame onto vertices (0,0), (1,0), (s,t), (0,1).
 
@@ -125,7 +115,11 @@ class NormalForm(_Value):
         if inverse is None:
             g = T.inverse()
             inverse = (g.m11, g.m12, g.m21, g.m22, g.tx, g.ty)
-        self._fill((T, s, t, labeling, inverse))
+        _set(self, "T", T)
+        _set(self, "s", s)
+        _set(self, "t", t)
+        _set(self, "labeling", labeling)
+        _set(self, "inverse", inverse)
 
     def to_original(self, x: float, y: float) -> tuple[float, float]:
         """T^-1(x, y): a normalized-frame point in the original frame."""
@@ -144,7 +138,9 @@ class LocusSegment(_Value):
     __slots__ = ("m1", "m2", "degenerate")
 
     def __init__(self, m1: Point, m2: Point, degenerate: bool = False):
-        self._fill((m1, m2, degenerate))
+        _set(self, "m1", m1)
+        _set(self, "m2", m2)
+        _set(self, "degenerate", degenerate)
 
     def point_at(self, u: float) -> Point:
         return Point(self.m1.x + u * (self.m2.x - self.m1.x),
@@ -159,7 +155,8 @@ class ChordX(_Value):
     __slots__ = ("p_start", "p_end")
 
     def __init__(self, p_start: Point, p_end: Point):
-        self._fill((p_start, p_end))
+        _set(self, "p_start", p_start)
+        _set(self, "p_end", p_end)
 
     def point_at(self, u: float) -> Point:
         return Point(self.p_start.x + u * (self.p_end.x - self.p_start.x),
@@ -188,7 +185,11 @@ class InscribedResult(_Value):
     def __init__(self, ellipse: EllipseGeo, conic: Conic,
                  tangencies: tuple[HomPoint, HomPoint, HomPoint, HomPoint],
                  weights_t: WeightTriple, weights_s: WeightTriple):
-        self._fill((ellipse, conic, tangencies, weights_t, weights_s))
+        _set(self, "ellipse", ellipse)
+        _set(self, "conic", conic)
+        _set(self, "tangencies", tangencies)
+        _set(self, "weights_t", weights_t)
+        _set(self, "weights_s", weights_s)
 
 
 def locus(q: ConvexQuad) -> LocusSegment:
@@ -213,25 +214,25 @@ def normalize(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     """
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("parallelograms have no unique normal form here")
-    frames = [_frame(q, rot, tol) for rot in (0, 1)]
-    sines = [abs(s - 1) / math.hypot(s - 1, t) for s, t, _, _ in frames]
-    rot = 1 if sines[1] > sines[0] else 0
-    s, t, (m11, m12, m21, m22), basis = frames[rot]
-    p0 = q.vertices[rot]
-    t_map = AffineMap(m11, m12, m21, m22,
-                      -(m11 * p0.x + m12 * p0.y),
-                      -(m21 * p0.x + m22 * p0.y))
-    return NormalForm(t_map, s, t, tuple((rot + i) % 4 for i in range(4)),
-                      (*basis, p0.x, p0.y))
+    v0, v1 = q.v0, q.v1
+    frame = _frame(v0, v1, q.v2, q.v3, tol)
+    turned = _frame(v1, q.v2, q.v3, v0, tol)
+    s, t, s1, t1 = frame[0], frame[1], turned[0], turned[1]
+    if abs(s1 - 1) / math.hypot(s1 - 1, t1) > abs(s - 1) / math.hypot(s - 1, t):
+        frame, p0, labeling = turned, v1, (1, 2, 3, 0)
+    else:
+        p0, labeling = v0, (0, 1, 2, 3)
+    s, t, m11, m12, m21, m22, b11, b12, b21, b22 = frame
+    x0, y0 = p0.x, p0.y
+    t_map = AffineMap(m11, m12, m21, m22, -(m11 * x0 + m12 * y0), -(m21 * x0 + m22 * y0))
+    return NormalForm(t_map, s, t, labeling, (b11, b12, b21, b22, x0, y0))
 
 
-def _frame(q: ConvexQuad, rot: int, tol: Tolerances):
-    """(s, t, inverse of the basis, basis) of the frame sending vertices
-    rot, rot+1, rot+2, rot+3 (mod 4) to (0,0), (1,0), (s,t), (0,1); (s, t)
-    is solved from vertex differences, so it does not depend on where the
-    quad sits."""
-    v = q.vertices
-    p0, p1, p2, p3 = (v[(rot + i) % 4] for i in range(4))
+def _frame(p0: Point, p1: Point, p2: Point, p3: Point, tol: Tolerances):
+    """(s, t, m11, m12, m21, m22, b11, b12, b21, b22) of the frame sending
+    p0, p1, p2, p3 to (0,0), (1,0), (s,t), (0,1): B = [[b11, b12], [b21, b22]]
+    holds the edge vectors p1 - p0 and p3 - p0, M = B^-1.  (s, t) is solved
+    from vertex differences, so it does not depend on where the quad sits."""
     b11, b12 = p1.x - p0.x, p3.x - p0.x
     b21, b22 = p1.y - p0.y, p3.y - p0.y
     det = b11 * b22 - b12 * b21
@@ -243,7 +244,7 @@ def _frame(q: ConvexQuad, rot: int, tol: Tolerances):
     s, t = m11 * dx + m12 * dy, m21 * dx + m22 * dy
     if not (s > 0 and t > 0 and s + t > 1):
         raise NumericalFailure("normal form violates convexity bounds")
-    return s, t, (m11, m12, m21, m22), (b11, b12, b21, b22)
+    return s, t, m11, m12, m21, m22, b11, b12, b21, b22
 
 
 def locus_line(nf: NormalForm, tol: Tolerances = DEFAULT_TOL) -> LocusLine:
@@ -300,23 +301,38 @@ def foci_quadratic(nf: NormalForm, h, tol: Tolerances = DEFAULT_TOL,
     Verifies within 1e-10 that the focal numerators of the side-line
     triangles reduce to this monic form: always for the first triangle,
     and for the second only when t != 1 (with one parallel side pair it
-    does not exist).  Requires s != 1, which ``locus_line`` enforces.
+    does not exist).  Requires s != 1, as ``locus_line`` does, with its
+    guard and message; L(h) is ``LocusLine.__call__`` written out.
     ``weights``, when given, are the triples ``_weights(nf, h)`` already
     computed by the caller.
+
+    A triangle (z1, z2, z3) under weights (w1, w2, w3) has the focal
+    numerator w1(z-z2)(z-z3) + w2(z-z1)(z-z3) + w3(z-z1)(z-z2), of root sum
+    w1(z2+z3) + w2(z1+z3) + w3(z1+z2) and root product
+    w1 z2 z3 + w2 z1 z3 + w3 z1 z2.  With z1 = 0 and the other two vertices
+    on the axes, both reduce to the real products below.
     """
     s, t = float(nf.s), float(nf.t)
-    line = locus_line(nf, tol)
+    # locus_line's guard and L(h), on nf's own s and t as locus_line reads them
+    ns, nt = nf.s, nf.t
+    if abs(ns - 1) <= tol.tol_par:
+        raise NumericalFailure("s = 1: center line is vertical in this labeling")
     h = float(h)
-    k = float(line(h))
+    k = float((nt - 1) / (ns - 1) * h + (ns - nt) / (2 * (ns - 1)))
     root_sum = complex(2 * h, 2 * k)
     root_product = 1j * (s - 2 * h) / (s - 1)
 
     wt, ws = weights if weights is not None else _weights(nf, h)
-    triangles = [((0j, 1 + 0j, complex(0, -t / (s - 1))), wt)]
+    # (0, 1, iy), y = -t/(s-1): sum w1 + w3 + i(w1 y + w2 y), product i w1 y
+    y = -t / (s - 1)
+    esum, eprod = complex(wt.t1 + wt.t3, wt.t1 * y + wt.t2 * y), complex(0.0, wt.t1 * y)
+    if abs(esum - root_sum) > 1e-10 * max(1.0, abs(root_sum)) or \
+       abs(eprod - root_product) > 1e-10 * max(1.0, abs(root_product)):
+        raise NumericalFailure("focal numerators disagree with the monic form")
     if abs(t - 1) > tol.tol_par:
-        triangles.append(((0j, 1j, complex(-s / (t - 1), 0)), ws))
-    for tri, weights in triangles:
-        esum, eprod = _focal_numerator(tri, weights.as_tuple())
+        # (0, i, x), x = -s/(t-1): sum w1 x + w2 x + i(w1 + w3), product i w1 x
+        x = -s / (t - 1)
+        esum, eprod = complex(ws.t1 * x + ws.t2 * x, ws.t1 + ws.t3), complex(0.0, ws.t1 * x)
         if abs(esum - root_sum) > 1e-10 * max(1.0, abs(root_sum)) or \
            abs(eprod - root_product) > 1e-10 * max(1.0, abs(root_product)):
             raise NumericalFailure("focal numerators disagree with the monic form")
@@ -356,7 +372,14 @@ class _FocalConic(_Value):
                  "weights")
 
     def __init__(self, a, b2, classification, form, center, conic, contacts, weights):
-        self._fill((a, b2, classification, form, center, conic, contacts, weights))
+        _set(self, "a", a)
+        _set(self, "b2", b2)
+        _set(self, "classification", classification)
+        _set(self, "form", form)
+        _set(self, "center", center)
+        _set(self, "conic", conic)
+        _set(self, "contacts", contacts)
+        _set(self, "weights", weights)
 
 
 def _marden_conic(nf: NormalForm, h: float, tol: Tolerances) -> _FocalConic:
@@ -377,9 +400,19 @@ def _marden_conic(nf: NormalForm, h: float, tol: Tolerances) -> _FocalConic:
     T^-1((f1+f2)/2); pushing out the full 3x3 matrix instead rounds the
     center worse.  Q must be positive definite for an ellipse (else
     NotAnEllipse) and indefinite for a hyperbola (else NumericalFailure).
-    The contact points come from ``_contacts``.
+
+    The contacts are checked and found in the normal frame.  The central
+    conic about m = (f1+f2)/2 with Q_n^-1 = a^2 u u^T + b2 v v^T has the
+    adjugate A = [[m m^T - Q_n^-1, m], [m^T, 1]] (up to scale; no
+    determinant is divided by, and hyperbolas need no other form).  Each
+    unit-normalized side l of y = 0, (1,0)-(s,t), (s,t)-(0,1), x = 0 must
+    have |l^T A l| / ||A||_F below tol_tan (else NotTangent); its contact
+    is the pole A l, at infinity when its w is, relative to its norm, at
+    most tol_infinity.  A contact goes out through T^-1 = (B, p0) and is
+    stored at the original side ``labeling`` maps that side to, so
+    ``contacts`` is indexed as ``ConvexQuad.side_lines``.
     """
-    s = nf.s
+    s, t = nf.s, nf.t
     weights = _weights(nf, h)
     f1, f2 = stable_quadratic_roots(*foci_quadratic(nf, h, tol, weights))
     contact = complex(0.0, (s - 2 * h) / (2 * h * (s - 1)))
@@ -393,6 +426,7 @@ def _marden_conic(nf: NormalForm, h: float, tol: Tolerances) -> _FocalConic:
         raise DegeneratePoint("contact point lies on the focal line")
     ux, uy = (half.real / c, half.imag / c) if c else (1.0, 0.0)
     m = (f1 + f2) / 2
+    mx, my = m.real, m.imag
     b2 = f1.real * f2.real
     q11, q12, q22 = form = _pull_back_form(
         *_axis_form(ux, uy, 1 / (a * a), 1 / b2), nf.T)
@@ -401,29 +435,11 @@ def _marden_conic(nf: NormalForm, h: float, tol: Tolerances) -> _FocalConic:
         raise NotAnEllipse("pushed-out form is not positive definite")
     if not is_ellipse and not det < 0:
         raise NumericalFailure("pushed-out hyperbola form is not indefinite")
-    center = nf.to_original(m.real, m.imag)
-    return _FocalConic(
-        a, b2, ConicClass.REAL_ELLIPSE if is_ellipse else ConicClass.HYPERBOLA,
-        form, center, _central_conic(q11, q12, q22, *center),
-        _contacts(nf, m, a, b2, ux, uy, tol), weights)
+    b11, b12, b21, b22, x0, y0 = nf.inverse
+    cx, cy = b11 * mx + b12 * my + x0, b21 * mx + b22 * my + y0
+    conic = _central_conic(q11, q12, q22, cx, cy)
 
-
-def _contacts(nf: NormalForm, m: complex, a: float, b2: float, ux: float,
-              uy: float, tol: Tolerances) -> tuple[HomPoint, HomPoint, HomPoint, HomPoint]:
-    """Contact points of the four sides with the conic of ``_marden_conic``,
-    checked and found in the normal frame.
-
-    The central conic about m with Q_n^-1 = a^2 u u^T + b2 v v^T has
-    the adjugate A = [[m m^T - Q_n^-1, m], [m^T, 1]] (up to scale; no
-    determinant is divided by, and hyperbolas need no other form).  Each
-    unit-normalized side l of y = 0, (1,0)-(s,t), (s,t)-(0,1), x = 0 must
-    have |l^T A l| / ||A||_F below tol_tan (else NotTangent); its contact
-    is the pole A l, at infinity when its w is, relative to its norm, at
-    most tol_infinity.  A contact goes out through T^-1 = (B, p0) and is
-    stored at the original side ``labeling`` maps that side to.
-    """
-    s, t = nf.s, nf.t
-    mx, my = m.real, m.imag
+    # the contacts, from the adjugate A
     p, r = a * a, b2
     a00 = mx * mx - (ux * ux * p + uy * uy * r)
     a01 = mx * my - ux * uy * (p - r)
@@ -432,7 +448,6 @@ def _contacts(nf: NormalForm, m: complex, a: float, b2: float, ux: float,
     n1, n2 = math.hypot(s - 1, t), math.hypot(t - 1, s)
     sides = ((0.0, 1.0, 0.0), (t / n1, (1 - s) / n1, -t / n1),
              ((1 - t) / n2, s / n2, -s / n2), (1.0, 0.0, 0.0))
-    b11, b12, b21, b22, _, _ = nf.inverse
     contacts = [None] * 4
     for side, (la, lb, lc) in zip(nf.labeling, sides):
         px = a00 * la + a01 * lb + mx * lc
@@ -444,8 +459,10 @@ def _contacts(nf: NormalForm, m: complex, a: float, b2: float, ux: float,
             contacts[side] = HomPoint(*_unit_direction(b11 * px + b12 * py,
                                                        b21 * px + b22 * py), 0.0)
         else:
-            contacts[side] = HomPoint(*nf.to_original(px / pw, py / pw), 1.0)
-    return tuple(contacts)
+            x, y = px / pw, py / pw
+            contacts[side] = HomPoint(b11 * x + b12 * y + x0, b21 * x + b22 * y + y0, 1.0)
+    return _FocalConic(a, b2, ConicClass.REAL_ELLIPSE if is_ellipse else ConicClass.HYPERBOLA,
+                       form, (cx, cy), conic, tuple(contacts), weights)
 
 
 def _construct(nf: NormalForm, h: float, tol: Tolerances) -> InscribedResult:

@@ -37,7 +37,7 @@ from .geometry import (
     tangency_residual,
     conic_from_ellipse,
 )
-from .inscribed import WeightTriple, _focal_numerator, stable_quadratic_roots
+from .inscribed import WeightTriple, stable_quadratic_roots
 
 
 class TriangleZ(_Value):
@@ -77,10 +77,10 @@ def foci_from_weights(tri: TriangleZ, w: WeightTriple) -> tuple[complex, complex
     lead = float(w.t1 + w.t2 + w.t3)
     if abs(lead - 1.0) > 1e-9:
         raise DegenerateFoci("weights do not sum to 1")
-    root_sum, root_product = _focal_numerator(
-        (complex(tri.z1), complex(tri.z2), complex(tri.z3)),
-        tuple(complex(v) for v in w.as_tuple()))
-    r1, r2 = stable_quadratic_roots(root_sum, root_product)
+    z1, z2, z3 = complex(tri.z1), complex(tri.z2), complex(tri.z3)
+    t1, t2, t3 = complex(w.t1), complex(w.t2), complex(w.t3)
+    r1, r2 = stable_quadratic_roots(t1 * (z2 + z3) + t2 * (z1 + z3) + t3 * (z1 + z2),
+                                    t1 * z2 * z3 + t2 * z1 * z3 + t3 * z1 * z2)
     if (r1.real, r1.imag) > (r2.real, r2.imag):
         r1, r2 = r2, r1
     return r1, r2

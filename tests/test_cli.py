@@ -251,8 +251,9 @@ class TestSample:
                                       ("sample", "--n", "9")],
                              ids=["inscribe", "maxarea", "sample"])
     def test_non_finite_number_exits_2(self, capsys, monkeypatch, argv):
-        # a result the number rule cannot print is an invalid-input exit
-        # with empty stdout, as when dumps printed the records
+        # a result the number rule cannot print is a numerical failure
+        # (exit 5, not 2 as the name, kept from when it was, says) with
+        # empty stdout, as when dumps printed the records
         import inconic.area
         import inconic.inscribed
         construct = inconic.inscribed._construct
@@ -267,9 +268,9 @@ class TestSample:
         for module in (inconic.inscribed, inconic.area):
             monkeypatch.setattr(module, "_construct", nan_area)
         code, out, err = run_cli(capsys, argv[0], "--vertices", QUAD, *argv[1:])
-        assert code == 2
+        assert code == 5
         assert out == ""
-        assert "non-finite" in err
+        assert "numerical failure" in err and "non-finite" in err
 
     def test_zero_samples_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "sample", "--vertices", QUAD, "--n", "0")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import inconic as ic
 from conftest import random_trapezium, random_trapezoid
-from inconic.fmt import dumps, ellipse_json, fmt_number
+from inconic.fmt import NonFiniteNumber, dumps, ellipse_json, fmt_number
 
 TINY = 1e-12
 JUST_UNDER = math.nextafter(TINY, 0.0)
@@ -79,6 +79,13 @@ class TestNumberRule:
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64("nan")])
     def test_non_finite_raises(self, x):
         with pytest.raises(ValueError):
+            fmt_number(x)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, np.float64("-inf")])
+    def test_non_finite_is_its_own_value_error(self, x):
+        # the CLI tells it from a malformed input by its class
+        assert issubclass(NonFiniteNumber, ValueError)
+        with pytest.raises(NonFiniteNumber):
             fmt_number(x)
 
     def test_bool_raises(self):

@@ -1,5 +1,6 @@
 """Primitives: quadrilateral validation, conic conversions, tangency."""
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -147,6 +148,38 @@ class TestAffineMap:
         for scale in (1e-7, 1.0, 1e7):
             with pytest.raises(errors.SingularMap):
                 ic.AffineMap(scale, 2 * scale, 2 * scale, 4 * scale)
+
+
+class TestSideLines:
+    @staticmethod
+    def _line_as_before(p, q):
+        """Line.from_points as it was written with a generic slot fill."""
+        a, b = q.y - p.y, p.x - q.x
+        c = -(a * p.x + b * p.y)
+        n = math.hypot(a, b)
+        a, b, c = a / n, b / n, c / n
+        if a < 0 or (a == 0 and b < 0):
+            a, b, c = -a, -b, -c
+        return a, b, c
+
+    def test_bit_identical_to_the_generic_construction(self):
+        rng = random.Random(28)
+        checked = 0
+        while checked < 500:
+            scale, offset = 10 ** rng.uniform(-6, 6), rng.uniform(-1e8, 1e8)
+            pts = [(offset + scale * rng.uniform(0, 10), offset + scale * rng.uniform(0, 10))
+                   for _ in range(4)]
+            cx, cy = sum(p[0] for p in pts) / 4, sum(p[1] for p in pts) / 4
+            pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+            try:
+                q = ic.validate_quad(pts)
+            except errors.InconicError:
+                continue
+            v = q.vertices
+            want = [self._line_as_before(v[i], v[(i + 1) % 4]) for i in range(4)]
+            got = [(line.a, line.b, line.c) for line in q.side_lines()]
+            assert repr(got) == repr(want)
+            checked += 1
 
 
 class TestConicConversions:

@@ -195,11 +195,13 @@ class InscribedResult(_Value):
 def locus(q: ConvexQuad) -> LocusSegment:
     """Diagonal midpoints bounding the locus of inscribed-ellipse centers,
     ordered lexicographically."""
-    ma = midpoint(q.v0, q.v2)
-    mb = midpoint(q.v1, q.v3)
-    if (mb.x, mb.y) < (ma.x, ma.y):
-        ma, mb = mb, ma
-    return LocusSegment(ma, mb, degenerate=q.kind is QuadKind.PARALLELOGRAM)
+    return LocusSegment(*_midpoints(q), degenerate=q.kind is QuadKind.PARALLELOGRAM)
+
+
+def _midpoints(q: ConvexQuad) -> tuple[Point, Point]:
+    """The diagonal midpoints (m1, m2) of q, ordered lexicographically."""
+    ma, mb = midpoint(q.v0, q.v2), midpoint(q.v1, q.v3)
+    return (mb, ma) if (mb.x, mb.y) < (ma.x, ma.y) else (ma, mb)
 
 
 def normalize(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
@@ -515,14 +517,15 @@ def inscribe_at_center(q: ConvexQuad, center: Point,
     """
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("inscribed ellipses of a parallelogram are not unique")
-    seg = locus(q)
-    _, dist = _project_to_segment(center, seg.m1, seg.m2)
-    if dist > _on_line_bound(center, seg.m1, seg.m2, tol):
+    m1, m2 = _midpoints(q)
+    _, dist = _project_to_segment(center, m1, m2)
+    if dist > _on_line_bound(center, m1, m2, tol):
         raise CenterOffLocus("center is not on the line of the locus segment")
     nf = normalize(q, tol)
     result = _construct(nf, nf.T.apply_xy(center.x, center.y)[0], tol)
     got = result.ellipse.center
-    if math.hypot(got.x - center.x, got.y - center.y) > 1e-6 * (1 + seg.length()):
+    if math.hypot(got.x - center.x, got.y - center.y) > \
+            1e-6 * (1 + math.hypot(m2.x - m1.x, m2.y - m1.y)):
         raise NumericalFailure("inscribed conic center drifted from the request")
     return result
 
@@ -547,24 +550,37 @@ def chord_x(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> ChordX:
     A side counts as parallel to the center line when the sine of their
     angle is at most tol_par, whatever the scale of the quadrilateral.
     """
+    return ChordX(*_chord_ends(q, tol)[2:])
+
+
+def _chord_ends(q: ConvexQuad, tol: Tolerances) -> tuple[Point, Point, Point, Point]:
+    """(m1, m2, p_start, p_end): the diagonal midpoints in ``locus`` order
+    and the ends of ``chord_x``, at m1 + tau (m2 - m1) for the largest
+    negative and the smallest above-1 tau at which the center line crosses
+    a side line not parallel to it."""
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("center line degenerates for parallelograms")
-    seg = locus(q)
-    dx, dy = seg.m2.x - seg.m1.x, seg.m2.y - seg.m1.y
-    v = q.vertices
-    taus = []
-    for i in range(4):
-        p, r = v[i], v[(i + 1) % 4]
+    m1, m2 = _midpoints(q)
+    x1, y1 = m1.x, m1.y
+    dx, dy = m2.x - x1, m2.y - y1
+    length = math.hypot(dx, dy)
+    before = after = None
+    v0, v1, v2, v3 = q.v0, q.v1, q.v2, q.v3
+    for p, r in ((v0, v1), (v1, v2), (v2, v3), (v3, v0)):
         nx, ny = r.y - p.y, p.x - r.x
         den = nx * dx + ny * dy
-        if abs(den) <= tol.tol_par * math.hypot(nx, ny) * math.hypot(dx, dy):
+        if abs(den) <= tol.tol_par * math.hypot(nx, ny) * length:
             continue
-        taus.append(-(nx * (seg.m1.x - p.x) + ny * (seg.m1.y - p.y)) / den)
-    before = [t for t in taus if t < 0]
-    after = [t for t in taus if t > 1]
-    if not before or not after:
+        tau = -(nx * (x1 - p.x) + ny * (y1 - p.y)) / den
+        if tau < 0:
+            if before is None or tau > before:
+                before = tau
+        elif tau > 1 and (after is None or tau < after):
+            after = tau
+    if before is None or after is None:
         raise NumericalFailure("center line failed to exit the quadrilateral")
-    return ChordX(seg.point_at(max(before)), seg.point_at(min(after)))
+    return (m1, m2, Point(x1 + before * dx, y1 + before * dy),
+            Point(x1 + after * dx, y1 + after * dy))
 
 
 def tangent_conic_at_center(q: ConvexQuad, center: Point,
@@ -582,17 +598,21 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
     coefficients are not classified again.  The midpoints themselves are
     degenerate members and are rejected with DegenerateAtMidpoint; a missed
     side raises NotTangent.
+
+    The guard reads the diagonal midpoints and the quad's four side
+    crossings once, in one pass that also gives ``chord_x``'s ends, and
+    tests each midpoint on its chord parameter alone.
     """
-    ch = chord_x(q, tol)
-    u, dist = _project_to_segment(center, ch.p_start, ch.p_end)
-    if dist > _on_line_bound(center, ch.p_start, ch.p_end, tol):
+    m1, m2, a, b = _chord_ends(q, tol)
+    u, dist = _project_to_segment(center, a, b)
+    if dist > _on_line_bound(center, a, b, tol):
         raise CenterOffLocus("center is not on the center line")
     if not (tol.tol_interval < u < 1 - tol.tol_interval):
         raise CenterOffLocus("center is not strictly inside the chord")
-    seg = locus(q)
-    for m in (seg.m1, seg.m2):
-        um, _ = _project_to_segment(m, ch.p_start, ch.p_end)
-        if abs(u - um) <= tol.tol_interval:
+    dx, dy = b.x - a.x, b.y - a.y
+    den = dx * dx + dy * dy
+    for m in (m1, m2):
+        if abs(u - ((m.x - a.x) * dx + (m.y - a.y) * dy) / den) <= tol.tol_interval:
             raise DegenerateAtMidpoint("center coincides with a diagonal midpoint")
     nf = normalize(q, tol)
     focal = _marden_conic(nf, nf.T.apply_xy(center.x, center.y)[0], tol)

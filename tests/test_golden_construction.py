@@ -8,11 +8,16 @@ tolerances set so that the tangency, at-infinity, parallelism, basis and
 interval checks fire.  On each quad the test runs ``inscribe_at_param``
 at five parameters, ``max_area``, and ``inscribe_at_center`` and
 ``tangent_conic_at_center`` at points of the interior chord
-(``inscribe_at_center`` also at three locus points).  Each output is the
-``repr`` of the result, or the class and message of what was raised;
-``golden/construction.json`` holds a sha256 over them per family.  A
-change that moves one bit of one result, or the class or message of one
-exception, fails here.  The floats go through the C library's atan2, cos
+(``inscribe_at_center`` also at three locus points).  A sixth family
+draws from the first four and runs the same two calls at centers on the
+center guards' decision boundaries, under the default tolerances and one
+of the stressed sets: chord parameters within a few ``tol_interval`` of
+each diagonal midpoint and each chord end, and points pushed off the
+chord and off the locus segment by 0.5, 1 and 2 times ``_on_line_bound``.
+Each output is the ``repr`` of the result, or the class and message of
+what was raised; ``golden/construction.json`` holds a sha256 over them
+per family.  A change that moves one bit of one result, or the class or
+message of one exception, fails here.  The floats go through the C library's atan2, cos
 and sin, so the digests assume a libm that rounds those as glibc does.
 ``python tests/test_golden_construction.py`` prints the digests of the
 code as it stands.
@@ -27,6 +32,7 @@ import pytest
 
 from inconic import (
     DEFAULT_TOL,
+    Point,
     Tolerances,
     chord_x,
     inscribe_at_center,
@@ -36,12 +42,15 @@ from inconic import (
     tangent_conic_at_center,
     validate_quad,
 )
+from inconic.inscribed import _on_line_bound
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "construction.json"
 PER_FAMILY = 150
 PARAMS = (1e-7, 0.13, 0.5, 0.87, 1 - 1e-7)
 LOCUS_POINTS = (0.13, 0.5, 0.87)
 CHORD_POINTS = (0.02, 0.2, 0.5, 0.8, 0.98)
+GUARD_STEPS = (-2, -1, -0.5, 0, 0.5, 1, 2)   # chord-parameter offsets, in tol_interval
+GUARD_PUSHES = (0.5, 1, 2)                   # off-line distances, in _on_line_bound
 
 
 def _plain(rng):
@@ -78,14 +87,11 @@ def _trapezoid(rng):
     return _affine_image(rng, [(0.0, 0.0), (1.0, 0.0), (s, 1.0), (0.0, 1.0)])
 
 
-FAMILIES = {
-    "plain": (_plain, 101),
-    "far": (_far, 202),
-    "thin_trapezium": (_thin_trapezium, 303),
-    "trapezoid": (_trapezoid, 404),
-    "tolerances": (_plain, 505),
-}
-# the "tolerances" family cycles through these; the others use DEFAULT_TOL
+def _mixed(rng):
+    return rng.choice((_plain, _far, _thin_trapezium, _trapezoid))(rng)
+
+
+# the "tolerances" and "chord_guard" families cycle through these
 CHECK_TOLS = (
     Tolerances(tol_tan=1e-30),
     Tolerances(tol_infinity=0.9),
@@ -124,13 +130,61 @@ def _outputs(vertices, tol):
         yield _outcome(tangent_conic_at_center, q, p, tol)
 
 
+def _chord_param(chord, p):
+    dx, dy = chord.p_end.x - chord.p_start.x, chord.p_end.y - chord.p_start.y
+    return ((p.x - chord.p_start.x) * dx + (p.y - chord.p_start.y) * dy) / (dx * dx + dy * dy)
+
+
+def _guard_centers(seg, chord, tol):
+    step = tol.tol_interval
+    params = [k * step for k in GUARD_STEPS if k >= 0]
+    params += [1 - k * step for k in GUARD_STEPS if k >= 0]
+    for m in (seg.m1, seg.m2):
+        um = _chord_param(chord, m)
+        params += [um + k * step for k in GUARD_STEPS]
+    centers = [chord.point_at(u) for u in params]
+    for p in (seg.point_at(0.5), chord.point_at(0.02), chord.point_at(0.98)):
+        for a, b in ((chord.p_start, chord.p_end), (seg.m1, seg.m2)):
+            length = math.hypot(b.x - a.x, b.y - a.y)
+            nx, ny = (a.y - b.y) / length, (b.x - a.x) / length
+            bound = _on_line_bound(p, a, b, tol)
+            for f in GUARD_PUSHES:
+                centers.append(Point(p.x + f * bound * nx, p.y + f * bound * ny))
+                centers.append(Point(p.x - f * bound * nx, p.y - f * bound * ny))
+    return centers
+
+
+def _guard_outputs(vertices, stressed):
+    for tol in (DEFAULT_TOL, stressed):
+        try:
+            q = validate_quad(vertices, tol)
+            seg = locus(q)
+            centers = _guard_centers(seg, chord_x(q, tol), tol)
+        except Exception as exc:
+            yield f"{type(exc).__name__}: {exc}"
+            continue
+        for p in centers:
+            yield _outcome(inscribe_at_center, q, p, tol)
+            yield _outcome(tangent_conic_at_center, q, p, tol)
+
+
+# name: (quad maker, seed, outputs of one quad, tolerances cycled per quad)
+FAMILIES = {
+    "plain": (_plain, 101, _outputs, (DEFAULT_TOL,)),
+    "far": (_far, 202, _outputs, (DEFAULT_TOL,)),
+    "thin_trapezium": (_thin_trapezium, 303, _outputs, (DEFAULT_TOL,)),
+    "trapezoid": (_trapezoid, 404, _outputs, (DEFAULT_TOL,)),
+    "tolerances": (_plain, 505, _outputs, CHECK_TOLS),
+    "chord_guard": (_mixed, 606, _guard_outputs, CHECK_TOLS),
+}
+
+
 def family_digest(name):
     """(number of outputs, sha256 over them) of one family."""
-    make, seed = FAMILIES[name]
+    make, seed, outputs_of, tols = FAMILIES[name]
     rng = random.Random(seed)
-    tols = CHECK_TOLS if name == "tolerances" else (DEFAULT_TOL,)
     outputs = [out for i in range(PER_FAMILY)
-               for out in _outputs(make(rng), tols[i % len(tols)])]
+               for out in outputs_of(make(rng), tols[i % len(tols)])]
     return len(outputs), hashlib.sha256("\n".join(outputs).encode()).hexdigest()
 
 

@@ -2,6 +2,7 @@
 import ast
 import inspect
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -461,6 +462,79 @@ class TestChordX:
                 u = ((m.x - ch.p_start.x) * dx + (m.y - ch.p_start.y) * dy) / den
                 assert 1e-6 < u < 1 - 1e-6
 
+    @staticmethod
+    def _chord_as_before(q, tol):
+        """chord_x as it was written with lists of side crossings and a
+        LocusSegment; returns (chord, number of sides skipped as parallel)."""
+        if q.kind is ic.QuadKind.PARALLELOGRAM:
+            raise errors.ParallelogramUnsupported("center line degenerates for parallelograms")
+        ma = ic.Point((q.v0.x + q.v2.x) / 2, (q.v0.y + q.v2.y) / 2)
+        mb = ic.Point((q.v1.x + q.v3.x) / 2, (q.v1.y + q.v3.y) / 2)
+        if (mb.x, mb.y) < (ma.x, ma.y):
+            ma, mb = mb, ma
+        seg = ic.LocusSegment(ma, mb)
+        dx, dy = seg.m2.x - seg.m1.x, seg.m2.y - seg.m1.y
+        v = q.vertices
+        taus, skipped = [], 0
+        for i in range(4):
+            p, r = v[i], v[(i + 1) % 4]
+            nx, ny = r.y - p.y, p.x - r.x
+            den = nx * dx + ny * dy
+            if abs(den) <= tol.tol_par * math.hypot(nx, ny) * math.hypot(dx, dy):
+                skipped += 1
+                continue
+            taus.append(-(nx * (seg.m1.x - p.x) + ny * (seg.m1.y - p.y)) / den)
+        before = [t for t in taus if t < 0]
+        after = [t for t in taus if t > 1]
+        if not before or not after:
+            raise errors.NumericalFailure("center line failed to exit the quadrilateral")
+        return ic.ChordX(seg.point_at(max(before)), seg.point_at(min(after))), skipped
+
+    @staticmethod
+    def _random_quad(rng):
+        kind = rng.choice(("plain", "thin", "trapezoid", "parallelogram"))
+        if kind == "plain":
+            pts = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(4)]
+            cx, cy = sum(p[0] for p in pts) / 4, sum(p[1] for p in pts) / 4
+            pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+        else:
+            s, a = rng.uniform(0.3, 3.0), rng.uniform(-0.9, 0.9)
+            t = 1 + rng.choice((-1, 1)) * 10 ** rng.uniform(-10, -2)
+            pts = {"thin": [(0.0, 0.0), (1.0, 0.0), (s, t), (0.0, 1.0)],
+                   "trapezoid": [(0.0, 0.0), (1.0, 0.0), (s, 1.0), (0.0, 1.0)],
+                   "parallelogram": [(0.0, 0.0), (1.0, 0.0), (1.0 + a, 1.0), (a, 1.0)]}[kind]
+            m11, m12, m21, m22 = (rng.uniform(-2, 2) for _ in range(4))
+            pts = [(m11 * x + m12 * y, m21 * x + m22 * y) for x, y in pts]
+        scale = 10 ** rng.uniform(-6, 6)
+        ox, oy = (rng.choice((-1, 1)) * 10 ** rng.uniform(0, 8) for _ in range(2))
+        return [(ox + scale * x, oy + scale * y) for x, y in pts]
+
+    def test_bit_identical_to_the_list_construction(self):
+        rng = random.Random(34)
+        tols = (ic.DEFAULT_TOL, ic.Tolerances(tol_par=0.3), ic.Tolerances(tol_par=0.9))
+        checked, skipped, no_exit, kinds = 0, 0, 0, set()
+        while checked < 600:
+            tol = tols[checked % len(tols)]
+            try:
+                q = ic.validate_quad(self._random_quad(rng), tol)
+            except (errors.InconicError, ValueError):
+                continue
+            try:
+                want, n = self._chord_as_before(q, tol)
+                want = repr(want)
+                skipped += n
+            except errors.InconicError as exc:
+                want = f"{type(exc).__name__}: {exc}"
+            try:
+                got = repr(ic.chord_x(q, tol))
+            except errors.InconicError as exc:
+                got = f"{type(exc).__name__}: {exc}"
+            assert got == want
+            no_exit += "failed to exit" in want
+            kinds.add(q.kind)
+            checked += 1
+        assert skipped and no_exit and kinds == set(ic.QuadKind)
+
 
 class TestTangentConicAtCenter:
     def test_locus_center_reproduces_inscribed_conic(self):
@@ -494,6 +568,22 @@ class TestTangentConicAtCenter:
                 for contact in tangencies:
                     if contact.is_infinite():
                         assert contact.w == 0.0
+
+    def test_guards_build_no_locus_and_no_chord(self, monkeypatch):
+        # the center guards read the diagonal midpoints, and the chord ends,
+        # in one pass of their own
+        q = quad_s3t2()
+        seg, ch = ic.locus(q), ic.chord_x(q)
+        want_hyperbola = repr(ic.tangent_conic_at_center(q, ch.point_at(0.9)))
+        want_ellipse = repr(ic.inscribe_at_center(q, seg.point_at(0.37)))
+
+        def called(*args, **kwargs):
+            raise AssertionError("the guard built a locus or a chord")
+
+        monkeypatch.setattr("inconic.inscribed.chord_x", called)
+        monkeypatch.setattr("inconic.inscribed.locus", called)
+        assert repr(ic.tangent_conic_at_center(q, ch.point_at(0.9))) == want_hyperbola
+        assert repr(ic.inscribe_at_center(q, seg.point_at(0.37))) == want_ellipse
 
     def test_midpoint_rejected(self):
         with pytest.raises(errors.DegenerateAtMidpoint):

@@ -3,7 +3,9 @@
 Subcommands: inspect, inscribe, maxarea, verify, sample, render.  JSON goes
 to stdout with sorted keys and fixed number formatting; diagnostics go to
 stderr.  Exit codes: 0 ok, 1 usage, 2 invalid quadrilateral, 3 center off
-the locus/chord, 4 parallelogram, 5 numerical failure, 6 file I/O.
+the locus/chord, 4 parallelogram, 5 numerical failure, 6 file I/O.  argparse
+checks every argument, so a usage error exits 1 before the quadrilateral is
+read; ``main`` maps every other error to its code in one place.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ import sys
 
 from . import errors
 from .area import max_area
-from .fmt import NonFiniteNumber, dumps, ellipse_json
+from .fmt import dumps, ellipse_json
 from .geometry import (
     DEFAULT_TOL,
     AffineMap,
@@ -49,8 +51,6 @@ EXIT_PARALLELOGRAM = 4
 EXIT_NUMERICAL = 5
 EXIT_IO = 6
 
-_BAD_QUAD = (errors.NotConvex, errors.DegenerateQuad)
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1."""
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="inconic",
                      description="Inscribed conics of convex quadrilaterals.")
     common = _Parser(add_help=False)
-    group = common.add_mutually_exclusive_group()
+    group = common.add_mutually_exclusive_group(required=True)
     group.add_argument("--vertices",
                        help='four vertices as "x0,y0 x1,y1 x2,y2 x3,y3"')
     group.add_argument("--input", help='JSON file {"vertices": [[x,y] x4]}')
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ins = sub.add_parser("inscribe", parents=[common],
                            help="inscribed ellipse at a chosen center")
     sel = p_ins.add_mutually_exclusive_group(required=True)
-    sel.add_argument("--center", help='center as "h,k"')
+    sel.add_argument("--center", type=_center, help='center as "h,k"')
     sel.add_argument("--u", type=float, help="locus parameter in (0,1)")
 
     sub.add_parser("maxarea", parents=[common],
@@ -88,22 +88,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", parents=[common],
                            help="residual report for a chosen center")
     sel = p_ver.add_mutually_exclusive_group(required=True)
-    sel.add_argument("--center", help='center as "h,k"')
+    sel.add_argument("--center", type=_center, help='center as "h,k"')
     sel.add_argument("--u", type=float, help="locus parameter in (0,1)")
     p_ver.add_argument("--allow-hyperbola", action="store_true",
                        help="accept chord centers beyond the diagonal midpoints")
 
     p_sam = sub.add_parser("sample", parents=[common],
                            help="N inscribed ellipses at u = i/(N+1)")
-    p_sam.add_argument("--n", type=int, required=True)
+    p_sam.add_argument("--n", type=_count, required=True)
 
     p_ren = sub.add_parser("render", parents=[common], help="write an SVG")
     p_ren.add_argument("--out", required=True)
     sel = p_ren.add_mutually_exclusive_group()
-    sel.add_argument("--center", help='center as "h,k"')
+    sel.add_argument("--center", type=_center, help='center as "h,k"')
     sel.add_argument("--u", type=float)
     sel.add_argument("--maxarea", action="store_true")
-    sel.add_argument("--n", type=int)
+    sel.add_argument("--n", type=_count)
     return parser
 
 
@@ -114,40 +114,42 @@ def _parse_pair(text: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
-def _center_point(text: str) -> Point:
+def _center(text: str) -> Point:
+    """``--center "h,k"``; argparse reports a bad value as a usage error."""
     try:
         return Point(*_parse_pair(text))
     except ValueError as exc:
-        print(f"bad --center value: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise argparse.ArgumentTypeError(exc) from None
 
 
-def _sample_count(n: int) -> int:
+def _count(text: str) -> int:
+    """``--n``, a whole number of ellipses, at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if n < 1:
-        print(f"bad --n value: {n} (must be at least 1)", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise argparse.ArgumentTypeError("must be at least 1")
     return n
 
 
 def _load_vertices(args) -> list[tuple[float, float]]:
-    if args.vertices:
+    if args.vertices is not None:
         chunks = args.vertices.split()
         if len(chunks) != 4:
             raise ValueError("expected four 'x,y' vertex pairs")
         return [_parse_pair(c) for c in chunks]
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        verts = data.get("vertices") if isinstance(data, dict) else None
-        if (isinstance(verts, list) and len(verts) == 4
-                and all(isinstance(v, list) and len(v) == 2  # JSON numbers, not bool
-                        and all(type(c) in (int, float) for c in v) for v in verts)):
-            try:
-                return [(float(v[0]), float(v[1])) for v in verts]
-            except OverflowError:  # an integer too large for a float
-                pass
-        raise errors.DegenerateQuad('input must be {"vertices": [[x,y] x 4]}')
-    raise SystemExit(EXIT_USAGE)
+    with open(args.input, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    verts = data.get("vertices") if isinstance(data, dict) else None
+    if (isinstance(verts, list) and len(verts) == 4
+            and all(isinstance(v, list) and len(v) == 2  # JSON numbers, not bool
+                    and all(type(c) in (int, float) for c in v) for v in verts)):
+        try:
+            return [(float(v[0]), float(v[1])) for v in verts]
+        except OverflowError:  # an integer too large for a float
+            pass
+    raise ValueError('input must be {"vertices": [[x,y] x 4]}')
 
 
 def _tolerances(args) -> Tolerances:
@@ -167,9 +169,7 @@ def _sample_results(q, n: int, tol):
     return _inscribe_params(q, [i / (n + 1) for i in range(1, n + 1)], tol)
 
 
-def cmd_inspect(args) -> int:
-    tol = _tolerances(args)
-    q = validate_quad(_load_vertices(args), tol)
+def cmd_inspect(args, q: ConvexQuad, tol: Tolerances) -> int:
     seg = locus(q)
     doc = {
         "kind": q.kind.value,
@@ -196,20 +196,16 @@ def cmd_inspect(args) -> int:
     return EXIT_OK
 
 
-def cmd_inscribe(args) -> int:
-    tol = _tolerances(args)
-    q = validate_quad(_load_vertices(args), tol)
+def cmd_inscribe(args, q: ConvexQuad, tol: Tolerances) -> int:
     if args.center is not None:
-        result = inscribe_at_center(q, _center_point(args.center), tol)
+        result = inscribe_at_center(q, args.center, tol)
     else:
         result = inscribe_at_param(q, args.u, tol)
     print(ellipse_json(result))
     return EXIT_OK
 
 
-def cmd_maxarea(args) -> int:
-    tol = _tolerances(args)
-    q = validate_quad(_load_vertices(args), tol)
+def cmd_maxarea(args, q: ConvexQuad, tol: Tolerances) -> int:
     res = max_area(q, tol)
     print(ellipse_json(res.inscribed, res.h0))
     return EXIT_OK
@@ -227,16 +223,14 @@ def _pencil_member(q, center: Point, tol):
     return transform_conic(member, AffineMap(1.0, 0.0, 0.0, 1.0, x0, y0))
 
 
-def cmd_verify(args) -> int:
-    tol = _tolerances(args)
-    q = validate_quad(_load_vertices(args), tol)
+def cmd_verify(args, q: ConvexQuad, tol: Tolerances) -> int:
     lines = q.side_lines()
     classification = "ellipse"
     if args.center is None:
         result = inscribe_at_param(q, args.u, tol)
         conic, center = result.conic, result.ellipse.center
     else:
-        center = _center_point(args.center)
+        center = args.center
         try:
             conic = inscribe_at_center(q, center, tol).conic
         except errors.CenterOffLocus:
@@ -268,20 +262,15 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def cmd_sample(args) -> int:
-    tol = _tolerances(args)
-    n = _sample_count(args.n)
-    q = validate_quad(_load_vertices(args), tol)
+def cmd_sample(args, q: ConvexQuad, tol: Tolerances) -> int:
     # each record is written as its ellipse is built; a failure at any
     # member raises before anything is printed
-    records = [ellipse_json(r) for r in _sample_results(q, n, tol)]
+    records = [ellipse_json(r) for r in _sample_results(q, args.n, tol)]
     print("[" + ",".join(records) + "]")
     return EXIT_OK
 
 
-def cmd_render(args) -> int:
-    tol = _tolerances(args)
-    q = validate_quad(_load_vertices(args), tol)
+def cmd_render(args, q: ConvexQuad, tol: Tolerances) -> int:
     seg = locus(q)
     chord: ChordX | None = None
     if q.kind is not QuadKind.PARALLELOGRAM:
@@ -290,21 +279,17 @@ def cmd_render(args) -> int:
     if args.maxarea:
         results.append(max_area(q, tol).inscribed)
     elif args.center is not None:
-        results.append(inscribe_at_center(q, _center_point(args.center), tol))
+        results.append(inscribe_at_center(q, args.center, tol))
     elif args.u is not None:
         results.append(inscribe_at_param(q, args.u, tol))
     elif args.n is not None:
-        results.extend(_sample_results(q, _sample_count(args.n), tol))
+        results.extend(_sample_results(q, args.n, tol))
     ellipses = [r.ellipse for r in results]
     contacts = [t.to_point() for r in results for t in r.tangencies
                 if not t.is_infinite()]
     text = svg.scene(q.vertices, seg, chord, ellipses, contacts)
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(text)
     return EXIT_OK
 
 
@@ -319,16 +304,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Parse, read the tolerances and the quad, run the command; the one
+    place where an error becomes an exit code."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        tol = _tolerances(args)
+        q = validate_quad(_load_vertices(args), tol)
+        return _COMMANDS[args.command](args, q, tol)
+    except SystemExit as exc:  # usage, already reported on stderr
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    try:
-        return _COMMANDS[args.command](args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except _BAD_QUAD as exc:
+    except (errors.NotConvex, errors.DegenerateQuad) as exc:
         print(f"invalid quadrilateral: {exc}", file=sys.stderr)
         return EXIT_BAD_QUAD
     except errors.CenterOffLocus as exc:
@@ -340,15 +325,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except NonFiniteNumber as exc:
+    except errors.InconicError as exc:  # fmt.NonFiniteNumber included
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_QUAD
-    except errors.InconicError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 def run() -> None:

@@ -6,8 +6,8 @@ preconditions fail; plain ``ValueError`` is reserved for malformed values
 one meaning: a conic that is not a real ellipse is always
 :class:`NotAnEllipse`, and a requested center outside the admissible set
 (locus segment, interior chord, the pencil's line of centers, or a
-diagonal midpoint) is always a :class:`CenterOffLocus`, the one class the
-CLI maps to exit code 3.
+diagonal midpoint) is always a :class:`CenterOffLocus`.  ``cli.main`` is
+the one place that maps these classes to the CLI's exit codes.
 """
 
 

@@ -1,9 +1,9 @@
 """Deterministic number and JSON formatting for CLI output.
 
 One number rule, ``fmt_number``, serves every printed number: a float
-that is not finite raises NonFiniteNumber (a ValueError; the CLI exits 5,
-numerical failure), one below 1e-12 in magnitude (-0.0 included) prints
-as 0, and every other float prints with 15 significant digits, so
+that is not finite raises NonFiniteNumber (a NumericalFailure, so the CLI
+exits 5, and a ValueError), one below 1e-12 in magnitude (-0.0 included)
+prints as 0, and every other float prints with 15 significant digits, so
 identical inputs always produce identical bytes.
 Two writers use it.  ``dumps`` walks any nest of dicts, lists and scalars
 and emits keys sorted.  ``ellipse_json`` writes the fixed ellipse record
@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 
+from .errors import NumericalFailure
 
-class NonFiniteNumber(ValueError):
+
+class NonFiniteNumber(NumericalFailure, ValueError):
     """A number to print is NaN or infinite: a result the computation
     failed to produce, not a malformed input."""
 

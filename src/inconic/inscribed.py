@@ -121,11 +121,6 @@ class NormalForm(_Value):
         _set(self, "labeling", labeling)
         _set(self, "inverse", inverse)
 
-    def to_original(self, x: float, y: float) -> tuple[float, float]:
-        """T^-1(x, y): a normalized-frame point in the original frame."""
-        b11, b12, b21, b22, x0, y0 = self.inverse
-        return b11 * x + b12 * y + x0, b21 * x + b22 * y + y0
-
     def interval(self) -> tuple[float, float]:
         """Open interval of normalized abscissas swept by the center locus."""
         half, shalf = 1 / 2, self.s / 2

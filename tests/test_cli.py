@@ -479,3 +479,49 @@ def test_verify_property_run(capsys, rng):
             code, out, err = run_cli(capsys, "verify", "--vertices", vertices,
                                      "--u", str(u))
             assert code == 0, err
+
+
+# One row per handler in cli.main: argv ({dir} is a scratch directory
+# holding bad.json, a file of the wrong schema), INCONIC_TOL or None, exit
+# code, and how stderr starts.  Usage errors are found by argparse, so they
+# win over a bad quadrilateral.
+EXIT_CODE_CONTRACT = [
+    pytest.param(["inspect"], None, 1, "usage: inconic inspect", id="1-no-source"),
+    pytest.param(["inscribe", "--vertices", NONCONVEX, "--center", "abc"], None, 1,
+                 "usage: inconic inscribe", id="1-bad-center-beats-bad-quad"),
+    pytest.param(["sample", "--vertices", NONCONVEX, "--n", "0"], None, 1,
+                 "usage: inconic sample", id="1-sample-n0-beats-bad-quad"),
+    pytest.param(["render", "--vertices", NONCONVEX, "--n", "0", "--out", "{dir}/x.svg"], None, 1,
+                 "usage: inconic render", id="1-render-n0-beats-bad-quad"),
+    pytest.param(["inspect", "--vertices", QUAD, "--tol", "nope=1"], None, 1,
+                 "bad --tol value: ", id="1-bad-tol"),
+    pytest.param(["inspect", "--vertices", QUAD], "nope=1", 1,
+                 "bad INCONIC_TOL value: ", id="1-bad-env-tol"),
+    pytest.param(["inspect", "--vertices", NONCONVEX], None, 2,
+                 "invalid quadrilateral: ", id="2-nonconvex"),
+    pytest.param(["inspect", "--vertices", ""], None, 2, "invalid input: ", id="2-empty-vertices"),
+    pytest.param(["inspect", "--input", "{dir}/bad.json"], None, 2,
+                 "invalid input: ", id="2-input-schema"),
+    pytest.param(["inscribe", "--vertices", QUAD, "--center", "0.7,0.7"], None, 3,
+                 "center not admissible: ", id="3-off-locus"),
+    pytest.param(["inscribe", "--vertices", SQUARE, "--u", "0.5"], None, 4,
+                 "parallelogram: ", id="4-parallelogram"),
+    pytest.param(["inscribe", "--vertices", QUAD, "--u", "0.37", "--tol", "tol_tan=1e-30"], None, 5,
+                 "numerical failure: ", id="5-not-tangent"),
+    pytest.param(["inspect", "--input", "{dir}/missing.json"], None, 6,
+                 "i/o error: ", id="6-missing-input"),
+    pytest.param(["render", "--vertices", QUAD, "--u", "0.5", "--out", "{dir}/no/dir/x.svg"], None, 6,
+                 "i/o error: ", id="6-unwritable-out"),
+]
+
+
+@pytest.mark.parametrize("argv, env_tol, code, prefix", EXIT_CODE_CONTRACT)
+def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, env_tol, code, prefix):
+    (tmp_path / "bad.json").write_text(json.dumps({"vertices": [[0, 0], [1, 0], [3, 2]]}))
+    if env_tol is None:
+        monkeypatch.delenv("INCONIC_TOL", raising=False)
+    else:
+        monkeypatch.setenv("INCONIC_TOL", env_tol)
+    got, out, err = run_cli(capsys, *(a.replace("{dir}", str(tmp_path)) for a in argv))
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix), err

@@ -341,6 +341,38 @@ class TestInscribeAtCenter:
             assert ic.conic_distance(direct, pushed) < 1e-8
 
 
+    # the carried center may sit at most 1e-6 (1 + |m2 - m1|) from the
+    # request; 1.25 and 0.8 of that pin the bound to within a quarter
+    @pytest.mark.parametrize("factor, drifted", [(2.0, True), (1.25, True),
+                                                 (0.8, False), (0.5, False)])
+    def test_drift_check_bound(self, monkeypatch, factor, drifted):
+        import inconic.inscribed
+        q = quad_s3t2()
+        seg = ic.locus(q)
+        length = seg.length()
+        step = factor * 1e-6 * (1 + length)
+        dx = step * (seg.m2.x - seg.m1.x) / length
+        dy = step * (seg.m2.y - seg.m1.y) / length
+        construct = inconic.inscribed._construct
+
+        def shifted(*args):
+            r = construct(*args)
+            e = r.ellipse
+            moved = [ic.Point(p.x + dx, p.y + dy) for p in (e.center, e.focus1, e.focus2)]
+            ellipse = ic.EllipseGeo(moved[0], e.semi_major, e.semi_minor, e.angle, *moved[1:])
+            return ic.InscribedResult(ellipse, r.conic, r.tangencies, r.weights_t, r.weights_s)
+
+        monkeypatch.setattr(inconic.inscribed, "_construct", shifted)
+        center = seg.point_at(0.37)
+        if drifted:
+            with pytest.raises(errors.NumericalFailure,
+                               match="^inscribed conic center drifted from the request$"):
+                ic.inscribe_at_center(q, center)
+        else:
+            got = ic.inscribe_at_center(q, center).ellipse.center
+            assert math.hypot(got.x - center.x, got.y - center.y) == \
+                pytest.approx(step, rel=1e-6)
+
 class TestInscribeAtParam:
     def test_midparam_matches_center(self):
         r = ic.inscribe_at_param(quad_s3t2(), 0.5)

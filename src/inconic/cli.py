@@ -211,7 +211,7 @@ def cmd_maxarea(args, q: ConvexQuad, tol: Tolerances) -> int:
     return EXIT_OK
 
 
-def _pencil_member(q, center: Point, tol):
+def _pencil_member(q, center: Point):
     """The pencil oracle's conic with the given center, built on the side
     lines translated to q.v0 and mapped back.  At the original placement
     the pencil's unit-norm dual matrices have a determinant that falls like
@@ -219,7 +219,7 @@ def _pencil_member(q, center: Point, tol):
     x0, y0 = q.v0.x, q.v0.y
     shifted = ConvexQuad(*(Point(v.x - x0, v.y - y0) for v in q.vertices), q.kind)
     member = member_with_center(pencil_from_lines(*shifted.side_lines()),
-                                Point(center.x - x0, center.y - y0), tol)
+                                Point(center.x - x0, center.y - y0))
     return transform_conic(member, AffineMap(1.0, 0.0, 0.0, 1.0, x0, y0))
 
 
@@ -238,9 +238,9 @@ def cmd_verify(args, q: ConvexQuad, tol: Tolerances) -> int:
                 raise
             conic, classification_enum, _ = tangent_conic_at_center(q, center, tol)
             classification = classification_enum.value
-    marden_distance = conic_distance(conic, _pencil_member(q, center, tol))
+    marden_distance = conic_distance(conic, _pencil_member(q, center))
     residuals = [tangency_residual(conic, line) for line in lines]
-    got = conic.center(tol)
+    got = conic.center()
     center_error = math.hypot(got.x - center.x, got.y - center.y)
     doc = {
         "tangency_residuals": residuals,

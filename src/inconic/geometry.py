@@ -72,26 +72,23 @@ class _Value:
 
 
 class Tolerances(_Value):
-    """Numeric tolerances shared by all operations, each finite and > 0.
+    """Numeric tolerances of the construction, each finite and > 0.
 
-    A single record so the whole pipeline can be tightened or loosened at
-    once (see the CLI's ``--tol`` flag and the INCONIC_TOL variable).
+    A single record so the construction can be tightened or loosened at
+    once (see the CLI's ``--tol`` flag and the INCONIC_TOL variable); the
+    oracles and the conic tools they use keep fixed thresholds.
     """
-    __slots__ = ("tol_det", "tol_tan", "tol_class", "tol_par", "tol_pair",
-                 "tol_interval", "tol_on", "tol_center", "tol_infinity")
+    __slots__ = ("tol_det", "tol_tan", "tol_par", "tol_interval", "tol_on",
+                 "tol_infinity")
 
     def __init__(self,
                  tol_det: float = 1e-12,       # singularity threshold for linear maps
                  tol_tan: float = 1e-8,        # tangency residual acceptance
-                 tol_class: float = 1e-10,     # conic classification thresholds
                  tol_par: float = 1e-9,        # parallelism of unit edge directions
-                 tol_pair: float = 1e-12,      # vanishing pairwise weight sums
                  tol_interval: float = 1e-9,   # open-interval margin on locus parameters
                  tol_on: float = 1e-9,         # distance-to-locus acceptance
-                 tol_center: float = 1e-8,     # center consistency in the dual pencil
                  tol_infinity: float = 1e-10):  # relative |w| below which a point is at infinity
-        values = (tol_det, tol_tan, tol_class, tol_par, tol_pair, tol_interval,
-                  tol_on, tol_center, tol_infinity)
+        values = (tol_det, tol_tan, tol_par, tol_interval, tol_on, tol_infinity)
         for name, value in zip(self.__slots__, values):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"tolerance {name} must be finite and positive, got {value!r}")
@@ -156,9 +153,9 @@ class HomPoint(_Value):
 
     The contact points the package returns are dehomogenized, with w
     exactly 1 or 0, so ``is_infinite`` and ``to_point`` read w = 0 exactly:
-    a relative test on |w| would put a finite point beyond about
-    1/tol_infinity at infinity.  ``dehomogenized`` is where a raw pole
-    meets the relative test, |w| <= tol_infinity |(x, y, w)|.
+    a relative test on |w| would put a finite point beyond about 1e10 at
+    infinity.  ``dehomogenized`` is where a raw pole meets the relative
+    test, |w| <= 1e-10 |(x, y, w)|.
     """
     __slots__ = ("x", "y", "w")
 
@@ -177,10 +174,10 @@ class HomPoint(_Value):
     def is_infinite(self) -> bool:
         return self.w == 0
 
-    def dehomogenized(self, tol: Tolerances = DEFAULT_TOL) -> "HomPoint":
+    def dehomogenized(self) -> "HomPoint":
         """Scale to w = 1, or to a unit direction with w = 0 when |w| is at
-        most tol_infinity relative to the norm."""
-        if abs(self.w) <= tol.tol_infinity * self.norm():
+        most 1e-10 relative to the norm."""
+        if abs(self.w) <= 1e-10 * self.norm():
             return HomPoint(*_unit_direction(self.x, self.y), 0.0)
         return HomPoint(self.x / self.w, self.y / self.w, 1.0)
 
@@ -407,16 +404,16 @@ class Conic(_Value):
     def coefficients(self) -> tuple[float, float, float, float, float, float]:
         return (self.a, self.b, self.c, self.d, self.e, self.f)
 
-    def center(self, tol: Tolerances = DEFAULT_TOL) -> Point:
+    def center(self) -> Point:
         """Solve grad = 0; raises SingularMap for central-less conics.
 
         Singularity is judged relative to the quadratic block's own size,
-        |ac - b^2/4| <= tol_det (|ac| + b^2/4), as for AffineMap: the
+        |ac - b^2/4| <= 1e-12 (|ac| + b^2/4), as for AffineMap: the
         canonical scale shrinks that block for conics far from the origin,
         where the constant term dominates, without making them centerless.
         """
         det = self.a * self.c - self.b * self.b / 4
-        if abs(det) <= tol.tol_det * (abs(self.a * self.c) + self.b * self.b / 4):
+        if abs(det) <= 1e-12 * (abs(self.a * self.c) + self.b * self.b / 4):
             raise SingularMap("conic has no unique center")
         x = (-self.d / 2 * self.c + self.e / 2 * self.b / 2) / det
         y = (-self.e / 2 * self.a + self.d / 2 * self.b / 2) / det
@@ -453,31 +450,32 @@ def _adjugate6(c: Conic) -> tuple[float, float, float, float, float, float]:
             u * v - q * w, q * v - u * r, q * u - p * v)
 
 
-def classify_conic(c: Conic, tol: Tolerances = DEFAULT_TOL) -> ConicClass:
+def classify_conic(c: Conic) -> ConicClass:
     """Classify by the sign of b^2 - 4ac and rank tests (canonical scale).
 
     Central conics are ranked through det(M) = det33 * F(center), which
     stays accurate for eccentric conics far from the origin where the raw
-    3x3 determinant cancels.  Each quantity is judged against tol_class
-    times the size of its own terms: ac - b^2/4 against |ac| + b^2/4, as
+    3x3 determinant cancels.  Each quantity is judged against 1e-10 times
+    the size of its own terms: ac - b^2/4 against |ac| + b^2/4, as
     ``Conic.center`` does, and F(center) against the sum of its terms'
     magnitudes.  Far from the origin F(center) is the small difference of
     terms some (offset/axis)^2 times its size, axis the smaller semi-axis,
-    so the verdict holds while offset/axis stays below about
-    tol_class^-1/2 = 1e5; beyond that a real conic reads as degenerate.
+    so the verdict holds while offset/axis stays below about 1e5, the
+    inverse square root of 1e-10; beyond that a real conic reads as
+    degenerate.
     """
     det33 = c.a * c.c - c.b * c.b / 4
-    if abs(det33) <= tol.tol_class * (abs(c.a * c.c) + c.b * c.b / 4):
+    if abs(det33) <= 1e-10 * (abs(c.a * c.c) + c.b * c.b / 4):
         a00, _, _, a01, a02, _ = _adjugate6(c)
         terms = (c.a * a00, c.b / 2 * a01, c.d / 2 * a02)
-        if abs(sum(terms)) <= tol.tol_class * sum(map(abs, terms)):
+        if abs(sum(terms)) <= 1e-10 * sum(map(abs, terms)):
             return ConicClass.DEGENERATE_LINES
         return ConicClass.PARABOLA
-    ctr = c.center(tol)
+    ctr = c.center()
     x, y = ctr.x, ctr.y
     terms = (c.a * x * x, c.b * x * y, c.c * y * y, c.d * x, c.e * y, c.f)
     value = sum(terms)
-    if abs(value) <= tol.tol_class * sum(map(abs, terms)):
+    if abs(value) <= 1e-10 * sum(map(abs, terms)):
         return ConicClass.DEGENERATE_LINES
     if det33 > 0:
         if value * (c.a + c.c) < 0:
@@ -550,16 +548,16 @@ def conic_from_ellipse(e: EllipseGeo) -> Conic:
                           e.center.x, e.center.y)
 
 
-def ellipse_from_conic(c: Conic, tol: Tolerances = DEFAULT_TOL) -> EllipseGeo:
+def ellipse_from_conic(c: Conic) -> EllipseGeo:
     """Metric data of a real nondegenerate ellipse; inverse of
     conic_from_ellipse up to the canonical scale.
 
     Reads the center and the center value back from the six coefficients;
     the axes, angle and foci then come from ``_metric_ellipse``.
     """
-    if classify_conic(c, tol) is not ConicClass.REAL_ELLIPSE:
+    if classify_conic(c) is not ConicClass.REAL_ELLIPSE:
         raise NotAnEllipse("conic does not classify as a real ellipse")
-    center = c.center(tol)
+    center = c.center()
     # the canonical sign rule makes the block positive definite and the
     # center value negative for real ellipses
     p, q, r = c.a, c.b / 2, c.c
@@ -653,17 +651,16 @@ def tangency_residual(c: Conic, l: Line) -> float:
     return _residual_and_pole(c, l)[0]
 
 
-def tangency_point(c: Conic, l: Line, tol: Tolerances = DEFAULT_TOL) -> HomPoint:
+def tangency_point(c: Conic, l: Line) -> HomPoint:
     """Contact point of a tangent line, as the pole of l; w = 0 at infinity.
-    Raises NotTangent when the tangency residual reaches ``tol.tol_tan``."""
+    Raises NotTangent when the tangency residual reaches 1e-8."""
     residual, p = _residual_and_pole(c, l)
-    if residual >= tol.tol_tan:
+    if residual >= 1e-8:
         raise NotTangent("line is not tangent to the conic")
-    return HomPoint(*p).dehomogenized(tol)
+    return HomPoint(*p).dehomogenized()
 
 
-def ellipse_from_foci_point(f1: Point, f2: Point, p: Point,
-                            tol: Tolerances = DEFAULT_TOL) -> EllipseGeo:
+def ellipse_from_foci_point(f1: Point, f2: Point, p: Point) -> EllipseGeo:
     """Ellipse with the given foci passing through p.
 
     The point determines the distance sum 2a; p on the closed focal segment
@@ -678,7 +675,7 @@ def ellipse_from_foci_point(f1: Point, f2: Point, p: Point,
     if a - cdist <= 1e-12 * a:
         raise DegeneratePoint("point lies on the closed focal segment")
     b = math.sqrt(a * a - cdist * cdist)
-    if cdist < tol.tol_det * a:
+    if cdist < 1e-12 * a:
         angle = 0.0
     else:
         angle = _norm_angle(math.atan2(f2.y - f1.y, f2.x - f1.x))

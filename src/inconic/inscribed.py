@@ -157,10 +157,6 @@ class ChordX(_Value):
         return Point(self.p_start.x + u * (self.p_end.x - self.p_start.x),
                      self.p_start.y + u * (self.p_end.y - self.p_start.y))
 
-    def length(self) -> float:
-        return math.hypot(self.p_end.x - self.p_start.x,
-                          self.p_end.y - self.p_start.y)
-
 
 class LocusLine(_Value):
     """Center line y = slope*x + intercept over the open interval of h."""

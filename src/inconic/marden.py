@@ -27,11 +27,9 @@ from .errors import (
     NumericalFailure,
 )
 from .geometry import (
-    DEFAULT_TOL,
     EllipseGeo,
     Line,
     Point,
-    Tolerances,
     _Value,
     ellipse_from_foci_point,
     tangency_residual,
@@ -91,13 +89,12 @@ def marden_validity(w: WeightTriple) -> bool:
     return w.product > 0
 
 
-def tangent_points(tri: TriangleZ, w: WeightTriple,
-                   tol: Tolerances = DEFAULT_TOL) -> tuple[complex, complex, complex]:
+def tangent_points(tri: TriangleZ, w: WeightTriple) -> tuple[complex, complex, complex]:
     """Contact points on the side lines, in order (side z2z3, z1z3, z1z2).
 
-    Raises AsymptoteContact when some pairwise weight sum vanishes: the
-    contact point escapes to infinity and the conic is tangent to that side
-    line along an asymptote.
+    Raises AsymptoteContact when some pairwise weight sum vanishes,
+    |ti + tj| <= 1e-12 (|ti| + |tj|): the contact point escapes to infinity
+    and the conic is tangent to that side line along an asymptote.
     """
     z1, z2, z3 = complex(tri.z1), complex(tri.z2), complex(tri.z3)
     t1, t2, t3 = (float(v) for v in w.as_tuple())
@@ -105,26 +102,25 @@ def tangent_points(tri: TriangleZ, w: WeightTriple,
     out = []
     for ti, zj, tj, zi in pairs:
         denom = ti + tj
-        if abs(denom) <= tol.tol_pair * (abs(ti) + abs(tj)) or denom == 0:
+        if abs(denom) <= 1e-12 * (abs(ti) + abs(tj)) or denom == 0:
             raise AsymptoteContact("pairwise weight sum vanishes; contact at infinity")
         out.append((ti * zj + tj * zi) / denom)
     return tuple(out)
 
 
-def marden_ellipse(tri: TriangleZ, w: WeightTriple,
-                   tol: Tolerances = DEFAULT_TOL) -> EllipseGeo:
+def marden_ellipse(tri: TriangleZ, w: WeightTriple) -> EllipseGeo:
     """Ellipse with the partial-fraction zeros as foci, tangent to all three
-    side lines of the triangle."""
+    side lines of the triangle, each to a residual below 1e-8."""
     if not marden_validity(w):
         raise NotAnEllipse("weight product is not positive")
     f1, f2 = foci_from_weights(tri, w)
-    contacts = tangent_points(tri, w, tol)
+    contacts = tangent_points(tri, w)
     ellipse = ellipse_from_foci_point(
         Point(f1.real, f1.imag), Point(f2.real, f2.imag),
-        Point(contacts[0].real, contacts[0].imag), tol)
+        Point(contacts[0].real, contacts[0].imag))
     conic = conic_from_ellipse(ellipse)
     for line in tri.side_lines():
-        if tangency_residual(conic, line) >= tol.tol_tan:
+        if tangency_residual(conic, line) >= 1e-8:
             raise NumericalFailure("constructed ellipse misses a side-line tangency")
     return ellipse
 
@@ -152,8 +148,7 @@ def _tri_area(a: Point, b: Point, c: Point) -> float:
     return abs((b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)) / 2
 
 
-def triangle_tangent_ellipse_area(a: Point, b: Point, c: Point, p: Point,
-                                  tol: Tolerances = DEFAULT_TOL) -> float:
+def triangle_tangent_ellipse_area(a: Point, b: Point, c: Point, p: Point) -> float:
     """Area of the conic tangent to the three side lines centered at p.
 
     p may be inside or outside the triangle but not on a side line; a

@@ -28,11 +28,9 @@ from .errors import (
     DegenerateMember,
 )
 from .geometry import (
-    DEFAULT_TOL,
     Conic,
     Line,
     Point,
-    Tolerances,
     _canonical_six,
     _rebuild,
     _Value,
@@ -180,14 +178,15 @@ def _point_conic(d00, d01, d11, d02, d12, d22, norm: float) -> Conic:
                  2 * a02, 2 * (d02 * d01 - d00 * d12), d00 * d11 - d01 * d01)
 
 
-def member_with_center(p: TangentPencil, center: Point,
-                       tol: Tolerances = DEFAULT_TOL) -> Conic:
+def member_with_center(p: TangentPencil, center: Point) -> Conic:
     """The tangent conic with the prescribed center.
 
     The center of the member at parameter lam solves two linear equations
     D13(lam) = h*D33(lam) and D23(lam) = k*D33(lam); the better-conditioned
     one is solved projectively and the other must be consistent, which
-    happens exactly when the center lies on the pencil's line of centers.
+    happens exactly when the center lies on the pencil's line of centers:
+    its residual must stay below 1e-8 times the member's Frobenius norm.
+    Center equations or a member of norm at most 1e-12 are degenerate.
     """
     (a00, a01, a02), (_, a11, a12), (_, _, a22) = p.d_a.m
     (b00, b01, b02), (_, b11, b12), (_, _, b22) = p.d_b.m
@@ -201,32 +200,32 @@ def member_with_center(p: TangentPencil, center: Point,
         c0, c1, o0, o1 = o0, o1, c0, c1
     num, den = -c0, c1
     scale = math.hypot(num, den)
-    if scale <= tol.tol_det:
+    if scale <= 1e-12:
         raise DegenerateMember("center equations are degenerate for this pencil")
     num, den = num / scale, den / scale
     d00, d01, d11 = den * a00 + num * b00, den * a01 + num * b01, den * a11 + num * b11
     d02, d12, d22 = den * a02 + num * b02, den * a12 + num * b12, den * a22 + num * b22
     dn = math.sqrt(d00 * d00 + d11 * d11 + d22 * d22 + 2 * (d01 * d01 + d02 * d02 + d12 * d12))
-    if dn <= tol.tol_det:
+    if dn <= 1e-12:
         raise DegenerateMember("selected pencil member vanishes")
     residual = abs(o0 * den + o1 * num)
-    if residual >= tol.tol_center * dn:
+    if residual >= 1e-8 * dn:
         raise CenterOffLocus(
             "center is not on the pencil's line of centers "
             f"(residual {residual:.3e})")
     conic = _point_conic(d00, d01, d11, d02, d12, d22, dn)
-    got = conic.center(tol)
+    got = conic.center()
     if math.hypot(got.x - h, got.y - k) > 1e-6 * max(1.0, abs(h), abs(k)):
         raise DegenerateMember("member center drifted from the request")
     return conic
 
 
-def centers_line(p: TangentPencil, tol: Tolerances = DEFAULT_TOL) -> Line:
+def centers_line(p: TangentPencil) -> Line:
     """Line carrying the centers of every member of the pencil.
 
     Built from the homogeneous centers of two distinct nondegenerate
-    members; for a parallelogram every member is concentric and no line is
-    determined.
+    members (a homogeneous center of norm at most 1e-12 is skipped); for a
+    parallelogram every member is concentric and no line is determined.
     """
     samples = [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (-1.0, 1.0),
                (2.0, 1.0), (1.0, 2.0), (-1.0, 2.0), (3.0, 1.0)]
@@ -235,14 +234,14 @@ def centers_line(p: TangentPencil, tol: Tolerances = DEFAULT_TOL) -> Line:
         m = p.member_matrix(num, den)
         col = (m[0][2], m[1][2], m[2][2])
         n = math.hypot(*col)
-        if n <= tol.tol_det:
+        if n <= 1e-12:
             continue
         centers.append((col[0] / n, col[1] / n, col[2] / n))
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
             cross = _cross3(centers[i], centers[j])
             if math.hypot(*cross) > 1e-9:
-                if math.hypot(cross[0], cross[1]) <= tol.tol_det:
+                if math.hypot(cross[0], cross[1]) <= 1e-12:
                     continue  # the "line at infinity" is not an affine line
                 return Line(cross[0], cross[1], cross[2])
     raise DegenerateConfiguration(

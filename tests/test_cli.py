@@ -200,6 +200,34 @@ class TestVerify:
         assert all(r < 1e-8 for r in doc["tangency_residuals"])
         assert doc["marden_vs_pencil_distance"] < 1e-8
 
+    @pytest.mark.parametrize("args", [("--u", "0.97"),
+                                      ("--center", "2.3,1.4", "--allow-hyperbola")],
+                             ids=["u", "hyperbola"])
+    def test_loose_construction_tolerance_leaves_the_oracles_alone(
+            self, capsys, monkeypatch, args):
+        # --tol tunes the construction and verify's residual rule; the
+        # pencil oracle and Conic.center keep their fixed thresholds
+        monkeypatch.delenv("INCONIC_TOL", raising=False)
+        want = run_cli(capsys, "verify", "--vertices", QUAD, *args)
+        got = run_cli(capsys, "verify", "--vertices", QUAD, *args, "--tol", "tol_det=0.3")
+        assert got[0] == 0, got[2]
+        assert got == want
+
+    @pytest.mark.parametrize("name, failure, reported", [
+        ("conic_distance", "marden_vs_pencil_distance", 1),
+        ("tangency_residual", "tangency_residuals", [1, 1, 1, 1]),
+    ])
+    def test_failed_check_still_prints_the_report(self, capsys, monkeypatch,
+                                                  name, failure, reported):
+        monkeypatch.setattr(inconic.cli, name, lambda *args: 1.0)
+        code, out, err = run_cli(capsys, "verify", "--vertices", QUAD, "--u", "0.37")
+        assert code == 5
+        doc = json.loads(out)
+        assert sorted(doc) == ["center_error", "classification",
+                               "marden_vs_pencil_distance", "tangency_residuals"]
+        assert doc[failure] == reported
+        assert err == f"verification failed: {failure}\n"
+
 
 class TestSample:
     def test_single_sample_is_midpoint(self, capsys):
@@ -497,6 +525,10 @@ EXIT_CODE_CONTRACT = [
                  "bad --tol value: ", id="1-bad-tol"),
     pytest.param(["inspect", "--vertices", QUAD], "nope=1", 1,
                  "bad INCONIC_TOL value: ", id="1-bad-env-tol"),
+    pytest.param(["inspect", "--vertices", QUAD, "--tol", "tol_center=1e-8"], None, 1,
+                 "bad --tol value: ", id="1-removed-tol-name"),
+    pytest.param(["sample", "--vertices", QUAD, "--n", "abc"], None, 1,
+                 "usage: inconic sample", id="1-sample-n-not-a-number"),
     pytest.param(["inspect", "--vertices", NONCONVEX], None, 2,
                  "invalid quadrilateral: ", id="2-nonconvex"),
     pytest.param(["inspect", "--vertices", ""], None, 2, "invalid input: ", id="2-empty-vertices"),

@@ -726,6 +726,37 @@ def test_pencil_is_not_a_construction_route():
     assert "member_with_center" not in vars(inconic.inscribed)
 
 
+def _public_callables() -> dict:
+    """The functions in ``inconic.__all__``, the public methods of its
+    classes as ``Class.method``, and ``triangle_tangent_ellipse_area``."""
+    found = {"triangle_tangent_ellipse_area": ic.marden.triangle_tangent_ellipse_area}
+    for name in ic.__all__:
+        obj = getattr(ic, name)
+        if inspect.isfunction(obj):
+            found[name] = obj
+        elif inspect.isclass(obj):
+            for attr in vars(obj):
+                method = getattr(obj, attr)
+                if not attr.startswith("_") and inspect.isroutine(method):
+                    found[f"{name}.{attr}"] = method
+    return found
+
+
+def test_only_the_construction_takes_tolerances():
+    # the settable tolerances are the construction's own: the oracles and
+    # the conic tools keep fixed thresholds, so ``--tol`` cannot loosen the
+    # references that ``verify`` checks the construction against
+    assert ic.Tolerances.__slots__ == ("tol_det", "tol_tan", "tol_par",
+                                       "tol_interval", "tol_on", "tol_infinity")
+    takes_tol = {name for name, f in _public_callables().items()
+                 if "tol" in inspect.signature(f).parameters}
+    assert takes_tol == {
+        "validate_quad", "normalize", "locus_line", "foci_quadratic",
+        "weights_from_center", "chord_x", "inscribe_at_center",
+        "inscribe_at_param", "tangent_conic_at_center", "max_area",
+        "inscribed_area"}
+
+
 def test_marden_conic_helper_matches_public_result():
     q = quad_s3t2()
     nf = ic.normalize(q)

@@ -302,7 +302,7 @@ def _np_point_conic(dual_m):
     return conic_from_matrix(_np_adjugate(dual_m))
 
 
-def _np_member_with_center(a, b, h, k, tol=ic.DEFAULT_TOL):
+def _np_member_with_center(a, b, h, k):
     eqs = [(a[row, 2] - coord * a[2, 2], b[row, 2] - coord * b[2, 2])
            for row, coord in ((0, h), (1, k))]
     idx = 0 if math.hypot(*eqs[0]) >= math.hypot(*eqs[1]) else 1
@@ -311,7 +311,7 @@ def _np_member_with_center(a, b, h, k, tol=ic.DEFAULT_TOL):
     num, den = num / scale, den / scale
     d = den * a + num * b
     o0, o1 = eqs[1 - idx]
-    if abs(o0 * den + o1 * num) >= tol.tol_center * np.linalg.norm(d):
+    if abs(o0 * den + o1 * num) >= 1e-8 * np.linalg.norm(d):
         raise errors.CenterOffLocus("center is not on the pencil's line of centers")
     return _np_point_conic(d)
 

@@ -3,16 +3,20 @@
 The centers of ellipses inscribed in a convex quadrilateral fill the open
 segment between the midpoints of its diagonals.  For every such center the
 inscribed ellipse is unique and is built here in closed form: after an
-affine change of frame putting the vertices at (0,0), (1,0), (s,t), (0,1),
-the two triangles cut off by the side lines carry tangent ellipses whose
-focal quadratics coincide, z^2 - 2(h + i*L(h)) z + i(s-2h)/(s-1), and both
-touch the line x = 0 at the same point — so they are one ellipse, tangent
-to all four sides.  The construction divides by s - 1 and h but never by
-t - 1, so it also serves quadrilaterals with one parallel side pair (t = 1,
-where only the first triangle exists).  Centers on the chord beyond the
-diagonal midpoints yield tangent hyperbolas from the same quadratic: its
-roots are then the hyperbola's foci, and the contact point on x = 0 fixes
-the difference of the focal distances instead of their sum.
+affine change of frame putting the vertices p0..p3 at (0,0), (1,0), (s,t),
+(0,1), the conics tangent to the four side lines are the dual conics
+D(h) = (2h-1)(p0 p2^T + p2 p0^T) + (s-2h)(p1 p3^T + p3 p1^T), one for each
+center (h, L(h)) on the center line.  Divided by 2(s-1) its entries are
+short polynomials in (s, t, h), so one pass reads off the conic, its
+center and its four contacts (the poles of the sides), with no root
+solved.  The paper reaches the same conic through the focal quadratic
+z^2 - 2(h + i*L(h)) z + i(s-2h)/(s-1) that the two triangles cut off by
+the side lines share; ``foci_quadratic`` keeps that form as a check, and
+tests/test_certificate.py proves the identities between the two.  The
+construction divides by s - 1 but never by t - 1, so it also serves
+quadrilaterals with one parallel side pair (t = 1).  Centers on the chord
+beyond the diagonal midpoints yield the tangent hyperbolas from the same
+D(h): the determinant of its inverse form changes sign at the midpoints.
 """
 from __future__ import annotations
 
@@ -41,7 +45,6 @@ from .geometry import (
     QuadKind,
     Tolerances,
     _Value,
-    _axis_form,
     _central_conic,
     _metric_ellipse,
     _pull_back_form,
@@ -350,102 +353,76 @@ def _on_line_bound(p: Point, a: Point, b: Point, tol: Tolerances) -> float:
                4 * _ULP * magnitude)
 
 
-class _FocalConic(_Value):
-    """One focal pass at a normalized abscissa: what the construction knows
-    in the normal frame, and the checked objects built from it once.
+def _dual_entries(s, t, h):
+    """(c, k, det) of the tangent dual conic at abscissa h, plain arithmetic.
 
-    ``a`` and ``b2`` are the half focal-distance sum (ellipse) or
-    difference (hyperbola) and a^2 - c^2, c the half focal separation.
-    ``form`` is the original-frame Q = L^T Q_n L of
-    (x - center)^T Q (x - center) = 1, ``center`` = T^-1(m) with m the
-    normal-frame center.  ``contacts`` are indexed by original side, as
-    ``ConvexQuad.side_lines``.
+    D(h) / (2(s - 1)) = [[0, c, h], [c, 0, k], [h, k, 1]] with
+    c = (s - 2h)/(2(s - 1)) and k = L(h), and det is the determinant of
+    P_n = [[h^2, hk - c], [hk - c, k^2]], taken as the product
+    (2h - 1)(s - 2h)(2h(t - 1) + s)/(4(s - 1)^2).  Exact and symbolic
+    number types pass through unchanged.
     """
-    __slots__ = ("a", "b2", "classification", "form", "center", "conic", "contacts",
-                 "weights")
-
-    def __init__(self, a, b2, classification, form, center, conic, contacts, weights):
-        _set(self, "a", a)
-        _set(self, "b2", b2)
-        _set(self, "classification", classification)
-        _set(self, "form", form)
-        _set(self, "center", center)
-        _set(self, "conic", conic)
-        _set(self, "contacts", contacts)
-        _set(self, "weights", weights)
+    e3 = 2 * (s - 1)
+    return ((s - 2 * h) / e3, (2 * h * (t - 1) + s - t) / e3,
+            (2 * h - 1) * (s - 2 * h) * (2 * h * (t - 1) + s) / (e3 * e3))
 
 
-def _marden_conic(nf: NormalForm, h: float, tol: Tolerances) -> _FocalConic:
-    """Tangent conic at normalized abscissa h, from the focal construction,
-    in one plain-float pass through the normal frame.
+def _tangent_conic(nf: NormalForm, h: float, tol: Tolerances):
+    """Tangent conic at normalized abscissa h, in one plain-float pass over
+    the dual conic D(h) of the normal frame.
 
-    Foci f1, f2 come from ``foci_quadratic`` and the contact point
-    (0, (s-2h)/(2h(s-1))) on x = 0 fixes 2a: the sum of its focal distances
-    between the diagonal midpoints (an ellipse, lo < h < hi), their
-    difference beyond them (a hyperbola).  The class is read off h, not off
-    the coefficients.  With c = |f2-f1|/2 and u, v the unit focal direction
-    and its normal, Q_n = u u^T / a^2 + v v^T / b2; a = c raises
-    DegeneratePoint.  b2 = a^2 - c^2 is taken as Re f1 Re f2, the product
-    of the foci's signed distances to the tangent x = 0 (positive for an
-    ellipse, negative for a hyperbola), which does not cancel as a - c does
-    when the normal-frame conic is thin.  Q_n goes out through T's 2x2
-    linear part L only, as Q = L^T Q_n L about the center
-    T^-1((f1+f2)/2); pushing out the full 3x3 matrix instead rounds the
-    center worse.  Q must be positive definite for an ellipse (else
-    NotAnEllipse) and indefinite for a hyperbola (else NumericalFailure).
+    Returns (conic, classification, contacts, form, center, det, weights):
+    ``form`` is the original-frame Q of (x - center)^T Q (x - center) = 1,
+    ``center`` = T^-1(h, L(h)), ``det`` = det P_n and ``contacts`` are
+    indexed as ``ConvexQuad.side_lines``.
 
-    The contacts are checked and found in the normal frame.  The central
-    conic about m = (f1+f2)/2 with Q_n^-1 = a^2 u u^T + b2 v v^T has the
-    adjugate A = [[m m^T - Q_n^-1, m], [m^T, 1]] (up to scale; no
-    determinant is divided by, and hyperbolas need no other form).  Each
-    unit-normalized side l of y = 0, (1,0)-(s,t), (s,t)-(0,1), x = 0 must
-    have |l^T A l| / ||A||_F below tol_tan (else NotTangent); its contact
-    is the pole A l, at infinity when its w is, relative to its norm, at
-    most tol_infinity.  A contact goes out through T^-1 = (B, p0) and is
-    stored at the original side ``labeling`` maps that side to, so
-    ``contacts`` is indexed as ``ConvexQuad.side_lines``.
+    ``_dual_entries`` gives D(h) = [[m m^T - P_n, m], [m^T, 1]] up to scale,
+    m = (h, k), so P_n = Q_n^-1 = [[h^2, hk - c], [hk - c, k^2]] and
+    Q_n = adj(P_n) / det goes out through T's 2x2 linear part L only, as
+    Q = L^T Q_n L; pushing out the full 3x3 matrix instead rounds the
+    center worse.  det P_n is positive between the diagonal midpoints (an
+    ellipse, lo < h < hi) and negative beyond them (a hyperbola); the class
+    is read off h, not off the coefficients.  |det P_n| at most
+    1e-12 max(1, h^2 + k^2)^2 raises DegeneratePoint: the conic has
+    collapsed onto its focal line.  Q must be positive definite for an
+    ellipse (else NotAnEllipse) and indefinite for a hyperbola (else
+    NumericalFailure).  ``foci_quadratic`` runs for its s = 1 guard and its
+    check of the weights against the focal form; its roots are not solved.
+
+    Each unit-normalized side l of y = 0, (1,0)-(s,t), (s,t)-(0,1), x = 0
+    must have |l^T D l| / ||D||_F below tol_tan (else NotTangent); its
+    contact is the pole D l, at infinity when its w is, relative to its
+    norm, at most tol_infinity.  A contact goes out through T^-1 = (B, p0)
+    and is stored at the original side ``labeling`` maps that side to.
     """
     s, t = nf.s, nf.t
     weights = _weights(nf, h)
-    f1, f2 = stable_quadratic_roots(*foci_quadratic(nf, h, tol, weights))
-    contact = complex(0.0, (s - 2 * h) / (2 * h * (s - 1)))
-    d1, d2 = abs(contact - f1), abs(contact - f2)
+    foci_quadratic(nf, h, tol, weights)
+    c, k, det = _dual_entries(s, t, h)
+    p11, p12, p22 = h * h, h * k - c, k * k
+    if abs(det) <= 1e-12 * max(1.0, p11 + p22) ** 2:
+        raise DegeneratePoint("contact point lies on the focal line")
+    q11, q12, q22 = form = _pull_back_form(p22 / det, -p12 / det, p11 / det, nf.T)
+    qdet = q11 * q22 - q12 * q12
     lo, hi = nf.interval()
     is_ellipse = lo < h < hi
-    a = (d1 + d2) / 2 if is_ellipse else abs(d1 - d2) / 2
-    half = (f2 - f1) / 2
-    c = abs(half)
-    if abs(a - c) <= 1e-12 * max(1.0, a):
-        raise DegeneratePoint("contact point lies on the focal line")
-    ux, uy = (half.real / c, half.imag / c) if c else (1.0, 0.0)
-    m = (f1 + f2) / 2
-    mx, my = m.real, m.imag
-    b2 = f1.real * f2.real
-    q11, q12, q22 = form = _pull_back_form(
-        *_axis_form(ux, uy, 1 / (a * a), 1 / b2), nf.T)
-    det = q11 * q22 - q12 * q12
-    if is_ellipse and not (q11 > 0 and det > 0):
+    if is_ellipse and not (q11 > 0 and qdet > 0):
         raise NotAnEllipse("pushed-out form is not positive definite")
-    if not is_ellipse and not det < 0:
+    if not is_ellipse and not qdet < 0:
         raise NumericalFailure("pushed-out hyperbola form is not indefinite")
     b11, b12, b21, b22, x0, y0 = nf.inverse
-    cx, cy = b11 * mx + b12 * my + x0, b21 * mx + b22 * my + y0
+    cx, cy = b11 * h + b12 * k + x0, b21 * h + b22 * k + y0
     conic = _central_conic(q11, q12, q22, cx, cy)
 
-    # the contacts, from the adjugate A
-    p, r = a * a, b2
-    a00 = mx * mx - (ux * ux * p + uy * uy * r)
-    a01 = mx * my - ux * uy * (p - r)
-    a11 = my * my - (uy * uy * p + ux * ux * r)
-    norm = math.sqrt(a00 * a00 + a11 * a11 + 2 * (a01 * a01 + mx * mx + my * my) + 1)
+    norm = math.sqrt(2 * (c * c + h * h + k * k) + 1)
     n1, n2 = math.hypot(s - 1, t), math.hypot(t - 1, s)
     sides = ((0.0, 1.0, 0.0), (t / n1, (1 - s) / n1, -t / n1),
              ((1 - t) / n2, s / n2, -s / n2), (1.0, 0.0, 0.0))
     contacts = [None] * 4
     for side, (la, lb, lc) in zip(nf.labeling, sides):
-        px = a00 * la + a01 * lb + mx * lc
-        py = a01 * la + a11 * lb + my * lc
-        pw = mx * la + my * lb + lc
+        px = c * lb + h * lc
+        py = c * la + k * lc
+        pw = h * la + k * lb + lc
         if abs(la * px + lb * py + lc * pw) >= tol.tol_tan * norm:
             raise NotTangent("side line is not tangent to the conic")
         if abs(pw) <= tol.tol_infinity * math.sqrt(px * px + py * py + pw * pw):
@@ -454,20 +431,19 @@ def _marden_conic(nf: NormalForm, h: float, tol: Tolerances) -> _FocalConic:
         else:
             x, y = px / pw, py / pw
             contacts[side] = HomPoint(b11 * x + b12 * y + x0, b21 * x + b22 * y + y0, 1.0)
-    return _FocalConic(a, b2, ConicClass.REAL_ELLIPSE if is_ellipse else ConicClass.HYPERBOLA,
-                       form, (cx, cy), conic, tuple(contacts), weights)
+    kind = ConicClass.REAL_ELLIPSE if is_ellipse else ConicClass.HYPERBOLA
+    return conic, kind, tuple(contacts), form, (cx, cy), det, weights
 
 
 def _construct(nf: NormalForm, h: float, tol: Tolerances) -> InscribedResult:
     """The inscribed ellipse at normalized abscissa h: the ellipse, its
-    conic, contacts and weights all come from one focal pass, centered
+    conic, contacts and weights all come from one pass over D(h), centered
     where that pass maps the normal-frame center."""
     _param_in_interval(nf, h, tol)
-    focal = _marden_conic(nf, h, tol)
-    # det Q = det Q_n det(L)^2 with det Q_n = 1 / (a^2 b2), as a product
-    det = nf.T.det ** 2 / (focal.a * focal.a * focal.b2)
-    ellipse = _metric_ellipse(*focal.form, det, 1.0, Point(*focal.center))
-    return InscribedResult(ellipse, focal.conic, focal.contacts, *focal.weights)
+    conic, _, contacts, form, center, det, weights = _tangent_conic(nf, h, tol)
+    # det Q = det(L)^2 det Q_n = det(L)^2 / det P_n, as a quotient
+    ellipse = _metric_ellipse(*form, nf.T.det ** 2 / det, 1.0, Point(*center))
+    return InscribedResult(ellipse, conic, contacts, *weights)
 
 
 def _locus_abscissas(q: ConvexQuad, tol: Tolerances) -> tuple[NormalForm, float, float]:
@@ -499,8 +475,8 @@ def inscribe_at_center(q: ConvexQuad, center: Point,
     The center must lie strictly inside the open locus segment: within
     tol_on (1 + length) of its line, or 4 ulps of the largest coordinate
     of it and the midpoints where that is more, and strictly between the
-    diagonal midpoints, tested on its normalized abscissa.  The focal
-    construction runs in the normalized frame and is mapped back; the
+    diagonal midpoints, tested on its normalized abscissa.  The conic is
+    built from D(h) in the normalized frame and mapped back; the
     carried center must land within 1e-6 (1 + length) of the request.
     Parallelograms are rejected: four common tangent lines of two distinct
     concentric ellipses would form a parallelogram, so uniqueness fails
@@ -582,8 +558,8 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
     between the diagonal midpoints give the inscribed ellipse; centers on
     the chord beyond them give a hyperbola tangent to all four side lines,
     where a tangency "at infinity" (contact point with w = 0) means the
-    side line is an asymptote.  Both come from the focal construction of
-    ``inscribe_at_center`` (``_marden_conic``), at the center's abscissa in
+    side line is an asymptote.  Both come from the pass over D(h) of
+    ``inscribe_at_center`` (``_tangent_conic``), at the center's abscissa in
     the normal form, and so does the classification: the construction
     knows which side of the diagonal midpoints the center lies on, so the
     coefficients are not classified again.  The midpoints themselves are
@@ -606,5 +582,4 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
         if abs(u - ((m.x - a.x) * dx + (m.y - a.y) * dy) / den) <= tol.tol_interval:
             raise DegenerateAtMidpoint("center coincides with a diagonal midpoint")
     nf = normalize(q, tol)
-    focal = _marden_conic(nf, nf.T.apply_xy(center.x, center.y)[0], tol)
-    return focal.conic, focal.classification, focal.contacts
+    return _tangent_conic(nf, nf.T.apply_xy(center.x, center.y)[0], tol)[:3]

@@ -9,8 +9,8 @@ pairs).  Sweeping the pencil parameter sweeps every tangent conic; the
 homogeneous center of a member is the third column of its dual matrix, so
 prescribing a center is a linear condition on the parameter.
 
-This is a construction independent of the focal approach and doubles as its
-brute-force oracle.  Matrices are 3x3 tuples of row tuples of floats.  The
+It runs on the side lines in the original frame, apart from the
+normal-frame construction, and doubles as its brute-force oracle.  Matrices are 3x3 tuples of row tuples of floats.  The
 arithmetic is written out in scalars: ``pencil_from_lines`` forms each of
 the six cross products l_i x l_j of the line vectors, and its length, once
 and reads the coincidence tests, the four concurrency determinants

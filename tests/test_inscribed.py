@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import inconic as ic
 from inconic import errors
-from inconic.inscribed import _marden_conic, _on_line_bound, _project_to_segment
+from inconic.inscribed import _on_line_bound, _project_to_segment, _tangent_conic
 
 from conftest import (
     contains_point,
@@ -760,7 +760,7 @@ def test_only_the_construction_takes_tolerances():
 def test_marden_conic_helper_matches_public_result():
     q = quad_s3t2()
     nf = ic.normalize(q)
-    conic = _marden_conic(nf, 1.0, ic.DEFAULT_TOL).conic
+    conic = _tangent_conic(nf, 1.0, ic.DEFAULT_TOL)[0]
     ref = ic.inscribe_at_center(q, ic.Point(1.0, 0.75)).conic
     assert ic.conic_distance(conic, ref) < 1e-12
 

@@ -35,7 +35,6 @@ from inconic import (
 )
 from inconic.errors import SingularMap
 from inconic.geometry import _Value
-from inconic.inscribed import _FocalConic, _marden_conic
 
 QUAD = [(0, 0), (1, 0), (3, 2), (0, 1)]
 
@@ -64,7 +63,6 @@ FACTORIES = {
     "Tolerances": lambda: Tolerances(tol_tan=1e-7),
     "TriangleZ": lambda: TriangleZ(0j, 1 + 0j, 1j),
     "WeightTriple": lambda: WeightTriple(0.2, 0.3),
-    "_FocalConic": lambda: _marden_conic(normalize(validate_quad(QUAD)), 0.8, DEFAULT_TOL),
 }
 IDENTITY = {"DualConic", "TangentPencil"}
 NAMES = sorted(FACTORIES)
@@ -84,10 +82,9 @@ def test_factories_cover_every_public_value_type():
     public = {name for name in inconic.__all__
               if isinstance(getattr(inconic, name), type)
               and issubclass(getattr(inconic, name), _Value)}
-    assert public | {"_FocalConic"} == set(FACTORIES)
+    assert public == set(FACTORIES)
     for name, build in FACTORIES.items():
         assert type(build()).__name__ == name
-    assert issubclass(_FocalConic, _Value)
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -11,7 +11,9 @@ short polynomials in (s, t, h), so one pass reads off the conic, its
 center and its four contacts (the poles of the sides), with no root
 solved.  The paper reaches the same conic through the focal quadratic
 z^2 - 2(h + i*L(h)) z + i(s-2h)/(s-1) that the two triangles cut off by
-the side lines share; ``foci_quadratic`` keeps that form as a check, and
+the side lines share.  Every construction checks that the weights of
+its center reduce the triangles' focal numerators to that form
+(``_check_focal_form``, which ``foci_quadratic`` also runs), and
 tests/test_certificate.py proves the identities between the two.  The
 construction divides by s - 1 but never by t - 1, so it also serves
 quadrilaterals with one parallel side pair (t = 1).  Centers on the chord
@@ -50,10 +52,10 @@ from .geometry import (
     _pull_back_form,
     _set,
     _unit_direction,
-    midpoint,
 )
 
 _ULP = 2.0 ** -52  # spacing of the floats in [1, 2)
+_VERTICAL = "s = 1: center line is vertical in this labeling"
 
 
 class WeightTriple(_Value):
@@ -194,8 +196,15 @@ def locus(q: ConvexQuad) -> LocusSegment:
 
 def _midpoints(q: ConvexQuad) -> tuple[Point, Point]:
     """The diagonal midpoints (m1, m2) of q, ordered lexicographically."""
-    ma, mb = midpoint(q.v0, q.v2), midpoint(q.v1, q.v3)
-    return (mb, ma) if (mb.x, mb.y) < (ma.x, ma.y) else (ma, mb)
+    ma, mb = _midpoint_pairs(q)
+    return (Point(*mb), Point(*ma)) if mb < ma else (Point(*ma), Point(*mb))
+
+
+def _midpoint_pairs(q: ConvexQuad) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The midpoints of the diagonals v0v2 and v1v3 of q, as float pairs."""
+    v0, v1, v2, v3 = q.v0, q.v1, q.v2, q.v3
+    return (((v0.x + v2.x) / 2, (v0.y + v2.y) / 2),
+            ((v1.x + v3.x) / 2, (v1.y + v3.y) / 2))
 
 
 def normalize(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
@@ -254,12 +263,17 @@ def locus_line(nf: NormalForm, tol: Tolerances = DEFAULT_TOL) -> LocusLine:
     """
     s, t = nf.s, nf.t
     if abs(s - 1) <= tol.tol_par:
-        raise NumericalFailure("s = 1: center line is vertical in this labeling")
+        raise NumericalFailure(_VERTICAL)
     return LocusLine((t - 1) / (s - 1), (s - t) / (2 * (s - 1)), nf.interval())
 
 
 def _param_in_interval(nf: NormalForm, h, tol: Tolerances) -> None:
+    """Raise CenterOffLocus unless h is strictly inside ``nf.interval()``,
+    tol_interval in from either end; an interval of zero width (s = 1)
+    raises ``locus_line``'s NumericalFailure."""
     lo, hi = nf.interval()
+    if lo == hi:
+        raise NumericalFailure(_VERTICAL)
     u = (h - lo) / (hi - lo)
     if not (tol.tol_interval < u < 1 - tol.tol_interval):
         raise CenterOffLocus(f"abscissa {h} outside the open interval ({lo}, {hi})")
@@ -294,45 +308,56 @@ def foci_quadratic(nf: NormalForm, h, tol: Tolerances = DEFAULT_TOL,
     Holds along the whole center line: the roots are the foci of the
     inscribed ellipse between the diagonal midpoints, of the tangent
     hyperbola beyond them.
-    Verifies within 1e-10 that the focal numerators of the side-line
-    triangles reduce to this monic form: always for the first triangle,
-    and for the second only when t != 1 (with one parallel side pair it
-    does not exist).  Requires s != 1, as ``locus_line`` does, with its
+    Verifies, through ``_check_focal_form``, that the focal numerators of
+    the side-line triangles reduce to this monic form; the construction
+    runs the same check on every call without building these complex
+    coefficients.  Requires s != 1, as ``locus_line`` does, with its
     guard and message; L(h) is ``LocusLine.__call__`` written out.
     ``weights``, when given, are the triples ``_weights(nf, h)`` already
     computed by the caller.
-
-    A triangle (z1, z2, z3) under weights (w1, w2, w3) has the focal
-    numerator w1(z-z2)(z-z3) + w2(z-z1)(z-z3) + w3(z-z1)(z-z2), of root sum
-    w1(z2+z3) + w2(z1+z3) + w3(z1+z2) and root product
-    w1 z2 z3 + w2 z1 z3 + w3 z1 z2.  With z1 = 0 and the other two vertices
-    on the axes, both reduce to the real products below.
     """
     s, t = float(nf.s), float(nf.t)
     # locus_line's guard and L(h), on nf's own s and t as locus_line reads them
     ns, nt = nf.s, nf.t
     if abs(ns - 1) <= tol.tol_par:
-        raise NumericalFailure("s = 1: center line is vertical in this labeling")
+        raise NumericalFailure(_VERTICAL)
     h = float(h)
     k = float((nt - 1) / (ns - 1) * h + (ns - nt) / (2 * (ns - 1)))
-    root_sum = complex(2 * h, 2 * k)
-    root_product = 1j * (s - 2 * h) / (s - 1)
-
     wt, ws = weights if weights is not None else _weights(nf, h)
+    _check_focal_form(s, t, h, k, wt, ws, tol)
+    return complex(2 * h, 2 * k), 1j * (s - 2 * h) / (s - 1)
+
+
+def _check_focal_form(s, t, h, k, wt: WeightTriple, ws: WeightTriple,
+                      tol: Tolerances) -> None:
+    """Check within 1e-10 that the focal numerators of the side-line
+    triangles, under the weights wt and ws, reduce to the monic form of
+    root sum 2(h + ik) and root product i(s - 2h)/(s - 1): always for the
+    first triangle, and for the second only when |t - 1| > tol_par (with
+    one parallel side pair it does not exist).  k is L(h) and s != 1.
+
+    A triangle (z1, z2, z3) under weights (w1, w2, w3) has the focal
+    numerator w1(z-z2)(z-z3) + w2(z-z1)(z-z3) + w3(z-z1)(z-z2), of root sum
+    w1(z2+z3) + w2(z1+z3) + w3(z1+z2) and root product
+    w1 z2 z3 + w2 z1 z3 + w3 z1 z2.  With z1 = 0 and the other two vertices
+    on the axes, both reduce to the real products below, and every product
+    is purely imaginary, so each distance is a ``hypot`` of real parts or
+    the gap of the imaginary ones.
+    """
+    product = (s - 2 * h) / (s - 1)
+    sum_bound = 1e-10 * max(1.0, math.hypot(2 * h, 2 * k))
+    product_bound = 1e-10 * max(1.0, abs(product))
     # (0, 1, iy), y = -t/(s-1): sum w1 + w3 + i(w1 y + w2 y), product i w1 y
     y = -t / (s - 1)
-    esum, eprod = complex(wt.t1 + wt.t3, wt.t1 * y + wt.t2 * y), complex(0.0, wt.t1 * y)
-    if abs(esum - root_sum) > 1e-10 * max(1.0, abs(root_sum)) or \
-       abs(eprod - root_product) > 1e-10 * max(1.0, abs(root_product)):
+    if math.hypot(wt.t1 + wt.t3 - 2 * h, wt.t1 * y + wt.t2 * y - 2 * k) > sum_bound or \
+       abs(wt.t1 * y - product) > product_bound:
         raise NumericalFailure("focal numerators disagree with the monic form")
     if abs(t - 1) > tol.tol_par:
         # (0, i, x), x = -s/(t-1): sum w1 x + w2 x + i(w1 + w3), product i w1 x
         x = -s / (t - 1)
-        esum, eprod = complex(ws.t1 * x + ws.t2 * x, ws.t1 + ws.t3), complex(0.0, ws.t1 * x)
-        if abs(esum - root_sum) > 1e-10 * max(1.0, abs(root_sum)) or \
-           abs(eprod - root_product) > 1e-10 * max(1.0, abs(root_product)):
+        if math.hypot(ws.t1 * x + ws.t2 * x - 2 * h, ws.t1 + ws.t3 - 2 * k) > sum_bound or \
+           abs(ws.t1 * x - product) > product_bound:
             raise NumericalFailure("focal numerators disagree with the monic form")
-    return root_sum, root_product
 
 
 def _project_to_segment(p: Point, a: Point, b: Point) -> tuple[float, float]:
@@ -386,8 +411,9 @@ def _tangent_conic(nf: NormalForm, h: float, tol: Tolerances):
     1e-12 max(1, h^2 + k^2)^2 raises DegeneratePoint: the conic has
     collapsed onto its focal line.  Q must be positive definite for an
     ellipse (else NotAnEllipse) and indefinite for a hyperbola (else
-    NumericalFailure).  ``foci_quadratic`` runs for its s = 1 guard and its
-    check of the weights against the focal form; its roots are not solved.
+    NumericalFailure).  s = 1 raises ``locus_line``'s NumericalFailure
+    first, and ``_check_focal_form`` checks the weights against the focal
+    form with D(h)'s own k; no focal root is solved.
 
     Each unit-normalized side l of y = 0, (1,0)-(s,t), (s,t)-(0,1), x = 0
     must have |l^T D l| / ||D||_F below tol_tan (else NotTangent); its
@@ -396,9 +422,11 @@ def _tangent_conic(nf: NormalForm, h: float, tol: Tolerances):
     and is stored at the original side ``labeling`` maps that side to.
     """
     s, t = nf.s, nf.t
-    weights = _weights(nf, h)
-    foci_quadratic(nf, h, tol, weights)
+    if abs(s - 1) <= tol.tol_par:
+        raise NumericalFailure(_VERTICAL)
+    wt, ws = weights = _weights(nf, h)
     c, k, det = _dual_entries(s, t, h)
+    _check_focal_form(s, t, h, k, wt, ws, tol)
     p11, p12, p22 = h * h, h * k - c, k * k
     if abs(det) <= 1e-12 * max(1.0, p11 + p22) ** 2:
         raise DegeneratePoint("contact point lies on the focal line")
@@ -419,13 +447,14 @@ def _tangent_conic(nf: NormalForm, h: float, tol: Tolerances):
     sides = ((0.0, 1.0, 0.0), (t / n1, (1 - s) / n1, -t / n1),
              ((1 - t) / n2, s / n2, -s / n2), (1.0, 0.0, 0.0))
     contacts = [None] * 4
+    tan_bound, tol_infinity = tol.tol_tan * norm, tol.tol_infinity
     for side, (la, lb, lc) in zip(nf.labeling, sides):
         px = c * lb + h * lc
         py = c * la + k * lc
         pw = h * la + k * lb + lc
-        if abs(la * px + lb * py + lc * pw) >= tol.tol_tan * norm:
+        if abs(la * px + lb * py + lc * pw) >= tan_bound:
             raise NotTangent("side line is not tangent to the conic")
-        if abs(pw) <= tol.tol_infinity * math.sqrt(px * px + py * py + pw * pw):
+        if abs(pw) <= tol_infinity * math.sqrt(px * px + py * py + pw * pw):
             contacts[side] = HomPoint(*_unit_direction(b11 * px + b12 * py,
                                                        b21 * px + b22 * py), 0.0)
         else:
@@ -454,9 +483,9 @@ def _locus_abscissas(q: ConvexQuad, tol: Tolerances) -> tuple[NormalForm, float,
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("inscribed ellipses of a parallelogram are not unique")
     nf = normalize(q, tol)
-    ma, mb = midpoint(q.v0, q.v2), midpoint(q.v1, q.v3)
+    ma, mb = _midpoint_pairs(q)
     h_a, h_b = (nf.s / 2, 0.5) if nf.labeling[0] % 2 == 0 else (0.5, nf.s / 2)
-    h1, h2 = (h_b, h_a) if (mb.x, mb.y) < (ma.x, ma.y) else (h_a, h_b)
+    h1, h2 = (h_b, h_a) if mb < ma else (h_a, h_b)
     return nf, h1, h2
 
 
@@ -480,11 +509,16 @@ def inscribe_at_center(q: ConvexQuad, center: Point,
     carried center must land within 1e-6 (1 + length) of the request.
     Parallelograms are rejected: four common tangent lines of two distinct
     concentric ellipses would form a parallelogram, so uniqueness fails
-    there.  A side the conic misses raises NotTangent.
+    there, and midpoints that coincide in floats (a parallelogram to
+    rounding that a small tol_par lets through, s = 1) raise
+    ``locus_line``'s NumericalFailure.  A side the conic misses raises
+    NotTangent.
     """
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("inscribed ellipses of a parallelogram are not unique")
     m1, m2 = _midpoints(q)
+    if m1.x == m2.x and m1.y == m2.y:
+        raise NumericalFailure(_VERTICAL)
     _, dist = _project_to_segment(center, m1, m2)
     if dist > _on_line_bound(center, m1, m2, tol):
         raise CenterOffLocus("center is not on the line of the locus segment")

@@ -27,10 +27,22 @@ vertex coordinate (every original-frame point is rounded at eps M):
 - ``max_area``'s abscissa h0 relative to eps max(1, s);
 - the tangent hyperbola's unit-norm coefficients relative to
   eps (1 + |dk/dh| (max(1, |h|) + ||L|| M)), k the coefficient vector: its
-  h is read off the float center through T, which rounds at eps ||L|| M.
+  h is read off the float center through T, which rounds at eps ||L|| M;
+- apart from those coefficients, the hyperbola's form Q relative to
+  eps (|Q| + |dQ/dh| max(1, |h|)) and its center relative to
+  eps (M + |dp/dh| max(1, |h|)), both at the float h the construction
+  read off the center, so that its rounding is not charged to them.
 The rates are central differences of the 50-digit construction.
+
+Far from the origin eps M swamps any error in where a point sits on the
+quad.  So the ellipse's center, foci and contacts are also built through
+``_local_form``, the quad's own normal form with its map moved back by
+the offset exactly, and bounded with M the largest vertex coordinate
+after that move: the quad's extent.  The hyperbola's center is checked
+that way only.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +50,7 @@ from mpmath import mp, mpc, mpf
 
 import inconic as ic
 from conftest import random_trapezium
+from inconic.inscribed import _construct, _locus_abscissas, _tangent_conic
 
 EPS = 2.0 ** -52
 C_MAJOR = 16      # semi-major axis, in eps
@@ -109,7 +122,7 @@ def _focal(frame, h):
     cx = b[0][0] * mx + b[0][1] * my + p0[0]
     cy = b[1][0] * mx + b[1][1] * my + p0[1]
 
-    out = {"ellipse": ellipse, "center": (cx, cy)}
+    out = {"ellipse": ellipse, "center": (cx, cy), "form": (q11, q12, q22)}
     # (x - c)^T Q (x - c) = 1 as a x^2 + b xy + c y^2 + d x + e y + f = 0,
     # scaled as ``Conic`` scales it, up to sign
     coeffs = (q11, 2 * q12, q22, -2 * (q11 * cx + q12 * cy), -2 * (q12 * cx + q22 * cy),
@@ -153,22 +166,24 @@ def _rate(frame, h, key):
                      for sign in (1, -1)))
 
 
-def _point(p):
-    return tuple(float(x) for x in p)
+def _point(p, offset=0.0):
+    return tuple(float(x - offset) for x in p)
 
 
-def oracle_inscribed(q: ic.ConvexQuad, u: float, rates: bool = False) -> dict:
+def oracle_inscribed(q: ic.ConvexQuad, u: float, rates: bool = False,
+                     offset: float = 0.0) -> dict:
     """The inscribed ellipse at locus parameter u, computed at 50 digits
-    from q's float vertices and returned as floats; with ``rates``, also
+    from q's float vertices and returned as floats, its points moved by
+    (-offset, -offset) before they are rounded; with ``rates``, also
     |d/dh| of its center and of each contact."""
     with mp.workdps(50):
         frame = _frame(q)
         h1, h2 = frame[-2:]
         h = h1 + mpf(u) * (h2 - h1)
         exact = _focal(frame, h)
-        out = {"h": float(h), "center": _point(exact["center"]),
-               "contacts": [_point(p) for p in exact["contacts"]],
-               "foci": [_point(p) for p in exact["foci"]]}
+        out = {"h": float(h), "center": _point(exact["center"], offset),
+               "contacts": [_point(p, offset) for p in exact["contacts"]],
+               "foci": [_point(p, offset) for p in exact["foci"]]}
         out.update({key: float(exact[key]) for key in ("major", "minor", "angle", "cdist")})
         if rates:
             out["center_rate"] = _rate(frame, h, "center")
@@ -188,6 +203,17 @@ def oracle_tangent_conic(q: ic.ConvexQuad, center: ic.Point) -> tuple[bool, tupl
                 _rate(frame, h, "coefficients"))
 
 
+def oracle_tangent_form(q: ic.ConvexQuad, h: float, offset: float) -> tuple:
+    """(form Q, center, |dQ/dh|, |d center/dh|) of the 50-digit tangent
+    conic at the float abscissa h itself, the center moved by
+    (-offset, -offset) before it is rounded."""
+    with mp.workdps(50):
+        frame = _frame(q)
+        exact = _focal(frame, mpf(h))
+        return (_point(exact["form"]), _point(exact["center"], offset),
+                _rate(frame, mpf(h), "form"), _rate(frame, mpf(h), "center"))
+
+
 def oracle_max_area(q: ic.ConvexQuad) -> tuple[float, float]:
     """(h0, area) of the maximal-area inscribed ellipse at 50 digits: h0 is
     the root inside the interval of A'(h) = d/dh (s - 2h)(2h - 1)(s + 2h(t - 1)),
@@ -203,12 +229,31 @@ def oracle_max_area(q: ic.ConvexQuad) -> tuple[float, float]:
         return float(h0), float(mp.pi * exact["major"] * exact["minor"])
 
 
-def _magnitude(q):
-    return max(max(abs(p.x), abs(p.y)) for p in q.vertices)
+def _magnitude(q, offset=0.0):
+    return max(max(abs(p.x - offset), abs(p.y - offset)) for p in q.vertices)
 
 
-def _dist(p, x, y):
-    return math.hypot(p.x - x, p.y - y)
+def _dist(p, x, y, offset=0.0):
+    """Distance from p to (x, y) + (offset, offset); p minus the offset is
+    exact, since p lies within a factor 2 of it (or it is 0)."""
+    return math.hypot(p.x - offset - x, p.y - offset - y)
+
+
+def _local_form(q, offset):
+    """``normalize(q)`` with T and T^-1 moved by (-offset, -offset).  The
+    vertex T^-1 starts from lies within a factor 2 of the offset (or the
+    offset is 0), so the move is exact: a construction through it does the
+    moved quad's own normal-frame arithmetic bit for bit, and rounds its
+    points at the quad's extent rather than at the offset."""
+    nf = ic.normalize(q)
+    b11, b12, b21, b22, x0, y0 = nf.inverse
+    x1, y1 = x0 - offset, y0 - offset
+    assert Fraction(x1) == Fraction(x0) - Fraction(offset)
+    assert Fraction(y1) == Fraction(y0) - Fraction(offset)
+    t = nf.T
+    moved = ic.AffineMap(t.m11, t.m12, t.m21, t.m22,
+                         -(t.m11 * x1 + t.m12 * y1), -(t.m21 * x1 + t.m22 * y1))
+    return ic.NormalForm(moved, nf.s, nf.t, nf.labeling, (b11, b12, b21, b22, x1, y1))
 
 
 def _draws(offset):
@@ -251,26 +296,40 @@ def test_semi_axes_against_the_oracle(offset):
 
 @pytest.mark.parametrize("offset", OFFSETS)
 def test_center_angle_foci_and_contacts_against_the_oracle(offset):
-    worst = dict.fromkeys(("center", "angle", "foci", "contacts"), 0.0)
+    # each point twice: as ``inscribe_at_param`` returns it, against the
+    # largest coordinate M, and built through ``_local_form``, against the
+    # quad's extent once the offset is subtracted exactly
+    keys = ("center", "angle", "foci", "contacts")
+    worst = dict.fromkeys(keys + tuple(f"local {k}" for k in keys if k != "angle"), 0.0)
     for q in _draws(offset):
-        size = _magnitude(q)
+        local_nf, (_, h1, h2) = _local_form(q, offset), _locus_abscissas(q, ic.DEFAULT_TOL)
+        frames = (("", offset, _magnitude(q)), ("local ", 0.0, _magnitude(q, offset)))
         for u in PARAMS:
-            exact = oracle_inscribed(q, u, rates=True)
+            exact = oracle_inscribed(q, u, rates=True, offset=offset)
             r = ic.inscribe_at_param(q, u)
+            local = _construct(local_nf, h1 + u * (h2 - h1), ic.DEFAULT_TOL)
             e = r.ellipse
+            assert (local.ellipse.semi_major, local.ellipse.semi_minor, local.ellipse.angle) == \
+                (e.semi_major, e.semi_minor, e.angle)
             a, b, h = exact["major"], exact["minor"], max(1.0, abs(exact["h"]))
-            unit = EPS * (size + a + exact["center_rate"] * h)
-            worst["center"] = max(worst["center"], _dist(e.center, *exact["center"]) / unit)
             turn = (e.angle - exact["angle"] + math.pi / 2) % math.pi - math.pi / 2
             worst["angle"] = max(worst["angle"], abs(turn) / (EPS * a * a / (a * a - b * b)))
-            unit = EPS * (size + (a * a + b * b / min(u, 1 - u)) / exact["cdist"])
-            for got, want in zip((e.focus1, e.focus2), exact["foci"]):
-                worst["foci"] = max(worst["foci"], _dist(got, *want) / unit)
-            for got, want, rate in zip(r.tangencies, exact["contacts"], exact["contact_rates"]):
-                assert got.w == 1.0
-                unit = EPS * (size + a + rate * h)
-                worst["contacts"] = max(worst["contacts"], _dist(got, *want) / unit)
-    bounds = {"center": C_POINT, "angle": C_ANGLE, "foci": C_POINT, "contacts": C_POINT}
+            for (frame, shift, size), result in zip(frames, (r, local)):
+                e = result.ellipse
+                unit = EPS * (size + a + exact["center_rate"] * h)
+                key = frame + "center"
+                worst[key] = max(worst[key], _dist(e.center, *exact["center"], shift) / unit)
+                unit = EPS * (size + (a * a + b * b / min(u, 1 - u)) / exact["cdist"])
+                key = frame + "foci"
+                for got, want in zip((e.focus1, e.focus2), exact["foci"]):
+                    worst[key] = max(worst[key], _dist(got, *want, shift) / unit)
+                key = frame + "contacts"
+                for got, want, rate in zip(result.tangencies, exact["contacts"],
+                                           exact["contact_rates"]):
+                    assert got.w == 1.0
+                    unit = EPS * (size + a + rate * h)
+                    worst[key] = max(worst[key], _dist(got, *want, shift) / unit)
+    bounds = {k: C_ANGLE if k == "angle" else C_POINT for k in worst}
     over = {k: f"{worst[k]:.3g}" for k in worst if worst[k] > bounds[k]}
     assert not over, f"errors over their bounds: {over}"
 
@@ -289,11 +348,15 @@ def test_max_area_against_the_oracle(offset):
 
 @pytest.mark.parametrize("offset", OFFSETS)
 def test_tangent_hyperbolas_against_the_oracle(offset):
-    # halfway between each chord end and the diagonal midpoint next to it
-    worst = 0.0
+    # halfway between each chord end and the diagonal midpoint next to it;
+    # the form Q and the center are checked apart from the coefficients, at
+    # the abscissa h the construction read off the float center, the
+    # center through ``_local_form`` against the quad's extent
+    worst = dict.fromkeys(("coefficients", "form", "center"), 0.0)
     for q in _draws(offset):
         seg, chord = ic.locus(q), ic.chord_x(q)
-        lin = ic.normalize(q).T
+        nf, local_nf = ic.normalize(q), _local_form(q, offset)
+        lin = nf.T
         reach = math.hypot(lin.m11, lin.m12, lin.m21, lin.m22) * _magnitude(q)
         for end in (chord.p_start, chord.p_end):
             m = min((seg.m1, seg.m2), key=lambda p: _dist(p, end.x, end.y))
@@ -303,5 +366,19 @@ def test_tangent_hyperbolas_against_the_oracle(offset):
             conic, kind, _ = ic.tangent_conic_at_center(q, center)
             assert kind is ic.ConicClass.HYPERBOLA
             distance = ic.conic_distance(conic, ic.Conic(*coefficients))
-            worst = max(worst, distance / (EPS * (1 + rate * (max(1.0, abs(h)) + reach))))
-    assert worst <= C_HYPERBOLA, f"hyperbola coefficient error {worst:.3g} in its unit"
+            worst["coefficients"] = max(worst["coefficients"], distance / (
+                EPS * (1 + rate * (max(1.0, abs(h)) + reach))))
+
+            h_read = lin.apply_xy(center.x, center.y)[0]
+            _, kind, _, form, got, _, _ = _tangent_conic(local_nf, h_read, ic.DEFAULT_TOL)
+            assert kind is ic.ConicClass.HYPERBOLA
+            want_form, want, form_rate, center_rate = oracle_tangent_form(q, h_read, offset)
+            scale = max(1.0, abs(h_read))
+            error = math.hypot(*(g - w for g, w in zip(form, want_form)))
+            unit = EPS * (math.hypot(*want_form) + form_rate * scale)
+            worst["form"] = max(worst["form"], error / unit)
+            unit = EPS * (_magnitude(q, offset) + center_rate * scale)
+            worst["center"] = max(worst["center"], math.dist(got, want) / unit)
+    bounds = {"coefficients": C_HYPERBOLA, "form": C_HYPERBOLA, "center": C_POINT}
+    over = {k: f"{worst[k]:.3g}" for k in worst if worst[k] > bounds[k]}
+    assert not over, f"errors over their bounds: {over}"

@@ -540,6 +540,9 @@ EXIT_CODE_CONTRACT = [
                  "parallelogram: ", id="4-parallelogram"),
     pytest.param(["inscribe", "--vertices", QUAD, "--u", "0.37", "--tol", "tol_tan=1e-30"], None, 5,
                  "numerical failure: ", id="5-not-tangent"),
+    pytest.param(["inscribe", "--vertices", "0,0 1,1e-17 1,1 0,1", "--u", "0.5",
+                  "--tol", "tol_par=1e-300"], None, 5,
+                 "numerical failure: s = 1", id="5-zero-length-locus"),
     pytest.param(["inspect", "--input", "{dir}/missing.json"], None, 6,
                  "i/o error: ", id="6-missing-input"),
     pytest.param(["render", "--vertices", QUAD, "--u", "0.5", "--out", "{dir}/no/dir/x.svg"], None, 6,

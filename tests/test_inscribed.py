@@ -215,6 +215,97 @@ class TestFociQuadratic:
                 ic.foci_quadratic(nf, lo + u * (hi - lo))
 
 
+# The worked normal form s = 3, t = 2 at h = 1 has root sum 2 + 1.5i and
+# root product 0.5i, so the focal check holds both triangles' sums to
+# 2.5e-10 and their products to 1e-10.
+WORKED_NF = ic.NormalForm(ic.AffineMap.identity(), 3.0, 2.0, (0, 1, 2, 3))
+FOCAL_SUM_BOUND, FOCAL_PRODUCT_BOUND = 2.5e-10, 1e-10
+
+
+def _focal_weights_moved(triangle, quantity, factor):
+    """The weights of WORKED_NF at h = 1 with one triangle's root sum or
+    root product moved by ``factor`` times its bound.  A product move also
+    moves that triangle's sum, by the same amount, which stays below the
+    sum's larger bound."""
+    wt, ws = ic.weights_from_center(WORKED_NF, 1.0)
+    if triangle == "first":
+        # (0, 1, iy), y = -1: t2 - d moves the sum by d(1 + i), t1 + d the
+        # product by -di
+        if quantity == "sum":
+            wt = ic.WeightTriple(wt.t1, wt.t2 - factor * FOCAL_SUM_BOUND / math.sqrt(2))
+        else:
+            wt = ic.WeightTriple(wt.t1 + factor * FOCAL_PRODUCT_BOUND, wt.t2)
+    else:
+        # (0, i, x), x = -3: s2 - d moves the sum by d(3 + i), s1 + d the
+        # product by -3di
+        if quantity == "sum":
+            ws = ic.WeightTriple(ws.t1, ws.t2 - factor * FOCAL_SUM_BOUND / math.sqrt(10))
+        else:
+            ws = ic.WeightTriple(ws.t1 + factor * FOCAL_PRODUCT_BOUND / 3, ws.t2)
+    return wt, ws
+
+
+class TestFocalCheckBound:
+    """The focal check's 1e-10 bound, pinned from both sides for the root
+    sum and the root product of each side-line triangle."""
+
+    @pytest.mark.parametrize("factor", (2.0, 1.25, 0.8, 0.5))
+    @pytest.mark.parametrize("quantity", ("sum", "product"))
+    @pytest.mark.parametrize("triangle", ("first", "second"))
+    def test_bound(self, triangle, quantity, factor):
+        weights = _focal_weights_moved(triangle, quantity, factor)
+        if factor > 1:
+            with pytest.raises(errors.NumericalFailure,
+                               match="^focal numerators disagree with the monic form$"):
+                ic.foci_quadratic(WORKED_NF, 1.0, weights=weights)
+        else:
+            assert ic.foci_quadratic(WORKED_NF, 1.0, weights=weights) == \
+                ic.foci_quadratic(WORKED_NF, 1.0)
+
+    def test_second_triangle_is_skipped_at_t_1(self):
+        # with one parallel side pair (t = 1) the second triangle does not
+        # exist, so its weights are not read; the first triangle's still are
+        nf = ic.NormalForm(ic.AffineMap.identity(), 3.0, 1.0, (0, 1, 2, 3))
+        wt, _ = ic.weights_from_center(nf, 1.0)
+        junk = ic.WeightTriple(0.5, 0.5)
+        assert ic.foci_quadratic(nf, 1.0, weights=(wt, junk)) == ic.foci_quadratic(nf, 1.0)
+        with pytest.raises(errors.NumericalFailure, match="focal numerators"):
+            ic.foci_quadratic(nf, 1.0, weights=(ic.WeightTriple(wt.t1, wt.t2 - 1e-9), junk))
+
+    def test_construction_runs_the_check(self, monkeypatch):
+        # every construction checks the weights it reports against the
+        # focal form, with the same bound and message
+        import inconic.inscribed
+        weights = inconic.inscribed._weights
+
+        def moved(nf, h):
+            wt, ws = weights(nf, h)
+            return ic.WeightTriple(wt.t1, wt.t2 - 1e-9), ws
+
+        monkeypatch.setattr(inconic.inscribed, "_weights", moved)
+        with pytest.raises(errors.NumericalFailure,
+                           match="^focal numerators disagree with the monic form$"):
+            ic.inscribe_at_param(quad_s3t2(), 0.5)
+
+
+def test_zero_length_center_line_raises_numerical_failure():
+    # a quad that is a parallelogram to rounding but classifies as a
+    # trapezoid under a tiny tol_par normalizes to s = t = 1: its locus has
+    # zero length, and each construction raises locus_line's failure
+    tol = ic.Tolerances(tol_par=1e-300)
+    q = ic.validate_quad([(0, 0), (1, 1e-17), (1, 1), (0, 1)], tol)
+    nf = ic.normalize(q, tol)
+    assert q.kind is ic.QuadKind.TRAPEZOID and (nf.s, nf.t) == (1.0, 1.0)
+    calls = (lambda: ic.inscribe_at_param(q, 0.5, tol),
+             lambda: ic.inscribe_at_center(q, ic.locus(q).point_at(0.5), tol),
+             lambda: ic.weights_from_center(nf, 0.5, tol),
+             lambda: ic.inscribed_area(nf, 0.5, tol))
+    for call in calls:
+        with pytest.raises(errors.NumericalFailure,
+                           match="^s = 1: center line is vertical in this labeling$"):
+            call()
+
+
 class TestInscribeAtCenter:
     def test_worked_example_full(self):
         r = ic.inscribe_at_center(quad_s3t2(), ic.Point(1.0, 0.75))
@@ -404,6 +495,19 @@ class TestInscribeAtParam:
             det = (seg.m2.x - seg.m1.x) * (e.center.y - seg.m1.y) \
                 - (seg.m2.y - seg.m1.y) * (e.center.x - seg.m1.x)
             assert abs(det) < 1e-10 * (1 + seg.length() ** 2)
+
+    @pytest.mark.parametrize("flip", (1, -1), ids=("m1-from-v0v2", "m1-from-v1v3"))
+    def test_midpoints_with_equal_abscissas(self, flip):
+        # the diagonal midpoints (1, 0.75) and (1, 1) share x, so the locus
+        # order falls to y: mirrored in y, the other diagonal's midpoint is m1
+        q = ic.validate_quad([(x, flip * y) for x, y in [(0, 0), (3, 0.5), (2, 2), (-1, 1)]])
+        seg = ic.locus(q)
+        assert seg.m1.x == seg.m2.x and seg.m1.y < seg.m2.y
+        m02 = ic.Point((q.v0.x + q.v2.x) / 2, (q.v0.y + q.v2.y) / 2)
+        assert (seg.m1 == m02) is (flip == 1)
+        for u in (0.13, 0.87):
+            got, want = ic.inscribe_at_param(q, u).ellipse.center, seg.point_at(u)
+            assert math.hypot(got.x - want.x, got.y - want.y) <= 1e-12 * (1 + seg.length())
 
 
 # Trapezia with one side pair within eps of parallel: (1,0)-(1+eps,2) is

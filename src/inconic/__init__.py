@@ -40,6 +40,7 @@ from .marden import (
     foci_from_weights,
     marden_ellipse,
     marden_validity,
+    stable_quadratic_roots,
     tangent_points,
     triangle_tangent_ellipse_area,
 )
@@ -64,7 +65,6 @@ from .inscribed import (
     locus,
     locus_line,
     normalize,
-    stable_quadratic_roots,
     tangent_conic_at_center,
     weights_from_center,
 )

@@ -12,14 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import errors
 from .area import max_area
 from .fmt import dumps, ellipse_json
 from .geometry import (
-    DEFAULT_TOL,
     AffineMap,
     ConvexQuad,
     Point,
@@ -153,20 +151,11 @@ def _load_vertices(args) -> list[tuple[float, float]]:
 
 
 def _tolerances(args) -> Tolerances:
-    tol = DEFAULT_TOL
-    for source, text in (("INCONIC_TOL", os.environ.get("INCONIC_TOL")), ("--tol", args.tol)):
-        try:
-            tol = Tolerances.from_string(text or "", tol)
-        except ValueError as exc:
-            print(f"bad {source} value: {exc}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-    return tol
-
-
-def _sample_results(q, n: int, tol):
-    """Inscribed ellipses at u = i/(n+1), i = 1..n, from one normal form,
-    each built as the iterator reaches it."""
-    return _inscribe_params(q, [i / (n + 1) for i in range(1, n + 1)], tol)
+    try:
+        return Tolerances.from_string(args.tol or "")
+    except ValueError as exc:
+        print(f"bad --tol value: {exc}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
 
 
 def cmd_inspect(args, q: ConvexQuad, tol: Tolerances) -> int:
@@ -212,15 +201,19 @@ def cmd_maxarea(args, q: ConvexQuad, tol: Tolerances) -> int:
 
 
 def _pencil_member(q, center: Point):
-    """The pencil oracle's conic with the given center, built on the side
-    lines translated to q.v0 and mapped back.  At the original placement
-    the pencil's unit-norm dual matrices have a determinant that falls like
-    offset^-6 and reads as degenerate already some 50 extents out."""
+    """The pencil oracle's conic with the given center, built in a
+    similarity frame and mapped back: q translated to q.v0 and divided by
+    its extent e, the larger of its x and y spans.  Built in place, the
+    pencil's unit-norm dual matrices have a determinant that falls like
+    (offset/extent)^-6 and reads as degenerate some 50 extents out, and on
+    the worked quad scaled by 1e-6 or 1e9."""
     x0, y0 = q.v0.x, q.v0.y
-    shifted = ConvexQuad(*(Point(v.x - x0, v.y - y0) for v in q.vertices), q.kind)
+    xs, ys = [v.x for v in q.vertices], [v.y for v in q.vertices]
+    e = max(max(xs) - min(xs), max(ys) - min(ys))
+    shifted = ConvexQuad(*(Point((v.x - x0) / e, (v.y - y0) / e) for v in q.vertices), q.kind)
     member = member_with_center(pencil_from_lines(*shifted.side_lines()),
-                                Point(center.x - x0, center.y - y0))
-    return transform_conic(member, AffineMap(1.0, 0.0, 0.0, 1.0, x0, y0))
+                                Point((center.x - x0) / e, (center.y - y0) / e))
+    return transform_conic(member, AffineMap(e, 0.0, 0.0, e, x0, y0))
 
 
 def cmd_verify(args, q: ConvexQuad, tol: Tolerances) -> int:
@@ -265,7 +258,8 @@ def cmd_verify(args, q: ConvexQuad, tol: Tolerances) -> int:
 def cmd_sample(args, q: ConvexQuad, tol: Tolerances) -> int:
     # each record is written as its ellipse is built; a failure at any
     # member raises before anything is printed
-    records = [ellipse_json(r) for r in _sample_results(q, args.n, tol)]
+    params = [i / (args.n + 1) for i in range(1, args.n + 1)]
+    records = [ellipse_json(r) for r in _inscribe_params(q, params, tol)]
     print("[" + ",".join(records) + "]")
     return EXIT_OK
 
@@ -283,7 +277,8 @@ def cmd_render(args, q: ConvexQuad, tol: Tolerances) -> int:
     elif args.u is not None:
         results.append(inscribe_at_param(q, args.u, tol))
     elif args.n is not None:
-        results.extend(_sample_results(q, args.n, tol))
+        params = [i / (args.n + 1) for i in range(1, args.n + 1)]
+        results.extend(_inscribe_params(q, params, tol))
     ellipses = [r.ellipse for r in results]
     contacts = [t.to_point() for r in results for t in r.tangencies
                 if not t.is_infinite()]

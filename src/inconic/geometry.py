@@ -75,8 +75,8 @@ class Tolerances(_Value):
     """Numeric tolerances of the construction, each finite and > 0.
 
     A single record so the construction can be tightened or loosened at
-    once (see the CLI's ``--tol`` flag and the INCONIC_TOL variable); the
-    oracles and the conic tools they use keep fixed thresholds.
+    once (see the CLI's ``--tol`` flag); the oracles and the conic tools
+    they use keep fixed thresholds.
     """
     __slots__ = ("tol_det", "tol_tan", "tol_par", "tol_interval", "tol_on",
                  "tol_infinity")
@@ -98,12 +98,11 @@ class Tolerances(_Value):
         return Tolerances(**dict(zip(self.__slots__, self._values()), **kwargs))
 
     @classmethod
-    def from_string(cls, text: str, base: "Tolerances | None" = None) -> "Tolerances":
-        """Parse ``"name=value,name=value"`` overrides onto ``base``."""
-        tol = base if base is not None else cls()
+    def from_string(cls, text: str) -> "Tolerances":
+        """Parse ``"name=value,name=value"`` overrides onto the defaults."""
         text = text.strip()
         if not text:
-            return tol
+            return cls()
         overrides = {}
         for item in text.split(","):
             name, _, value = item.partition("=")
@@ -111,7 +110,7 @@ class Tolerances(_Value):
             if name not in cls.__slots__ or not value:
                 raise ValueError(f"unknown tolerance setting {item!r}")
             overrides[name] = float(value)
-        return tol.replace(**overrides)
+        return cls(**overrides)
 
 
 DEFAULT_TOL = Tolerances()

@@ -11,9 +11,10 @@ short polynomials in (s, t, h), so one pass reads off the conic, its
 center and its four contacts (the poles of the sides), with no root
 solved.  The paper reaches the same conic through the focal quadratic
 z^2 - 2(h + i*L(h)) z + i(s-2h)/(s-1) that the two triangles cut off by
-the side lines share.  Every construction checks that the weights of
-its center reduce the triangles' focal numerators to that form
-(``_check_focal_form``, which ``foci_quadratic`` also runs), and
+the side lines share.  Its coefficients are read off the same D(h):
+every construction and ``foci_quadratic`` start with one head
+(``_focal_head``) that checks the weights of the center reduce the
+triangles' focal numerators to that form, and
 tests/test_certificate.py proves the identities between the two.  The
 construction divides by s - 1 but never by t - 1, so it also serves
 quadrilaterals with one parallel side pair (t = 1).  Centers on the chord
@@ -22,7 +23,6 @@ D(h): the determinant of its inverse form changes sign at the midpoints.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from collections.abc import Iterator
 
@@ -77,22 +77,6 @@ class WeightTriple(_Value):
     @property
     def product(self):
         return self.t1 * self.t2 * self.t3
-
-
-def stable_quadratic_roots(root_sum: complex, root_product: complex) -> tuple[complex, complex]:
-    """Roots of z^2 - root_sum*z + root_product without subtractive cancellation.
-
-    The discriminant square root is sign-matched against the linear
-    coefficient, and the second root is recovered from the product.
-    """
-    disc = root_sum * root_sum - 4 * root_product
-    sq = cmath.sqrt(disc)
-    if (root_sum.real * sq.real + root_sum.imag * sq.imag) < 0:
-        sq = -sq
-    r1 = (root_sum + sq) / 2
-    if r1 == 0:
-        return (0j, root_sum)
-    return (r1, root_product / r1)
 
 
 class NormalForm(_Value):
@@ -215,10 +199,11 @@ def normalize(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     rotation 0 on a tie.  That keeps s - 1, which the closed forms divide
     by, safely away from zero; a parallel side pair gets t = 1, since its
     other rotation has s = 1 and sine 0.  Only the kept rotation's map is
-    built.
+    built.  A parallelogram raises ParallelogramUnsupported: its inscribed
+    ellipses are not unique.
     """
     if q.kind is QuadKind.PARALLELOGRAM:
-        raise ParallelogramUnsupported("parallelograms have no unique normal form here")
+        raise ParallelogramUnsupported("inscribed ellipses of a parallelogram are not unique")
     v0, v1 = q.v0, q.v1
     frame = _frame(v0, v1, q.v2, q.v3, tol)
     turned = _frame(v1, q.v2, q.v3, v0, tol)
@@ -299,33 +284,33 @@ def _weights(nf: NormalForm, h) -> tuple[WeightTriple, WeightTriple]:
     return wt, ws
 
 
-def foci_quadratic(nf: NormalForm, h, tol: Tolerances = DEFAULT_TOL,
-                   weights: tuple[WeightTriple, WeightTriple] | None = None
-                   ) -> tuple[complex, complex]:
+def foci_quadratic(nf: NormalForm, h, tol: Tolerances = DEFAULT_TOL) -> tuple[complex, complex]:
     """(root sum, root product) of the shared monic focal quadratic
     z^2 - 2(h + i L(h)) z + i (s - 2h)/(s - 1).
 
     Holds along the whole center line: the roots are the foci of the
     inscribed ellipse between the diagonal midpoints, of the tangent
-    hyperbola beyond them.
-    Verifies, through ``_check_focal_form``, that the focal numerators of
-    the side-line triangles reduce to this monic form; the construction
-    runs the same check on every call without building these complex
-    coefficients.  Requires s != 1, as ``locus_line`` does, with its
-    guard and message; L(h) is ``LocusLine.__call__`` written out.
-    ``weights``, when given, are the triples ``_weights(nf, h)`` already
-    computed by the caller.
+    hyperbola beyond them.  Both coefficients are read off D(h) by the
+    head every construction starts with (``_focal_head``): the root sum
+    is 2(h + ik) and the root product 2ic, so this function runs the same
+    s = 1 guard and the same focal check as the construction, and raises
+    the same errors.
     """
-    s, t = float(nf.s), float(nf.t)
-    # locus_line's guard and L(h), on nf's own s and t as locus_line reads them
-    ns, nt = nf.s, nf.t
-    if abs(ns - 1) <= tol.tol_par:
+    c, k, _, _ = _focal_head(nf, h, tol)
+    return complex(2 * h, 2 * k), 2j * c
+
+
+def _focal_head(nf: NormalForm, h, tol: Tolerances):
+    """(c, k, det, weights) at abscissa h: ``_dual_entries`` and
+    ``_weights``, after ``locus_line``'s s = 1 guard, with the weights
+    checked against the focal form through ``_check_focal_form``."""
+    s, t = nf.s, nf.t
+    if abs(s - 1) <= tol.tol_par:
         raise NumericalFailure(_VERTICAL)
-    h = float(h)
-    k = float((nt - 1) / (ns - 1) * h + (ns - nt) / (2 * (ns - 1)))
-    wt, ws = weights if weights is not None else _weights(nf, h)
+    wt, ws = weights = _weights(nf, h)
+    c, k, det = _dual_entries(s, t, h)
     _check_focal_form(s, t, h, k, wt, ws, tol)
-    return complex(2 * h, 2 * k), 1j * (s - 2 * h) / (s - 1)
+    return c, k, det, weights
 
 
 def _check_focal_form(s, t, h, k, wt: WeightTriple, ws: WeightTriple,
@@ -411,8 +396,9 @@ def _tangent_conic(nf: NormalForm, h: float, tol: Tolerances):
     1e-12 max(1, h^2 + k^2)^2 raises DegeneratePoint: the conic has
     collapsed onto its focal line.  Q must be positive definite for an
     ellipse (else NotAnEllipse) and indefinite for a hyperbola (else
-    NumericalFailure).  s = 1 raises ``locus_line``'s NumericalFailure
-    first, and ``_check_focal_form`` checks the weights against the focal
+    NumericalFailure).  It starts with ``_focal_head``, which
+    ``foci_quadratic`` shares: s = 1 raises ``locus_line``'s
+    NumericalFailure first, and the weights are checked against the focal
     form with D(h)'s own k; no focal root is solved.
 
     Each unit-normalized side l of y = 0, (1,0)-(s,t), (s,t)-(0,1), x = 0
@@ -421,12 +407,8 @@ def _tangent_conic(nf: NormalForm, h: float, tol: Tolerances):
     norm, at most tol_infinity.  A contact goes out through T^-1 = (B, p0)
     and is stored at the original side ``labeling`` maps that side to.
     """
+    c, k, det, weights = _focal_head(nf, h, tol)
     s, t = nf.s, nf.t
-    if abs(s - 1) <= tol.tol_par:
-        raise NumericalFailure(_VERTICAL)
-    wt, ws = weights = _weights(nf, h)
-    c, k, det = _dual_entries(s, t, h)
-    _check_focal_form(s, t, h, k, wt, ws, tol)
     p11, p12, p22 = h * h, h * k - c, k * k
     if abs(det) <= 1e-12 * max(1.0, p11 + p22) ** 2:
         raise DegeneratePoint("contact point lies on the focal line")
@@ -479,9 +461,7 @@ def _locus_abscissas(q: ConvexQuad, tol: Tolerances) -> tuple[NormalForm, float,
     """The normal form of q and the abscissas h1, h2 of locus(q)'s m1 and
     m2 (s/2 for the diagonal ``labeling`` sends to (0,0) and (s,t), 1/2 for
     the other), ordered as ``locus`` orders them.  A locus parameter u goes
-    straight to h1 + u (h2 - h1)."""
-    if q.kind is QuadKind.PARALLELOGRAM:
-        raise ParallelogramUnsupported("inscribed ellipses of a parallelogram are not unique")
+    straight to h1 + u (h2 - h1).  ``normalize`` rejects parallelograms."""
     nf = normalize(q, tol)
     ma, mb = _midpoint_pairs(q)
     h_a, h_b = (nf.s / 2, 0.5) if nf.labeling[0] % 2 == 0 else (0.5, nf.s / 2)

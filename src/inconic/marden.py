@@ -35,7 +35,23 @@ from .geometry import (
     tangency_residual,
     conic_from_ellipse,
 )
-from .inscribed import WeightTriple, stable_quadratic_roots
+from .inscribed import WeightTriple
+
+
+def stable_quadratic_roots(root_sum: complex, root_product: complex) -> tuple[complex, complex]:
+    """Roots of z^2 - root_sum*z + root_product without subtractive cancellation.
+
+    The discriminant square root is sign-matched against the linear
+    coefficient, and the second root is recovered from the product.
+    """
+    disc = root_sum * root_sum - 4 * root_product
+    sq = cmath.sqrt(disc)
+    if (root_sum.real * sq.real + root_sum.imag * sq.imag) < 0:
+        sq = -sq
+    r1 = (root_sum + sq) / 2
+    if r1 == 0:
+        return (0j, root_sum)
+    return (r1, root_product / r1)
 
 
 class TriangleZ(_Value):

@@ -8,13 +8,9 @@ from __future__ import annotations
 
 import math
 
-from .fmt import fmt_number
+from .fmt import fmt_number as _f
 from .geometry import EllipseGeo, Point
 from .inscribed import ChordX, LocusSegment
-
-
-def _f(x: float) -> str:
-    return fmt_number(x)
 
 
 def _bbox(points, ellipses):

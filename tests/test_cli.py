@@ -188,6 +188,18 @@ class TestVerify:
             assert code == 0, err
             assert json.loads(out)["marden_vs_pencil_distance"] < 1e-8
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e9])
+    def test_any_size_passes(self, capsys, scale):
+        # the pencil oracle is built on the quad divided by its extent; at
+        # the original size its unit-norm dual reads as degenerate
+        vertices = " ".join(f"{x * scale!r},{y * scale!r}"
+                            for x, y in [(0, 0), (1, 0), (3, 2), (0, 1)])
+        for args in (("--u", "0.37"),
+                     ("--center", f"{2.3 * scale!r},{1.4 * scale!r}", "--allow-hyperbola")):
+            code, out, err = run_cli(capsys, "verify", "--vertices", vertices, *args)
+            assert code == 0, err
+            assert json.loads(out)["marden_vs_pencil_distance"] < 1e-8
+
     def test_hyperbola_requires_flag(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--vertices", QUAD,
                              "--center", "2.3,1.4")
@@ -207,7 +219,6 @@ class TestVerify:
             self, capsys, monkeypatch, args):
         # --tol tunes the construction and verify's residual rule; the
         # pencil oracle and Conic.center keep their fixed thresholds
-        monkeypatch.delenv("INCONIC_TOL", raising=False)
         want = run_cli(capsys, "verify", "--vertices", QUAD, *args)
         got = run_cli(capsys, "verify", "--vertices", QUAD, *args, "--tol", "tol_det=0.3")
         assert got[0] == 0, got[2]
@@ -381,12 +392,6 @@ class TestUsageAndTolerances:
                             "--tol", "tol_par=1e-2")
         assert json.loads(out)["kind"] == "trapezoid"
 
-    def test_env_tolerance(self, capsys, monkeypatch):
-        wonky = "0,0 1,0 3,1.0000001 0,1"
-        monkeypatch.setenv("INCONIC_TOL", "tol_par=1e-2")
-        _, out, _ = run_cli(capsys, "inspect", "--vertices", wonky)
-        assert json.loads(out)["kind"] == "trapezoid"
-
     def test_bad_tol_string_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "inspect", "--vertices", QUAD,
                              "--tol", "nope=1")
@@ -397,21 +402,12 @@ class TestUsageAndTolerances:
     BAD_TOL = ["bogus=1", "tol_tan=abc", "tol_tan=nan", "tol_tan=-1", "tol_par=inf"]
 
     @pytest.mark.parametrize("text", BAD_TOL)
-    def test_bad_tol_flag_exits_usage(self, capsys, monkeypatch, text):
-        monkeypatch.delenv("INCONIC_TOL", raising=False)
+    def test_bad_tol_flag_exits_usage(self, capsys, text):
         code, out, err = run_cli(capsys, "inscribe", "--vertices", QUAD,
                                  "--u", "0.37", "--tol", text)
         assert code == 1
         assert out == ""
         assert err.startswith("bad --tol value: ")
-
-    @pytest.mark.parametrize("text", BAD_TOL)
-    def test_bad_env_tolerance_exits_usage(self, capsys, monkeypatch, text):
-        monkeypatch.setenv("INCONIC_TOL", text)
-        code, out, err = run_cli(capsys, "inscribe", "--vertices", QUAD, "--u", "0.37")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("bad INCONIC_TOL value: ")
 
 
 def _run_python(*args):
@@ -510,53 +506,47 @@ def test_verify_property_run(capsys, rng):
 
 
 # One row per handler in cli.main: argv ({dir} is a scratch directory
-# holding bad.json, a file of the wrong schema), INCONIC_TOL or None, exit
-# code, and how stderr starts.  Usage errors are found by argparse, so they
+# holding bad.json, a file of the wrong schema), exit code, and how stderr
+# starts.  Usage errors are found by argparse, so they
 # win over a bad quadrilateral.
 EXIT_CODE_CONTRACT = [
-    pytest.param(["inspect"], None, 1, "usage: inconic inspect", id="1-no-source"),
-    pytest.param(["inscribe", "--vertices", NONCONVEX, "--center", "abc"], None, 1,
+    pytest.param(["inspect"], 1, "usage: inconic inspect", id="1-no-source"),
+    pytest.param(["inscribe", "--vertices", NONCONVEX, "--center", "abc"], 1,
                  "usage: inconic inscribe", id="1-bad-center-beats-bad-quad"),
-    pytest.param(["sample", "--vertices", NONCONVEX, "--n", "0"], None, 1,
+    pytest.param(["sample", "--vertices", NONCONVEX, "--n", "0"], 1,
                  "usage: inconic sample", id="1-sample-n0-beats-bad-quad"),
-    pytest.param(["render", "--vertices", NONCONVEX, "--n", "0", "--out", "{dir}/x.svg"], None, 1,
+    pytest.param(["render", "--vertices", NONCONVEX, "--n", "0", "--out", "{dir}/x.svg"], 1,
                  "usage: inconic render", id="1-render-n0-beats-bad-quad"),
-    pytest.param(["inspect", "--vertices", QUAD, "--tol", "nope=1"], None, 1,
+    pytest.param(["inspect", "--vertices", QUAD, "--tol", "nope=1"], 1,
                  "bad --tol value: ", id="1-bad-tol"),
-    pytest.param(["inspect", "--vertices", QUAD], "nope=1", 1,
-                 "bad INCONIC_TOL value: ", id="1-bad-env-tol"),
-    pytest.param(["inspect", "--vertices", QUAD, "--tol", "tol_center=1e-8"], None, 1,
+    pytest.param(["inspect", "--vertices", QUAD, "--tol", "tol_center=1e-8"], 1,
                  "bad --tol value: ", id="1-removed-tol-name"),
-    pytest.param(["sample", "--vertices", QUAD, "--n", "abc"], None, 1,
+    pytest.param(["sample", "--vertices", QUAD, "--n", "abc"], 1,
                  "usage: inconic sample", id="1-sample-n-not-a-number"),
-    pytest.param(["inspect", "--vertices", NONCONVEX], None, 2,
+    pytest.param(["inspect", "--vertices", NONCONVEX], 2,
                  "invalid quadrilateral: ", id="2-nonconvex"),
-    pytest.param(["inspect", "--vertices", ""], None, 2, "invalid input: ", id="2-empty-vertices"),
-    pytest.param(["inspect", "--input", "{dir}/bad.json"], None, 2,
+    pytest.param(["inspect", "--vertices", ""], 2, "invalid input: ", id="2-empty-vertices"),
+    pytest.param(["inspect", "--input", "{dir}/bad.json"], 2,
                  "invalid input: ", id="2-input-schema"),
-    pytest.param(["inscribe", "--vertices", QUAD, "--center", "0.7,0.7"], None, 3,
+    pytest.param(["inscribe", "--vertices", QUAD, "--center", "0.7,0.7"], 3,
                  "center not admissible: ", id="3-off-locus"),
-    pytest.param(["inscribe", "--vertices", SQUARE, "--u", "0.5"], None, 4,
+    pytest.param(["inscribe", "--vertices", SQUARE, "--u", "0.5"], 4,
                  "parallelogram: ", id="4-parallelogram"),
-    pytest.param(["inscribe", "--vertices", QUAD, "--u", "0.37", "--tol", "tol_tan=1e-30"], None, 5,
+    pytest.param(["inscribe", "--vertices", QUAD, "--u", "0.37", "--tol", "tol_tan=1e-30"], 5,
                  "numerical failure: ", id="5-not-tangent"),
     pytest.param(["inscribe", "--vertices", "0,0 1,1e-17 1,1 0,1", "--u", "0.5",
-                  "--tol", "tol_par=1e-300"], None, 5,
+                  "--tol", "tol_par=1e-300"], 5,
                  "numerical failure: s = 1", id="5-zero-length-locus"),
-    pytest.param(["inspect", "--input", "{dir}/missing.json"], None, 6,
+    pytest.param(["inspect", "--input", "{dir}/missing.json"], 6,
                  "i/o error: ", id="6-missing-input"),
-    pytest.param(["render", "--vertices", QUAD, "--u", "0.5", "--out", "{dir}/no/dir/x.svg"], None, 6,
+    pytest.param(["render", "--vertices", QUAD, "--u", "0.5", "--out", "{dir}/no/dir/x.svg"], 6,
                  "i/o error: ", id="6-unwritable-out"),
 ]
 
 
-@pytest.mark.parametrize("argv, env_tol, code, prefix", EXIT_CODE_CONTRACT)
-def test_exit_code_contract(capsys, monkeypatch, tmp_path, argv, env_tol, code, prefix):
+@pytest.mark.parametrize("argv, code, prefix", EXIT_CODE_CONTRACT)
+def test_exit_code_contract(capsys, tmp_path, argv, code, prefix):
     (tmp_path / "bad.json").write_text(json.dumps({"vertices": [[0, 0], [1, 0], [3, 2]]}))
-    if env_tol is None:
-        monkeypatch.delenv("INCONIC_TOL", raising=False)
-    else:
-        monkeypatch.setenv("INCONIC_TOL", env_tol)
     got, out, err = run_cli(capsys, *(a.replace("{dir}", str(tmp_path)) for a in argv))
     assert (got, out) == (code, "")
     assert err.startswith(prefix), err

@@ -12,7 +12,13 @@ from hypothesis import strategies as st
 
 import inconic as ic
 from inconic import errors
-from inconic.inscribed import _on_line_bound, _project_to_segment, _tangent_conic
+from inconic.inscribed import (
+    _check_focal_form,
+    _dual_entries,
+    _on_line_bound,
+    _project_to_segment,
+    _tangent_conic,
+)
 
 from conftest import (
     contains_point,
@@ -245,6 +251,12 @@ def _focal_weights_moved(triangle, quantity, factor):
     return wt, ws
 
 
+def _check_at_1(nf, wt, ws):
+    """``_check_focal_form`` on nf at h = 1, with D(1)'s own k."""
+    k = _dual_entries(nf.s, nf.t, 1.0)[1]
+    return _check_focal_form(nf.s, nf.t, 1.0, k, wt, ws, ic.DEFAULT_TOL)
+
+
 class TestFocalCheckBound:
     """The focal check's 1e-10 bound, pinned from both sides for the root
     sum and the root product of each side-line triangle."""
@@ -257,10 +269,9 @@ class TestFocalCheckBound:
         if factor > 1:
             with pytest.raises(errors.NumericalFailure,
                                match="^focal numerators disagree with the monic form$"):
-                ic.foci_quadratic(WORKED_NF, 1.0, weights=weights)
+                _check_at_1(WORKED_NF, *weights)
         else:
-            assert ic.foci_quadratic(WORKED_NF, 1.0, weights=weights) == \
-                ic.foci_quadratic(WORKED_NF, 1.0)
+            assert _check_at_1(WORKED_NF, *weights) is None
 
     def test_second_triangle_is_skipped_at_t_1(self):
         # with one parallel side pair (t = 1) the second triangle does not
@@ -268,9 +279,9 @@ class TestFocalCheckBound:
         nf = ic.NormalForm(ic.AffineMap.identity(), 3.0, 1.0, (0, 1, 2, 3))
         wt, _ = ic.weights_from_center(nf, 1.0)
         junk = ic.WeightTriple(0.5, 0.5)
-        assert ic.foci_quadratic(nf, 1.0, weights=(wt, junk)) == ic.foci_quadratic(nf, 1.0)
+        assert _check_at_1(nf, wt, junk) is None
         with pytest.raises(errors.NumericalFailure, match="focal numerators"):
-            ic.foci_quadratic(nf, 1.0, weights=(ic.WeightTriple(wt.t1, wt.t2 - 1e-9), junk))
+            _check_at_1(nf, ic.WeightTriple(wt.t1, wt.t2 - 1e-9), junk)
 
     def test_construction_runs_the_check(self, monkeypatch):
         # every construction checks the weights it reports against the
@@ -285,6 +296,35 @@ class TestFocalCheckBound:
         monkeypatch.setattr(inconic.inscribed, "_weights", moved)
         with pytest.raises(errors.NumericalFailure,
                            match="^focal numerators disagree with the monic form$"):
+            ic.inscribe_at_param(quad_s3t2(), 0.5)
+
+
+class TestFocalHead:
+    """``foci_quadratic`` and the construction start with one head."""
+
+    def test_coefficients_are_read_off_the_dual_conic(self, rng):
+        # root product 2ic and root sum 2(h + ik), with c and k exactly as
+        # the construction reads them off D(h), inside the locus and beyond
+        for _ in range(30):
+            nf = ic.normalize(random_trapezium(rng))
+            lo, hi = nf.interval()
+            for u in (-0.4, 0.1, 0.5, 0.9, 1.4):
+                h = lo + u * (hi - lo)
+                c, k, _ = _dual_entries(nf.s, nf.t, h)
+                root_sum, root_product = ic.foci_quadratic(nf, h)
+                assert root_product == 2j * c
+                assert root_sum == complex(2 * h, 2 * k)
+
+    def test_a_failing_focal_check_stops_both(self, monkeypatch):
+        import inconic.inscribed
+
+        def fail(*args):
+            raise errors.NumericalFailure("patched focal check")
+
+        monkeypatch.setattr(inconic.inscribed, "_check_focal_form", fail)
+        with pytest.raises(errors.NumericalFailure, match="^patched focal check$"):
+            ic.foci_quadratic(WORKED_NF, 1.0)
+        with pytest.raises(errors.NumericalFailure, match="^patched focal check$"):
             ic.inscribe_at_param(quad_s3t2(), 0.5)
 
 
@@ -828,6 +868,9 @@ def test_pencil_is_not_a_construction_route():
     assert _imported_modules(inconic.cli) & oracles == {"pencil"}
     assert "pencil_from_lines" not in vars(inconic.inscribed)
     assert "member_with_center" not in vars(inconic.inscribed)
+    # the kernel solves no focal quadratic: the solver lives with marden
+    assert "stable_quadratic_roots" not in vars(inconic.inscribed)
+    assert "cmath" not in _imported_modules(inconic.inscribed)
 
 
 def _public_callables() -> dict:

@@ -93,7 +93,7 @@ def max_area(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> MaxAreaResult:
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("no unique inscribed ellipse for a parallelogram")
     nf = normalize(q, tol)
-    s, t = float(nf.s), float(nf.t)
+    s, t = nf.s, nf.t
     # A'(h) = -24(t-1) h^2 + 8((s+1)(t-1) - s) h + 2s(s + 2 - t)
     roots = _real_quadratic_roots(-24 * (t - 1),
                                   8 * ((s + 1) * (t - 1) - s),

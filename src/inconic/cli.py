@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import errors
@@ -51,7 +52,12 @@ EXIT_IO = 6
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1."""
+    """argparse with usage failures mapped to exit code 1; a token such as
+    -3,-2.25 or -1e-3 ("-", then a digit or ".") is read as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.print_usage(sys.stderr)

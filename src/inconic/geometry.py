@@ -167,18 +167,16 @@ class HomPoint(_Value):
         _set(self, "y", y)
         _set(self, "w", w)
 
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.w * self.w)
-
     def is_infinite(self) -> bool:
         return self.w == 0
 
     def dehomogenized(self) -> "HomPoint":
         """Scale to w = 1, or to a unit direction with w = 0 when |w| is at
         most 1e-10 relative to the norm."""
-        if abs(self.w) <= 1e-10 * self.norm():
-            return HomPoint(*_unit_direction(self.x, self.y), 0.0)
-        return HomPoint(self.x / self.w, self.y / self.w, 1.0)
+        x, y, w = self.x, self.y, self.w
+        if abs(w) <= 1e-10 * math.sqrt(x * x + y * y + w * w):
+            return HomPoint(*_unit_direction(x, y), 0.0)
+        return HomPoint(x / w, y / w, 1.0)
 
     def to_point(self) -> Point:
         if self.is_infinite():
@@ -573,10 +571,13 @@ def _metric_ellipse(p: float, q: float, r: float, det: float, value: float,
     quotient, so the small one does not cancel); semi-axis^2 =
     value/eigenvalue.  A caller that knows det as a product passes it in,
     since pr - q^2 cancels for thin ellipses.  lam_hi's eigenvector lies at
-    1/2 atan2(2q, p-r), so the major axis lies a quarter turn on.
+    1/2 atan2(2q, p-r), so the major axis lies a quarter turn on.  An
+    under- or overflowed eigenvalue raises NotAnEllipse.
     """
     lam_hi = (p + r) / 2 + math.hypot((p - r) / 2, q)
     lam_lo = det / lam_hi
+    if not 0 < lam_lo < math.inf:  # an infinite or NaN lam_hi gives 0 or NaN here
+        raise NotAnEllipse("ellipse axes out of float range")
     semi_major, semi_minor = math.sqrt(value / lam_lo), math.sqrt(value / lam_hi)
     if semi_major + 1e-15 < semi_minor:
         raise NotAnEllipse("inconsistent axis extraction")

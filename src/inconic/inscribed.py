@@ -453,7 +453,7 @@ def _construct(nf: NormalForm, h: float, tol: Tolerances) -> InscribedResult:
     _param_in_interval(nf, h, tol)
     conic, _, contacts, form, center, det, weights = _tangent_conic(nf, h, tol)
     # det Q = det(L)^2 det Q_n = det(L)^2 / det P_n, as a quotient
-    ellipse = _metric_ellipse(*form, nf.T.det ** 2 / det, 1.0, Point(*center))
+    ellipse = _metric_ellipse(*form, nf.T.det * nf.T.det / det, 1.0, Point(*center))
     return InscribedResult(ellipse, conic, contacts, *weights)
 
 

@@ -6,8 +6,9 @@ fixed "points" in line space.  That family is the pencil spanned by two
 degenerate duals, each the symmetrized outer product of a pair of
 intersection points of the four lines (the complete quadrilateral's point
 pairs).  Sweeping the pencil parameter sweeps every tangent conic; the
-homogeneous center of a member is the third column of its dual matrix, so
-prescribing a center is a linear condition on the parameter.
+homogeneous center of a member is the third column of its dual matrix,
+linear in the parameter: prescribing a center is a linear condition on it,
+and the line of centers is one cross product.
 
 It runs on the side lines in the original frame, apart from the
 normal-frame construction, and doubles as its brute-force oracle.  Matrices are 3x3 tuples of row tuples of floats.  The
@@ -223,26 +224,16 @@ def member_with_center(p: TangentPencil, center: Point) -> Conic:
 def centers_line(p: TangentPencil) -> Line:
     """Line carrying the centers of every member of the pencil.
 
-    Built from the homogeneous centers of two distinct nondegenerate
-    members (a homogeneous center of norm at most 1e-12 is skipped); for a
-    parallelogram every member is concentric and no line is determined.
+    The member den*d_a + num*d_b has the homogeneous center den*a + num*b,
+    a and b the third columns of d_a and d_b, so that line is a x b.  It
+    needs |a|, |b| > 1e-12, |a x b| > 1e-9 |a||b| (a parallelogram's members
+    are concentric) and an (x, y) part above 1e-12 |a||b| (not at infinity).
     """
-    samples = [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (-1.0, 1.0),
-               (2.0, 1.0), (1.0, 2.0), (-1.0, 2.0), (3.0, 1.0)]
-    centers = []
-    for num, den in samples:
-        m = p.member_matrix(num, den)
-        col = (m[0][2], m[1][2], m[2][2])
-        n = math.hypot(*col)
-        if n <= 1e-12:
-            continue
-        centers.append((col[0] / n, col[1] / n, col[2] / n))
-    for i in range(len(centers)):
-        for j in range(i + 1, len(centers)):
-            cross = _cross3(centers[i], centers[j])
-            if math.hypot(*cross) > 1e-9:
-                if math.hypot(cross[0], cross[1]) <= 1e-12:
-                    continue  # the "line at infinity" is not an affine line
-                return Line(cross[0], cross[1], cross[2])
+    a, b = [row[2] for row in p.d_a.m], [row[2] for row in p.d_b.m]
+    na, nb = math.hypot(*a), math.hypot(*b)
+    x, y, w = _cross3(a, b)
+    if (na > 1e-12 and nb > 1e-12 and math.hypot(x, y, w) > 1e-9 * na * nb
+            and math.hypot(x, y) > 1e-12 * na * nb):
+        return Line(x, y, w)
     raise DegenerateConfiguration(
         "all member centers coincide; no line of centers (parallelogram)")

@@ -22,12 +22,10 @@ def _bbox(points, ellipses):
     return min(xs), min(ys), max(xs), max(ys)
 
 
-def scene(quad_vertices, seg: LocusSegment | None, chord: ChordX | None,
+def scene(quad_vertices, seg: LocusSegment, chord: ChordX | None,
           ellipses: list[EllipseGeo], tangency_points: list[Point]) -> str:
     """Assemble the SVG document for one quadrilateral scene."""
-    pts = list(quad_vertices)
-    if seg is not None:
-        pts += [seg.m1, seg.m2]
+    pts = list(quad_vertices) + [seg.m1, seg.m2]
     if chord is not None:
         pts += [chord.p_start, chord.p_end]
     x0, y0, x1, y1 = _bbox(pts, ellipses)
@@ -52,11 +50,10 @@ def scene(quad_vertices, seg: LocusSegment | None, chord: ChordX | None,
             f'x2="{_f(chord.p_end.x)}" y2="{_f(chord.p_end.y)}" '
             f'stroke="gray" stroke-width="{_f(stroke)}" '
             f'stroke-dasharray="{_f(4 * stroke)} {_f(2 * stroke)}"/>')
-    if seg is not None:
-        parts.append(
-            f'<line x1="{_f(seg.m1.x)}" y1="{_f(seg.m1.y)}" '
-            f'x2="{_f(seg.m2.x)}" y2="{_f(seg.m2.y)}" '
-            f'stroke="blue" stroke-width="{_f(1.5 * stroke)}"/>')
+    parts.append(
+        f'<line x1="{_f(seg.m1.x)}" y1="{_f(seg.m1.y)}" '
+        f'x2="{_f(seg.m2.x)}" y2="{_f(seg.m2.y)}" '
+        f'stroke="blue" stroke-width="{_f(1.5 * stroke)}"/>')
     for e in ellipses:
         deg = math.degrees(e.angle)
         parts.append(

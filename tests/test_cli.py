@@ -17,6 +17,7 @@ QUAD = "0,0 1,0 3,2 0,1"
 WIDE = "0,0 1,0 4,2 0,1"
 SQUARE = "0,0 1,0 1,1 0,1"
 NONCONVEX = "0,0 1,0 0.4,0.4 0,1"
+SHIFTED = "-4,-3 -3,-3 -1,-1 -4,-2"  # QUAD moved by (-4, -3)
 
 
 def run_cli(capsys, *argv):
@@ -372,6 +373,17 @@ class TestRender:
 
 
 class TestUsageAndTolerances:
+    @pytest.mark.parametrize("command", ["inscribe", "verify", "render"])
+    def test_negative_center_is_a_value(self, capsys, tmp_path, command):
+        # (-3, -2.25) is the middle of SHIFTED's locus; argparse alone would
+        # read "-3,-2.25" as an option and "--center" as missing its value
+        extra = ["--out", str(tmp_path / "x.svg")] if command == "render" else []
+        code, out, err = run_cli(capsys, command, "--vertices", SHIFTED,
+                                 "--center", "-3,-2.25", *extra)
+        assert code == 0, err
+        assert run_cli(capsys, command, "--vertices", SHIFTED,
+                       "--center=-3,-2.25", *extra) == (0, out, err)
+
     def test_no_command_is_usage_error(self, capsys):
         assert run_cli(capsys)[0] == 1
 
@@ -530,6 +542,8 @@ EXIT_CODE_CONTRACT = [
                  "invalid input: ", id="2-input-schema"),
     pytest.param(["inscribe", "--vertices", QUAD, "--center", "0.7,0.7"], 3,
                  "center not admissible: ", id="3-off-locus"),
+    pytest.param(["inscribe", "--vertices", QUAD, "--u", "-1e-3"], 3,
+                 "center not admissible: ", id="3-negative-u"),
     pytest.param(["inscribe", "--vertices", SQUARE, "--u", "0.5"], 4,
                  "parallelogram: ", id="4-parallelogram"),
     pytest.param(["inscribe", "--vertices", QUAD, "--u", "0.37", "--tol", "tol_tan=1e-30"], 5,
@@ -537,6 +551,10 @@ EXIT_CODE_CONTRACT = [
     pytest.param(["inscribe", "--vertices", "0,0 1,1e-17 1,1 0,1", "--u", "0.5",
                   "--tol", "tol_par=1e-300"], 5,
                  "numerical failure: s = 1", id="5-zero-length-locus"),
+    pytest.param(["inscribe", "--vertices", "0,0 1e81,0 3e81,2e81 0,1e81", "--u", "0.37"], 5,
+                 "numerical failure: ", id="5-scale-1e81"),
+    pytest.param(["inscribe", "--vertices", "0,0 1e-77,0 3e-77,2e-77 0,1e-77", "--u", "0.37"], 5,
+                 "numerical failure: ", id="5-scale-1e-77"),
     pytest.param(["inspect", "--input", "{dir}/missing.json"], 6,
                  "i/o error: ", id="6-missing-input"),
     pytest.param(["render", "--vertices", QUAD, "--u", "0.5", "--out", "{dir}/no/dir/x.svg"], 6,

@@ -823,6 +823,36 @@ class TestCallerCentersFarOut:
                 fn(q, ic.Point(px + 1e-6 * length * nx, py + 1e-6 * length * ny))
 
 
+def _worked_scaled(scale, off=0.0):
+    return ic.validate_quad([(x * scale + off, y * scale + off)
+                             for x, y in [(0, 0), (1, 0), (3, 2), (0, 1)]])
+
+
+class TestScaleOutOfFloatRange:
+    """Scaled beyond about 1e80 the normal-frame block underflows, and below
+    about 1e-76 det(T)^2 overflows; the construction then raises
+    NotAnEllipse instead of a bare ZeroDivisionError or OverflowError."""
+
+    @pytest.mark.parametrize("scale", [1e81, 1e-77])
+    def test_out_of_range_raises_not_an_ellipse(self, scale):
+        q = _worked_scaled(scale)
+        with pytest.raises(errors.NotAnEllipse):
+            ic.inscribe_at_param(q, 0.37)
+        with pytest.raises(errors.NotAnEllipse):
+            ic.max_area(q)
+
+    def test_det_squared_overflow_raises_not_an_ellipse(self):
+        with pytest.raises(errors.NotAnEllipse):
+            ic.inscribe_at_param(_worked_scaled(7.79e-78, 1.07e-271), 0.25)
+
+    @pytest.mark.parametrize("scale", [1e-76, 1e77])
+    def test_range_ends_keep_full_accuracy(self, scale):
+        want = ic.inscribe_at_param(_worked_scaled(1.0), 0.37).ellipse
+        got = ic.inscribe_at_param(_worked_scaled(scale), 0.37).ellipse
+        for g, w in ((got.semi_major, want.semi_major), (got.semi_minor, want.semi_minor)):
+            assert g / scale == pytest.approx(w, rel=1e-15)
+
+
 class TestWeightPositivity:
     def test_products_positive_across_sample(self, rng):
         for _ in range(100):

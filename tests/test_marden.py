@@ -78,6 +78,13 @@ class TestFociFromWeights:
             assert abs((f1 + f2) - s) < 1e-10 * scale
             assert abs(f1 * f2 - p) < 1e-10 * scale
 
+    def test_weights_off_one_raise_degenerate_foci(self):
+        # t3 = 1 - t1 - t2 rounds at this magnitude, so the float sum is 0
+        w = ic.WeightTriple(4.17732324081696e16, 1347463708700906.0)
+        assert abs(float(w.t1 + w.t2 + w.t3) - 1.0) > 1e-9
+        with pytest.raises(errors.DegenerateFoci, match="weights do not sum to 1"):
+            ic.foci_from_weights(TRI_1, w)
+
 
 class TestValidity:
     def test_first_example_product(self):

@@ -183,6 +183,20 @@ class TestCentersLine:
             assert abs(line.eval(m1)) < 1e-9
             assert abs(line.eval(m2)) < 1e-9
 
+    def test_member_centers_lie_on_the_closed_form_line(self, rng):
+        # eight members across the pencil, d_a, d_b and mixtures of both signs
+        params = [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (-1.0, 1.0),
+                  (2.0, 1.0), (1.0, 2.0), (-1.0, 2.0), (3.0, 1.0)]
+        for i in range(200):
+            q = random_trapezoid(rng) if i % 2 else random_trapezium(rng)
+            pen = ic.pencil_from_lines(*q.side_lines())
+            line = ic.centers_line(pen)
+            for num, den in params:
+                m = pen.member_matrix(num, den)
+                x, y, w = m[0][2], m[1][2], m[2][2]
+                residual = abs(line.a * x + line.b * y + line.c * w) / math.hypot(x, y, w)
+                assert residual <= 1e-12 * (1 + abs(line.c))
+
     def test_square_members_are_concentric_and_line_undefined(self):
         q = ic.validate_quad([(0, 0), (1, 0), (1, 1), (0, 1)])
         pen = ic.pencil_from_lines(*q.side_lines())

@@ -209,6 +209,10 @@ class Line(_Value):
         b = p.x - q.x
         if a == 0 and b == 0:
             raise ValueError("cannot build a line through coincident points")
+        # (a, b) scaled by a power of two to [1/2, 1) before c is formed,
+        # so c overflows only where the line itself is out of range
+        e = -math.frexp(max(abs(a), abs(b)))[1]
+        a, b = math.ldexp(a, e), math.ldexp(b, e)
         return cls(a, b, -(a * p.x + b * p.y))
 
     def eval(self, p: Point) -> float:

@@ -11,15 +11,15 @@ short polynomials in (s, t, h), so one pass reads off the conic, its
 center and its four contacts (the poles of the sides), with no root
 solved.  The paper reaches the same conic through the focal quadratic
 z^2 - 2(h + i*L(h)) z + i(s-2h)/(s-1) that the two triangles cut off by
-the side lines share.  Its coefficients are read off the same D(h):
-every construction and ``foci_quadratic`` start with one head
-(``_focal_head``) that checks the weights of the center reduce the
-triangles' focal numerators to that form, and
-tests/test_certificate.py proves the identities between the two.  The
-construction divides by s - 1 but never by t - 1, so it also serves
-quadrilaterals with one parallel side pair (t = 1).  Centers on the chord
-beyond the diagonal midpoints yield the tangent hyperbolas from the same
-D(h): the determinant of its inverse form changes sign at the midpoints.
+the side lines share.  ``foci_quadratic`` reads its coefficients off the
+same D(h) and checks that the weights of the center reduce the
+triangles' focal numerators to that form; the construction needs
+neither, and tests/test_certificate.py proves the identities between
+the two.  The construction divides by s - 1 but never by t - 1, so it
+also serves quadrilaterals with one parallel side pair (t = 1).  Centers
+on the chord beyond the diagonal midpoints yield the tangent hyperbolas
+from the same D(h): the determinant of its inverse form changes sign at
+the midpoints.
 """
 from __future__ import annotations
 
@@ -159,17 +159,14 @@ class LocusLine(_Value):
 
 
 class InscribedResult(_Value):
-    """Inscribed ellipse with its conic, contact points and weights."""
-    __slots__ = ("ellipse", "conic", "tangencies", "weights_t", "weights_s")
+    """Inscribed ellipse with its conic and contact points."""
+    __slots__ = ("ellipse", "conic", "tangencies")
 
     def __init__(self, ellipse: EllipseGeo, conic: Conic,
-                 tangencies: tuple[HomPoint, HomPoint, HomPoint, HomPoint],
-                 weights_t: WeightTriple, weights_s: WeightTriple):
+                 tangencies: tuple[HomPoint, HomPoint, HomPoint, HomPoint]):
         _set(self, "ellipse", ellipse)
         _set(self, "conic", conic)
         _set(self, "tangencies", tangencies)
-        _set(self, "weights_t", weights_t)
-        _set(self, "weights_s", weights_s)
 
 
 def locus(q: ConvexQuad) -> LocusSegment:
@@ -290,27 +287,18 @@ def foci_quadratic(nf: NormalForm, h, tol: Tolerances = DEFAULT_TOL) -> tuple[co
 
     Holds along the whole center line: the roots are the foci of the
     inscribed ellipse between the diagonal midpoints, of the tangent
-    hyperbola beyond them.  Both coefficients are read off D(h) by the
-    head every construction starts with (``_focal_head``): the root sum
-    is 2(h + ik) and the root product 2ic, so this function runs the same
-    s = 1 guard and the same focal check as the construction, and raises
-    the same errors.
+    hyperbola beyond them.  Both coefficients are read off D(h)
+    (``_dual_entries``): the root sum is 2(h + ik) and the root product
+    2ic.  After ``locus_line``'s s = 1 guard, the weights of the center
+    are checked to reduce the side-line triangles' focal numerators to
+    that form (``_check_focal_form``); the construction runs neither.
     """
-    c, k, _, _ = _focal_head(nf, h, tol)
-    return complex(2 * h, 2 * k), 2j * c
-
-
-def _focal_head(nf: NormalForm, h, tol: Tolerances):
-    """(c, k, det, weights) at abscissa h: ``_dual_entries`` and
-    ``_weights``, after ``locus_line``'s s = 1 guard, with the weights
-    checked against the focal form through ``_check_focal_form``."""
     s, t = nf.s, nf.t
     if abs(s - 1) <= tol.tol_par:
         raise NumericalFailure(_VERTICAL)
-    wt, ws = weights = _weights(nf, h)
-    c, k, det = _dual_entries(s, t, h)
-    _check_focal_form(s, t, h, k, wt, ws, tol)
-    return c, k, det, weights
+    c, k, _ = _dual_entries(s, t, h)
+    _check_focal_form(s, t, h, k, *_weights(nf, h), tol)
+    return complex(2 * h, 2 * k), 2j * c
 
 
 def _check_focal_form(s, t, h, k, wt: WeightTriple, ws: WeightTriple,
@@ -381,7 +369,7 @@ def _tangent_conic(nf: NormalForm, h: float, tol: Tolerances):
     """Tangent conic at normalized abscissa h, in one plain-float pass over
     the dual conic D(h) of the normal frame.
 
-    Returns (conic, classification, contacts, form, center, det, weights):
+    Returns (conic, classification, contacts, form, center, det):
     ``form`` is the original-frame Q of (x - center)^T Q (x - center) = 1,
     ``center`` = T^-1(h, L(h)), ``det`` = det P_n and ``contacts`` are
     indexed as ``ConvexQuad.side_lines``.
@@ -396,10 +384,8 @@ def _tangent_conic(nf: NormalForm, h: float, tol: Tolerances):
     1e-12 max(1, h^2 + k^2)^2 raises DegeneratePoint: the conic has
     collapsed onto its focal line.  Q must be positive definite for an
     ellipse (else NotAnEllipse) and indefinite for a hyperbola (else
-    NumericalFailure).  It starts with ``_focal_head``, which
-    ``foci_quadratic`` shares: s = 1 raises ``locus_line``'s
-    NumericalFailure first, and the weights are checked against the focal
-    form with D(h)'s own k; no focal root is solved.
+    NumericalFailure).  s = 1 raises ``locus_line``'s NumericalFailure
+    first; no focal root is solved and no weight is formed.
 
     Each unit-normalized side l of y = 0, (1,0)-(s,t), (s,t)-(0,1), x = 0
     must have |l^T D l| / ||D||_F below tol_tan (else NotTangent); its
@@ -407,8 +393,10 @@ def _tangent_conic(nf: NormalForm, h: float, tol: Tolerances):
     norm, at most tol_infinity.  A contact goes out through T^-1 = (B, p0)
     and is stored at the original side ``labeling`` maps that side to.
     """
-    c, k, det, weights = _focal_head(nf, h, tol)
     s, t = nf.s, nf.t
+    if abs(s - 1) <= tol.tol_par:
+        raise NumericalFailure(_VERTICAL)
+    c, k, det = _dual_entries(s, t, h)
     p11, p12, p22 = h * h, h * k - c, k * k
     if abs(det) <= 1e-12 * max(1.0, p11 + p22) ** 2:
         raise DegeneratePoint("contact point lies on the focal line")
@@ -443,18 +431,18 @@ def _tangent_conic(nf: NormalForm, h: float, tol: Tolerances):
             x, y = px / pw, py / pw
             contacts[side] = HomPoint(b11 * x + b12 * y + x0, b21 * x + b22 * y + y0, 1.0)
     kind = ConicClass.REAL_ELLIPSE if is_ellipse else ConicClass.HYPERBOLA
-    return conic, kind, tuple(contacts), form, (cx, cy), det, weights
+    return conic, kind, tuple(contacts), form, (cx, cy), det
 
 
 def _construct(nf: NormalForm, h: float, tol: Tolerances) -> InscribedResult:
     """The inscribed ellipse at normalized abscissa h: the ellipse, its
-    conic, contacts and weights all come from one pass over D(h), centered
-    where that pass maps the normal-frame center."""
+    conic and contacts all come from one pass over D(h), centered where
+    that pass maps the normal-frame center."""
     _param_in_interval(nf, h, tol)
-    conic, _, contacts, form, center, det, weights = _tangent_conic(nf, h, tol)
+    conic, _, contacts, form, center, det = _tangent_conic(nf, h, tol)
     # det Q = det(L)^2 det Q_n = det(L)^2 / det P_n, as a quotient
     ellipse = _metric_ellipse(*form, nf.T.det * nf.T.det / det, 1.0, Point(*center))
-    return InscribedResult(ellipse, conic, contacts, *weights)
+    return InscribedResult(ellipse, conic, contacts)
 
 
 def _locus_abscissas(q: ConvexQuad, tol: Tolerances) -> tuple[NormalForm, float, float]:

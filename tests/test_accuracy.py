@@ -370,7 +370,7 @@ def test_tangent_hyperbolas_against_the_oracle(offset):
                 EPS * (1 + rate * (max(1.0, abs(h)) + reach))))
 
             h_read = lin.apply_xy(center.x, center.y)[0]
-            _, kind, _, form, got, _, _ = _tangent_conic(local_nf, h_read, ic.DEFAULT_TOL)
+            _, kind, _, form, got, _ = _tangent_conic(local_nf, h_read, ic.DEFAULT_TOL)
             assert kind is ic.ConicClass.HYPERBOLA
             want_form, want, form_rate, center_rate = oracle_tangent_form(q, h_read, offset)
             scale = max(1.0, abs(h_read))

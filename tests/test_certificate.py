@@ -9,15 +9,16 @@ is a member of the tangential pencil spanned by the two diagonals, linear
 in h.  Each test below proves one result for all (s, t, h) at once:
 the center, the tangency to the four sides, the paper's focal quadratic,
 the ellipse/hyperbola split along the center line, and the unique maximal
-area.  One more test evaluates the construction's own polynomial entries
-on the same symbols.
+area.  Two more evaluate the package's own formulas on the same symbols:
+the construction's polynomial entries, and the weights of the center that
+``foci_quadratic``'s focal check reads.
 """
 from types import SimpleNamespace
 
 import sympy as sp
 
 from inconic.area import area_cubic
-from inconic.inscribed import _dual_entries
+from inconic.inscribed import _dual_entries, _weights
 
 s, t, h, u, z = sp.symbols("s t h u z")
 P0, P1, P2, P3 = (sp.Matrix(p) for p in ((0, 0, 1), (1, 0, 1), (s, t, 1), (0, 1, 1)))
@@ -117,3 +118,20 @@ def test_kernel_entries_are_the_dual_conic():
     assert _is_zero(m * m.T - p_n - scaled[:2, :2])
     assert _is_zero(p_n.det() - det)
     assert _is_zero(det * 4 * (s - 1) ** 2 - area_cubic(SimpleNamespace(s=s, t=t), h))
+
+
+def test_weights_reduce_both_triangles_to_the_focal_quadratic():
+    # the weights of the center, run on symbols (a NormalForm would test
+    # s + t > 1): a triangle (z1, z2, z3) under weights (w1, w2, w3) has the
+    # focal numerator w1(z-z2)(z-z3) + w2(z-z1)(z-z3) + w3(z-z1)(z-z2), of
+    # root sum w1(z2+z3) + w2(z1+z3) + w3(z1+z2) and root product
+    # w1 z2 z3 + w2 z1 z3 + w3 z1 z2; for both side-line triangles these are
+    # the paper's 2(h + i L(h)) and i(s - 2h)/(s - 1).  The second triangle
+    # (0, i, x) exists only where t != 1; the first has no pole at t = 1.
+    wt, ws = _weights(SimpleNamespace(s=s, t=t), h)
+    root_sum, root_product = 2 * (h + sp.I * CENTER_LINE), sp.I * (s - 2 * h) / (s - 1)
+    for w, (z1, z2, z3) in ((wt, (0, 1, -sp.I * t / (s - 1))),
+                            (ws, (0, sp.I, -s / (t - 1)))):
+        w1, w2, w3 = w.as_tuple()
+        assert _is_zero(w1 * (z2 + z3) + w2 * (z1 + z3) + w3 * (z1 + z2) - root_sum)
+        assert _is_zero(w1 * z2 * z3 + w2 * z1 * z3 + w3 * z1 * z2 - root_product)

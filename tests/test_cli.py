@@ -555,6 +555,8 @@ EXIT_CODE_CONTRACT = [
                  "numerical failure: ", id="5-scale-1e81"),
     pytest.param(["inscribe", "--vertices", "0,0 1e-77,0 3e-77,2e-77 0,1e-77", "--u", "0.37"], 5,
                  "numerical failure: ", id="5-scale-1e-77"),
+    pytest.param(["verify", "--vertices", "0,0 1e155,0 3e155,2e155 0,1e155", "--u", "0.37"], 5,
+                 "numerical failure: ", id="5-verify-scale-1e155"),
     pytest.param(["inspect", "--input", "{dir}/missing.json"], 6,
                  "i/o error: ", id="6-missing-input"),
     pytest.param(["render", "--vertices", QUAD, "--u", "0.5", "--out", "{dir}/no/dir/x.svg"], 6,

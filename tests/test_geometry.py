@@ -181,6 +181,25 @@ class TestSideLines:
             assert repr(got) == repr(want)
             checked += 1
 
+    def test_lines_keep_their_bits_at_every_scale_and_stay_finite_beyond(self):
+        # (a, b) are scaled by a power of two before c is formed: bit for bit
+        # the plain formula at every power of ten from 1e-150 to 1e150, and a
+        # finite line at 1e155, where the plain formula's c overflows
+        rng = random.Random(49)
+        for k in range(-150, 151):
+            scale = 10.0 ** k
+            for _ in range(20):
+                p, q = (ic.Point(scale * rng.uniform(-10, 10), scale * rng.uniform(-10, 10))
+                        for _ in range(2))
+                line = ic.Line.from_points(p, q)
+                assert repr((line.a, line.b, line.c)) == repr(self._line_as_before(p, q))
+        p, q = ic.Point(1e155, 0.0), ic.Point(3e155, 2e155)
+        assert self._line_as_before(p, q)[2] == -math.inf
+        line = ic.Line.from_points(p, q)
+        unit = ic.Line.from_points(ic.Point(1.0, 0.0), ic.Point(3.0, 2.0))
+        for got, want in ((line.a, unit.a), (line.b, unit.b), (line.c, 1e155 * unit.c)):
+            assert math.isclose(got, want, rel_tol=1e-15)
+
 
 class TestConicConversions:
     def test_unit_circle(self):

@@ -15,6 +15,7 @@ from inconic import errors
 from inconic.inscribed import (
     _check_focal_form,
     _dual_entries,
+    _locus_abscissas,
     _on_line_bound,
     _project_to_segment,
     _tangent_conic,
@@ -283,24 +284,27 @@ class TestFocalCheckBound:
         with pytest.raises(errors.NumericalFailure, match="focal numerators"):
             _check_at_1(nf, ic.WeightTriple(wt.t1, wt.t2 - 1e-9), junk)
 
-    def test_construction_runs_the_check(self, monkeypatch):
-        # every construction checks the weights it reports against the
-        # focal form, with the same bound and message
+    def test_construction_runs_no_focal_check(self, monkeypatch):
+        # the construction reads everything off D(h): it forms no weights
+        # and runs no focal check, so neither can stop it
         import inconic.inscribed
-        weights = inconic.inscribed._weights
 
-        def moved(nf, h):
-            wt, ws = weights(nf, h)
-            return ic.WeightTriple(wt.t1, wt.t2 - 1e-9), ws
+        def fail(*args):
+            raise AssertionError("the construction reached the focal route")
 
-        monkeypatch.setattr(inconic.inscribed, "_weights", moved)
-        with pytest.raises(errors.NumericalFailure,
-                           match="^focal numerators disagree with the monic form$"):
-            ic.inscribe_at_param(quad_s3t2(), 0.5)
+        monkeypatch.setattr(inconic.inscribed, "_weights", fail)
+        monkeypatch.setattr(inconic.inscribed, "_check_focal_form", fail)
+        q = quad_s3t2()
+        ic.inscribe_at_param(q, 0.5)
+        ic.inscribe_at_center(q, ic.locus(q).point_at(0.37))
+        ic.max_area(q)
+        _, kind, _ = ic.tangent_conic_at_center(q, ic.chord_x(q).point_at(0.9))
+        assert kind is ic.ConicClass.HYPERBOLA
+        assert ic.InscribedResult.__slots__ == ("ellipse", "conic", "tangencies")
 
 
 class TestFocalHead:
-    """``foci_quadratic`` and the construction start with one head."""
+    """``foci_quadratic`` reads D(h)'s entries and runs the focal check."""
 
     def test_coefficients_are_read_off_the_dual_conic(self, rng):
         # root product 2ic and root sum 2(h + ik), with c and k exactly as
@@ -315,7 +319,7 @@ class TestFocalHead:
                 assert root_product == 2j * c
                 assert root_sum == complex(2 * h, 2 * k)
 
-    def test_a_failing_focal_check_stops_both(self, monkeypatch):
+    def test_a_failing_focal_check_stops_foci_quadratic(self, monkeypatch):
         import inconic.inscribed
 
         def fail(*args):
@@ -324,8 +328,6 @@ class TestFocalHead:
         monkeypatch.setattr(inconic.inscribed, "_check_focal_form", fail)
         with pytest.raises(errors.NumericalFailure, match="^patched focal check$"):
             ic.foci_quadratic(WORKED_NF, 1.0)
-        with pytest.raises(errors.NumericalFailure, match="^patched focal check$"):
-            ic.inscribe_at_param(quad_s3t2(), 0.5)
 
 
 def test_zero_length_center_line_raises_numerical_failure():
@@ -432,7 +434,9 @@ class TestInscribeAtCenter:
             pencil = ic.pencil_from_lines(*q.side_lines())
             assert ic.conic_distance(r.conic, ic.member_with_center(pencil, center)) < 1e-10
             # the first-triangle weights stay meaningful when t = 1
-            assert r.weights_t.product > 0
+            nf = ic.normalize(q)
+            h = nf.T.apply_xy(center.x, center.y)[0]
+            assert ic.weights_from_center(nf, h)[0].product > 0
 
     def test_ellipse_stays_inside_quad(self, rng):
         for _ in range(20):
@@ -491,7 +495,7 @@ class TestInscribeAtCenter:
             e = r.ellipse
             moved = [ic.Point(p.x + dx, p.y + dy) for p in (e.center, e.focus1, e.focus2)]
             ellipse = ic.EllipseGeo(moved[0], e.semi_major, e.semi_minor, e.angle, *moved[1:])
-            return ic.InscribedResult(ellipse, r.conic, r.tangencies, r.weights_t, r.weights_s)
+            return ic.InscribedResult(ellipse, r.conic, r.tangencies)
 
         monkeypatch.setattr(inconic.inscribed, "_construct", shifted)
         center = seg.point_at(0.37)
@@ -808,8 +812,9 @@ class TestCallerCentersFarOut:
     @pytest.mark.parametrize("off", [0.0, 1e10])
     def test_param_weights_are_exact(self, off):
         # h = 1/2 + 0.37 (3/2 - 1/2) on s = 3, t = 2: t1 = (2h - 3)/2, t2 = 1 - 2h
-        result = ic.inscribe_at_param(_worked_moved(off), 0.37)
-        assert result.weights_t.as_tuple() == (-0.63, -0.74, 2.37)
+        nf, h1, h2 = _locus_abscissas(_worked_moved(off), ic.DEFAULT_TOL)
+        wt, _ = ic.weights_from_center(nf, h1 + 0.37 * (h2 - h1))
+        assert wt.as_tuple() == (-0.63, -0.74, 2.37)
 
     def test_center_off_the_line_still_rejected_at_the_origin(self):
         q = quad_s3t2()

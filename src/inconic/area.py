@@ -26,8 +26,8 @@ from .geometry import (
 from .inscribed import (
     InscribedResult,
     NormalForm,
-    normalize,
     _construct,
+    _normal_frame,
     _param_in_interval,
 )
 
@@ -61,7 +61,7 @@ def inscribed_area(nf: NormalForm, h, tol: Tolerances = DEFAULT_TOL) -> float:
     """Normalized-frame area pi/(2|s-1|) sqrt(A(h)) of the inscribed ellipse
     centered at abscissa h.  Divide by |det(nf.T linear part)| for the
     original-frame area."""
-    _param_in_interval(nf, h, tol)
+    _param_in_interval(*nf.interval(), h, tol)
     value = float(area_cubic(nf, h))
     if value < 0:
         raise NumericalFailure("area cubic negative inside the open interval")
@@ -88,22 +88,21 @@ def max_area(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> MaxAreaResult:
     The critical abscissa is the closed-form root of A'(h) inside the open
     interval (exactly one exists).  With one parallel side pair (t = 1)
     A'(h) is linear and its root is h = (s + 1)/4, the interval midpoint.
-    The ellipse is built at h0 from the same normal form.
+    The ellipse is built at h0 from the same normal frame.
     """
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("no unique inscribed ellipse for a parallelogram")
-    nf = normalize(q, tol)
-    s, t = nf.s, nf.t
+    frame = _normal_frame(q, tol)
+    s, t, (lo, hi) = frame[0], frame[1], frame[6]
     # A'(h) = -24(t-1) h^2 + 8((s+1)(t-1) - s) h + 2s(s + 2 - t)
     roots = _real_quadratic_roots(-24 * (t - 1),
                                   8 * ((s + 1) * (t - 1) - s),
                                   2 * s * (s + 2 - t))
-    lo, hi = nf.interval()
     inside = [r for r in roots if lo < r < hi]
     if len(inside) != 1:
         raise NumericalFailure(
             f"expected exactly one critical abscissa inside ({lo}, {hi})")
     h0 = inside[0]
-    result = _construct(nf, h0, tol)
+    result = _construct(frame, h0, tol)
     ellipse = result.ellipse
     return MaxAreaResult(ellipse, ellipse.center, ellipse.area, h0, result)

@@ -20,6 +20,7 @@ from .errors import (
     NotAnEllipse,
     NotConvex,
     NotTangent,
+    NumericalFailure,
     SingularMap,
 )
 
@@ -37,9 +38,10 @@ def _rebuild(cls, values):
 class _Value:
     """Immutable value over ``__slots__``, compared, hashed, printed, copied
     and pickled by its slots; ``__init__`` sets each slot once.  A type
-    built on every construction (or, as ``Line``, on every side) sets its
-    slots one by one with ``_set``, which skips ``_fill``'s loop; the
-    others hand ``_fill`` their values in slot order."""
+    built on every construction sets its slots one by one through its slot
+    descriptors' ``__set__`` (``_slot_setters``), which skips ``_fill``'s
+    loop and ``_set``'s name lookup; the others set theirs with ``_set`` or
+    hand ``_fill`` their values in slot order."""
     __slots__ = ()
 
     def _fill(self, values) -> None:
@@ -69,6 +71,11 @@ class _Value:
 
     def __reduce__(self):
         return _rebuild, (self.__class__, self._values())
+
+
+def _slot_setters(cls) -> tuple:
+    """The ``__set__`` of each slot descriptor of cls, in slot order."""
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
 class Tolerances(_Value):
@@ -123,8 +130,8 @@ class Point(_Value):
     def __init__(self, x: float, y: float):
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ValueError("point components must be finite")
-        _set(self, "x", x)
-        _set(self, "y", y)
+        _point_x(self, x)
+        _point_y(self, y)
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.x, self.y)
@@ -163,9 +170,9 @@ class HomPoint(_Value):
             raise ValueError("homogeneous components must be finite")
         if x == 0 and y == 0 and w == 0:
             raise ValueError("homogeneous point cannot be the zero triple")
-        _set(self, "x", x)
-        _set(self, "y", y)
-        _set(self, "w", w)
+        _hom_x(self, x)
+        _hom_y(self, y)
+        _hom_w(self, w)
 
     def is_infinite(self) -> bool:
         return self.w == 0
@@ -227,19 +234,13 @@ class AffineMap(_Value):
 
     def __init__(self, m11: float, m12: float, m21: float, m22: float,
                  tx: float = 0.0, ty: float = 0.0):
-        isfinite = math.isfinite
-        if not (isfinite(m11) and isfinite(m12) and isfinite(m21) and isfinite(m22)
-                and isfinite(tx) and isfinite(ty)):
-            raise ValueError("affine map entries must be finite")
-        _set(self, "m11", m11)
-        _set(self, "m12", m12)
-        _set(self, "m21", m21)
-        _set(self, "m22", m22)
-        _set(self, "tx", tx)
-        _set(self, "ty", ty)
-        det = m11 * m22 - m12 * m21
-        if abs(det) <= DEFAULT_TOL.tol_det * (abs(m11 * m22) + abs(m12 * m21)):
-            raise SingularMap(f"linear part is singular (det={det:g})")
+        _affine_det(m11, m12, m21, m22, tx, ty)
+        _map_m11(self, m11)
+        _map_m12(self, m12)
+        _map_m21(self, m21)
+        _map_m22(self, m22)
+        _map_tx(self, tx)
+        _map_ty(self, ty)
 
     @classmethod
     def identity(cls) -> "AffineMap":
@@ -263,6 +264,20 @@ class AffineMap(_Value):
         return AffineMap(i11, i12, i21, i22,
                          -(i11 * self.tx + i12 * self.ty),
                          -(i21 * self.tx + i22 * self.ty))
+
+
+def _affine_det(m11: float, m12: float, m21: float, m22: float,
+                tx: float, ty: float) -> float:
+    """det of the linear part of x -> M x + t, after ``AffineMap``'s checks:
+    every entry finite (else ValueError) and M not singular (else SingularMap)."""
+    isfinite = math.isfinite
+    if not (isfinite(m11) and isfinite(m12) and isfinite(m21) and isfinite(m22)
+            and isfinite(tx) and isfinite(ty)):
+        raise ValueError("affine map entries must be finite")
+    det = m11 * m22 - m12 * m21
+    if abs(det) <= DEFAULT_TOL.tol_det * (abs(m11 * m22) + abs(m12 * m21)):
+        raise SingularMap(f"linear part is singular (det={det:g})")
+    return det
 
 
 class QuadKind(Enum):
@@ -300,7 +315,8 @@ def validate_quad(vertices, tol: Tolerances = DEFAULT_TOL) -> ConvexQuad:
     Returns the quad reordered counterclockwise starting from the
     lexicographically smallest vertex, with its parallel-pair classification.
     Raises NotConvex when some vertex cross product is not strictly positive,
-    DegenerateQuad for repeated vertices or an (almost) zero-area input.
+    DegenerateQuad for repeated vertices or an (almost) zero-area input, and
+    NumericalFailure when the zero-area bound itself overflows.
     """
     pts = [v if isinstance(v, Point) else Point(v[0], v[1]) for v in vertices]
     if len(pts) != 4:
@@ -317,7 +333,10 @@ def validate_quad(vertices, tol: Tolerances = DEFAULT_TOL) -> ConvexQuad:
     # the shoelace sum with the vertices translated to p0
     area2 = (_cross(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y)
              + _cross(p0.x, p0.y, p2.x, p2.y, p3.x, p3.y))
-    if abs(area2) <= 1e-12 * extent * extent:
+    bound = 1e-12 * extent * extent
+    if bound == math.inf:
+        raise NumericalFailure("quadrilateral is out of float range")
+    if abs(area2) <= bound:
         raise DegenerateQuad("vertex set has (near) zero area")
     if area2 < 0:
         pts.reverse()
@@ -391,12 +410,12 @@ class Conic(_Value):
                 raise ValueError("conic coefficients cannot all vanish")
             raise ValueError("conic coefficients must be finite")
         a, b, c, d, e, f = coeffs
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
-        _set(self, "d", d)
-        _set(self, "e", e)
-        _set(self, "f", f)
+        _conic_a(self, a)
+        _conic_b(self, b)
+        _conic_c(self, c)
+        _conic_d(self, d)
+        _conic_e(self, e)
+        _conic_f(self, f)
 
     def evaluate(self, x: float, y: float) -> float:
         return (self.a * x * x + self.b * x * y + self.c * y * y
@@ -501,16 +520,25 @@ class EllipseGeo(_Value):
             raise ValueError("semi_major must be the larger axis")
         if not (-math.pi / 2 < angle <= math.pi / 2):
             raise ValueError("angle must lie in (-pi/2, pi/2]")
-        _set(self, "center", center)
-        _set(self, "semi_major", semi_major)
-        _set(self, "semi_minor", semi_minor)
-        _set(self, "angle", angle)
-        _set(self, "focus1", focus1)
-        _set(self, "focus2", focus2)
+        _ellipse_center(self, center)
+        _ellipse_major(self, semi_major)
+        _ellipse_minor(self, semi_minor)
+        _ellipse_angle(self, angle)
+        _ellipse_focus1(self, focus1)
+        _ellipse_focus2(self, focus2)
 
     @property
     def area(self) -> float:
         return math.pi * self.semi_major * self.semi_minor
+
+
+# the slot setters of the types built on every construction (see ``_Value``)
+_point_x, _point_y = _slot_setters(Point)
+_hom_x, _hom_y, _hom_w = _slot_setters(HomPoint)
+_map_m11, _map_m12, _map_m21, _map_m22, _map_tx, _map_ty = _slot_setters(AffineMap)
+_conic_a, _conic_b, _conic_c, _conic_d, _conic_e, _conic_f = _slot_setters(Conic)
+(_ellipse_center, _ellipse_major, _ellipse_minor, _ellipse_angle, _ellipse_focus1,
+ _ellipse_focus2) = _slot_setters(EllipseGeo)
 
 
 def _norm_angle(theta: float) -> float:
@@ -566,20 +594,23 @@ def ellipse_from_conic(c: Conic) -> EllipseGeo:
 
 
 def _metric_ellipse(p: float, q: float, r: float, det: float, value: float,
-                    center: Point) -> EllipseGeo:
+                    center: Point, exp2: int = 0) -> EllipseGeo:
     """The ellipse (x-c)^T [[p, q], [q, r]] (x-c) = value, block positive
-    definite with determinant det = pr - q^2 and value > 0, in metric form.
+    definite with determinant det * 2^exp2 = pr - q^2 and value > 0, in
+    metric form.
 
     The block has the closed-form eigenvalues
     lam_hi = (p+r)/2 + hypot((p-r)/2, q) and lam_lo = det/lam_hi (a
-    quotient, so the small one does not cancel); semi-axis^2 =
-    value/eigenvalue.  A caller that knows det as a product passes it in,
-    since pr - q^2 cancels for thin ellipses.  lam_hi's eigenvector lies at
-    1/2 atan2(2q, p-r), so the major axis lies a quarter turn on.  An
-    under- or overflowed eigenvalue raises NotAnEllipse.
+    quotient, so the small one does not cancel), scaled by 2^exp2 last;
+    semi-axis^2 = value/eigenvalue.  A caller that knows det as a product
+    passes it in, since pr - q^2 cancels for thin ellipses, with a power
+    of two split off where the product itself would leave the float range.
+    lam_hi's eigenvector lies at 1/2 atan2(2q, p-r), so the major axis lies
+    a quarter turn on.  An under- or overflowed eigenvalue raises
+    NotAnEllipse.
     """
     lam_hi = (p + r) / 2 + math.hypot((p - r) / 2, q)
-    lam_lo = det / lam_hi
+    lam_lo = math.ldexp(det / lam_hi, exp2)
     if not 0 < lam_lo < math.inf:  # an infinite or NaN lam_hi gives 0 or NaN here
         raise NotAnEllipse("ellipse axes out of float range")
     semi_major, semi_minor = math.sqrt(value / lam_lo), math.sqrt(value / lam_hi)
@@ -598,14 +629,13 @@ def _metric_ellipse(p: float, q: float, r: float, det: float, value: float,
     return EllipseGeo(center, semi_major, semi_minor, angle, f1, f2)
 
 
-def _pull_back_form(q11: float, q12: float, q22: float,
-                   m: AffineMap) -> tuple[float, float, float]:
-    """(p11, p12, p22) of L^T Q L, L the linear part of m: the quadratic
-    form Q read through the map, x -> Q(L x)."""
-    r11, r12 = q11 * m.m11 + q12 * m.m21, q11 * m.m12 + q12 * m.m22
-    r21, r22 = q12 * m.m11 + q22 * m.m21, q12 * m.m12 + q22 * m.m22
-    return (m.m11 * r11 + m.m21 * r21, m.m11 * r12 + m.m21 * r22,
-            m.m12 * r12 + m.m22 * r22)
+def _pull_back_form(q11: float, q12: float, q22: float, m11: float, m12: float,
+                    m21: float, m22: float) -> tuple[float, float, float]:
+    """(p11, p12, p22) of L^T Q L, L = [[m11, m12], [m21, m22]]: the
+    quadratic form Q read through the map, x -> Q(L x)."""
+    r11, r12 = q11 * m11 + q12 * m21, q11 * m12 + q12 * m22
+    r21, r22 = q12 * m11 + q22 * m21, q12 * m12 + q22 * m22
+    return (m11 * r11 + m21 * r21, m11 * r12 + m21 * r22, m12 * r12 + m22 * r22)
 
 
 def transform_conic(c: Conic, t: AffineMap) -> Conic:
@@ -619,7 +649,7 @@ def transform_conic(c: Conic, t: AffineMap) -> Conic:
     p, q, r, lx, ly = c.a, c.b / 2, c.c, c.d / 2, c.e / 2
     wx = p * g.tx + q * g.ty + lx
     wy = q * g.tx + r * g.ty + ly
-    q11, q12, q22 = _pull_back_form(p, q, r, g)
+    q11, q12, q22 = _pull_back_form(p, q, r, g.m11, g.m12, g.m21, g.m22)
     return Conic(q11, 2 * q12, q22,
                  2 * (g.m11 * wx + g.m21 * wy), 2 * (g.m12 * wx + g.m22 * wy),
                  g.tx * wx + g.ty * wy + lx * g.tx + ly * g.ty + c.f)

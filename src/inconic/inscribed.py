@@ -47,10 +47,12 @@ from .geometry import (
     QuadKind,
     Tolerances,
     _Value,
+    _affine_det,
     _central_conic,
     _metric_ellipse,
     _pull_back_form,
     _set,
+    _slot_setters,
     _unit_direction,
 )
 
@@ -88,7 +90,8 @@ class NormalForm(_Value):
     T^-1(y) = B y + p0: B's columns are the edge vectors p1 - p0 and
     p3 - p0 of the frame and p0 is the vertex sent to (0,0).  ``normalize``
     fills it from that basis, so no call inverts T; left out, it is solved
-    from T.
+    from T.  The constructions read the same fields off ``_normal_frame``'s
+    flat tuple and build no NormalForm.
     Convexity forces s > 0, t > 0, s + t > 1.  The closed forms divide by
     s - 1 but never by t - 1, so ``normalize`` picks, of the two cyclic
     labelings, the one whose sides (1,0)-(s,t) and (0,1)-(0,0) are furthest
@@ -112,8 +115,13 @@ class NormalForm(_Value):
 
     def interval(self) -> tuple[float, float]:
         """Open interval of normalized abscissas swept by the center locus."""
-        half, shalf = 1 / 2, self.s / 2
-        return (half, shalf) if half <= shalf else (shalf, half)
+        return _interval(self.s)
+
+
+def _interval(s) -> tuple[float, float]:
+    """The ends 1/2 and s/2 of the center locus's abscissas, ordered."""
+    half, shalf = 1 / 2, s / 2
+    return (half, shalf) if half <= shalf else (shalf, half)
 
 
 class LocusSegment(_Value):
@@ -164,9 +172,12 @@ class InscribedResult(_Value):
 
     def __init__(self, ellipse: EllipseGeo, conic: Conic,
                  tangencies: tuple[HomPoint, HomPoint, HomPoint, HomPoint]):
-        _set(self, "ellipse", ellipse)
-        _set(self, "conic", conic)
-        _set(self, "tangencies", tangencies)
+        _result_ellipse(self, ellipse)
+        _result_conic(self, conic)
+        _result_tangencies(self, tangencies)
+
+
+_result_ellipse, _result_conic, _result_tangencies = _slot_setters(InscribedResult)
 
 
 def locus(q: ConvexQuad) -> LocusSegment:
@@ -197,7 +208,21 @@ def normalize(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     by, safely away from zero; a parallel side pair gets t = 1, since its
     other rotation has s = 1 and sine 0.  Only the kept rotation's map is
     built.  A parallelogram raises ParallelogramUnsupported: its inscribed
-    ellipses are not unique.
+    ellipses are not unique.  It wraps ``_normal_frame``, the tuple the
+    constructions read.
+    """
+    s, t, (m11, m12, m21, m22), (tx, ty), inverse, labeling, _, _ = _normal_frame(q, tol)
+    return NormalForm(AffineMap(m11, m12, m21, m22, tx, ty), s, t, labeling, inverse)
+
+
+def _normal_frame(q: ConvexQuad, tol: Tolerances) -> tuple:
+    """``normalize(q, tol)`` as the flat tuple the constructions read,
+    (s, t, M, (tx, ty), inverse, labeling, (lo, hi), det): T(x) = M x +
+    (tx, ty) with M = (m11, m12, m21, m22) and det = det M, and ``inverse``,
+    ``labeling`` and (lo, hi) = ``interval()`` as NormalForm holds them.
+    Each is computed once.  It raises what ``normalize`` raises, in the
+    same order: ``AffineMap``'s checks on T run here (``_affine_det``), and
+    NormalForm's convexity bound is ``_frame``'s, on the same s and t.
     """
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("inscribed ellipses of a parallelogram are not unique")
@@ -211,19 +236,25 @@ def normalize(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
         p0, labeling = v0, (0, 1, 2, 3)
     s, t, m11, m12, m21, m22, b11, b12, b21, b22 = frame
     x0, y0 = p0.x, p0.y
-    t_map = AffineMap(m11, m12, m21, m22, -(m11 * x0 + m12 * y0), -(m21 * x0 + m22 * y0))
-    return NormalForm(t_map, s, t, labeling, (b11, b12, b21, b22, x0, y0))
+    tx, ty = -(m11 * x0 + m12 * y0), -(m21 * x0 + m22 * y0)
+    det = _affine_det(m11, m12, m21, m22, tx, ty)
+    return (s, t, (m11, m12, m21, m22), (tx, ty), (b11, b12, b21, b22, x0, y0), labeling,
+            _interval(s), det)
 
 
 def _frame(p0: Point, p1: Point, p2: Point, p3: Point, tol: Tolerances):
     """(s, t, m11, m12, m21, m22, b11, b12, b21, b22) of the frame sending
     p0, p1, p2, p3 to (0,0), (1,0), (s,t), (0,1): B = [[b11, b12], [b21, b22]]
     holds the edge vectors p1 - p0 and p3 - p0, M = B^-1.  (s, t) is solved
-    from vertex differences, so it does not depend on where the quad sits."""
+    from vertex differences, so it does not depend on where the quad sits.
+    A basis whose products overflow is out of float range, not singular."""
     b11, b12 = p1.x - p0.x, p3.x - p0.x
     b21, b22 = p1.y - p0.y, p3.y - p0.y
     det = b11 * b22 - b12 * b21
-    if abs(det) <= tol.tol_det * (abs(b11 * b22) + abs(b12 * b21)):
+    size = abs(b11 * b22) + abs(b12 * b21)
+    if not size < math.inf:
+        raise NumericalFailure("normalization basis is out of float range")
+    if abs(det) <= tol.tol_det * size:
         raise NumericalFailure("normalization basis is singular")
     m11, m12 = b22 / det, -b12 / det
     m21, m22 = -b21 / det, b11 / det
@@ -249,11 +280,10 @@ def locus_line(nf: NormalForm, tol: Tolerances = DEFAULT_TOL) -> LocusLine:
     return LocusLine((t - 1) / (s - 1), (s - t) / (2 * (s - 1)), nf.interval())
 
 
-def _param_in_interval(nf: NormalForm, h, tol: Tolerances) -> None:
-    """Raise CenterOffLocus unless h is strictly inside ``nf.interval()``,
-    tol_interval in from either end; an interval of zero width (s = 1)
-    raises ``locus_line``'s NumericalFailure."""
-    lo, hi = nf.interval()
+def _param_in_interval(lo: float, hi: float, h, tol: Tolerances) -> None:
+    """Raise CenterOffLocus unless h is strictly inside the interval
+    (lo, hi), tol_interval in from either end; an interval of zero width
+    (s = 1) raises ``locus_line``'s NumericalFailure."""
     if lo == hi:
         raise NumericalFailure(_VERTICAL)
     u = (h - lo) / (hi - lo)
@@ -269,7 +299,7 @@ def weights_from_center(nf: NormalForm, h,
     s2 = (t-1)(1-2h)/(s-1); both products are strictly positive on the open
     interval.  Exact number types pass through unchanged.
     """
-    _param_in_interval(nf, h, tol)
+    _param_in_interval(*nf.interval(), h, tol)
     return _weights(nf, h)
 
 
@@ -365,9 +395,10 @@ def _dual_entries(s, t, h):
             (2 * h - 1) * (s - 2 * h) * (2 * h * (t - 1) + s) / (e3 * e3))
 
 
-def _tangent_conic(nf: NormalForm, h: float, tol: Tolerances):
+def _tangent_conic(frame: tuple, h: float, tol: Tolerances):
     """Tangent conic at normalized abscissa h, in one plain-float pass over
-    the dual conic D(h) of the normal frame.
+    the dual conic D(h) of the normal frame ``frame`` (``_normal_frame``'s
+    tuple).
 
     Returns (conic, classification, contacts, form, center, det):
     ``form`` is the original-frame Q of (x - center)^T Q (x - center) = 1,
@@ -376,8 +407,8 @@ def _tangent_conic(nf: NormalForm, h: float, tol: Tolerances):
 
     ``_dual_entries`` gives D(h) = [[m m^T - P_n, m], [m^T, 1]] up to scale,
     m = (h, k), so P_n = Q_n^-1 = [[h^2, hk - c], [hk - c, k^2]] and
-    Q_n = adj(P_n) / det goes out through T's 2x2 linear part L only, as
-    Q = L^T Q_n L; pushing out the full 3x3 matrix instead rounds the
+    Q_n = adj(P_n) / det goes out through T's 2x2 linear part M only, as
+    Q = M^T Q_n M; pushing out the full 3x3 matrix instead rounds the
     center worse.  det P_n is positive between the diagonal midpoints (an
     ellipse, lo < h < hi) and negative beyond them (a hyperbola); the class
     is read off h, not off the coefficients.  |det P_n| at most
@@ -393,22 +424,20 @@ def _tangent_conic(nf: NormalForm, h: float, tol: Tolerances):
     norm, at most tol_infinity.  A contact goes out through T^-1 = (B, p0)
     and is stored at the original side ``labeling`` maps that side to.
     """
-    s, t = nf.s, nf.t
+    s, t, m, _, (b11, b12, b21, b22, x0, y0), labeling, (lo, hi), _ = frame
     if abs(s - 1) <= tol.tol_par:
         raise NumericalFailure(_VERTICAL)
     c, k, det = _dual_entries(s, t, h)
     p11, p12, p22 = h * h, h * k - c, k * k
     if abs(det) <= 1e-12 * max(1.0, p11 + p22) ** 2:
         raise DegeneratePoint("contact point lies on the focal line")
-    q11, q12, q22 = form = _pull_back_form(p22 / det, -p12 / det, p11 / det, nf.T)
+    q11, q12, q22 = form = _pull_back_form(p22 / det, -p12 / det, p11 / det, *m)
     qdet = q11 * q22 - q12 * q12
-    lo, hi = nf.interval()
     is_ellipse = lo < h < hi
     if is_ellipse and not (q11 > 0 and qdet > 0):
         raise NotAnEllipse("pushed-out form is not positive definite")
     if not is_ellipse and not qdet < 0:
         raise NumericalFailure("pushed-out hyperbola form is not indefinite")
-    b11, b12, b21, b22, x0, y0 = nf.inverse
     cx, cy = b11 * h + b12 * k + x0, b21 * h + b22 * k + y0
     conic = _central_conic(q11, q12, q22, cx, cy)
 
@@ -418,7 +447,7 @@ def _tangent_conic(nf: NormalForm, h: float, tol: Tolerances):
              ((1 - t) / n2, s / n2, -s / n2), (1.0, 0.0, 0.0))
     contacts = [None] * 4
     tan_bound, tol_infinity = tol.tol_tan * norm, tol.tol_infinity
-    for side, (la, lb, lc) in zip(nf.labeling, sides):
+    for side, (la, lb, lc) in zip(labeling, sides):
         px = c * lb + h * lc
         py = c * la + k * lc
         pw = h * la + k * lb + lc
@@ -434,35 +463,45 @@ def _tangent_conic(nf: NormalForm, h: float, tol: Tolerances):
     return conic, kind, tuple(contacts), form, (cx, cy), det
 
 
-def _construct(nf: NormalForm, h: float, tol: Tolerances) -> InscribedResult:
-    """The inscribed ellipse at normalized abscissa h: the ellipse, its
-    conic and contacts all come from one pass over D(h), centered where
-    that pass maps the normal-frame center."""
-    _param_in_interval(nf, h, tol)
-    conic, _, contacts, form, center, det = _tangent_conic(nf, h, tol)
-    # det Q = det(L)^2 det Q_n = det(L)^2 / det P_n, as a quotient
-    ellipse = _metric_ellipse(*form, nf.T.det * nf.T.det / det, 1.0, Point(*center))
+def _construct(frame: tuple, h: float, tol: Tolerances) -> InscribedResult:
+    """The inscribed ellipse at normalized abscissa h of the normal frame
+    ``frame``: the ellipse, its conic and contacts all come from one pass
+    over D(h), centered where that pass maps the normal-frame center."""
+    _param_in_interval(*frame[6], h, tol)
+    conic, _, contacts, form, center, det = _tangent_conic(frame, h, tol)
+    # det Q = det(M)^2 det Q_n = det(M)^2 / det P_n, as a quotient, with
+    # det(M)'s power of two split off so that its square stays in range
+    mant, exp = math.frexp(frame[7])
+    ellipse = _metric_ellipse(*form, mant * mant / det, 1.0, Point(*center), 2 * exp)
     return InscribedResult(ellipse, conic, contacts)
 
 
-def _locus_abscissas(q: ConvexQuad, tol: Tolerances) -> tuple[NormalForm, float, float]:
-    """The normal form of q and the abscissas h1, h2 of locus(q)'s m1 and
-    m2 (s/2 for the diagonal ``labeling`` sends to (0,0) and (s,t), 1/2 for
-    the other), ordered as ``locus`` orders them.  A locus parameter u goes
-    straight to h1 + u (h2 - h1).  ``normalize`` rejects parallelograms."""
-    nf = normalize(q, tol)
+def _abscissa(frame: tuple, p: Point) -> float:
+    """The normalized abscissa of p: the first coordinate of T(p)."""
+    (m11, m12, _, _), (tx, _) = frame[2], frame[3]
+    return m11 * p.x + m12 * p.y + tx
+
+
+def _locus_abscissas(q: ConvexQuad, tol: Tolerances) -> tuple[tuple, float, float]:
+    """The normal frame of q (``_normal_frame``) and the abscissas h1, h2
+    of locus(q)'s m1 and m2 (s/2 for the diagonal the labeling sends to
+    (0,0) and (s,t), 1/2 for the other), ordered as ``locus`` orders them.
+    A locus parameter u goes straight to h1 + u (h2 - h1).  Parallelograms
+    are rejected."""
+    frame = _normal_frame(q, tol)
+    s, labeling = frame[0], frame[5]
     ma, mb = _midpoint_pairs(q)
-    h_a, h_b = (nf.s / 2, 0.5) if nf.labeling[0] % 2 == 0 else (0.5, nf.s / 2)
+    h_a, h_b = (s / 2, 0.5) if labeling[0] % 2 == 0 else (0.5, s / 2)
     h1, h2 = (h_b, h_a) if mb < ma else (h_a, h_b)
-    return nf, h1, h2
+    return frame, h1, h2
 
 
 def _inscribe_params(q: ConvexQuad, params, tol: Tolerances) -> Iterator[InscribedResult]:
     """Inscribed ellipses at the locus parameters ``params``, from one
-    normal form.  The quad is checked and normalized at the call; each
+    normal frame.  The quad is checked and normalized at the call; each
     ellipse is built as the iterator reaches it."""
-    nf, h1, h2 = _locus_abscissas(q, tol)
-    return (_construct(nf, h1 + u * (h2 - h1), tol) for u in params)
+    frame, h1, h2 = _locus_abscissas(q, tol)
+    return (_construct(frame, h1 + u * (h2 - h1), tol) for u in params)
 
 
 def inscribe_at_center(q: ConvexQuad, center: Point,
@@ -490,8 +529,8 @@ def inscribe_at_center(q: ConvexQuad, center: Point,
     _, dist = _project_to_segment(center, m1, m2)
     if dist > _on_line_bound(center, m1, m2, tol):
         raise CenterOffLocus("center is not on the line of the locus segment")
-    nf = normalize(q, tol)
-    result = _construct(nf, nf.T.apply_xy(center.x, center.y)[0], tol)
+    frame = _normal_frame(q, tol)
+    result = _construct(frame, _abscissa(frame, center), tol)
     got = result.ellipse.center
     if math.hypot(got.x - center.x, got.y - center.y) > \
             1e-6 * (1 + math.hypot(m2.x - m1.x, m2.y - m1.y)):
@@ -508,8 +547,8 @@ def inscribe_at_param(q: ConvexQuad, u: float,
     """
     if not (tol.tol_interval < u < 1 - tol.tol_interval):
         raise CenterOffLocus(f"parameter {u} outside the open unit interval")
-    nf, h1, h2 = _locus_abscissas(q, tol)
-    return _construct(nf, h1 + u * (h2 - h1), tol)
+    frame, h1, h2 = _locus_abscissas(q, tol)
+    return _construct(frame, h1 + u * (h2 - h1), tol)
 
 
 def chord_x(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> ChordX:
@@ -583,5 +622,5 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
     for m in (m1, m2):
         if abs(u - ((m.x - a.x) * dx + (m.y - a.y) * dy) / den) <= tol.tol_interval:
             raise DegenerateAtMidpoint("center coincides with a diagonal midpoint")
-    nf = normalize(q, tol)
-    return _tangent_conic(nf, nf.T.apply_xy(center.x, center.y)[0], tol)[:3]
+    frame = _normal_frame(q, tol)
+    return _tangent_conic(frame, _abscissa(frame, center), tol)[:3]

@@ -50,7 +50,7 @@ from mpmath import mp, mpc, mpf
 
 import inconic as ic
 from conftest import random_trapezium
-from inconic.inscribed import _construct, _locus_abscissas, _tangent_conic
+from inconic.inscribed import _construct, _locus_abscissas, _normal_frame, _tangent_conic
 
 EPS = 2.0 ** -52
 C_MAJOR = 16      # semi-major axis, in eps
@@ -240,20 +240,19 @@ def _dist(p, x, y, offset=0.0):
 
 
 def _local_form(q, offset):
-    """``normalize(q)`` with T and T^-1 moved by (-offset, -offset).  The
-    vertex T^-1 starts from lies within a factor 2 of the offset (or the
-    offset is 0), so the move is exact: a construction through it does the
-    moved quad's own normal-frame arithmetic bit for bit, and rounds its
-    points at the quad's extent rather than at the offset."""
-    nf = ic.normalize(q)
-    b11, b12, b21, b22, x0, y0 = nf.inverse
+    """``_normal_frame(q)`` with T and T^-1 moved by (-offset, -offset).
+    The vertex T^-1 starts from lies within a factor 2 of the offset (or
+    the offset is 0), so the move is exact: a construction through it does
+    the moved quad's own normal-frame arithmetic bit for bit, and rounds
+    its points at the quad's extent rather than at the offset."""
+    s, t, m, _, inverse, labeling, interval, det = _normal_frame(q, ic.DEFAULT_TOL)
+    b11, b12, b21, b22, x0, y0 = inverse
     x1, y1 = x0 - offset, y0 - offset
     assert Fraction(x1) == Fraction(x0) - Fraction(offset)
     assert Fraction(y1) == Fraction(y0) - Fraction(offset)
-    t = nf.T
-    moved = ic.AffineMap(t.m11, t.m12, t.m21, t.m22,
-                         -(t.m11 * x1 + t.m12 * y1), -(t.m21 * x1 + t.m22 * y1))
-    return ic.NormalForm(moved, nf.s, nf.t, nf.labeling, (b11, b12, b21, b22, x1, y1))
+    m11, m12, m21, m22 = m
+    moved = (-(m11 * x1 + m12 * y1), -(m21 * x1 + m22 * y1))
+    return s, t, m, moved, (b11, b12, b21, b22, x1, y1), labeling, interval, det
 
 
 def _draws(offset):

@@ -286,13 +286,13 @@ class TestMaxArea:
             ic.max_area(q)
 
     def test_one_normal_form_per_call(self, monkeypatch):
-        calls = []
+        calls, frame = [], ic.inscribed._normal_frame
 
-        def counted(q, tol=ic.DEFAULT_TOL):
+        def counted(q, tol):
             calls.append(q)
-            return ic.normalize(q, tol)
+            return frame(q, tol)
         for module in (ic.area, ic.inscribed):
-            monkeypatch.setattr(module, "normalize", counted)
+            monkeypatch.setattr(module, "_normal_frame", counted)
         res = ic.max_area(quad_s3t2())
         assert len(calls) == 1
         assert res.inscribed.ellipse == res.ellipse

@@ -61,6 +61,22 @@ class TestInspect:
 
 
 class TestInscribe:
+    @pytest.mark.parametrize("exponent", ["e81", "e-77"])
+    def test_det_squared_past_the_float_range_exits_0(self, capsys, exponent):
+        # det(T)^2 used to leave the float range here (exit 5); the library
+        # result is pinned within 4 ulps in test_inscribed.py, and a number
+        # below 1e-12 prints as 0
+        scale = float("1" + exponent)
+        vertices = f"0,0 1{exponent},0 3{exponent},2{exponent} 0,1{exponent}"
+        want = json.loads(run_cli(capsys, "inscribe", "--vertices", QUAD, "--u", "0.37")[1])
+        code, out, err = run_cli(capsys, "inscribe", "--vertices", vertices, "--u", "0.37")
+        assert code == 0, err
+        doc = json.loads(out)
+        assert doc["classification"] == "ellipse"
+        assert doc["angle_rad"] == pytest.approx(want["angle_rad"], rel=1e-14)
+        for key, power in (("semi_major", 1), ("semi_minor", 1), ("area", 2)):
+            assert doc[key] == pytest.approx(want[key] * scale ** power, rel=1e-14, abs=1e-12)
+
     def test_center_flag(self, capsys):
         code, out, _ = run_cli(capsys, "inscribe", "--vertices", QUAD,
                                "--center", "1,0.75")
@@ -551,12 +567,15 @@ EXIT_CODE_CONTRACT = [
     pytest.param(["inscribe", "--vertices", "0,0 1,1e-17 1,1 0,1", "--u", "0.5",
                   "--tol", "tol_par=1e-300"], 5,
                  "numerical failure: s = 1", id="5-zero-length-locus"),
-    pytest.param(["inscribe", "--vertices", "0,0 1e81,0 3e81,2e81 0,1e81", "--u", "0.37"], 5,
-                 "numerical failure: ", id="5-scale-1e81"),
-    pytest.param(["inscribe", "--vertices", "0,0 1e-77,0 3e-77,2e-77 0,1e-77", "--u", "0.37"], 5,
-                 "numerical failure: ", id="5-scale-1e-77"),
+    pytest.param(["inscribe", "--vertices", "0,0 1e82,0 3e82,2e82 0,1e82", "--u", "0.37"], 5,
+                 "numerical failure: ", id="5-scale-1e82"),
+    pytest.param(["inscribe", "--vertices", "0,0 1e-78,0 3e-78,2e-78 0,1e-78", "--u", "0.37"], 5,
+                 "numerical failure: ", id="5-scale-1e-78"),
     pytest.param(["verify", "--vertices", "0,0 1e155,0 3e155,2e155 0,1e155", "--u", "0.37"], 5,
                  "numerical failure: ", id="5-verify-scale-1e155"),
+    pytest.param(["verify", "--vertices", "0,0 1e160,0 3e160,2e160 0,1e160", "--u", "0.37"], 5,
+                 "numerical failure: quadrilateral is out of float range",
+                 id="5-verify-scale-1e160"),
     pytest.param(["inspect", "--input", "{dir}/missing.json"], 6,
                  "i/o error: ", id="6-missing-input"),
     pytest.param(["render", "--vertices", QUAD, "--u", "0.5", "--out", "{dir}/no/dir/x.svg"], 6,

@@ -70,6 +70,15 @@ class TestValidateQuad:
         with pytest.raises(errors.DegenerateQuad):
             ic.validate_quad(place([(0, 0), (1, 1), (2, 2), (3, 3)]))
 
+    @pytest.mark.parametrize("scale", [1e160, 1e161, 1e300])
+    def test_quad_past_the_float_range_is_a_numerical_failure(self, scale):
+        # the zero-area bound 1e-12 extent^2 overflows, where it read inf <= inf
+        # and called the quad degenerate
+        with pytest.raises(errors.NumericalFailure, match="^quadrilateral is out of float range$"):
+            ic.validate_quad([(0, 0), (scale, 0), (3 * scale, 2 * scale), (0, scale)])
+        assert ic.validate_quad([(0, 0), (1e159, 0), (3e159, 2e159), (0, 1e159)]).kind \
+            is ic.QuadKind.TRAPEZIUM
+
     def test_canonical_order_stable_under_rotation_and_reversal(self):
         base = [(0, 0), (1, 0), (3, 2), (0, 1)]
         expect = ic.validate_quad(base).vertices

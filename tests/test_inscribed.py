@@ -15,7 +15,9 @@ from inconic import errors
 from inconic.inscribed import (
     _check_focal_form,
     _dual_entries,
+    _frame,
     _locus_abscissas,
+    _normal_frame,
     _on_line_bound,
     _project_to_segment,
     _tangent_conic,
@@ -301,6 +303,82 @@ class TestFocalCheckBound:
         _, kind, _ = ic.tangent_conic_at_center(q, ic.chord_x(q).point_at(0.9))
         assert kind is ic.ConicClass.HYPERBOLA
         assert ic.InscribedResult.__slots__ == ("ellipse", "conic", "tangencies")
+
+
+def _normalize_as_before(q, tol=ic.DEFAULT_TOL):
+    """``normalize`` as it was written before the constructions read a flat
+    frame: the kept rotation's map built as an AffineMap and checked there,
+    and the NormalForm built over it."""
+    if q.kind is ic.QuadKind.PARALLELOGRAM:
+        raise errors.ParallelogramUnsupported(
+            "inscribed ellipses of a parallelogram are not unique")
+    v0, v1 = q.v0, q.v1
+    frame = _frame(v0, v1, q.v2, q.v3, tol)
+    turned = _frame(v1, q.v2, q.v3, v0, tol)
+    s, t, s1, t1 = frame[0], frame[1], turned[0], turned[1]
+    if abs(s1 - 1) / math.hypot(s1 - 1, t1) > abs(s - 1) / math.hypot(s - 1, t):
+        frame, p0, labeling = turned, v1, (1, 2, 3, 0)
+    else:
+        p0, labeling = v0, (0, 1, 2, 3)
+    s, t, m11, m12, m21, m22, b11, b12, b21, b22 = frame
+    x0, y0 = p0.x, p0.y
+    t_map = ic.AffineMap(m11, m12, m21, m22, -(m11 * x0 + m12 * y0), -(m21 * x0 + m22 * y0))
+    return ic.NormalForm(t_map, s, t, labeling, (b11, b12, b21, b22, x0, y0))
+
+
+class TestNormalFrame:
+    """The constructions read ``_normal_frame``'s flat tuple; ``normalize``
+    builds the public NormalForm over the same tuple."""
+
+    def test_constructions_build_no_normal_form_or_affine_map(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the construction built a NormalForm or an AffineMap")
+
+        q = quad_s3t2()
+        center, beyond = ic.locus(q).point_at(0.37), ic.chord_x(q).point_at(0.9)
+        monkeypatch.setattr(ic.NormalForm, "__init__", fail)
+        monkeypatch.setattr(ic.AffineMap, "__init__", fail)
+        ic.inscribe_at_param(q, 0.5)
+        ic.inscribe_at_center(q, center)
+        ic.max_area(q)
+        _, kind, _ = ic.tangent_conic_at_center(q, beyond)
+        assert kind is ic.ConicClass.HYPERBOLA
+
+    def test_normalize_matches_the_former_construction(self, rng):
+        quads = [quad_s3t2(), quad_s4t2()]
+        for _ in range(40):
+            quads.append(random_trapezium(rng))
+            quads.append(random_trapezoid(rng))
+            far = random_affine(rng)
+            far = ic.AffineMap(1e6 * far.m11, 1e6 * far.m12, 1e6 * far.m21, 1e6 * far.m22,
+                               far.tx + 1e9, far.ty - 1e9)
+            quads.append(transform_quad(random_trapezium(rng), far))
+        for q in quads:
+            want = _normalize_as_before(q)
+            got = ic.normalize(q)
+            assert got == want
+            frame = _normal_frame(q, ic.DEFAULT_TOL)
+            s, t, m, translation, inverse, labeling, interval, det = frame
+            w = want.T
+            assert (s, t, inverse, labeling) == (want.s, want.t, want.inverse, want.labeling)
+            assert (m, translation) == ((w.m11, w.m12, w.m21, w.m22), (w.tx, w.ty))
+            assert (interval, det) == (want.interval(), w.det)
+
+    def test_overflowing_basis_raises_as_before(self):
+        # validate_quad rejects so thin a quad, so it is built directly: the
+        # basis passes _frame's relative singular test, but M = B^-1
+        # overflows, which the map's finiteness check reports
+        P = ic.Point
+        q = ic.ConvexQuad(P(0.0, 0.0), P(1e-10, 0.0), P(3e-10, 2e-310), P(0.0, 1e-310),
+                          ic.QuadKind.TRAPEZIUM)
+        with pytest.raises(ValueError) as before:
+            _normalize_as_before(q)
+        for call in (lambda: ic.normalize(q), lambda: _normal_frame(q, ic.DEFAULT_TOL),
+                     lambda: ic.inscribe_at_param(q, 0.5)):
+            with pytest.raises(ValueError) as got:
+                call()
+            assert type(got.value) is type(before.value)
+            assert str(got.value) == str(before.value) == "affine map entries must be finite"
 
 
 class TestFocalHead:
@@ -812,8 +890,9 @@ class TestCallerCentersFarOut:
     @pytest.mark.parametrize("off", [0.0, 1e10])
     def test_param_weights_are_exact(self, off):
         # h = 1/2 + 0.37 (3/2 - 1/2) on s = 3, t = 2: t1 = (2h - 3)/2, t2 = 1 - 2h
-        nf, h1, h2 = _locus_abscissas(_worked_moved(off), ic.DEFAULT_TOL)
-        wt, _ = ic.weights_from_center(nf, h1 + 0.37 * (h2 - h1))
+        q = _worked_moved(off)
+        _, h1, h2 = _locus_abscissas(q, ic.DEFAULT_TOL)
+        wt, _ = ic.weights_from_center(ic.normalize(q), h1 + 0.37 * (h2 - h1))
         assert wt.as_tuple() == (-0.63, -0.74, 2.37)
 
     def test_center_off_the_line_still_rejected_at_the_origin(self):
@@ -834,11 +913,13 @@ def _worked_scaled(scale, off=0.0):
 
 
 class TestScaleOutOfFloatRange:
-    """Scaled beyond about 1e80 the normal-frame block underflows, and below
-    about 1e-76 det(T)^2 overflows; the construction then raises
-    NotAnEllipse instead of a bare ZeroDivisionError or OverflowError."""
+    """Scaled beyond about 1e81 the determinant of the pushed-out form
+    underflows, and below about 1e-77 it overflows; the construction then
+    raises NotAnEllipse instead of a bare ZeroDivisionError or
+    OverflowError.  det(T)^2 is formed with its power of two split off, so
+    it leaves the float range nowhere before that."""
 
-    @pytest.mark.parametrize("scale", [1e81, 1e-77])
+    @pytest.mark.parametrize("scale", [1e82, 1e-78])
     def test_out_of_range_raises_not_an_ellipse(self, scale):
         q = _worked_scaled(scale)
         with pytest.raises(errors.NotAnEllipse):
@@ -846,9 +927,28 @@ class TestScaleOutOfFloatRange:
         with pytest.raises(errors.NotAnEllipse):
             ic.max_area(q)
 
-    def test_det_squared_overflow_raises_not_an_ellipse(self):
-        with pytest.raises(errors.NotAnEllipse):
-            ic.inscribe_at_param(_worked_scaled(7.79e-78, 1.07e-271), 0.25)
+    @pytest.mark.parametrize("scale", [1e78, 1e79, 1e80, 1e81, 1e-77])
+    def test_det_squared_past_the_float_range_keeps_full_accuracy(self, scale):
+        # det(T)^2 alone would be subnormal above 1e78 and infinite at 1e-77;
+        # the semi-major axis lost up to 3.3e-5 of itself at 1e80
+        want = ic.inscribe_at_param(_worked_scaled(1.0), 0.37).ellipse
+        got = ic.inscribe_at_param(_worked_scaled(scale), 0.37).ellipse
+        for g, w in ((got.semi_major, want.semi_major * scale),
+                     (got.semi_minor, want.semi_minor * scale), (got.angle, want.angle)):
+            assert abs(g - w) <= 4 * math.ulp(w)
+        # the input at which det(T)^2 used to overflow
+        assert ic.inscribe_at_param(_worked_scaled(7.79e-78, 1.07e-271), 0.25).ellipse.area > 0
+
+    @pytest.mark.parametrize("scale", [10.0 ** k for k in range(154, 160)])
+    def test_basis_out_of_float_range_is_not_called_singular(self, scale):
+        # the basis products overflow from about 1.3e154 on, where the
+        # relative singular test read inf <= inf
+        q = _worked_scaled(scale)
+        for call in (lambda: ic.normalize(q), lambda: ic.inscribe_at_param(q, 0.37),
+                     lambda: ic.max_area(q)):
+            with pytest.raises(errors.NumericalFailure,
+                               match="^normalization basis is out of float range$"):
+                call()
 
     @pytest.mark.parametrize("scale", [1e-76, 1e77])
     def test_range_ends_keep_full_accuracy(self, scale):
@@ -941,8 +1041,7 @@ def test_only_the_construction_takes_tolerances():
 
 def test_marden_conic_helper_matches_public_result():
     q = quad_s3t2()
-    nf = ic.normalize(q)
-    conic = _tangent_conic(nf, 1.0, ic.DEFAULT_TOL)[0]
+    conic = _tangent_conic(_normal_frame(q, ic.DEFAULT_TOL), 1.0, ic.DEFAULT_TOL)[0]
     ref = ic.inscribe_at_center(q, ic.Point(1.0, 0.75)).conic
     assert ic.conic_distance(conic, ref) < 1e-12
 

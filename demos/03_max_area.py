@@ -20,7 +20,7 @@ for vertices in ([(0, 0), (1, 0), (4, 2), (0, 1)],
 
 quad = ic.validate_quad([(0, 0), (1, 0), (4, 2), (0, 1)])
 nf = ic.normalize(quad)
-lo, hi = nf.interval()
+lo, hi = nf.interval
 print(f"\narea profile over the open abscissa interval ({lo:g}, {hi:g}):")
 for hval in np.linspace(lo + 0.05, hi - 0.05, 12):
     area = ic.inscribed_area(nf, float(hval))

@@ -21,7 +21,7 @@ from .geometry import (
     QuadKind,
     Tolerances,
     _Value,
-    _set,
+    _slot_setters,
 )
 from .inscribed import (
     InscribedResult,
@@ -39,11 +39,14 @@ class MaxAreaResult(_Value):
 
     def __init__(self, ellipse: EllipseGeo, center: Point, area: float, h0: float,
                  inscribed: InscribedResult):
-        _set(self, "ellipse", ellipse)
-        _set(self, "center", center)
-        _set(self, "area", area)
-        _set(self, "h0", h0)
-        _set(self, "inscribed", inscribed)
+        _best_ellipse(self, ellipse)
+        _best_center(self, center)
+        _best_area(self, area)
+        _best_h0(self, h0)
+        _best_inscribed(self, inscribed)
+
+
+_best_ellipse, _best_center, _best_area, _best_h0, _best_inscribed = _slot_setters(MaxAreaResult)
 
 
 def area_cubic(nf: NormalForm, h):
@@ -59,9 +62,9 @@ def area_cubic(nf: NormalForm, h):
 
 def inscribed_area(nf: NormalForm, h, tol: Tolerances = DEFAULT_TOL) -> float:
     """Normalized-frame area pi/(2|s-1|) sqrt(A(h)) of the inscribed ellipse
-    centered at abscissa h.  Divide by |det(nf.T linear part)| for the
-    original-frame area."""
-    _param_in_interval(*nf.interval(), h, tol)
+    centered at abscissa h.  Divide by |nf.det| for the original-frame
+    area."""
+    _param_in_interval(*nf.interval, h, tol)
     value = float(area_cubic(nf, h))
     if value < 0:
         raise NumericalFailure("area cubic negative inside the open interval")
@@ -93,7 +96,7 @@ def max_area(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> MaxAreaResult:
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("no unique inscribed ellipse for a parallelogram")
     frame = _normal_frame(q, tol)
-    s, t, (lo, hi) = frame[0], frame[1], frame[6]
+    s, t, _, _, _, _, (lo, hi), _ = frame
     # A'(h) = -24(t-1) h^2 + 8((s+1)(t-1) - s) h + 2s(s + 2 - t)
     roots = _real_quadratic_roots(-24 * (t - 1),
                                   8 * ((s + 1) * (t - 1) - s),

@@ -178,7 +178,7 @@ def cmd_inspect(args, q: ConvexQuad, tol: Tolerances) -> int:
     }
     if q.kind is not QuadKind.PARALLELOGRAM:
         nf = normalize(q, tol)
-        lo, hi = nf.interval()
+        lo, hi = nf.interval
         ch = chord_x(q, tol)
         doc.update({
             "locus_param_range": [lo, hi],

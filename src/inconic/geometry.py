@@ -25,9 +25,6 @@ from .errors import (
 )
 
 
-_set = object.__setattr__
-
-
 def _rebuild(cls, values):
     """cls holding values, not checked or normalized again by ``__init__``."""
     obj = object.__new__(cls)
@@ -37,16 +34,17 @@ def _rebuild(cls, values):
 
 class _Value:
     """Immutable value over ``__slots__``, compared, hashed, printed, copied
-    and pickled by its slots; ``__init__`` sets each slot once.  A type
-    built on every construction sets its slots one by one through its slot
-    descriptors' ``__set__`` (``_slot_setters``), which skips ``_fill``'s
-    loop and ``_set``'s name lookup; the others set theirs with ``_set`` or
-    hand ``_fill`` their values in slot order."""
+    and pickled by its slots; ``__init__`` sets each slot once, in one of
+    two ways.  A type built on every construction or cross-check sets its
+    slots one by one through its slot descriptors' ``__set__``
+    (``_slot_setters``), which skips ``_fill``'s loop; every other type
+    hands ``_fill`` its values in slot order."""
     __slots__ = ()
 
     def _fill(self, values) -> None:
+        set_slot = object.__setattr__
         for name, value in zip(self.__slots__, values):
-            _set(self, name, value)
+            set_slot(self, name, value)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -206,9 +204,9 @@ class Line(_Value):
         a, b, c = a / n, b / n, c / n
         if a < 0 or (a == 0 and b < 0):
             a, b, c = -a, -b, -c
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "c", c)
+        _line_a(self, a)
+        _line_b(self, b)
+        _line_c(self, c)
 
     @classmethod
     def from_points(cls, p: Point, q: Point) -> "Line":
@@ -532,9 +530,10 @@ class EllipseGeo(_Value):
         return math.pi * self.semi_major * self.semi_minor
 
 
-# the slot setters of the types built on every construction (see ``_Value``)
+# the slot setters of the types built per construction or cross-check (``_Value``)
 _point_x, _point_y = _slot_setters(Point)
 _hom_x, _hom_y, _hom_w = _slot_setters(HomPoint)
+_line_a, _line_b, _line_c = _slot_setters(Line)
 _map_m11, _map_m12, _map_m21, _map_m22, _map_tx, _map_ty = _slot_setters(AffineMap)
 _conic_a, _conic_b, _conic_c, _conic_d, _conic_e, _conic_f = _slot_setters(Conic)
 (_ellipse_center, _ellipse_major, _ellipse_minor, _ellipse_angle, _ellipse_focus1,
@@ -675,6 +674,8 @@ def _residual_and_pole(c: Conic, l: Line) -> tuple[float, tuple[float, float, fl
     pw = a02 * la + a12 * lb + a22 * lc
     norm = math.sqrt(a00 * a00 + a11 * a11 + a22 * a22
                      + 2 * (a01 * a01 + a02 * a02 + a12 * a12))
+    if not 0 < norm < math.inf:  # the squares left the float range
+        norm = math.hypot(a00, a11, a22, *(math.sqrt(2) * a for a in (a01, a02, a12)))
     return abs(la * px + lb * py + lc * pw) / norm, (px, py, pw)
 
 

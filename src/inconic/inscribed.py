@@ -51,7 +51,7 @@ from .geometry import (
     _central_conic,
     _metric_ellipse,
     _pull_back_form,
-    _set,
+    _rebuild,
     _slot_setters,
     _unit_direction,
 )
@@ -69,9 +69,7 @@ class WeightTriple(_Value):
     __slots__ = ("t1", "t2", "t3")
 
     def __init__(self, t1: float, t2: float):
-        _set(self, "t1", t1)
-        _set(self, "t2", t2)
-        _set(self, "t3", 1 - t1 - t2)
+        self._fill((t1, t2, 1 - t1 - t2))
 
     def as_tuple(self):
         return (self.t1, self.t2, self.t3)
@@ -84,38 +82,32 @@ class WeightTriple(_Value):
 class NormalForm(_Value):
     """Affine change of frame onto vertices (0,0), (1,0), (s,t), (0,1).
 
-    ``T`` maps the original frame to the normalized one; ``labeling`` lists
-    which canonical-quad vertex indices land on (0,0), (1,0), (s,t), (0,1).
-    ``inverse`` holds T^-1 as plain floats (b11, b12, b21, b22, x0, y0),
-    T^-1(y) = B y + p0: B's columns are the edge vectors p1 - p0 and
-    p3 - p0 of the frame and p0 is the vertex sent to (0,0).  ``normalize``
-    fills it from that basis, so no call inverts T; left out, it is solved
-    from T.  The constructions read the same fields off ``_normal_frame``'s
-    flat tuple and build no NormalForm.
-    Convexity forces s > 0, t > 0, s + t > 1.  The closed forms divide by
+    The slots are ``_normal_frame``'s tuple, in its order.  T(x) = M x +
+    translation (``T`` as an AffineMap) maps the original frame to the
+    normalized one; ``det`` = det M.  ``inverse`` holds T^-1 as plain floats
+    (b11, b12, b21, b22, x0, y0), T^-1(y) = B y + p0: B's columns are the
+    edge vectors p1 - p0 and p3 - p0 and p0 is the vertex sent to (0,0).
+    ``labeling`` lists which canonical-quad vertex indices land on (0,0),
+    (1,0), (s,t), (0,1); ``interval`` is the open interval of normalized
+    abscissas swept by the center locus.  ``__init__`` fills in the last
+    two.  Convexity forces s > 0, t > 0, s + t > 1.  The closed forms divide by
     s - 1 but never by t - 1, so ``normalize`` picks, of the two cyclic
     labelings, the one whose sides (1,0)-(s,t) and (0,1)-(0,0) are furthest
-    from parallel; with one parallel side pair that gives t = 1.
-    """
-    __slots__ = ("T", "s", "t", "labeling", "inverse")
+    from parallel; with one parallel side pair that gives t = 1."""
+    __slots__ = ("s", "t", "M", "translation", "inverse", "labeling", "interval", "det")
 
-    def __init__(self, T: AffineMap, s: float, t: float,
-                 labeling: tuple[int, int, int, int],
-                 inverse: tuple[float, float, float, float, float, float] | None = None):
+    def __init__(self, s: float, t: float, M: tuple[float, float, float, float],
+                 translation: tuple[float, float],
+                 inverse: tuple[float, float, float, float, float, float],
+                 labeling: tuple[int, int, int, int]):
         if not (s > 0 and t > 0 and s + t > 1):
             raise ValueError("normal form requires s > 0, t > 0, s + t > 1")
-        if inverse is None:
-            g = T.inverse()
-            inverse = (g.m11, g.m12, g.m21, g.m22, g.tx, g.ty)
-        _set(self, "T", T)
-        _set(self, "s", s)
-        _set(self, "t", t)
-        _set(self, "labeling", labeling)
-        _set(self, "inverse", inverse)
+        det = _affine_det(*M, *translation)
+        self._fill((s, t, M, translation, inverse, labeling, _interval(s), det))
 
-    def interval(self) -> tuple[float, float]:
-        """Open interval of normalized abscissas swept by the center locus."""
-        return _interval(self.s)
+    @property
+    def T(self) -> AffineMap:
+        return AffineMap(*self.M, *self.translation)
 
 
 def _interval(s) -> tuple[float, float]:
@@ -130,9 +122,7 @@ class LocusSegment(_Value):
     __slots__ = ("m1", "m2", "degenerate")
 
     def __init__(self, m1: Point, m2: Point, degenerate: bool = False):
-        _set(self, "m1", m1)
-        _set(self, "m2", m2)
-        _set(self, "degenerate", degenerate)
+        self._fill((m1, m2, degenerate))
 
     def point_at(self, u: float) -> Point:
         return Point(self.m1.x + u * (self.m2.x - self.m1.x),
@@ -147,8 +137,7 @@ class ChordX(_Value):
     __slots__ = ("p_start", "p_end")
 
     def __init__(self, p_start: Point, p_end: Point):
-        _set(self, "p_start", p_start)
-        _set(self, "p_end", p_end)
+        self._fill((p_start, p_end))
 
     def point_at(self, u: float) -> Point:
         return Point(self.p_start.x + u * (self.p_end.x - self.p_start.x),
@@ -208,46 +197,42 @@ def normalize(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     by, safely away from zero; a parallel side pair gets t = 1, since its
     other rotation has s = 1 and sine 0.  Only the kept rotation's map is
     built.  A parallelogram raises ParallelogramUnsupported: its inscribed
-    ellipses are not unique.  It wraps ``_normal_frame``, the tuple the
-    constructions read.
+    ellipses are not unique.  It is ``_normal_frame``'s tuple held as a
+    NormalForm, each check made once, there.
     """
-    s, t, (m11, m12, m21, m22), (tx, ty), inverse, labeling, _, _ = _normal_frame(q, tol)
-    return NormalForm(AffineMap(m11, m12, m21, m22, tx, ty), s, t, labeling, inverse)
+    return _rebuild(NormalForm, _normal_frame(q, tol))
 
 
 def _normal_frame(q: ConvexQuad, tol: Tolerances) -> tuple:
-    """``normalize(q, tol)`` as the flat tuple the constructions read,
-    (s, t, M, (tx, ty), inverse, labeling, (lo, hi), det): T(x) = M x +
-    (tx, ty) with M = (m11, m12, m21, m22) and det = det M, and ``inverse``,
-    ``labeling`` and (lo, hi) = ``interval()`` as NormalForm holds them.
-    Each is computed once.  It raises what ``normalize`` raises, in the
-    same order: ``AffineMap``'s checks on T run here (``_affine_det``), and
-    NormalForm's convexity bound is ``_frame``'s, on the same s and t.
-    """
+    """The normal frame of q as the plain tuple the constructions read,
+    in NormalForm's slot order: (s, t, M, (tx, ty), inverse, labeling,
+    (lo, hi), det), with T(x) = M x + (tx, ty), M = (m11, m12, m21, m22)
+    and det = det M.  Each is computed once.  NormalForm's checks run
+    here: ``AffineMap``'s on T (``_affine_det``), and the convexity bound,
+    which is ``_frame``'s, on the same s and t."""
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("inscribed ellipses of a parallelogram are not unique")
     v0, v1 = q.v0, q.v1
-    frame = _frame(v0, v1, q.v2, q.v3, tol)
-    turned = _frame(v1, q.v2, q.v3, v0, tol)
-    s, t, s1, t1 = frame[0], frame[1], turned[0], turned[1]
+    s, t, _, _ = frame = _frame(v0, v1, q.v2, q.v3, tol)
+    s1, t1, _, _ = turned = _frame(v1, q.v2, q.v3, v0, tol)
     if abs(s1 - 1) / math.hypot(s1 - 1, t1) > abs(s - 1) / math.hypot(s - 1, t):
         frame, p0, labeling = turned, v1, (1, 2, 3, 0)
     else:
         p0, labeling = v0, (0, 1, 2, 3)
-    s, t, m11, m12, m21, m22, b11, b12, b21, b22 = frame
+    s, t, m, (b11, b12, b21, b22) = frame
+    m11, m12, m21, m22 = m
     x0, y0 = p0.x, p0.y
     tx, ty = -(m11 * x0 + m12 * y0), -(m21 * x0 + m22 * y0)
     det = _affine_det(m11, m12, m21, m22, tx, ty)
-    return (s, t, (m11, m12, m21, m22), (tx, ty), (b11, b12, b21, b22, x0, y0), labeling,
-            _interval(s), det)
+    return s, t, m, (tx, ty), (b11, b12, b21, b22, x0, y0), labeling, _interval(s), det
 
 
 def _frame(p0: Point, p1: Point, p2: Point, p3: Point, tol: Tolerances):
-    """(s, t, m11, m12, m21, m22, b11, b12, b21, b22) of the frame sending
-    p0, p1, p2, p3 to (0,0), (1,0), (s,t), (0,1): B = [[b11, b12], [b21, b22]]
-    holds the edge vectors p1 - p0 and p3 - p0, M = B^-1.  (s, t) is solved
-    from vertex differences, so it does not depend on where the quad sits.
-    A basis whose products overflow is out of float range, not singular."""
+    """(s, t, M, B) of the frame sending p0, p1, p2, p3 to (0,0), (1,0),
+    (s,t), (0,1): B = (b11, b12, b21, b22) holds the edge vectors p1 - p0
+    and p3 - p0 as columns, M = B^-1.  (s, t) is solved from vertex
+    differences, so it does not depend on where the quad sits.  A basis
+    whose products overflow is out of float range, not singular."""
     b11, b12 = p1.x - p0.x, p3.x - p0.x
     b21, b22 = p1.y - p0.y, p3.y - p0.y
     det = b11 * b22 - b12 * b21
@@ -262,7 +247,7 @@ def _frame(p0: Point, p1: Point, p2: Point, p3: Point, tol: Tolerances):
     s, t = m11 * dx + m12 * dy, m21 * dx + m22 * dy
     if not (s > 0 and t > 0 and s + t > 1):
         raise NumericalFailure("normal form violates convexity bounds")
-    return s, t, m11, m12, m21, m22, b11, b12, b21, b22
+    return s, t, (m11, m12, m21, m22), (b11, b12, b21, b22)
 
 
 def locus_line(nf: NormalForm, tol: Tolerances = DEFAULT_TOL) -> LocusLine:
@@ -277,7 +262,7 @@ def locus_line(nf: NormalForm, tol: Tolerances = DEFAULT_TOL) -> LocusLine:
     s, t = nf.s, nf.t
     if abs(s - 1) <= tol.tol_par:
         raise NumericalFailure(_VERTICAL)
-    return LocusLine((t - 1) / (s - 1), (s - t) / (2 * (s - 1)), nf.interval())
+    return LocusLine((t - 1) / (s - 1), (s - t) / (2 * (s - 1)), nf.interval)
 
 
 def _param_in_interval(lo: float, hi: float, h, tol: Tolerances) -> None:
@@ -299,7 +284,7 @@ def weights_from_center(nf: NormalForm, h,
     s2 = (t-1)(1-2h)/(s-1); both products are strictly positive on the open
     interval.  Exact number types pass through unchanged.
     """
-    _param_in_interval(*nf.interval(), h, tol)
+    _param_in_interval(*nf.interval, h, tol)
     return _weights(nf, h)
 
 
@@ -434,9 +419,10 @@ def _tangent_conic(frame: tuple, h: float, tol: Tolerances):
     q11, q12, q22 = form = _pull_back_form(p22 / det, -p12 / det, p11 / det, *m)
     qdet = q11 * q22 - q12 * q12
     is_ellipse = lo < h < hi
-    if is_ellipse and not (q11 > 0 and qdet > 0):
+    # a failed sign test is taken again at unit scale (``_unit_scale_det``)
+    if is_ellipse and not (q11 > 0 and (qdet > 0 or _unit_scale_det(form) > 0)):
         raise NotAnEllipse("pushed-out form is not positive definite")
-    if not is_ellipse and not qdet < 0:
+    if not is_ellipse and not (qdet < 0 or _unit_scale_det(form) < 0):
         raise NumericalFailure("pushed-out hyperbola form is not indefinite")
     cx, cy = b11 * h + b12 * k + x0, b21 * h + b22 * k + y0
     conic = _central_conic(q11, q12, q22, cx, cy)
@@ -463,22 +449,31 @@ def _tangent_conic(frame: tuple, h: float, tol: Tolerances):
     return conic, kind, tuple(contacts), form, (cx, cy), det
 
 
+def _unit_scale_det(form: tuple[float, float, float]) -> float:
+    """q11 q22 - q12^2 of form = (q11, q12, q22) with a power of two split
+    off, so that far from unit scale its products stay in the float range."""
+    e = -math.frexp(max(map(abs, form)))[1]
+    q11, q12, q22 = (math.ldexp(q, e) for q in form)
+    return q11 * q22 - q12 * q12
+
+
 def _construct(frame: tuple, h: float, tol: Tolerances) -> InscribedResult:
     """The inscribed ellipse at normalized abscissa h of the normal frame
     ``frame``: the ellipse, its conic and contacts all come from one pass
     over D(h), centered where that pass maps the normal-frame center."""
-    _param_in_interval(*frame[6], h, tol)
+    _, _, _, _, _, _, (lo, hi), det_m = frame
+    _param_in_interval(lo, hi, h, tol)
     conic, _, contacts, form, center, det = _tangent_conic(frame, h, tol)
     # det Q = det(M)^2 det Q_n = det(M)^2 / det P_n, as a quotient, with
     # det(M)'s power of two split off so that its square stays in range
-    mant, exp = math.frexp(frame[7])
+    mant, exp = math.frexp(det_m)
     ellipse = _metric_ellipse(*form, mant * mant / det, 1.0, Point(*center), 2 * exp)
     return InscribedResult(ellipse, conic, contacts)
 
 
 def _abscissa(frame: tuple, p: Point) -> float:
     """The normalized abscissa of p: the first coordinate of T(p)."""
-    (m11, m12, _, _), (tx, _) = frame[2], frame[3]
+    _, _, (m11, m12, _, _), (tx, _), _, _, _, _ = frame
     return m11 * p.x + m12 * p.y + tx
 
 
@@ -489,7 +484,7 @@ def _locus_abscissas(q: ConvexQuad, tol: Tolerances) -> tuple[tuple, float, floa
     A locus parameter u goes straight to h1 + u (h2 - h1).  Parallelograms
     are rejected."""
     frame = _normal_frame(q, tol)
-    s, labeling = frame[0], frame[5]
+    s, _, _, _, _, labeling, _, _ = frame
     ma, mb = _midpoint_pairs(q)
     h_a, h_b = (s / 2, 0.5) if labeling[0] % 2 == 0 else (0.5, s / 2)
     h1, h2 = (h_b, h_a) if mb < ma else (h_a, h_b)

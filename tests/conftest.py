@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from inconic import AffineMap, Conic, ConvexQuad, Point, QuadKind, validate_quad
+from inconic import AffineMap, Conic, ConvexQuad, NormalForm, Point, QuadKind, validate_quad
 
 
 @pytest.fixture
@@ -45,6 +45,13 @@ def random_trapezium(rng, min_parallel=1e-3) -> ConvexQuad:
             continue
         if min(_pair_crosses([v.as_tuple() for v in q.vertices])) > min_parallel:
             return q
+
+
+def normal_form(s, t, M=(1.0, 0.0, 0.0, 1.0), translation=(0.0, 0.0),
+                inverse=(1.0, 0.0, 0.0, 1.0, 0.0, 0.0), labeling=(0, 1, 2, 3)) -> NormalForm:
+    """A NormalForm built through its checked constructor, by default over
+    the identity frame: the quad (0,0), (1,0), (s,t), (0,1) itself."""
+    return NormalForm(s, t, M, translation, inverse, labeling)
 
 
 def random_affine(rng, allow_reflection=True) -> AffineMap:

@@ -11,6 +11,7 @@ from inconic.area import _real_quadratic_roots
 from inconic.marden import AreaTriple
 
 from conftest import (
+    normal_form,
     quad_s3t2,
     quad_s4t2,
     random_affine,
@@ -18,10 +19,6 @@ from conftest import (
     random_trapezoid,
     transform_quad,
 )
-
-
-def _fraction_nf(s, t):
-    return ic.NormalForm(ic.AffineMap.identity(), s, t, (0, 1, 2, 3))
 
 
 def _signed(a, b, c):
@@ -129,15 +126,15 @@ class TestTriangleTangentEllipseArea:
 
 class TestAreaCubic:
     def test_worked_value(self):
-        nf = _fraction_nf(Fraction(3), Fraction(2))
+        nf = normal_form(Fraction(3), Fraction(2))
         assert ic.area_cubic(nf, Fraction(1)) == Fraction(5)
 
     def test_wide_quad_optimum_value(self):
-        nf = _fraction_nf(Fraction(4), Fraction(2))
+        nf = normal_form(Fraction(4), Fraction(2))
         assert ic.area_cubic(nf, Fraction(4, 3)) == Fraction(400, 27)
 
     def test_exact_zeros_at_interval_ends(self):
-        nf = _fraction_nf(Fraction(3), Fraction(2))
+        nf = normal_form(Fraction(3), Fraction(2))
         assert ic.area_cubic(nf, Fraction(1, 2)) == 0
         assert ic.area_cubic(nf, Fraction(3, 2)) == 0
 
@@ -145,7 +142,7 @@ class TestAreaCubic:
         for _ in range(50):
             q = random_trapezium(rng)
             nf = ic.normalize(q)
-            lo, hi = nf.interval()
+            lo, hi = nf.interval
             for u in np.linspace(0.01, 0.99, 25):
                 assert ic.area_cubic(nf, lo + float(u) * (hi - lo)) > 0
 
@@ -174,7 +171,7 @@ class TestInscribedArea:
         for _ in range(100):
             q = random_trapezium(rng)
             nf = ic.normalize(q)
-            lo, hi = nf.interval()
+            lo, hi = nf.interval
             det = abs(nf.T.det)
             for u in rng.uniform(0.05, 0.95, 20):
                 h = lo + float(u) * (hi - lo)
@@ -244,7 +241,7 @@ class TestMaxArea:
             roots = _real_quadratic_roots(-24 * (t - 1),
                                           8 * ((s + 1) * (t - 1) - s),
                                           2 * s * (s + 2 - t))
-            lo, hi = nf.interval()
+            lo, hi = nf.interval
             inside = [r for r in roots if lo < r < hi]
             assert len(inside) == 1
             res = ic.max_area(q)
@@ -311,7 +308,7 @@ class TestMaxArea:
         for _ in range(20):
             q = random_trapezium(rng)
             nf = ic.normalize(q)
-            lo, hi = nf.interval()
+            lo, hi = nf.interval
             margin = 1e-4 * (hi - lo)
             grid = np.linspace(lo + margin, hi - margin, 2000)
             vals = np.array([ic.area_cubic(nf, float(h)) for h in grid])

@@ -567,10 +567,12 @@ EXIT_CODE_CONTRACT = [
     pytest.param(["inscribe", "--vertices", "0,0 1,1e-17 1,1 0,1", "--u", "0.5",
                   "--tol", "tol_par=1e-300"], 5,
                  "numerical failure: s = 1", id="5-zero-length-locus"),
-    pytest.param(["inscribe", "--vertices", "0,0 1e82,0 3e82,2e82 0,1e82", "--u", "0.37"], 5,
-                 "numerical failure: ", id="5-scale-1e82"),
-    pytest.param(["inscribe", "--vertices", "0,0 1e-78,0 3e-78,2e-78 0,1e-78", "--u", "0.37"], 5,
-                 "numerical failure: ", id="5-scale-1e-78"),
+    pytest.param(["inscribe", "--vertices", "0,0 1e154,0 3e154,2e154 0,1e154", "--u", "0.37"],
+                 5, "numerical failure: ", id="5-scale-1e154"),
+    pytest.param(["inscribe", "--vertices", "0,0 1e-154,0 3e-154,2e-154 0,1e-154", "--u", "0.37"],
+                 5, "numerical failure: ", id="5-scale-1e-154"),
+    pytest.param(["verify", "--vertices", "0,0 1e100,0 3e100,2e100 0,1e100", "--u", "0.37"], 5,
+                 "numerical failure: ", id="5-verify-scale-1e100"),
     pytest.param(["verify", "--vertices", "0,0 1e155,0 3e155,2e155 0,1e155", "--u", "0.37"], 5,
                  "numerical failure: ", id="5-verify-scale-1e155"),
     pytest.param(["verify", "--vertices", "0,0 1e160,0 3e160,2e160 0,1e160", "--u", "0.37"], 5,

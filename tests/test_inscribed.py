@@ -25,6 +25,7 @@ from inconic.inscribed import (
 
 from conftest import (
     contains_point,
+    normal_form,
     quad_s3t2,
     quad_s4t2,
     random_affine,
@@ -52,10 +53,6 @@ def _exact_weights(s, t, h):
 def _chord_param(ch, p):
     dx, dy = ch.p_end.x - ch.p_start.x, ch.p_end.y - ch.p_start.y
     return ((p.x - ch.p_start.x) * dx + (p.y - ch.p_start.y) * dy) / (dx * dx + dy * dy)
-
-
-def _fraction_nf(s, t):
-    return ic.NormalForm(ic.AffineMap.identity(), s, t, (0, 1, 2, 3))
 
 
 class TestLocus:
@@ -107,7 +104,7 @@ class TestLocusLine:
 
 class TestWeightsFromCenter:
     def test_worked_example_exact(self):
-        nf = _fraction_nf(Fraction(3), Fraction(2))
+        nf = normal_form(Fraction(3), Fraction(2))
         wt, ws = ic.weights_from_center(nf, Fraction(1))
         assert wt.as_tuple() == (Fraction(-1, 2), Fraction(-1), Fraction(5, 2))
         assert ws.as_tuple() == (Fraction(-1, 6), Fraction(-1, 2), Fraction(5, 3))
@@ -127,7 +124,7 @@ class TestWeightsFromCenter:
                 continue
             lo, hi = min(Fraction(1, 2), s / 2), max(Fraction(1, 2), s / 2)
             h = lo + (hi - lo) * Fraction(int(rng.integers(1, 19)), 20)
-            nf = _fraction_nf(s, t)
+            nf = normal_form(s, t)
             wt, ws = ic.weights_from_center(nf, h)
             exact_t, exact_s = _exact_weights(s, t, h)
             assert wt.as_tuple() == exact_t
@@ -177,7 +174,7 @@ class TestFociQuadratic:
         for _ in range(30):
             q = random_trapezium(rng)
             nf = ic.normalize(q)
-            lo, hi = nf.interval()
+            lo, hi = nf.interval
             h = float(rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo)))
             root_sum, _ = ic.foci_quadratic(nf, h)
             k = ic.locus_line(nf)(h)
@@ -193,11 +190,11 @@ class TestFociQuadratic:
             shapes.append((nf.s, nf.t))
         for s, t in shapes:
             q = ic.validate_quad([(0, 0), (1, 0), (s, t), (0, 1)])
-            nf = ic.NormalForm(ic.AffineMap.identity(), s, t, (0, 1, 2, 3))
+            nf = normal_form(s, t)
             ch, seg = ic.chord_x(q), ic.locus(q)
             u1, u2 = sorted(_chord_param(ch, m) for m in (seg.m1, seg.m2))
             pen = ic.pencil_from_lines(*q.side_lines())
-            lo, hi = nf.interval()
+            lo, hi = nf.interval
             for u in (u1 / 2, (u2 + 1) / 2):
                 center = ch.point_at(u)
                 assert not lo < center.x < hi
@@ -219,7 +216,7 @@ class TestFociQuadratic:
         for _ in range(100):
             q = random_trapezium(rng)
             nf = ic.normalize(q)
-            lo, hi = nf.interval()
+            lo, hi = nf.interval
             for u in (0.2, 0.5, 0.8):
                 ic.foci_quadratic(nf, lo + u * (hi - lo))
 
@@ -227,7 +224,7 @@ class TestFociQuadratic:
 # The worked normal form s = 3, t = 2 at h = 1 has root sum 2 + 1.5i and
 # root product 0.5i, so the focal check holds both triangles' sums to
 # 2.5e-10 and their products to 1e-10.
-WORKED_NF = ic.NormalForm(ic.AffineMap.identity(), 3.0, 2.0, (0, 1, 2, 3))
+WORKED_NF = normal_form(3.0, 2.0)
 FOCAL_SUM_BOUND, FOCAL_PRODUCT_BOUND = 2.5e-10, 1e-10
 
 
@@ -279,7 +276,7 @@ class TestFocalCheckBound:
     def test_second_triangle_is_skipped_at_t_1(self):
         # with one parallel side pair (t = 1) the second triangle does not
         # exist, so its weights are not read; the first triangle's still are
-        nf = ic.NormalForm(ic.AffineMap.identity(), 3.0, 1.0, (0, 1, 2, 3))
+        nf = normal_form(3.0, 1.0)
         wt, _ = ic.weights_from_center(nf, 1.0)
         junk = ic.WeightTriple(0.5, 0.5)
         assert _check_at_1(nf, wt, junk) is None
@@ -308,27 +305,30 @@ class TestFocalCheckBound:
 def _normalize_as_before(q, tol=ic.DEFAULT_TOL):
     """``normalize`` as it was written before the constructions read a flat
     frame: the kept rotation's map built as an AffineMap and checked there,
-    and the NormalForm built over it."""
+    and the NormalForm built over it, with det read off that map."""
     if q.kind is ic.QuadKind.PARALLELOGRAM:
         raise errors.ParallelogramUnsupported(
             "inscribed ellipses of a parallelogram are not unique")
     v0, v1 = q.v0, q.v1
     frame = _frame(v0, v1, q.v2, q.v3, tol)
     turned = _frame(v1, q.v2, q.v3, v0, tol)
-    s, t, s1, t1 = frame[0], frame[1], turned[0], turned[1]
+    (s, t, _, _), (s1, t1, _, _) = frame, turned
     if abs(s1 - 1) / math.hypot(s1 - 1, t1) > abs(s - 1) / math.hypot(s - 1, t):
         frame, p0, labeling = turned, v1, (1, 2, 3, 0)
     else:
         p0, labeling = v0, (0, 1, 2, 3)
-    s, t, m11, m12, m21, m22, b11, b12, b21, b22 = frame
+    s, t, (m11, m12, m21, m22), (b11, b12, b21, b22) = frame
     x0, y0 = p0.x, p0.y
     t_map = ic.AffineMap(m11, m12, m21, m22, -(m11 * x0 + m12 * y0), -(m21 * x0 + m22 * y0))
-    return ic.NormalForm(t_map, s, t, labeling, (b11, b12, b21, b22, x0, y0))
+    nf = normal_form(s, t, (t_map.m11, t_map.m12, t_map.m21, t_map.m22), (t_map.tx, t_map.ty),
+                     (b11, b12, b21, b22, x0, y0), labeling)
+    assert nf.det == t_map.det
+    return nf
 
 
 class TestNormalFrame:
     """The constructions read ``_normal_frame``'s flat tuple; ``normalize``
-    builds the public NormalForm over the same tuple."""
+    holds the same tuple as a NormalForm, whose slots follow its order."""
 
     def test_constructions_build_no_normal_form_or_affine_map(self, monkeypatch):
         def fail(*args, **kwargs):
@@ -353,16 +353,46 @@ class TestNormalFrame:
             far = ic.AffineMap(1e6 * far.m11, 1e6 * far.m12, 1e6 * far.m21, 1e6 * far.m22,
                                far.tx + 1e9, far.ty - 1e9)
             quads.append(transform_quad(random_trapezium(rng), far))
+        assert len(quads) == 122
+        assert ic.NormalForm.__slots__ == (
+            "s", "t", "M", "translation", "inverse", "labeling", "interval", "det")
         for q in quads:
             want = _normalize_as_before(q)
             got = ic.normalize(q)
-            assert got == want
             frame = _normal_frame(q, ic.DEFAULT_TOL)
-            s, t, m, translation, inverse, labeling, interval, det = frame
-            w = want.T
-            assert (s, t, inverse, labeling) == (want.s, want.t, want.inverse, want.labeling)
-            assert (m, translation) == ((w.m11, w.m12, w.m21, w.m22), (w.tx, w.ty))
-            assert (interval, det) == (want.interval(), w.det)
+            checked = ic.NormalForm(*frame[:6])
+            for name, value in zip(ic.NormalForm.__slots__, frame):
+                assert getattr(got, name) == getattr(checked, name) == value, name
+            for name in ("s", "t", "M", "translation", "inverse", "labeling", "det"):
+                assert getattr(got, name) == getattr(want, name), name
+            assert got == want
+
+    def test_kernel_unpacks_the_frame(self):
+        # the tuple is read in slot order, never as frame[<int>]
+        for module in (ic.inscribed, ic.area):
+            tree = ast.parse(inspect.getsource(module))
+            assert not [node for node in ast.walk(tree) if isinstance(node, ast.Subscript)
+                        and isinstance(node.value, ast.Name) and node.value.id == "frame"]
+
+    def test_normalize_builds_no_affine_map_and_checks_once(self, monkeypatch):
+        # normalize holds the checked frame tuple as it is: no AffineMap is
+        # built on the way and _affine_det runs once; nf.T builds the map
+        def fail(*args, **kwargs):
+            raise AssertionError("built an AffineMap")
+
+        calls, affine_det = [], ic.inscribed._affine_det
+
+        def counted(*args):
+            calls.append(args)
+            return affine_det(*args)
+
+        monkeypatch.setattr(ic.AffineMap, "__init__", fail)
+        monkeypatch.setattr(ic.inscribed, "_affine_det", counted)
+        nf = ic.normalize(quad_s4t2())
+        assert len(calls) == 1
+        assert nf.det == affine_det(*nf.M, *nf.translation)
+        with pytest.raises(AssertionError, match="built an AffineMap"):
+            nf.T
 
     def test_overflowing_basis_raises_as_before(self):
         # validate_quad rejects so thin a quad, so it is built directly: the
@@ -389,7 +419,7 @@ class TestFocalHead:
         # the construction reads them off D(h), inside the locus and beyond
         for _ in range(30):
             nf = ic.normalize(random_trapezium(rng))
-            lo, hi = nf.interval()
+            lo, hi = nf.interval
             for u in (-0.4, 0.1, 0.5, 0.9, 1.4):
                 h = lo + u * (hi - lo)
                 c, k, _ = _dual_entries(nf.s, nf.t, h)
@@ -489,7 +519,7 @@ class TestInscribeAtCenter:
             q = random_trapezium(rng)
             nf = ic.normalize(q)
             s, t = nf.s, nf.t
-            lo, hi = nf.interval()
+            lo, hi = nf.interval
             h = float(rng.uniform(lo + 0.15 * (hi - lo), hi - 0.15 * (hi - lo)))
             wt, ws = ic.weights_from_center(nf, h)
             tri1 = ic.TriangleZ(0j, 1 + 0j, complex(0, -t / (s - 1)))
@@ -913,13 +943,15 @@ def _worked_scaled(scale, off=0.0):
 
 
 class TestScaleOutOfFloatRange:
-    """Scaled beyond about 1e81 the determinant of the pushed-out form
-    underflows, and below about 1e-77 it overflows; the construction then
-    raises NotAnEllipse instead of a bare ZeroDivisionError or
-    OverflowError.  det(T)^2 is formed with its power of two split off, so
-    it leaves the float range nowhere before that."""
+    """The worked quad builds at every power of ten from 1e-153 to 1e153.
+    det(T)^2 is formed with its power of two split off, and a determinant
+    of the pushed-out form that under- or overflows is taken again at unit
+    scale, so neither leaves the float range before the frame does: from
+    1e154 on the basis overflows (NumericalFailure), and at 1e-154 the
+    pushed-out form itself does (NotAnEllipse), not a bare
+    ZeroDivisionError or OverflowError."""
 
-    @pytest.mark.parametrize("scale", [1e82, 1e-78])
+    @pytest.mark.parametrize("scale", [1e-154])
     def test_out_of_range_raises_not_an_ellipse(self, scale):
         q = _worked_scaled(scale)
         with pytest.raises(errors.NotAnEllipse):
@@ -939,6 +971,37 @@ class TestScaleOutOfFloatRange:
         # the input at which det(T)^2 used to overflow
         assert ic.inscribe_at_param(_worked_scaled(7.79e-78, 1.07e-271), 0.25).ellipse.area > 0
 
+    def test_every_power_of_ten_in_range_keeps_full_accuracy(self):
+        # the determinant of the pushed-out form used to underflow from
+        # about 1e81 (max_area and the hyperbolas) and overflow below about
+        # 1e-77.  At 10^k the vertices round as at its mantissa
+        # m = 10^k / 2^e, and the ellipses and the hyperbola's contacts are
+        # that quad's times 2^e bit for bit.  The
+        # semi-axes stay within 4 ulps of the unscaled ones times the scale;
+        # the angle moves with the rounding of the vertices, by 6 ulps at
+        # 7 of these scales, and within 4 at the others
+        unit = _worked_scaled(1.0)
+        want = (ic.inscribe_at_param(unit, 0.37).ellipse, ic.max_area(unit).ellipse)
+        for k in range(-153, 154):
+            scale = 10.0 ** k
+            mant, exp = math.frexp(scale)
+            q, q_mant = _worked_scaled(scale), _worked_scaled(mant)
+            got = (ic.inscribe_at_param(q, 0.37).ellipse, ic.max_area(q).ellipse)
+            at_mant = (ic.inscribe_at_param(q_mant, 0.37).ellipse, ic.max_area(q_mant).ellipse)
+            for g, m, w in zip(got, at_mant, want):
+                assert (g.semi_major, g.semi_minor, g.angle) == \
+                    (math.ldexp(m.semi_major, exp), math.ldexp(m.semi_minor, exp), m.angle), k
+                for a, b in ((g.semi_major, w.semi_major * scale),
+                             (g.semi_minor, w.semi_minor * scale)):
+                    assert abs(a - b) <= 4 * math.ulp(b), k
+                assert abs(g.angle - w.angle) <= 6 * math.ulp(w.angle), k
+            got, at_mant = (ic.tangent_conic_at_center(p, ic.chord_x(p).point_at(0.9))[1:]
+                            for p in (q, q_mant))
+            assert got[0] is at_mant[0] is ic.ConicClass.HYPERBOLA, k
+            assert [(p.x, p.y, p.w) for p in got[1]] == \
+                [(math.ldexp(p.x, exp), math.ldexp(p.y, exp), 1.0) if p.w else (p.x, p.y, 0.0)
+                 for p in at_mant[1]], k
+
     @pytest.mark.parametrize("scale", [10.0 ** k for k in range(154, 160)])
     def test_basis_out_of_float_range_is_not_called_singular(self, scale):
         # the basis products overflow from about 1.3e154 on, where the
@@ -950,7 +1013,7 @@ class TestScaleOutOfFloatRange:
                                match="^normalization basis is out of float range$"):
                 call()
 
-    @pytest.mark.parametrize("scale", [1e-76, 1e77])
+    @pytest.mark.parametrize("scale", [1e-76, 1e77, 1e-153, 1e153])
     def test_range_ends_keep_full_accuracy(self, scale):
         want = ic.inscribe_at_param(_worked_scaled(1.0), 0.37).ellipse
         got = ic.inscribe_at_param(_worked_scaled(scale), 0.37).ellipse
@@ -963,7 +1026,7 @@ class TestWeightPositivity:
         for _ in range(100):
             q = random_trapezium(rng)
             nf = ic.normalize(q)
-            lo, hi = nf.interval()
+            lo, hi = nf.interval
             for u in np.linspace(0.02, 0.98, 50):
                 h = lo + float(u) * (hi - lo)
                 wt, ws = ic.weights_from_center(nf, h)

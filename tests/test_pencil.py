@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 import inconic as ic
 from inconic import errors
+from inconic.geometry import adjugate3
 from inconic.pencil import _point_conic
 
 from conftest import (
@@ -330,6 +332,42 @@ def _np_member_with_center(a, b, h, k):
     return _np_point_conic(d)
 
 
+def _mp_member_with_center(d_a, d_b, h, k):
+    """(member, kappa): the member of the pencil (d_a, d_b) centered at
+    (h, k), from the same center equation as ``member_with_center``, at 50
+    digits and rounded once to a Conic, and the condition number of its
+    float formulas.  The member's parameter theta, (den, num) =
+    (cos theta, sin theta), carries the rounding eps * kc of that equation,
+    kc its sum of absolute terms over its size, and the unit point conic
+    moves by |dC/dtheta| per unit of theta; the adjugate of the unit dual D
+    rounds at eps relative to its own norm |adj D|.  So
+    kappa = kc |dC/dtheta| + 1 / |adj D|."""
+    with mp.workdps(50):
+        a, b = ([[mpf(x) for x in row] for row in m] for m in (d_a, d_b))
+        h, k = mpf(h), mpf(k)
+        eqs = [(a[i][2] - x * a[2][2], b[i][2] - x * b[2][2],
+                abs(a[i][2]) + abs(x * a[2][2]) + abs(b[i][2]) + abs(x * b[2][2]))
+               for i, x in ((0, h), (1, k))]
+        c0, c1, terms = max(eqs, key=lambda eq: mp.hypot(eq[0], eq[1]))
+
+        def unit_point_conic(theta):
+            den, num = mp.cos(theta), mp.sin(theta)
+            d = [[den * x + num * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+            norm = mp.sqrt(sum(x * x for row in d for x in row))
+            adj = [x / norm ** 2 for row in adjugate3(d) for x in row]
+            adj_norm = mp.sqrt(sum(x * x for x in adj))
+            return [x / adj_norm for x in adj], adj_norm
+
+        theta, step = mp.atan2(-c0, c1), mpf(10) ** -20
+        c, adj_norm = unit_point_conic(theta)
+        ahead, _ = unit_point_conic(theta + step)
+        rate = min(mp.sqrt(sum((x - sign * y) ** 2 for x, y in zip(ahead, c)))
+                   for sign in (1, -1)) / step
+        kappa = terms / mp.hypot(c0, c1) * rate + 1 / adj_norm
+        m00, m01, m02, _, m11, m12, _, _, m22 = (float(x) for x in c)
+        return ic.Conic(m00, 2 * m01, m11, 2 * m02, 2 * m12, m22), float(kappa)
+
+
 def _np_centers_line(a, b, tol=ic.DEFAULT_TOL):
     centers = []
     for num, den in [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (-1.0, 1.0),
@@ -392,11 +430,16 @@ class TestFloatPencilAgainstNumpy:
                 _vec(line) @ _np_canonical_sym3(want) @ _vec(line), abs=1e-14)
 
     @given(_quads)
+    @example(random_trapezoid(np.random.default_rng(2633)))
+    @example(random_trapezoid(np.random.default_rng(5090)))
     @settings(max_examples=100, deadline=None)
     def test_point_conic_and_member_with_center_match(self, q):
         # both sides read the same pencil: near the diagonal midpoints and
         # the chord ends the member degenerates and amplifies the last-bit
-        # differences of the two norms, so the centers keep clear of them
+        # differences of the two norms, so the centers keep clear of them.
+        # Each side's member is held to the 50-digit one within 8 eps kappa,
+        # which is at most 1e-13 wherever kappa <= 56; the two pinned draws
+        # have kappa up to about 6e3, where numpy itself is 2.2e-13 off
         pen = ic.pencil_from_lines(*q.side_lines())
         d_a, d_b = np.array(pen.d_a.m), np.array(pen.d_b.m)
         for num, den in _sweep_params(8):
@@ -412,9 +455,22 @@ class TestFloatPencilAgainstNumpy:
         lo, hi = sorted(_chord_param(chord, m)[0] for m in (seg.m1, seg.m2))
         for center in ([seg.point_at(u) for u in (0.2, 0.37, 0.5, 0.8)]
                        + [chord.point_at(lo / 2), chord.point_at((hi + 1) / 2)]):
-            want = _np_member_with_center(d_a, d_b, center.x, center.y)
-            got = ic.member_with_center(pen, center)
-            assert ic.conic_distance(got, want) < 1e-13
+            exact, kappa = _mp_member_with_center(pen.d_a.m, pen.d_b.m, center.x, center.y)
+            bound = 8 * 2.0 ** -52 * kappa
+            assert ic.conic_distance(ic.member_with_center(pen, center), exact) < bound
+            assert ic.conic_distance(_np_member_with_center(d_a, d_b, center.x, center.y),
+                                     exact) < bound
+
+    def test_member_with_center_bound_is_tight_on_the_worked_quad(self):
+        # a well-conditioned draw keeps a bound of 1e-13 or tighter
+        q = quad_s3t2()
+        pen = ic.pencil_from_lines(*q.side_lines())
+        for u in (0.2, 0.37, 0.5, 0.8):
+            center = ic.locus(q).point_at(u)
+            exact, kappa = _mp_member_with_center(pen.d_a.m, pen.d_b.m, center.x, center.y)
+            bound = 8 * 2.0 ** -52 * kappa
+            assert bound <= 1e-13
+            assert ic.conic_distance(ic.member_with_center(pen, center), exact) < bound
 
     @given(_quads)
     @settings(max_examples=100, deadline=None)

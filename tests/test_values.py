@@ -18,7 +18,6 @@ from inconic import (
     HomPoint,
     Line,
     LocusSegment,
-    NormalForm,
     Point,
     TangentPencil,
     Tolerances,
@@ -35,6 +34,8 @@ from inconic import (
 )
 from inconic.errors import SingularMap
 from inconic.geometry import _Value
+
+from conftest import normal_form
 
 QUAD = [(0, 0), (1, 0), (3, 2), (0, 1)]
 
@@ -164,10 +165,6 @@ def test_defaults():
     m = AffineMap(1.0, 2.0, 3.0, 4.0)
     assert (m.tx, m.ty) == (0.0, 0.0)
     assert LocusSegment(Point(0.0, 0.0), Point(1.0, 1.0)).degenerate is False
-    nf = normalize(validate_quad(QUAD))
-    solved = NormalForm(nf.T, nf.s, nf.t, nf.labeling)
-    g = nf.T.inverse()
-    assert solved.inverse == (g.m11, g.m12, g.m21, g.m22, g.tx, g.ty)
     assert Tolerances() == DEFAULT_TOL
     assert DEFAULT_TOL.tol_tan == 1e-8 and DEFAULT_TOL.tol_det == 1e-12
 
@@ -191,7 +188,7 @@ CHECKS = [
      ValueError, "semi_major must be the larger axis"),
     (lambda: EllipseGeo(Point(0.0, 0.0), 2.0, 1.0, 2.0, Point(0.0, 0.0), Point(0.0, 0.0)),
      ValueError, "angle must lie in (-pi/2, pi/2]"),
-    (lambda: NormalForm(AffineMap.identity(), 0.5, 0.25, (0, 1, 2, 3)), ValueError,
+    (lambda: normal_form(0.5, 0.25), ValueError,
      "normal form requires s > 0, t > 0, s + t > 1"),
     (lambda: TriangleZ(0j, complex(math.nan, 0.0), 1j), ValueError,
      "triangle vertices must be finite"),

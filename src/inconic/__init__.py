@@ -7,7 +7,16 @@ any center on that segment, finds the unique maximal-area inscribed
 ellipse, and extends the construction to tangent hyperbolas for centers on
 the interior chord beyond the midpoints.  A dual-conic pencil provides an
 independent second construction used for verification.
+
+Importing the package runs only the kernel (``errors``, ``geometry``,
+``inscribed``).  The oracles ``marden`` and ``pencil``, ``area`` and
+``svg`` are registered under their own module paths but compiled and run
+at their first attribute access, so a command-line process runs only what
+its subcommand uses.  Their public names (``max_area``,
+``member_with_center``, ...) resolve on first access to the package.
 """
+import importlib.util
+import sys
 
 from . import errors
 from .geometry import (
@@ -34,23 +43,6 @@ from .geometry import (
     transform_line,
     validate_quad,
 )
-from .marden import (
-    AreaTriple,
-    TriangleZ,
-    foci_from_weights,
-    marden_ellipse,
-    marden_validity,
-    stable_quadratic_roots,
-    tangent_points,
-    triangle_tangent_ellipse_area,
-)
-from .pencil import (
-    DualConic,
-    TangentPencil,
-    centers_line,
-    member_with_center,
-    pencil_from_lines,
-)
 from .inscribed import (
     ChordX,
     InscribedResult,
@@ -68,12 +60,47 @@ from .inscribed import (
     tangent_conic_at_center,
     weights_from_center,
 )
-from .area import (
-    MaxAreaResult,
-    area_cubic,
-    inscribed_area,
-    max_area,
-)
+
+
+def _load_on_first_use(name: str):
+    """``inconic.<name>``, registered in ``sys.modules`` through
+    ``LazyLoader``: its code is compiled and run at the first attribute
+    access.  The module path stays, as the benchmark's tracer needs it."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+marden, pencil, area, svg = map(_load_on_first_use, ("marden", "pencil", "area", "svg"))
+
+# public name -> the module that defines it, for ``__getattr__``
+_ON_FIRST_USE = {
+    **dict.fromkeys(("AreaTriple", "TriangleZ", "foci_from_weights", "marden_ellipse",
+                     "marden_validity", "stable_quadratic_roots", "tangent_points",
+                     "triangle_tangent_ellipse_area"), marden),
+    **dict.fromkeys(("DualConic", "TangentPencil", "centers_line", "member_with_center",
+                     "pencil_from_lines"), pencil),
+    **dict.fromkeys(("MaxAreaResult", "area_cubic", "inscribed_area", "max_area"), area),
+}
+
+
+def __getattr__(name: str):
+    """A name of a module loaded on first use, bound here on first access so
+    that the next lookup is a plain one."""
+    try:
+        module = _ON_FIRST_USE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(module, name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_ON_FIRST_USE})
+
 
 __version__ = "0.1.0"
 

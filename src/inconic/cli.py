@@ -10,13 +10,11 @@ read; ``main`` maps every other error to its code in one place.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
 
-from . import errors
-from .area import max_area
+from . import area, errors, pencil, svg
 from .fmt import dumps, ellipse_json
 from .geometry import (
     AffineMap,
@@ -39,8 +37,6 @@ from .inscribed import (
     tangent_conic_at_center,
     _inscribe_params,
 )
-from .pencil import member_with_center, pencil_from_lines
-from . import svg
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -143,6 +139,7 @@ def _load_vertices(args) -> list[tuple[float, float]]:
         if len(chunks) != 4:
             raise ValueError("expected four 'x,y' vertex pairs")
         return [_parse_pair(c) for c in chunks]
+    import json
     with open(args.input, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     verts = data.get("vertices") if isinstance(data, dict) else None
@@ -201,7 +198,7 @@ def cmd_inscribe(args, q: ConvexQuad, tol: Tolerances) -> int:
 
 
 def cmd_maxarea(args, q: ConvexQuad, tol: Tolerances) -> int:
-    res = max_area(q, tol)
+    res = area.max_area(q, tol)
     print(ellipse_json(res.inscribed, res.h0))
     return EXIT_OK
 
@@ -217,8 +214,8 @@ def _pencil_member(q, center: Point):
     xs, ys = [v.x for v in q.vertices], [v.y for v in q.vertices]
     e = max(max(xs) - min(xs), max(ys) - min(ys))
     shifted = ConvexQuad(*(Point((v.x - x0) / e, (v.y - y0) / e) for v in q.vertices), q.kind)
-    member = member_with_center(pencil_from_lines(*shifted.side_lines()),
-                                Point((center.x - x0) / e, (center.y - y0) / e))
+    member = pencil.member_with_center(pencil.pencil_from_lines(*shifted.side_lines()),
+                                       Point((center.x - x0) / e, (center.y - y0) / e))
     return transform_conic(member, AffineMap(e, 0.0, 0.0, e, x0, y0))
 
 
@@ -277,7 +274,7 @@ def cmd_render(args, q: ConvexQuad, tol: Tolerances) -> int:
         chord = chord_x(q, tol)
     results = []
     if args.maxarea:
-        results.append(max_area(q, tol).inscribed)
+        results.append(area.max_area(q, tol).inscribed)
     elif args.center is not None:
         results.append(inscribe_at_center(q, args.center, tol))
     elif args.u is not None:

@@ -13,8 +13,6 @@ the same record.
 """
 from __future__ import annotations
 
-import json
-
 from .errors import NumericalFailure
 
 
@@ -54,6 +52,7 @@ def _emit(obj, out: list):
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
+        import json  # only inspect and verify print strings
         out.append(json.dumps(obj))
     elif isinstance(obj, (int, float)):
         out.append(fmt_number(obj))
@@ -62,7 +61,7 @@ def _emit(obj, out: list):
         for i, key in enumerate(sorted(obj)):
             if i:
                 out.append(",")
-            out.append(json.dumps(str(key)))
+            _emit(str(key), out)
             out.append(":")
             _emit(obj[key], out)
         out.append("}")

@@ -267,13 +267,18 @@ class AffineMap(_Value):
 def _affine_det(m11: float, m12: float, m21: float, m22: float,
                 tx: float, ty: float) -> float:
     """det of the linear part of x -> M x + t, after ``AffineMap``'s checks:
-    every entry finite (else ValueError) and M not singular (else SingularMap)."""
+    every entry finite (else ValueError), M's products finite (else
+    NumericalFailure: out of float range, not singular) and M not singular
+    (else SingularMap)."""
     isfinite = math.isfinite
     if not (isfinite(m11) and isfinite(m12) and isfinite(m21) and isfinite(m22)
             and isfinite(tx) and isfinite(ty)):
         raise ValueError("affine map entries must be finite")
     det = m11 * m22 - m12 * m21
-    if abs(det) <= DEFAULT_TOL.tol_det * (abs(m11 * m22) + abs(m12 * m21)):
+    size = abs(m11 * m22) + abs(m12 * m21)
+    if not size < math.inf:
+        raise NumericalFailure("linear part is out of float range")
+    if abs(det) <= DEFAULT_TOL.tol_det * size:
         raise SingularMap(f"linear part is singular (det={det:g})")
     return det
 
@@ -314,7 +319,7 @@ def validate_quad(vertices, tol: Tolerances = DEFAULT_TOL) -> ConvexQuad:
     lexicographically smallest vertex, with its parallel-pair classification.
     Raises NotConvex when some vertex cross product is not strictly positive,
     DegenerateQuad for repeated vertices or an (almost) zero-area input, and
-    NumericalFailure when the zero-area bound itself overflows.
+    NumericalFailure when the zero-area bound itself over- or underflows.
     """
     pts = [v if isinstance(v, Point) else Point(v[0], v[1]) for v in vertices]
     if len(pts) != 4:
@@ -332,7 +337,7 @@ def validate_quad(vertices, tol: Tolerances = DEFAULT_TOL) -> ConvexQuad:
     area2 = (_cross(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y)
              + _cross(p0.x, p0.y, p2.x, p2.y, p3.x, p3.y))
     bound = 1e-12 * extent * extent
-    if bound == math.inf:
+    if bound == math.inf or bound == 0.0:  # extent > 0: the vertices are distinct
         raise NumericalFailure("quadrilateral is out of float range")
     if abs(area2) <= bound:
         raise DegenerateQuad("vertex set has (near) zero area")

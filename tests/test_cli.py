@@ -480,6 +480,117 @@ def test_startup_leaves_dataclasses_and_inspect_out():
     assert json.loads(lines[1])["kind"] == "trapezium"
 
 
+# The package runs only the kernel at import and loads the oracles
+# (marden, pencil), area and svg on first use.  Each check runs in a fresh
+# interpreter, where an audit hook records every module body that runs
+# (the "exec" audit event).
+ON_FIRST_USE = {"marden", "pencil", "area", "svg"}
+
+# prints, as JSON, the inconic modules whose code ran during the argv's run
+_RAN = """
+import contextlib, io, json, sys
+from pathlib import Path
+ran = set()
+def hook(event, args):
+    if event == "exec" and hasattr(args[0], "co_filename"):
+        path = Path(args[0].co_filename)
+        if path.parent.name == "inconic":
+            ran.add(path.stem)
+sys.addaudithook(hook)
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import inconic
+else:
+    from inconic.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    assert code == 0, code
+print(json.dumps(sorted(ran)))
+"""
+
+
+def _modules_run(argv) -> set[str]:
+    proc = _run_python("-c", _RAN, json.dumps(argv))
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+def test_import_runs_only_the_kernel():
+    assert _modules_run(None) == {"__init__", "errors", "geometry", "inscribed"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["inspect", "--vertices", QUAD], set()),
+    (["inscribe", "--vertices", QUAD, "--u", "0.37"], set()),
+    (["sample", "--vertices", QUAD, "--n", "3"], set()),
+    (["maxarea", "--vertices", "0,0 2,0 1.5,1 0,1"], {"area"}),
+    (["verify", "--vertices", QUAD, "--u", "0.37"], {"pencil"}),
+    (["verify", "--vertices", QUAD, "--center", "2.3,1.4", "--allow-hyperbola"], {"pencil"}),
+    (["render", "--vertices", QUAD, "--n", "3", "--out", "{dir}/scene.svg"], {"svg"}),
+    (["render", "--vertices", QUAD, "--maxarea", "--out", "{dir}/scene.svg"], {"area", "svg"}),
+], ids=["inspect", "inscribe", "sample", "maxarea", "verify", "verify-hyperbola",
+        "render", "render-maxarea"])
+def test_subcommand_runs_only_the_modules_it_uses(tmp_path, argv, loaded):
+    ran = _modules_run([a.replace("{dir}", str(tmp_path)) for a in argv])
+    # the hook sees module bodies at all: the kernel, fmt and cli ran
+    assert {"geometry", "inscribed", "fmt", "cli"} <= ran
+    assert ran & ON_FIRST_USE == loaded
+
+
+_RESOLVE = """
+import json, sys
+import inconic
+before = [name for name in inconic.__all__ if name in vars(inconic)]
+wrong = []
+for name in inconic.__all__:
+    obj = getattr(inconic, name)
+    if name == "errors":
+        home = sys.modules["inconic.errors"]
+        ok = obj is home
+    else:
+        home = sys.modules[getattr(obj, "__module__", None) or type(obj).__module__]
+        ok = vars(home).get(name) is obj
+    if not (ok and vars(inconic).get(name) is obj):
+        wrong.append(name)
+print(json.dumps({"before": before, "wrong": wrong, "dir": dir(inconic)}))
+"""
+
+
+def test_every_public_name_resolves_to_its_defining_modules_object():
+    proc = _run_python("-c", _RESOLVE)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["wrong"] == []
+    # the names of the modules loaded on first use are bound on first access
+    deferred = set(inconic.__all__) - set(doc["before"])
+    assert {"max_area", "member_with_center", "pencil_from_lines", "TriangleZ",
+            "MaxAreaResult", "stable_quadratic_roots"} <= deferred
+    assert set(inconic.__all__) <= set(doc["dir"])
+    assert doc["dir"] == sorted(doc["dir"])
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from inconic import *", namespace)
+    namespace.pop("__builtins__")
+    assert set(namespace) == set(inconic.__all__)
+    assert namespace["max_area"] is inconic.area.max_area
+    assert namespace["member_with_center"] is inconic.pencil.member_with_center
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        inconic.no_such_name
+    assert not hasattr(inconic, "scene")
+
+
+def test_modules_keep_their_paths():
+    # the benchmark's tracer looks each layer up as sys.modules["inconic.<layer>"]
+    for name in ON_FIRST_USE:
+        assert sys.modules[f"inconic.{name}"] is getattr(inconic, name)
+        assert getattr(inconic, name).__name__ == f"inconic.{name}"
+
+
 # README's command-line examples, run through cli.main with numpy unimportable
 _NO_NUMPY_RUN = """
 import contextlib, io, json, sys
@@ -571,6 +682,10 @@ EXIT_CODE_CONTRACT = [
                  5, "numerical failure: ", id="5-scale-1e154"),
     pytest.param(["inscribe", "--vertices", "0,0 1e-154,0 3e-154,2e-154 0,1e-154", "--u", "0.37"],
                  5, "numerical failure: ", id="5-scale-1e-154"),
+    pytest.param(["inspect", "--vertices", "0,0 1e-156,0 3e-156,2e-156 0,1e-156"], 5,
+                 "numerical failure: linear part is out of float range", id="5-scale-1e-156"),
+    pytest.param(["inspect", "--vertices", "0,0 1e-200,0 3e-200,2e-200 0,1e-200"], 5,
+                 "numerical failure: quadrilateral is out of float range", id="5-scale-1e-200"),
     pytest.param(["verify", "--vertices", "0,0 1e100,0 3e100,2e100 0,1e100", "--u", "0.37"], 5,
                  "numerical failure: ", id="5-verify-scale-1e100"),
     pytest.param(["verify", "--vertices", "0,0 1e155,0 3e155,2e155 0,1e155", "--u", "0.37"], 5,

@@ -79,6 +79,15 @@ class TestValidateQuad:
         assert ic.validate_quad([(0, 0), (1e159, 0), (3e159, 2e159), (0, 1e159)]).kind \
             is ic.QuadKind.TRAPEZIUM
 
+    @pytest.mark.parametrize("scale", [1e-157, 1e-163, 1e-200, 1e-300, 1e-323])
+    def test_quad_below_the_float_range_is_a_numerical_failure(self, scale):
+        # the zero-area bound underflows to 0, where it read 0 <= 0 and
+        # called the quad degenerate
+        with pytest.raises(errors.NumericalFailure, match="^quadrilateral is out of float range$"):
+            ic.validate_quad([(0, 0), (scale, 0), (3 * scale, 2 * scale), (0, scale)])
+        assert ic.validate_quad([(0, 0), (1e-156, 0), (3e-156, 2e-156), (0, 1e-156)]).kind \
+            is ic.QuadKind.TRAPEZIUM
+
     def test_canonical_order_stable_under_rotation_and_reversal(self):
         base = [(0, 0), (1, 0), (3, 2), (0, 1)]
         expect = ic.validate_quad(base).vertices
@@ -157,6 +166,14 @@ class TestAffineMap:
         for scale in (1e-7, 1.0, 1e7):
             with pytest.raises(errors.SingularMap):
                 ic.AffineMap(scale, 2 * scale, 2 * scale, 4 * scale)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e200])
+    def test_products_past_the_float_range_are_not_called_singular(self, scale):
+        # det = inf - 0 used to read as singular, inf <= inf
+        with pytest.raises(errors.NumericalFailure, match="^linear part is out of float range$"):
+            ic.AffineMap(scale, 0.0, 0.0, scale)
+        with pytest.raises(errors.NumericalFailure, match="^linear part is out of float range$"):
+            ic.AffineMap(scale, scale, -scale, scale)
 
 
 class TestSideLines:

@@ -1013,6 +1013,17 @@ class TestScaleOutOfFloatRange:
                                match="^normalization basis is out of float range$"):
                 call()
 
+    @pytest.mark.parametrize("scale", [1e-155, 1e-156])
+    def test_normal_map_out_of_float_range_is_not_called_singular(self, scale):
+        # M = B^-1 has entries near 1e155 and its products overflow, where
+        # the relative singular test read inf <= inf (SingularMap, det=inf)
+        q = _worked_scaled(scale)
+        for call in (lambda: ic.normalize(q), lambda: ic.inscribe_at_param(q, 0.37),
+                     lambda: ic.max_area(q)):
+            with pytest.raises(errors.NumericalFailure,
+                               match="^linear part is out of float range$"):
+                call()
+
     @pytest.mark.parametrize("scale", [1e-76, 1e77, 1e-153, 1e153])
     def test_range_ends_keep_full_accuracy(self, scale):
         want = ic.inscribe_at_param(_worked_scaled(1.0), 0.37).ellipse
@@ -1052,7 +1063,9 @@ def _imported_modules(module) -> set[str]:
 def test_pencil_is_not_a_construction_route():
     # the kernel/oracle boundary: the per-triangle route (marden) and the
     # dual-conic pencil are oracles only, so no construction module imports
-    # them, and the CLI reaches the pencil for ``verify`` alone
+    # them.  The CLI imports the pencil's module, which the package loads on
+    # first use, and only ``verify`` calls into it; test_cli.py checks
+    # in a fresh process which module code each subcommand runs
     import inconic.area
     import inconic.cli
     import inconic.fmt

@@ -9,57 +9,17 @@ the interior chord beyond the midpoints.  A dual-conic pencil provides an
 independent second construction used for verification.
 
 Importing the package runs only the kernel (``errors``, ``geometry``,
-``inscribed``).  The oracles ``marden`` and ``pencil``, ``area`` and
+``inscribed``).  The oracles ``marden`` and ``pencil``, the conic tools
+and focal-route objects no construction calls (``oracle``), ``area`` and
 ``svg`` are registered under their own module paths but compiled and run
 at their first attribute access, so a command-line process runs only what
 its subcommand uses.  Their public names (``max_area``,
-``member_with_center``, ...) resolve on first access to the package.
+``member_with_center``, ``classify_conic``, ...) resolve on first access
+to the package; ``geometry`` and ``inscribed`` resolve the names that
+moved from them to ``oracle`` the same way.
 """
 import importlib.util
 import sys
-
-from . import errors
-from .geometry import (
-    DEFAULT_TOL,
-    AffineMap,
-    Conic,
-    ConicClass,
-    ConvexQuad,
-    EllipseGeo,
-    HomPoint,
-    Line,
-    Point,
-    QuadKind,
-    Tolerances,
-    classify_conic,
-    conic_distance,
-    conic_from_ellipse,
-    ellipse_from_conic,
-    ellipse_from_foci_point,
-    midpoint,
-    tangency_point,
-    tangency_residual,
-    transform_conic,
-    transform_line,
-    validate_quad,
-)
-from .inscribed import (
-    ChordX,
-    InscribedResult,
-    LocusLine,
-    LocusSegment,
-    NormalForm,
-    WeightTriple,
-    chord_x,
-    foci_quadratic,
-    inscribe_at_center,
-    inscribe_at_param,
-    locus,
-    locus_line,
-    normalize,
-    tangent_conic_at_center,
-    weights_from_center,
-)
 
 
 def _load_on_first_use(name: str):
@@ -74,28 +34,70 @@ def _load_on_first_use(name: str):
     return module
 
 
-marden, pencil, area, svg = map(_load_on_first_use, ("marden", "pencil", "area", "svg"))
+def _forward_on_first_use(namespace: dict, homes: dict):
+    """A PEP 562 ``__getattr__`` for the module whose globals are
+    ``namespace``: a name in ``homes`` is read from ``inconic.<home>`` and
+    bound into ``namespace`` on first access, so that the next lookup is a
+    plain one; any other name is an AttributeError.  Defined before the
+    kernel is imported, as ``geometry`` and ``inscribed`` use it too."""
+    def __getattr__(name: str):
+        try:
+            home = homes[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}") from None
+        value = namespace[name] = getattr(importlib.import_module(f"{__name__}.{home}"), name)
+        return value
+    return __getattr__
 
-# public name -> the module that defines it, for ``__getattr__``
+
+from . import errors
+from .geometry import (
+    DEFAULT_TOL,
+    AffineMap,
+    Conic,
+    ConicClass,
+    ConvexQuad,
+    EllipseGeo,
+    HomPoint,
+    Line,
+    Point,
+    QuadKind,
+    Tolerances,
+    midpoint,
+    validate_quad,
+)
+from .inscribed import (
+    ChordX,
+    InscribedResult,
+    LocusSegment,
+    NormalForm,
+    chord_x,
+    inscribe_at_center,
+    inscribe_at_param,
+    locus,
+    normalize,
+    tangent_conic_at_center,
+)
+
+marden, pencil, oracle, area, svg = map(_load_on_first_use,
+                                        ("marden", "pencil", "oracle", "area", "svg"))
+
+# public name -> the module loaded on first use that defines it
 _ON_FIRST_USE = {
     **dict.fromkeys(("AreaTriple", "TriangleZ", "foci_from_weights", "marden_ellipse",
                      "marden_validity", "stable_quadratic_roots", "tangent_points",
-                     "triangle_tangent_ellipse_area"), marden),
+                     "triangle_tangent_ellipse_area"), "marden"),
     **dict.fromkeys(("DualConic", "TangentPencil", "centers_line", "member_with_center",
-                     "pencil_from_lines"), pencil),
-    **dict.fromkeys(("MaxAreaResult", "area_cubic", "inscribed_area", "max_area"), area),
+                     "pencil_from_lines"), "pencil"),
+    **dict.fromkeys(("LocusLine", "WeightTriple", "classify_conic", "conic_distance",
+                     "conic_from_ellipse", "ellipse_from_conic", "ellipse_from_foci_point",
+                     "foci_quadratic", "locus_line", "tangency_point", "tangency_residual",
+                     "transform_conic", "transform_line", "weights_from_center"), "oracle"),
+    **dict.fromkeys(("MaxAreaResult", "area_cubic", "inscribed_area", "max_area"), "area"),
 }
 
-
-def __getattr__(name: str):
-    """A name of a module loaded on first use, bound here on first access so
-    that the next lookup is a plain one."""
-    try:
-        module = _ON_FIRST_USE[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = globals()[name] = getattr(module, name)
-    return value
+__getattr__ = _forward_on_first_use(globals(), _ON_FIRST_USE)
 
 
 def __dir__():

@@ -14,19 +14,9 @@ import math
 import re
 import sys
 
-from . import area, errors, pencil, svg
+from . import area, errors, oracle, pencil, svg
 from .fmt import dumps, ellipse_json
-from .geometry import (
-    AffineMap,
-    ConvexQuad,
-    Point,
-    QuadKind,
-    Tolerances,
-    conic_distance,
-    tangency_residual,
-    transform_conic,
-    validate_quad,
-)
+from .geometry import AffineMap, ConvexQuad, Point, QuadKind, Tolerances, validate_quad
 from .inscribed import (
     ChordX,
     chord_x,
@@ -216,7 +206,7 @@ def _pencil_member(q, center: Point):
     shifted = ConvexQuad(*(Point((v.x - x0) / e, (v.y - y0) / e) for v in q.vertices), q.kind)
     member = pencil.member_with_center(pencil.pencil_from_lines(*shifted.side_lines()),
                                        Point((center.x - x0) / e, (center.y - y0) / e))
-    return transform_conic(member, AffineMap(e, 0.0, 0.0, e, x0, y0))
+    return oracle.transform_conic(member, AffineMap(e, 0.0, 0.0, e, x0, y0))
 
 
 def cmd_verify(args, q: ConvexQuad, tol: Tolerances) -> int:
@@ -234,8 +224,8 @@ def cmd_verify(args, q: ConvexQuad, tol: Tolerances) -> int:
                 raise
             conic, classification_enum, _ = tangent_conic_at_center(q, center, tol)
             classification = classification_enum.value
-    marden_distance = conic_distance(conic, _pencil_member(q, center))
-    residuals = [tangency_residual(conic, line) for line in lines]
+    marden_distance = oracle.conic_distance(conic, _pencil_member(q, center))
+    residuals = [oracle.tangency_residual(conic, line) for line in lines]
     got = conic.center()
     center_error = math.hypot(got.x - center.x, got.y - center.y)
     doc = {

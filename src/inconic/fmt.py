@@ -9,7 +9,8 @@ Two writers use it.  ``dumps`` walks any nest of dicts, lists and scalars
 and emits keys sorted.  ``ellipse_json`` writes the fixed ellipse record
 of ``inscribe``, ``maxarea`` and ``sample`` from one template whose keys
 are already in that sorted order, byte for byte what ``dumps`` gives for
-the same record.
+the same record; when every number is a plain finite float it fills the
+template in one ``%`` with ``%.15g``, the rule's own format.
 """
 from __future__ import annotations
 
@@ -52,8 +53,11 @@ def _emit(obj, out: list):
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        import json  # only inspect and verify print strings
-        out.append(json.dumps(obj))
+        if obj.isascii() and obj.isprintable() and '"' not in obj and "\\" not in obj:
+            out.append('"' + obj + '"')  # what json.dumps gives such a string
+        else:
+            import json
+            out.append(json.dumps(obj))
     elif isinstance(obj, (int, float)):
         out.append(fmt_number(obj))
     elif isinstance(obj, dict):
@@ -82,6 +86,9 @@ _ELLIPSE = ('{"angle_rad":%s,"area":%s,"center":[%s,%s],"classification":"ellips
             '"conic":[%s,%s,%s,%s,%s,%s],"foci":[[%s,%s],[%s,%s]],"semi_major":%s,'
             '"semi_minor":%s,"tangencies":[[%s,%s,%s],[%s,%s,%s],[%s,%s,%s],[%s,%s,%s]]}')
 _MAX_AREA = _ELLIPSE.replace('"semi_major"', '"h0":%s,"semi_major"')
+# the same records with every number written by C, for ``_fill``'s bulk path
+_BULK = {template: template.replace("%s", "%.15g") for template in (_ELLIPSE, _MAX_AREA)}
+_FLOAT = {float}
 
 
 def ellipse_json(result, h0: float | None = None) -> str:
@@ -95,5 +102,17 @@ def ellipse_json(result, h0: float | None = None) -> str:
     tail = (e.semi_major, e.semi_minor, t1.x, t1.y, t1.w, t2.x, t2.y, t2.w,
             t3.x, t3.y, t3.w, t4.x, t4.y, t4.w)
     if h0 is None:
-        return _ELLIPSE % tuple(map(fmt_number, head + tail))
-    return _MAX_AREA % tuple(map(fmt_number, (*head, h0, *tail)))
+        return _fill(_ELLIPSE, head + tail)
+    return _fill(_MAX_AREA, (*head, h0, *tail))
+
+
+def _fill(template: str, values: tuple) -> str:
+    """template with each value written by ``fmt_number``'s rule.  When
+    every value is a plain float and their sum is finite (so each one is),
+    the rule is one ``%`` over ``%.15g`` placeholders, with each value
+    below 1e-12 in magnitude sent to 0.0, which prints as 0; anything else
+    goes through ``fmt_number`` value by value, which raises where the
+    rule does."""
+    if {*map(type, values)} == _FLOAT and (total := sum(values)) - total == 0.0:
+        return _BULK[template] % tuple([0.0 if -1e-12 < x < 1e-12 else x for x in values])
+    return template % tuple(map(fmt_number, values))

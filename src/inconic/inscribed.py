@@ -11,8 +11,8 @@ short polynomials in (s, t, h), so one pass reads off the conic, its
 center and its four contacts (the poles of the sides), with no root
 solved.  The paper reaches the same conic through the focal quadratic
 z^2 - 2(h + i*L(h)) z + i(s-2h)/(s-1) that the two triangles cut off by
-the side lines share.  ``foci_quadratic`` reads its coefficients off the
-same D(h) and checks that the weights of the center reduce the
+the side lines share.  ``oracle.foci_quadratic`` reads its coefficients
+off the same D(h) and checks that the weights of the center reduce the
 triangles' focal numerators to that form; the construction needs
 neither, and tests/test_certificate.py proves the identities between
 the two.  The construction divides by s - 1 but never by t - 1, so it
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 
+from . import _forward_on_first_use
 from .errors import (
     CenterOffLocus,
     DegenerateAtMidpoint,
@@ -58,25 +59,6 @@ from .geometry import (
 
 _ULP = 2.0 ** -52  # spacing of the floats in [1, 2)
 _VERTICAL = "s = 1: center line is vertical in this labeling"
-
-
-class WeightTriple(_Value):
-    """Weights (t1, t2, t3) summing to 1; t3 is always stored as 1 - t1 - t2.
-
-    No coercion is applied, so exact number types (fractions.Fraction)
-    flow through product and validity checks unchanged.
-    """
-    __slots__ = ("t1", "t2", "t3")
-
-    def __init__(self, t1: float, t2: float):
-        self._fill((t1, t2, 1 - t1 - t2))
-
-    def as_tuple(self):
-        return (self.t1, self.t2, self.t3)
-
-    @property
-    def product(self):
-        return self.t1 * self.t2 * self.t3
 
 
 class NormalForm(_Value):
@@ -142,17 +124,6 @@ class ChordX(_Value):
     def point_at(self, u: float) -> Point:
         return Point(self.p_start.x + u * (self.p_end.x - self.p_start.x),
                      self.p_start.y + u * (self.p_end.y - self.p_start.y))
-
-
-class LocusLine(_Value):
-    """Center line y = slope*x + intercept over the open interval of h."""
-    __slots__ = ("slope", "intercept", "interval")
-
-    def __init__(self, slope: float, intercept: float, interval: tuple[float, float]):
-        self._fill((slope, intercept, interval))
-
-    def __call__(self, x: float) -> float:
-        return self.slope * x + self.intercept
 
 
 class InscribedResult(_Value):
@@ -250,102 +221,15 @@ def _frame(p0: Point, p1: Point, p2: Point, p3: Point, tol: Tolerances):
     return s, t, (m11, m12, m21, m22), (b11, b12, b21, b22)
 
 
-def locus_line(nf: NormalForm, tol: Tolerances = DEFAULT_TOL) -> LocusLine:
-    """Normalized-frame center line y = (s - t + 2x(t-1)) / (2(s-1)).
-
-    Passes through both diagonal midpoints (1/2, 1/2) and (s/2, t/2).
-    Requires s != 1: otherwise the line is vertical and this slope form
-    does not exist.  ``normalize`` keeps |s-1| away from zero, so only a
-    quadrilateral that is numerically a parallelogram in both labelings
-    reaches the guard, which raises NumericalFailure.
-    """
-    s, t = nf.s, nf.t
-    if abs(s - 1) <= tol.tol_par:
-        raise NumericalFailure(_VERTICAL)
-    return LocusLine((t - 1) / (s - 1), (s - t) / (2 * (s - 1)), nf.interval)
-
-
 def _param_in_interval(lo: float, hi: float, h, tol: Tolerances) -> None:
     """Raise CenterOffLocus unless h is strictly inside the interval
     (lo, hi), tol_interval in from either end; an interval of zero width
-    (s = 1) raises ``locus_line``'s NumericalFailure."""
+    (s = 1) raises ``oracle.locus_line``'s NumericalFailure."""
     if lo == hi:
         raise NumericalFailure(_VERTICAL)
     u = (h - lo) / (hi - lo)
     if not (tol.tol_interval < u < 1 - tol.tol_interval):
         raise CenterOffLocus(f"abscissa {h} outside the open interval ({lo}, {hi})")
-
-
-def weights_from_center(nf: NormalForm, h,
-                        tol: Tolerances = DEFAULT_TOL) -> tuple[WeightTriple, WeightTriple]:
-    """Weight triples of the two side-line triangles for the center (h, L(h)).
-
-    Closed forms t1 = (2h-s)/t, t2 = 1-2h and s1 = (t-1)(2h-s)/(s(s-1)),
-    s2 = (t-1)(1-2h)/(s-1); both products are strictly positive on the open
-    interval.  Exact number types pass through unchanged.
-    """
-    _param_in_interval(*nf.interval, h, tol)
-    return _weights(nf, h)
-
-
-def _weights(nf: NormalForm, h) -> tuple[WeightTriple, WeightTriple]:
-    s, t = nf.s, nf.t
-    wt = WeightTriple((2 * h - s) / t, 1 - 2 * h)
-    ws = WeightTriple((t - 1) * (2 * h - s) / (s * (s - 1)),
-                      (t - 1) * (1 - 2 * h) / (s - 1))
-    return wt, ws
-
-
-def foci_quadratic(nf: NormalForm, h, tol: Tolerances = DEFAULT_TOL) -> tuple[complex, complex]:
-    """(root sum, root product) of the shared monic focal quadratic
-    z^2 - 2(h + i L(h)) z + i (s - 2h)/(s - 1).
-
-    Holds along the whole center line: the roots are the foci of the
-    inscribed ellipse between the diagonal midpoints, of the tangent
-    hyperbola beyond them.  Both coefficients are read off D(h)
-    (``_dual_entries``): the root sum is 2(h + ik) and the root product
-    2ic.  After ``locus_line``'s s = 1 guard, the weights of the center
-    are checked to reduce the side-line triangles' focal numerators to
-    that form (``_check_focal_form``); the construction runs neither.
-    """
-    s, t = nf.s, nf.t
-    if abs(s - 1) <= tol.tol_par:
-        raise NumericalFailure(_VERTICAL)
-    c, k, _ = _dual_entries(s, t, h)
-    _check_focal_form(s, t, h, k, *_weights(nf, h), tol)
-    return complex(2 * h, 2 * k), 2j * c
-
-
-def _check_focal_form(s, t, h, k, wt: WeightTriple, ws: WeightTriple,
-                      tol: Tolerances) -> None:
-    """Check within 1e-10 that the focal numerators of the side-line
-    triangles, under the weights wt and ws, reduce to the monic form of
-    root sum 2(h + ik) and root product i(s - 2h)/(s - 1): always for the
-    first triangle, and for the second only when |t - 1| > tol_par (with
-    one parallel side pair it does not exist).  k is L(h) and s != 1.
-
-    A triangle (z1, z2, z3) under weights (w1, w2, w3) has the focal
-    numerator w1(z-z2)(z-z3) + w2(z-z1)(z-z3) + w3(z-z1)(z-z2), of root sum
-    w1(z2+z3) + w2(z1+z3) + w3(z1+z2) and root product
-    w1 z2 z3 + w2 z1 z3 + w3 z1 z2.  With z1 = 0 and the other two vertices
-    on the axes, both reduce to the real products below, and every product
-    is purely imaginary, so each distance is a ``hypot`` of real parts or
-    the gap of the imaginary ones.
-    """
-    product = (s - 2 * h) / (s - 1)
-    sum_bound = 1e-10 * max(1.0, math.hypot(2 * h, 2 * k))
-    product_bound = 1e-10 * max(1.0, abs(product))
-    # (0, 1, iy), y = -t/(s-1): sum w1 + w3 + i(w1 y + w2 y), product i w1 y
-    y = -t / (s - 1)
-    if math.hypot(wt.t1 + wt.t3 - 2 * h, wt.t1 * y + wt.t2 * y - 2 * k) > sum_bound or \
-       abs(wt.t1 * y - product) > product_bound:
-        raise NumericalFailure("focal numerators disagree with the monic form")
-    if abs(t - 1) > tol.tol_par:
-        # (0, i, x), x = -s/(t-1): sum w1 x + w2 x + i(w1 + w3), product i w1 x
-        x = -s / (t - 1)
-        if math.hypot(ws.t1 * x + ws.t2 * x - 2 * h, ws.t1 + ws.t3 - 2 * k) > sum_bound or \
-           abs(ws.t1 * x - product) > product_bound:
-            raise NumericalFailure("focal numerators disagree with the monic form")
 
 
 def _project_to_segment(p: Point, a: Point, b: Point) -> tuple[float, float]:
@@ -400,7 +284,7 @@ def _tangent_conic(frame: tuple, h: float, tol: Tolerances):
     1e-12 max(1, h^2 + k^2)^2 raises DegeneratePoint: the conic has
     collapsed onto its focal line.  Q must be positive definite for an
     ellipse (else NotAnEllipse) and indefinite for a hyperbola (else
-    NumericalFailure).  s = 1 raises ``locus_line``'s NumericalFailure
+    NumericalFailure).  s = 1 raises ``oracle.locus_line``'s NumericalFailure
     first; no focal root is solved and no weight is formed.
 
     Each unit-normalized side l of y = 0, (1,0)-(s,t), (s,t)-(0,1), x = 0
@@ -513,7 +397,7 @@ def inscribe_at_center(q: ConvexQuad, center: Point,
     concentric ellipses would form a parallelogram, so uniqueness fails
     there, and midpoints that coincide in floats (a parallelogram to
     rounding that a small tol_par lets through, s = 1) raise
-    ``locus_line``'s NumericalFailure.  A side the conic misses raises
+    ``oracle.locus_line``'s NumericalFailure.  A side the conic misses raises
     NotTangent.
     """
     if q.kind is QuadKind.PARALLELOGRAM:
@@ -619,3 +503,11 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
             raise DegenerateAtMidpoint("center coincides with a diagonal midpoint")
     frame = _normal_frame(q, tol)
     return _tangent_conic(frame, _abscissa(frame, center), tol)[:3]
+
+
+# The paper's focal-route objects live in ``oracle``, which is compiled on
+# first use; their names still resolve here, bound on first access, as the
+# benchmark's tracer wraps them by this module's path.
+__getattr__ = _forward_on_first_use(globals(), dict.fromkeys((
+    "LocusLine", "WeightTriple", "foci_quadratic", "locus_line",
+    "weights_from_center"), "oracle"))

@@ -26,16 +26,8 @@ from .errors import (
     NotAnEllipse,
     NumericalFailure,
 )
-from .geometry import (
-    EllipseGeo,
-    Line,
-    Point,
-    _Value,
-    ellipse_from_foci_point,
-    tangency_residual,
-    conic_from_ellipse,
-)
-from .inscribed import WeightTriple
+from .geometry import EllipseGeo, Line, Point, _Value
+from .oracle import WeightTriple, conic_from_ellipse, ellipse_from_foci_point, tangency_residual
 
 
 def stable_quadratic_roots(root_sum: complex, root_product: complex) -> tuple[complex, complex]:

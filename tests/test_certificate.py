@@ -18,7 +18,8 @@ from types import SimpleNamespace
 import sympy as sp
 
 from inconic.area import area_cubic
-from inconic.inscribed import _dual_entries, _weights
+from inconic.inscribed import _dual_entries
+from inconic.oracle import _weights
 
 s, t, h, u, z = sp.symbols("s t h u z")
 P0, P1, P2, P3 = (sp.Matrix(p) for p in ((0, 0, 1), (1, 0, 1), (s, t, 1), (0, 1, 1)))

@@ -247,7 +247,7 @@ class TestVerify:
     ])
     def test_failed_check_still_prints_the_report(self, capsys, monkeypatch,
                                                   name, failure, reported):
-        monkeypatch.setattr(inconic.cli, name, lambda *args: 1.0)
+        monkeypatch.setattr(inconic.oracle, name, lambda *args: 1.0)
         code, out, err = run_cli(capsys, "verify", "--vertices", QUAD, "--u", "0.37")
         assert code == 5
         doc = json.loads(out)
@@ -481,10 +481,10 @@ def test_startup_leaves_dataclasses_and_inspect_out():
 
 
 # The package runs only the kernel at import and loads the oracles
-# (marden, pencil), area and svg on first use.  Each check runs in a fresh
-# interpreter, where an audit hook records every module body that runs
-# (the "exec" audit event).
-ON_FIRST_USE = {"marden", "pencil", "area", "svg"}
+# (marden, pencil, oracle), area and svg on first use.  Each check runs in
+# a fresh interpreter, where an audit hook records every module body that
+# runs (the "exec" audit event).
+ON_FIRST_USE = {"marden", "pencil", "oracle", "area", "svg"}
 
 # prints, as JSON, the inconic modules whose code ran during the argv's run
 _RAN = """
@@ -524,8 +524,9 @@ def test_import_runs_only_the_kernel():
     (["inscribe", "--vertices", QUAD, "--u", "0.37"], set()),
     (["sample", "--vertices", QUAD, "--n", "3"], set()),
     (["maxarea", "--vertices", "0,0 2,0 1.5,1 0,1"], {"area"}),
-    (["verify", "--vertices", QUAD, "--u", "0.37"], {"pencil"}),
-    (["verify", "--vertices", QUAD, "--center", "2.3,1.4", "--allow-hyperbola"], {"pencil"}),
+    (["verify", "--vertices", QUAD, "--u", "0.37"], {"pencil", "oracle"}),
+    (["verify", "--vertices", QUAD, "--center", "2.3,1.4", "--allow-hyperbola"],
+     {"pencil", "oracle"}),
     (["render", "--vertices", QUAD, "--n", "3", "--out", "{dir}/scene.svg"], {"svg"}),
     (["render", "--vertices", QUAD, "--maxarea", "--out", "{dir}/scene.svg"], {"area", "svg"}),
 ], ids=["inspect", "inscribe", "sample", "maxarea", "verify", "verify-hyperbola",
@@ -589,6 +590,75 @@ def test_modules_keep_their_paths():
     for name in ON_FIRST_USE:
         assert sys.modules[f"inconic.{name}"] is getattr(inconic, name)
         assert getattr(inconic, name).__name__ == f"inconic.{name}"
+
+
+# Loads bench/tracer.py by its path (argv[1]), checks that every function it
+# wraps resolves through sys.modules["inconic.<layer>"] to the object its
+# defining module holds, then traces one verify run (argv[2], the quad) and
+# prints the names that did not resolve, the exit code and the call counts.
+_TRACER_PATHS = """
+import contextlib, importlib.util, io, json, sys
+spec = importlib.util.spec_from_file_location("bench_tracer", sys.argv[1])
+tracer = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracer)
+import inconic.cli
+wrong = []
+for layer, names in tracer.WRAPPED.items():
+    for name in names:
+        obj = getattr(sys.modules[f"inconic.{layer}"], name)
+        if vars(sys.modules[obj.__module__]).get(name) is not obj:
+            wrong.append(f"{layer}.{name}")
+traced = tracer.Tracer()
+traced.install()
+try:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = inconic.cli.main(["verify", "--vertices", sys.argv[2], "--u", "0.37"])
+finally:
+    traced.uninstall()
+print(json.dumps({"wrong": wrong, "code": code, "calls": traced.calls}))
+"""
+
+
+def test_the_tracers_module_paths_resolve():
+    # the benchmark's tracer wraps each function by module path, such as
+    # sys.modules["inconic.geometry"].classify_conic, so a function that
+    # moves must stay readable there (``geometry`` and ``inscribed``
+    # forward the names that moved to ``oracle``); the wrappers must then
+    # count the calls verify makes through ``oracle``
+    tracer = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    proc = _run_python("-c", _TRACER_PATHS, str(tracer), QUAD)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["wrong"] == []
+    assert doc["code"] == 0
+    calls = doc["calls"]
+    assert calls["geometry.tangency_residual"] == 4
+    assert calls["geometry.conic_distance"] == calls["geometry.transform_conic"] == 1
+    assert calls["inscribed.inscribe_at_param"] == calls["pencil.member_with_center"] == 1
+    assert "inscribed.foci_quadratic" not in calls
+
+
+# runs inspect and both forms of verify (argv[1], the quad) in one process
+# and prints whether json was imported
+_JSON_LEFT_OUT = """
+import contextlib, io, sys
+from inconic.cli import main
+for argv in (["inspect", "--vertices", sys.argv[1]],
+             ["verify", "--vertices", sys.argv[1], "--u", "0.37"],
+             ["verify", "--vertices", sys.argv[1], "--center", "2.3,1.4",
+              "--allow-hyperbola"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+print("json" in sys.modules)
+"""
+
+
+def test_inspect_and_verify_leave_json_out():
+    # the strings they print are printable ASCII keys and words, which
+    # fmt quotes itself; json is imported only for --input and other strings
+    proc = _run_python("-c", _JSON_LEFT_OUT, QUAD)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # README's command-line examples, run through cli.main with numpy unimportable

@@ -4,6 +4,7 @@
 same record as a dict, which is how the CLI wrote ellipses before it had
 a writer of its own.
 """
+import json
 import math
 from types import SimpleNamespace
 
@@ -18,6 +19,26 @@ from inconic.fmt import NonFiniteNumber, dumps, ellipse_json, fmt_number
 
 TINY = 1e-12
 JUST_UNDER = math.nextafter(TINY, 0.0)
+
+
+def _ulps_from(x: float, k: int) -> float:
+    """The float k steps from x (toward +inf for k > 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+# one slot of the ellipse record: any finite float (subnormals included),
+# signed zeros and the smallest subnormals, values within 4 ulps of +-1e-12
+# (the rule's zero cut), magnitudes from 1e15 to 1e17 (where %.15g turns to
+# exponent form) and around 1e300 (where 29 of them still sum finite)
+_SLOT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022)]),
+    st.builds(_ulps_from, st.sampled_from([TINY, -TINY]), st.integers(-4, 4)),
+    st.floats(1e15, 1e17) | st.floats(-1e17, -1e15),
+    st.floats(1e299, 1e301) | st.floats(-1e301, -1e299),
+)
 
 
 def _record(result, h0=None) -> dict:
@@ -149,3 +170,58 @@ class TestEllipseWriter:
         assert ellipse_json(result) == dumps(_record(result))
         best = ic.max_area(image)
         assert ellipse_json(best.inscribed, best.h0) == dumps(_record(best.inscribed, best.h0))
+
+    @given(values=st.lists(_SLOT, min_size=29, max_size=29),
+           int_slot=st.none() | st.integers(0, 28),
+           numpy_slot=st.none() | st.integers(0, 28),
+           int_value=st.integers(-10**20, 10**20))
+    @settings(max_examples=500, deadline=None)
+    def test_bulk_format_is_the_rule(self, values, int_slot, numpy_slot, int_value):
+        # plain finite floats go through one %.15g format, anything else
+        # through fmt_number; both must print what dumps prints
+        if numpy_slot is not None:
+            values[numpy_slot] = np.float64(values[numpy_slot])
+        if int_slot is not None:
+            values[int_slot] = int_value
+        fake = _fake(values[:28])
+        assert ellipse_json(fake) == dumps(_record(fake))
+        assert ellipse_json(fake, values[28]) == dumps(_record(fake, values[28]))
+
+    @given(values=st.lists(_SLOT, min_size=29, max_size=29), slot=st.integers(0, 28),
+           bad=st.sampled_from([math.nan, math.inf, -math.inf]), numpy=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_non_finite_in_any_slot_raises(self, values, slot, bad, numpy):
+        values[slot] = np.float64(bad) if numpy else bad
+        fake = _fake(values[:28])
+        with pytest.raises(NonFiniteNumber):
+            ellipse_json(fake, values[28])
+        if slot < 28:
+            with pytest.raises(NonFiniteNumber):
+                ellipse_json(fake)
+
+    def test_plain_floats_take_the_bulk_format(self, monkeypatch):
+        # a construction's record is all plain finite floats: fmt_number,
+        # the value-by-value path, is not called for it
+        q = ic.validate_quad([(0, 0), (1, 0), (3, 2), (0, 1)])
+        result, best = ic.inscribe_at_param(q, 0.37), ic.max_area(q)
+        want = ellipse_json(result), ellipse_json(best.inscribed, best.h0)
+
+        def fail(x):
+            raise AssertionError("the record went value by value")
+
+        monkeypatch.setattr("inconic.fmt.fmt_number", fail)
+        assert (ellipse_json(result), ellipse_json(best.inscribed, best.h0)) == want
+
+
+class TestStrings:
+    @given(st.text())
+    @settings(max_examples=300)
+    def test_same_as_json(self, text):
+        # printable ASCII without a quote or backslash is quoted directly,
+        # every other string by json
+        assert dumps(text) == json.dumps(text)
+        assert dumps({text: [text]}) == json.dumps({text: [text]}, separators=(",", ":"))
+
+    @pytest.mark.parametrize("text", ["ellipse", "a b", "", '"', "\\", "\x7f", "\n", "é"])
+    def test_explicit_strings(self, text):
+        assert dumps(text) == json.dumps(text)

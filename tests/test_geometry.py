@@ -332,7 +332,7 @@ class TestClosedFormsAgainstNumpy:
     def test_residual_and_pole_match_the_adjugate(self, c, abc):
         line = ic.Line(*abc)
         want_residual, want_pole, adj_norm = _adjugate_oracle(c, line)
-        residual, pole = ic.geometry._residual_and_pole(c, line)
+        residual, pole = ic.oracle._residual_and_pole(c, line)
         scale = 1 + line.c * line.c
         assert residual == pytest.approx(want_residual, abs=1e-13 * scale)
         assert np.abs(np.array(pole) - want_pole).max() <= 1e-13 * adj_norm * scale

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import inconic as ic
 from inconic import errors
 from inconic.inscribed import (
-    _check_focal_form,
     _dual_entries,
     _frame,
     _locus_abscissas,
@@ -22,6 +21,8 @@ from inconic.inscribed import (
     _project_to_segment,
     _tangent_conic,
 )
+
+from inconic.oracle import _check_focal_form
 
 from conftest import (
     contains_point,
@@ -286,13 +287,13 @@ class TestFocalCheckBound:
     def test_construction_runs_no_focal_check(self, monkeypatch):
         # the construction reads everything off D(h): it forms no weights
         # and runs no focal check, so neither can stop it
-        import inconic.inscribed
+        import inconic.oracle
 
         def fail(*args):
             raise AssertionError("the construction reached the focal route")
 
-        monkeypatch.setattr(inconic.inscribed, "_weights", fail)
-        monkeypatch.setattr(inconic.inscribed, "_check_focal_form", fail)
+        monkeypatch.setattr(inconic.oracle, "_weights", fail)
+        monkeypatch.setattr(inconic.oracle, "_check_focal_form", fail)
         q = quad_s3t2()
         ic.inscribe_at_param(q, 0.5)
         ic.inscribe_at_center(q, ic.locus(q).point_at(0.37))
@@ -428,12 +429,12 @@ class TestFocalHead:
                 assert root_sum == complex(2 * h, 2 * k)
 
     def test_a_failing_focal_check_stops_foci_quadratic(self, monkeypatch):
-        import inconic.inscribed
+        import inconic.oracle
 
         def fail(*args):
             raise errors.NumericalFailure("patched focal check")
 
-        monkeypatch.setattr(inconic.inscribed, "_check_focal_form", fail)
+        monkeypatch.setattr(inconic.oracle, "_check_focal_form", fail)
         with pytest.raises(errors.NumericalFailure, match="^patched focal check$"):
             ic.foci_quadratic(WORKED_NF, 1.0)
 
@@ -1061,22 +1062,23 @@ def _imported_modules(module) -> set[str]:
 
 
 def test_pencil_is_not_a_construction_route():
-    # the kernel/oracle boundary: the per-triangle route (marden) and the
-    # dual-conic pencil are oracles only, so no construction module imports
-    # them.  The CLI imports the pencil's module, which the package loads on
-    # first use, and only ``verify`` calls into it; test_cli.py checks
-    # in a fresh process which module code each subcommand runs
+    # the kernel/oracle boundary: the per-triangle route (marden), the
+    # dual-conic pencil and the conic tools of ``oracle`` are oracles only,
+    # so no construction module imports them.  The CLI imports the pencil's
+    # and the conic tools' modules, which the package loads on first use,
+    # and only ``verify`` calls into them; test_cli.py checks in a fresh
+    # process which module code each subcommand runs
     import inconic.area
     import inconic.cli
     import inconic.fmt
     import inconic.geometry
     import inconic.inscribed
     import inconic.svg
-    oracles = {"marden", "pencil"}
+    oracles = {"marden", "pencil", "oracle"}
     for module in (inconic.inscribed, inconic.area, inconic.geometry,
                    inconic.fmt, inconic.svg):
         assert not _imported_modules(module) & oracles, module.__name__
-    assert _imported_modules(inconic.cli) & oracles == {"pencil"}
+    assert _imported_modules(inconic.cli) & oracles == {"pencil", "oracle"}
     assert "pencil_from_lines" not in vars(inconic.inscribed)
     assert "member_with_center" not in vars(inconic.inscribed)
     # the kernel solves no focal quadratic: the solver lives with marden
@@ -1129,6 +1131,7 @@ def test_construction_route_stays_in_the_normal_frame(monkeypatch):
     import inconic.area
     import inconic.geometry
     import inconic.inscribed
+    import inconic.oracle
     q = quad_s3t2()
     chord = ic.chord_x(q)
 
@@ -1137,7 +1140,8 @@ def test_construction_route_stays_in_the_normal_frame(monkeypatch):
 
     for name in ("classify_conic", "ellipse_from_conic", "tangency_point",
                  "tangency_residual"):
-        for module in (inconic.geometry, inconic.inscribed, inconic.area):
+        # oracle last: geometry's forwarder binds what oracle holds when first read
+        for module in (inconic.geometry, inconic.inscribed, inconic.area, inconic.oracle):
             monkeypatch.setattr(module, name, boom, raising=False)
     monkeypatch.setattr(ic.Conic, "center", boom)
     monkeypatch.setattr(ic.Line, "from_points", boom)

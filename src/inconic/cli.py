@@ -197,9 +197,9 @@ def _pencil_member(q, center: Point):
     """The pencil oracle's conic with the given center, built in a
     similarity frame and mapped back: q translated to q.v0 and divided by
     its extent e, the larger of its x and y spans.  Built in place, the
-    pencil's unit-norm dual matrices have a determinant that falls like
-    (offset/extent)^-6 and reads as degenerate some 50 extents out, and on
-    the worked quad scaled by 1e-6 or 1e9."""
+    pencil's unit-norm duals carry the offset in their entries: on the
+    worked quad the member is 3e-13 from the focal conic 1e3 extents out,
+    3e-10 at 1e6, and its center equations read as degenerate from 1e7."""
     x0, y0 = q.v0.x, q.v0.y
     xs, ys = [v.x for v in q.vertices], [v.y for v in q.vertices]
     e = max(max(xs) - min(xs), max(ys) - min(ys))

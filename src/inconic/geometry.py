@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from . import _forward_on_first_use
 from .errors import DegenerateQuad, NotAnEllipse, NotConvex, NumericalFailure, SingularMap
 
 
@@ -540,11 +539,3 @@ def _pull_back_form(q11: float, q12: float, q22: float, m11: float, m12: float,
     r21, r22 = q12 * m11 + q22 * m21, q12 * m12 + q22 * m22
     return (m11 * r11 + m21 * r21, m11 * r12 + m21 * r22, m12 * r12 + m22 * r22)
 
-
-# The conic tools no construction calls live in ``oracle``, which is compiled
-# on first use; their names still resolve here, bound on first access, as the
-# benchmark's tracer wraps them by this module's path.
-__getattr__ = _forward_on_first_use(globals(), dict.fromkeys((
-    "adjugate3", "classify_conic", "conic_distance", "conic_from_ellipse",
-    "ellipse_from_conic", "ellipse_from_foci_point", "tangency_point",
-    "tangency_residual", "transform_conic", "transform_line"), "oracle"))

@@ -13,20 +13,19 @@ solved.  The paper reaches the same conic through the focal quadratic
 z^2 - 2(h + i*L(h)) z + i(s-2h)/(s-1) that the two triangles cut off by
 the side lines share.  ``oracle.foci_quadratic`` reads its coefficients
 off the same D(h) and checks that the weights of the center reduce the
-triangles' focal numerators to that form; the construction needs
-neither, and tests/test_certificate.py proves the identities between
-the two.  The construction divides by s - 1 but never by t - 1, so it
-also serves quadrilaterals with one parallel side pair (t = 1).  Centers
-on the chord beyond the diagonal midpoints yield the tangent hyperbolas
-from the same D(h): the determinant of its inverse form changes sign at
-the midpoints.
+triangles' focal numerators (``oracle._focal_coefficients``, which
+``marden`` solves too) to that form; the construction needs neither, and
+tests/test_certificate.py proves the identities between the two.  The
+construction divides by s - 1 but never by t - 1, so it also serves
+quadrilaterals with one parallel side pair (t = 1).  Centers on the chord
+beyond the diagonal midpoints yield the tangent hyperbolas from the same
+D(h): the determinant of its inverse form changes sign at the midpoints.
 """
 from __future__ import annotations
 
 import math
 from collections.abc import Iterator
 
-from . import _forward_on_first_use
 from .errors import (
     CenterOffLocus,
     DegenerateAtMidpoint,
@@ -224,7 +223,7 @@ def _frame(p0: Point, p1: Point, p2: Point, p3: Point, tol: Tolerances):
 def _param_in_interval(lo: float, hi: float, h, tol: Tolerances) -> None:
     """Raise CenterOffLocus unless h is strictly inside the interval
     (lo, hi), tol_interval in from either end; an interval of zero width
-    (s = 1) raises ``oracle.locus_line``'s NumericalFailure."""
+    (s = 1) raises NumericalFailure(_VERTICAL)."""
     if lo == hi:
         raise NumericalFailure(_VERTICAL)
     u = (h - lo) / (hi - lo)
@@ -284,7 +283,7 @@ def _tangent_conic(frame: tuple, h: float, tol: Tolerances):
     1e-12 max(1, h^2 + k^2)^2 raises DegeneratePoint: the conic has
     collapsed onto its focal line.  Q must be positive definite for an
     ellipse (else NotAnEllipse) and indefinite for a hyperbola (else
-    NumericalFailure).  s = 1 raises ``oracle.locus_line``'s NumericalFailure
+    NumericalFailure).  s = 1 raises NumericalFailure(_VERTICAL)
     first; no focal root is solved and no weight is formed.
 
     Each unit-normalized side l of y = 0, (1,0)-(s,t), (s,t)-(0,1), x = 0
@@ -397,7 +396,7 @@ def inscribe_at_center(q: ConvexQuad, center: Point,
     concentric ellipses would form a parallelogram, so uniqueness fails
     there, and midpoints that coincide in floats (a parallelogram to
     rounding that a small tol_par lets through, s = 1) raise
-    ``oracle.locus_line``'s NumericalFailure.  A side the conic misses raises
+    NumericalFailure(_VERTICAL).  A side the conic misses raises
     NotTangent.
     """
     if q.kind is QuadKind.PARALLELOGRAM:
@@ -504,10 +503,3 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
     frame = _normal_frame(q, tol)
     return _tangent_conic(frame, _abscissa(frame, center), tol)[:3]
 
-
-# The paper's focal-route objects live in ``oracle``, which is compiled on
-# first use; their names still resolve here, bound on first access, as the
-# benchmark's tracer wraps them by this module's path.
-__getattr__ = _forward_on_first_use(globals(), dict.fromkeys((
-    "LocusLine", "WeightTriple", "foci_quadratic", "locus_line",
-    "weights_from_center"), "oracle"))

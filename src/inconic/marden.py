@@ -27,7 +27,13 @@ from .errors import (
     NumericalFailure,
 )
 from .geometry import EllipseGeo, Line, Point, _Value
-from .oracle import WeightTriple, conic_from_ellipse, ellipse_from_foci_point, tangency_residual
+from .oracle import (
+    WeightTriple,
+    _focal_coefficients,
+    conic_from_ellipse,
+    ellipse_from_foci_point,
+    tangency_residual,
+)
 
 
 def stable_quadratic_roots(root_sum: complex, root_product: complex) -> tuple[complex, complex]:
@@ -83,10 +89,9 @@ def foci_from_weights(tri: TriangleZ, w: WeightTriple) -> tuple[complex, complex
     lead = float(w.t1 + w.t2 + w.t3)
     if abs(lead - 1.0) > 1e-9:
         raise DegenerateFoci("weights do not sum to 1")
-    z1, z2, z3 = complex(tri.z1), complex(tri.z2), complex(tri.z3)
-    t1, t2, t3 = complex(w.t1), complex(w.t2), complex(w.t3)
-    r1, r2 = stable_quadratic_roots(t1 * (z2 + z3) + t2 * (z1 + z3) + t3 * (z1 + z2),
-                                    t1 * z2 * z3 + t2 * z1 * z3 + t3 * z1 * z2)
+    r1, r2 = stable_quadratic_roots(*_focal_coefficients(
+        complex(tri.z1), complex(tri.z2), complex(tri.z3),
+        complex(w.t1), complex(w.t2), complex(w.t3)))
     if (r1.real, r1.imag) > (r2.real, r2.imag):
         r1, r2 = r2, r1
     return r1, r2

@@ -5,11 +5,11 @@ the tests; no construction calls them (it reads everything off D(h), see
 The conic tools classify conics, convert between implicit and metric
 ellipses, measure tangency and map conics and lines.  The focal route is
 the weights of a center in the two side-line triangles, the center line,
-and ``foci_quadratic`` with its check of both triangles' focal numerators.
-The package loads this module on first use, so a command-line process
-compiles it only for ``verify``; ``geometry`` and ``inscribed`` forward the
-public names that moved here, at the module paths the benchmark's tracer
-wraps them by.
+and ``foci_quadratic`` with its check of both triangles' focal numerators,
+written once in ``_focal_coefficients``, which ``marden`` solves too.  The
+package loads this module on first use, so a command-line process compiles
+it only for ``verify``; its table ``_LEFT_FOR_ORACLE`` still resolves the
+names that moved here at the module paths the benchmark's tracer wraps.
 """
 from __future__ import annotations
 
@@ -305,33 +305,29 @@ def foci_quadratic(nf: NormalForm, h, tol: Tolerances = DEFAULT_TOL) -> tuple[co
     return complex(2 * h, 2 * k), 2j * c
 
 
+def _focal_coefficients(z1, z2, z3, w1, w2, w3):
+    """(root sum, root product) of the focal numerator of the triangle
+    (z1, z2, z3) under weights summing to 1, w1(z-z2)(z-z3) +
+    w2(z-z1)(z-z3) + w3(z-z1)(z-z2); exact and symbolic types pass through."""
+    return (w1 * (z2 + z3) + w2 * (z1 + z3) + w3 * (z1 + z2),
+            w1 * z2 * z3 + w2 * z1 * z3 + w3 * z1 * z2)
+
+
 def _check_focal_form(s, t, h, k, wt: WeightTriple, ws: WeightTriple,
                       tol: Tolerances) -> None:
     """Check within 1e-10 that the focal numerators of the side-line
-    triangles, under the weights wt and ws, reduce to the monic form of
-    root sum 2(h + ik) and root product i(s - 2h)/(s - 1): always for the
-    first triangle, and for the second only when |t - 1| > tol_par (with
-    one parallel side pair it does not exist).  k is L(h) and s != 1.
-
-    A triangle (z1, z2, z3) under weights (w1, w2, w3) has the focal
-    numerator w1(z-z2)(z-z3) + w2(z-z1)(z-z3) + w3(z-z1)(z-z2), of root sum
-    w1(z2+z3) + w2(z1+z3) + w3(z1+z2) and root product
-    w1 z2 z3 + w2 z1 z3 + w3 z1 z2.  With z1 = 0 and the other two vertices
-    on the axes, both reduce to the real products below, and every product
-    is purely imaginary, so each distance is a ``hypot`` of real parts or
-    the gap of the imaginary ones.
+    triangles (0, 1, -it/(s-1)) under wt and (0, i, -s/(t-1)) under ws
+    have root sum 2(h + ik) and root product i(s - 2h)/(s - 1): always for
+    the first triangle, and for the second only when |t - 1| > tol_par
+    (with one parallel side pair it does not exist).  k is L(h) and s != 1.
     """
-    product = (s - 2 * h) / (s - 1)
-    sum_bound = 1e-10 * max(1.0, math.hypot(2 * h, 2 * k))
-    product_bound = 1e-10 * max(1.0, abs(product))
-    # (0, 1, iy), y = -t/(s-1): sum w1 + w3 + i(w1 y + w2 y), product i w1 y
-    y = -t / (s - 1)
-    if math.hypot(wt.t1 + wt.t3 - 2 * h, wt.t1 * y + wt.t2 * y - 2 * k) > sum_bound or \
-       abs(wt.t1 * y - product) > product_bound:
-        raise NumericalFailure("focal numerators disagree with the monic form")
+    root_sum, root_product = complex(2 * h, 2 * k), complex(0, (s - 2 * h) / (s - 1))
+    sum_bound = 1e-10 * max(1.0, abs(root_sum))
+    product_bound = 1e-10 * max(1.0, abs(root_product))
+    triangles = [((0, 1, complex(0, -t / (s - 1))), wt)]
     if abs(t - 1) > tol.tol_par:
-        # (0, i, x), x = -s/(t-1): sum w1 x + w2 x + i(w1 + w3), product i w1 x
-        x = -s / (t - 1)
-        if math.hypot(ws.t1 * x + ws.t2 * x - 2 * h, ws.t1 + ws.t3 - 2 * k) > sum_bound or \
-           abs(ws.t1 * x - product) > product_bound:
+        triangles.append(((0, 1j, -s / (t - 1)), ws))
+    for vertices, w in triangles:
+        got_sum, got_product = _focal_coefficients(*vertices, *w.as_tuple())
+        if abs(got_sum - root_sum) > sum_bound or abs(got_product - root_product) > product_bound:
             raise NumericalFailure("focal numerators disagree with the monic form")

@@ -51,10 +51,6 @@ def _dot3(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
-def _combine(a, wa: float, b, wb: float) -> Mat3:
-    return tuple(tuple(wa * x + wb * y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def _sym3(m00, m01, m11, m02, m12, m22) -> Mat3:
     """The symmetric matrix with these entries, canonically scaled: unit
     Frobenius norm, and the first entry of magnitude above 1e-12, in the
@@ -107,7 +103,8 @@ class TangentPencil(_Value):
         scale = math.hypot(num, den)
         if scale == 0:
             raise ValueError("projective parameter cannot be (0, 0)")
-        return _combine(self.d_a.m, den / scale, self.d_b.m, num / scale)
+        wa, wb = den / scale, num / scale
+        return tuple(tuple(wa * x + wb * y for x, y in zip(ra, rb)) for ra, rb in zip(self.d_a.m, self.d_b.m))
 
     def member(self, num: float, den: float = 1.0) -> DualConic:
         return DualConic(self.member_matrix(num, den))
@@ -170,11 +167,6 @@ def _point_conic(d00, d01, d11, d02, d12, d22, norm: float) -> Conic:
     a00 = d11 * d22 - d12 * d12
     a01 = d02 * d12 - d01 * d22
     a02 = d01 * d12 - d02 * d11
-    # rank-2 members (the degenerate duals themselves) still have a nonzero
-    # adjugate, so the determinant test is the one that matters; it also
-    # bounds the adjugate away from zero, as |det| <= ||row 0|| ||adj||
-    if abs(d00 * a00 + d01 * a01 + d02 * a02) < 1e-14:
-        raise DegenerateMember("pencil member is a degenerate dual")
     return Conic(a00, 2 * a01, d00 * d22 - d02 * d02,
                  2 * a02, 2 * (d02 * d01 - d00 * d12), d00 * d11 - d01 * d01)
 
@@ -187,7 +179,11 @@ def member_with_center(p: TangentPencil, center: Point) -> Conic:
     one is solved projectively and the other must be consistent, which
     happens exactly when the center lies on the pencil's line of centers:
     its residual must stay below 1e-8 times the member's Frobenius norm.
-    Center equations or a member of norm at most 1e-12 are degenerate.
+    Center equations or a member of norm at most 1e-12 are degenerate, and
+    so is a member whose own center, its dual's third column, lands more
+    than 1e-6 max(1, |h|, |k|) from the request, or a request within
+    1e-9 max(1, |h|, |k|) of a degenerate member's center, the midpoint of
+    one of the complete quadrilateral's three diagonals.
     """
     (a00, a01, a02), (_, a11, a12), (_, _, a22) = p.d_a.m
     (b00, b01, b02), (_, b11, b12), (_, _, b22) = p.d_b.m
@@ -214,9 +210,17 @@ def member_with_center(p: TangentPencil, center: Point) -> Conic:
         raise CenterOffLocus(
             "center is not on the pencil's line of centers "
             f"(residual {residual:.3e})")
+    # the degenerate members: d_a, d_b and the pair (l1^l4 = m, l2^l3 = n)
+    l1, l2, l3, l4 = p.lines
+    m = _cross3((l1.a, l1.b, l1.c), (l4.a, l4.b, l4.c))
+    n = _cross3((l2.a, l2.b, l2.c), (l3.a, l3.b, l3.c))
+    near = 1e-9 * max(1.0, abs(h), abs(k))
+    for x, y, w in ((a02, a12, a22), (b02, b12, b22),
+                    (m[0] * n[2] + n[0] * m[2], m[1] * n[2] + n[1] * m[2], 2 * m[2] * n[2])):
+        if math.hypot(x - h * w, y - k * w) <= near * abs(w):
+            raise DegenerateMember("pencil member is a degenerate dual")
     conic = _point_conic(d00, d01, d11, d02, d12, d22, dn)
-    got = conic.center()
-    if math.hypot(got.x - h, got.y - k) > 1e-6 * max(1.0, abs(h), abs(k)):
+    if d22 == 0 or math.hypot(d02 / d22 - h, d12 / d22 - k) > 1e-6 * max(1.0, abs(h), abs(k)):
         raise DegenerateMember("member center drifted from the request")
     return conic
 

@@ -486,9 +486,9 @@ def test_startup_leaves_dataclasses_and_inspect_out():
 # runs (the "exec" audit event).
 ON_FIRST_USE = {"marden", "pencil", "oracle", "area", "svg"}
 
-# prints, as JSON, the inconic modules whose code ran during the argv's run
-_RAN = """
-import contextlib, io, json, sys
+# collects in ``ran`` the inconic modules whose code runs
+_HOOK = """
+import contextlib, importlib, io, json, sys
 from pathlib import Path
 ran = set()
 def hook(event, args):
@@ -497,6 +497,10 @@ def hook(event, args):
         if path.parent.name == "inconic":
             ran.add(path.stem)
 sys.addaudithook(hook)
+"""
+
+# prints, as JSON, the inconic modules whose code ran during the argv's run
+_RAN = _HOOK + """
 argv = json.loads(sys.argv[1])
 if argv is None:
     import inconic
@@ -536,6 +540,27 @@ def test_subcommand_runs_only_the_modules_it_uses(tmp_path, argv, loaded):
     # the hook sees module bodies at all: the kernel, fmt and cli ran
     assert {"geometry", "inscribed", "fmt", "cli"} <= ran
     assert ran & ON_FIRST_USE == loaded
+
+
+# imports the kernel module argv[1], then reads the moved name argv[2] off
+# it, and prints whether oracle.py ran before and after that read, and
+# whether the name read is the object ``oracle`` defines, now bound there
+_FORWARDED = _HOOK + """
+module = importlib.import_module(sys.argv[1])
+before = "oracle" in ran
+obj = getattr(module, sys.argv[2])
+home = vars(sys.modules["inconic.oracle"]).get(sys.argv[2])
+print(json.dumps({"before": before, "after": "oracle" in ran,
+                  "same": obj is home is vars(module).get(sys.argv[2])}))
+"""
+
+
+@pytest.mark.parametrize("module, name", [("inconic.geometry", "classify_conic"),
+                                          ("inconic.inscribed", "foci_quadratic")])
+def test_a_moved_name_runs_oracle_only_when_read(module, name):
+    proc = _run_python("-c", _FORWARDED, module, name)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"before": False, "after": True, "same": True}
 
 
 _RESOLVE = """

@@ -1086,6 +1086,22 @@ def test_pencil_is_not_a_construction_route():
     assert "cmath" not in _imported_modules(inconic.inscribed)
 
 
+def test_the_kernel_routes_no_moved_names_itself():
+    # the names that moved from ``geometry`` and ``inscribed`` to ``oracle``
+    # are routed from one table in the package's ``__init__``: neither module
+    # imports anything back from the package or defines a ``__getattr__``
+    import inconic.geometry
+    import inconic.inscribed
+    for module in (inconic.geometry, inconic.inscribed):
+        tree = ast.parse(inspect.getsource(module))
+        relative = {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level}
+        assert relative <= {"errors", "geometry"}, module.__name__
+        names = {node.name if isinstance(node, ast.FunctionDef) else node.id
+                 for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.Name))}
+        assert "__getattr__" not in names, module.__name__
+
+
 def _public_callables() -> dict:
     """The functions in ``inconic.__all__``, the public methods of its
     classes as ``Class.method``, and ``triangle_tangent_ellipse_area``."""

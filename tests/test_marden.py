@@ -31,6 +31,22 @@ def _vieta_oracle(tri, w):
     return s, p
 
 
+def _foci_written_out(tri, w):
+    """``foci_from_weights`` as it was before it read the shared
+    ``_focal_coefficients``: the root sum and product written out here."""
+    z1, z2, z3 = complex(tri.z1), complex(tri.z2), complex(tri.z3)
+    t1, t2, t3 = complex(w.t1), complex(w.t2), complex(w.t3)
+    r1, r2 = ic.stable_quadratic_roots(t1 * (z2 + z3) + t2 * (z1 + z3) + t3 * (z1 + z2),
+                                       t1 * z2 * z3 + t2 * z1 * z3 + t3 * z1 * z2)
+    if (r1.real, r1.imag) > (r2.real, r2.imag):
+        r1, r2 = r2, r1
+    return r1, r2
+
+
+def _bits(zs):
+    return [(z.real.hex(), z.imag.hex()) for z in zs]
+
+
 class TestFociFromWeights:
     def test_first_triangle_printed_values(self):
         w = ic.WeightTriple(-0.25, 1.5)
@@ -77,6 +93,19 @@ class TestFociFromWeights:
             scale = max(1.0, abs(s), abs(p))
             assert abs((f1 + f2) - s) < 1e-10 * scale
             assert abs(f1 * f2 - p) < 1e-10 * scale
+
+    def test_bit_identical_to_the_written_out_numerator(self, rng):
+        checked = 0
+        while checked < 2000:
+            pts = rng.uniform(-5, 5, 6)
+            try:
+                tri = ic.TriangleZ(complex(pts[0], pts[1]), complex(pts[2], pts[3]),
+                                   complex(pts[4], pts[5]))
+            except ValueError:
+                continue
+            w = ic.WeightTriple(*(float(t) for t in rng.uniform(-2, 2, 2)))
+            assert _bits(ic.foci_from_weights(tri, w)) == _bits(_foci_written_out(tri, w))
+            checked += 1
 
     def test_weights_off_one_raise_degenerate_foci(self):
         # t3 = 1 - t1 - t2 rounds at this magnitude, so the float sum is 0

@@ -151,6 +151,62 @@ class TestMemberWithCenter:
             assert kind is ic.ConicClass.HYPERBOLA
             assert ic.conic_distance(ic.member_with_center(pen, center), focal) < 1e-8
 
+    def test_thin_member_is_judged_by_its_own_center(self):
+        # a nearly triangular quad (s = 0.0379, t = 0.9622): halfway from the
+        # far diagonal midpoint to the chord's end the hyperbola is so thin
+        # that Conic.center() of its rounded coefficients lands 1.6e-5 from
+        # the request, past the 8.5e-6 bound, while the member's own center,
+        # its dual's third column, is 1.8e-15 from it
+        q = random_trapezium(np.random.default_rng(220724888))
+        pen = ic.pencil_from_lines(*q.side_lines())
+        seg, chord = ic.locus(q), ic.chord_x(q)
+        hi = max(_chord_param(chord, m)[0] for m in (seg.m1, seg.m2))
+        center = chord.point_at(hi + 0.5 * (1 - hi))
+        focal, kind, _ = ic.tangent_conic_at_center(q, center)
+        assert kind is ic.ConicClass.HYPERBOLA
+        assert ic.conic_distance(ic.member_with_center(pen, center), focal) < 1e-14
+
+    def test_thin_members_beside_a_midpoint_are_built(self):
+        # the same quad: between the far diagonal midpoint and the chord's
+        # end the members' unit-norm duals have determinants of order 1e-15
+        # (-5.7e-15 at v = 0.25), yet they match the focal route; only the
+        # midpoints themselves are degenerate
+        q = random_trapezium(np.random.default_rng(220724888))
+        pen = ic.pencil_from_lines(*q.side_lines())
+        seg, chord = ic.locus(q), ic.chord_x(q)
+        hi = max(_chord_param(chord, m)[0] for m in (seg.m1, seg.m2))
+        for v in (0.05, 0.25, 0.95):
+            center = chord.point_at(hi + v * (1 - hi))
+            focal, _, _ = ic.tangent_conic_at_center(q, center)
+            assert ic.conic_distance(ic.member_with_center(pen, center), focal) < 1e-14
+        for m in (seg.m1, seg.m2):
+            with pytest.raises(errors.DegenerateMember):
+                ic.member_with_center(pen, m)
+
+    def test_every_diagonal_midpoint_is_refused(self, rng):
+        # the pencil's degenerate members are centered at the midpoints of
+        # the complete quadrilateral's three diagonals: the quad's two and,
+        # for a trapezium, the one joining the meets of opposite sides
+        for _ in range(100):
+            q = random_trapezium(rng)
+            v0, v1, v2, v3 = ((v.x, v.y, 1.0) for v in q.vertices)
+            p = _cross(_cross(v0, v1), _cross(v2, v3))
+            r = _cross(_cross(v1, v2), _cross(v3, v0))
+            outer = ic.Point((p[0] / p[2] + r[0] / r[2]) / 2, (p[1] / p[2] + r[1] / r[2]) / 2)
+            pen = ic.pencil_from_lines(*q.side_lines())
+            for m in (ic.midpoint(q.v0, q.v2), ic.midpoint(q.v1, q.v3), outer):
+                with pytest.raises(errors.DegenerateMember):
+                    ic.member_with_center(pen, m)
+
+    @pytest.mark.parametrize("offset", [150.0, 1e3])
+    def test_member_far_from_the_origin_is_built(self, offset):
+        # in place, the unit-norm dual's determinant falls like offset^-6;
+        # the member is still the focal route's conic
+        q = ic.validate_quad([(v.x + offset, v.y + offset) for v in quad_s3t2().vertices])
+        center = ic.locus(q).point_at(0.37)
+        conic = ic.member_with_center(ic.pencil_from_lines(*q.side_lines()), center)
+        assert ic.conic_distance(conic, ic.inscribe_at_center(q, center).conic) < 1e-11
+
     def test_vertical_centers_line_is_handled(self):
         # diagonal midpoints share the abscissa, so the x-coordinate
         # equation cannot determine the member; the y-equation must be used
@@ -232,6 +288,10 @@ class TestClassificationTransition:
                     assert cls is ic.ConicClass.REAL_ELLIPSE
                 else:
                     assert cls is ic.ConicClass.HYPERBOLA
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
 def _chord_param(ch, p):

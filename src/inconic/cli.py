@@ -5,7 +5,10 @@ to stdout with sorted keys and fixed number formatting; diagnostics go to
 stderr.  Exit codes: 0 ok, 1 usage, 2 invalid quadrilateral, 3 center off
 the locus/chord, 4 parallelogram, 5 numerical failure, 6 file I/O.  argparse
 checks every argument, so a usage error exits 1 before the quadrilateral is
-read; ``main`` maps every other error to its code in one place.
+read; each subparser carries its handler (``run``), and ``main`` maps every
+other error to its code in one place.  Every subcommand that builds
+ellipses picks them in ``_results``, by ``--maxarea``, ``--center``,
+``--u`` or ``--n``.
 """
 from __future__ import annotations
 
@@ -18,7 +21,6 @@ from . import area, errors, oracle, pencil, svg
 from .fmt import dumps, ellipse_json
 from .geometry import AffineMap, ConvexQuad, Point, QuadKind, Tolerances, validate_quad
 from .inscribed import (
-    ChordX,
     chord_x,
     inscribe_at_center,
     inscribe_at_param,
@@ -54,6 +56,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="inconic",
                      description="Inscribed conics of convex quadrilaterals.")
+    # the selectors _results reads, for the subcommands that lack some
+    parser.set_defaults(center=None, u=None, maxarea=False, n=None)
     common = _Parser(add_help=False)
     group = common.add_mutually_exclusive_group(required=True)
     group.add_argument("--vertices",
@@ -61,39 +65,40 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--input", help='JSON file {"vertices": [[x,y] x4]}')
     common.add_argument("--tol",
                         help='tolerance overrides, e.g. "tol_tan=1e-7,tol_par=1e-8"')
+    chosen = _Parser(add_help=False)
+    sel = chosen.add_mutually_exclusive_group(required=True)
+    sel.add_argument("--center", type=_center, help='center as "h,k"')
+    sel.add_argument("--u", type=_param, help="locus parameter in (0,1)")
 
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("inspect", parents=[common],
-                   help="kind, diagonal midpoints, locus, chord, normal form")
-
-    p_ins = sub.add_parser("inscribe", parents=[common],
-                           help="inscribed ellipse at a chosen center")
-    sel = p_ins.add_mutually_exclusive_group(required=True)
-    sel.add_argument("--center", type=_center, help='center as "h,k"')
-    sel.add_argument("--u", type=float, help="locus parameter in (0,1)")
-
+                   help="kind, diagonal midpoints, locus, chord, normal form"
+                   ).set_defaults(run=cmd_inspect)
+    sub.add_parser("inscribe", parents=[common, chosen],
+                   help="inscribed ellipse at a chosen center").set_defaults(run=cmd_inscribe)
     sub.add_parser("maxarea", parents=[common],
-                   help="the unique maximal-area inscribed ellipse")
+                   help="the unique maximal-area inscribed ellipse"
+                   ).set_defaults(run=cmd_inscribe, maxarea=True)
 
-    p_ver = sub.add_parser("verify", parents=[common],
+    p_ver = sub.add_parser("verify", parents=[common, chosen],
                            help="residual report for a chosen center")
-    sel = p_ver.add_mutually_exclusive_group(required=True)
-    sel.add_argument("--center", type=_center, help='center as "h,k"')
-    sel.add_argument("--u", type=float, help="locus parameter in (0,1)")
     p_ver.add_argument("--allow-hyperbola", action="store_true",
                        help="accept chord centers beyond the diagonal midpoints")
+    p_ver.set_defaults(run=cmd_verify)
 
     p_sam = sub.add_parser("sample", parents=[common],
                            help="N inscribed ellipses at u = i/(N+1)")
     p_sam.add_argument("--n", type=_count, required=True)
+    p_sam.set_defaults(run=cmd_sample)
 
     p_ren = sub.add_parser("render", parents=[common], help="write an SVG")
     p_ren.add_argument("--out", required=True)
     sel = p_ren.add_mutually_exclusive_group()
     sel.add_argument("--center", type=_center, help='center as "h,k"')
-    sel.add_argument("--u", type=float)
+    sel.add_argument("--u", type=_param)
     sel.add_argument("--maxarea", action="store_true")
     sel.add_argument("--n", type=_count)
+    p_ren.set_defaults(run=cmd_render)
     return parser
 
 
@@ -112,15 +117,22 @@ def _center(text: str) -> Point:
         raise argparse.ArgumentTypeError(exc) from None
 
 
-def _count(text: str) -> int:
-    """``--n``, a whole number of ellipses, at least 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return n
+def _checked(kind, ok, rule: str):
+    """An argparse type: the text read as kind, a usage error unless ok."""
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(rule)
+        return value
+    return parse
+
+
+_count = _checked(int, lambda n: n >= 1, "must be at least 1")  # --n
+_param = _checked(float, math.isfinite, "must be finite")  # --u; inside (0, 1) is checked later
 
 
 def _load_vertices(args) -> list[tuple[float, float]]:
@@ -178,18 +190,26 @@ def cmd_inspect(args, q: ConvexQuad, tol: Tolerances) -> int:
     return EXIT_OK
 
 
+def _results(args, q: ConvexQuad, tol: Tolerances):
+    """The (result, h0) pairs the selector names, h0 the max-area abscissa
+    or None: ``--maxarea``, ``--center``, ``--u``, else each of ``--n``'s
+    members as it is built; none without a selector."""
+    if args.maxarea:
+        best = area.max_area(q, tol)
+        yield best.inscribed, best.h0
+    elif args.center is not None:
+        yield inscribe_at_center(q, args.center, tol), None
+    elif args.u is not None:
+        yield inscribe_at_param(q, args.u, tol), None
+    elif args.n is not None:
+        params = [i / (args.n + 1) for i in range(1, args.n + 1)]
+        for result in _inscribe_params(q, params, tol):
+            yield result, None
+
+
 def cmd_inscribe(args, q: ConvexQuad, tol: Tolerances) -> int:
-    if args.center is not None:
-        result = inscribe_at_center(q, args.center, tol)
-    else:
-        result = inscribe_at_param(q, args.u, tol)
-    print(ellipse_json(result))
-    return EXIT_OK
-
-
-def cmd_maxarea(args, q: ConvexQuad, tol: Tolerances) -> int:
-    res = area.max_area(q, tol)
-    print(ellipse_json(res.inscribed, res.h0))
+    ((result, h0),) = _results(args, q, tol)
+    print(ellipse_json(result, h0))
     return EXIT_OK
 
 
@@ -212,18 +232,16 @@ def _pencil_member(q, center: Point):
 def cmd_verify(args, q: ConvexQuad, tol: Tolerances) -> int:
     lines = q.side_lines()
     classification = "ellipse"
-    if args.center is None:
-        result = inscribe_at_param(q, args.u, tol)
-        conic, center = result.conic, result.ellipse.center
-    else:
+    try:
+        ((result, _),) = _results(args, q, tol)
+        conic = result.conic
+        center = result.ellipse.center if args.center is None else args.center
+    except errors.CenterOffLocus:
+        if args.center is None or not args.allow_hyperbola:
+            raise
         center = args.center
-        try:
-            conic = inscribe_at_center(q, center, tol).conic
-        except errors.CenterOffLocus:
-            if not args.allow_hyperbola:
-                raise
-            conic, classification_enum, _ = tangent_conic_at_center(q, center, tol)
-            classification = classification_enum.value
+        conic, classification_enum, _ = tangent_conic_at_center(q, center, tol)
+        classification = classification_enum.value
     marden_distance = oracle.conic_distance(conic, _pencil_member(q, center))
     residuals = [oracle.tangency_residual(conic, line) for line in lines]
     got = conic.center()
@@ -251,27 +269,15 @@ def cmd_verify(args, q: ConvexQuad, tol: Tolerances) -> int:
 def cmd_sample(args, q: ConvexQuad, tol: Tolerances) -> int:
     # each record is written as its ellipse is built; a failure at any
     # member raises before anything is printed
-    params = [i / (args.n + 1) for i in range(1, args.n + 1)]
-    records = [ellipse_json(r) for r in _inscribe_params(q, params, tol)]
+    records = [ellipse_json(result, h0) for result, h0 in _results(args, q, tol)]
     print("[" + ",".join(records) + "]")
     return EXIT_OK
 
 
 def cmd_render(args, q: ConvexQuad, tol: Tolerances) -> int:
     seg = locus(q)
-    chord: ChordX | None = None
-    if q.kind is not QuadKind.PARALLELOGRAM:
-        chord = chord_x(q, tol)
-    results = []
-    if args.maxarea:
-        results.append(area.max_area(q, tol).inscribed)
-    elif args.center is not None:
-        results.append(inscribe_at_center(q, args.center, tol))
-    elif args.u is not None:
-        results.append(inscribe_at_param(q, args.u, tol))
-    elif args.n is not None:
-        params = [i / (args.n + 1) for i in range(1, args.n + 1)]
-        results.extend(_inscribe_params(q, params, tol))
+    chord = None if q.kind is QuadKind.PARALLELOGRAM else chord_x(q, tol)
+    results = [result for result, _ in _results(args, q, tol)]
     ellipses = [r.ellipse for r in results]
     contacts = [t.to_point() for r in results for t in r.tangencies
                 if not t.is_infinite()]
@@ -281,16 +287,6 @@ def cmd_render(args, q: ConvexQuad, tol: Tolerances) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "inspect": cmd_inspect,
-    "inscribe": cmd_inscribe,
-    "maxarea": cmd_maxarea,
-    "verify": cmd_verify,
-    "sample": cmd_sample,
-    "render": cmd_render,
-}
-
-
 def main(argv=None) -> int:
     """Parse, read the tolerances and the quad, run the command; the one
     place where an error becomes an exit code."""
@@ -298,7 +294,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         tol = _tolerances(args)
         q = validate_quad(_load_vertices(args), tol)
-        return _COMMANDS[args.command](args, q, tol)
+        return args.run(args, q, tol)
     except SystemExit as exc:  # usage, already reported on stderr
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except (errors.NotConvex, errors.DegenerateQuad) as exc:

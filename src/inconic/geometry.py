@@ -27,9 +27,10 @@ def _rebuild(cls, values):
 class _Value:
     """Immutable value over ``__slots__``, compared, hashed, printed, copied
     and pickled by its slots; ``__init__`` sets each slot once, in one of
-    two ways.  A type built on every construction or cross-check sets its
-    slots one by one through its slot descriptors' ``__set__``
-    (``_slot_setters``), which skips ``_fill``'s loop; every other type
+    two ways.  A type built on every construction or cross-check (points,
+    lines, conics, ellipses and the result records) sets its slots one by
+    one through its slot descriptors' ``__set__`` (``_slot_setters``),
+    which skips ``_fill``'s loop; every other type, ``AffineMap`` too,
     hands ``_fill`` its values in slot order."""
     __slots__ = ()
 
@@ -225,12 +226,7 @@ class AffineMap(_Value):
     def __init__(self, m11: float, m12: float, m21: float, m22: float,
                  tx: float = 0.0, ty: float = 0.0):
         _affine_det(m11, m12, m21, m22, tx, ty)
-        _map_m11(self, m11)
-        _map_m12(self, m12)
-        _map_m21(self, m21)
-        _map_m22(self, m22)
-        _map_tx(self, tx)
-        _map_ty(self, ty)
+        self._fill((m11, m12, m21, m22, tx, ty))
 
     @classmethod
     def identity(cls) -> "AffineMap":
@@ -467,7 +463,6 @@ class EllipseGeo(_Value):
 _point_x, _point_y = _slot_setters(Point)
 _hom_x, _hom_y, _hom_w = _slot_setters(HomPoint)
 _line_a, _line_b, _line_c = _slot_setters(Line)
-_map_m11, _map_m12, _map_m21, _map_m22, _map_tx, _map_ty = _slot_setters(AffineMap)
 _conic_a, _conic_b, _conic_c, _conic_d, _conic_e, _conic_f = _slot_setters(Conic)
 (_ellipse_center, _ellipse_major, _ellipse_minor, _ellipse_angle, _ellipse_focus1,
  _ellipse_focus2) = _slot_setters(EllipseGeo)

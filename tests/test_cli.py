@@ -12,6 +12,7 @@ import pytest
 
 import inconic
 from inconic.cli import main
+from inconic.fmt import fmt_number
 
 QUAD = "0,0 1,0 3,2 0,1"
 WIDE = "0,0 1,0 4,2 0,1"
@@ -229,6 +230,15 @@ class TestVerify:
         assert all(r < 1e-8 for r in doc["tangency_residuals"])
         assert doc["marden_vs_pencil_distance"] < 1e-8
 
+    @pytest.mark.parametrize("args", [("--center", "1,0.75"), ("--u", "0.37")],
+                             ids=["center", "u"])
+    def test_allow_hyperbola_changes_nothing_on_the_locus(self, capsys, args):
+        # the flag only lets a chord center off the locus fall back to the
+        # tangent hyperbola; an ellipse's report does not depend on it
+        want = run_cli(capsys, "verify", "--vertices", QUAD, *args)
+        assert want[0] == 0, want[2]
+        assert run_cli(capsys, "verify", "--vertices", QUAD, *args, "--allow-hyperbola") == want
+
     @pytest.mark.parametrize("args", [("--u", "0.97"),
                                       ("--center", "2.3,1.4", "--allow-hyperbola")],
                              ids=["u", "hyperbola"])
@@ -372,6 +382,30 @@ class TestRender:
         ns = {"s": "http://www.w3.org/2000/svg"}
         assert len(root.findall("s:ellipse", ns)) == 5
 
+    @pytest.mark.parametrize("selector, command", [
+        (("--center", "1,0.75"), ("inscribe", "--center", "1,0.75")),
+        (("--u", "0.37"), ("inscribe", "--u", "0.37")),
+        (("--maxarea",), ("maxarea",)),
+        (("--n", "5"), ("sample", "--n", "5")),
+    ], ids=["center", "u", "maxarea", "n"])
+    def test_ellipses_are_the_records_ellipses(self, capsys, tmp_path, selector, command):
+        # each <ellipse> carries the center and semi-axes of the JSON record
+        # the matching subcommand prints for the same selector, in order
+        out_file = tmp_path / "scene.svg"
+        code, _, err = run_cli(capsys, "render", "--vertices", QUAD, *selector,
+                               "--out", str(out_file))
+        assert code == 0, err
+        code, out, err = run_cli(capsys, command[0], "--vertices", QUAD, *command[1:])
+        assert code == 0, err
+        records = json.loads(out)
+        records = records if isinstance(records, list) else [records]
+        want = [tuple(fmt_number(x) for x in (*r["center"], r["semi_major"], r["semi_minor"]))
+                for r in records]
+        ns = {"s": "http://www.w3.org/2000/svg"}
+        got = [tuple(e.get(k) for k in ("cx", "cy", "rx", "ry"))
+               for e in ET.parse(out_file).getroot().findall("s:ellipse", ns)]
+        assert got == want
+
     def test_zero_samples_is_usage_error(self, capsys, tmp_path):
         out_file = tmp_path / "none.svg"
         code, out, err = run_cli(capsys, "render", "--vertices", QUAD,
@@ -399,6 +433,25 @@ class TestUsageAndTolerances:
         assert code == 0, err
         assert run_cli(capsys, command, "--vertices", SHIFTED,
                        "--center=-3,-2.25", *extra) == (0, out, err)
+
+    @pytest.mark.parametrize("command", ["inscribe", "verify", "render"])
+    @pytest.mark.parametrize("vertices", [QUAD, NONCONVEX], ids=["worked", "nonconvex"])
+    @pytest.mark.parametrize("u", ["nan", "inf", "-inf"])
+    def test_non_finite_u_is_usage_error(self, capsys, tmp_path, command, vertices, u):
+        # argparse rejects it before the quadrilateral is read, as it does
+        # a non-finite --center; "-inf" needs the "=" form to be a value
+        out_file = tmp_path / "x.svg"
+        extra = ["--out", str(out_file)] if command == "render" else []
+        code, out, err = run_cli(capsys, command, "--vertices", vertices, f"--u={u}", *extra)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"usage: inconic {command}")
+        assert f"inconic {command}: error: argument --u: must be finite" in err
+        assert not out_file.exists()
+
+    def test_u_not_a_number_keeps_argparse_wording(self, capsys):
+        code, _, err = run_cli(capsys, "inscribe", "--vertices", NONCONVEX, "--u", "abc")
+        assert code == 1
+        assert "argument --u: invalid float value: 'abc'" in err
 
     def test_no_command_is_usage_error(self, capsys):
         assert run_cli(capsys)[0] == 1

@@ -28,10 +28,11 @@ class _Value:
     """Immutable value over ``__slots__``, compared, hashed, printed, copied
     and pickled by its slots; ``__init__`` sets each slot once, in one of
     two ways.  A type built on every construction or cross-check (points,
-    lines, conics, ellipses and the result records) sets its slots one by
-    one through its slot descriptors' ``__set__`` (``_slot_setters``),
-    which skips ``_fill``'s loop; every other type, ``AffineMap`` too,
-    hands ``_fill`` its values in slot order."""
+    lines, conics, ellipses, the pencil and its duals, and the result
+    records) sets its slots one by one through its slot descriptors'
+    ``__set__`` (``_slot_setters``), which skips ``_fill``'s loop; every
+    other type, ``AffineMap`` too, hands ``_fill`` its values in slot
+    order."""
     __slots__ = ()
 
     def _fill(self, values) -> None:
@@ -105,8 +106,10 @@ class Tolerances(_Value):
         for item in text.split(","):
             name, _, value = item.partition("=")
             name = name.strip()
-            if name not in cls.__slots__ or not value:
+            if name not in cls.__slots__:
                 raise ValueError(f"unknown tolerance setting {item!r}")
+            if not value.strip():
+                raise ValueError(f"missing value for tolerance {name}")
             overrides[name] = float(value)
         return cls(**overrides)
 
@@ -191,31 +194,46 @@ class Line(_Value):
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: float, b: float, c: float):
-        n = math.hypot(a, b)
-        if n == 0 or not math.isfinite(n) or not math.isfinite(float(c)):
-            raise ValueError("line requires finite (a, b) != (0, 0)")
-        a, b, c = a / n, b / n, c / n
-        if a < 0 or (a == 0 and b < 0):
-            a, b, c = -a, -b, -c
-        _line_a(self, a)
-        _line_b(self, b)
-        _line_c(self, c)
+        _set_line(self, a, b, c)
 
     @classmethod
     def from_points(cls, p: Point, q: Point) -> "Line":
-        a = q.y - p.y
-        b = p.x - q.x
-        if a == 0 and b == 0:
-            raise ValueError("cannot build a line through coincident points")
-        # (a, b) scaled by a power of two to [1/2, 1) before c is formed,
-        # so c overflows only where the line itself is out of range
-        e = -math.frexp(max(abs(a), abs(b)))[1]
-        a, b = math.ldexp(a, e), math.ldexp(b, e)
-        return cls(a, b, -(a * p.x + b * p.y))
+        """The line through p and q, built by ``_line_through``, the
+        builder ``ConvexQuad.side_lines`` uses for each side."""
+        return _line_through(p.x, p.y, q.x, q.y)
 
     def eval(self, p: Point) -> float:
         """Signed distance of p from the line."""
         return self.a * p.x + self.b * p.y + self.c
+
+
+def _set_line(line: Line, a: float, b: float, c: float) -> Line:
+    """Fill line's slots with (a, b, c) scaled to a^2 + b^2 = 1, signed so
+    that the first nonzero of (a, b) is positive."""
+    n = math.hypot(a, b)
+    if n == 0 or not math.isfinite(n) or not math.isfinite(float(c)):
+        raise ValueError("line requires finite (a, b) != (0, 0)")
+    a, b, c = a / n, b / n, c / n
+    if a < 0 or (a == 0 and b < 0):
+        a, b, c = -a, -b, -c
+    _line_a(line, a)
+    _line_b(line, b)
+    _line_c(line, c)
+    return line
+
+
+def _line_through(px: float, py: float, qx: float, qy: float) -> Line:
+    """The line through (px, py) and (qx, qy), from its normal (qy - py,
+    px - qx)."""
+    a = qy - py
+    b = px - qx
+    if a == 0 and b == 0:
+        raise ValueError("cannot build a line through coincident points")
+    # (a, b) scaled by a power of two to [1/2, 1) before c is formed,
+    # so c overflows only where the line itself is out of range
+    e = -math.frexp(max(abs(a), abs(b)))[1]
+    a, b = math.ldexp(a, e), math.ldexp(b, e)
+    return _set_line(object.__new__(Line), a, b, -(a * px + b * py))
 
 
 class AffineMap(_Value):
@@ -290,9 +308,12 @@ class ConvexQuad(_Value):
         return (self.v0, self.v1, self.v2, self.v3)
 
     def side_lines(self) -> tuple[Line, Line, Line, Line]:
-        """Lines through the sides, in order (v0v1, v1v2, v2v3, v3v0)."""
-        v0, v1, v2, v3, line = self.v0, self.v1, self.v2, self.v3, Line.from_points
-        return (line(v0, v1), line(v1, v2), line(v2, v3), line(v3, v0))
+        """Lines through the sides, in order (v0v1, v1v2, v2v3, v3v0), each
+        built as ``Line.from_points`` builds it, by ``_line_through``."""
+        v0, v1, v2, v3 = self.v0, self.v1, self.v2, self.v3
+        x0, y0, x1, y1, x2, y2, x3, y3 = v0.x, v0.y, v1.x, v1.y, v2.x, v2.y, v3.x, v3.y
+        return (_line_through(x0, y0, x1, y1), _line_through(x1, y1, x2, y2),
+                _line_through(x2, y2, x3, y3), _line_through(x3, y3, x0, y0))
 
 
 def _unit(dx: float, dy: float) -> tuple[float, float]:

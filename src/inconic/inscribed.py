@@ -231,21 +231,25 @@ def _param_in_interval(lo: float, hi: float, h, tol: Tolerances) -> None:
         raise CenterOffLocus(f"abscissa {h} outside the open interval ({lo}, {hi})")
 
 
-def _project_to_segment(p: Point, a: Point, b: Point) -> tuple[float, float]:
-    """(parameter along ab, distance to the infinite line)."""
-    dx, dy = b.x - a.x, b.y - a.y
+def _project_to_segment(px: float, py: float, ax: float, ay: float,
+                        bx: float, by: float) -> tuple[float, float]:
+    """(parameter of p = (px, py) along ab, distance of p to the infinite
+    line through a = (ax, ay) and b = (bx, by))."""
+    dx, dy = bx - ax, by - ay
     den = dx * dx + dy * dy
-    u = ((p.x - a.x) * dx + (p.y - a.y) * dy) / den
-    dist = abs((p.x - a.x) * dy - (p.y - a.y) * dx) / math.sqrt(den)
+    u = ((px - ax) * dx + (py - ay) * dy) / den
+    dist = abs((px - ax) * dy - (py - ay) * dx) / math.sqrt(den)
     return u, dist
 
 
-def _on_line_bound(p: Point, a: Point, b: Point, tol: Tolerances) -> float:
-    """Largest distance at which p counts as on the line through a and b:
-    tol_on (1 + |ab|), but at least 4 ulps of the largest coordinate of the
-    three points, the rounding their coordinates carry far from the origin."""
-    magnitude = max(abs(p.x), abs(p.y), abs(a.x), abs(a.y), abs(b.x), abs(b.y))
-    return max(tol.tol_on * (1 + math.hypot(b.x - a.x, b.y - a.y)),
+def _on_line_bound(px: float, py: float, ax: float, ay: float, bx: float, by: float,
+                   tol: Tolerances) -> float:
+    """Largest distance at which p = (px, py) counts as on the line through
+    a = (ax, ay) and b = (bx, by): tol_on (1 + |ab|), but at least 4 ulps
+    of the largest coordinate of the three points, the rounding their
+    coordinates carry far from the origin."""
+    magnitude = max(abs(px), abs(py), abs(ax), abs(ay), abs(bx), abs(by))
+    return max(tol.tol_on * (1 + math.hypot(bx - ax, by - ay)),
                4 * _ULP * magnitude)
 
 
@@ -401,17 +405,23 @@ def inscribe_at_center(q: ConvexQuad, center: Point,
     """
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("inscribed ellipses of a parallelogram are not unique")
-    m1, m2 = _midpoints(q)
-    if m1.x == m2.x and m1.y == m2.y:
+    # the diagonal midpoints m1 = (x1, y1) and m2 = (x2, y2) as ``_midpoints``
+    # orders them, checked as its Points check them
+    ma, mb = _midpoint_pairs(q)
+    (x1, y1), (x2, y2) = (mb, ma) if mb < ma else (ma, mb)
+    isfinite = math.isfinite
+    if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
+        raise ValueError("point components must be finite")
+    if x1 == x2 and y1 == y2:
         raise NumericalFailure(_VERTICAL)
-    _, dist = _project_to_segment(center, m1, m2)
-    if dist > _on_line_bound(center, m1, m2, tol):
+    cx, cy = center.x, center.y
+    _, dist = _project_to_segment(cx, cy, x1, y1, x2, y2)
+    if dist > _on_line_bound(cx, cy, x1, y1, x2, y2, tol):
         raise CenterOffLocus("center is not on the line of the locus segment")
     frame = _normal_frame(q, tol)
     result = _construct(frame, _abscissa(frame, center), tol)
     got = result.ellipse.center
-    if math.hypot(got.x - center.x, got.y - center.y) > \
-            1e-6 * (1 + math.hypot(m2.x - m1.x, m2.y - m1.y)):
+    if math.hypot(got.x - cx, got.y - cy) > 1e-6 * (1 + math.hypot(x2 - x1, y2 - y1)):
         raise NumericalFailure("inscribed conic center drifted from the request")
     return result
 
@@ -490,8 +500,8 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
     tests each midpoint on its chord parameter alone.
     """
     m1, m2, a, b = _chord_ends(q, tol)
-    u, dist = _project_to_segment(center, a, b)
-    if dist > _on_line_bound(center, a, b, tol):
+    u, dist = _project_to_segment(center.x, center.y, a.x, a.y, b.x, b.y)
+    if dist > _on_line_bound(center.x, center.y, a.x, a.y, b.x, b.y, tol):
         raise CenterOffLocus("center is not on the center line")
     if not (tol.tol_interval < u < 1 - tol.tol_interval):
         raise CenterOffLocus("center is not strictly inside the chord")

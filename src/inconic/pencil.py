@@ -11,13 +11,19 @@ linear in the parameter: prescribing a center is a linear condition on it,
 and the line of centers is one cross product.
 
 It runs on the side lines in the original frame, apart from the
-normal-frame construction, and doubles as its brute-force oracle.  Matrices are 3x3 tuples of row tuples of floats.  The
-arithmetic is written out in scalars: ``pencil_from_lines`` forms each of
-the six cross products l_i x l_j of the line vectors, and its length, once
-and reads the coincidence tests, the four concurrency determinants
-l_i . (l_j x l_k) and the four meets off them; a symmetric matrix is built
-from its six distinct entries, and ``member_with_center`` reuses the
-member's Frobenius norm for its own checks and for the point conic.
+normal-frame construction, and doubles as its brute-force oracle: it reads
+only the lines and calls none of ``inscribed``'s code.  Matrices are
+3x3 tuples of row tuples of floats.
+
+The cross-check builds one pencil and one member per center, so both are
+written out in straight-line scalar code.  ``pencil_from_lines`` forms each
+of the six cross products l_i x l_j of the line vectors and its length
+once, reads the six coincidence tests and the four concurrency
+determinants l_i . (l_j x l_k) off them, and builds d_a and d_b from the
+meets in one loop, through ``_canonical_six``.  ``member_with_center``
+solves and checks the center equations, tests the three degenerate
+members' centers in turn and reuses the member's Frobenius norm for its
+own checks and for the point conic.
 """
 from __future__ import annotations
 
@@ -33,7 +39,7 @@ from .geometry import (
     Line,
     Point,
     _canonical_six,
-    _rebuild,
+    _slot_setters,
     _Value,
 )
 
@@ -47,28 +53,10 @@ def _cross3(u, v) -> Vec3:
             u[0] * v[1] - u[1] * v[0])
 
 
-def _dot3(u, v) -> float:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _sym3(m00, m01, m11, m02, m12, m22) -> Mat3:
-    """The symmetric matrix with these entries, canonically scaled: unit
-    Frobenius norm, and the first entry of magnitude above 1e-12, in the
-    order 00, 01, 11, 02, 12, 22, positive."""
-    entries = _canonical_six(m00, m01, m11, m02, m12, m22, 2.0)
-    if entries is None:
-        raise ValueError("matrix cannot be zero or non-finite")
-    m00, m01, m11, m02, m12, m22 = entries
-    return ((m00, m01, m02), (m01, m11, m12), (m02, m12, m22))
-
-
-def _canonical_sym3(m) -> Mat3:
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
-    return _sym3(m00, (m01 + m10) / 2, m11, (m02 + m20) / 2, (m12 + m21) / 2, m22)
-
-
 class DualConic(_Value):
-    """Symmetric 3x3 form on line coordinates, canonically scaled.
+    """Symmetric 3x3 form on line coordinates, canonically scaled: unit
+    Frobenius norm, and the first entry of magnitude above 1e-12, in the
+    order 00, 01, 11, 02, 12, 22, positive.
 
     A line l is tangent to the underlying point conic iff l^T D l = 0.
     """
@@ -77,13 +65,25 @@ class DualConic(_Value):
     __hash__ = object.__hash__
 
     def __init__(self, m: Mat3):
-        self._fill((_canonical_sym3(m),))
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = m
+        _set_dual(self, _canonical_six(m00, (m01 + m10) / 2, m11, (m02 + m20) / 2,
+                                       (m12 + m21) / 2, m22, 2.0))
 
     def apply_line(self, l: Line) -> float:
         a, b, c = l.a, l.b, l.c
         (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = self.m
         return (a * (m00 * a + m01 * b + m02 * c) + b * (m10 * a + m11 * b + m12 * c)
                 + c * (m20 * a + m21 * b + m22 * c))
+
+
+def _set_dual(dual: DualConic, entries) -> DualConic:
+    """Fill dual's matrix from ``_canonical_six``'s entries (00, 01, 11,
+    02, 12, 22); None, a zero or non-finite matrix, raises ValueError."""
+    if entries is None:
+        raise ValueError("matrix cannot be zero or non-finite")
+    m00, m01, m11, m02, m12, m22 = entries
+    _dual_m(dual, ((m00, m01, m02), (m01, m11, m12), (m02, m12, m22)))
+    return dual
 
 
 class TangentPencil(_Value):
@@ -97,7 +97,9 @@ class TangentPencil(_Value):
     __hash__ = object.__hash__
 
     def __init__(self, d_a: DualConic, d_b: DualConic, lines: tuple[Line, Line, Line, Line]):
-        self._fill((d_a, d_b, lines))
+        _pencil_d_a(self, d_a)
+        _pencil_d_b(self, d_b)
+        _pencil_lines(self, lines)
 
     def member_matrix(self, num: float, den: float = 1.0) -> Mat3:
         scale = math.hypot(num, den)
@@ -110,12 +112,8 @@ class TangentPencil(_Value):
         return DualConic(self.member_matrix(num, den))
 
 
-def _rank2_dual(p: Vec3, p_norm: float, q: Vec3, q_norm: float) -> DualConic:
-    """The dual P Q^T + Q P^T of the meets P = p/|p| and Q = q/|q|."""
-    p0, p1, p2 = p[0] / p_norm, p[1] / p_norm, p[2] / p_norm
-    q0, q1, q2 = q[0] / q_norm, q[1] / q_norm, q[2] / q_norm
-    return _rebuild(DualConic, (_sym3(2 * p0 * q0, p0 * q1 + q0 * p1, 2 * p1 * q1,
-                                      p0 * q2 + q0 * p2, p1 * q2 + q1 * p2, 2 * p2 * q2),))
+(_dual_m,) = _slot_setters(DualConic)
+_pencil_d_a, _pencil_d_b, _pencil_lines = _slot_setters(TangentPencil)
 
 
 def pencil_from_lines(l1: Line, l2: Line, l3: Line, l4: Line) -> TangentPencil:
@@ -128,13 +126,22 @@ def pencil_from_lines(l1: Line, l2: Line, l3: Line, l4: Line) -> TangentPencil:
     most 1e-12 (1 + |c_i|) (1 + |c_j|); lines i, j, k are concurrent when
     |l_i . (l_j x l_k)| is at most 1e-12 max(1, |c_i|, |c_j|, |c_k|).
     """
-    v0, v1, v2, v3 = (l1.a, l1.b, l1.c), (l2.a, l2.b, l2.c), (l3.a, l3.b, l3.c), (l4.a, l4.b, l4.c)
-    x01, x02, x03 = _cross3(v0, v1), _cross3(v0, v2), _cross3(v0, v3)
-    x12, x13, x23 = _cross3(v1, v2), _cross3(v1, v3), _cross3(v2, v3)
-    n01, n02, n03 = math.hypot(*x01), math.hypot(*x02), math.hypot(*x03)
-    n12, n13, n23 = math.hypot(*x12), math.hypot(*x13), math.hypot(*x23)
-    c0, c1, c2, c3 = abs(l1.c), abs(l2.c), abs(l3.c), abs(l4.c)
-    s0, s1, s2, s3 = 1 + c0, 1 + c1, 1 + c2, 1 + c3
+    a0, b0, c0 = l1.a, l1.b, l1.c
+    a1, b1, c1 = l2.a, l2.b, l2.c
+    a2, b2, c2 = l3.a, l3.b, l3.c
+    a3, b3, c3 = l4.a, l4.b, l4.c
+    # the meets (x_ij, y_ij, w_ij) = l_i x l_j and their lengths n_ij
+    x01, y01, w01 = b0 * c1 - c0 * b1, c0 * a1 - a0 * c1, a0 * b1 - b0 * a1
+    x02, y02, w02 = b0 * c2 - c0 * b2, c0 * a2 - a0 * c2, a0 * b2 - b0 * a2
+    x03, y03, w03 = b0 * c3 - c0 * b3, c0 * a3 - a0 * c3, a0 * b3 - b0 * a3
+    x12, y12, w12 = b1 * c2 - c1 * b2, c1 * a2 - a1 * c2, a1 * b2 - b1 * a2
+    x13, y13, w13 = b1 * c3 - c1 * b3, c1 * a3 - a1 * c3, a1 * b3 - b1 * a3
+    x23, y23, w23 = b2 * c3 - c2 * b3, c2 * a3 - a2 * c3, a2 * b3 - b2 * a3
+    hypot = math.hypot
+    n01, n02, n03 = hypot(x01, y01, w01), hypot(x02, y02, w02), hypot(x03, y03, w03)
+    n12, n13, n23 = hypot(x12, y12, w12), hypot(x13, y13, w13), hypot(x23, y23, w23)
+    e0, e1, e2, e3 = abs(c0), abs(c1), abs(c2), abs(c3)
+    s0, s1, s2, s3 = 1 + e0, 1 + e1, 1 + e2, 1 + e3
     if n01 <= 1e-12 * s0 * s1:
         raise DegenerateConfiguration("lines 0 and 1 coincide")
     if n02 <= 1e-12 * s0 * s2:
@@ -147,16 +154,24 @@ def pencil_from_lines(l1: Line, l2: Line, l3: Line, l4: Line) -> TangentPencil:
         raise DegenerateConfiguration("lines 1 and 3 coincide")
     if n23 <= 1e-12 * s2 * s3:
         raise DegenerateConfiguration("lines 2 and 3 coincide")
-    if abs(_dot3(v0, x12)) <= 1e-12 * max(1.0, c0, c1, c2):
+    if abs(a0 * x12 + b0 * y12 + c0 * w12) <= 1e-12 * max(1.0, e0, e1, e2):
         raise DegenerateConfiguration("lines 0, 1, 2 are concurrent")
-    if abs(_dot3(v0, x13)) <= 1e-12 * max(1.0, c0, c1, c3):
+    if abs(a0 * x13 + b0 * y13 + c0 * w13) <= 1e-12 * max(1.0, e0, e1, e3):
         raise DegenerateConfiguration("lines 0, 1, 3 are concurrent")
-    if abs(_dot3(v0, x23)) <= 1e-12 * max(1.0, c0, c2, c3):
+    if abs(a0 * x23 + b0 * y23 + c0 * w23) <= 1e-12 * max(1.0, e0, e2, e3):
         raise DegenerateConfiguration("lines 0, 2, 3 are concurrent")
-    if abs(_dot3(v1, x23)) <= 1e-12 * max(1.0, c1, c2, c3):
+    if abs(a1 * x23 + b1 * y23 + c1 * w23) <= 1e-12 * max(1.0, e1, e2, e3):
         raise DegenerateConfiguration("lines 1, 2, 3 are concurrent")
-    return TangentPencil(_rank2_dual(x01, n01, x23, n23), _rank2_dual(x02, n02, x13, n13),
-                         (l1, l2, l3, l4))
+    # d_a and d_b, each the dual P Q^T + Q P^T of its meets P = p/|p|, Q = q/|q|
+    duals = []
+    for px, py, pw, pn, qx, qy, qw, qn in ((x01, y01, w01, n01, x23, y23, w23, n23),
+                                            (x02, y02, w02, n02, x13, y13, w13, n13)):
+        p0, p1, p2 = px / pn, py / pn, pw / pn
+        q0, q1, q2 = qx / qn, qy / qn, qw / qn
+        duals.append(_set_dual(object.__new__(DualConic), _canonical_six(
+            2 * p0 * q0, p0 * q1 + q0 * p1, 2 * p1 * q1,
+            p0 * q2 + q0 * p2, p1 * q2 + q1 * p2, 2 * p2 * q2, 2.0)))
+    return TangentPencil(*duals, (l1, l2, l3, l4))
 
 
 def _point_conic(d00, d01, d11, d02, d12, d22, norm: float) -> Conic:
@@ -210,15 +225,17 @@ def member_with_center(p: TangentPencil, center: Point) -> Conic:
         raise CenterOffLocus(
             "center is not on the pencil's line of centers "
             f"(residual {residual:.3e})")
-    # the degenerate members: d_a, d_b and the pair (l1^l4 = m, l2^l3 = n)
+    # the degenerate members: d_a, d_b and the pair (l1^l4 = m, l2^l3 = n),
+    # whose homogeneous center is (x, y, w)
     l1, l2, l3, l4 = p.lines
-    m = _cross3((l1.a, l1.b, l1.c), (l4.a, l4.b, l4.c))
-    n = _cross3((l2.a, l2.b, l2.c), (l3.a, l3.b, l3.c))
+    mx, my, mw = l1.b * l4.c - l1.c * l4.b, l1.c * l4.a - l1.a * l4.c, l1.a * l4.b - l1.b * l4.a
+    nx, ny, nw = l2.b * l3.c - l2.c * l3.b, l2.c * l3.a - l2.a * l3.c, l2.a * l3.b - l2.b * l3.a
+    x, y, w = mx * nw + nx * mw, my * nw + ny * mw, 2 * mw * nw
     near = 1e-9 * max(1.0, abs(h), abs(k))
-    for x, y, w in ((a02, a12, a22), (b02, b12, b22),
-                    (m[0] * n[2] + n[0] * m[2], m[1] * n[2] + n[1] * m[2], 2 * m[2] * n[2])):
-        if math.hypot(x - h * w, y - k * w) <= near * abs(w):
-            raise DegenerateMember("pencil member is a degenerate dual")
+    if (math.hypot(a02 - h * a22, a12 - k * a22) <= near * abs(a22)
+            or math.hypot(b02 - h * b22, b12 - k * b22) <= near * abs(b22)
+            or math.hypot(x - h * w, y - k * w) <= near * abs(w)):
+        raise DegenerateMember("pencil member is a degenerate dual")
     conic = _point_conic(d00, d01, d11, d02, d12, d22, dn)
     if d22 == 0 or math.hypot(d02 / d22 - h, d12 / d22 - k) > 1e-6 * max(1.0, abs(h), abs(k)):
         raise DegenerateMember("member center drifted from the request")

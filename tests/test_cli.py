@@ -490,6 +490,12 @@ class TestUsageAndTolerances:
         assert out == ""
         assert err.startswith("bad --tol value: ")
 
+    def test_tol_without_a_value_is_reported_missing(self, capsys):
+        code, out, err = run_cli(capsys, "inscribe", "--vertices", QUAD,
+                                 "--u", "0.37", "--tol", "tol_tan=")
+        assert (code, out) == (1, "")
+        assert err == "bad --tol value: missing value for tolerance tol_tan\n"
+
 
 def _run_python(*args):
     # run the package this suite imported, whatever the caller's PYTHONPATH

@@ -147,7 +147,7 @@ def _guard_centers(seg, chord, tol):
         for a, b in ((chord.p_start, chord.p_end), (seg.m1, seg.m2)):
             length = math.hypot(b.x - a.x, b.y - a.y)
             nx, ny = (a.y - b.y) / length, (b.x - a.x) / length
-            bound = _on_line_bound(p, a, b, tol)
+            bound = _on_line_bound(p.x, p.y, a.x, a.y, b.x, b.y, tol)
             for f in GUARD_PUSHES:
                 centers.append(Point(p.x + f * bound * nx, p.y + f * bound * ny))
                 centers.append(Point(p.x - f * bound * nx, p.y - f * bound * ny))

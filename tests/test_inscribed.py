@@ -692,7 +692,8 @@ class TestNearParallelSides:
         q = ic.validate_quad(vertices)
         res = ic.max_area(q)
         seg = ic.locus(q)
-        u, _ = _project_to_segment(res.center, seg.m1, seg.m2)
+        u, _ = _project_to_segment(res.center.x, res.center.y,
+                                   seg.m1.x, seg.m1.y, seg.m2.x, seg.m2.y)
         assert 0 < u < 1
         _assert_inscribed_at(q, res.inscribed, seg.point_at(u))
         for v in (0.05, 0.5, 0.95):
@@ -907,7 +908,8 @@ class TestCallerCentersFarOut:
         got = ic.inscribe_at_center(q, seg.point_at(0.37)).ellipse.center
         want = ic.inscribe_at_param(q, 0.37).ellipse.center
         assert math.hypot(got.x - want.x, got.y - want.y) <= \
-            _on_line_bound(want, seg.m1, seg.m2, ic.DEFAULT_TOL)
+            _on_line_bound(want.x, want.y, seg.m1.x, seg.m1.y, seg.m2.x, seg.m2.y,
+                           ic.DEFAULT_TOL)
 
     @pytest.mark.parametrize("off", [1e2, 1e4, 1e6, 1e8, 1e10])
     def test_param_semi_axes_do_not_depend_on_offset(self, off):
@@ -1024,6 +1026,18 @@ class TestScaleOutOfFloatRange:
             with pytest.raises(errors.NumericalFailure,
                                match="^linear part is out of float range$"):
                 call()
+
+    def test_overflowing_diagonal_midpoint_is_not_a_finite_point(self):
+        # built without validate_quad: v0 + v2 overflows, so the center
+        # guards' diagonal midpoint is not a finite point; that check runs
+        # before the frame, whose basis test would call it out of range
+        q = ic.ConvexQuad(ic.Point(1e308, 0), ic.Point(1.7e308, 0),
+                          ic.Point(1.75e308, 1e308), ic.Point(1.05e308, 1.2e308),
+                          ic.QuadKind.TRAPEZIUM)
+        for call in (ic.inscribe_at_center, ic.tangent_conic_at_center):
+            with pytest.raises(ValueError, match="^point components must be finite$") as exc:
+                call(q, ic.Point(1.3e308, 5e307))
+            assert type(exc.value) is ValueError
 
     @pytest.mark.parametrize("scale", [1e-76, 1e77, 1e-153, 1e153])
     def test_range_ends_keep_full_accuracy(self, scale):

@@ -228,3 +228,10 @@ def test_tolerances_replace_and_from_string_read_the_slots():
         DEFAULT_TOL.replace(bogus=1.0)
     with pytest.raises(ValueError, match="unknown tolerance setting"):
         Tolerances.from_string("bogus=1")
+
+
+@pytest.mark.parametrize("text", ["tol_tan=", "tol_tan", " tol_tan = ", "tol_on=1e-9,tol_tan="])
+def test_known_tolerance_without_a_value_is_reported_missing(text):
+    # a known name was reported as an unknown setting
+    with pytest.raises(ValueError, match="^missing value for tolerance tol_tan$"):
+        Tolerances.from_string(text)

@@ -85,7 +85,7 @@ class Tolerances(_Value):
                  tol_tan: float = 1e-8,        # tangency residual acceptance
                  tol_par: float = 1e-9,        # parallelism of unit edge directions
                  tol_interval: float = 1e-9,   # open-interval margin on locus parameters
-                 tol_on: float = 1e-9,         # distance-to-locus acceptance
+                 tol_on: float = 1e-9,         # normal-frame miss of the center line
                  tol_infinity: float = 1e-10):  # relative |w| below which a point is at infinity
         values = (tol_det, tol_tan, tol_par, tol_interval, tol_on, tol_infinity)
         for name, value in zip(self.__slots__, values):

@@ -231,28 +231,6 @@ def _param_in_interval(lo: float, hi: float, h, tol: Tolerances) -> None:
         raise CenterOffLocus(f"abscissa {h} outside the open interval ({lo}, {hi})")
 
 
-def _project_to_segment(px: float, py: float, ax: float, ay: float,
-                        bx: float, by: float) -> tuple[float, float]:
-    """(parameter of p = (px, py) along ab, distance of p to the infinite
-    line through a = (ax, ay) and b = (bx, by))."""
-    dx, dy = bx - ax, by - ay
-    den = dx * dx + dy * dy
-    u = ((px - ax) * dx + (py - ay) * dy) / den
-    dist = abs((px - ax) * dy - (py - ay) * dx) / math.sqrt(den)
-    return u, dist
-
-
-def _on_line_bound(px: float, py: float, ax: float, ay: float, bx: float, by: float,
-                   tol: Tolerances) -> float:
-    """Largest distance at which p = (px, py) counts as on the line through
-    a = (ax, ay) and b = (bx, by): tol_on (1 + |ab|), but at least 4 ulps
-    of the largest coordinate of the three points, the rounding their
-    coordinates carry far from the origin."""
-    magnitude = max(abs(px), abs(py), abs(ax), abs(ay), abs(bx), abs(by))
-    return max(tol.tol_on * (1 + math.hypot(bx - ax, by - ay)),
-               4 * _ULP * magnitude)
-
-
 def _dual_entries(s, t, h):
     """(c, k, det) of the tangent dual conic at abscissa h, plain arithmetic.
 
@@ -358,12 +336,6 @@ def _construct(frame: tuple, h: float, tol: Tolerances) -> InscribedResult:
     return InscribedResult(ellipse, conic, contacts)
 
 
-def _abscissa(frame: tuple, p: Point) -> float:
-    """The normalized abscissa of p: the first coordinate of T(p)."""
-    _, _, (m11, m12, _, _), (tx, _), _, _, _, _ = frame
-    return m11 * p.x + m12 * p.y + tx
-
-
 def _locus_abscissas(q: ConvexQuad, tol: Tolerances) -> tuple[tuple, float, float]:
     """The normal frame of q (``_normal_frame``) and the abscissas h1, h2
     of locus(q)'s m1 and m2 (s/2 for the diagonal the labeling sends to
@@ -386,42 +358,57 @@ def _inscribe_params(q: ConvexQuad, params, tol: Tolerances) -> Iterator[Inscrib
     return (_construct(frame, h1 + u * (h2 - h1), tol) for u in params)
 
 
+def _center_bound(frame: tuple, cx: float, cy: float, tol: Tolerances) -> float:
+    """Largest |2(s - 1) y - (2h(t - 1) + s - t)| at which the center
+    (cx, cy), mapped to (h, y) = T(cx, cy), counts as on the center line
+    y = L(h): 2|s - 1| tol_on, a vertical miss of tol_on in the unit-size
+    normal frame, or the rounding of that residual's two terms as
+    T(cx, cy) forms them, 4 ulps of each, where that is more.  Both are read off the
+    normal frame alone, so an affine copy of the quad and its center gets
+    the same verdict at any scale and offset."""
+    s, t, (m11, m12, m21, m22), (tx, ty), _, _, _, _ = frame
+    rounding = 4 * _ULP * (2 * abs(s - 1) * (abs(m21 * cx) + abs(m22 * cy) + abs(ty))
+                           + 2 * abs(t - 1) * (abs(m11 * cx) + abs(m12 * cy) + abs(tx)))
+    return max(2 * abs(s - 1) * tol.tol_on, rounding)
+
+
+def _center_abscissa(frame: tuple, center: Point, tol: Tolerances) -> float:
+    """The normalized abscissa h of a caller's center: the first coordinate
+    of T(center).  Raises CenterOffLocus unless the center is on the center
+    line to within ``_center_bound``.  The test multiplies L(h) out instead
+    of dividing by s - 1, so at s = 1 it lets the center through to the
+    construction's own s = 1 verdict."""
+    s, t, (m11, m12, m21, m22), (tx, ty), _, _, _, _ = frame
+    cx, cy = center.x, center.y
+    h, y = m11 * cx + m12 * cy + tx, m21 * cx + m22 * cy + ty
+    if abs(2 * (s - 1) * y - (2 * h * (t - 1) + s - t)) > _center_bound(frame, cx, cy, tol):
+        raise CenterOffLocus("center is not on the center line")
+    return h
+
+
 def inscribe_at_center(q: ConvexQuad, center: Point,
                        tol: Tolerances = DEFAULT_TOL) -> InscribedResult:
     """The unique inscribed ellipse with the given center.
 
-    The center must lie strictly inside the open locus segment: within
-    tol_on (1 + length) of its line, or 4 ulps of the largest coordinate
-    of it and the midpoints where that is more, and strictly between the
-    diagonal midpoints, tested on its normalized abscissa.  The conic is
-    built from D(h) in the normalized frame and mapped back; the
-    carried center must land within 1e-6 (1 + length) of the request.
+    The center is judged in the normal frame (``_center_abscissa``): it
+    must map onto the center line y = L(h) to within tol_on, or the
+    rounding of its own mapped coordinates where that is more, and its
+    abscissa h must lie strictly inside the locus interval, tol_interval
+    of its width in from either end.  Both tests are ratios an affine map
+    keeps, so the verdict does not depend on the quad's scale or place.
+    The conic is built from D(h) in the normalized frame and mapped back;
+    the carried center must land within 1e-6 (1 + length) of the request.
     Parallelograms are rejected: four common tangent lines of two distinct
     concentric ellipses would form a parallelogram, so uniqueness fails
-    there, and midpoints that coincide in floats (a parallelogram to
-    rounding that a small tol_par lets through, s = 1) raise
-    NumericalFailure(_VERTICAL).  A side the conic misses raises
-    NotTangent.
+    there, and a parallelogram to rounding that a small tol_par lets
+    through (s = 1) raises NumericalFailure(_VERTICAL).  A side the conic
+    misses raises NotTangent.
     """
-    if q.kind is QuadKind.PARALLELOGRAM:
-        raise ParallelogramUnsupported("inscribed ellipses of a parallelogram are not unique")
-    # the diagonal midpoints m1 = (x1, y1) and m2 = (x2, y2) as ``_midpoints``
-    # orders them, checked as its Points check them
-    ma, mb = _midpoint_pairs(q)
-    (x1, y1), (x2, y2) = (mb, ma) if mb < ma else (ma, mb)
-    isfinite = math.isfinite
-    if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
-        raise ValueError("point components must be finite")
-    if x1 == x2 and y1 == y2:
-        raise NumericalFailure(_VERTICAL)
-    cx, cy = center.x, center.y
-    _, dist = _project_to_segment(cx, cy, x1, y1, x2, y2)
-    if dist > _on_line_bound(cx, cy, x1, y1, x2, y2, tol):
-        raise CenterOffLocus("center is not on the line of the locus segment")
     frame = _normal_frame(q, tol)
-    result = _construct(frame, _abscissa(frame, center), tol)
+    result = _construct(frame, _center_abscissa(frame, center, tol), tol)
     got = result.ellipse.center
-    if math.hypot(got.x - cx, got.y - cy) > 1e-6 * (1 + math.hypot(x2 - x1, y2 - y1)):
+    (x1, y1), (x2, y2) = _midpoint_pairs(q)
+    if math.hypot(got.x - center.x, got.y - center.y) > 1e-6 * (1 + math.hypot(x2 - x1, y2 - y1)):
         raise NumericalFailure("inscribed conic center drifted from the request")
     return result
 
@@ -443,40 +430,38 @@ def chord_x(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> ChordX:
     """Open chord cut by the quadrilateral's interior from the center line.
 
     Contains the locus segment strictly; its endpoints lie on the boundary.
-    A side counts as parallel to the center line when the sine of their
-    angle is at most tol_par, whatever the scale of the quadrilateral.
+    The ends are the normal-frame crossings ``_chord_abscissas`` picks,
+    mapped out through T^-1 = (B, p0), ``p_start`` on m1's side.  No
+    parallelism threshold is read: a side line parallel to the center
+    line has no crossing in closed form.  s = 1, where the center line is
+    vertical in the normal frame, raises NumericalFailure(_VERTICAL).
     """
-    return ChordX(*_chord_ends(q, tol)[2:])
-
-
-def _chord_ends(q: ConvexQuad, tol: Tolerances) -> tuple[Point, Point, Point, Point]:
-    """(m1, m2, p_start, p_end): the diagonal midpoints in ``locus`` order
-    and the ends of ``chord_x``, at m1 + tau (m2 - m1) for the largest
-    negative and the smallest above-1 tau at which the center line crosses
-    a side line not parallel to it."""
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("center line degenerates for parallelograms")
-    m1, m2 = _midpoints(q)
-    x1, y1 = m1.x, m1.y
-    dx, dy = m2.x - x1, m2.y - y1
-    length = math.hypot(dx, dy)
-    before = after = None
-    v0, v1, v2, v3 = q.v0, q.v1, q.v2, q.v3
-    for p, r in ((v0, v1), (v1, v2), (v2, v3), (v3, v0)):
-        nx, ny = r.y - p.y, p.x - r.x
-        den = nx * dx + ny * dy
-        if abs(den) <= tol.tol_par * math.hypot(nx, ny) * length:
-            continue
-        tau = -(nx * (x1 - p.x) + ny * (y1 - p.y)) / den
-        if tau < 0:
-            if before is None or tau > before:
-                before = tau
-        elif tau > 1 and (after is None or tau < after):
-            after = tau
-    if before is None or after is None:
-        raise NumericalFailure("center line failed to exit the quadrilateral")
-    return (m1, m2, Point(x1 + before * dx, y1 + before * dy),
-            Point(x1 + after * dx, y1 + after * dy))
+    frame, h1, h2 = _locus_abscissas(q, tol)
+    s, t, _, _, (b11, b12, b21, b22, x0, y0), _, (lo, hi), _ = frame
+    ends = []
+    for h in _chord_abscissas(s, t, lo, hi):
+        _, k, _ = _dual_entries(s, t, h)
+        ends.append(Point(b11 * h + b12 * k + x0, b21 * h + b22 * k + y0))
+    return ChordX(*ends) if h1 < h2 else ChordX(*reversed(ends))
+
+
+def _chord_abscissas(s: float, t: float, lo: float, hi: float) -> tuple[float, float]:
+    """(h_a, h_b): the abscissas at which the center line y = L(h) leaves
+    the normal-frame quad (0,0), (1,0), (s,t), (0,1), below lo and above
+    hi.  It crosses x = 0 at h = 0, (1,0)-(s,t) at (s + t)/2 and, unless
+    t = 1 makes them parallel to it, y = 0 at (t - s)/(2(t - 1)) and
+    (s,t)-(0,1) at s(s + t - 2)/(2(t - 1)); the chord runs from the
+    nearest crossing at or below lo to the nearest at or above hi, and
+    0 and (s + t)/2 are always among them.  s = 1 raises
+    NumericalFailure(_VERTICAL): every crossing is then at h = 1/2."""
+    if s == 1:
+        raise NumericalFailure(_VERTICAL)
+    crossings = [0.0, (s + t) / 2]
+    if t != 1:
+        crossings += [(t - s) / (2 * (t - 1)), s * (s + t - 2) / (2 * (t - 1))]
+    return max(h for h in crossings if h <= lo), min(h for h in crossings if h >= hi)
 
 
 def tangent_conic_at_center(q: ConvexQuad, center: Point,
@@ -495,21 +480,21 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
     degenerate members and are rejected with DegenerateAtMidpoint; a missed
     side raises NotTangent.
 
-    The guard reads the diagonal midpoints and the quad's four side
-    crossings once, in one pass that also gives ``chord_x``'s ends, and
-    tests each midpoint on its chord parameter alone.
+    The guard runs in the normal frame: the center must be on the center
+    line (``_center_abscissa``), its chord parameter (h - h_a)/(h_b - h_a)
+    tol_interval in from either chord end (``_chord_abscissas``), and h
+    more than tol_interval (h_b - h_a) from either midpoint abscissa.
+    These are the ratios along the chord an affine map keeps.
     """
-    m1, m2, a, b = _chord_ends(q, tol)
-    u, dist = _project_to_segment(center.x, center.y, a.x, a.y, b.x, b.y)
-    if dist > _on_line_bound(center.x, center.y, a.x, a.y, b.x, b.y, tol):
-        raise CenterOffLocus("center is not on the center line")
-    if not (tol.tol_interval < u < 1 - tol.tol_interval):
-        raise CenterOffLocus("center is not strictly inside the chord")
-    dx, dy = b.x - a.x, b.y - a.y
-    den = dx * dx + dy * dy
-    for m in (m1, m2):
-        if abs(u - ((m.x - a.x) * dx + (m.y - a.y) * dy) / den) <= tol.tol_interval:
-            raise DegenerateAtMidpoint("center coincides with a diagonal midpoint")
+    if q.kind is QuadKind.PARALLELOGRAM:
+        raise ParallelogramUnsupported("center line degenerates for parallelograms")
     frame = _normal_frame(q, tol)
-    return _tangent_conic(frame, _abscissa(frame, center), tol)[:3]
-
+    s, t, _, _, _, _, (lo, hi), _ = frame
+    h = _center_abscissa(frame, center, tol)
+    h_a, h_b = _chord_abscissas(s, t, lo, hi)
+    if not (tol.tol_interval < (h - h_a) / (h_b - h_a) < 1 - tol.tol_interval):
+        raise CenterOffLocus("center is not strictly inside the chord")
+    margin = tol.tol_interval * (h_b - h_a)
+    if abs(h - lo) <= margin or abs(h - hi) <= margin:
+        raise DegenerateAtMidpoint("center coincides with a diagonal midpoint")
+    return _tangent_conic(frame, h, tol)[:3]

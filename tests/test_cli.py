@@ -825,6 +825,15 @@ EXIT_CODE_CONTRACT = [
                  "center not admissible: ", id="3-off-locus"),
     pytest.param(["inscribe", "--vertices", QUAD, "--u", "-1e-3"], 3,
                  "center not admissible: ", id="3-negative-u"),
+    # 5e-4 of the extent off the locus line, judged in the normal frame,
+    # so alike at the worked quad's scale and at 1e-6 of it
+    pytest.param(["inscribe", "--vertices", QUAD, "--center", "1,0.7505"], 3,
+                 "center not admissible: center is not on the center line",
+                 id="3-off-line-at-scale-1"),
+    pytest.param(["inscribe", "--vertices", "0,0 1e-6,0 3e-6,2e-6 0,1e-6",
+                  "--center", "1e-6,7.505e-7"], 3,
+                 "center not admissible: center is not on the center line",
+                 id="3-off-line-at-scale-1e-6"),
     pytest.param(["inscribe", "--vertices", SQUARE, "--u", "0.5"], 4,
                  "parallelogram: ", id="4-parallelogram"),
     pytest.param(["inscribe", "--vertices", QUAD, "--u", "0.37", "--tol", "tol_tan=1e-30"], 5,
@@ -832,6 +841,8 @@ EXIT_CODE_CONTRACT = [
     pytest.param(["inscribe", "--vertices", "0,0 1,1e-17 1,1 0,1", "--u", "0.5",
                   "--tol", "tol_par=1e-300"], 5,
                  "numerical failure: s = 1", id="5-zero-length-locus"),
+    pytest.param(["inspect", "--vertices", "0,0 1,1e-17 1,1 0,1", "--tol", "tol_par=1e-300"], 5,
+                 "numerical failure: s = 1", id="5-inspect-zero-length-locus"),
     pytest.param(["inscribe", "--vertices", "0,0 1e154,0 3e154,2e154 0,1e154", "--u", "0.37"],
                  5, "numerical failure: ", id="5-scale-1e154"),
     pytest.param(["inscribe", "--vertices", "0,0 1e-154,0 3e-154,2e-154 0,1e-154", "--u", "0.37"],

@@ -13,11 +13,18 @@ draws from the first four and runs the same two calls at centers on the
 center guards' decision boundaries, under the default tolerances and one
 of the stressed sets: chord parameters within a few ``tol_interval`` of
 each diagonal midpoint and each chord end, and points pushed off the
-chord and off the locus segment by 0.5, 1 and 2 times ``_on_line_bound``.
+center line, in the normal frame, by 0.5, 1 and 2 times the miss
+``_center_bound`` allows.
 Each output is the ``repr`` of the result, or the class and message of
 what was raised; ``golden/construction.json`` holds a sha256 over them
 per family.  A change that moves one bit of one result, or the class or
-message of one exception, fails here.  The floats go through the C library's atan2, cos
+message of one exception, fails here.
+``golden/construction_outcomes.json`` holds a coarser sha256 over the four
+default-tolerance families: each output's outcome only, the result's type
+(and a tangent conic's class), or the raised class and its message with
+every number replaced by ``#``.  A change that moves trailing digits
+passes that one; a change that turns a result into a raise, or one raise
+into another, fails it.  The floats go through the C library's atan2, cos
 and sin, so the digests assume a libm that rounds those as glibc does.
 ``python tests/test_golden_construction.py`` prints the digests of the
 code as it stands.
@@ -26,6 +33,7 @@ import hashlib
 import json
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -42,15 +50,16 @@ from inconic import (
     tangent_conic_at_center,
     validate_quad,
 )
-from inconic.inscribed import _on_line_bound
+from inconic.inscribed import _center_bound, _normal_frame
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "construction.json"
+OUTCOMES_PATH = Path(__file__).parent / "golden" / "construction_outcomes.json"
 PER_FAMILY = 150
 PARAMS = (1e-7, 0.13, 0.5, 0.87, 1 - 1e-7)
 LOCUS_POINTS = (0.13, 0.5, 0.87)
 CHORD_POINTS = (0.02, 0.2, 0.5, 0.8, 0.98)
 GUARD_STEPS = (-2, -1, -0.5, 0, 0.5, 1, 2)   # chord-parameter offsets, in tol_interval
-GUARD_PUSHES = (0.5, 1, 2)                   # off-line distances, in _on_line_bound
+GUARD_PUSHES = (0.5, 1, 2)                   # off-line misses, in _center_bound
 
 
 def _plain(rng):
@@ -102,17 +111,35 @@ CHECK_TOLS = (
 
 
 def _outcome(fn, *args):
+    """What fn(*args) returned, or the exception it raised."""
     try:
-        return repr(fn(*args))
+        return fn(*args)
     except Exception as exc:  # every raised class and message is pinned
-        return f"{type(exc).__name__}: {exc}"
+        return exc
+
+
+def _full(out):
+    if isinstance(out, Exception):
+        return f"{type(out).__name__}: {out}"
+    return repr(out)
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
+
+
+def _coarse(out):
+    if isinstance(out, Exception):
+        return f"{type(out).__name__}: {_NUMBER.sub('#', str(out))}"
+    if isinstance(out, tuple):  # tangent_conic_at_center's (conic, class, contacts)
+        return f"tuple {out[1].name}"
+    return type(out).__name__
 
 
 def _outputs(vertices, tol):
     try:
         q = validate_quad(vertices, tol)
     except Exception as exc:
-        yield f"{type(exc).__name__}: {exc}"
+        yield exc
         return
     for u in PARAMS:
         yield _outcome(inscribe_at_param, q, u, tol)
@@ -120,7 +147,7 @@ def _outputs(vertices, tol):
     try:
         seg, chord = locus(q), chord_x(q, tol)
     except Exception as exc:
-        yield f"{type(exc).__name__}: {exc}"
+        yield exc
         return
     for u in LOCUS_POINTS:
         yield _outcome(inscribe_at_center, q, seg.point_at(u), tol)
@@ -135,7 +162,7 @@ def _chord_param(chord, p):
     return ((p.x - chord.p_start.x) * dx + (p.y - chord.p_start.y) * dy) / (dx * dx + dy * dy)
 
 
-def _guard_centers(seg, chord, tol):
+def _guard_centers(q, seg, chord, tol):
     step = tol.tol_interval
     params = [k * step for k in GUARD_STEPS if k >= 0]
     params += [1 - k * step for k in GUARD_STEPS if k >= 0]
@@ -143,14 +170,16 @@ def _guard_centers(seg, chord, tol):
         um = _chord_param(chord, m)
         params += [um + k * step for k in GUARD_STEPS]
     centers = [chord.point_at(u) for u in params]
+    # (h, L(h)) moved by dy in the normal frame misses the line by 2|s - 1| dy
+    frame = _normal_frame(q, tol)
+    s, t, (m11, m12, _, _), (tx, _), (b11, b12, b21, b22, x0, y0), _, _, _ = frame
     for p in (seg.point_at(0.5), chord.point_at(0.02), chord.point_at(0.98)):
-        for a, b in ((chord.p_start, chord.p_end), (seg.m1, seg.m2)):
-            length = math.hypot(b.x - a.x, b.y - a.y)
-            nx, ny = (a.y - b.y) / length, (b.x - a.x) / length
-            bound = _on_line_bound(p.x, p.y, a.x, a.y, b.x, b.y, tol)
-            for f in GUARD_PUSHES:
-                centers.append(Point(p.x + f * bound * nx, p.y + f * bound * ny))
-                centers.append(Point(p.x - f * bound * nx, p.y - f * bound * ny))
+        h = m11 * p.x + m12 * p.y + tx
+        k = (2 * h * (t - 1) + s - t) / (2 * (s - 1))
+        dy = _center_bound(frame, p.x, p.y, tol) / (2 * abs(s - 1))
+        for f in GUARD_PUSHES:
+            for y in (k + f * dy, k - f * dy):
+                centers.append(Point(b11 * h + b12 * y + x0, b21 * h + b22 * y + y0))
     return centers
 
 
@@ -158,10 +187,9 @@ def _guard_outputs(vertices, stressed):
     for tol in (DEFAULT_TOL, stressed):
         try:
             q = validate_quad(vertices, tol)
-            seg = locus(q)
-            centers = _guard_centers(seg, chord_x(q, tol), tol)
+            centers = _guard_centers(q, locus(q), chord_x(q, tol), tol)
         except Exception as exc:
-            yield f"{type(exc).__name__}: {exc}"
+            yield exc
             continue
         for p in centers:
             yield _outcome(inscribe_at_center, q, p, tol)
@@ -179,11 +207,16 @@ FAMILIES = {
 }
 
 
-def family_digest(name):
-    """(number of outputs, sha256 over them) of one family."""
+# the families whose outcomes ``construction_outcomes.json`` pins
+OUTCOME_FAMILIES = ("far", "plain", "thin_trapezium", "trapezoid")
+
+
+def family_digest(name, show=_full):
+    """(number of outputs, sha256 over them, each shown by ``show``) of one
+    family."""
     make, seed, outputs_of, tols = FAMILIES[name]
     rng = random.Random(seed)
-    outputs = [out for i in range(PER_FAMILY)
+    outputs = [show(out) for i in range(PER_FAMILY)
                for out in outputs_of(make(rng), tols[i % len(tols)])]
     return len(outputs), hashlib.sha256("\n".join(outputs).encode()).hexdigest()
 
@@ -196,6 +229,23 @@ def test_construction_outputs_are_bit_identical(name):
     assert digest == golden["sha256"]
 
 
+@pytest.mark.parametrize("name", OUTCOME_FAMILIES)
+def test_construction_outcomes_are_unchanged(name):
+    golden = json.loads(OUTCOMES_PATH.read_text(encoding="utf-8"))[name]
+    count, digest = family_digest(name, _coarse)
+    assert count == golden["outputs"]
+    assert digest == golden["sha256"]
+
+
+def _digests(names, show):
+    return {name: dict(zip(("outputs", "sha256"), family_digest(name, show)))
+            for name in names}
+
+
 if __name__ == "__main__":
-    print(json.dumps({name: dict(zip(("outputs", "sha256"), family_digest(name)))
-                      for name in sorted(FAMILIES)}, indent=2))
+    # ``--outcomes`` prints construction_outcomes.json's digests instead
+    import sys
+    if sys.argv[1:] == ["--outcomes"]:
+        print(json.dumps(_digests(OUTCOME_FAMILIES, _coarse), indent=2))
+    else:
+        print(json.dumps(_digests(sorted(FAMILIES), _full), indent=2))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 import inconic as ic
 from inconic import errors
@@ -17,8 +18,6 @@ from inconic.inscribed import (
     _frame,
     _locus_abscissas,
     _normal_frame,
-    _on_line_bound,
-    _project_to_segment,
     _tangent_conic,
 )
 
@@ -442,15 +441,20 @@ class TestFocalHead:
 def test_zero_length_center_line_raises_numerical_failure():
     # a quad that is a parallelogram to rounding but classifies as a
     # trapezoid under a tiny tol_par normalizes to s = t = 1: its locus has
-    # zero length, and each construction raises locus_line's failure
+    # zero length, and each construction raises locus_line's failure; so
+    # do chord_x and the hyperbola guard, whose side crossings all sit at
+    # h = 1/2 there
     tol = ic.Tolerances(tol_par=1e-300)
     q = ic.validate_quad([(0, 0), (1, 1e-17), (1, 1), (0, 1)], tol)
     nf = ic.normalize(q, tol)
     assert q.kind is ic.QuadKind.TRAPEZOID and (nf.s, nf.t) == (1.0, 1.0)
+    center = ic.locus(q).point_at(0.5)
     calls = (lambda: ic.inscribe_at_param(q, 0.5, tol),
-             lambda: ic.inscribe_at_center(q, ic.locus(q).point_at(0.5), tol),
+             lambda: ic.inscribe_at_center(q, center, tol),
              lambda: ic.weights_from_center(nf, 0.5, tol),
-             lambda: ic.inscribed_area(nf, 0.5, tol))
+             lambda: ic.inscribed_area(nf, 0.5, tol),
+             lambda: ic.chord_x(q, tol),
+             lambda: ic.tangent_conic_at_center(q, center, tol))
     for call in calls:
         with pytest.raises(errors.NumericalFailure,
                            match="^s = 1: center line is vertical in this labeling$"):
@@ -692,8 +696,7 @@ class TestNearParallelSides:
         q = ic.validate_quad(vertices)
         res = ic.max_area(q)
         seg = ic.locus(q)
-        u, _ = _project_to_segment(res.center.x, res.center.y,
-                                   seg.m1.x, seg.m1.y, seg.m2.x, seg.m2.y)
+        u = _chord_param(ic.ChordX(seg.m1, seg.m2), res.center)
         assert 0 < u < 1
         _assert_inscribed_at(q, res.inscribed, seg.point_at(u))
         for v in (0.05, 0.5, 0.95):
@@ -732,8 +735,8 @@ class TestChordX:
 
     @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1.0])
     def test_scales_with_the_quad(self, scale):
-        # parallelism is judged by the sine of the angle, so a tiny quad's
-        # chord is the unit chord scaled, not "failed to exit"
+        # the crossings are read in the normal frame, so a tiny quad's
+        # chord is the unit chord scaled
         unit = ic.chord_x(quad_s3t2())
         ch = ic.chord_x(ic.validate_quad([(scale * x, scale * y)
                                           for x, y in [(0, 0), (1, 0), (3, 2), (0, 1)]]))
@@ -753,77 +756,98 @@ class TestChordX:
                 assert 1e-6 < u < 1 - 1e-6
 
     @staticmethod
-    def _chord_as_before(q, tol):
-        """chord_x as it was written with lists of side crossings and a
-        LocusSegment; returns (chord, number of sides skipped as parallel)."""
-        if q.kind is ic.QuadKind.PARALLELOGRAM:
-            raise errors.ParallelogramUnsupported("center line degenerates for parallelograms")
-        ma = ic.Point((q.v0.x + q.v2.x) / 2, (q.v0.y + q.v2.y) / 2)
-        mb = ic.Point((q.v1.x + q.v3.x) / 2, (q.v1.y + q.v3.y) / 2)
-        if (mb.x, mb.y) < (ma.x, ma.y):
-            ma, mb = mb, ma
-        seg = ic.LocusSegment(ma, mb)
-        dx, dy = seg.m2.x - seg.m1.x, seg.m2.y - seg.m1.y
-        v = q.vertices
-        taus, skipped = [], 0
-        for i in range(4):
-            p, r = v[i], v[(i + 1) % 4]
-            nx, ny = r.y - p.y, p.x - r.x
-            den = nx * dx + ny * dy
-            if abs(den) <= tol.tol_par * math.hypot(nx, ny) * math.hypot(dx, dy):
-                skipped += 1
-                continue
-            taus.append(-(nx * (seg.m1.x - p.x) + ny * (seg.m1.y - p.y)) / den)
-        before = [t for t in taus if t < 0]
-        after = [t for t in taus if t > 1]
-        if not before or not after:
-            raise errors.NumericalFailure("center line failed to exit the quadrilateral")
-        return ic.ChordX(seg.point_at(max(before)), seg.point_at(min(after))), skipped
-
-    @staticmethod
     def _random_quad(rng):
-        kind = rng.choice(("plain", "thin", "trapezoid", "parallelogram"))
+        """A plain quad, 30% of them under a random affine map, or a thin
+        trapezium or trapezoid under one, scaled by 1e-6 to 1e6."""
+        kind = rng.choice(("plain", "thin", "trapezoid"))
         if kind == "plain":
             pts = [(rng.uniform(0, 10), rng.uniform(0, 10)) for _ in range(4)]
             cx, cy = sum(p[0] for p in pts) / 4, sum(p[1] for p in pts) / 4
             pts.sort(key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
         else:
-            s, a = rng.uniform(0.3, 3.0), rng.uniform(-0.9, 0.9)
-            t = 1 + rng.choice((-1, 1)) * 10 ** rng.uniform(-10, -2)
-            pts = {"thin": [(0.0, 0.0), (1.0, 0.0), (s, t), (0.0, 1.0)],
-                   "trapezoid": [(0.0, 0.0), (1.0, 0.0), (s, 1.0), (0.0, 1.0)],
-                   "parallelogram": [(0.0, 0.0), (1.0, 0.0), (1.0 + a, 1.0), (a, 1.0)]}[kind]
-            m11, m12, m21, m22 = (rng.uniform(-2, 2) for _ in range(4))
-            pts = [(m11 * x + m12 * y, m21 * x + m22 * y) for x, y in pts]
+            s = rng.uniform(0.3, 3.0)
+            t = 1 + rng.choice((-1, 1)) * 10 ** rng.uniform(-10, -2) if kind == "thin" else 1.0
+            pts = [(0.0, 0.0), (1.0, 0.0), (s, t), (0.0, 1.0)]
+        if kind != "plain" or rng.random() < 0.3:
+            while True:
+                m11, m12, m21, m22 = (rng.uniform(-2, 2) for _ in range(4))
+                if abs(m11 * m22 - m12 * m21) > 0.2:
+                    break
+            tx, ty = rng.uniform(-5, 5), rng.uniform(-5, 5)
+            pts = [(m11 * x + m12 * y + tx, m21 * x + m22 * y + ty) for x, y in pts]
         scale = 10 ** rng.uniform(-6, 6)
-        ox, oy = (rng.choice((-1, 1)) * 10 ** rng.uniform(0, 8) for _ in range(2))
-        return [(ox + scale * x, oy + scale * y) for x, y in pts]
+        return [(scale * x, scale * y) for x, y in pts]
 
-    def test_bit_identical_to_the_list_construction(self):
+    @staticmethod
+    def _chord_at_50_digits(q, m1):
+        """The center line through the exact diagonal midpoints of q's float
+        vertices, clipped by its four side lines in 50-digit arithmetic:
+        (start, end), start on m1's side."""
+        with mp.workdps(50):
+            v = [(mpf(p.x), mpf(p.y)) for p in q.vertices]
+            ma = ((v[0][0] + v[2][0]) / 2, (v[0][1] + v[2][1]) / 2)
+            mb = ((v[1][0] + v[3][0]) / 2, (v[1][1] + v[3][1]) / 2)
+            v0, v2 = q.v0, q.v2
+            on_m1 = (m1.x, m1.y) == ((v0.x + v2.x) / 2, (v0.y + v2.y) / 2)
+            a, b = (ma, mb) if on_m1 else (mb, ma)
+            dx, dy = b[0] - a[0], b[1] - a[1]
+            before, after = -mp.inf, mp.inf
+            for (px, py), (rx, ry) in zip(v, v[1:] + v[:1]):
+                nx, ny = ry - py, px - rx
+                den = nx * dx + ny * dy
+                if den == 0:
+                    continue
+                tau = -(nx * (a[0] - px) + ny * (a[1] - py)) / den
+                if tau < 0:
+                    before = max(before, tau)
+                elif tau > 1:
+                    after = min(after, tau)
+            return tuple((float(a[0] + tau * dx), float(a[1] + tau * dy))
+                         for tau in (before, after))
+
+    def test_ends_match_a_50_digit_clip(self):
+        # 3,000 seeded quads: plain ones, 30% of them under a random affine
+        # map, and thin trapezia and trapezoids under one, at scales 1e-6 to
+        # 1e6.  Moving a midpoint by d turns the center line by
+        # d / |m2 - m1|, so an end is conditioned by kappa = |chord| / |locus|
+        # (up to 1e4 near a parallelogram); each end must lie within
+        # 16 kappa eps of the extent (the largest coordinate) of the clip of
+        # the exact center line, which is within 128 eps where kappa < 8.
+        # The former original-frame loop reached 39 kappa eps here.
         rng = random.Random(34)
-        tols = (ic.DEFAULT_TOL, ic.Tolerances(tol_par=0.3), ic.Tolerances(tol_par=0.9))
-        checked, skipped, no_exit, kinds = 0, 0, 0, set()
-        while checked < 600:
-            tol = tols[checked % len(tols)]
+        worst, checked = 0.0, 0
+        while checked < 3000:
             try:
-                q = ic.validate_quad(self._random_quad(rng), tol)
+                q = ic.validate_quad(self._random_quad(rng))
             except (errors.InconicError, ValueError):
                 continue
-            try:
-                want, n = self._chord_as_before(q, tol)
-                want = repr(want)
-                skipped += n
-            except errors.InconicError as exc:
-                want = f"{type(exc).__name__}: {exc}"
-            try:
-                got = repr(ic.chord_x(q, tol))
-            except errors.InconicError as exc:
-                got = f"{type(exc).__name__}: {exc}"
-            assert got == want
-            no_exit += "failed to exit" in want
-            kinds.add(q.kind)
+            if q.kind is ic.QuadKind.PARALLELOGRAM:
+                continue
+            seg, ch = ic.locus(q), ic.chord_x(q)
+            kappa = math.hypot(ch.p_end.x - ch.p_start.x, ch.p_end.y - ch.p_start.y) / seg.length()
+            unit = 2.0 ** -52 * max(max(abs(p.x), abs(p.y)) for p in q.vertices) * kappa
+            for got, (x, y) in zip((ch.p_start, ch.p_end), self._chord_at_50_digits(q, seg.m1)):
+                worst = max(worst, math.hypot(got.x - x, got.y - y) / unit)
             checked += 1
-        assert skipped and no_exit and kinds == set(ic.QuadKind)
+        assert worst <= 16
+
+    def test_reads_no_parallelism_threshold(self):
+        # the crossings are closed forms, so tol_par, which used to skip
+        # sides nearly parallel to the center line (and at 0.9 left the line
+        # without an exit), does not move the chord
+        rng = random.Random(35)
+        checked = 0
+        while checked < 300:
+            try:
+                q = ic.validate_quad(self._random_quad(rng))
+            except (errors.InconicError, ValueError):
+                continue
+            if q.kind is ic.QuadKind.PARALLELOGRAM:
+                continue
+            want = repr(ic.chord_x(q))
+            for tol_par in (1e-9, 0.3, 0.9):
+                assert repr(ic.chord_x(q, ic.Tolerances(tol_par=tol_par))) == want
+            checked += 1
 
 
 class TestTangentConicAtCenter:
@@ -860,8 +884,8 @@ class TestTangentConicAtCenter:
                         assert contact.w == 0.0
 
     def test_guards_build_no_locus_and_no_chord(self, monkeypatch):
-        # the center guards read the diagonal midpoints, and the chord ends,
-        # in one pass of their own
+        # the center guards read the chord ends off the normal frame's
+        # closed-form crossings
         q = quad_s3t2()
         seg, ch = ic.locus(q), ic.chord_x(q)
         want_hyperbola = repr(ic.tangent_conic_at_center(q, ch.point_at(0.9)))
@@ -889,9 +913,9 @@ def _worked_moved(off):
 
 
 class TestCallerCentersFarOut:
-    """A center given at offset D is known only to about eps D; the on-locus
-    and on-chord checks accept a few ulps of the coordinates beyond
-    tol_on (1 + length)."""
+    """A center given at offset D is known only to about eps D; the
+    center-line check accepts the rounding of the center's normal-frame
+    coordinates beyond tol_on."""
 
     def test_hyperbola_center_at_offset_1e8(self):
         near, far = _worked_moved(0.0), _worked_moved(1e8)
@@ -903,13 +927,15 @@ class TestCallerCentersFarOut:
             assert math.hypot(g.x - 1e8 - w.x, g.y - 1e8 - w.y) <= 1e-6 * (1 + math.hypot(w.x, w.y))
 
     def test_own_locus_point_at_offset_1e10(self):
+        # within 1e-9 (1 + length), or 4 ulps of the largest coordinate of
+        # the center and the midpoints where that is more
         q = _worked_moved(1e10)
         seg = ic.locus(q)
         got = ic.inscribe_at_center(q, seg.point_at(0.37)).ellipse.center
         want = ic.inscribe_at_param(q, 0.37).ellipse.center
+        magnitude = max(abs(c) for c in (want.x, want.y, seg.m1.x, seg.m1.y, seg.m2.x, seg.m2.y))
         assert math.hypot(got.x - want.x, got.y - want.y) <= \
-            _on_line_bound(want.x, want.y, seg.m1.x, seg.m1.y, seg.m2.x, seg.m2.y,
-                           ic.DEFAULT_TOL)
+            max(1e-9 * (1 + seg.length()), 4 * 2.0 ** -52 * magnitude)
 
     @pytest.mark.parametrize("off", [1e2, 1e4, 1e6, 1e8, 1e10])
     def test_param_semi_axes_do_not_depend_on_offset(self, off):
@@ -938,6 +964,56 @@ class TestCallerCentersFarOut:
             px, py = a.x + u * (b.x - a.x), a.y + u * (b.y - a.y)
             with pytest.raises(errors.CenterOffLocus):
                 fn(q, ic.Point(px + 1e-6 * length * nx, py + 1e-6 * length * ny))
+
+
+class TestCenterGuardsAtEveryScale:
+    """The center guards judge a caller's center in the normal frame, by
+    ratios an affine map keeps, so a quad and a center scaled together by
+    2^k, which is exact, get the verdict of the unscaled pair."""
+
+    @staticmethod
+    def _requests(q):
+        """(guard, center) pairs: the locus point at u = 0.37 for
+        inscribe_at_center and the chord point at u = 0.9 for
+        tangent_conic_at_center, each pushed off the line by 1e-12 and 1e-6
+        of the quad's extent (the larger of its x and y spans)."""
+        xs, ys = [v.x for v in q.vertices], [v.y for v in q.vertices]
+        extent = max(max(xs) - min(xs), max(ys) - min(ys))
+        seg, chord = ic.locus(q), ic.chord_x(q)
+        for fn, a, b, u in ((ic.inscribe_at_center, seg.m1, seg.m2, 0.37),
+                            (ic.tangent_conic_at_center, chord.p_start, chord.p_end, 0.9)):
+            length = math.hypot(b.x - a.x, b.y - a.y)
+            nx, ny = (a.y - b.y) / length, (b.x - a.x) / length   # unit normal
+            px, py = a.x + u * (b.x - a.x), a.y + u * (b.y - a.y)
+            for push in (1e-12, 1e-6):
+                yield fn, (px + push * extent * nx, py + push * extent * ny)
+
+    @staticmethod
+    def _verdict(fn, q, center):
+        try:
+            fn(q, center)
+        except errors.InconicError as exc:
+            return type(exc).__name__
+        return "built"
+
+    def test_verdicts_do_not_depend_on_scale(self):
+        rng = np.random.default_rng(2029)
+        quads = [quad_s3t2()] + [random_trapezium(rng) for _ in range(30)]
+        verdicts, checked = [], 0
+        for q in quads:
+            vertices = [(v.x, v.y) for v in q.vertices]
+            for fn, (cx, cy) in self._requests(q):
+                want = self._verdict(fn, q, ic.Point(cx, cy))
+                verdicts.append(want)
+                for k in range(-60, 61, 10):
+                    scaled = ic.validate_quad([(math.ldexp(x, k), math.ldexp(y, k))
+                                               for x, y in vertices])
+                    got = self._verdict(fn, scaled, ic.Point(math.ldexp(cx, k), math.ldexp(cy, k)))
+                    assert got == want, (vertices, fn.__name__, k)
+                    checked += 1
+        # on the worked quad each guard takes the 1e-12 push and refuses 1e-6
+        assert checked == 1612 and verdicts[:4] == ["built", "CenterOffLocus"] * 2
+        assert set(verdicts) == {"built", "CenterOffLocus"}
 
 
 def _worked_scaled(scale, off=0.0):
@@ -1028,16 +1104,16 @@ class TestScaleOutOfFloatRange:
                 call()
 
     def test_overflowing_diagonal_midpoint_is_not_a_finite_point(self):
-        # built without validate_quad: v0 + v2 overflows, so the center
-        # guards' diagonal midpoint is not a finite point; that check runs
-        # before the frame, whose basis test would call it out of range
+        # built without validate_quad: v0 + v2 overflows, so no diagonal
+        # midpoint is a finite point; the center guards judge the center in
+        # the normal frame, built first, whose basis products overflow too
         q = ic.ConvexQuad(ic.Point(1e308, 0), ic.Point(1.7e308, 0),
                           ic.Point(1.75e308, 1e308), ic.Point(1.05e308, 1.2e308),
                           ic.QuadKind.TRAPEZIUM)
         for call in (ic.inscribe_at_center, ic.tangent_conic_at_center):
-            with pytest.raises(ValueError, match="^point components must be finite$") as exc:
+            with pytest.raises(errors.NumericalFailure,
+                               match="^normalization basis is out of float range$"):
                 call(q, ic.Point(1.3e308, 5e307))
-            assert type(exc.value) is ValueError
 
     @pytest.mark.parametrize("scale", [1e-76, 1e77, 1e-153, 1e153])
     def test_range_ends_keep_full_accuracy(self, scale):

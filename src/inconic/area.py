@@ -27,7 +27,7 @@ from .inscribed import (
     InscribedResult,
     NormalForm,
     _construct,
-    _normal_frame,
+    _locus_abscissas,
     _param_in_interval,
 )
 
@@ -95,7 +95,7 @@ def max_area(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> MaxAreaResult:
     """
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("no unique inscribed ellipse for a parallelogram")
-    frame = _normal_frame(q, tol)
+    frame, _, _ = _locus_abscissas(q, tol)
     s, t, _, _, _, _, (lo, hi), _ = frame
     # A'(h) = -24(t-1) h^2 + 8((s+1)(t-1) - s) h + 2s(s + 2 - t)
     roots = _real_quadratic_roots(-24 * (t - 1),

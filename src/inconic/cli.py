@@ -27,7 +27,6 @@ from .inscribed import (
     locus,
     normalize,
     tangent_conic_at_center,
-    _inscribe_params,
 )
 
 EXIT_OK = 0
@@ -202,9 +201,8 @@ def _results(args, q: ConvexQuad, tol: Tolerances):
     elif args.u is not None:
         yield inscribe_at_param(q, args.u, tol), None
     elif args.n is not None:
-        params = [i / (args.n + 1) for i in range(1, args.n + 1)]
-        for result in _inscribe_params(q, params, tol):
-            yield result, None
+        for i in range(1, args.n + 1):
+            yield inscribe_at_param(q, i / (args.n + 1), tol), None
 
 
 def cmd_inscribe(args, q: ConvexQuad, tol: Tolerances) -> int:

@@ -1,7 +1,13 @@
 """Planar primitives: points, homogeneous points, lines, affine maps, conics.
 
 All operations are pure functions on immutable values, so everything here
-is safe to share between concurrent tasks.  The package's value types derive
+is safe to share between concurrent tasks.  One value also keeps a private
+memo: a ``ConvexQuad`` stores its own normal frame, the plain tuple every
+construction on it reads, the first time one runs (``inscribed``'s
+``_locus_abscissas``).  Sharing a quad stays safe: the store is one
+reference assignment of an immutable tuple, so a reader sees the old frame
+or the new one and never half of either, and two tasks that race only both
+compute the same frame.  The package's value types derive
 from ``_Value``: the fields are ``__slots__``, set once by an ``__init__``
 that makes the type's checks; assigning or deleting one raises
 AttributeError; equality, hashing, repr, copy and pickle go by the slots.
@@ -295,7 +301,16 @@ class QuadKind(Enum):
     PARALLELOGRAM = "parallelogram"  # both side pairs parallel
 
 
-class ConvexQuad(_Value):
+class _FramedValue(_Value):
+    """A value with one private slot, ``_normal``, that is not a field: it
+    takes no part in equality, hashing, repr, copy or pickle, which read
+    the subclass's ``__slots__`` only.  ``ConvexQuad`` keeps its normal
+    frame there (see ``inscribed._locus_abscissas``); a copy or an
+    unpickled quad starts without it."""
+    __slots__ = ("_normal",)
+
+
+class ConvexQuad(_FramedValue):
     """Strictly convex quadrilateral, counterclockwise from the lexicographic
     smallest vertex (see :func:`validate_quad`)."""
     __slots__ = ("v0", "v1", "v2", "v3", "kind")

@@ -24,7 +24,6 @@ D(h): the determinant of its inverse form changes sign at the midpoints.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 
 from .errors import (
     CenterOffLocus,
@@ -58,6 +57,7 @@ from .geometry import (
 
 _ULP = 2.0 ** -52  # spacing of the floats in [1, 2)
 _VERTICAL = "s = 1: center line is vertical in this labeling"
+_store_normal = ConvexQuad._normal.__set__
 
 
 class NormalForm(_Value):
@@ -167,10 +167,12 @@ def normalize(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     by, safely away from zero; a parallel side pair gets t = 1, since its
     other rotation has s = 1 and sine 0.  Only the kept rotation's map is
     built.  A parallelogram raises ParallelogramUnsupported: its inscribed
-    ellipses are not unique.  It is ``_normal_frame``'s tuple held as a
-    NormalForm, each check made once, there.
+    ellipses are not unique.  It is the quad's stored normal frame
+    (``_locus_abscissas``) held as a NormalForm, each check made once,
+    in ``_normal_frame``.
     """
-    return _rebuild(NormalForm, _normal_frame(q, tol))
+    frame, _, _ = _locus_abscissas(q, tol)
+    return _rebuild(NormalForm, frame)
 
 
 def _normal_frame(q: ConvexQuad, tol: Tolerances) -> tuple:
@@ -341,21 +343,25 @@ def _locus_abscissas(q: ConvexQuad, tol: Tolerances) -> tuple[tuple, float, floa
     of locus(q)'s m1 and m2 (s/2 for the diagonal the labeling sends to
     (0,0) and (s,t), 1/2 for the other), ordered as ``locus`` orders them.
     A locus parameter u goes straight to h1 + u (h2 - h1).  Parallelograms
-    are rejected."""
-    frame = _normal_frame(q, tol)
-    s, _, _, _, _, labeling, _, _ = frame
-    ma, mb = _midpoint_pairs(q)
-    h_a, h_b = (s / 2, 0.5) if labeling[0] % 2 == 0 else (0.5, s / 2)
-    h1, h2 = (h_b, h_a) if mb < ma else (h_a, h_b)
-    return frame, h1, h2
+    are rejected.
 
-
-def _inscribe_params(q: ConvexQuad, params, tol: Tolerances) -> Iterator[InscribedResult]:
-    """Inscribed ellipses at the locus parameters ``params``, from one
-    normal frame.  The quad is checked and normalized at the call; each
-    ellipse is built as the iterator reaches it."""
-    frame, h1, h2 = _locus_abscissas(q, tol)
-    return (_construct(frame, h1 + u * (h2 - h1), tol) for u in params)
+    Every construction on q reads its frame here, and it is derived once
+    per quad: q stores (tol, frame, h1, h2) in its private ``_normal``
+    slot and later calls with the same Tolerances object read it back.
+    The key is tol's identity, which the stored reference keeps from being
+    reused; a call with another tol derives the frame again and replaces
+    the stored one.  A frame that raises is not stored, so every call on
+    such a quad raises the same again."""
+    stored = getattr(q, "_normal", None)
+    if stored is None or stored[0] is not tol:
+        frame = _normal_frame(q, tol)
+        s, _, _, _, _, labeling, _, _ = frame
+        ma, mb = _midpoint_pairs(q)
+        h_a, h_b = (s / 2, 0.5) if labeling[0] % 2 == 0 else (0.5, s / 2)
+        h1, h2 = (h_b, h_a) if mb < ma else (h_a, h_b)
+        stored = (tol, frame, h1, h2)
+        _store_normal(q, stored)
+    return stored[1:]
 
 
 def _center_bound(frame: tuple, cx: float, cy: float, tol: Tolerances) -> float:
@@ -397,20 +403,40 @@ def inscribe_at_center(q: ConvexQuad, center: Point,
     of its width in from either end.  Both tests are ratios an affine map
     keeps, so the verdict does not depend on the quad's scale or place.
     The conic is built from D(h) in the normalized frame and mapped back;
-    the carried center must land within 1e-6 (1 + length) of the request.
-    Parallelograms are rejected: four common tangent lines of two distinct
-    concentric ellipses would form a parallelogram, so uniqueness fails
-    there, and a parallelogram to rounding that a small tol_par lets
-    through (s = 1) raises NumericalFailure(_VERTICAL).  A side the conic
-    misses raises NotTangent.
+    the carried center must land within 1e-6 of the locus length of the
+    request, plus ``_drift_slack``.  Parallelograms are rejected: four
+    common tangent lines of two distinct concentric ellipses would form a
+    parallelogram, so uniqueness fails there, and a parallelogram to
+    rounding that a small tol_par lets through (s = 1) raises
+    NumericalFailure(_VERTICAL).  A side the conic misses raises
+    NotTangent.
     """
-    frame = _normal_frame(q, tol)
-    result = _construct(frame, _center_abscissa(frame, center, tol), tol)
+    frame, _, _ = _locus_abscissas(q, tol)
+    h = _center_abscissa(frame, center, tol)
+    result = _construct(frame, h, tol)
     got = result.ellipse.center
     (x1, y1), (x2, y2) = _midpoint_pairs(q)
-    if math.hypot(got.x - center.x, got.y - center.y) > 1e-6 * (1 + math.hypot(x2 - x1, y2 - y1)):
+    # the drift may reach 1e-6 of the locus length, and _drift_slack more
+    excess = math.hypot(got.x - center.x, got.y - center.y) - 1e-6 * math.hypot(x2 - x1, y2 - y1)
+    if excess > 0 and excess > _drift_slack(frame, h, center, tol):
         raise NumericalFailure("inscribed conic center drifted from the request")
     return result
+
+
+def _drift_slack(frame: tuple, h: float, center: Point, tol: Tolerances) -> float:
+    """How far a caller's center may sit from the center T^-1(h, L(h))
+    that the construction at its abscissa h carries, beyond 1e-6 of the
+    locus length: the miss of the center line ``_center_bound`` lets
+    through, a vertical step of up to that bound / (2|s - 1|) in the
+    normal frame that T^-1 stretches by its column (b12, b22), plus 4 ulps
+    of the terms that form the carried center.  Both scale with the quad,
+    as the locus length does, so a drift of a fixed share of the quad
+    raises at every scale."""
+    s, t, _, _, (b11, b12, b21, b22, x0, y0), _, _, _ = frame
+    _, k, _ = _dual_entries(s, t, h)
+    miss = math.hypot(b12, b22) * _center_bound(frame, center.x, center.y, tol) / (2 * abs(s - 1))
+    return miss + 4 * _ULP * (abs(b11 * h) + abs(b12 * k) + abs(x0)
+                              + abs(b21 * h) + abs(b22 * k) + abs(y0))
 
 
 def inscribe_at_param(q: ConvexQuad, u: float,
@@ -488,7 +514,7 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
     """
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("center line degenerates for parallelograms")
-    frame = _normal_frame(q, tol)
+    frame, _, _ = _locus_abscissas(q, tol)
     s, t, _, _, _, _, (lo, hi), _ = frame
     h = _center_abscissa(frame, center, tol)
     h_a, h_b = _chord_abscissas(s, t, lo, hi)

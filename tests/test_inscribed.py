@@ -1,8 +1,12 @@
 """Center locus, weights, focal quadratic, per-center construction, chord."""
 import ast
+import copy
 import inspect
 import math
+import pickle
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -411,6 +415,126 @@ class TestNormalFrame:
             assert str(got.value) == str(before.value) == "affine map entries must be finite"
 
 
+def _outcome(call):
+    """What a call gives: its result, or its exception's class and message."""
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _entry_calls(q, tol=ic.DEFAULT_TOL):
+    """One call of each public entry point that reads q's normal frame; the
+    centers come from an equal quad, so building them reads no frame of q."""
+    other = ic.ConvexQuad(*q.vertices, q.kind)
+    center = ic.locus(other).point_at(0.37)
+    try:
+        beyond = ic.chord_x(other).point_at(0.02)
+    except (errors.InconicError, ValueError):
+        beyond = center
+    return (lambda: ic.inscribe_at_param(q, 0.37, tol),
+            lambda: ic.inscribe_at_center(q, center, tol),
+            lambda: ic.tangent_conic_at_center(q, beyond, tol),
+            lambda: ic.chord_x(q, tol),
+            lambda: ic.max_area(q, tol),
+            lambda: ic.normalize(q, tol))
+
+
+class TestStoredFrame:
+    """A quad derives its normal frame once and stores it, keyed by the
+    Tolerances object; the stored frame is not a field."""
+
+    def test_every_entry_point_derives_the_frame_once_per_quad(self, monkeypatch):
+        import inconic.inscribed
+        frames = []
+
+        def counted(*args):
+            frames.append(args)
+            return _frame(*args)
+
+        quads = [quad_s3t2(), quad_s4t2(), random_trapezoid(np.random.default_rng(5))]
+        calls = [_entry_calls(q) for q in quads]
+        monkeypatch.setattr(inconic.inscribed, "_frame", counted)
+        for q, entries in zip(quads, calls):
+            for call in entries * 4:
+                call()
+        assert len(frames) == 2 * len(quads)
+        for i in range(6):  # each entry point alone on a fresh quad
+            entry = _entry_calls(quad_s3t2())[i]
+            frames.clear()
+            for _ in range(5):
+                entry()
+            assert len(frames) == 2
+
+    def test_another_tolerances_object_derives_the_frame_again(self):
+        # tol_det = 0.5 calls this quad's rotation-0 basis singular, so the
+        # two tolerances give a result and a failure in turn on one object
+        raw = [(0, 0), (2, 1), (3, 2.5), (1, 1)]
+        loose = ic.Tolerances(tol_det=0.5)
+        shared = ic.validate_quad(raw)
+        outcomes = set()
+        for tol in (ic.DEFAULT_TOL, loose, ic.DEFAULT_TOL, loose, loose, ic.DEFAULT_TOL):
+            for i, call in enumerate(_entry_calls(shared, tol)):
+                got = _outcome(call)
+                want = _outcome(_entry_calls(ic.validate_quad(raw), tol)[i])
+                assert got == want and repr(got) == repr(want)
+                outcomes.add(tol is loose and got == (errors.NumericalFailure,
+                                                      "normalization basis is singular"))
+        assert outcomes == {True, False}
+
+    def test_a_frame_that_raises_raises_again(self):
+        P = ic.Point
+        square = ic.validate_quad([(0, 0), (1, 0), (1, 1), (0, 1)])
+        overflowing = ic.ConvexQuad(P(0.0, 0.0), P(1e-10, 0.0), P(3e-10, 2e-310),
+                                    P(0.0, 1e-310), ic.QuadKind.TRAPEZIUM)
+        for q in (square, overflowing):
+            for call in _entry_calls(q):
+                first = _outcome(call)
+                assert isinstance(first, tuple) and issubclass(first[0], Exception)
+                for _ in range(3):
+                    assert _outcome(call) == first
+            assert not hasattr(q, "_normal")
+        assert _outcome(_entry_calls(overflowing)[0]) == (
+            ValueError, "affine map entries must be finite")
+
+    def test_the_stored_frame_is_not_a_field(self):
+        used, fresh = quad_s3t2(), quad_s3t2()
+        ic.max_area(used)
+        assert hasattr(used, "_normal") and not hasattr(fresh, "_normal")
+        assert ic.ConvexQuad.__slots__ == ("v0", "v1", "v2", "v3", "kind")
+        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+        want = [repr(call()) for call in _entry_calls(used)]
+        for twin in (copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used))):
+            assert twin == used and not hasattr(twin, "_normal")
+            assert [repr(call()) for call in _entry_calls(twin)] == want
+
+    def test_threads_sharing_one_quad_get_the_single_thread_results(self):
+        # eight threads race to store the first frame of one shared quad,
+        # switching every microsecond; each must get the results of a
+        # quad used by one thread alone
+        params = [k / 41 for k in range(1, 41)]
+        want = [ic.inscribe_at_param(quad_s4t2(), u) for u in params]
+        shared, start = quad_s4t2(), threading.Barrier(8, timeout=60)
+        got = [None] * 8
+
+        def run(i):
+            start.wait()
+            got[i] = [ic.inscribe_at_param(shared, u) for u in params]
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [want] * 8
+
+
 class TestFocalHead:
     """``foci_quadratic`` reads D(h)'s entries and runs the focal check."""
 
@@ -589,8 +713,10 @@ class TestInscribeAtCenter:
             assert ic.conic_distance(direct, pushed) < 1e-8
 
 
-    # the carried center may sit at most 1e-6 (1 + |m2 - m1|) from the
-    # request; 1.25 and 0.8 of that pin the bound to within a quarter
+    # the carried center may sit 1e-6 |m2 - m1| from the request, plus the
+    # center guard's slack (1e-9 here, the center being on the line) and
+    # the rounding of its coordinates; 1.25 and 0.8 of the first pin the
+    # bound to within a quarter
     @pytest.mark.parametrize("factor, drifted", [(2.0, True), (1.25, True),
                                                  (0.8, False), (0.5, False)])
     def test_drift_check_bound(self, monkeypatch, factor, drifted):
@@ -598,7 +724,7 @@ class TestInscribeAtCenter:
         q = quad_s3t2()
         seg = ic.locus(q)
         length = seg.length()
-        step = factor * 1e-6 * (1 + length)
+        step = factor * 1e-6 * length
         dx = step * (seg.m2.x - seg.m1.x) / length
         dy = step * (seg.m2.y - seg.m1.y) / length
         construct = inconic.inscribed._construct
@@ -620,6 +746,44 @@ class TestInscribeAtCenter:
             got = ic.inscribe_at_center(q, center).ellipse.center
             assert math.hypot(got.x - center.x, got.y - center.y) == \
                 pytest.approx(step, rel=1e-6)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6])
+    def test_a_center_the_guard_accepts_does_not_drift(self, eps):
+        # near a parallelogram the locus is short (|s - 1| = eps), and a
+        # center the guard lets through 0.9 tol_on off the line sits up to
+        # 10 to 1e3 times 1e-6 of the locus length from the line: the drift
+        # bound allows that miss as well
+        q = ic.validate_quad([(0, 0), (1, 0), (1 + eps, 1 + eps), (0, 1)])
+        frame, h1, h2 = _locus_abscissas(q, ic.DEFAULT_TOL)
+        s, t, _, _, (b11, b12, b21, b22, x0, y0), _, _, _ = frame
+        h = h1 + 0.37 * (h2 - h1)
+        y = _dual_entries(s, t, h)[1] + 0.9 * ic.DEFAULT_TOL.tol_on
+        center = ic.Point(b11 * h + b12 * y + x0, b21 * h + b22 * y + y0)
+        got = ic.inscribe_at_center(q, center).ellipse.center
+        assert math.hypot(got.x - center.x, got.y - center.y) > 10 * 1e-6 * ic.locus(q).length()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    def test_drift_of_a_share_of_the_quad_raises_at_every_scale(self, monkeypatch, scale):
+        # the drift bound scales with the quad: a carried center moved by
+        # 0.4 of the extent raises on the worked quad and on its 1e-6 copy
+        import inconic.inscribed
+        q = ic.validate_quad([(scale * x, scale * y) for x, y in ((0, 0), (1, 0), (3, 2), (0, 1))])
+        shift = 0.4 * 3 * scale
+        construct = inconic.inscribed._construct
+
+        def shifted(*args):
+            r = construct(*args)
+            e = r.ellipse
+            moved = [ic.Point(p.x + shift, p.y) for p in (e.center, e.focus1, e.focus2)]
+            ellipse = ic.EllipseGeo(moved[0], e.semi_major, e.semi_minor, e.angle, *moved[1:])
+            return ic.InscribedResult(ellipse, r.conic, r.tangencies)
+
+        center = ic.locus(q).point_at(0.37)
+        ic.inscribe_at_center(q, center)
+        monkeypatch.setattr(inconic.inscribed, "_construct", shifted)
+        with pytest.raises(errors.NumericalFailure,
+                           match="^inscribed conic center drifted from the request$"):
+            ic.inscribe_at_center(q, center)
 
 class TestInscribeAtParam:
     def test_midparam_matches_center(self):

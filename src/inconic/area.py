@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 
-from .errors import NumericalFailure, ParallelogramUnsupported
+from .errors import NumericalFailure
 from .geometry import (
     DEFAULT_TOL,
     ConvexQuad,
     EllipseGeo,
     Point,
-    QuadKind,
     Tolerances,
     _Value,
     _slot_setters,
@@ -73,15 +72,14 @@ def inscribed_area(nf: NormalForm, h, tol: Tolerances = DEFAULT_TOL) -> float:
 
 def _real_quadratic_roots(a: float, b: float, c: float) -> tuple[float, ...]:
     """Real roots of a x^2 + b x + c, stable against cancellation; the one
-    root -c/b when a == 0."""
+    root -c/b when a == 0.  q = 0 needs b = c = 0: for A'(h), t = s + 2
+    and s^2 + s + 1 = 0, which has no real root."""
     disc = b * b - 4 * a * c
     if disc < 0:
         raise NumericalFailure("expected a real quadratic discriminant")
     q = -(b + math.copysign(math.sqrt(disc), b if b != 0 else 1.0)) / 2
     if a == 0:
         return (c / q,)
-    if q == 0:
-        return (0.0, 0.0) if c == 0 else (-b / a, 0.0)
     return q / a, c / q
 
 
@@ -91,10 +89,10 @@ def max_area(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> MaxAreaResult:
     The critical abscissa is the closed-form root of A'(h) inside the open
     interval (exactly one exists).  With one parallel side pair (t = 1)
     A'(h) is linear and its root is h = (s + 1)/4, the interval midpoint.
-    The ellipse is built at h0 from the same normal frame.
+    The ellipse is built at h0 from the same normal frame, with no
+    tol_interval margin.  A parallelogram's normal frame raises
+    ParallelogramUnsupported.
     """
-    if q.kind is QuadKind.PARALLELOGRAM:
-        raise ParallelogramUnsupported("no unique inscribed ellipse for a parallelogram")
     frame, _, _ = _locus_abscissas(q, tol)
     s, t, _, _, _, _, (lo, hi), _ = frame
     # A'(h) = -24(t-1) h^2 + 8((s+1)(t-1) - s) h + 2s(s + 2 - t)

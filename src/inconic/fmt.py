@@ -2,9 +2,9 @@
 
 One number rule, ``fmt_number``, serves every printed number: a float
 that is not finite raises NonFiniteNumber (a NumericalFailure, so the CLI
-exits 5, and a ValueError), one below 1e-12 in magnitude (-0.0 included)
-prints as 0, and every other float prints with 15 significant digits, so
-identical inputs always produce identical bytes.
+exits 5, and a ValueError), and every other float prints with 15
+significant digits at any magnitude, -0.0 as 0, so identical inputs
+always produce identical bytes.
 Two writers use it.  ``dumps`` walks any nest of dicts, lists and scalars
 and emits keys sorted.  ``ellipse_json`` writes the fixed ellipse record
 of ``inscribe``, ``maxarea`` and ``sample`` from one template whose keys
@@ -26,10 +26,8 @@ def fmt_number(x) -> str:
     """One printed number by the rule above; an int prints as it is.
     Plain floats are tested first: nearly every printed number is one."""
     if type(x) is float:
-        if -1e-12 < x < 1e-12:
-            return "0"
         if x - x == 0.0:  # nan and +-inf give nan
-            return f"{x:.15g}"
+            return f"{x + 0.0:.15g}"  # -0.0 + 0.0 is 0.0
         raise NonFiniteNumber("cannot format a non-finite number")
     if isinstance(x, bool):
         raise TypeError("booleans are not numbers here")
@@ -109,10 +107,9 @@ def ellipse_json(result, h0: float | None = None) -> str:
 def _fill(template: str, values: tuple) -> str:
     """template with each value written by ``fmt_number``'s rule.  When
     every value is a plain float and their sum is finite (so each one is),
-    the rule is one ``%`` over ``%.15g`` placeholders, with each value
-    below 1e-12 in magnitude sent to 0.0, which prints as 0; anything else
-    goes through ``fmt_number`` value by value, which raises where the
-    rule does."""
+    the rule is one ``%`` over ``%.15g`` placeholders, with 0.0 added to
+    each value so that -0.0 prints as 0; anything else goes through
+    ``fmt_number`` value by value, which raises where the rule does."""
     if {*map(type, values)} == _FLOAT and (total := sum(values)) - total == 0.0:
-        return _BULK[template] % tuple([0.0 if -1e-12 < x < 1e-12 else x for x in values])
+        return _BULK[template] % tuple([x + 0.0 for x in values])
     return template % tuple(map(fmt_number, values))

@@ -183,7 +183,7 @@ def _normal_frame(q: ConvexQuad, tol: Tolerances) -> tuple:
     here: ``AffineMap``'s on T (``_affine_det``), and the convexity bound,
     which is ``_frame``'s, on the same s and t."""
     if q.kind is QuadKind.PARALLELOGRAM:
-        raise ParallelogramUnsupported("inscribed ellipses of a parallelogram are not unique")
+        raise ParallelogramUnsupported("no unique inscribed ellipse and no center line")
     v0, v1 = q.v0, q.v1
     s, t, _, _ = frame = _frame(v0, v1, q.v2, q.v3, tol)
     s1, t1, _, _ = turned = _frame(v1, q.v2, q.v3, v0, tol)
@@ -327,9 +327,9 @@ def _unit_scale_det(form: tuple[float, float, float]) -> float:
 def _construct(frame: tuple, h: float, tol: Tolerances) -> InscribedResult:
     """The inscribed ellipse at normalized abscissa h of the normal frame
     ``frame``: the ellipse, its conic and contacts all come from one pass
-    over D(h), centered where that pass maps the normal-frame center."""
-    _, _, _, _, _, _, (lo, hi), det_m = frame
-    _param_in_interval(lo, hi, h, tol)
+    over D(h), centered where that pass maps the normal-frame center.
+    Its callers have already put h inside the locus interval."""
+    _, _, _, _, _, _, _, det_m = frame
     conic, _, contacts, form, center, det = _tangent_conic(frame, h, tol)
     # det Q = det(M)^2 det Q_n = det(M)^2 / det P_n, as a quotient, with
     # det(M)'s power of two split off so that its square stays in range
@@ -400,19 +400,21 @@ def inscribe_at_center(q: ConvexQuad, center: Point,
     must map onto the center line y = L(h) to within tol_on, or the
     rounding of its own mapped coordinates where that is more, and its
     abscissa h must lie strictly inside the locus interval, tol_interval
-    of its width in from either end.  Both tests are ratios an affine map
-    keeps, so the verdict does not depend on the quad's scale or place.
+    of its width in from either end, tested here.  Both are ratios an
+    affine map keeps, so the verdict does not depend on scale or place.
     The conic is built from D(h) in the normalized frame and mapped back;
     the carried center must land within 1e-6 of the locus length of the
-    request, plus ``_drift_slack``.  Parallelograms are rejected: four
-    common tangent lines of two distinct concentric ellipses would form a
-    parallelogram, so uniqueness fails there, and a parallelogram to
-    rounding that a small tol_par lets through (s = 1) raises
-    NumericalFailure(_VERTICAL).  A side the conic misses raises
+    request, plus ``_drift_slack``.  The normal frame rejects
+    parallelograms: four common tangent lines of two distinct concentric
+    ellipses would form a parallelogram, so uniqueness fails there; a
+    parallelogram to rounding that a small tol_par lets through (s = 1)
+    raises NumericalFailure(_VERTICAL).  A side the conic misses raises
     NotTangent.
     """
     frame, _, _ = _locus_abscissas(q, tol)
+    _, _, _, _, _, _, (lo, hi), _ = frame
     h = _center_abscissa(frame, center, tol)
+    _param_in_interval(lo, hi, h, tol)
     result = _construct(frame, h, tol)
     got = result.ellipse.center
     (x1, y1), (x2, y2) = _midpoint_pairs(q)
@@ -460,10 +462,9 @@ def chord_x(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> ChordX:
     mapped out through T^-1 = (B, p0), ``p_start`` on m1's side.  No
     parallelism threshold is read: a side line parallel to the center
     line has no crossing in closed form.  s = 1, where the center line is
-    vertical in the normal frame, raises NumericalFailure(_VERTICAL).
+    vertical in the normal frame, raises NumericalFailure(_VERTICAL); a
+    parallelogram has no center line, and its normal frame raises.
     """
-    if q.kind is QuadKind.PARALLELOGRAM:
-        raise ParallelogramUnsupported("center line degenerates for parallelograms")
     frame, h1, h2 = _locus_abscissas(q, tol)
     s, t, _, _, (b11, b12, b21, b22, x0, y0), _, (lo, hi), _ = frame
     ends = []
@@ -510,10 +511,9 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
     line (``_center_abscissa``), its chord parameter (h - h_a)/(h_b - h_a)
     tol_interval in from either chord end (``_chord_abscissas``), and h
     more than tol_interval (h_b - h_a) from either midpoint abscissa.
-    These are the ratios along the chord an affine map keeps.
+    These are the ratios along the chord an affine map keeps.  A
+    parallelogram's normal frame raises ParallelogramUnsupported.
     """
-    if q.kind is QuadKind.PARALLELOGRAM:
-        raise ParallelogramUnsupported("center line degenerates for parallelograms")
     frame, _, _ = _locus_abscissas(q, tol)
     s, t, _, _, _, _, (lo, hi), _ = frame
     h = _center_abscissa(frame, center, tol)

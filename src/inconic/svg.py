@@ -30,7 +30,7 @@ def scene(quad_vertices, seg: LocusSegment, chord: ChordX | None,
         pts += [chord.p_start, chord.p_end]
     x0, y0, x1, y1 = _bbox(pts, ellipses)
     w, h = x1 - x0, y1 - y0
-    pad = 0.05 * max(w, h, 1e-9)
+    pad = 0.05 * max(w, h)
     vx, vy = x0 - pad, y0 - pad
     vw, vh = w + 2 * pad, h + 2 * pad
     stroke = 0.008 * max(vw, vh)

@@ -61,12 +61,39 @@ class TestInspect:
         assert keys == sorted(keys)
 
 
+# how each printed number of an ellipse record scales with the quad
+_POWERS = {"angle_rad": 0, "area": 2, "center": 1, "foci": 1, "h0": 0,
+           "semi_major": 1, "semi_minor": 1}
+
+
+def _scaled_numbers(got, want, scale):
+    """(printed, unscaled × scale^power) for every number of the ellipse
+    record(s) but the conic; a contact's x and y scale unless it is at
+    infinity (w = 0), and its w does not."""
+    if isinstance(want, list):
+        for g, w in zip(got, want, strict=True):
+            yield from _scaled_numbers(g, w, scale)
+        return
+    assert sorted(got) == sorted(want)
+    for key, power in _POWERS.items():
+        if key in want:
+            flat_got, flat_want = _flat(got[key]), _flat(want[key])
+            yield from zip(flat_got, [x * scale ** power for x in flat_want], strict=True)
+    for (x, y, w), (wx, wy, ww) in zip(got["tangencies"], want["tangencies"], strict=True):
+        f = scale if ww else 1.0
+        yield from ((x, wx * f), (y, wy * f), (w, ww))
+
+
+def _flat(value):
+    return [x for item in value for x in _flat(item)] if isinstance(value, list) else [value]
+
+
 class TestInscribe:
     @pytest.mark.parametrize("exponent", ["e81", "e-77"])
     def test_det_squared_past_the_float_range_exits_0(self, capsys, exponent):
         # det(T)^2 used to leave the float range here (exit 5); the library
-        # result is pinned within 4 ulps in test_inscribed.py, and a number
-        # below 1e-12 prints as 0
+        # result is pinned within 4 ulps in test_inscribed.py, and every
+        # number prints at its own size
         scale = float("1" + exponent)
         vertices = f"0,0 1{exponent},0 3{exponent},2{exponent} 0,1{exponent}"
         want = json.loads(run_cli(capsys, "inscribe", "--vertices", QUAD, "--u", "0.37")[1])
@@ -76,7 +103,28 @@ class TestInscribe:
         assert doc["classification"] == "ellipse"
         assert doc["angle_rad"] == pytest.approx(want["angle_rad"], rel=1e-14)
         for key, power in (("semi_major", 1), ("semi_minor", 1), ("area", 2)):
-            assert doc[key] == pytest.approx(want[key] * scale ** power, rel=1e-14, abs=1e-12)
+            assert doc[key] == pytest.approx(want[key] * scale ** power, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("k", [-43, -498])
+    @pytest.mark.parametrize("argv", [("inscribe", "--u", "0.37"), ("maxarea",),
+                                      ("sample", "--n", "3")],
+                             ids=["inscribe", "maxarea", "sample"])
+    def test_scaled_by_a_power_of_two_prints_the_scaled_numbers(self, capsys, argv, k):
+        # every printed number but the conic's (whose canonical scale mixes
+        # powers of the scale) is the unscaled one times 2^k to its power,
+        # and none prints as 0 where the unscaled one is not 0
+        scale = 2.0 ** k
+        vertices = " ".join(f"{x * scale!r},{y * scale!r}"
+                            for x, y in [(0, 0), (1, 0), (3, 2), (0, 1)])
+        want = json.loads(run_cli(capsys, argv[0], "--vertices", QUAD, *argv[1:])[1])
+        code, out, err = run_cli(capsys, argv[0], "--vertices", vertices, *argv[1:])
+        assert code == 0, err
+        got = json.loads(out)
+        pairs = list(_scaled_numbers(got, want, scale))
+        assert len(pairs) == 22 * (3 if argv[0] == "sample" else 1) + (argv[0] == "maxarea")
+        for value, expected in pairs:
+            assert value == pytest.approx(expected, rel=1e-14, abs=0)
+            assert (value == 0) == (expected == 0)
 
     def test_center_flag(self, capsys):
         code, out, _ = run_cli(capsys, "inscribe", "--vertices", QUAD,
@@ -266,6 +314,25 @@ class TestVerify:
         assert doc[failure] == reported
         assert err == f"verification failed: {failure}\n"
 
+    def test_drifted_center_fails_on_center_error(self, capsys, monkeypatch):
+        # a construction whose carried center leaves its conic's center by
+        # 3e-9, past 1e-9 (1 + locus length), fails on that check alone
+        construct = inconic.cli.inscribe_at_param
+
+        def drifted(*args):
+            r = construct(*args)
+            e = r.ellipse
+            moved = inconic.Point(e.center.x + 3e-9, e.center.y)
+            ellipse = inconic.EllipseGeo(moved, e.semi_major, e.semi_minor, e.angle,
+                                         e.focus1, e.focus2)
+            return inconic.InscribedResult(ellipse, r.conic, r.tangencies)
+
+        monkeypatch.setattr(inconic.cli, "inscribe_at_param", drifted)
+        code, out, err = run_cli(capsys, "verify", "--vertices", QUAD, "--u", "0.37")
+        assert code == 5
+        assert json.loads(out)["center_error"] == pytest.approx(3e-9, rel=1e-6)
+        assert err == "verification failed: center_error\n"
+
 
 class TestSample:
     def test_single_sample_is_midpoint(self, capsys):
@@ -346,6 +413,26 @@ class TestSample:
 
 
 class TestRender:
+    def test_scene_scaled_by_a_power_of_two_scales_its_viewbox(self, capsys, tmp_path):
+        # no floor pads a small scene and no number prints as 0: the
+        # 2^-43 quad's viewBox and corners are the unscaled ones times 2^-43
+        scale = 2.0 ** -43
+        small = " ".join(f"{x * scale!r},{y * scale!r}"
+                         for x, y in [(0, 0), (1, 0), (3, 2), (0, 1)])
+        ns = {"s": "http://www.w3.org/2000/svg"}
+
+        def numbers(vertices):
+            path = tmp_path / "scene.svg"
+            code, _, err = run_cli(capsys, "render", "--vertices", vertices, "--u", "0.37",
+                                   "--out", str(path))
+            assert code == 0, err
+            root = ET.parse(path).getroot()
+            corners = root.find("s:polygon", ns).get("points").replace(",", " ")
+            return [float(x) for x in f"{root.get('viewBox')} {corners}".split()]
+
+        want = [x * scale for x in numbers(QUAD)]
+        assert numbers(small) == pytest.approx(want, rel=1e-14, abs=0)
+
     def test_maxarea_scene(self, capsys, tmp_path):
         out_file = tmp_path / "scene.svg"
         code, _, _ = run_cli(capsys, "render", "--vertices", WIDE,

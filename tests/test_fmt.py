@@ -30,8 +30,9 @@ def _ulps_from(x: float, k: int) -> float:
 
 # one slot of the ellipse record: any finite float (subnormals included),
 # signed zeros and the smallest subnormals, values within 4 ulps of +-1e-12
-# (the rule's zero cut), magnitudes from 1e15 to 1e17 (where %.15g turns to
-# exponent form) and around 1e300 (where 29 of them still sum finite)
+# (where an earlier rule cut to 0), magnitudes from 1e15 to 1e17 (where
+# %.15g turns to exponent form) and around 1e300 (where 29 of them still
+# sum finite)
 _SLOT = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022)]),
@@ -83,14 +84,16 @@ def _old_rule(x) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError("cannot format a non-finite number")
-    if abs(x) < 1e-12:
+    if x == 0:
         x = 0.0
     return f"{x:.15g}"
 
 
 class TestNumberRule:
     @pytest.mark.parametrize("x, text", [
-        (JUST_UNDER, "0"), (-JUST_UNDER, "0"), (TINY, "1e-12"), (-TINY, "-1e-12"),
+        (JUST_UNDER, "1e-12"), (-JUST_UNDER, "-1e-12"), (TINY, "1e-12"), (-TINY, "-1e-12"),
+        (1e-13, "1e-13"), (-2.0**-498, "-1.22197454539984e-150"),
+        (5e-324, "4.94065645841247e-324"),
         (0.0, "0"), (-0.0, "0"), (3.0, "3"), (-2.0, "-2"), (1e15, "1e+15"),
         (0.1, "0.1"), (1 / 3, "0.333333333333333"), (7, "7"), (10**20, str(10**20)),
     ])
@@ -127,7 +130,8 @@ class TestNumberRule:
 
 class TestEllipseWriter:
     @pytest.mark.parametrize("value, text", [
-        (JUST_UNDER, "0"), (-JUST_UNDER, "0"), (TINY, "1e-12"), (-TINY, "-1e-12"),
+        (JUST_UNDER, "1e-12"), (-JUST_UNDER, "-1e-12"), (TINY, "1e-12"), (-TINY, "-1e-12"),
+        (1e-13, "1e-13"), (-5e-324, "-4.94065645841247e-324"),
         (-0.0, "0"), (2.0, "2"), (-5.0, "-5"), (0.0, "0"),
     ])
     def test_edge_values_in_every_slot(self, value, text):
@@ -211,6 +215,13 @@ class TestEllipseWriter:
 
         monkeypatch.setattr("inconic.fmt.fmt_number", fail)
         assert (ellipse_json(result), ellipse_json(best.inscribed, best.h0)) == want
+
+
+class TestScalars:
+    @pytest.mark.parametrize("value", [True, False, None, [True, False, None],
+                                       {"b": False, "a": True}])
+    def test_literals_same_as_json(self, value):
+        assert dumps(value) == json.dumps(value, separators=(",", ":"), sort_keys=True)
 
 
 class TestStrings:

@@ -611,6 +611,38 @@ class TestInscribeAtCenter:
         with pytest.raises(errors.ParallelogramUnsupported):
             ic.inscribe_at_center(q, ic.Point(1.5, 0.5))
 
+    def test_parallelogram_is_refused_by_the_frame_alone(self):
+        # one raise, in the normal frame, which every construction reads
+        sources = [inspect.getsource(module) for module in (ic.inscribed, ic.area)]
+        raises = [node for source in sources for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                  and getattr(node.exc.func, "id", None) == "ParallelogramUnsupported"]
+        assert len(raises) == 1
+        q = ic.validate_quad([(0, 0), (2, 0), (3, 1), (1, 1)])
+        center = ic.Point(1.5, 0.5)
+        messages = set()
+        for call in (lambda: ic.normalize(q), lambda: ic.chord_x(q), lambda: ic.max_area(q),
+                     lambda: ic.inscribe_at_param(q, 0.5),
+                     lambda: ic.inscribe_at_center(q, center),
+                     lambda: ic.tangent_conic_at_center(q, center)):
+            with pytest.raises(errors.ParallelogramUnsupported) as info:
+                call()
+            messages.add(str(info.value))
+        assert messages == {"no unique inscribed ellipse and no center line"}
+
+    def test_only_a_callers_center_gets_the_interval_test(self, monkeypatch):
+        # inscribe_at_param has tested its u and max_area has filtered its
+        # root into (lo, hi); _construct tests no h of its own
+        def fail(*args):
+            raise AssertionError("tested the interval")
+
+        monkeypatch.setattr(ic.inscribed, "_param_in_interval", fail)
+        q = quad_s3t2()
+        ic.inscribe_at_param(q, 0.37)
+        ic.max_area(q)
+        with pytest.raises(AssertionError, match="tested the interval"):
+            ic.inscribe_at_center(q, ic.locus(q).point_at(0.37))
+
     def test_kite_symmetry(self):
         # quad symmetric under swapping x and y: the conic must be too
         c = 1.7

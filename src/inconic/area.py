@@ -94,7 +94,7 @@ def max_area(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> MaxAreaResult:
     ParallelogramUnsupported.
     """
     frame, _, _ = _locus_abscissas(q, tol)
-    s, t, _, _, _, _, (lo, hi), _ = frame
+    s, t, _, _, _, _, (lo, hi), _, _ = frame
     # A'(h) = -24(t-1) h^2 + 8((s+1)(t-1) - s) h + 2s(s + 2 - t)
     roots = _real_quadratic_roots(-24 * (t - 1),
                                   8 * ((s + 1) * (t - 1) - s),

@@ -38,7 +38,9 @@ class _Value:
     records) sets its slots one by one through its slot descriptors'
     ``__set__`` (``_slot_setters``), which skips ``_fill``'s loop; every
     other type, ``AffineMap`` too, hands ``_fill`` its values in slot
-    order."""
+    order.  The construction calls no ``__init__``: it fills its outputs
+    through the setters after the same checks, held once in ``_set_line``,
+    ``_set_conic`` and ``_set_ellipse`` or made inline on the floats."""
     __slots__ = ()
 
     def _fill(self, values) -> None:
@@ -430,19 +432,7 @@ class Conic(_Value):
     __slots__ = ("a", "b", "c", "d", "e", "f")
 
     def __init__(self, a: float, b: float, c: float, d: float, e: float, f: float):
-        coeffs = _canonical_six(float(a), float(b), float(c), float(d), float(e),
-                                float(f), 0.5)
-        if coeffs is None:
-            if all(map(math.isfinite, (a, b, c, d, e, f))):
-                raise ValueError("conic coefficients cannot all vanish")
-            raise ValueError("conic coefficients must be finite")
-        a, b, c, d, e, f = coeffs
-        _conic_a(self, a)
-        _conic_b(self, b)
-        _conic_c(self, c)
-        _conic_d(self, d)
-        _conic_e(self, e)
-        _conic_f(self, f)
+        _set_conic(self, float(a), float(b), float(c), float(d), float(e), float(f))
 
     def evaluate(self, x: float, y: float) -> float:
         return (self.a * x * x + self.b * x * y + self.c * y * y
@@ -477,18 +467,7 @@ class EllipseGeo(_Value):
 
     def __init__(self, center: Point, semi_major: float, semi_minor: float,
                  angle: float, focus1: Point, focus2: Point):
-        if not (semi_major > 0 and semi_minor > 0):
-            raise ValueError("semi-axes must be positive")
-        if semi_major < semi_minor:
-            raise ValueError("semi_major must be the larger axis")
-        if not (-math.pi / 2 < angle <= math.pi / 2):
-            raise ValueError("angle must lie in (-pi/2, pi/2]")
-        _ellipse_center(self, center)
-        _ellipse_major(self, semi_major)
-        _ellipse_minor(self, semi_minor)
-        _ellipse_angle(self, angle)
-        _ellipse_focus1(self, focus1)
-        _ellipse_focus2(self, focus2)
+        _set_ellipse(self, center, semi_major, semi_minor, angle, focus1, focus2)
 
     @property
     def area(self) -> float:
@@ -504,6 +483,51 @@ _conic_a, _conic_b, _conic_c, _conic_d, _conic_e, _conic_f = _slot_setters(Conic
  _ellipse_focus2) = _slot_setters(EllipseGeo)
 
 
+def _set_conic(conic: Conic, a: float, b: float, c: float, d: float, e: float,
+               f: float) -> Conic:
+    """Fill conic's slots with (a, ..., f) canonically scaled, after
+    ``Conic``'s checks."""
+    coeffs = _canonical_six(a, b, c, d, e, f, 0.5)
+    if coeffs is None:
+        if all(map(math.isfinite, (a, b, c, d, e, f))):
+            raise ValueError("conic coefficients cannot all vanish")
+        raise ValueError("conic coefficients must be finite")
+    a, b, c, d, e, f = coeffs
+    _conic_a(conic, a)
+    _conic_b(conic, b)
+    _conic_c(conic, c)
+    _conic_d(conic, d)
+    _conic_e(conic, e)
+    _conic_f(conic, f)
+    return conic
+
+
+def _set_ellipse(ellipse: EllipseGeo, center: Point, semi_major: float, semi_minor: float,
+                 angle: float, focus1: Point, focus2: Point) -> EllipseGeo:
+    """Fill ellipse's slots after ``EllipseGeo``'s checks."""
+    if not (semi_major > 0 and semi_minor > 0):
+        raise ValueError("semi-axes must be positive")
+    if semi_major < semi_minor:
+        raise ValueError("semi_major must be the larger axis")
+    if not (-math.pi / 2 < angle <= math.pi / 2):
+        raise ValueError("angle must lie in (-pi/2, pi/2]")
+    _ellipse_center(ellipse, center)
+    _ellipse_major(ellipse, semi_major)
+    _ellipse_minor(ellipse, semi_minor)
+    _ellipse_angle(ellipse, angle)
+    _ellipse_focus1(ellipse, focus1)
+    _ellipse_focus2(ellipse, focus2)
+    return ellipse
+
+
+def _finite_point(x: float, y: float) -> Point:
+    """Point(x, y) of floats already tested finite."""
+    point = object.__new__(Point)
+    _point_x(point, x)
+    _point_y(point, y)
+    return point
+
+
 def _norm_angle(theta: float) -> float:
     while theta <= -math.pi / 2:
         theta += math.pi
@@ -512,25 +536,19 @@ def _norm_angle(theta: float) -> float:
     return theta
 
 
-def _ordered_foci(f1: Point, f2: Point) -> tuple[Point, Point]:
-    if (f1.x, f1.y) <= (f2.x, f2.y):
-        return f1, f2
-    return f2, f1
-
-
 def _central_conic(q11: float, q12: float, q22: float, cx: float, cy: float) -> Conic:
     """The conic (x-c)^T Q (x-c) = 1, Q = [[q11, q12], [q12, q22]], canonically scaled."""
     lin_x = -2 * (q11 * cx + q12 * cy)
     lin_y = -2 * (q12 * cx + q22 * cy)
     const = q11 * cx * cx + 2 * q12 * cx * cy + q22 * cy * cy - 1
-    return Conic(q11, 2 * q12, q22, lin_x, lin_y, const)
+    return _set_conic(object.__new__(Conic), q11, 2 * q12, q22, lin_x, lin_y, const)
 
 
 def _metric_ellipse(p: float, q: float, r: float, det: float, value: float,
-                    center: Point, exp2: int = 0) -> EllipseGeo:
-    """The ellipse (x-c)^T [[p, q], [q, r]] (x-c) = value, block positive
-    definite with determinant det * 2^exp2 = pr - q^2 and value > 0, in
-    metric form.
+                    cx: float, cy: float, exp2: int = 0) -> EllipseGeo:
+    """The ellipse (x-c)^T [[p, q], [q, r]] (x-c) = value, c = (cx, cy),
+    block positive definite with determinant det * 2^exp2 = pr - q^2 and
+    value > 0, in metric form.
 
     The block has the closed-form eigenvalues
     lam_hi = (p+r)/2 + hypot((p-r)/2, q) and lam_lo = det/lam_hi (a
@@ -540,14 +558,18 @@ def _metric_ellipse(p: float, q: float, r: float, det: float, value: float,
     of two split off where the product itself would leave the float range.
     lam_hi's eigenvector lies at 1/2 atan2(2q, p-r), so the major axis lies
     a quarter turn on.  An under- or overflowed eigenvalue raises
-    NotAnEllipse.
+    NotAnEllipse, and so does a minor axis over the major by more than
+    1e-14 of it (a circle's axes cross by a few ulps at any scale).  The
+    points and the ellipse are filled after ``Point``'s finiteness test
+    on the foci, which a non-finite center fails too, and ``EllipseGeo``'s
+    checks.
     """
     lam_hi = (p + r) / 2 + math.hypot((p - r) / 2, q)
     lam_lo = math.ldexp(det / lam_hi, exp2)
     if not 0 < lam_lo < math.inf:  # an infinite or NaN lam_hi gives 0 or NaN here
         raise NotAnEllipse("ellipse axes out of float range")
     semi_major, semi_minor = math.sqrt(value / lam_lo), math.sqrt(value / lam_hi)
-    if semi_major + 1e-15 < semi_minor:
+    if semi_minor - semi_major > 1e-14 * semi_major:
         raise NotAnEllipse("inconsistent axis extraction")
     semi_minor = min(semi_minor, semi_major)
     if semi_major - semi_minor <= 1e-14 * semi_major:
@@ -556,10 +578,15 @@ def _metric_ellipse(p: float, q: float, r: float, det: float, value: float,
         angle = _norm_angle(math.atan2(2 * q, p - r) / 2 + math.pi / 2)
     cdist = math.sqrt(max(semi_major**2 - semi_minor**2, 0.0))
     ux, uy = math.cos(angle), math.sin(angle)
-    f1 = Point(center.x - cdist * ux, center.y - cdist * uy)
-    f2 = Point(center.x + cdist * ux, center.y + cdist * uy)
-    f1, f2 = _ordered_foci(f1, f2)
-    return EllipseGeo(center, semi_major, semi_minor, angle, f1, f2)
+    x1, y1 = cx - cdist * ux, cy - cdist * uy
+    x2, y2 = cx + cdist * ux, cy + cdist * uy
+    isfinite = math.isfinite
+    if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
+        raise ValueError("point components must be finite")
+    if x2 < x1 or (x2 == x1 and y2 < y1):  # the foci in lexicographic order
+        x1, y1, x2, y2 = x2, y2, x1, y1
+    return _set_ellipse(object.__new__(EllipseGeo), _finite_point(cx, cy), semi_major,
+                        semi_minor, angle, _finite_point(x1, y1), _finite_point(x2, y2))
 
 
 def _pull_back_form(q11: float, q12: float, q22: float, m11: float, m12: float,

@@ -48,6 +48,9 @@ from .geometry import (
     _Value,
     _affine_det,
     _central_conic,
+    _hom_w,
+    _hom_x,
+    _hom_y,
     _metric_ellipse,
     _pull_back_form,
     _rebuild,
@@ -70,12 +73,17 @@ class NormalForm(_Value):
     edge vectors p1 - p0 and p3 - p0 and p0 is the vertex sent to (0,0).
     ``labeling`` lists which canonical-quad vertex indices land on (0,0),
     (1,0), (s,t), (0,1); ``interval`` is the open interval of normalized
-    abscissas swept by the center locus.  ``__init__`` fills in the last
-    two.  Convexity forces s > 0, t > 0, s + t > 1.  The closed forms divide by
-    s - 1 but never by t - 1, so ``normalize`` picks, of the two cyclic
-    labelings, the one whose sides (1,0)-(s,t) and (0,1)-(0,0) are furthest
-    from parallel; with one parallel side pair that gives t = 1."""
-    __slots__ = ("s", "t", "M", "translation", "inverse", "labeling", "interval", "det")
+    abscissas swept by the center locus.  ``sides`` holds the four unit
+    side lines (a, b, c) of a x + b y + c = 0 through (0,0)-(1,0),
+    (1,0)-(s,t), (s,t)-(0,1) and (0,1)-(0,0), in that order, each as
+    (side, a, b, c) with ``side`` the original side index ``labeling``
+    maps it to.  ``__init__`` fills in the last three.  Convexity forces
+    s > 0, t > 0, s + t > 1.  The closed forms divide by s - 1 but never
+    by t - 1, so ``normalize`` picks, of the two cyclic labelings, the one
+    whose sides (1,0)-(s,t) and (0,1)-(0,0) are furthest from parallel;
+    with one parallel side pair that gives t = 1."""
+    __slots__ = ("s", "t", "M", "translation", "inverse", "labeling", "interval", "det",
+                 "sides")
 
     def __init__(self, s: float, t: float, M: tuple[float, float, float, float],
                  translation: tuple[float, float],
@@ -84,7 +92,8 @@ class NormalForm(_Value):
         if not (s > 0 and t > 0 and s + t > 1):
             raise ValueError("normal form requires s > 0, t > 0, s + t > 1")
         det = _affine_det(*M, *translation)
-        self._fill((s, t, M, translation, inverse, labeling, _interval(s), det))
+        self._fill((s, t, M, translation, inverse, labeling, _interval(s), det,
+                    _side_lines(s, t, labeling)))
 
     @property
     def T(self) -> AffineMap:
@@ -95,6 +104,14 @@ def _interval(s) -> tuple[float, float]:
     """The ends 1/2 and s/2 of the center locus's abscissas, ordered."""
     half, shalf = 1 / 2, s / 2
     return (half, shalf) if half <= shalf else (shalf, half)
+
+
+def _side_lines(s, t, labeling) -> tuple:
+    """NormalForm's ``sides``; s, t > 0 keeps both norms nonzero."""
+    n1, n2 = math.hypot(s - 1, t), math.hypot(t - 1, s)
+    i0, i1, i2, i3 = labeling
+    return ((i0, 0.0, 1.0, 0.0), (i1, t / n1, (1 - s) / n1, -t / n1),
+            (i2, (1 - t) / n2, s / n2, -s / n2), (i3, 1.0, 0.0, 0.0))
 
 
 class LocusSegment(_Value):
@@ -178,10 +195,10 @@ def normalize(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
 def _normal_frame(q: ConvexQuad, tol: Tolerances) -> tuple:
     """The normal frame of q as the plain tuple the constructions read,
     in NormalForm's slot order: (s, t, M, (tx, ty), inverse, labeling,
-    (lo, hi), det), with T(x) = M x + (tx, ty), M = (m11, m12, m21, m22)
-    and det = det M.  Each is computed once.  NormalForm's checks run
-    here: ``AffineMap``'s on T (``_affine_det``), and the convexity bound,
-    which is ``_frame``'s, on the same s and t."""
+    (lo, hi), det, sides), with T(x) = M x + (tx, ty), M = (m11, m12,
+    m21, m22) and det = det M.  Each is computed once.  NormalForm's checks
+    run here: ``AffineMap``'s on T (``_affine_det``), and the convexity
+    bound, which is ``_frame``'s, on the same s and t."""
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("no unique inscribed ellipse and no center line")
     v0, v1 = q.v0, q.v1
@@ -196,7 +213,8 @@ def _normal_frame(q: ConvexQuad, tol: Tolerances) -> tuple:
     x0, y0 = p0.x, p0.y
     tx, ty = -(m11 * x0 + m12 * y0), -(m21 * x0 + m22 * y0)
     det = _affine_det(m11, m12, m21, m22, tx, ty)
-    return s, t, m, (tx, ty), (b11, b12, b21, b22, x0, y0), labeling, _interval(s), det
+    return (s, t, m, (tx, ty), (b11, b12, b21, b22, x0, y0), labeling, _interval(s), det,
+            _side_lines(s, t, labeling))
 
 
 def _frame(p0: Point, p1: Point, p2: Point, p3: Point, tol: Tolerances):
@@ -270,13 +288,14 @@ def _tangent_conic(frame: tuple, h: float, tol: Tolerances):
     NumericalFailure).  s = 1 raises NumericalFailure(_VERTICAL)
     first; no focal root is solved and no weight is formed.
 
-    Each unit-normalized side l of y = 0, (1,0)-(s,t), (s,t)-(0,1), x = 0
-    must have |l^T D l| / ||D||_F below tol_tan (else NotTangent); its
-    contact is the pole D l, at infinity when its w is, relative to its
-    norm, at most tol_infinity.  A contact goes out through T^-1 = (B, p0)
-    and is stored at the original side ``labeling`` maps that side to.
+    Each unit side line l of the frame's ``sides`` must have
+    |l^T D l| / ||D||_F below tol_tan (else NotTangent); its contact is
+    the pole D l, at infinity when its w is, relative to its norm, at most
+    tol_infinity.  A contact goes out through T^-1 = (B, p0) and is stored
+    at the original side ``labeling`` maps that side to; a finite one is
+    filled after HomPoint's finiteness test (w = 1 is never the zero triple).
     """
-    s, t, m, _, (b11, b12, b21, b22, x0, y0), labeling, (lo, hi), _ = frame
+    s, t, m, _, (b11, b12, b21, b22, x0, y0), _, (lo, hi), _, sides = frame
     if abs(s - 1) <= tol.tol_par:
         raise NumericalFailure(_VERTICAL)
     c, k, det = _dual_entries(s, t, h)
@@ -295,12 +314,10 @@ def _tangent_conic(frame: tuple, h: float, tol: Tolerances):
     conic = _central_conic(q11, q12, q22, cx, cy)
 
     norm = math.sqrt(2 * (c * c + h * h + k * k) + 1)
-    n1, n2 = math.hypot(s - 1, t), math.hypot(t - 1, s)
-    sides = ((0.0, 1.0, 0.0), (t / n1, (1 - s) / n1, -t / n1),
-             ((1 - t) / n2, s / n2, -s / n2), (1.0, 0.0, 0.0))
     contacts = [None] * 4
     tan_bound, tol_infinity = tol.tol_tan * norm, tol.tol_infinity
-    for side, (la, lb, lc) in zip(labeling, sides):
+    isfinite, new = math.isfinite, object.__new__
+    for side, la, lb, lc in sides:
         px = c * lb + h * lc
         py = c * la + k * lc
         pw = h * la + k * lb + lc
@@ -311,7 +328,13 @@ def _tangent_conic(frame: tuple, h: float, tol: Tolerances):
                                                        b21 * px + b22 * py), 0.0)
         else:
             x, y = px / pw, py / pw
-            contacts[side] = HomPoint(b11 * x + b12 * y + x0, b21 * x + b22 * y + y0, 1.0)
+            x, y = b11 * x + b12 * y + x0, b21 * x + b22 * y + y0
+            if not (isfinite(x) and isfinite(y)):
+                raise ValueError("homogeneous components must be finite")
+            contacts[side] = contact = new(HomPoint)
+            _hom_x(contact, x)
+            _hom_y(contact, y)
+            _hom_w(contact, 1.0)
     kind = ConicClass.REAL_ELLIPSE if is_ellipse else ConicClass.HYPERBOLA
     return conic, kind, tuple(contacts), form, (cx, cy), det
 
@@ -329,13 +352,16 @@ def _construct(frame: tuple, h: float, tol: Tolerances) -> InscribedResult:
     ``frame``: the ellipse, its conic and contacts all come from one pass
     over D(h), centered where that pass maps the normal-frame center.
     Its callers have already put h inside the locus interval."""
-    _, _, _, _, _, _, _, det_m = frame
-    conic, _, contacts, form, center, det = _tangent_conic(frame, h, tol)
+    _, _, _, _, _, _, _, det_m, _ = frame
+    conic, _, contacts, form, (cx, cy), det = _tangent_conic(frame, h, tol)
     # det Q = det(M)^2 det Q_n = det(M)^2 / det P_n, as a quotient, with
     # det(M)'s power of two split off so that its square stays in range
     mant, exp = math.frexp(det_m)
-    ellipse = _metric_ellipse(*form, mant * mant / det, 1.0, Point(*center), 2 * exp)
-    return InscribedResult(ellipse, conic, contacts)
+    result = object.__new__(InscribedResult)
+    _result_ellipse(result, _metric_ellipse(*form, mant * mant / det, 1.0, cx, cy, 2 * exp))
+    _result_conic(result, conic)
+    _result_tangencies(result, contacts)
+    return result
 
 
 def _locus_abscissas(q: ConvexQuad, tol: Tolerances) -> tuple[tuple, float, float]:
@@ -355,7 +381,7 @@ def _locus_abscissas(q: ConvexQuad, tol: Tolerances) -> tuple[tuple, float, floa
     stored = getattr(q, "_normal", None)
     if stored is None or stored[0] is not tol:
         frame = _normal_frame(q, tol)
-        s, _, _, _, _, labeling, _, _ = frame
+        s, _, _, _, _, labeling, _, _, _ = frame
         ma, mb = _midpoint_pairs(q)
         h_a, h_b = (s / 2, 0.5) if labeling[0] % 2 == 0 else (0.5, s / 2)
         h1, h2 = (h_b, h_a) if mb < ma else (h_a, h_b)
@@ -372,7 +398,7 @@ def _center_bound(frame: tuple, cx: float, cy: float, tol: Tolerances) -> float:
     T(cx, cy) forms them, 4 ulps of each, where that is more.  Both are read off the
     normal frame alone, so an affine copy of the quad and its center gets
     the same verdict at any scale and offset."""
-    s, t, (m11, m12, m21, m22), (tx, ty), _, _, _, _ = frame
+    s, t, (m11, m12, m21, m22), (tx, ty), _, _, _, _, _ = frame
     rounding = 4 * _ULP * (2 * abs(s - 1) * (abs(m21 * cx) + abs(m22 * cy) + abs(ty))
                            + 2 * abs(t - 1) * (abs(m11 * cx) + abs(m12 * cy) + abs(tx)))
     return max(2 * abs(s - 1) * tol.tol_on, rounding)
@@ -384,7 +410,7 @@ def _center_abscissa(frame: tuple, center: Point, tol: Tolerances) -> float:
     line to within ``_center_bound``.  The test multiplies L(h) out instead
     of dividing by s - 1, so at s = 1 it lets the center through to the
     construction's own s = 1 verdict."""
-    s, t, (m11, m12, m21, m22), (tx, ty), _, _, _, _ = frame
+    s, t, (m11, m12, m21, m22), (tx, ty), _, _, _, _, _ = frame
     cx, cy = center.x, center.y
     h, y = m11 * cx + m12 * cy + tx, m21 * cx + m22 * cy + ty
     if abs(2 * (s - 1) * y - (2 * h * (t - 1) + s - t)) > _center_bound(frame, cx, cy, tol):
@@ -412,7 +438,7 @@ def inscribe_at_center(q: ConvexQuad, center: Point,
     NotTangent.
     """
     frame, _, _ = _locus_abscissas(q, tol)
-    _, _, _, _, _, _, (lo, hi), _ = frame
+    _, _, _, _, _, _, (lo, hi), _, _ = frame
     h = _center_abscissa(frame, center, tol)
     _param_in_interval(lo, hi, h, tol)
     result = _construct(frame, h, tol)
@@ -434,7 +460,7 @@ def _drift_slack(frame: tuple, h: float, center: Point, tol: Tolerances) -> floa
     of the terms that form the carried center.  Both scale with the quad,
     as the locus length does, so a drift of a fixed share of the quad
     raises at every scale."""
-    s, t, _, _, (b11, b12, b21, b22, x0, y0), _, _, _ = frame
+    s, t, _, _, (b11, b12, b21, b22, x0, y0), _, _, _, _ = frame
     _, k, _ = _dual_entries(s, t, h)
     miss = math.hypot(b12, b22) * _center_bound(frame, center.x, center.y, tol) / (2 * abs(s - 1))
     return miss + 4 * _ULP * (abs(b11 * h) + abs(b12 * k) + abs(x0)
@@ -466,7 +492,7 @@ def chord_x(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> ChordX:
     parallelogram has no center line, and its normal frame raises.
     """
     frame, h1, h2 = _locus_abscissas(q, tol)
-    s, t, _, _, (b11, b12, b21, b22, x0, y0), _, (lo, hi), _ = frame
+    s, t, _, _, (b11, b12, b21, b22, x0, y0), _, (lo, hi), _, _ = frame
     ends = []
     for h in _chord_abscissas(s, t, lo, hi):
         _, k, _ = _dual_entries(s, t, h)
@@ -515,7 +541,7 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
     parallelogram's normal frame raises ParallelogramUnsupported.
     """
     frame, _, _ = _locus_abscissas(q, tol)
-    s, t, _, _, _, _, (lo, hi), _ = frame
+    s, t, _, _, _, _, (lo, hi), _, _ = frame
     h = _center_abscissa(frame, center, tol)
     h_a, h_b = _chord_abscissas(s, t, lo, hi)
     if not (tol.tol_interval < (h - h_a) / (h_b - h_a) < 1 - tol.tol_interval):

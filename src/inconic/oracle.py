@@ -29,7 +29,6 @@ from .geometry import (
     _central_conic,
     _metric_ellipse,
     _norm_angle,
-    _ordered_foci,
     _pull_back_form,
     _Value,
     midpoint,
@@ -132,7 +131,8 @@ def ellipse_from_conic(c: Conic) -> EllipseGeo:
     # the canonical sign rule makes the block positive definite and the
     # center value negative for real ellipses
     p, q, r = c.a, c.b / 2, c.c
-    return _metric_ellipse(p, q, r, p * r - q * q, -c.evaluate(center.x, center.y), center)
+    return _metric_ellipse(p, q, r, p * r - q * q, -c.evaluate(center.x, center.y),
+                           center.x, center.y)
 
 
 def transform_conic(c: Conic, t: AffineMap) -> Conic:
@@ -212,7 +212,7 @@ def ellipse_from_foci_point(f1: Point, f2: Point, p: Point) -> EllipseGeo:
         angle = 0.0
     else:
         angle = _norm_angle(math.atan2(f2.y - f1.y, f2.x - f1.x))
-    f1o, f2o = _ordered_foci(f1, f2)
+    f1o, f2o = (f1, f2) if (f1.x, f1.y) <= (f2.x, f2.y) else (f2, f1)
     return EllipseGeo(midpoint(f1, f2), a, b, angle, f1o, f2o)
 
 

@@ -245,14 +245,14 @@ def _local_form(q, offset):
     the offset is 0), so the move is exact: a construction through it does
     the moved quad's own normal-frame arithmetic bit for bit, and rounds
     its points at the quad's extent rather than at the offset."""
-    s, t, m, _, inverse, labeling, interval, det = _normal_frame(q, ic.DEFAULT_TOL)
+    s, t, m, _, inverse, labeling, interval, det, sides = _normal_frame(q, ic.DEFAULT_TOL)
     b11, b12, b21, b22, x0, y0 = inverse
     x1, y1 = x0 - offset, y0 - offset
     assert Fraction(x1) == Fraction(x0) - Fraction(offset)
     assert Fraction(y1) == Fraction(y0) - Fraction(offset)
     m11, m12, m21, m22 = m
     moved = (-(m11 * x1 + m12 * y1), -(m21 * x1 + m22 * y1))
-    return s, t, m, moved, (b11, b12, b21, b22, x1, y1), labeling, interval, det
+    return s, t, m, moved, (b11, b12, b21, b22, x1, y1), labeling, interval, det, sides
 
 
 def _draws(offset):

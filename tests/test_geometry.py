@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import inconic as ic
 from inconic import errors
+from inconic.geometry import _central_conic, _metric_ellipse, _set_conic
 
 from conftest import (
     affine_matrix3,
@@ -291,6 +292,68 @@ class TestConicConversions:
             for got, exp in ((back.focus1, e.focus1), (back.focus2, e.focus2)):
                 assert got.x == pytest.approx(exp.x, abs=1e-8)
                 assert got.y == pytest.approx(exp.y, abs=1e-8)
+
+
+class TestSlotFilledValues:
+    """``_central_conic`` and ``_metric_ellipse`` call no ``__init__``: they
+    fill their outputs through the slot setters, after the checks the
+    constructors make, with the same exception classes and messages."""
+
+    def test_central_conic_refuses_what_conic_refuses(self):
+        for args in ((math.nan, 0.0, 1.0, 0.0, 0.0), (1.0, 0.0, 1.0, math.inf, 0.0),
+                     (1.0, 0.0, 1.0, 1e200, 0.0), (1.0, 0.0, 1.0, 0.0, -1e160)):
+            with pytest.raises(ValueError, match="^conic coefficients must be finite$"):
+                _central_conic(*args)
+        # Q = 0 leaves the constant -1, so the six never all vanish here;
+        # the check they share with Conic is _set_conic's
+        assert _central_conic(0.0, 0.0, 0.0, 2.0, 3.0) == ic.Conic(0, 0, 0, 0, 0, -1)
+        with pytest.raises(ValueError, match="^conic coefficients cannot all vanish$"):
+            _set_conic(object.__new__(ic.Conic), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("cx, cy", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                                        (0.0, -math.inf)])
+    def test_metric_ellipse_refuses_a_non_finite_center(self, cx, cy):
+        with pytest.raises(ValueError, match="^point components must be finite$"):
+            _metric_ellipse(1.0, 0.0, 4.0, 4.0, 1.0, cx, cy)
+
+    def test_metric_ellipse_refuses_non_finite_foci(self):
+        # value / lam overflows: both axes are infinite and so are the foci
+        with pytest.raises(ValueError, match="^point components must be finite$"):
+            _metric_ellipse(1e-10, 0.0, 4e-10, 4e-20, 1e300, 0.0, 0.0)
+
+    def test_metric_ellipse_makes_the_ellipse_checks(self):
+        # a zero value gives zero axes, which EllipseGeo refuses
+        with pytest.raises(ValueError, match="^semi-axes must be positive$"):
+            _metric_ellipse(1.0, 0.0, 4.0, 4.0, 0.0, 0.0, 0.0)
+
+    def test_filled_values_equal_what_the_constructors_build(self, rng):
+        for _ in range(200):
+            q11, q22 = rng.uniform(0.1, 10.0, 2)
+            q12 = rng.uniform(-0.9, 0.9) * math.sqrt(q11 * q22)
+            cx, cy = rng.uniform(-1e3, 1e3, 2)
+            conic = _central_conic(q11, q12, q22, cx, cy)
+            assert type(conic) is ic.Conic
+            assert conic == ic.Conic(q11, 2 * q12, q22, -2 * (q11 * cx + q12 * cy),
+                                     -2 * (q12 * cx + q22 * cy),
+                                     q11 * cx * cx + 2 * q12 * cx * cy + q22 * cy * cy - 1)
+            e = _metric_ellipse(q11, q12, q22, q11 * q22 - q12 * q12, 1.0, cx, cy)
+            points = (e.center, e.focus1, e.focus2)
+            assert [type(p) for p in points] == [ic.Point] * 3
+            assert (e.center.x, e.center.y) == (cx, cy)
+            assert (e.focus1.x, e.focus1.y) <= (e.focus2.x, e.focus2.y)
+            assert e == ic.EllipseGeo(*(ic.Point(p.x, p.y) if isinstance(p, ic.Point) else p
+                                        for p in e._values()))
+
+    @pytest.mark.parametrize("turn", [-1e-12, 1e-12, -1e-9, 1e-9])
+    def test_foci_with_one_abscissa_are_ordered_by_ordinate(self, turn):
+        # a major axis a hair off vertical, far out: the foci's abscissas
+        # round to the center's, and the ordinates order them
+        angle = math.pi / 2 + turn
+        ux, uy = math.cos(angle), math.sin(angle)
+        p, q, r = ux * ux + 4 * uy * uy, ux * uy * (1 - 4), uy * uy + 4 * ux * ux
+        e = _metric_ellipse(p, q, r, 4.0, 1.0, 1e8, 0.0)
+        assert e.focus1.x == e.focus2.x == 1e8
+        assert e.focus1.y < 0 < e.focus2.y
 
 
 def _adjugate_oracle(c, line):

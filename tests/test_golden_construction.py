@@ -172,7 +172,7 @@ def _guard_centers(q, seg, chord, tol):
     centers = [chord.point_at(u) for u in params]
     # (h, L(h)) moved by dy in the normal frame misses the line by 2|s - 1| dy
     frame = _normal_frame(q, tol)
-    s, t, (m11, m12, _, _), (tx, _), (b11, b12, b21, b22, x0, y0), _, _, _ = frame
+    s, t, (m11, m12, _, _), (tx, _), (b11, b12, b21, b22, x0, y0), _, _, _, _ = frame
     for p in (seg.point_at(0.5), chord.point_at(0.02), chord.point_at(0.98)):
         h = m11 * p.x + m12 * p.y + tx
         k = (2 * h * (t - 1) + s - t) / (2 * (s - 1))

@@ -22,6 +22,7 @@ from inconic.inscribed import (
     _frame,
     _locus_abscissas,
     _normal_frame,
+    _side_lines,
     _tangent_conic,
 )
 
@@ -359,7 +360,7 @@ class TestNormalFrame:
             quads.append(transform_quad(random_trapezium(rng), far))
         assert len(quads) == 122
         assert ic.NormalForm.__slots__ == (
-            "s", "t", "M", "translation", "inverse", "labeling", "interval", "det")
+            "s", "t", "M", "translation", "inverse", "labeling", "interval", "det", "sides")
         for q in quads:
             want = _normalize_as_before(q)
             got = ic.normalize(q)
@@ -377,6 +378,34 @@ class TestNormalFrame:
             tree = ast.parse(inspect.getsource(module))
             assert not [node for node in ast.walk(tree) if isinstance(node, ast.Subscript)
                         and isinstance(node.value, ast.Name) and node.value.id == "frame"]
+
+    def test_sides_slot_holds_the_stored_side_lines(self, rng):
+        # the ninth slot is the stored frame's own tuple of side lines; each
+        # is a unit line through its two normal-frame corners, and T^-1
+        # maps it onto the original side it is paired with
+        quads = [quad_s3t2(), quad_s4t2()]
+        quads += [random_trapezium(rng) for _ in range(10)]
+        quads += [random_trapezoid(rng) for _ in range(10)]
+        for q in quads:
+            nf = ic.normalize(q)
+            *head, sides = frame = _locus_abscissas(q, ic.DEFAULT_TOL)[0]
+            assert frame == _normal_frame(q, ic.DEFAULT_TOL)
+            assert nf.sides is sides
+            assert ic.NormalForm(*head[:6]).sides == sides == \
+                _side_lines(nf.s, nf.t, nf.labeling)
+            for other in (copy.copy(nf), copy.deepcopy(nf), pickle.loads(pickle.dumps(nf))):
+                assert other == nf and other.sides == sides
+            assert nf != ic.geometry._rebuild(ic.NormalForm, (*head, sides[1:] + sides[:1]))
+            assert [side for side, _, _, _ in sides] == list(nf.labeling)
+            corners = [(0.0, 0.0), (1.0, 0.0), (nf.s, nf.t), (0.0, 1.0)]
+            b11, b12, b21, b22, x0, y0 = nf.inverse
+            for j, (side, a, b, c) in enumerate(sides):
+                assert math.hypot(a, b) == pytest.approx(1.0, rel=4e-16)
+                line = q.side_lines()[side]
+                for x, y in (corners[j], corners[(j + 1) % 4]):
+                    assert abs(a * x + b * y + c) <= 8e-16 * (1 + abs(x) + abs(y))
+                    p = ic.Point(b11 * x + b12 * y + x0, b21 * x + b22 * y + y0)
+                    assert abs(line.eval(p)) <= 1e-12 * max(map(abs, (p.x, p.y, 1.0)))
 
     def test_normalize_builds_no_affine_map_and_checks_once(self, monkeypatch):
         # normalize holds the checked frame tuple as it is: no AffineMap is
@@ -787,7 +816,7 @@ class TestInscribeAtCenter:
         # bound allows that miss as well
         q = ic.validate_quad([(0, 0), (1, 0), (1 + eps, 1 + eps), (0, 1)])
         frame, h1, h2 = _locus_abscissas(q, ic.DEFAULT_TOL)
-        s, t, _, _, (b11, b12, b21, b22, x0, y0), _, _, _ = frame
+        s, t, _, _, (b11, b12, b21, b22, x0, y0), _, _, _, _ = frame
         h = h1 + 0.37 * (h2 - h1)
         y = _dual_entries(s, t, h)[1] + 0.9 * ic.DEFAULT_TOL.tol_on
         center = ic.Point(b11 * h + b12 * y + x0, b21 * h + b22 * y + y0)
@@ -1317,6 +1346,92 @@ class TestScaleOutOfFloatRange:
         got = ic.inscribe_at_param(_worked_scaled(scale), 0.37).ellipse
         for g, w in ((got.semi_major, want.semi_major), (got.semi_minor, want.semi_minor)):
             assert g / scale == pytest.approx(w, rel=1e-15)
+
+
+class TestIncircleAtEveryScale:
+    """A kite (0,0), (a,b), (c,0), (a,-b) has an incircle, the inscribed
+    ellipse centered at its incenter (c n1 / (n1 + n2), 0), n1 and n2 the
+    lengths of its two kinds of side.  The two axes of a circle come out of
+    the eigenvalues equal only to rounding, the minor one at times a few
+    ulps the larger, so the axis check is relative: an absolute one
+    refused the circle once the quad was scaled up.  The kites keep a in
+    [0.15, 0.35] c and b in [0.15, 0.5] c, away from the rhombus a = c/2
+    (a parallelogram) and from slivers, so the float incenter is a circle's
+    center to rounding; they come out within 5.3e-15 of a circle."""
+
+    @staticmethod
+    def _kites():
+        rng = random.Random(20261020)
+        kites = [(100.8, 100.0, 453.0)]
+        kites += [(rng.uniform(0.15, 0.35), rng.uniform(0.15, 0.5), 1.0) for _ in range(198)]
+        return kites
+
+    def test_the_incircle_builds_at_every_scale(self):
+        for k in range(-12, 13):
+            scale = 10.0 ** k
+            for a, b, c in self._kites():
+                a, b, c = a * scale, b * scale, c * scale
+                q = ic.validate_quad([(0.0, 0.0), (a, b), (c, 0.0), (a, -b)])
+                n1, n2 = math.hypot(a, b), math.hypot(c - a, b)
+                e = ic.inscribe_at_center(q, ic.Point(c * n1 / (n1 + n2), 0.0)).ellipse
+                assert e.semi_major - e.semi_minor <= 1e-14 * e.semi_major, (k, a, b, c)
+
+    def test_the_kite_once_refused_builds_a_circle(self):
+        q = ic.validate_quad([(0, 0), (100.8, 100), (453, 0), (100.8, -100)])
+        e = ic.inscribe_at_center(q, ic.Point(126.58814389682182, 0.0)).ellipse
+        assert e.semi_major == e.semi_minor and e.angle == 0.0
+        assert e.focus1 == e.focus2 == e.center
+
+
+class TestFilledOutputs:
+    """The kernel fills its outputs through their slot setters, after the
+    checks their ``__init__``s make on the same floats: each output equals
+    what its constructor builds from its own fields."""
+
+    def test_outputs_equal_what_their_constructors_build(self, rng):
+        quads = [quad_s3t2(), quad_s4t2()]
+        quads += [random_trapezium(rng) for _ in range(20)]
+        quads += [random_trapezoid(rng) for _ in range(20)]
+        for q in quads:
+            results = [ic.inscribe_at_param(q, u) for u in (0.02, 0.37, 0.98)]
+            results.append(ic.max_area(q).inscribed)
+            for r in results:
+                e = r.ellipse
+                points = (e.center, e.focus1, e.focus2)
+                assert [type(p) for p in points] == [ic.Point] * 3
+                assert [ic.Point(p.x, p.y) for p in points] == list(points)
+                assert ic.EllipseGeo(ic.Point(e.center.x, e.center.y), e.semi_major,
+                                     e.semi_minor, e.angle, ic.Point(e.focus1.x, e.focus1.y),
+                                     ic.Point(e.focus2.x, e.focus2.y)) == e
+                assert [type(p) for p in r.tangencies] == [ic.HomPoint] * 4
+                assert [ic.HomPoint(p.x, p.y, p.w) for p in r.tangencies] == list(r.tangencies)
+                assert type(r) is ic.InscribedResult
+                assert ic.InscribedResult(e, r.conic, r.tangencies) == r
+            frame, h1, h2 = _locus_abscissas(q, ic.DEFAULT_TOL)
+            for h in (h1 + 0.37 * (h2 - h1), h2 + 0.2 * (h2 - h1)):
+                conic, _, contacts, (q11, q12, q22), (cx, cy), _ = \
+                    _tangent_conic(frame, h, ic.DEFAULT_TOL)
+                assert type(conic) is ic.Conic
+                assert conic == ic.Conic(q11, 2 * q12, q22, -2 * (q11 * cx + q12 * cy),
+                                         -2 * (q12 * cx + q22 * cy),
+                                         q11 * cx * cx + 2 * q12 * cx * cy + q22 * cy * cy - 1)
+                assert [ic.HomPoint(p.x, p.y, p.w) for p in contacts] == list(contacts)
+
+    def test_a_contact_past_the_float_range_raises_as_hom_point_does(self):
+        # the worked frame with a T^-1 that keeps the center at h = 1,
+        # (1, 3/4), at (0, 3/4) exactly, while the contact (9/7, 10/7) on
+        # (s,t)-(0,1) leaves the float range: 1.5 2^1023 * 10/7 overflows
+        nf = normal_form(3.0, 2.0)
+        b12 = 1.5 * 2.0 ** 1023
+        frame = (nf.s, nf.t, nf.M, nf.translation, (-0.75 * b12, b12, 0.0, 1.0, 0.0, 0.0),
+                 nf.labeling, nf.interval, nf.det, nf.sides)
+        with pytest.raises(ValueError, match="^homogeneous components must be finite$"):
+            _tangent_conic(frame, 1.0, ic.DEFAULT_TOL)
+        # the same frame with the contact in range builds
+        frame = frame[:4] + ((-0.375 * b12, 0.5 * b12, 0.0, 1.0, 0.0, 0.0),) + frame[5:]
+        conic, _, contacts, _, center, _ = _tangent_conic(frame, 1.0, ic.DEFAULT_TOL)
+        assert center == (0.0, 0.75)
+        assert all(math.isfinite(p.x) for p in contacts)
 
 
 class TestWeightPositivity:

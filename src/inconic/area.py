@@ -93,8 +93,9 @@ def max_area(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> MaxAreaResult:
     tol_interval margin.  A parallelogram's normal frame raises
     ParallelogramUnsupported.
     """
-    frame, _, _ = _locus_abscissas(q, tol)
-    s, t, _, _, _, _, (lo, hi), _, _ = frame
+    nf, _, _ = _locus_abscissas(q, tol)
+    s, t = nf.s, nf.t
+    lo, hi = nf.interval
     # A'(h) = -24(t-1) h^2 + 8((s+1)(t-1) - s) h + 2s(s + 2 - t)
     roots = _real_quadratic_roots(-24 * (t - 1),
                                   8 * ((s + 1) * (t - 1) - s),
@@ -104,6 +105,6 @@ def max_area(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> MaxAreaResult:
         raise NumericalFailure(
             f"expected exactly one critical abscissa inside ({lo}, {hi})")
     h0 = inside[0]
-    result = _construct(frame, h0, tol)
+    result = _construct(nf, h0, tol)
     ellipse = result.ellipse
     return MaxAreaResult(ellipse, ellipse.center, ellipse.area, h0, result)

@@ -2,8 +2,8 @@
 
 All operations are pure functions on immutable values, so everything here
 is safe to share between concurrent tasks.  One value also keeps a private
-memo: a ``ConvexQuad`` stores its own normal frame, the plain tuple every
-construction on it reads, the first time one runs (``inscribed``'s
+memo: a ``ConvexQuad`` stores its own normal frame, the ``NormalForm``
+every construction on it reads, the first time one runs (``inscribed``'s
 ``_locus_abscissas``).  Sharing a quad stays safe: the store is one
 reference assignment of an immutable tuple, so a reader sees the old frame
 or the new one and never half of either, and two tasks that race only both
@@ -118,6 +118,8 @@ class Tolerances(_Value):
                 raise ValueError(f"unknown tolerance setting {item!r}")
             if not value.strip():
                 raise ValueError(f"missing value for tolerance {name}")
+            if name in overrides:
+                raise ValueError(f"tolerance {name} is set twice")
             overrides[name] = float(value)
         return cls(**overrides)
 
@@ -346,8 +348,15 @@ def validate_quad(vertices, tol: Tolerances = DEFAULT_TOL) -> ConvexQuad:
     Raises NotConvex when some vertex cross product is not strictly positive,
     DegenerateQuad for repeated vertices or an (almost) zero-area input, and
     NumericalFailure when the zero-area bound itself over- or underflows.
+    A vertex is a Point or exactly two coordinates, else ValueError.
     """
-    pts = [v if isinstance(v, Point) else Point(v[0], v[1]) for v in vertices]
+    pts = []
+    for v in vertices:
+        if not isinstance(v, Point):
+            if len(v) != 2:
+                raise ValueError(f"a vertex needs exactly two coordinates, got {len(v)}")
+            v = Point(v[0], v[1])
+        pts.append(v)
     if len(pts) != 4:
         raise ValueError("exactly four vertices required")
     # degeneracy is judged against the quad's own extent, so neither where

@@ -6,7 +6,9 @@ inscribed ellipse is unique and is built here in closed form: after an
 affine change of frame putting the vertices p0..p3 at (0,0), (1,0), (s,t),
 (0,1), the conics tangent to the four side lines are the dual conics
 D(h) = (2h-1)(p0 p2^T + p2 p0^T) + (s-2h)(p1 p3^T + p3 p1^T), one for each
-center (h, L(h)) on the center line.  Divided by 2(s-1) its entries are
+center (h, L(h)) on the center line.  That frame is one ``NormalForm``,
+derived once per quad and stored on it; every construction reads its
+fields by name.  Divided by 2(s-1) its entries are
 short polynomials in (s, t, h), so one pass reads off the conic, its
 center and its four contacts (the poles of the sides), with no root
 solved.  The paper reaches the same conic through the focal quadratic
@@ -53,7 +55,6 @@ from .geometry import (
     _hom_y,
     _metric_ellipse,
     _pull_back_form,
-    _rebuild,
     _slot_setters,
     _unit_direction,
 )
@@ -64,24 +65,25 @@ _store_normal = ConvexQuad._normal.__set__
 
 
 class NormalForm(_Value):
-    """Affine change of frame onto vertices (0,0), (1,0), (s,t), (0,1).
+    """Affine change of frame onto vertices (0,0), (1,0), (s,t), (0,1): the
+    normal frame every construction on a quad reads, derived once per quad
+    by ``_normal_frame``.
 
-    The slots are ``_normal_frame``'s tuple, in its order.  T(x) = M x +
-    translation (``T`` as an AffineMap) maps the original frame to the
-    normalized one; ``det`` = det M.  ``inverse`` holds T^-1 as plain floats
-    (b11, b12, b21, b22, x0, y0), T^-1(y) = B y + p0: B's columns are the
-    edge vectors p1 - p0 and p3 - p0 and p0 is the vertex sent to (0,0).
-    ``labeling`` lists which canonical-quad vertex indices land on (0,0),
-    (1,0), (s,t), (0,1); ``interval`` is the open interval of normalized
-    abscissas swept by the center locus.  ``sides`` holds the four unit
-    side lines (a, b, c) of a x + b y + c = 0 through (0,0)-(1,0),
-    (1,0)-(s,t), (s,t)-(0,1) and (0,1)-(0,0), in that order, each as
-    (side, a, b, c) with ``side`` the original side index ``labeling``
-    maps it to.  ``__init__`` fills in the last three.  Convexity forces
-    s > 0, t > 0, s + t > 1.  The closed forms divide by s - 1 but never
-    by t - 1, so ``normalize`` picks, of the two cyclic labelings, the one
-    whose sides (1,0)-(s,t) and (0,1)-(0,0) are furthest from parallel;
-    with one parallel side pair that gives t = 1."""
+    T(x) = M x + translation (``T`` as an AffineMap) maps the original
+    frame to the normalized one; ``det`` = det M.  ``inverse`` holds T^-1
+    as plain floats (b11, b12, b21, b22, x0, y0), T^-1(y) = B y + p0: B's
+    columns are the edge vectors p1 - p0 and p3 - p0 and p0 is the vertex
+    sent to (0,0).  ``labeling`` lists which canonical-quad vertex indices
+    land on (0,0), (1,0), (s,t), (0,1); ``interval`` is the open interval
+    of normalized abscissas swept by the center locus, (1/2, s/2) ordered.
+    ``sides`` holds the four unit side lines (a, b, c) of a x + b y + c = 0
+    through (0,0)-(1,0), (1,0)-(s,t), (s,t)-(0,1) and (0,1)-(0,0), in that
+    order, each as (side, a, b, c) with ``side`` the original side index
+    ``labeling`` maps it to; s, t > 0 keeps both norms nonzero.  Convexity
+    forces s > 0, t > 0, s + t > 1.  The closed forms divide by s - 1 but
+    never by t - 1, so ``normalize`` picks, of the two cyclic labelings,
+    the one whose sides (1,0)-(s,t) and (0,1)-(0,0) are furthest from
+    parallel; with one parallel side pair that gives t = 1."""
     __slots__ = ("s", "t", "M", "translation", "inverse", "labeling", "interval", "det",
                  "sides")
 
@@ -92,26 +94,16 @@ class NormalForm(_Value):
         if not (s > 0 and t > 0 and s + t > 1):
             raise ValueError("normal form requires s > 0, t > 0, s + t > 1")
         det = _affine_det(*M, *translation)
-        self._fill((s, t, M, translation, inverse, labeling, _interval(s), det,
-                    _side_lines(s, t, labeling)))
+        interval = (0.5, s / 2) if 0.5 <= s / 2 else (s / 2, 0.5)
+        n1, n2 = math.hypot(s - 1, t), math.hypot(t - 1, s)
+        i0, i1, i2, i3 = labeling
+        sides = ((i0, 0.0, 1.0, 0.0), (i1, t / n1, (1 - s) / n1, -t / n1),
+                 (i2, (1 - t) / n2, s / n2, -s / n2), (i3, 1.0, 0.0, 0.0))
+        self._fill((s, t, M, translation, inverse, labeling, interval, det, sides))
 
     @property
     def T(self) -> AffineMap:
         return AffineMap(*self.M, *self.translation)
-
-
-def _interval(s) -> tuple[float, float]:
-    """The ends 1/2 and s/2 of the center locus's abscissas, ordered."""
-    half, shalf = 1 / 2, s / 2
-    return (half, shalf) if half <= shalf else (shalf, half)
-
-
-def _side_lines(s, t, labeling) -> tuple:
-    """NormalForm's ``sides``; s, t > 0 keeps both norms nonzero."""
-    n1, n2 = math.hypot(s - 1, t), math.hypot(t - 1, s)
-    i0, i1, i2, i3 = labeling
-    return ((i0, 0.0, 1.0, 0.0), (i1, t / n1, (1 - s) / n1, -t / n1),
-            (i2, (1 - t) / n2, s / n2, -s / n2), (i3, 1.0, 0.0, 0.0))
 
 
 class LocusSegment(_Value):
@@ -176,45 +168,38 @@ def _midpoint_pairs(q: ConvexQuad) -> tuple[tuple[float, float], tuple[float, fl
 
 
 def normalize(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
-    """Affine normal form of a non-parallelogram quadrilateral.
+    """Affine normal form of a non-parallelogram quadrilateral: the
+    NormalForm q stores for tol (``_locus_abscissas``), not a copy.
 
     Computes (s, t) for cyclic rotations 0 and 1 of the vertices and keeps
     the rotation with the larger normalized-frame sine |s-1| / hypot(s-1, t),
     rotation 0 on a tie.  That keeps s - 1, which the closed forms divide
     by, safely away from zero; a parallel side pair gets t = 1, since its
-    other rotation has s = 1 and sine 0.  Only the kept rotation's map is
-    built.  A parallelogram raises ParallelogramUnsupported: its inscribed
-    ellipses are not unique.  It is the quad's stored normal frame
-    (``_locus_abscissas``) held as a NormalForm, each check made once,
-    in ``_normal_frame``.
+    other rotation has s = 1 and sine 0.  A parallelogram raises
+    ParallelogramUnsupported: its inscribed ellipses are not unique.
     """
-    frame, _, _ = _locus_abscissas(q, tol)
-    return _rebuild(NormalForm, frame)
+    nf, _, _ = _locus_abscissas(q, tol)
+    return nf
 
 
-def _normal_frame(q: ConvexQuad, tol: Tolerances) -> tuple:
-    """The normal frame of q as the plain tuple the constructions read,
-    in NormalForm's slot order: (s, t, M, (tx, ty), inverse, labeling,
-    (lo, hi), det, sides), with T(x) = M x + (tx, ty), M = (m11, m12,
-    m21, m22) and det = det M.  Each is computed once.  NormalForm's checks
-    run here: ``AffineMap``'s on T (``_affine_det``), and the convexity
-    bound, which is ``_frame``'s, on the same s and t."""
+def _normal_frame(q: ConvexQuad, tol: Tolerances) -> NormalForm:
+    """The normal frame of q, as ``normalize`` describes it.  Only the kept
+    rotation's T is built, and ``_frame`` makes NormalForm's convexity
+    check first, so its exception is the one raised."""
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("no unique inscribed ellipse and no center line")
     v0, v1 = q.v0, q.v1
-    s, t, _, _ = frame = _frame(v0, v1, q.v2, q.v3, tol)
+    s, t, _, _ = kept = _frame(v0, v1, q.v2, q.v3, tol)
     s1, t1, _, _ = turned = _frame(v1, q.v2, q.v3, v0, tol)
     if abs(s1 - 1) / math.hypot(s1 - 1, t1) > abs(s - 1) / math.hypot(s - 1, t):
-        frame, p0, labeling = turned, v1, (1, 2, 3, 0)
+        kept, p0, labeling = turned, v1, (1, 2, 3, 0)
     else:
         p0, labeling = v0, (0, 1, 2, 3)
-    s, t, m, (b11, b12, b21, b22) = frame
+    s, t, m, (b11, b12, b21, b22) = kept
     m11, m12, m21, m22 = m
     x0, y0 = p0.x, p0.y
-    tx, ty = -(m11 * x0 + m12 * y0), -(m21 * x0 + m22 * y0)
-    det = _affine_det(m11, m12, m21, m22, tx, ty)
-    return (s, t, m, (tx, ty), (b11, b12, b21, b22, x0, y0), labeling, _interval(s), det,
-            _side_lines(s, t, labeling))
+    translation = (-(m11 * x0 + m12 * y0), -(m21 * x0 + m22 * y0))
+    return NormalForm(s, t, m, translation, (b11, b12, b21, b22, x0, y0), labeling)
 
 
 def _frame(p0: Point, p1: Point, p2: Point, p3: Point, tol: Tolerances):
@@ -265,10 +250,9 @@ def _dual_entries(s, t, h):
             (2 * h - 1) * (s - 2 * h) * (2 * h * (t - 1) + s) / (e3 * e3))
 
 
-def _tangent_conic(frame: tuple, h: float, tol: Tolerances):
+def _tangent_conic(nf: NormalForm, h: float, tol: Tolerances):
     """Tangent conic at normalized abscissa h, in one plain-float pass over
-    the dual conic D(h) of the normal frame ``frame`` (``_normal_frame``'s
-    tuple).
+    the dual conic D(h) of the normal frame nf.
 
     Returns (conic, classification, contacts, form, center, det):
     ``form`` is the original-frame Q of (x - center)^T Q (x - center) = 1,
@@ -288,21 +272,23 @@ def _tangent_conic(frame: tuple, h: float, tol: Tolerances):
     NumericalFailure).  s = 1 raises NumericalFailure(_VERTICAL)
     first; no focal root is solved and no weight is formed.
 
-    Each unit side line l of the frame's ``sides`` must have
+    Each unit side line l of ``nf.sides`` must have
     |l^T D l| / ||D||_F below tol_tan (else NotTangent); its contact is
     the pole D l, at infinity when its w is, relative to its norm, at most
     tol_infinity.  A contact goes out through T^-1 = (B, p0) and is stored
     at the original side ``labeling`` maps that side to; a finite one is
     filled after HomPoint's finiteness test (w = 1 is never the zero triple).
     """
-    s, t, m, _, (b11, b12, b21, b22, x0, y0), _, (lo, hi), _, sides = frame
+    s, t = nf.s, nf.t
+    b11, b12, b21, b22, x0, y0 = nf.inverse
+    lo, hi = nf.interval
     if abs(s - 1) <= tol.tol_par:
         raise NumericalFailure(_VERTICAL)
     c, k, det = _dual_entries(s, t, h)
     p11, p12, p22 = h * h, h * k - c, k * k
     if abs(det) <= 1e-12 * max(1.0, p11 + p22) ** 2:
         raise DegeneratePoint("contact point lies on the focal line")
-    q11, q12, q22 = form = _pull_back_form(p22 / det, -p12 / det, p11 / det, *m)
+    q11, q12, q22 = form = _pull_back_form(p22 / det, -p12 / det, p11 / det, *nf.M)
     qdet = q11 * q22 - q12 * q12
     is_ellipse = lo < h < hi
     # a failed sign test is taken again at unit scale (``_unit_scale_det``)
@@ -317,7 +303,7 @@ def _tangent_conic(frame: tuple, h: float, tol: Tolerances):
     contacts = [None] * 4
     tan_bound, tol_infinity = tol.tol_tan * norm, tol.tol_infinity
     isfinite, new = math.isfinite, object.__new__
-    for side, la, lb, lc in sides:
+    for side, la, lb, lc in nf.sides:
         px = c * lb + h * lc
         py = c * la + k * lc
         pw = h * la + k * lb + lc
@@ -347,16 +333,15 @@ def _unit_scale_det(form: tuple[float, float, float]) -> float:
     return q11 * q22 - q12 * q12
 
 
-def _construct(frame: tuple, h: float, tol: Tolerances) -> InscribedResult:
+def _construct(nf: NormalForm, h: float, tol: Tolerances) -> InscribedResult:
     """The inscribed ellipse at normalized abscissa h of the normal frame
-    ``frame``: the ellipse, its conic and contacts all come from one pass
-    over D(h), centered where that pass maps the normal-frame center.
-    Its callers have already put h inside the locus interval."""
-    _, _, _, _, _, _, _, det_m, _ = frame
-    conic, _, contacts, form, (cx, cy), det = _tangent_conic(frame, h, tol)
+    nf: the ellipse, its conic and contacts all come from one pass over
+    D(h), centered where that pass maps the normal-frame center.  Its
+    callers have already put h inside the locus interval."""
+    conic, _, contacts, form, (cx, cy), det = _tangent_conic(nf, h, tol)
     # det Q = det(M)^2 det Q_n = det(M)^2 / det P_n, as a quotient, with
     # det(M)'s power of two split off so that its square stays in range
-    mant, exp = math.frexp(det_m)
+    mant, exp = math.frexp(nf.det)
     result = object.__new__(InscribedResult)
     _result_ellipse(result, _metric_ellipse(*form, mant * mant / det, 1.0, cx, cy, 2 * exp))
     _result_conic(result, conic)
@@ -364,7 +349,7 @@ def _construct(frame: tuple, h: float, tol: Tolerances) -> InscribedResult:
     return result
 
 
-def _locus_abscissas(q: ConvexQuad, tol: Tolerances) -> tuple[tuple, float, float]:
+def _locus_abscissas(q: ConvexQuad, tol: Tolerances) -> tuple[NormalForm, float, float]:
     """The normal frame of q (``_normal_frame``) and the abscissas h1, h2
     of locus(q)'s m1 and m2 (s/2 for the diagonal the labeling sends to
     (0,0) and (s,t), 1/2 for the other), ordered as ``locus`` orders them.
@@ -372,7 +357,7 @@ def _locus_abscissas(q: ConvexQuad, tol: Tolerances) -> tuple[tuple, float, floa
     are rejected.
 
     Every construction on q reads its frame here, and it is derived once
-    per quad: q stores (tol, frame, h1, h2) in its private ``_normal``
+    per quad: q stores (tol, nf, h1, h2) in its private ``_normal``
     slot and later calls with the same Tolerances object read it back.
     The key is tol's identity, which the stored reference keeps from being
     reused; a call with another tol derives the frame again and replaces
@@ -380,17 +365,16 @@ def _locus_abscissas(q: ConvexQuad, tol: Tolerances) -> tuple[tuple, float, floa
     such a quad raises the same again."""
     stored = getattr(q, "_normal", None)
     if stored is None or stored[0] is not tol:
-        frame = _normal_frame(q, tol)
-        s, _, _, _, _, labeling, _, _, _ = frame
+        nf = _normal_frame(q, tol)
         ma, mb = _midpoint_pairs(q)
-        h_a, h_b = (s / 2, 0.5) if labeling[0] % 2 == 0 else (0.5, s / 2)
+        h_a, h_b = (nf.s / 2, 0.5) if nf.labeling[0] % 2 == 0 else (0.5, nf.s / 2)
         h1, h2 = (h_b, h_a) if mb < ma else (h_a, h_b)
-        stored = (tol, frame, h1, h2)
+        stored = (tol, nf, h1, h2)
         _store_normal(q, stored)
     return stored[1:]
 
 
-def _center_bound(frame: tuple, cx: float, cy: float, tol: Tolerances) -> float:
+def _center_bound(nf: NormalForm, cx: float, cy: float, tol: Tolerances) -> float:
     """Largest |2(s - 1) y - (2h(t - 1) + s - t)| at which the center
     (cx, cy), mapped to (h, y) = T(cx, cy), counts as on the center line
     y = L(h): 2|s - 1| tol_on, a vertical miss of tol_on in the unit-size
@@ -398,22 +382,26 @@ def _center_bound(frame: tuple, cx: float, cy: float, tol: Tolerances) -> float:
     T(cx, cy) forms them, 4 ulps of each, where that is more.  Both are read off the
     normal frame alone, so an affine copy of the quad and its center gets
     the same verdict at any scale and offset."""
-    s, t, (m11, m12, m21, m22), (tx, ty), _, _, _, _, _ = frame
+    s, t = nf.s, nf.t
+    m11, m12, m21, m22 = nf.M
+    tx, ty = nf.translation
     rounding = 4 * _ULP * (2 * abs(s - 1) * (abs(m21 * cx) + abs(m22 * cy) + abs(ty))
                            + 2 * abs(t - 1) * (abs(m11 * cx) + abs(m12 * cy) + abs(tx)))
     return max(2 * abs(s - 1) * tol.tol_on, rounding)
 
 
-def _center_abscissa(frame: tuple, center: Point, tol: Tolerances) -> float:
+def _center_abscissa(nf: NormalForm, center: Point, tol: Tolerances) -> float:
     """The normalized abscissa h of a caller's center: the first coordinate
     of T(center).  Raises CenterOffLocus unless the center is on the center
     line to within ``_center_bound``.  The test multiplies L(h) out instead
     of dividing by s - 1, so at s = 1 it lets the center through to the
     construction's own s = 1 verdict."""
-    s, t, (m11, m12, m21, m22), (tx, ty), _, _, _, _, _ = frame
+    s, t = nf.s, nf.t
+    m11, m12, m21, m22 = nf.M
+    tx, ty = nf.translation
     cx, cy = center.x, center.y
     h, y = m11 * cx + m12 * cy + tx, m21 * cx + m22 * cy + ty
-    if abs(2 * (s - 1) * y - (2 * h * (t - 1) + s - t)) > _center_bound(frame, cx, cy, tol):
+    if abs(2 * (s - 1) * y - (2 * h * (t - 1) + s - t)) > _center_bound(nf, cx, cy, tol):
         raise CenterOffLocus("center is not on the center line")
     return h
 
@@ -437,21 +425,20 @@ def inscribe_at_center(q: ConvexQuad, center: Point,
     raises NumericalFailure(_VERTICAL).  A side the conic misses raises
     NotTangent.
     """
-    frame, _, _ = _locus_abscissas(q, tol)
-    _, _, _, _, _, _, (lo, hi), _, _ = frame
-    h = _center_abscissa(frame, center, tol)
-    _param_in_interval(lo, hi, h, tol)
-    result = _construct(frame, h, tol)
+    nf, _, _ = _locus_abscissas(q, tol)
+    h = _center_abscissa(nf, center, tol)
+    _param_in_interval(*nf.interval, h, tol)
+    result = _construct(nf, h, tol)
     got = result.ellipse.center
     (x1, y1), (x2, y2) = _midpoint_pairs(q)
     # the drift may reach 1e-6 of the locus length, and _drift_slack more
     excess = math.hypot(got.x - center.x, got.y - center.y) - 1e-6 * math.hypot(x2 - x1, y2 - y1)
-    if excess > 0 and excess > _drift_slack(frame, h, center, tol):
+    if excess > 0 and excess > _drift_slack(nf, h, center, tol):
         raise NumericalFailure("inscribed conic center drifted from the request")
     return result
 
 
-def _drift_slack(frame: tuple, h: float, center: Point, tol: Tolerances) -> float:
+def _drift_slack(nf: NormalForm, h: float, center: Point, tol: Tolerances) -> float:
     """How far a caller's center may sit from the center T^-1(h, L(h))
     that the construction at its abscissa h carries, beyond 1e-6 of the
     locus length: the miss of the center line ``_center_bound`` lets
@@ -460,9 +447,10 @@ def _drift_slack(frame: tuple, h: float, center: Point, tol: Tolerances) -> floa
     of the terms that form the carried center.  Both scale with the quad,
     as the locus length does, so a drift of a fixed share of the quad
     raises at every scale."""
-    s, t, _, _, (b11, b12, b21, b22, x0, y0), _, _, _, _ = frame
+    s, t = nf.s, nf.t
+    b11, b12, b21, b22, x0, y0 = nf.inverse
     _, k, _ = _dual_entries(s, t, h)
-    miss = math.hypot(b12, b22) * _center_bound(frame, center.x, center.y, tol) / (2 * abs(s - 1))
+    miss = math.hypot(b12, b22) * _center_bound(nf, center.x, center.y, tol) / (2 * abs(s - 1))
     return miss + 4 * _ULP * (abs(b11 * h) + abs(b12 * k) + abs(x0)
                               + abs(b21 * h) + abs(b22 * k) + abs(y0))
 
@@ -476,8 +464,8 @@ def inscribe_at_param(q: ConvexQuad, u: float,
     """
     if not (tol.tol_interval < u < 1 - tol.tol_interval):
         raise CenterOffLocus(f"parameter {u} outside the open unit interval")
-    frame, h1, h2 = _locus_abscissas(q, tol)
-    return _construct(frame, h1 + u * (h2 - h1), tol)
+    nf, h1, h2 = _locus_abscissas(q, tol)
+    return _construct(nf, h1 + u * (h2 - h1), tol)
 
 
 def chord_x(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> ChordX:
@@ -491,10 +479,11 @@ def chord_x(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> ChordX:
     vertical in the normal frame, raises NumericalFailure(_VERTICAL); a
     parallelogram has no center line, and its normal frame raises.
     """
-    frame, h1, h2 = _locus_abscissas(q, tol)
-    s, t, _, _, (b11, b12, b21, b22, x0, y0), _, (lo, hi), _, _ = frame
+    nf, h1, h2 = _locus_abscissas(q, tol)
+    s, t = nf.s, nf.t
+    b11, b12, b21, b22, x0, y0 = nf.inverse
     ends = []
-    for h in _chord_abscissas(s, t, lo, hi):
+    for h in _chord_abscissas(s, t, *nf.interval):
         _, k, _ = _dual_entries(s, t, h)
         ends.append(Point(b11 * h + b12 * k + x0, b21 * h + b22 * k + y0))
     return ChordX(*ends) if h1 < h2 else ChordX(*reversed(ends))
@@ -540,13 +529,13 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
     These are the ratios along the chord an affine map keeps.  A
     parallelogram's normal frame raises ParallelogramUnsupported.
     """
-    frame, _, _ = _locus_abscissas(q, tol)
-    s, t, _, _, _, _, (lo, hi), _, _ = frame
-    h = _center_abscissa(frame, center, tol)
-    h_a, h_b = _chord_abscissas(s, t, lo, hi)
+    nf, _, _ = _locus_abscissas(q, tol)
+    lo, hi = nf.interval
+    h = _center_abscissa(nf, center, tol)
+    h_a, h_b = _chord_abscissas(nf.s, nf.t, lo, hi)
     if not (tol.tol_interval < (h - h_a) / (h_b - h_a) < 1 - tol.tol_interval):
         raise CenterOffLocus("center is not strictly inside the chord")
     margin = tol.tol_interval * (h_b - h_a)
     if abs(h - lo) <= margin or abs(h - hi) <= margin:
         raise DegenerateAtMidpoint("center coincides with a diagonal midpoint")
-    return _tangent_conic(frame, h, tol)[:3]
+    return _tangent_conic(nf, h, tol)[:3]

@@ -43,6 +43,7 @@ that way only.
 """
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -69,9 +70,10 @@ def _moved(q, off):
 
 
 def _frame(q):
-    """50-digit (vertices, p0, B, L, s, t, h1, h2) of q's normal form, with
-    the labeling ``normalize`` chose: T^-1(y) = B y + p0, L = B^-1, and h1,
-    h2 the abscissas of ``locus``'s m1 and m2.  Call inside mp.workdps."""
+    """50-digit normal form of q, with the labeling ``normalize`` chose,
+    read by name: the vertices v, T^-1(y) = b y + p0, lin = b^-1, s, t, and
+    h1, h2 the abscissas of ``locus``'s m1 and m2.  Call inside
+    mp.workdps."""
     rot = ic.normalize(q).labeling[0]
     v = [(mpf(p.x), mpf(p.y)) for p in q.vertices]
     p0, p1, p2, p3 = (v[(rot + i) % 4] for i in range(4))
@@ -88,14 +90,16 @@ def _frame(q):
     ma = ((v[0][0] + v[2][0]) / 2, (v[0][1] + v[2][1]) / 2)
     mb = ((v[1][0] + v[3][0]) / 2, (v[1][1] + v[3][1]) / 2)
     h1, h2 = (h_13, h_02) if mb < ma else (h_02, h_13)
-    return v, p0, ((b11, b12), (b21, b22)), lin, s, t, h1, h2
+    return SimpleNamespace(v=v, p0=p0, b=((b11, b12), (b21, b22)), lin=lin, s=s, t=t,
+                           h1=h1, h2=h2)
 
 
 def _focal(frame, h):
     """The focal construction at abscissa h, in mpmath numbers: a dict of
     the original-frame center, contacts and unit-norm coefficients and, for
     an ellipse, semi-axes, angle, focal half-distance and foci."""
-    v, p0, b, lin, s, t, h1, h2 = frame
+    v, p0, b, lin, s, t = frame.v, frame.p0, frame.b, frame.lin, frame.s, frame.t
+    h1, h2 = frame.h1, frame.h2
     ellipse = min(h1, h2) < h < max(h1, h2)
     k = (s - t + 2 * h * (t - 1)) / (2 * (s - 1))
     root_sum = 2 * mpc(h, k)
@@ -178,8 +182,7 @@ def oracle_inscribed(q: ic.ConvexQuad, u: float, rates: bool = False,
     |d/dh| of its center and of each contact."""
     with mp.workdps(50):
         frame = _frame(q)
-        h1, h2 = frame[-2:]
-        h = h1 + mpf(u) * (h2 - h1)
+        h = frame.h1 + mpf(u) * (frame.h2 - frame.h1)
         exact = _focal(frame, h)
         out = {"h": float(h), "center": _point(exact["center"], offset),
                "contacts": [_point(p, offset) for p in exact["contacts"]],
@@ -196,7 +199,7 @@ def oracle_tangent_conic(q: ic.ConvexQuad, center: ic.Point) -> tuple[bool, tupl
     50-digit tangent conic centered at the float point ``center``."""
     with mp.workdps(50):
         frame = _frame(q)
-        p0, lin = frame[1], frame[3]
+        p0, lin = frame.p0, frame.lin
         h = lin[0][0] * (mpf(center.x) - p0[0]) + lin[0][1] * (mpf(center.y) - p0[1])
         exact = _focal(frame, h)
         return (exact["ellipse"], _point(exact["coefficients"]), float(h),
@@ -220,7 +223,7 @@ def oracle_max_area(q: ic.ConvexQuad) -> tuple[float, float]:
     and the area is pi a b of the oracle ellipse there."""
     with mp.workdps(50):
         frame = _frame(q)
-        s, t, h1, h2 = frame[-4:]
+        s, t, h1, h2 = frame.s, frame.t, frame.h1, frame.h2
         a, b, c = -24 * (t - 1), 8 * ((s + 1) * (t - 1) - s), 2 * s * (s + 2 - t)
         root = mp.sqrt(b * b - 4 * a * c)
         h0, = [h for h in ((-b + root) / (2 * a), (-b - root) / (2 * a))
@@ -245,14 +248,16 @@ def _local_form(q, offset):
     the offset is 0), so the move is exact: a construction through it does
     the moved quad's own normal-frame arithmetic bit for bit, and rounds
     its points at the quad's extent rather than at the offset."""
-    s, t, m, _, inverse, labeling, interval, det, sides = _normal_frame(q, ic.DEFAULT_TOL)
-    b11, b12, b21, b22, x0, y0 = inverse
+    nf = _normal_frame(q, ic.DEFAULT_TOL)
+    b11, b12, b21, b22, x0, y0 = nf.inverse
     x1, y1 = x0 - offset, y0 - offset
     assert Fraction(x1) == Fraction(x0) - Fraction(offset)
     assert Fraction(y1) == Fraction(y0) - Fraction(offset)
-    m11, m12, m21, m22 = m
+    m11, m12, m21, m22 = nf.M
     moved = (-(m11 * x1 + m12 * y1), -(m21 * x1 + m22 * y1))
-    return s, t, m, moved, (b11, b12, b21, b22, x1, y1), labeling, interval, det, sides
+    local = ic.NormalForm(nf.s, nf.t, nf.M, moved, (b11, b12, b21, b22, x1, y1), nf.labeling)
+    assert (local.interval, local.det, local.sides) == (nf.interval, nf.det, nf.sides)
+    return local
 
 
 def _draws(offset):

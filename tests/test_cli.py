@@ -577,6 +577,12 @@ class TestUsageAndTolerances:
         assert out == ""
         assert err.startswith("bad --tol value: ")
 
+    def test_a_tolerance_set_twice_exits_usage(self, capsys):
+        code, out, err = run_cli(capsys, "inscribe", "--vertices", QUAD, "--u", "0.37",
+                                 "--tol", "tol_tan=1e-7,tol_tan=1e-3")
+        assert (code, out) == (1, "")
+        assert err == "bad --tol value: tolerance tol_tan is set twice\n"
+
     def test_tol_without_a_value_is_reported_missing(self, capsys):
         code, out, err = run_cli(capsys, "inscribe", "--vertices", QUAD,
                                  "--u", "0.37", "--tol", "tol_tan=")

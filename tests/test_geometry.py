@@ -62,6 +62,17 @@ class TestValidateQuad:
         with pytest.raises(errors.DegenerateQuad):
             ic.validate_quad([(0, 0), (1, 0), (1, 0), (0, 1)])
 
+    @pytest.mark.parametrize("bad, count", [((0, 0, 7), 3), ((0,), 1), ((), 0)])
+    def test_a_vertex_needs_exactly_two_coordinates(self, bad, count):
+        # a third component was dropped silently and a single one raised
+        # IndexError; both are now refused as values
+        with pytest.raises(ValueError) as info:
+            ic.validate_quad([bad, (1, 0), (3, 2), (0, 1)])
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"a vertex needs exactly two coordinates, got {count}"
+        q = ic.validate_quad([ic.Point(0, 0), (1.0, 0.0), np.array([3.0, 2.0]), [0, 1]])
+        assert q == ic.validate_quad([(0, 0), (1, 0), (3, 2), (0, 1)])
+
     @pytest.mark.parametrize("offset,scale", [(1e8, 1.0), (0.0, 1e-9), (-1e8, 1e6)])
     def test_degeneracy_is_relative_to_the_quads_extent(self, offset, scale):
         def place(points):

@@ -171,12 +171,13 @@ def _guard_centers(q, seg, chord, tol):
         params += [um + k * step for k in GUARD_STEPS]
     centers = [chord.point_at(u) for u in params]
     # (h, L(h)) moved by dy in the normal frame misses the line by 2|s - 1| dy
-    frame = _normal_frame(q, tol)
-    s, t, (m11, m12, _, _), (tx, _), (b11, b12, b21, b22, x0, y0), _, _, _, _ = frame
+    nf = _normal_frame(q, tol)
+    s, t = nf.s, nf.t
+    (m11, m12, _, _), (tx, _), (b11, b12, b21, b22, x0, y0) = nf.M, nf.translation, nf.inverse
     for p in (seg.point_at(0.5), chord.point_at(0.02), chord.point_at(0.98)):
         h = m11 * p.x + m12 * p.y + tx
         k = (2 * h * (t - 1) + s - t) / (2 * (s - 1))
-        dy = _center_bound(frame, p.x, p.y, tol) / (2 * abs(s - 1))
+        dy = _center_bound(nf, p.x, p.y, tol) / (2 * abs(s - 1))
         for f in GUARD_PUSHES:
             for y in (k + f * dy, k - f * dy):
                 centers.append(Point(b11 * h + b12 * y + x0, b21 * h + b22 * y + y0))

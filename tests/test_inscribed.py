@@ -22,7 +22,6 @@ from inconic.inscribed import (
     _frame,
     _locus_abscissas,
     _normal_frame,
-    _side_lines,
     _tangent_conic,
 )
 
@@ -308,9 +307,10 @@ class TestFocalCheckBound:
 
 
 def _normalize_as_before(q, tol=ic.DEFAULT_TOL):
-    """``normalize`` as it was written before the constructions read a flat
-    frame: the kept rotation's map built as an AffineMap and checked there,
-    and the NormalForm built over it, with det read off that map."""
+    """``normalize`` as it was first written, the reference the stored
+    frame is checked against: the kept rotation's map built as an AffineMap
+    and checked there, and the NormalForm built over it, with det read off
+    that map."""
     if q.kind is ic.QuadKind.PARALLELOGRAM:
         raise errors.ParallelogramUnsupported(
             "inscribed ellipses of a parallelogram are not unique")
@@ -331,11 +331,22 @@ def _normalize_as_before(q, tol=ic.DEFAULT_TOL):
     return nf
 
 
+def _with_fields(nf, **fields):
+    """nf with the named fields replaced, not checked or derived again by
+    ``NormalForm.__init__``: a hand-made frame."""
+    return ic.geometry._rebuild(ic.NormalForm, [fields.get(name, getattr(nf, name))
+                                                for name in ic.NormalForm.__slots__])
+
+
 class TestNormalFrame:
-    """The constructions read ``_normal_frame``'s flat tuple; ``normalize``
-    holds the same tuple as a NormalForm, whose slots follow its order."""
+    """A quad's normal frame is one NormalForm, built by its constructor
+    once per quad and stored; every construction reads its fields by name,
+    and ``normalize`` returns the stored object itself."""
 
     def test_constructions_build_no_normal_form_or_affine_map(self, monkeypatch):
+        # on a quad whose frame is stored: ``chord_x`` below stores it
+        # before the patches, so no construction derives it again; a cold
+        # quad's one derivation is counted in the next test
         def fail(*args, **kwargs):
             raise AssertionError("the construction built a NormalForm or an AffineMap")
 
@@ -348,6 +359,45 @@ class TestNormalFrame:
         ic.max_area(q)
         _, kind, _ = ic.tangent_conic_at_center(q, beyond)
         assert kind is ic.ConicClass.HYPERBOLA
+
+    def test_a_cold_quad_builds_one_normal_form(self, monkeypatch, rng):
+        # a fresh quad's first call derives its frame: exactly one
+        # NormalForm.__init__, one _affine_det (the frame's check of T) and
+        # no AffineMap; every later call on it reads the stored frame
+        shapes = [quad_s3t2(), quad_s4t2(), random_trapezium(rng), random_trapezoid(rng)]
+        centers = [(ic.locus(q).point_at(0.37), ic.chord_x(q).point_at(0.9)) for q in shapes]
+        counts = {"init": 0, "det": 0}
+        init, affine_det = ic.NormalForm.__init__, ic.inscribed._affine_det
+
+        def counted_init(self, *args):
+            counts["init"] += 1
+            init(self, *args)
+
+        def counted_det(*args):
+            counts["det"] += 1
+            return affine_det(*args)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("built an AffineMap")
+
+        monkeypatch.setattr(ic.NormalForm, "__init__", counted_init)
+        monkeypatch.setattr(ic.inscribed, "_affine_det", counted_det)
+        monkeypatch.setattr(ic.AffineMap, "__init__", fail)
+        calls = (lambda q, c, b: ic.inscribe_at_param(q, 0.5),
+                 lambda q, c, b: ic.inscribe_at_center(q, c),
+                 lambda q, c, b: ic.max_area(q),
+                 lambda q, c, b: ic.tangent_conic_at_center(q, b),
+                 lambda q, c, b: ic.chord_x(q),
+                 lambda q, c, b: ic.normalize(q))
+        for first in calls:
+            for shape, (center, beyond) in zip(shapes, centers):
+                q = ic.ConvexQuad(*shape.vertices, shape.kind)
+                counts.update(init=0, det=0)
+                first(q, center, beyond)
+                assert counts == {"init": 1, "det": 1}
+                for call in calls:
+                    call(q, center, beyond)
+                assert counts == {"init": 1, "det": 1}
 
     def test_normalize_matches_the_former_construction(self, rng):
         quads = [quad_s3t2(), quad_s4t2()]
@@ -364,38 +414,31 @@ class TestNormalFrame:
         for q in quads:
             want = _normalize_as_before(q)
             got = ic.normalize(q)
-            frame = _normal_frame(q, ic.DEFAULT_TOL)
-            checked = ic.NormalForm(*frame[:6])
-            for name, value in zip(ic.NormalForm.__slots__, frame):
-                assert getattr(got, name) == getattr(checked, name) == value, name
-            for name in ("s", "t", "M", "translation", "inverse", "labeling", "det"):
+            stored, _, _ = _locus_abscissas(q, ic.DEFAULT_TOL)
+            assert type(got) is ic.NormalForm
+            assert got is ic.normalize(q) is stored
+            assert ic.NormalForm(got.s, got.t, got.M, got.translation, got.inverse,
+                                 got.labeling) == got
+            assert _normal_frame(q, ic.DEFAULT_TOL) == got
+            for name in ic.NormalForm.__slots__:
                 assert getattr(got, name) == getattr(want, name), name
             assert got == want
 
-    def test_kernel_unpacks_the_frame(self):
-        # the tuple is read in slot order, never as frame[<int>]
-        for module in (ic.inscribed, ic.area):
-            tree = ast.parse(inspect.getsource(module))
-            assert not [node for node in ast.walk(tree) if isinstance(node, ast.Subscript)
-                        and isinstance(node.value, ast.Name) and node.value.id == "frame"]
-
     def test_sides_slot_holds_the_stored_side_lines(self, rng):
-        # the ninth slot is the stored frame's own tuple of side lines; each
-        # is a unit line through its two normal-frame corners, and T^-1
-        # maps it onto the original side it is paired with
+        # the stored frame's side lines: each is a unit line through its two
+        # normal-frame corners, and T^-1 maps it onto the original side it
+        # is paired with; they survive copy, deepcopy and pickle and take
+        # part in equality
         quads = [quad_s3t2(), quad_s4t2()]
         quads += [random_trapezium(rng) for _ in range(10)]
         quads += [random_trapezoid(rng) for _ in range(10)]
         for q in quads:
             nf = ic.normalize(q)
-            *head, sides = frame = _locus_abscissas(q, ic.DEFAULT_TOL)[0]
-            assert frame == _normal_frame(q, ic.DEFAULT_TOL)
-            assert nf.sides is sides
-            assert ic.NormalForm(*head[:6]).sides == sides == \
-                _side_lines(nf.s, nf.t, nf.labeling)
+            sides = nf.sides
+            assert _normal_frame(q, ic.DEFAULT_TOL).sides == sides
             for other in (copy.copy(nf), copy.deepcopy(nf), pickle.loads(pickle.dumps(nf))):
                 assert other == nf and other.sides == sides
-            assert nf != ic.geometry._rebuild(ic.NormalForm, (*head, sides[1:] + sides[:1]))
+            assert nf != _with_fields(nf, sides=sides[1:] + sides[:1])
             assert [side for side, _, _, _ in sides] == list(nf.labeling)
             corners = [(0.0, 0.0), (1.0, 0.0), (nf.s, nf.t), (0.0, 1.0)]
             b11, b12, b21, b22, x0, y0 = nf.inverse
@@ -408,8 +451,8 @@ class TestNormalFrame:
                     assert abs(line.eval(p)) <= 1e-12 * max(map(abs, (p.x, p.y, 1.0)))
 
     def test_normalize_builds_no_affine_map_and_checks_once(self, monkeypatch):
-        # normalize holds the checked frame tuple as it is: no AffineMap is
-        # built on the way and _affine_det runs once; nf.T builds the map
+        # normalize builds no AffineMap on the way and _affine_det runs
+        # once, in NormalForm's constructor; nf.T builds the map
         def fail(*args, **kwargs):
             raise AssertionError("built an AffineMap")
 
@@ -815,10 +858,10 @@ class TestInscribeAtCenter:
         # 10 to 1e3 times 1e-6 of the locus length from the line: the drift
         # bound allows that miss as well
         q = ic.validate_quad([(0, 0), (1, 0), (1 + eps, 1 + eps), (0, 1)])
-        frame, h1, h2 = _locus_abscissas(q, ic.DEFAULT_TOL)
-        s, t, _, _, (b11, b12, b21, b22, x0, y0), _, _, _, _ = frame
+        nf, h1, h2 = _locus_abscissas(q, ic.DEFAULT_TOL)
+        b11, b12, b21, b22, x0, y0 = nf.inverse
         h = h1 + 0.37 * (h2 - h1)
-        y = _dual_entries(s, t, h)[1] + 0.9 * ic.DEFAULT_TOL.tol_on
+        y = _dual_entries(nf.s, nf.t, h)[1] + 0.9 * ic.DEFAULT_TOL.tol_on
         center = ic.Point(b11 * h + b12 * y + x0, b21 * h + b22 * y + y0)
         got = ic.inscribe_at_center(q, center).ellipse.center
         assert math.hypot(got.x - center.x, got.y - center.y) > 10 * 1e-6 * ic.locus(q).length()
@@ -1407,10 +1450,10 @@ class TestFilledOutputs:
                 assert [ic.HomPoint(p.x, p.y, p.w) for p in r.tangencies] == list(r.tangencies)
                 assert type(r) is ic.InscribedResult
                 assert ic.InscribedResult(e, r.conic, r.tangencies) == r
-            frame, h1, h2 = _locus_abscissas(q, ic.DEFAULT_TOL)
+            nf, h1, h2 = _locus_abscissas(q, ic.DEFAULT_TOL)
             for h in (h1 + 0.37 * (h2 - h1), h2 + 0.2 * (h2 - h1)):
                 conic, _, contacts, (q11, q12, q22), (cx, cy), _ = \
-                    _tangent_conic(frame, h, ic.DEFAULT_TOL)
+                    _tangent_conic(nf, h, ic.DEFAULT_TOL)
                 assert type(conic) is ic.Conic
                 assert conic == ic.Conic(q11, 2 * q12, q22, -2 * (q11 * cx + q12 * cy),
                                          -2 * (q12 * cx + q22 * cy),
@@ -1423,13 +1466,12 @@ class TestFilledOutputs:
         # (s,t)-(0,1) leaves the float range: 1.5 2^1023 * 10/7 overflows
         nf = normal_form(3.0, 2.0)
         b12 = 1.5 * 2.0 ** 1023
-        frame = (nf.s, nf.t, nf.M, nf.translation, (-0.75 * b12, b12, 0.0, 1.0, 0.0, 0.0),
-                 nf.labeling, nf.interval, nf.det, nf.sides)
+        far = _with_fields(nf, inverse=(-0.75 * b12, b12, 0.0, 1.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="^homogeneous components must be finite$"):
-            _tangent_conic(frame, 1.0, ic.DEFAULT_TOL)
+            _tangent_conic(far, 1.0, ic.DEFAULT_TOL)
         # the same frame with the contact in range builds
-        frame = frame[:4] + ((-0.375 * b12, 0.5 * b12, 0.0, 1.0, 0.0, 0.0),) + frame[5:]
-        conic, _, contacts, _, center, _ = _tangent_conic(frame, 1.0, ic.DEFAULT_TOL)
+        near = _with_fields(nf, inverse=(-0.375 * b12, 0.5 * b12, 0.0, 1.0, 0.0, 0.0))
+        conic, _, contacts, _, center, _ = _tangent_conic(near, 1.0, ic.DEFAULT_TOL)
         assert center == (0.0, 0.75)
         assert all(math.isfinite(p.x) for p in contacts)
 

@@ -230,6 +230,14 @@ def test_tolerances_replace_and_from_string_read_the_slots():
         Tolerances.from_string("bogus=1")
 
 
+@pytest.mark.parametrize("text", ["tol_tan=1e-7,tol_tan=1e-3", "tol_tan=1e-7, tol_tan =1e-7",
+                                  "tol_tan=1e-7,tol_on=1e-9,tol_tan=1e-3"])
+def test_a_tolerance_set_twice_is_refused(text):
+    # the last value won silently
+    with pytest.raises(ValueError, match="^tolerance tol_tan is set twice$"):
+        Tolerances.from_string(text)
+
+
 @pytest.mark.parametrize("text", ["tol_tan=", "tol_tan", " tol_tan = ", "tol_on=1e-9,tol_tan="])
 def test_known_tolerance_without_a_value_is_reported_missing(text):
     # a known name was reported as an unknown setting

@@ -79,13 +79,15 @@ class NormalForm(_Value):
     ``sides`` holds the four unit side lines (a, b, c) of a x + b y + c = 0
     through (0,0)-(1,0), (1,0)-(s,t), (s,t)-(0,1) and (0,1)-(0,0), in that
     order, each as (side, a, b, c) with ``side`` the original side index
-    ``labeling`` maps it to; s, t > 0 keeps both norms nonzero.  Convexity
+    ``labeling`` maps it to; s, t > 0 keeps both norms nonzero.  ``chord``
+    holds the chord ends' abscissas (h_a, h_b) (``_chord_abscissas``), or
+    None at s = 1.  Convexity
     forces s > 0, t > 0, s + t > 1.  The closed forms divide by s - 1 but
     never by t - 1, so ``normalize`` picks, of the two cyclic labelings,
     the one whose sides (1,0)-(s,t) and (0,1)-(0,0) are furthest from
     parallel; with one parallel side pair that gives t = 1."""
     __slots__ = ("s", "t", "M", "translation", "inverse", "labeling", "interval", "det",
-                 "sides")
+                 "sides", "chord")
 
     def __init__(self, s: float, t: float, M: tuple[float, float, float, float],
                  translation: tuple[float, float],
@@ -97,9 +99,17 @@ class NormalForm(_Value):
         interval = (0.5, s / 2) if 0.5 <= s / 2 else (s / 2, 0.5)
         n1, n2 = math.hypot(s - 1, t), math.hypot(t - 1, s)
         i0, i1, i2, i3 = labeling
-        sides = ((i0, 0.0, 1.0, 0.0), (i1, t / n1, (1 - s) / n1, -t / n1),
-                 (i2, (1 - t) / n2, s / n2, -s / n2), (i3, 1.0, 0.0, 0.0))
-        self._fill((s, t, M, translation, inverse, labeling, interval, det, sides))
+        _nf_s(self, s)
+        _nf_t(self, t)
+        _nf_M(self, M)
+        _nf_translation(self, translation)
+        _nf_inverse(self, inverse)
+        _nf_labeling(self, labeling)
+        _nf_interval(self, interval)
+        _nf_det(self, det)
+        _nf_sides(self, ((i0, 0.0, 1.0, 0.0), (i1, t / n1, (1 - s) / n1, -t / n1),
+                         (i2, (1 - t) / n2, s / n2, -s / n2), (i3, 1.0, 0.0, 0.0)))
+        _nf_chord(self, None if s == 1 else _chord_abscissas(s, t, *interval))
 
     @property
     def T(self) -> AffineMap:
@@ -146,6 +156,8 @@ class InscribedResult(_Value):
 
 
 _result_ellipse, _result_conic, _result_tangencies = _slot_setters(InscribedResult)
+(_nf_s, _nf_t, _nf_M, _nf_translation, _nf_inverse, _nf_labeling, _nf_interval, _nf_det,
+ _nf_sides, _nf_chord) = _slot_setters(NormalForm)
 
 
 def locus(q: ConvexQuad) -> LocusSegment:
@@ -472,7 +484,7 @@ def chord_x(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> ChordX:
     """Open chord cut by the quadrilateral's interior from the center line.
 
     Contains the locus segment strictly; its endpoints lie on the boundary.
-    The ends are the normal-frame crossings ``_chord_abscissas`` picks,
+    The ends are the normal-frame crossings ``NormalForm.chord`` stores,
     mapped out through T^-1 = (B, p0), ``p_start`` on m1's side.  No
     parallelism threshold is read: a side line parallel to the center
     line has no crossing in closed form.  s = 1, where the center line is
@@ -480,10 +492,12 @@ def chord_x(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> ChordX:
     parallelogram has no center line, and its normal frame raises.
     """
     nf, h1, h2 = _locus_abscissas(q, tol)
+    if nf.chord is None:
+        raise NumericalFailure(_VERTICAL)
     s, t = nf.s, nf.t
     b11, b12, b21, b22, x0, y0 = nf.inverse
     ends = []
-    for h in _chord_abscissas(s, t, *nf.interval):
+    for h in nf.chord:
         _, k, _ = _dual_entries(s, t, h)
         ends.append(Point(b11 * h + b12 * k + x0, b21 * h + b22 * k + y0))
     return ChordX(*ends) if h1 < h2 else ChordX(*reversed(ends))
@@ -496,14 +510,20 @@ def _chord_abscissas(s: float, t: float, lo: float, hi: float) -> tuple[float, f
     t = 1 makes them parallel to it, y = 0 at (t - s)/(2(t - 1)) and
     (s,t)-(0,1) at s(s + t - 2)/(2(t - 1)); the chord runs from the
     nearest crossing at or below lo to the nearest at or above hi, and
-    0 and (s + t)/2 are always among them.  s = 1 raises
-    NumericalFailure(_VERTICAL): every crossing is then at h = 1/2."""
-    if s == 1:
-        raise NumericalFailure(_VERTICAL)
-    crossings = [0.0, (s + t) / 2]
+    0 and (s + t)/2 are always among them.  At s = 1 every crossing is at
+    h = 1/2, and ``NormalForm``, which stores the pair, stores None."""
+    h_a, h_b = 0.0, (s + t) / 2
     if t != 1:
-        crossings += [(t - s) / (2 * (t - 1)), s * (s + t - 2) / (2 * (t - 1))]
-    return max(h for h in crossings if h <= lo), min(h for h in crossings if h >= hi)
+        bottom, top = (t - s) / (2 * (t - 1)), s * (s + t - 2) / (2 * (t - 1))
+        if h_a < bottom <= lo:
+            h_a = bottom
+        elif hi <= bottom < h_b:
+            h_b = bottom
+        if h_a < top <= lo:
+            h_a = top
+        elif hi <= top < h_b:
+            h_b = top
+    return h_a, h_b
 
 
 def tangent_conic_at_center(q: ConvexQuad, center: Point,
@@ -524,15 +544,18 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
 
     The guard runs in the normal frame: the center must be on the center
     line (``_center_abscissa``), its chord parameter (h - h_a)/(h_b - h_a)
-    tol_interval in from either chord end (``_chord_abscissas``), and h
+    tol_interval in from either chord end (``NormalForm.chord``), and h
     more than tol_interval (h_b - h_a) from either midpoint abscissa.
-    These are the ratios along the chord an affine map keeps.  A
-    parallelogram's normal frame raises ParallelogramUnsupported.
+    These are the ratios along the chord an affine map keeps; at s = 1,
+    with no chord, a center on the line raises NumericalFailure(_VERTICAL).
+    A parallelogram's normal frame raises ParallelogramUnsupported.
     """
     nf, _, _ = _locus_abscissas(q, tol)
     lo, hi = nf.interval
     h = _center_abscissa(nf, center, tol)
-    h_a, h_b = _chord_abscissas(nf.s, nf.t, lo, hi)
+    if nf.chord is None:
+        raise NumericalFailure(_VERTICAL)
+    h_a, h_b = nf.chord
     if not (tol.tol_interval < (h - h_a) / (h_b - h_a) < 1 - tol.tol_interval):
         raise CenterOffLocus("center is not strictly inside the chord")
     margin = tol.tol_interval * (h_b - h_a)

@@ -18,6 +18,7 @@ from mpmath import mp, mpf
 import inconic as ic
 from inconic import errors
 from inconic.inscribed import (
+    _chord_abscissas,
     _dual_entries,
     _frame,
     _locus_abscissas,
@@ -410,7 +411,8 @@ class TestNormalFrame:
             quads.append(transform_quad(random_trapezium(rng), far))
         assert len(quads) == 122
         assert ic.NormalForm.__slots__ == (
-            "s", "t", "M", "translation", "inverse", "labeling", "interval", "det", "sides")
+            "s", "t", "M", "translation", "inverse", "labeling", "interval", "det", "sides",
+            "chord")
         for q in quads:
             want = _normalize_as_before(q)
             got = ic.normalize(q)
@@ -420,6 +422,7 @@ class TestNormalFrame:
             assert ic.NormalForm(got.s, got.t, got.M, got.translation, got.inverse,
                                  got.labeling) == got
             assert _normal_frame(q, ic.DEFAULT_TOL) == got
+            assert got.chord == _chord_abscissas(got.s, got.t, *got.interval)
             for name in ic.NormalForm.__slots__:
                 assert getattr(got, name) == getattr(want, name), name
             assert got == want
@@ -553,6 +556,31 @@ class TestStoredFrame:
                 outcomes.add(tol is loose and got == (errors.NumericalFailure,
                                                       "normalization basis is singular"))
         assert outcomes == {True, False}
+
+    def test_the_chord_ends_are_derived_once_per_frame(self, monkeypatch):
+        # the frame stores its chord ends: tangent_conic_at_center and
+        # chord_x read them there, and only a frame derived again for
+        # another Tolerances object derives them again
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _chord_abscissas(*args)
+
+        q = quad_s4t2()
+        chord = ic.chord_x(ic.ConvexQuad(*q.vertices, q.kind))
+        centers = [chord.point_at(u) for u in (0.02, 0.37, 0.5, 0.98)]
+        want = [ic.tangent_conic_at_center(quad_s4t2(), center) for center in centers]
+        loose = ic.Tolerances(tol_tan=1e-7)
+        monkeypatch.setattr(ic.inscribed, "_chord_abscissas", counted)
+        for tol, derived in ((ic.DEFAULT_TOL, 1), (ic.DEFAULT_TOL, 1), (loose, 2),
+                             (loose, 2), (ic.DEFAULT_TOL, 3)):
+            for _ in range(5):
+                assert [ic.tangent_conic_at_center(q, c, tol) for c in centers] == want
+                assert ic.chord_x(q, tol) == chord
+            assert len(calls) == derived
+            nf = ic.normalize(q, tol)
+            assert calls[-1] == (nf.s, nf.t, *nf.interval)
 
     def test_a_frame_that_raises_raises_again(self):
         P = ic.Point

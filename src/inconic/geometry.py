@@ -1,14 +1,13 @@
 """Planar primitives: points, homogeneous points, lines, affine maps, conics.
 
 All operations are pure functions on immutable values, so everything here
-is safe to share between concurrent tasks.  One value also keeps two
-private memos: a ``ConvexQuad`` stores its own normal frame, the
-``NormalForm`` every construction on it reads, the first time one runs
-(``inscribed``'s ``_locus_abscissas``), and its four side lines the first
-time ``side_lines`` is called.  Sharing a quad stays safe: each store is
-one reference assignment of an immutable tuple, so a reader sees the old
-value or the new one and never half of either, and two tasks that race
-only both compute the same value.  The package's value types derive
+is safe to share between concurrent tasks.  One value also keeps a private
+memo: a ``ConvexQuad`` stores its own normal frame, the ``NormalForm``
+every construction on it reads, the first time one runs (``inscribed``'s
+``_locus_abscissas``).  Sharing a quad stays safe: the store is one
+reference assignment of an immutable tuple, so a reader sees the old frame
+or the new one and never half of either, and two tasks that race only both
+compute the same frame.  The package's value types derive
 from ``_Value``: the fields are ``__slots__``, set once by an ``__init__``
 that makes the type's checks; assigning or deleting one raises
 AttributeError; equality, hashing, repr, copy and pickle go by the slots.
@@ -34,14 +33,14 @@ def _rebuild(cls, values):
 class _Value:
     """Immutable value over ``__slots__``, compared, hashed, printed, copied
     and pickled by its slots; ``__init__`` sets each slot once, in one of
-    two ways.  A type built per construction or cross-check (points, lines,
-    conics, ellipses, the pencil and its duals, the result records) or per
-    quad (the normal frame) sets its slots one by one through its slot
-    descriptors' ``__set__`` (``_slot_setters``), skipping ``_fill``'s
-    loop; every other type, ``AffineMap`` too, hands ``_fill`` its values
-    in slot order.  The construction calls no ``__init__``: it fills its
-    outputs through the setters after the same checks, held once in
-    ``_set_line``, ``_set_conic`` and ``_set_ellipse`` or made inline."""
+    two ways.  A type built on every construction or cross-check (points,
+    lines, conics, ellipses, the pencil and its duals, and the result
+    records) sets its slots one by one through its slot descriptors'
+    ``__set__`` (``_slot_setters``), which skips ``_fill``'s loop; every
+    other type, ``AffineMap`` too, hands ``_fill`` its values in slot
+    order.  The construction calls no ``__init__``: it fills its outputs
+    through the setters after the same checks, held once in ``_set_line``,
+    ``_set_conic`` and ``_set_ellipse`` or made inline on the floats."""
     __slots__ = ()
 
     def _fill(self, values) -> None:
@@ -307,12 +306,12 @@ class QuadKind(Enum):
 
 
 class _FramedValue(_Value):
-    """A value with two private slots that are not fields: they take no
-    part in equality, hashing, repr, copy or pickle, which read the
-    subclass's ``__slots__`` only.  ``ConvexQuad`` keeps its normal frame in
-    ``_normal`` (see ``inscribed._locus_abscissas``) and its side lines in
-    ``_lines``; a copy or an unpickled quad starts without either."""
-    __slots__ = ("_normal", "_lines")
+    """A value with one private slot, ``_normal``, that is not a field: it
+    takes no part in equality, hashing, repr, copy or pickle, which read
+    the subclass's ``__slots__`` only.  ``ConvexQuad`` keeps its normal
+    frame there (see ``inscribed._locus_abscissas``); a copy or an
+    unpickled quad starts without it."""
+    __slots__ = ("_normal",)
 
 
 class ConvexQuad(_FramedValue):
@@ -329,16 +328,11 @@ class ConvexQuad(_FramedValue):
 
     def side_lines(self) -> tuple[Line, Line, Line, Line]:
         """Lines through the sides, in order (v0v1, v1v2, v2v3, v3v0), each
-        built as ``Line.from_points`` builds it, by ``_line_through``, on
-        the first call; the quad keeps that tuple and returns it again."""
-        lines = getattr(self, "_lines", None)
-        if lines is None:
-            v0, v1, v2, v3 = self.v0, self.v1, self.v2, self.v3
-            x0, y0, x1, y1, x2, y2, x3, y3 = v0.x, v0.y, v1.x, v1.y, v2.x, v2.y, v3.x, v3.y
-            lines = (_line_through(x0, y0, x1, y1), _line_through(x1, y1, x2, y2),
-                     _line_through(x2, y2, x3, y3), _line_through(x3, y3, x0, y0))
-            _store_lines(self, lines)
-        return lines
+        built as ``Line.from_points`` builds it, by ``_line_through``."""
+        v0, v1, v2, v3 = self.v0, self.v1, self.v2, self.v3
+        x0, y0, x1, y1, x2, y2, x3, y3 = v0.x, v0.y, v1.x, v1.y, v2.x, v2.y, v3.x, v3.y
+        return (_line_through(x0, y0, x1, y1), _line_through(x1, y1, x2, y2),
+                _line_through(x2, y2, x3, y3), _line_through(x3, y3, x0, y0))
 
 
 def _unit(dx: float, dy: float) -> tuple[float, float]:
@@ -496,7 +490,6 @@ _line_a, _line_b, _line_c = _slot_setters(Line)
 _conic_a, _conic_b, _conic_c, _conic_d, _conic_e, _conic_f = _slot_setters(Conic)
 (_ellipse_center, _ellipse_major, _ellipse_minor, _ellipse_angle, _ellipse_focus1,
  _ellipse_focus2) = _slot_setters(EllipseGeo)
-_store_lines = _FramedValue._lines.__set__  # a quad's kept side lines
 
 
 def _set_conic(conic: Conic, a: float, b: float, c: float, d: float, e: float,

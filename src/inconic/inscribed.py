@@ -81,11 +81,11 @@ class NormalForm(_Value):
     order, each as (side, a, b, c) with ``side`` the original side index
     ``labeling`` maps it to; s, t > 0 keeps both norms nonzero.  ``chord``
     holds the chord ends' abscissas (h_a, h_b) (``_chord_abscissas``), or
-    None at s = 1.  Convexity
-    forces s > 0, t > 0, s + t > 1.  The closed forms divide by s - 1 but
-    never by t - 1, so ``normalize`` picks, of the two cyclic labelings,
-    the one whose sides (1,0)-(s,t) and (0,1)-(0,0) are furthest from
-    parallel; with one parallel side pair that gives t = 1."""
+    None at s = 1.  Convexity forces s > 0, t > 0, s + t > 1.  The closed
+    forms divide by s - 1 but never by t - 1, so ``normalize`` picks, of
+    the two cyclic labelings, the one whose sides (1,0)-(s,t) and
+    (0,1)-(0,0) are furthest from parallel; with one parallel side pair
+    that gives t = 1."""
     __slots__ = ("s", "t", "M", "translation", "inverse", "labeling", "interval", "det",
                  "sides", "chord")
 
@@ -99,17 +99,10 @@ class NormalForm(_Value):
         interval = (0.5, s / 2) if 0.5 <= s / 2 else (s / 2, 0.5)
         n1, n2 = math.hypot(s - 1, t), math.hypot(t - 1, s)
         i0, i1, i2, i3 = labeling
-        _nf_s(self, s)
-        _nf_t(self, t)
-        _nf_M(self, M)
-        _nf_translation(self, translation)
-        _nf_inverse(self, inverse)
-        _nf_labeling(self, labeling)
-        _nf_interval(self, interval)
-        _nf_det(self, det)
-        _nf_sides(self, ((i0, 0.0, 1.0, 0.0), (i1, t / n1, (1 - s) / n1, -t / n1),
-                         (i2, (1 - t) / n2, s / n2, -s / n2), (i3, 1.0, 0.0, 0.0)))
-        _nf_chord(self, None if s == 1 else _chord_abscissas(s, t, *interval))
+        sides = ((i0, 0.0, 1.0, 0.0), (i1, t / n1, (1 - s) / n1, -t / n1),
+                 (i2, (1 - t) / n2, s / n2, -s / n2), (i3, 1.0, 0.0, 0.0))
+        chord = None if s == 1 else _chord_abscissas(s, t, *interval)
+        self._fill((s, t, M, translation, inverse, labeling, interval, det, sides, chord))
 
     @property
     def T(self) -> AffineMap:
@@ -156,8 +149,6 @@ class InscribedResult(_Value):
 
 
 _result_ellipse, _result_conic, _result_tangencies = _slot_setters(InscribedResult)
-(_nf_s, _nf_t, _nf_M, _nf_translation, _nf_inverse, _nf_labeling, _nf_interval, _nf_det,
- _nf_sides, _nf_chord) = _slot_setters(NormalForm)
 
 
 def locus(q: ConvexQuad) -> LocusSegment:
@@ -512,18 +503,10 @@ def _chord_abscissas(s: float, t: float, lo: float, hi: float) -> tuple[float, f
     nearest crossing at or below lo to the nearest at or above hi, and
     0 and (s + t)/2 are always among them.  At s = 1 every crossing is at
     h = 1/2, and ``NormalForm``, which stores the pair, stores None."""
-    h_a, h_b = 0.0, (s + t) / 2
+    crossings = [0.0, (s + t) / 2]
     if t != 1:
-        bottom, top = (t - s) / (2 * (t - 1)), s * (s + t - 2) / (2 * (t - 1))
-        if h_a < bottom <= lo:
-            h_a = bottom
-        elif hi <= bottom < h_b:
-            h_b = bottom
-        if h_a < top <= lo:
-            h_a = top
-        elif hi <= top < h_b:
-            h_b = top
-    return h_a, h_b
+        crossings += [(t - s) / (2 * (t - 1)), s * (s + t - 2) / (2 * (t - 1))]
+    return max(h for h in crossings if h <= lo), min(h for h in crossings if h >= hi)
 
 
 def tangent_conic_at_center(q: ConvexQuad, center: Point,

@@ -1,10 +1,6 @@
 """Primitives: quadrilateral validation, conic conversions, tangency."""
-import copy
 import math
-import pickle
 import random
-import sys
-import threading
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +10,7 @@ from hypothesis import strategies as st
 
 import inconic as ic
 from inconic import errors
-from inconic.geometry import _central_conic, _line_through, _metric_ellipse, _set_conic
+from inconic.geometry import _central_conic, _metric_ellipse, _set_conic
 
 from conftest import (
     affine_matrix3,
@@ -241,63 +237,6 @@ class TestSideLines:
         unit = ic.Line.from_points(ic.Point(1.0, 0.0), ic.Point(3.0, 2.0))
         for got, want in ((line.a, unit.a), (line.b, unit.b), (line.c, 1e155 * unit.c)):
             assert math.isclose(got, want, rel_tol=1e-15)
-
-
-class TestKeptSideLines:
-    """A quad builds its side lines on the first ``side_lines`` call and
-    keeps them in a private slot that is not a field."""
-
-    @staticmethod
-    def _fresh_lines(q):
-        v = q.vertices
-        return tuple(_line_through(v[i].x, v[i].y, v[(i + 1) % 4].x, v[(i + 1) % 4].y)
-                     for i in range(4))
-
-    def test_the_same_lines_on_every_call(self):
-        rng = np.random.default_rng(34)
-        for _ in range(50):
-            q = random_convex_quad(rng)
-            lines = q.side_lines()
-            assert q.side_lines() is lines
-            want = self._fresh_lines(q)
-            assert (repr([(line.a, line.b, line.c) for line in lines])
-                    == repr([(line.a, line.b, line.c) for line in want]))
-
-    def test_the_kept_lines_are_not_a_field(self):
-        used, fresh = quad_s3t2(), quad_s3t2()
-        want = used.side_lines()
-        assert hasattr(used, "_lines") and not hasattr(fresh, "_lines")
-        assert ic.ConvexQuad.__slots__ == ("v0", "v1", "v2", "v3", "kind")
-        assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
-        for twin in (copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used))):
-            assert twin == used and not hasattr(twin, "_lines")
-            assert twin.side_lines() == want and twin.side_lines() is not want
-
-    def test_threads_sharing_one_quad_get_the_single_thread_lines(self):
-        # eight threads race to store the lines of one shared quad,
-        # switching every microsecond; each must get the lines of a quad
-        # used by one thread alone
-        want = quad_s3t2().side_lines()
-        shared, start = quad_s3t2(), threading.Barrier(8, timeout=60)
-        got = [None] * 8
-
-        def run(i):
-            start.wait()
-            got[i] = [shared.side_lines() for _ in range(200)]
-
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert all(lines == want for run_lines in got for lines in run_lines)
-        assert shared.side_lines() == want
 
 
 class TestConicConversions:

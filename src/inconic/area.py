@@ -23,6 +23,7 @@ from .geometry import (
     _slot_setters,
 )
 from .inscribed import (
+    _VERTICAL,
     InscribedResult,
     NormalForm,
     _construct,
@@ -91,9 +92,12 @@ def max_area(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> MaxAreaResult:
     A'(h) is linear and its root is h = (s + 1)/4, the interval midpoint.
     The ellipse is built at h0 from the same normal frame, with no
     tol_interval margin.  A parallelogram's normal frame raises
-    ParallelogramUnsupported.
+    ParallelogramUnsupported; s = 1, where the interval is one point,
+    raises NumericalFailure(_VERTICAL).
     """
-    nf, _, _ = _locus_abscissas(q, tol)
+    nf = _locus_abscissas(q)[0]
+    if nf.chord is None:
+        raise NumericalFailure(_VERTICAL)
     s, t = nf.s, nf.t
     lo, hi = nf.interval
     # A'(h) = -24(t-1) h^2 + 8((s+1)(t-1) - s) h + 2s(s + 2 - t)

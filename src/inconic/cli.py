@@ -175,9 +175,9 @@ def cmd_inspect(args, q: ConvexQuad, tol: Tolerances) -> int:
         "t": None,
     }
     if q.kind is not QuadKind.PARALLELOGRAM:
-        nf = normalize(q, tol)
+        nf = normalize(q)
         lo, hi = nf.interval
-        ch = chord_x(q, tol)
+        ch = chord_x(q)
         doc.update({
             "locus_param_range": [lo, hi],
             "chord_x": [[ch.p_start.x, ch.p_start.y], [ch.p_end.x, ch.p_end.y]],
@@ -274,7 +274,7 @@ def cmd_sample(args, q: ConvexQuad, tol: Tolerances) -> int:
 
 def cmd_render(args, q: ConvexQuad, tol: Tolerances) -> int:
     seg = locus(q)
-    chord = None if q.kind is QuadKind.PARALLELOGRAM else chord_x(q, tol)
+    chord = None if q.kind is QuadKind.PARALLELOGRAM else chord_x(q)
     results = [result for result, _ in _results(args, q, tol)]
     ellipses = [r.ellipse for r in results]
     contacts = [t.to_point() for r in results for t in r.tangencies

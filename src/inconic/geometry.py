@@ -5,8 +5,8 @@ is safe to share between concurrent tasks.  One value also keeps a private
 memo: a ``ConvexQuad`` stores its own normal frame, the ``NormalForm``
 every construction on it reads, the first time one runs (``inscribed``'s
 ``_locus_abscissas``).  Sharing a quad stays safe: the store is one
-reference assignment of an immutable tuple, so a reader sees the old frame
-or the new one and never half of either, and two tasks that race only both
+reference assignment of an immutable tuple, so a reader sees no frame or
+a whole one and never half of it, and two tasks that race only both
 compute the same frame.  The package's value types derive
 from ``_Value``: the fields are ``__slots__``, set once by an ``__init__``
 that makes the type's checks; assigning or deleting one raises
@@ -85,17 +85,15 @@ class Tolerances(_Value):
     once (see the CLI's ``--tol`` flag); the oracles and the conic tools
     they use keep fixed thresholds.
     """
-    __slots__ = ("tol_det", "tol_tan", "tol_par", "tol_interval", "tol_on",
-                 "tol_infinity")
+    __slots__ = ("tol_tan", "tol_par", "tol_interval", "tol_on", "tol_infinity")
 
     def __init__(self,
-                 tol_det: float = 1e-12,       # singularity threshold for linear maps
                  tol_tan: float = 1e-8,        # tangency residual acceptance
                  tol_par: float = 1e-9,        # parallelism of unit edge directions
                  tol_interval: float = 1e-9,   # open-interval margin on locus parameters
                  tol_on: float = 1e-9,         # normal-frame miss of the center line
                  tol_infinity: float = 1e-10):  # relative |w| below which a point is at infinity
-        values = (tol_det, tol_tan, tol_par, tol_interval, tol_on, tol_infinity)
+        values = (tol_tan, tol_par, tol_interval, tol_on, tol_infinity)
         for name, value in zip(self.__slots__, values):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"tolerance {name} must be finite and positive, got {value!r}")
@@ -125,6 +123,7 @@ class Tolerances(_Value):
 
 
 DEFAULT_TOL = Tolerances()
+_SINGULAR = 1e-12  # relative |det| of a singular map: AffineMap and inscribed._frame
 
 
 class Point(_Value):
@@ -248,7 +247,7 @@ def _line_through(px: float, py: float, qx: float, qy: float) -> Line:
 
 class AffineMap(_Value):
     """Invertible planar affine map x -> M x + t; singular, whatever its
-    scale, when |det| <= tol_det * (|m11 m22| + |m12 m21|)."""
+    scale, when |det| <= _SINGULAR (|m11 m22| + |m12 m21|)."""
     __slots__ = ("m11", "m12", "m21", "m22", "tx", "ty")
 
     def __init__(self, m11: float, m12: float, m21: float, m22: float,
@@ -294,7 +293,7 @@ def _affine_det(m11: float, m12: float, m21: float, m22: float,
     size = abs(m11 * m22) + abs(m12 * m21)
     if not size < math.inf:
         raise NumericalFailure("linear part is out of float range")
-    if abs(det) <= DEFAULT_TOL.tol_det * size:
+    if abs(det) <= _SINGULAR * size:
         raise SingularMap(f"linear part is singular (det={det:g})")
     return det
 

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .geometry import (
     DEFAULT_TOL,
+    _SINGULAR,
     AffineMap,
     Conic,
     ConicClass,
@@ -170,9 +171,9 @@ def _midpoint_pairs(q: ConvexQuad) -> tuple[tuple[float, float], tuple[float, fl
             ((v1.x + v3.x) / 2, (v1.y + v3.y) / 2))
 
 
-def normalize(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
+def normalize(q: ConvexQuad) -> NormalForm:
     """Affine normal form of a non-parallelogram quadrilateral: the
-    NormalForm q stores for tol (``_locus_abscissas``), not a copy.
+    NormalForm q stores (``_locus_abscissas``), not a copy.
 
     Computes (s, t) for cyclic rotations 0 and 1 of the vertices and keeps
     the rotation with the larger normalized-frame sine |s-1| / hypot(s-1, t),
@@ -181,19 +182,18 @@ def normalize(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> NormalForm:
     other rotation has s = 1 and sine 0.  A parallelogram raises
     ParallelogramUnsupported: its inscribed ellipses are not unique.
     """
-    nf, _, _ = _locus_abscissas(q, tol)
-    return nf
+    return _locus_abscissas(q)[0]
 
 
-def _normal_frame(q: ConvexQuad, tol: Tolerances) -> NormalForm:
+def _normal_frame(q: ConvexQuad) -> NormalForm:
     """The normal frame of q, as ``normalize`` describes it.  Only the kept
     rotation's T is built, and ``_frame`` makes NormalForm's convexity
     check first, so its exception is the one raised."""
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("no unique inscribed ellipse and no center line")
     v0, v1 = q.v0, q.v1
-    s, t, _, _ = kept = _frame(v0, v1, q.v2, q.v3, tol)
-    s1, t1, _, _ = turned = _frame(v1, q.v2, q.v3, v0, tol)
+    s, t, _, _ = kept = _frame(v0, v1, q.v2, q.v3)
+    s1, t1, _, _ = turned = _frame(v1, q.v2, q.v3, v0)
     if abs(s1 - 1) / math.hypot(s1 - 1, t1) > abs(s - 1) / math.hypot(s - 1, t):
         kept, p0, labeling = turned, v1, (1, 2, 3, 0)
     else:
@@ -205,19 +205,20 @@ def _normal_frame(q: ConvexQuad, tol: Tolerances) -> NormalForm:
     return NormalForm(s, t, m, translation, (b11, b12, b21, b22, x0, y0), labeling)
 
 
-def _frame(p0: Point, p1: Point, p2: Point, p3: Point, tol: Tolerances):
+def _frame(p0: Point, p1: Point, p2: Point, p3: Point):
     """(s, t, M, B) of the frame sending p0, p1, p2, p3 to (0,0), (1,0),
     (s,t), (0,1): B = (b11, b12, b21, b22) holds the edge vectors p1 - p0
     and p3 - p0 as columns, M = B^-1.  (s, t) is solved from vertex
     differences, so it does not depend on where the quad sits.  A basis
-    whose products overflow is out of float range, not singular."""
+    is singular as an AffineMap is; one whose products overflow is out of
+    float range, not singular."""
     b11, b12 = p1.x - p0.x, p3.x - p0.x
     b21, b22 = p1.y - p0.y, p3.y - p0.y
     det = b11 * b22 - b12 * b21
     size = abs(b11 * b22) + abs(b12 * b21)
     if not size < math.inf:
         raise NumericalFailure("normalization basis is out of float range")
-    if abs(det) <= tol.tol_det * size:
+    if abs(det) <= _SINGULAR * size:
         raise NumericalFailure("normalization basis is singular")
     m11, m12 = b22 / det, -b12 / det
     m21, m22 = -b21 / det, b11 / det
@@ -352,29 +353,26 @@ def _construct(nf: NormalForm, h: float, tol: Tolerances) -> InscribedResult:
     return result
 
 
-def _locus_abscissas(q: ConvexQuad, tol: Tolerances) -> tuple[NormalForm, float, float]:
-    """The normal frame of q (``_normal_frame``) and the abscissas h1, h2
-    of locus(q)'s m1 and m2 (s/2 for the diagonal the labeling sends to
-    (0,0) and (s,t), 1/2 for the other), ordered as ``locus`` orders them.
-    A locus parameter u goes straight to h1 + u (h2 - h1).  Parallelograms
-    are rejected.
+def _locus_abscissas(q: ConvexQuad) -> tuple[NormalForm, float, float, float]:
+    """The normal frame of q (``_normal_frame``), the abscissas h1, h2 of
+    locus(q)'s m1 and m2 (s/2 for the diagonal the labeling sends to (0,0)
+    and (s,t), 1/2 for the other), ordered as ``locus`` orders them, and
+    the locus length.  A locus parameter u goes straight to
+    h1 + u (h2 - h1).  Parallelograms are rejected.
 
     Every construction on q reads its frame here, and it is derived once
-    per quad: q stores (tol, nf, h1, h2) in its private ``_normal``
-    slot and later calls with the same Tolerances object read it back.
-    The key is tol's identity, which the stored reference keeps from being
-    reused; a call with another tol derives the frame again and replaces
-    the stored one.  A frame that raises is not stored, so every call on
-    such a quad raises the same again."""
+    per quad: q stores (nf, h1, h2, length) in its private ``_normal``
+    slot and later calls read it back.  A frame that raises is not stored,
+    so every call on such a quad raises the same again."""
     stored = getattr(q, "_normal", None)
-    if stored is None or stored[0] is not tol:
-        nf = _normal_frame(q, tol)
+    if stored is None:
+        nf = _normal_frame(q)
         ma, mb = _midpoint_pairs(q)
         h_a, h_b = (nf.s / 2, 0.5) if nf.labeling[0] % 2 == 0 else (0.5, nf.s / 2)
         h1, h2 = (h_b, h_a) if mb < ma else (h_a, h_b)
-        stored = (tol, nf, h1, h2)
+        stored = (nf, h1, h2, math.hypot(mb[0] - ma[0], mb[1] - ma[1]))
         _store_normal(q, stored)
-    return stored[1:]
+    return stored
 
 
 def _center_bound(nf: NormalForm, cx: float, cy: float, tol: Tolerances) -> float:
@@ -428,14 +426,13 @@ def inscribe_at_center(q: ConvexQuad, center: Point,
     raises NumericalFailure(_VERTICAL).  A side the conic misses raises
     NotTangent.
     """
-    nf, _, _ = _locus_abscissas(q, tol)
+    nf, _, _, length = _locus_abscissas(q)
     h = _center_abscissa(nf, center, tol)
     _param_in_interval(*nf.interval, h, tol)
     result = _construct(nf, h, tol)
     got = result.ellipse.center
-    (x1, y1), (x2, y2) = _midpoint_pairs(q)
     # the drift may reach 1e-6 of the locus length, and _drift_slack more
-    excess = math.hypot(got.x - center.x, got.y - center.y) - 1e-6 * math.hypot(x2 - x1, y2 - y1)
+    excess = math.hypot(got.x - center.x, got.y - center.y) - 1e-6 * length
     if excess > 0 and excess > _drift_slack(nf, h, center, tol):
         raise NumericalFailure("inscribed conic center drifted from the request")
     return result
@@ -467,22 +464,22 @@ def inscribe_at_param(q: ConvexQuad, u: float,
     """
     if not (tol.tol_interval < u < 1 - tol.tol_interval):
         raise CenterOffLocus(f"parameter {u} outside the open unit interval")
-    nf, h1, h2 = _locus_abscissas(q, tol)
+    nf, h1, h2, _ = _locus_abscissas(q)
     return _construct(nf, h1 + u * (h2 - h1), tol)
 
 
-def chord_x(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> ChordX:
+def chord_x(q: ConvexQuad) -> ChordX:
     """Open chord cut by the quadrilateral's interior from the center line.
 
     Contains the locus segment strictly; its endpoints lie on the boundary.
     The ends are the normal-frame crossings ``NormalForm.chord`` stores,
     mapped out through T^-1 = (B, p0), ``p_start`` on m1's side.  No
-    parallelism threshold is read: a side line parallel to the center
-    line has no crossing in closed form.  s = 1, where the center line is
+    tolerance is read: a side line parallel to the center line has no
+    crossing in closed form.  s = 1, where the center line is
     vertical in the normal frame, raises NumericalFailure(_VERTICAL); a
     parallelogram has no center line, and its normal frame raises.
     """
-    nf, h1, h2 = _locus_abscissas(q, tol)
+    nf, h1, h2, _ = _locus_abscissas(q)
     if nf.chord is None:
         raise NumericalFailure(_VERTICAL)
     s, t = nf.s, nf.t
@@ -533,7 +530,7 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
     with no chord, a center on the line raises NumericalFailure(_VERTICAL).
     A parallelogram's normal frame raises ParallelogramUnsupported.
     """
-    nf, _, _ = _locus_abscissas(q, tol)
+    nf = _locus_abscissas(q)[0]
     lo, hi = nf.interval
     h = _center_abscissa(nf, center, tol)
     if nf.chord is None:

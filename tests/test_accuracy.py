@@ -248,7 +248,7 @@ def _local_form(q, offset):
     the offset is 0), so the move is exact: a construction through it does
     the moved quad's own normal-frame arithmetic bit for bit, and rounds
     its points at the quad's extent rather than at the offset."""
-    nf = _normal_frame(q, ic.DEFAULT_TOL)
+    nf = _normal_frame(q)
     b11, b12, b21, b22, x0, y0 = nf.inverse
     x1, y1 = x0 - offset, y0 - offset
     assert Fraction(x1) == Fraction(x0) - Fraction(offset)
@@ -306,7 +306,7 @@ def test_center_angle_foci_and_contacts_against_the_oracle(offset):
     keys = ("center", "angle", "foci", "contacts")
     worst = dict.fromkeys(keys + tuple(f"local {k}" for k in keys if k != "angle"), 0.0)
     for q in _draws(offset):
-        local_nf, (_, h1, h2) = _local_form(q, offset), _locus_abscissas(q, ic.DEFAULT_TOL)
+        local_nf, (_, h1, h2, _) = _local_form(q, offset), _locus_abscissas(q)
         frames = (("", offset, _magnitude(q)), ("local ", 0.0, _magnitude(q, offset)))
         for u in PARAMS:
             exact = oracle_inscribed(q, u, rates=True, offset=offset)

@@ -285,9 +285,9 @@ class TestMaxArea:
     def test_one_normal_form_per_call(self, monkeypatch):
         calls, frame = [], ic.inscribed._normal_frame
 
-        def counted(q, tol):
+        def counted(q):
             calls.append(q)
-            return frame(q, tol)
+            return frame(q)
         monkeypatch.setattr(ic.inscribed, "_normal_frame", counted)
         res = ic.max_area(quad_s3t2())
         assert len(calls) == 1

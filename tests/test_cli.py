@@ -295,7 +295,7 @@ class TestVerify:
         # --tol tunes the construction and verify's residual rule; the
         # pencil oracle and Conic.center keep their fixed thresholds
         want = run_cli(capsys, "verify", "--vertices", QUAD, *args)
-        got = run_cli(capsys, "verify", "--vertices", QUAD, *args, "--tol", "tol_det=0.3")
+        got = run_cli(capsys, "verify", "--vertices", QUAD, *args, "--tol", "tol_on=1e-6")
         assert got[0] == 0, got[2]
         assert got == want
 
@@ -907,6 +907,8 @@ EXIT_CODE_CONTRACT = [
                  "bad --tol value: ", id="1-bad-tol"),
     pytest.param(["inspect", "--vertices", QUAD, "--tol", "tol_center=1e-8"], 1,
                  "bad --tol value: ", id="1-removed-tol-name"),
+    pytest.param(["inspect", "--vertices", QUAD, "--tol", "tol_det=1e-12"], 1,
+                 "bad --tol value: unknown tolerance setting", id="1-removed-tol-det"),
     pytest.param(["sample", "--vertices", QUAD, "--n", "abc"], 1,
                  "usage: inconic sample", id="1-sample-n-not-a-number"),
     pytest.param(["inspect", "--vertices", NONCONVEX], 2,
@@ -936,6 +938,14 @@ EXIT_CODE_CONTRACT = [
                  "numerical failure: s = 1", id="5-zero-length-locus"),
     pytest.param(["inspect", "--vertices", "0,0 1,1e-17 1,1 0,1", "--tol", "tol_par=1e-300"], 5,
                  "numerical failure: s = 1", id="5-inspect-zero-length-locus"),
+    pytest.param(["maxarea", "--vertices", "0,0 1,1e-17 1,1 0,1", "--tol", "tol_par=1e-300"], 5,
+                 "numerical failure: s = 1: center line is vertical in this labeling",
+                 id="5-maxarea-zero-length-locus"),
+    # one rotation's basis is singular to 1e-12 of its size, a fixed threshold
+    pytest.param(["inspect", "--vertices", "-1,-1 1e-13,-1e-13 1,1 -1,1",
+                  "--tol", "tol_par=1e-300"], 5,
+                 "numerical failure: normalization basis is singular",
+                 id="5-inspect-singular-basis"),
     pytest.param(["inscribe", "--vertices", "0,0 1e154,0 3e154,2e154 0,1e154", "--u", "0.37"],
                  5, "numerical failure: ", id="5-scale-1e154"),
     pytest.param(["inscribe", "--vertices", "0,0 1e-154,0 3e-154,2e-154 0,1e-154", "--u", "0.37"],

@@ -690,7 +690,7 @@ class TestCanonicalScale:
 class TestConicCenter:
     def test_worked_ellipse_far_from_origin_has_a_center(self):
         # at offset 1e4 the canonical scale leaves ac - b^2/4 near 1e-17,
-        # below an absolute tol_det but not below the block's own size
+        # below an absolute 1e-12 but not below the block's own size
         off = 1e4
         q = ic.validate_quad([(x + off, y + off) for x, y in [(0, 0), (1, 0), (3, 2), (0, 1)]])
         seg = ic.locus(q)

@@ -4,11 +4,11 @@ Four families of quadrilaterals are drawn with ``random.Random``: plain
 quads, the same kind under a similarity map of scale 10^-6 to 10^6 and
 offset up to 10^8, thin trapezia (one side pair parallel to within
 10^-10 to 10^-2) and trapezoids.  A fifth family runs plain quads under
-tolerances set so that the tangency, at-infinity, parallelism, basis and
-interval checks fire.  On each quad the test runs ``inscribe_at_param``
-at five parameters, ``max_area``, and ``inscribe_at_center`` and
-``tangent_conic_at_center`` at points of the interior chord
-(``inscribe_at_center`` also at three locus points).  A sixth family
+tolerances set so that the tangency, at-infinity, parallelism and
+interval checks fire and the center-line check is loosened.  On each quad
+the test runs ``inscribe_at_param`` at five parameters, ``max_area``, and
+``inscribe_at_center`` and ``tangent_conic_at_center`` at points of the
+interior chord (``inscribe_at_center`` also at three locus points).  A sixth family
 draws from the first four and runs the same two calls at centers on the
 center guards' decision boundaries, under the default tolerances and one
 of the stressed sets: chord parameters within a few ``tol_interval`` of
@@ -105,7 +105,7 @@ CHECK_TOLS = (
     Tolerances(tol_tan=1e-30),
     Tolerances(tol_infinity=0.9),
     Tolerances(tol_par=0.3),
-    Tolerances(tol_det=0.5),
+    Tolerances(tol_on=1e-3),
     Tolerances(tol_interval=0.2),
 )
 
@@ -145,7 +145,7 @@ def _outputs(vertices, tol):
         yield _outcome(inscribe_at_param, q, u, tol)
     yield _outcome(max_area, q, tol)
     try:
-        seg, chord = locus(q), chord_x(q, tol)
+        seg, chord = locus(q), chord_x(q)
     except Exception as exc:
         yield exc
         return
@@ -171,7 +171,7 @@ def _guard_centers(q, seg, chord, tol):
         params += [um + k * step for k in GUARD_STEPS]
     centers = [chord.point_at(u) for u in params]
     # (h, L(h)) moved by dy in the normal frame misses the line by 2|s - 1| dy
-    nf = _normal_frame(q, tol)
+    nf = _normal_frame(q)
     s, t = nf.s, nf.t
     (m11, m12, _, _), (tx, _), (b11, b12, b21, b22, x0, y0) = nf.M, nf.translation, nf.inverse
     for p in (seg.point_at(0.5), chord.point_at(0.02), chord.point_at(0.98)):
@@ -188,7 +188,7 @@ def _guard_outputs(vertices, stressed):
     for tol in (DEFAULT_TOL, stressed):
         try:
             q = validate_quad(vertices, tol)
-            centers = _guard_centers(q, locus(q), chord_x(q, tol), tol)
+            centers = _guard_centers(q, locus(q), chord_x(q), tol)
         except Exception as exc:
             yield exc
             continue

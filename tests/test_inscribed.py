@@ -307,7 +307,7 @@ class TestFocalCheckBound:
         assert ic.InscribedResult.__slots__ == ("ellipse", "conic", "tangencies")
 
 
-def _normalize_as_before(q, tol=ic.DEFAULT_TOL):
+def _normalize_as_before(q):
     """``normalize`` as it was first written, the reference the stored
     frame is checked against: the kept rotation's map built as an AffineMap
     and checked there, and the NormalForm built over it, with det read off
@@ -316,8 +316,8 @@ def _normalize_as_before(q, tol=ic.DEFAULT_TOL):
         raise errors.ParallelogramUnsupported(
             "inscribed ellipses of a parallelogram are not unique")
     v0, v1 = q.v0, q.v1
-    frame = _frame(v0, v1, q.v2, q.v3, tol)
-    turned = _frame(v1, q.v2, q.v3, v0, tol)
+    frame = _frame(v0, v1, q.v2, q.v3)
+    turned = _frame(v1, q.v2, q.v3, v0)
     (s, t, _, _), (s1, t1, _, _) = frame, turned
     if abs(s1 - 1) / math.hypot(s1 - 1, t1) > abs(s - 1) / math.hypot(s - 1, t):
         frame, p0, labeling = turned, v1, (1, 2, 3, 0)
@@ -416,12 +416,12 @@ class TestNormalFrame:
         for q in quads:
             want = _normalize_as_before(q)
             got = ic.normalize(q)
-            stored, _, _ = _locus_abscissas(q, ic.DEFAULT_TOL)
+            stored = _locus_abscissas(q)[0]
             assert type(got) is ic.NormalForm
             assert got is ic.normalize(q) is stored
             assert ic.NormalForm(got.s, got.t, got.M, got.translation, got.inverse,
                                  got.labeling) == got
-            assert _normal_frame(q, ic.DEFAULT_TOL) == got
+            assert _normal_frame(q) == got
             assert got.chord == _chord_abscissas(got.s, got.t, *got.interval)
             for name in ic.NormalForm.__slots__:
                 assert getattr(got, name) == getattr(want, name), name
@@ -438,7 +438,7 @@ class TestNormalFrame:
         for q in quads:
             nf = ic.normalize(q)
             sides = nf.sides
-            assert _normal_frame(q, ic.DEFAULT_TOL).sides == sides
+            assert _normal_frame(q).sides == sides
             for other in (copy.copy(nf), copy.deepcopy(nf), pickle.loads(pickle.dumps(nf))):
                 assert other == nf and other.sides == sides
             assert nf != _with_fields(nf, sides=sides[1:] + sides[:1])
@@ -473,6 +473,16 @@ class TestNormalFrame:
         with pytest.raises(AssertionError, match="built an AffineMap"):
             nf.T
 
+    def test_a_singular_basis_raises_at_the_fixed_threshold(self):
+        # the vertex 1e-13 off the diagonal through its neighbours makes
+        # rotation 1's basis singular to 1e-12 of its size: every entry
+        # point raises, whatever the tolerances of the call
+        tol = ic.Tolerances(tol_par=1e-300)
+        q = ic.validate_quad([(-1, -1), (1e-13, -1e-13), (1, 1), (-1, 1)], tol)
+        assert q.kind is ic.QuadKind.TRAPEZIUM
+        for call in _entry_calls(q) + _entry_calls(q, tol):
+            assert _outcome(call) == (errors.NumericalFailure, "normalization basis is singular")
+
     def test_overflowing_basis_raises_as_before(self):
         # validate_quad rejects so thin a quad, so it is built directly: the
         # basis passes _frame's relative singular test, but M = B^-1
@@ -482,7 +492,7 @@ class TestNormalFrame:
                           ic.QuadKind.TRAPEZIUM)
         with pytest.raises(ValueError) as before:
             _normalize_as_before(q)
-        for call in (lambda: ic.normalize(q), lambda: _normal_frame(q, ic.DEFAULT_TOL),
+        for call in (lambda: ic.normalize(q), lambda: _normal_frame(q),
                      lambda: ic.inscribe_at_param(q, 0.5)):
             with pytest.raises(ValueError) as got:
                 call()
@@ -510,14 +520,14 @@ def _entry_calls(q, tol=ic.DEFAULT_TOL):
     return (lambda: ic.inscribe_at_param(q, 0.37, tol),
             lambda: ic.inscribe_at_center(q, center, tol),
             lambda: ic.tangent_conic_at_center(q, beyond, tol),
-            lambda: ic.chord_x(q, tol),
+            lambda: ic.chord_x(q),
             lambda: ic.max_area(q, tol),
-            lambda: ic.normalize(q, tol))
+            lambda: ic.normalize(q))
 
 
 class TestStoredFrame:
-    """A quad derives its normal frame once and stores it, keyed by the
-    Tolerances object; the stored frame is not a field."""
+    """A quad derives its normal frame once and stores it, whatever the
+    Tolerances of the call; the stored frame is not a field."""
 
     def test_every_entry_point_derives_the_frame_once_per_quad(self, monkeypatch):
         import inconic.inscribed
@@ -541,26 +551,33 @@ class TestStoredFrame:
                 entry()
             assert len(frames) == 2
 
-    def test_another_tolerances_object_derives_the_frame_again(self):
-        # tol_det = 0.5 calls this quad's rotation-0 basis singular, so the
-        # two tolerances give a result and a failure in turn on one object
+    def test_other_tolerances_objects_read_the_stored_frame(self, monkeypatch):
+        # the frame depends on the quad alone: calls through DEFAULT_TOL and
+        # two other Tolerances objects, in turn on one quad, derive it once,
+        # and each gets what a fresh quad gives under its own tolerances
+        import inconic.inscribed
+        frames = []
+
+        def counted(*args):
+            frames.append(args)
+            return _frame(*args)
+
         raw = [(0, 0), (2, 1), (3, 2.5), (1, 1)]
-        loose = ic.Tolerances(tol_det=0.5)
+        tols = (ic.DEFAULT_TOL, ic.Tolerances(tol_tan=1e-30), ic.Tolerances(tol_interval=0.4))
+        want = [[_outcome(call) for call in _entry_calls(ic.validate_quad(raw), tol)]
+                for tol in tols]
+        assert want[0] != want[1] and want[0] != want[2] and want[1] != want[2]
         shared = ic.validate_quad(raw)
-        outcomes = set()
-        for tol in (ic.DEFAULT_TOL, loose, ic.DEFAULT_TOL, loose, loose, ic.DEFAULT_TOL):
-            for i, call in enumerate(_entry_calls(shared, tol)):
-                got = _outcome(call)
-                want = _outcome(_entry_calls(ic.validate_quad(raw), tol)[i])
-                assert got == want and repr(got) == repr(want)
-                outcomes.add(tol is loose and got == (errors.NumericalFailure,
-                                                      "normalization basis is singular"))
-        assert outcomes == {True, False}
+        calls = [_entry_calls(shared, tol) for tol in tols]
+        monkeypatch.setattr(inconic.inscribed, "_frame", counted)
+        for i in (0, 1, 2, 1, 0, 2, 2, 1):
+            got = [_outcome(call) for call in calls[i]]
+            assert got == want[i] and repr(got) == repr(want[i])
+        assert len(frames) == 2
 
     def test_the_chord_ends_are_derived_once_per_frame(self, monkeypatch):
         # the frame stores its chord ends: tangent_conic_at_center and
-        # chord_x read them there, and only a frame derived again for
-        # another Tolerances object derives them again
+        # chord_x read them there, under any Tolerances object
         calls = []
 
         def counted(*args):
@@ -573,14 +590,13 @@ class TestStoredFrame:
         want = [ic.tangent_conic_at_center(quad_s4t2(), center) for center in centers]
         loose = ic.Tolerances(tol_tan=1e-7)
         monkeypatch.setattr(ic.inscribed, "_chord_abscissas", counted)
-        for tol, derived in ((ic.DEFAULT_TOL, 1), (ic.DEFAULT_TOL, 1), (loose, 2),
-                             (loose, 2), (ic.DEFAULT_TOL, 3)):
+        for tol in (ic.DEFAULT_TOL, ic.DEFAULT_TOL, loose, loose, ic.DEFAULT_TOL):
             for _ in range(5):
                 assert [ic.tangent_conic_at_center(q, c, tol) for c in centers] == want
-                assert ic.chord_x(q, tol) == chord
-            assert len(calls) == derived
-            nf = ic.normalize(q, tol)
-            assert calls[-1] == (nf.s, nf.t, *nf.interval)
+                assert ic.chord_x(q) == chord
+            assert len(calls) == 1
+        nf = ic.normalize(q)
+        assert calls == [(nf.s, nf.t, *nf.interval)]
 
     def test_a_frame_that_raises_raises_again(self):
         P = ic.Point
@@ -667,18 +683,19 @@ def test_zero_length_center_line_raises_numerical_failure():
     # trapezoid under a tiny tol_par normalizes to s = t = 1: its locus has
     # zero length, and each construction raises locus_line's failure; so
     # do chord_x and the hyperbola guard, whose side crossings all sit at
-    # h = 1/2 there
+    # h = 1/2 there, and max_area, whose interval is that one point
     tol = ic.Tolerances(tol_par=1e-300)
     q = ic.validate_quad([(0, 0), (1, 1e-17), (1, 1), (0, 1)], tol)
-    nf = ic.normalize(q, tol)
+    nf = ic.normalize(q)
     assert q.kind is ic.QuadKind.TRAPEZOID and (nf.s, nf.t) == (1.0, 1.0)
     center = ic.locus(q).point_at(0.5)
     calls = (lambda: ic.inscribe_at_param(q, 0.5, tol),
              lambda: ic.inscribe_at_center(q, center, tol),
              lambda: ic.weights_from_center(nf, 0.5, tol),
              lambda: ic.inscribed_area(nf, 0.5, tol),
-             lambda: ic.chord_x(q, tol),
-             lambda: ic.tangent_conic_at_center(q, center, tol))
+             lambda: ic.chord_x(q),
+             lambda: ic.tangent_conic_at_center(q, center, tol),
+             lambda: ic.max_area(q, tol))
     for call in calls:
         with pytest.raises(errors.NumericalFailure,
                            match="^s = 1: center line is vertical in this labeling$"):
@@ -886,7 +903,7 @@ class TestInscribeAtCenter:
         # 10 to 1e3 times 1e-6 of the locus length from the line: the drift
         # bound allows that miss as well
         q = ic.validate_quad([(0, 0), (1, 0), (1 + eps, 1 + eps), (0, 1)])
-        nf, h1, h2 = _locus_abscissas(q, ic.DEFAULT_TOL)
+        nf, h1, h2, _ = _locus_abscissas(q)
         b11, b12, b21, b22, x0, y0 = nf.inverse
         h = h1 + 0.37 * (h2 - h1)
         y = _dual_entries(nf.s, nf.t, h)[1] + 0.9 * ic.DEFAULT_TOL.tol_on
@@ -1130,7 +1147,10 @@ class TestChordX:
     def test_reads_no_parallelism_threshold(self):
         # the crossings are closed forms, so tol_par, which used to skip
         # sides nearly parallel to the center line (and at 0.9 left the line
-        # without an exit), does not move the chord
+        # without an exit), does not move the chord: chord_x takes no
+        # tolerances, and constructions run on the quad under any tol_par
+        # leave its chord as it was
+        assert list(inspect.signature(ic.chord_x).parameters) == ["q"]
         rng = random.Random(35)
         checked = 0
         while checked < 300:
@@ -1140,9 +1160,10 @@ class TestChordX:
                 continue
             if q.kind is ic.QuadKind.PARALLELOGRAM:
                 continue
-            want = repr(ic.chord_x(q))
+            want = repr(ic.chord_x(ic.ConvexQuad(*q.vertices, q.kind)))
             for tol_par in (1e-9, 0.3, 0.9):
-                assert repr(ic.chord_x(q, ic.Tolerances(tol_par=tol_par))) == want
+                _outcome(lambda: ic.inscribe_at_param(q, 0.5, ic.Tolerances(tol_par=tol_par)))
+                assert repr(ic.chord_x(q)) == want
             checked += 1
 
 
@@ -1246,7 +1267,7 @@ class TestCallerCentersFarOut:
     def test_param_weights_are_exact(self, off):
         # h = 1/2 + 0.37 (3/2 - 1/2) on s = 3, t = 2: t1 = (2h - 3)/2, t2 = 1 - 2h
         q = _worked_moved(off)
-        _, h1, h2 = _locus_abscissas(q, ic.DEFAULT_TOL)
+        _, h1, h2, _ = _locus_abscissas(q)
         wt, _ = ic.weights_from_center(ic.normalize(q), h1 + 0.37 * (h2 - h1))
         assert wt.as_tuple() == (-0.63, -0.74, 2.37)
 
@@ -1478,7 +1499,7 @@ class TestFilledOutputs:
                 assert [ic.HomPoint(p.x, p.y, p.w) for p in r.tangencies] == list(r.tangencies)
                 assert type(r) is ic.InscribedResult
                 assert ic.InscribedResult(e, r.conic, r.tangencies) == r
-            nf, h1, h2 = _locus_abscissas(q, ic.DEFAULT_TOL)
+            nf, h1, h2, _ = _locus_abscissas(q)
             for h in (h1 + 0.37 * (h2 - h1), h2 + 0.2 * (h2 - h1)):
                 conic, _, contacts, (q11, q12, q22), (cx, cy), _ = \
                     _tangent_conic(nf, h, ic.DEFAULT_TOL)
@@ -1593,20 +1614,20 @@ def test_only_the_construction_takes_tolerances():
     # the settable tolerances are the construction's own: the oracles and
     # the conic tools keep fixed thresholds, so ``--tol`` cannot loosen the
     # references that ``verify`` checks the construction against
-    assert ic.Tolerances.__slots__ == ("tol_det", "tol_tan", "tol_par",
-                                       "tol_interval", "tol_on", "tol_infinity")
+    assert ic.Tolerances.__slots__ == ("tol_tan", "tol_par", "tol_interval", "tol_on",
+                                       "tol_infinity")
     takes_tol = {name for name, f in _public_callables().items()
                  if "tol" in inspect.signature(f).parameters}
     assert takes_tol == {
-        "validate_quad", "normalize", "locus_line", "foci_quadratic",
-        "weights_from_center", "chord_x", "inscribe_at_center",
+        "validate_quad", "locus_line", "foci_quadratic",
+        "weights_from_center", "inscribe_at_center",
         "inscribe_at_param", "tangent_conic_at_center", "max_area",
         "inscribed_area"}
 
 
 def test_marden_conic_helper_matches_public_result():
     q = quad_s3t2()
-    conic = _tangent_conic(_normal_frame(q, ic.DEFAULT_TOL), 1.0, ic.DEFAULT_TOL)[0]
+    conic = _tangent_conic(_normal_frame(q), 1.0, ic.DEFAULT_TOL)[0]
     ref = ic.inscribe_at_center(q, ic.Point(1.0, 0.75)).conic
     assert ic.conic_distance(conic, ref) < 1e-12
 

@@ -428,18 +428,18 @@ def _mp_member_with_center(d_a, d_b, h, k):
         return ic.Conic(m00, 2 * m01, m11, 2 * m02, 2 * m12, m22), float(kappa)
 
 
-def _np_centers_line(a, b, tol=ic.DEFAULT_TOL):
+def _np_centers_line(a, b):
     centers = []
     for num, den in [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (-1.0, 1.0),
                      (2.0, 1.0), (1.0, 2.0), (-1.0, 2.0), (3.0, 1.0)]:
         scale = math.hypot(num, den)
         col = ((den / scale) * a + (num / scale) * b)[:, 2]
-        if np.linalg.norm(col) > tol.tol_det:
+        if np.linalg.norm(col) > 1e-12:
             centers.append(col / np.linalg.norm(col))
     for i in range(len(centers)):
         for j in range(i + 1, len(centers)):
             cross = np.cross(centers[i], centers[j])
-            if np.linalg.norm(cross) > 1e-9 and math.hypot(cross[0], cross[1]) > tol.tol_det:
+            if np.linalg.norm(cross) > 1e-9 and math.hypot(cross[0], cross[1]) > 1e-12:
                 return ic.Line(*cross)
     return None
 

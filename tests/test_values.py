@@ -166,7 +166,16 @@ def test_defaults():
     assert (m.tx, m.ty) == (0.0, 0.0)
     assert LocusSegment(Point(0.0, 0.0), Point(1.0, 1.0)).degenerate is False
     assert Tolerances() == DEFAULT_TOL
-    assert DEFAULT_TOL.tol_tan == 1e-8 and DEFAULT_TOL.tol_det == 1e-12
+    assert DEFAULT_TOL.tol_tan == 1e-8
+
+
+def test_the_singular_threshold_is_not_a_tolerance():
+    # the normal frame depends on the quad alone, so the 1e-12 singular
+    # threshold of a basis or a map is fixed, not a Tolerances field
+    with pytest.raises(TypeError):
+        Tolerances(tol_det=1e-12)
+    with pytest.raises(ValueError, match="^unknown tolerance setting 'tol_det=1e-12'$"):
+        Tolerances.from_string("tol_det=1e-12")
 
 
 # each constructor check: same exception class, same message

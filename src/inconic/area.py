@@ -1,12 +1,14 @@
 """The unique maximal-area inscribed ellipse.
 
-Along the center locus the inscribed ellipse at normalized abscissa h has
-area pi/(2|s-1|) sqrt((2h-1)(s + 2h(t-1))(s-2h)) in the normalized frame
-(the Heron-like triangle formula of ``marden`` reduced to the locus), so
-maximizing the area means maximizing the cubic
-A(h) = (s-2h)(2h-1)(s+2h(t-1)), which vanishes at both interval ends and
-has a single interior critical point: the maximum exists and is unique,
-while the infimum 0 is never attained.
+On the diagonal pencil the inscribed ellipse at abscissa lam has area
+pi sqrt(det P), det P = lam (1 - lam) (lam alpha + (1 - lam) beta) / 4
+with alpha = A012 A023 and beta = A013 A123 (``inscribed``).  The cubic
+f(lam) = 4 det P vanishes at both midpoints, and its derivative
+-3 (alpha - beta) lam^2 + 2 (alpha - 2 beta) lam + beta, alpha/3 > 0 at
+lam = 1/3 and -beta/3 < 0 at 2/3, has one root in (0, 1): the maximum
+exists and is unique, while the infimum 0 is never attained.  In the
+normal form the same area is pi/(2|s-1|) sqrt(A(h)), with the cubic
+A(h) = (s-2h)(2h-1)(s+2h(t-1)) that ``area_cubic`` evaluates.
 """
 from __future__ import annotations
 
@@ -22,14 +24,7 @@ from .geometry import (
     _Value,
     _slot_setters,
 )
-from .inscribed import (
-    _VERTICAL,
-    InscribedResult,
-    NormalForm,
-    _construct,
-    _locus_abscissas,
-    _param_in_interval,
-)
+from .inscribed import InscribedResult, NormalForm, _construct, _param_in_interval, _pencil
 
 
 class MaxAreaResult(_Value):
@@ -73,8 +68,8 @@ def inscribed_area(nf: NormalForm, h, tol: Tolerances = DEFAULT_TOL) -> float:
 
 def _real_quadratic_roots(a: float, b: float, c: float) -> tuple[float, ...]:
     """Real roots of a x^2 + b x + c, stable against cancellation; the one
-    root -c/b when a == 0.  q = 0 needs b = c = 0: for A'(h), t = s + 2
-    and s^2 + s + 1 = 0, which has no real root."""
+    root -c/b when a == 0.  q = 0 needs b = c = 0: for f'(lam), beta = 0,
+    which a convex quad's areas rule out."""
     disc = b * b - 4 * a * c
     if disc < 0:
         raise NumericalFailure("expected a real quadratic discriminant")
@@ -87,28 +82,23 @@ def _real_quadratic_roots(a: float, b: float, c: float) -> tuple[float, ...]:
 def max_area(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> MaxAreaResult:
     """The unique maximal-area inscribed ellipse.
 
-    The critical abscissa is the closed-form root of A'(h) inside the open
-    interval (exactly one exists).  With one parallel side pair (t = 1)
-    A'(h) is linear and its root is h = (s + 1)/4, the interval midpoint.
-    The ellipse is built at h0 from the same normal frame, with no
-    tol_interval margin.  A parallelogram's normal frame raises
-    ParallelogramUnsupported; s = 1, where the interval is one point,
-    raises NumericalFailure(_VERTICAL).
+    The critical abscissa is the closed-form root of f'(lam) inside (0, 1)
+    (exactly one exists).  Where alpha = beta, as for one parallel side
+    pair, f'(lam) is linear and its root is lam = 1/2, the middle of the
+    locus.  The ellipse is built at that lam from the quad's pencil record,
+    with no tol_interval margin, and ``h0`` is its abscissa in the normal
+    frame ``normalize`` builds.  Nothing here divides by s - 1, so a quad
+    one ulp from a parallelogram builds too; a parallelogram raises
+    ParallelogramUnsupported.
     """
-    nf = _locus_abscissas(q)[0]
-    if nf.chord is None:
-        raise NumericalFailure(_VERTICAL)
-    s, t = nf.s, nf.t
-    lo, hi = nf.interval
-    # A'(h) = -24(t-1) h^2 + 8((s+1)(t-1) - s) h + 2s(s + 2 - t)
-    roots = _real_quadratic_roots(-24 * (t - 1),
-                                  8 * ((s + 1) * (t - 1) - s),
-                                  2 * s * (s + 2 - t))
-    inside = [r for r in roots if lo < r < hi]
+    rec = _pencil(q)
+    alpha, beta = rec[0][-2:]
+    roots = _real_quadratic_roots(3 * (beta - alpha), 2 * (alpha - 2 * beta), beta)
+    inside = [r for r in roots if 0 < r < 1]
     if len(inside) != 1:
-        raise NumericalFailure(
-            f"expected exactly one critical abscissa inside ({lo}, {hi})")
-    h0 = inside[0]
-    result = _construct(nf, h0, tol)
+        raise NumericalFailure("expected exactly one critical abscissa inside (0, 1)")
+    lam = inside[0]
+    result = _construct(rec, lam, 1 - lam, tol)
     ellipse = result.ellipse
-    return MaxAreaResult(ellipse, ellipse.center, ellipse.area, h0, result)
+    return MaxAreaResult(ellipse, ellipse.center, ellipse.area,
+                         lam * rec[5] + (1 - lam) * rec[6], result)

@@ -2,12 +2,12 @@
 
 All operations are pure functions on immutable values, so everything here
 is safe to share between concurrent tasks.  One value also keeps a private
-memo: a ``ConvexQuad`` stores its own normal frame, the ``NormalForm``
-every construction on it reads, the first time one runs (``inscribed``'s
-``_locus_abscissas``).  Sharing a quad stays safe: the store is one
-reference assignment of an immutable tuple, so a reader sees no frame or
-a whole one and never half of it, and two tasks that race only both
-compute the same frame.  The package's value types derive
+memo: a ``ConvexQuad`` stores its own pencil record, the tuple every
+construction on it reads, the first time one runs (``inscribed``'s
+``_pencil``).  Sharing a quad stays safe: the store is one reference
+assignment of an immutable tuple, so a reader sees no record or a whole
+one and never half of it, and two tasks that race only both compute the
+same record.  The package's value types derive
 from ``_Value``: the fields are ``__slots__``, set once by an ``__init__``
 that makes the type's checks; assigning or deleting one raises
 AttributeError; equality, hashing, repr, copy and pickle go by the slots.
@@ -304,16 +304,16 @@ class QuadKind(Enum):
     PARALLELOGRAM = "parallelogram"  # both side pairs parallel
 
 
-class _FramedValue(_Value):
-    """A value with one private slot, ``_normal``, that is not a field: it
+class _MemoValue(_Value):
+    """A value with one private slot, ``_pencil``, that is not a field: it
     takes no part in equality, hashing, repr, copy or pickle, which read
-    the subclass's ``__slots__`` only.  ``ConvexQuad`` keeps its normal
-    frame there (see ``inscribed._locus_abscissas``); a copy or an
-    unpickled quad starts without it."""
-    __slots__ = ("_normal",)
+    the subclass's ``__slots__`` only.  ``ConvexQuad`` keeps its pencil
+    record there (see ``inscribed._pencil``); a copy or an unpickled quad
+    starts without it."""
+    __slots__ = ("_pencil",)
 
 
-class ConvexQuad(_FramedValue):
+class ConvexQuad(_MemoValue):
     """Strictly convex quadrilateral, counterclockwise from the lexicographic
     smallest vertex (see :func:`validate_quad`)."""
     __slots__ = ("v0", "v1", "v2", "v3", "kind")
@@ -536,14 +536,6 @@ def _finite_point(x: float, y: float) -> Point:
     return point
 
 
-def _norm_angle(theta: float) -> float:
-    while theta <= -math.pi / 2:
-        theta += math.pi
-    while theta > math.pi / 2:
-        theta -= math.pi
-    return theta
-
-
 def _central_conic(q11: float, q12: float, q22: float, cx: float, cy: float) -> Conic:
     """The conic (x-c)^T Q (x-c) = 1, Q = [[q11, q12], [q12, q22]], canonically scaled."""
     lin_x = -2 * (q11 * cx + q12 * cy)
@@ -553,38 +545,43 @@ def _central_conic(q11: float, q12: float, q22: float, cx: float, cy: float) -> 
 
 
 def _metric_ellipse(p: float, q: float, r: float, det: float, value: float,
-                    cx: float, cy: float, exp2: int = 0) -> EllipseGeo:
-    """The ellipse (x-c)^T [[p, q], [q, r]] (x-c) = value, c = (cx, cy),
-    block positive definite with determinant det * 2^exp2 = pr - q^2 and
-    value > 0, in metric form.
+                    cx: float, cy: float, unit: float = 1.0) -> EllipseGeo:
+    """The ellipse ((x-c)/unit)^T [[p, q], [q, r]] ((x-c)/unit) = value,
+    c = (cx, cy), block positive definite with determinant det = pr - q^2
+    and value > 0, in metric form: the block is read in units of ``unit``,
+    a power of two.
 
     The block has the closed-form eigenvalues
     lam_hi = (p+r)/2 + hypot((p-r)/2, q) and lam_lo = det/lam_hi (a
-    quotient, so the small one does not cancel), scaled by 2^exp2 last;
-    semi-axis^2 = value/eigenvalue.  A caller that knows det as a product
-    passes it in, since pr - q^2 cancels for thin ellipses, with a power
-    of two split off where the product itself would leave the float range.
-    lam_hi's eigenvector lies at 1/2 atan2(2q, p-r), so the major axis lies
-    a quarter turn on.  An under- or overflowed eigenvalue raises
-    NotAnEllipse, and so does a minor axis over the major by more than
-    1e-14 of it (a circle's axes cross by a few ulps at any scale).  The
-    points and the ellipse are filled after ``Point``'s finiteness test
-    on the foci, which a non-finite center fails too, and ``EllipseGeo``'s
-    checks.
+    quotient, so the small one does not cancel); semi-axis^2 =
+    value/eigenvalue, and the semi-axes and the focal distance are scaled
+    by ``unit`` last, exactly.  A caller that knows det as a product passes
+    it in, since pr - q^2 cancels for thin ellipses.  lam_hi's eigenvector
+    lies at 1/2 atan2(2q, p-r), so the major axis lies a quarter turn on.
+    An under- or overflowed eigenvalue raises NotAnEllipse, and so does a
+    minor axis over the major by more than 1e-14 of it; axes within 1e-14
+    of each other make a circle, with both axes the major one, angle 0 and
+    both foci at the center (a circle's axes cross by a few ulps at any
+    scale).  The points and the ellipse are filled after ``Point``'s
+    finiteness test on the foci, which a non-finite center fails too, and
+    ``EllipseGeo``'s checks.
     """
     lam_hi = (p + r) / 2 + math.hypot((p - r) / 2, q)
-    lam_lo = math.ldexp(det / lam_hi, exp2)
+    lam_lo = det / lam_hi
     if not 0 < lam_lo < math.inf:  # an infinite or NaN lam_hi gives 0 or NaN here
         raise NotAnEllipse("ellipse axes out of float range")
     semi_major, semi_minor = math.sqrt(value / lam_lo), math.sqrt(value / lam_hi)
     if semi_minor - semi_major > 1e-14 * semi_major:
         raise NotAnEllipse("inconsistent axis extraction")
-    semi_minor = min(semi_minor, semi_major)
-    if semi_major - semi_minor <= 1e-14 * semi_major:
-        angle = 0.0
+    angle = 0.0
+    if semi_major - semi_minor <= 1e-14 * semi_major:  # a circle, to rounding
+        semi_minor = semi_major
     else:
-        angle = _norm_angle(math.atan2(2 * q, p - r) / 2 + math.pi / 2)
-    cdist = math.sqrt(max(semi_major**2 - semi_minor**2, 0.0))
+        angle = math.atan2(2 * q, p - r) / 2 + math.pi / 2  # in [0, pi]
+        if angle > math.pi / 2:
+            angle -= math.pi
+    cdist = unit * math.sqrt(max(semi_major**2 - semi_minor**2, 0.0))
+    semi_major, semi_minor = unit * semi_major, unit * semi_minor
     ux, uy = math.cos(angle), math.sin(angle)
     x1, y1 = cx - cdist * ux, cy - cdist * uy
     x2, y2 = cx + cdist * ux, cy + cdist * uy

@@ -1,27 +1,36 @@
 """Inscribed conics of a convex quadrilateral.
 
-The centers of ellipses inscribed in a convex quadrilateral fill the open
-segment between the midpoints of its diagonals.  For every such center the
-inscribed ellipse is unique and is built here in closed form: after an
-affine change of frame putting the vertices p0..p3 at (0,0), (1,0), (s,t),
-(0,1), the conics tangent to the four side lines are the dual conics
-D(h) = (2h-1)(p0 p2^T + p2 p0^T) + (s-2h)(p1 p3^T + p3 p1^T), one for each
-center (h, L(h)) on the center line.  That frame is one ``NormalForm``,
-derived once per quad and stored on it; every construction reads its
-fields by name.  Divided by 2(s-1) its entries are
-short polynomials in (s, t, h), so one pass reads off the conic, its
-center and its four contacts (the poles of the sides), with no root
-solved.  The paper reaches the same conic through the focal quadratic
-z^2 - 2(h + i*L(h)) z + i(s-2h)/(s-1) that the two triangles cut off by
-the side lines share.  ``oracle.foci_quadratic`` reads its coefficients
-off the same D(h) and checks that the weights of the center reduce the
-triangles' focal numerators (``oracle._focal_coefficients``, which
-``marden`` solves too) to that form; the construction needs neither, and
-tests/test_certificate.py proves the identities between the two.  The
-construction divides by s - 1 but never by t - 1, so it also serves
-quadrilaterals with one parallel side pair (t = 1).  Centers on the chord
-beyond the diagonal midpoints yield the tangent hyperbolas from the same
-D(h): the determinant of its inverse form changes sign at the midpoints.
+The centers of ellipses inscribed in a convex quadrilateral p0 p1 p2 p3
+fill the open segment between the midpoints M02 of p0p2 and M13 of p1p3,
+and for every such center the inscribed ellipse is unique.  In
+homogeneous coordinates the conics tangent to the four side lines are the
+dual conics of the pencil spanned by the two diagonals,
+D(lam) = lam A + (1 - lam) B with A = p0 p2^T + p2 p0^T and
+B = p1 p3^T + p3 p1^T, and D(lam) is centered at
+m = lam M02 + (1 - lam) M13: lam is the center's abscissa on the line
+through the midpoints, the locus is 0 < lam < 1, and the members beyond
+it, on the chord the quadrilateral cuts from that line, are the tangent
+hyperbolas.  Every construction reads its conic off one D(lam) and four
+doubled triangle areas Aijk of pi pj pk, with no root solved and no
+division by a frame's s - 1.  The contact on side p0p1, the pole of the
+side, is (lam A012 p0 + (1 - lam) A013 p1) / (lam A012 + (1 - lam) A013),
+and each other side's is the same combination of its own ends (a positive
+one for an ellipse).  The shape P = m m^T - D2/2, D2 the 2x2 block of D
+(whose corner entry is 2), puts the conic at (x - m)^T P^-1 (x - m) = 1,
+and det P = lam (1 - lam) (lam A012 A023 + (1 - lam) A013 A123) / 4
+keeps the minor axis to full relative precision up to the ends of the
+locus.  On the worked quad (0,0), (1,0), (3,2), (0,1) the areas are
+A012 = 2, A013 = 1, A023 = 3 and A123 = 4, and at u = 1/2 (lam = 1/2)
+the contacts on its first two sides are (1/3, 0) and (5/3, 2/3).
+
+A quad derives these quantities once, with its vertices translated to p0
+and scaled by a power of two to unit size, and stores them as one record
+(``_pencil``), so every construction works at unit scale and its outputs
+scale exactly with the quad.  The paper's affine normal form, vertices at
+(0,0), (1,0), (s,t), (0,1), is ``normalize``: ``inspect`` prints it, the
+oracles build the paper's focal quadratic in it and ``max_area`` reports
+its abscissa; the construction does not use it.  tests/test_certificate.py
+proves the identities the construction reads.
 """
 from __future__ import annotations
 
@@ -50,25 +59,24 @@ from .geometry import (
     Tolerances,
     _Value,
     _affine_det,
-    _central_conic,
     _hom_w,
     _hom_x,
     _hom_y,
     _metric_ellipse,
-    _pull_back_form,
+    _set_conic,
     _slot_setters,
     _unit_direction,
 )
 
 _ULP = 2.0 ** -52  # spacing of the floats in [1, 2)
 _VERTICAL = "s = 1: center line is vertical in this labeling"
-_store_normal = ConvexQuad._normal.__set__
+_NO_LINE = "the diagonal midpoints coincide: there is no center line"
+_store_pencil = ConvexQuad._pencil.__set__
 
 
 class NormalForm(_Value):
-    """Affine change of frame onto vertices (0,0), (1,0), (s,t), (0,1): the
-    normal frame every construction on a quad reads, derived once per quad
-    by ``_normal_frame``.
+    """Affine change of frame onto vertices (0,0), (1,0), (s,t), (0,1),
+    built on demand by ``normalize``.
 
     T(x) = M x + translation (``T`` as an AffineMap) maps the original
     frame to the normalized one; ``det`` = det M.  ``inverse`` holds T^-1
@@ -77,18 +85,8 @@ class NormalForm(_Value):
     sent to (0,0).  ``labeling`` lists which canonical-quad vertex indices
     land on (0,0), (1,0), (s,t), (0,1); ``interval`` is the open interval
     of normalized abscissas swept by the center locus, (1/2, s/2) ordered.
-    ``sides`` holds the four unit side lines (a, b, c) of a x + b y + c = 0
-    through (0,0)-(1,0), (1,0)-(s,t), (s,t)-(0,1) and (0,1)-(0,0), in that
-    order, each as (side, a, b, c) with ``side`` the original side index
-    ``labeling`` maps it to; s, t > 0 keeps both norms nonzero.  ``chord``
-    holds the chord ends' abscissas (h_a, h_b) (``_chord_abscissas``), or
-    None at s = 1.  Convexity forces s > 0, t > 0, s + t > 1.  The closed
-    forms divide by s - 1 but never by t - 1, so ``normalize`` picks, of
-    the two cyclic labelings, the one whose sides (1,0)-(s,t) and
-    (0,1)-(0,0) are furthest from parallel; with one parallel side pair
-    that gives t = 1."""
-    __slots__ = ("s", "t", "M", "translation", "inverse", "labeling", "interval", "det",
-                 "sides", "chord")
+    Convexity forces s > 0, t > 0, s + t > 1."""
+    __slots__ = ("s", "t", "M", "translation", "inverse", "labeling", "interval", "det")
 
     def __init__(self, s: float, t: float, M: tuple[float, float, float, float],
                  translation: tuple[float, float],
@@ -98,12 +96,7 @@ class NormalForm(_Value):
             raise ValueError("normal form requires s > 0, t > 0, s + t > 1")
         det = _affine_det(*M, *translation)
         interval = (0.5, s / 2) if 0.5 <= s / 2 else (s / 2, 0.5)
-        n1, n2 = math.hypot(s - 1, t), math.hypot(t - 1, s)
-        i0, i1, i2, i3 = labeling
-        sides = ((i0, 0.0, 1.0, 0.0), (i1, t / n1, (1 - s) / n1, -t / n1),
-                 (i2, (1 - t) / n2, s / n2, -s / n2), (i3, 1.0, 0.0, 0.0))
-        chord = None if s == 1 else _chord_abscissas(s, t, *interval)
-        self._fill((s, t, M, translation, inverse, labeling, interval, det, sides, chord))
+        self._fill((s, t, M, translation, inverse, labeling, interval, det))
 
     @property
     def T(self) -> AffineMap:
@@ -155,13 +148,9 @@ _result_ellipse, _result_conic, _result_tangencies = _slot_setters(InscribedResu
 def locus(q: ConvexQuad) -> LocusSegment:
     """Diagonal midpoints bounding the locus of inscribed-ellipse centers,
     ordered lexicographically."""
-    return LocusSegment(*_midpoints(q), degenerate=q.kind is QuadKind.PARALLELOGRAM)
-
-
-def _midpoints(q: ConvexQuad) -> tuple[Point, Point]:
-    """The diagonal midpoints (m1, m2) of q, ordered lexicographically."""
     ma, mb = _midpoint_pairs(q)
-    return (Point(*mb), Point(*ma)) if mb < ma else (Point(*ma), Point(*mb))
+    m1, m2 = (mb, ma) if mb < ma else (ma, mb)
+    return LocusSegment(Point(*m1), Point(*m2), degenerate=q.kind is QuadKind.PARALLELOGRAM)
 
 
 def _midpoint_pairs(q: ConvexQuad) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -171,31 +160,130 @@ def _midpoint_pairs(q: ConvexQuad) -> tuple[tuple[float, float], tuple[float, fl
             ((v1.x + v3.x) / 2, (v1.y + v3.y) / 2))
 
 
-def normalize(q: ConvexQuad) -> NormalForm:
-    """Affine normal form of a non-parallelogram quadrilateral: the
-    NormalForm q stores (``_locus_abscissas``), not a copy.
-
-    Computes (s, t) for cyclic rotations 0 and 1 of the vertices and keeps
-    the rotation with the larger normalized-frame sine |s-1| / hypot(s-1, t),
-    rotation 0 on a tie.  That keeps s - 1, which the closed forms divide
-    by, safely away from zero; a parallel side pair gets t = 1, since its
-    other rotation has s = 1 and sine 0.  A parallelogram raises
-    ParallelogramUnsupported: its inscribed ellipses are not unique.
+def _pencil(q: ConvexQuad) -> tuple:
+    """q's pencil record, derived on first use and stored in q's private
+    ``_pencil`` slot for every later call (a derivation that raises is not
+    stored); a parallelogram raises ParallelogramUnsupported, as its
+    inscribed ellipses are not unique.  The vertices are taken relative to
+    v0 and scaled by 2^-e to unit size, p0 = 0, exactly.  The record is
+    (shape, sides, line, flip, turned, h02, h13):
+    - ``shape``: v0, 2^e, e, v0/2^e, the powers of two the conic's
+      quadratic, linear and constant coefficients take, p2, p1 + p3,
+      ||B2||_F^2/4, the entries of p2 p2^T, (p1 - p3)(p1 - p3)^T and C over
+      4 (see ``_tangent_conic``), alpha = A012 A023 and beta = A013 A123;
+    - ``sides``: per side, in ``side_lines``' order, its end on p0p2 with
+      the area lam weights and its end on p1p3 with the area 1 - lam
+      weights, and l^T D l = (1 - lam) g + gx mx + gy my + c2 for its unit
+      line l = (a, b, c): g = l^T B2 l, (gx, gy) = 4c (a, b), c2 = 2c^2;
+    - ``line``: v0, 2^-e, M13, M02, d = M02 - M13, |d|^2, the labeling's
+      |A023 - A013| or |A013 - A012| (``_center_bound``), the chord's ends
+      lo < 0 < 1 < hi and the locus length; None where the midpoints meet;
+    - ``flip``: ``locus``' m1 is M02, so lam = 1 - u; else lam = u;
+    - ``turned``: ``normalize``'s labeling starts at v1, of the two cyclic
+      ones the one whose sides (1,0)-(s,t) and (0,1)-(0,0) are further from
+      parallel (v0 on a tie); h02, h13 are the midpoints' abscissas there.
     """
-    return _locus_abscissas(q)[0]
-
-
-def _normal_frame(q: ConvexQuad) -> NormalForm:
-    """The normal frame of q, as ``normalize`` describes it.  Only the kept
-    rotation's T is built, and ``_frame`` makes NormalForm's convexity
-    check first, so its exception is the one raised."""
+    try:
+        return q._pencil
+    except AttributeError:
+        pass
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("no unique inscribed ellipse and no center line")
+    v0, v1, v2, v3 = q.v0, q.v1, q.v2, q.v3
+    x0, y0 = v0.x, v0.y
+    x1, y1, x2, y2, x3, y3 = v1.x - x0, v1.y - y0, v2.x - x0, v2.y - y0, v3.x - x0, v3.y - y0
+    extent = max(abs(x1), abs(y1), abs(x2), abs(y2), abs(x3), abs(y3))
+    e = math.frexp(extent)[1]
+    if not (extent < math.inf and -1021 <= e <= 1023):  # 2^e and 2^-e normal floats
+        raise NumericalFailure("quadrilateral is out of float range")
+    k, sc = math.ldexp(1.0, -e), math.ldexp(1.0, e)
+    x1, y1, x2, y2, x3, y3 = x1 * k, y1 * k, x2 * k, y2 * k, x3 * k, y3 * k
+    t1, t2, t3, t4 = x1 * y2, y1 * x2, x1 * y3, y1 * x3
+    t5, t6, t7, t8 = x2 * y3, y2 * x3, (x2 - x1) * (y3 - y1), (y2 - y1) * (x3 - x1)
+    a012, a013, a023, a123 = t1 - t2, t3 - t4, t5 - t6, t7 - t8
+    if (abs(t1) + abs(t2) > 8 * abs(a012) or abs(t3) + abs(t4) > 8 * abs(a013)
+            or abs(t5) + abs(t6) > 8 * abs(a023) or abs(t7) + abs(t8) > 8 * abs(a123)):
+        # a cross product whose terms exceed 8 times its value is taken exactly
+        a012, a013, a023, a123, d1, d2 = _unit_areas(q, e)
+    else:
+        d1, d2 = a023 - a013, a013 - a012
+    alpha, beta = a012 * a023, a013 * a123
+    if not (min(a012, a013, a023, a123) > 0 and alpha > 0 and beta > 0):
+        raise NumericalFailure("triangle areas are not positive in floats")
+    bxx, bxy, byy = x1 * x3, (x1 * y3 + x3 * y1) / 2, y1 * y3
+    sides = []
+    for ax, ay, wa, bx, by, wb in ((0.0, 0.0, a012, x1, y1, a013), (x2, y2, a012, x1, y1, a123),
+                                   (x2, y2, a023, x3, y3, a123), (0.0, 0.0, a023, x3, y3, a013)):
+        n = math.hypot(by - ay, ax - bx)
+        a, b = (by - ay) / n, (ax - bx) / n
+        c = -(a * ax + b * ay)
+        sides.append((ax, ay, wa, bx, by, wb, 2 * (a * a * bxx + 2 * a * b * bxy + b * b * byy),
+                      4 * c * a, 4 * c * b, 2 * c * c))
+    turned = abs(d2) * math.hypot(d1, a012) > abs(d1) * math.hypot(d2, a123)
+    m02x, m02y, m13x, m13y = x2 / 2, y2 / 2, (x1 + x3) / 2, (y1 + y3) / 2
+    dx, dy = m02x - m13x, m02y - m13y
+    dd, delta, line = dx * dx + dy * dy, abs(d2 if turned else d1), None
+    if dd > 0 and delta > 0:
+        # the line m13 + lam d crosses p1p2 and p3p0 (d1), p0p1 and p2p3
+        # (d2): of each pair one below 0 and one above 1
+        lo, hi = -math.inf, math.inf
+        for d, ahead, behind in ((d1, a123, a013), (d2, a013, a123)):
+            if d:
+                cuts = ahead / d, -behind / d
+                lo, hi = max(lo, min(cuts)), min(hi, max(cuts))
+        line = (x0, y0, k, m13x, m13y, m02x, m02y, dx, dy, dd, delta, lo, hi, sc * math.sqrt(dd))
+    # 4P = lam^2 p2 p2^T + mu^2 (p1 - p3)(p1 - p3)^T + lam mu C: no term
+    # cancels as the ellipse flattens onto a diagonal, lam or mu -> 0
+    ex, ey, sx, sy = x1 - x3, y1 - y3, x1 + x3, y1 + y3
+    scales = (math.ldexp(1.0, -2 * e), k, 1.0) if e >= 0 else (1.0, sc, math.ldexp(1.0, 2 * e))
+    shape = (x0, y0, sc, e, x0 * k, y0 * k, *scales, x2, y2, sx, sy,
+             bxx * bxx + 2 * bxy * bxy + byy * byy,
+             x2 * x2 / 4, x2 * y2 / 4, y2 * y2 / 4, ex * ex / 4, ex * ey / 4, ey * ey / 4,
+             (x2 * sx - 2 * bxx) / 2, (x2 * sy + sx * y2) / 4 - bxy, (y2 * sy - 2 * byy) / 2,
+             alpha, beta)
+    h02, h13 = (0.5, a013 / a012 / 2) if turned else (a023 / a013 / 2, 0.5)
+    ma, mb = _midpoint_pairs(q)
+    record = (shape, tuple(sides), line, not mb < ma, turned, h02, h13)
+    _store_pencil(q, record)
+    return record
+
+
+def _unit_areas(q: ConvexQuad, e: int) -> tuple[float, ...]:
+    """(A012, A013, A023, A123, A023 - A013, A013 - A012) over 2^(2e), each
+    the float nearest the exact value: q's coordinates are integers over
+    one power of two, so their cross products are exact integers."""
+    ratios = [c.as_integer_ratio() for v in q.vertices for c in (v.x, v.y)]
+    shift = max(d for _, d in ratios).bit_length()  # denominators are powers of two
+    x0, y0, x1, y1, x2, y2, x3, y3 = [n << (shift - d.bit_length()) for n, d in ratios]
+    x1, y1, x2, y2, x3, y3 = x1 - x0, y1 - y0, x2 - x0, y2 - y0, x3 - x0, y3 - y0
+    a012, a013, a023 = x1 * y2 - y1 * x2, x1 * y3 - y1 * x3, x2 * y3 - y2 * x3
+    p = 2 * (shift - 1 + e)
+    num, den = (1, 1 << p) if p >= 0 else (1 << -p, 1)
+    return tuple(a * num / den for a in (a012, a013, a023, a012 + a023 - a013,
+                                         a023 - a013, a013 - a012))
+
+
+def normalize(q: ConvexQuad) -> NormalForm:
+    """Affine normal form of a non-parallelogram quadrilateral, built on
+    each call.
+
+    Solves (s, t) for cyclic rotations 0 and 1 of the vertices and keeps
+    the one the quad's pencil record chose (``_pencil``): the larger
+    normalized-frame sine |s-1| / hypot(s-1, t), rotation 0 on a tie,
+    judged on the record's triangle areas.  That keeps s - 1, which the
+    frame's closed forms divide by, away from zero; a parallel side pair
+    gets t = 1, since its other rotation has s = 1 and sine 0.  A
+    parallelogram raises ParallelogramUnsupported: its inscribed ellipses
+    are not unique.
+    """
+    turned = _pencil(q)[4]
     v0, v1 = q.v0, q.v1
-    s, t, _, _ = kept = _frame(v0, v1, q.v2, q.v3)
-    s1, t1, _, _ = turned = _frame(v1, q.v2, q.v3, v0)
-    if abs(s1 - 1) / math.hypot(s1 - 1, t1) > abs(s - 1) / math.hypot(s - 1, t):
-        kept, p0, labeling = turned, v1, (1, 2, 3, 0)
+    # both rotations are solved, so a singular basis in either raises; only
+    # the kept one's T is built, after NormalForm's convexity check
+    kept = _frame(v0, v1, q.v2, q.v3)
+    other = _frame(v1, q.v2, q.v3, v0)
+    if turned:
+        kept, p0, labeling = other, v1, (1, 2, 3, 0)
     else:
         p0, labeling = v0, (0, 1, 2, 3)
     s, t, m, (b11, b12, b21, b22) = kept
@@ -240,270 +328,184 @@ def _param_in_interval(lo: float, hi: float, h, tol: Tolerances) -> None:
         raise CenterOffLocus(f"abscissa {h} outside the open interval ({lo}, {hi})")
 
 
-def _dual_entries(s, t, h):
-    """(c, k, det) of the tangent dual conic at abscissa h, plain arithmetic.
+def _tangent_conic(rec: tuple, lam: float, mu: float, tol: Tolerances):
+    """The member D(lam) = lam A + mu B of the pencil record rec, mu = 1 - lam,
+    in one plain-float pass at unit scale.
 
-    D(h) / (2(s - 1)) = [[0, c, h], [c, 0, k], [h, k, 1]] with
-    c = (s - 2h)/(2(s - 1)) and k = L(h), and det is the determinant of
-    P_n = [[h^2, hk - c], [hk - c, k^2]], taken as the product
-    (2h - 1)(s - 2h)(2h(t - 1) + s)/(4(s - 1)^2).  Exact and symbolic
-    number types pass through unchanged.
+    Returns (conic, classification, contacts, shape, center, det): ``shape``
+    = (p11, p12, p22) of P = m m^T - D2/2 and ``det`` = det P at unit scale,
+    taken as the product lam mu (lam alpha + mu beta)/4, ``center`` = m in
+    the original frame, ``contacts`` indexed as ``ConvexQuad.side_lines``.
+    The class is read off lam: an ellipse for lam and mu both positive, a
+    hyperbola otherwise.  |det P| at most 1e-12 of P's squared Frobenius
+    norm raises DegeneratePoint: the conic has collapsed onto its focal
+    line.  P must be positive definite for an ellipse (else NotAnEllipse)
+    and indefinite for a hyperbola (else NumericalFailure).  The conic
+    (x - m)^T adj(P) (x - m) = det P is formed at unit scale, and its
+    coefficients then take powers of two that only shrink them.
+
+    Each unit side line l must have |l^T D l| / ||D||_F, on D's entries,
+    below tol_tan (else NotTangent).  Its contact, the pole D l, is
+    (ra p + rb p') / (ra + rb) for its ends p on p0p2 and p' on p1p3, ra and
+    rb lam and mu times the side's areas; it is at infinity, as the side's
+    unit direction, when |ra + rb| is at most tol_infinity of the pole's
+    norm, and a finite one is filled after HomPoint's finiteness test.
     """
-    e3 = 2 * (s - 1)
-    return ((s - 2 * h) / e3, (2 * h * (t - 1) + s - t) / e3,
-            (2 * h - 1) * (s - 2 * h) * (2 * h * (t - 1) + s) / (e3 * e3))
-
-
-def _tangent_conic(nf: NormalForm, h: float, tol: Tolerances):
-    """Tangent conic at normalized abscissa h, in one plain-float pass over
-    the dual conic D(h) of the normal frame nf.
-
-    Returns (conic, classification, contacts, form, center, det):
-    ``form`` is the original-frame Q of (x - center)^T Q (x - center) = 1,
-    ``center`` = T^-1(h, L(h)), ``det`` = det P_n and ``contacts`` are
-    indexed as ``ConvexQuad.side_lines``.
-
-    ``_dual_entries`` gives D(h) = [[m m^T - P_n, m], [m^T, 1]] up to scale,
-    m = (h, k), so P_n = Q_n^-1 = [[h^2, hk - c], [hk - c, k^2]] and
-    Q_n = adj(P_n) / det goes out through T's 2x2 linear part M only, as
-    Q = M^T Q_n M; pushing out the full 3x3 matrix instead rounds the
-    center worse.  det P_n is positive between the diagonal midpoints (an
-    ellipse, lo < h < hi) and negative beyond them (a hyperbola); the class
-    is read off h, not off the coefficients.  |det P_n| at most
-    1e-12 max(1, h^2 + k^2)^2 raises DegeneratePoint: the conic has
-    collapsed onto its focal line.  Q must be positive definite for an
-    ellipse (else NotAnEllipse) and indefinite for a hyperbola (else
-    NumericalFailure).  s = 1 raises NumericalFailure(_VERTICAL)
-    first; no focal root is solved and no weight is formed.
-
-    Each unit side line l of ``nf.sides`` must have
-    |l^T D l| / ||D||_F below tol_tan (else NotTangent); its contact is
-    the pole D l, at infinity when its w is, relative to its norm, at most
-    tol_infinity.  A contact goes out through T^-1 = (B, p0) and is stored
-    at the original side ``labeling`` maps that side to; a finite one is
-    filled after HomPoint's finiteness test (w = 1 is never the zero triple).
-    """
-    s, t = nf.s, nf.t
-    b11, b12, b21, b22, x0, y0 = nf.inverse
-    lo, hi = nf.interval
-    if abs(s - 1) <= tol.tol_par:
-        raise NumericalFailure(_VERTICAL)
-    c, k, det = _dual_entries(s, t, h)
-    p11, p12, p22 = h * h, h * k - c, k * k
-    if abs(det) <= 1e-12 * max(1.0, p11 + p22) ** 2:
+    (x0, y0, sc, _, ox, oy, s2, s1, s0, x2, y2, bx, by, nb, a11, a12, a22, b11, b12, b22,
+     c11, c12, c22, alpha, beta) = rec[0]
+    mx, my = (lam * x2 + mu * bx) / 2, (lam * y2 + mu * by) / 2
+    ll, mm, lm = lam * lam, mu * mu, lam * mu
+    p11, p12, p22 = (ll * a11 + mm * b11 + lm * c11, ll * a12 + mm * b12 + lm * c12,
+                     ll * a22 + mm * b22 + lm * c22)
+    det = lam * mu * (lam * alpha + mu * beta) / 4
+    if abs(det) <= 1e-12 * (p11 * p11 + 2 * p12 * p12 + p22 * p22):
         raise DegeneratePoint("contact point lies on the focal line")
-    q11, q12, q22 = form = _pull_back_form(p22 / det, -p12 / det, p11 / det, *nf.M)
-    qdet = q11 * q22 - q12 * q12
-    is_ellipse = lo < h < hi
-    # a failed sign test is taken again at unit scale (``_unit_scale_det``)
-    if is_ellipse and not (q11 > 0 and (qdet > 0 or _unit_scale_det(form) > 0)):
-        raise NotAnEllipse("pushed-out form is not positive definite")
-    if not is_ellipse and not (qdet < 0 or _unit_scale_det(form) < 0):
-        raise NumericalFailure("pushed-out hyperbola form is not indefinite")
-    cx, cy = b11 * h + b12 * k + x0, b21 * h + b22 * k + y0
-    conic = _central_conic(q11, q12, q22, cx, cy)
+    is_ellipse = lam > 0 and mu > 0
+    if is_ellipse and not (p11 > 0 and p11 * p22 - p12 * p12 > 0):
+        raise NotAnEllipse("shape form is not positive definite")
+    if not is_ellipse and not p11 * p22 - p12 * p12 < 0:
+        raise NumericalFailure("hyperbola form is not indefinite")
+    cx, cy = ox + mx, oy + my
+    conic = _set_conic(object.__new__(Conic), p22 * s2, -2 * p12 * s2, p11 * s2,
+                       2 * (p12 * cy - p22 * cx) * s1, 2 * (p12 * cx - p11 * cy) * s1,
+                       (p22 * cx * cx - 2 * p12 * cx * cy + p11 * cy * cy - det) * s0)
 
-    norm = math.sqrt(2 * (c * c + h * h + k * k) + 1)
-    contacts = [None] * 4
-    tan_bound, tol_infinity = tol.tol_tan * norm, tol.tol_infinity
-    isfinite, new = math.isfinite, object.__new__
-    for side, la, lb, lc in nf.sides:
-        px = c * lb + h * lc
-        py = c * la + k * lc
-        pw = h * la + k * lb + lc
-        if abs(la * px + lb * py + lc * pw) >= tan_bound:
+    tan_bound = 2 * tol.tol_tan * math.sqrt(mu * mu * nb + 2 * (mx * mx + my * my) + 1)
+    infinity2 = tol.tol_infinity * tol.tol_infinity
+    contacts = []
+    append, new = contacts.append, object.__new__
+    for ax, ay, wa, bx, by, wb, g, gx, gy, c2 in rec[1]:
+        if abs(mu * g + gx * mx + gy * my + c2) >= tan_bound:
             raise NotTangent("side line is not tangent to the conic")
-        if abs(pw) <= tol_infinity * math.sqrt(px * px + py * py + pw * pw):
-            contacts[side] = HomPoint(*_unit_direction(b11 * px + b12 * py,
-                                                       b21 * px + b22 * py), 0.0)
-        else:
-            x, y = px / pw, py / pw
-            x, y = b11 * x + b12 * y + x0, b21 * x + b22 * y + y0
-            if not (isfinite(x) and isfinite(y)):
-                raise ValueError("homogeneous components must be finite")
-            contacts[side] = contact = new(HomPoint)
-            _hom_x(contact, x)
-            _hom_y(contact, y)
-            _hom_w(contact, 1.0)
+        ra, rb = lam * wa, mu * wb
+        px, py, pw = ra * ax + rb * bx, ra * ay + rb * by, ra + rb
+        if pw * pw <= infinity2 * (px * px + py * py + pw * pw):
+            append(HomPoint(*_unit_direction(px, py), 0.0))
+            continue
+        x, y = x0 + sc * (px / pw), y0 + sc * (py / pw)
+        if not x - x + y - y == 0.0:  # inf or nan in either gives nan
+            raise ValueError("homogeneous components must be finite")
+        contact = new(HomPoint)
+        _hom_x(contact, x)
+        _hom_y(contact, y)
+        _hom_w(contact, 1.0)
+        append(contact)
     kind = ConicClass.REAL_ELLIPSE if is_ellipse else ConicClass.HYPERBOLA
-    return conic, kind, tuple(contacts), form, (cx, cy), det
+    return conic, kind, tuple(contacts), (p11, p12, p22), (x0 + sc * mx, y0 + sc * my), det
 
 
-def _unit_scale_det(form: tuple[float, float, float]) -> float:
-    """q11 q22 - q12^2 of form = (q11, q12, q22) with a power of two split
-    off, so that far from unit scale its products stay in the float range."""
-    e = -math.frexp(max(map(abs, form)))[1]
-    q11, q12, q22 = (math.ldexp(q, e) for q in form)
-    return q11 * q22 - q12 * q12
-
-
-def _construct(nf: NormalForm, h: float, tol: Tolerances) -> InscribedResult:
-    """The inscribed ellipse at normalized abscissa h of the normal frame
-    nf: the ellipse, its conic and contacts all come from one pass over
-    D(h), centered where that pass maps the normal-frame center.  Its
-    callers have already put h inside the locus interval."""
-    conic, _, contacts, form, (cx, cy), det = _tangent_conic(nf, h, tol)
-    # det Q = det(M)^2 det Q_n = det(M)^2 / det P_n, as a quotient, with
-    # det(M)'s power of two split off so that its square stays in range
-    mant, exp = math.frexp(nf.det)
+def _construct(rec: tuple, lam: float, mu: float, tol: Tolerances) -> InscribedResult:
+    """The inscribed ellipse D(lam) of the pencil record rec, mu = 1 - lam,
+    from one ``_tangent_conic`` pass: its axes are read off adj(P) at unit
+    scale and scaled by 2^e.  Its callers have put lam inside (0, 1)."""
+    conic, _, contacts, (p11, p12, p22), (cx, cy), det = _tangent_conic(rec, lam, mu, tol)
     result = object.__new__(InscribedResult)
-    _result_ellipse(result, _metric_ellipse(*form, mant * mant / det, 1.0, cx, cy, 2 * exp))
+    _result_ellipse(result, _metric_ellipse(p22, -p12, p11, det, det, cx, cy, rec[0][2]))
     _result_conic(result, conic)
     _result_tangencies(result, contacts)
     return result
 
 
-def _locus_abscissas(q: ConvexQuad) -> tuple[NormalForm, float, float, float]:
-    """The normal frame of q (``_normal_frame``), the abscissas h1, h2 of
-    locus(q)'s m1 and m2 (s/2 for the diagonal the labeling sends to (0,0)
-    and (s,t), 1/2 for the other), ordered as ``locus`` orders them, and
-    the locus length.  A locus parameter u goes straight to
-    h1 + u (h2 - h1).  Parallelograms are rejected.
-
-    Every construction on q reads its frame here, and it is derived once
-    per quad: q stores (nf, h1, h2, length) in its private ``_normal``
-    slot and later calls read it back.  A frame that raises is not stored,
-    so every call on such a quad raises the same again."""
-    stored = getattr(q, "_normal", None)
-    if stored is None:
-        nf = _normal_frame(q)
-        ma, mb = _midpoint_pairs(q)
-        h_a, h_b = (nf.s / 2, 0.5) if nf.labeling[0] % 2 == 0 else (0.5, nf.s / 2)
-        h1, h2 = (h_b, h_a) if mb < ma else (h_a, h_b)
-        stored = (nf, h1, h2, math.hypot(mb[0] - ma[0], mb[1] - ma[1]))
-        _store_normal(q, stored)
-    return stored
-
-
-def _center_bound(nf: NormalForm, cx: float, cy: float, tol: Tolerances) -> float:
-    """Largest |2(s - 1) y - (2h(t - 1) + s - t)| at which the center
-    (cx, cy), mapped to (h, y) = T(cx, cy), counts as on the center line
-    y = L(h): 2|s - 1| tol_on, a vertical miss of tol_on in the unit-size
-    normal frame, or the rounding of that residual's two terms as
-    T(cx, cy) forms them, 4 ulps of each, where that is more.  Both are read off the
-    normal frame alone, so an affine copy of the quad and its center gets
-    the same verdict at any scale and offset."""
-    s, t = nf.s, nf.t
-    m11, m12, m21, m22 = nf.M
-    tx, ty = nf.translation
-    rounding = 4 * _ULP * (2 * abs(s - 1) * (abs(m21 * cx) + abs(m22 * cy) + abs(ty))
-                           + 2 * abs(t - 1) * (abs(m11 * cx) + abs(m12 * cy) + abs(tx)))
-    return max(2 * abs(s - 1) * tol.tol_on, rounding)
-
-
-def _center_abscissa(nf: NormalForm, center: Point, tol: Tolerances) -> float:
-    """The normalized abscissa h of a caller's center: the first coordinate
-    of T(center).  Raises CenterOffLocus unless the center is on the center
-    line to within ``_center_bound``.  The test multiplies L(h) out instead
-    of dividing by s - 1, so at s = 1 it lets the center through to the
-    construction's own s = 1 verdict."""
-    s, t = nf.s, nf.t
-    m11, m12, m21, m22 = nf.M
-    tx, ty = nf.translation
-    cx, cy = center.x, center.y
-    h, y = m11 * cx + m12 * cy + tx, m21 * cx + m22 * cy + ty
-    if abs(2 * (s - 1) * y - (2 * h * (t - 1) + s - t)) > _center_bound(nf, cx, cy, tol):
+def _center_weights(rec: tuple, center: Point, tol: Tolerances) -> tuple[float, float]:
+    """(lam, 1 - lam) of a caller's center: its projection onto the center
+    line, each weight measured from its own midpoint so that neither
+    cancels.  Raises CenterOffLocus unless the center is on the line to
+    within ``_center_bound`` (checked against tol_on's part first, the
+    cheaper one), and NumericalFailure where the midpoints coincide."""
+    line = rec[2]
+    if line is None:
+        raise NumericalFailure(_NO_LINE)
+    x0, y0, k, m13x, m13y, m02x, m02y, dx, dy, dd, delta, _, _, _ = line
+    cx, cy = (center.x - x0) * k, (center.y - y0) * k
+    rx, ry = cx - m13x, cy - m13y
+    miss = abs(2 * (dx * ry - dy * rx))
+    if miss > tol.tol_on * delta and miss > _center_bound(rec, center, tol):
         raise CenterOffLocus("center is not on the center line")
-    return h
+    return (rx * dx + ry * dy) / dd, ((m02x - cx) * dx + (m02y - cy) * dy) / dd
+
+
+def _center_bound(rec: tuple, center: Point, tol: Tolerances) -> float:
+    """Largest |2 d x (c - M13)| (record units) at which the center c
+    counts as on the center line: tol_on |delta|, with delta = A023 - A013
+    (A013 - A012 in the labeling that starts at v1), which is a vertical
+    miss of tol_on in the unit-size normal frame, or 4 ulps of the terms
+    that form that cross product from the center's coordinates, where that
+    is more.  Both are ratios of areas or scale with the quad, so an affine
+    copy of the quad and its center gets the same verdict at any scale and
+    offset."""
+    x0, y0, k, m13x, m13y, m02x, m02y, dx, dy, _, delta, _, _, _ = rec[2]
+    rx, ry = (center.x - x0) * k - m13x, (center.y - y0) * k - m13y
+    rounding = 4 * _ULP * (abs(dx) * ((abs(center.y) + abs(y0)) * k + abs(m13y))
+                           + abs(dy) * ((abs(center.x) + abs(x0)) * k + abs(m13x))
+                           + (abs(dx) + abs(m02x) + abs(m13x)) * abs(ry)
+                           + (abs(dy) + abs(m02y) + abs(m13y)) * abs(rx))
+    return max(tol.tol_on * delta, rounding)
 
 
 def inscribe_at_center(q: ConvexQuad, center: Point,
                        tol: Tolerances = DEFAULT_TOL) -> InscribedResult:
     """The unique inscribed ellipse with the given center.
 
-    The center is judged in the normal frame (``_center_abscissa``): it
-    must map onto the center line y = L(h) to within tol_on, or the
-    rounding of its own mapped coordinates where that is more, and its
-    abscissa h must lie strictly inside the locus interval, tol_interval
-    of its width in from either end, tested here.  Both are ratios an
-    affine map keeps, so the verdict does not depend on scale or place.
-    The conic is built from D(h) in the normalized frame and mapped back;
-    the carried center must land within 1e-6 of the locus length of the
-    request, plus ``_drift_slack``.  The normal frame rejects
-    parallelograms: four common tangent lines of two distinct concentric
-    ellipses would form a parallelogram, so uniqueness fails there; a
-    parallelogram to rounding that a small tol_par lets through (s = 1)
-    raises NumericalFailure(_VERTICAL).  A side the conic misses raises
-    NotTangent.
+    The center is projected onto the line through the diagonal midpoints
+    (``_center_weights``): it must lie on it to within tol_on, measured as
+    in the normal frame, or the rounding of its own coordinates where that
+    is more, and its abscissa lam must lie strictly inside (0, 1),
+    tol_interval in from either end.  Both are ratios an affine map keeps,
+    so the verdict does not depend on scale or place.  The carried center
+    must land within 1e-6 of the locus length of the request, plus the
+    rounding the guard allows.  A parallelogram raises ParallelogramUnsupported:
+    four common tangent lines of two distinct concentric ellipses would
+    form a parallelogram, so uniqueness fails there; a quad whose diagonal
+    midpoints coincide to rounding, which a small tol_par lets through,
+    raises NumericalFailure.  A side the conic misses raises NotTangent.
     """
-    nf, _, _, length = _locus_abscissas(q)
-    h = _center_abscissa(nf, center, tol)
-    _param_in_interval(*nf.interval, h, tol)
-    result = _construct(nf, h, tol)
+    rec = _pencil(q)
+    lam, mu = _center_weights(rec, center, tol)
+    _param_in_interval(0.0, 1.0, lam, tol)
+    result = _construct(rec, lam, mu, tol)
     got = result.ellipse.center
-    # the drift may reach 1e-6 of the locus length, and _drift_slack more
+    # the carried center, the request's projection onto the line, may sit
+    # 1e-6 of the locus length from it, plus the miss the guard lets
+    # through (over |2d|, times 2^e) and 4 ulps of the terms that form it:
+    # each scales with the quad, so a drift of a share of it always raises
+    x0, y0, _, _, _, _, _, _, _, dd, _, _, _, length = rec[2]
     excess = math.hypot(got.x - center.x, got.y - center.y) - 1e-6 * length
-    if excess > 0 and excess > _drift_slack(nf, h, center, tol):
+    if excess > 0 and excess > (rec[0][2] * _center_bound(rec, center, tol) / (2 * math.sqrt(dd))
+                                + 4 * _ULP * (abs(x0) + abs(y0) + abs(got.x - x0) + abs(got.y - y0))):
         raise NumericalFailure("inscribed conic center drifted from the request")
     return result
-
-
-def _drift_slack(nf: NormalForm, h: float, center: Point, tol: Tolerances) -> float:
-    """How far a caller's center may sit from the center T^-1(h, L(h))
-    that the construction at its abscissa h carries, beyond 1e-6 of the
-    locus length: the miss of the center line ``_center_bound`` lets
-    through, a vertical step of up to that bound / (2|s - 1|) in the
-    normal frame that T^-1 stretches by its column (b12, b22), plus 4 ulps
-    of the terms that form the carried center.  Both scale with the quad,
-    as the locus length does, so a drift of a fixed share of the quad
-    raises at every scale."""
-    s, t = nf.s, nf.t
-    b11, b12, b21, b22, x0, y0 = nf.inverse
-    _, k, _ = _dual_entries(s, t, h)
-    miss = math.hypot(b12, b22) * _center_bound(nf, center.x, center.y, tol) / (2 * abs(s - 1))
-    return miss + 4 * _ULP * (abs(b11 * h) + abs(b12 * k) + abs(x0)
-                              + abs(b21 * h) + abs(b22 * k) + abs(y0))
 
 
 def inscribe_at_param(q: ConvexQuad, u: float,
                       tol: Tolerances = DEFAULT_TOL) -> InscribedResult:
     """Inscribed ellipse at the locus point m1 + u*(m2 - m1), 0 < u < 1.
 
-    u goes straight to the normalized abscissa, so no original-frame point
-    is built and rounded on the way; only u is checked.
+    u is the abscissa lam itself, or 1 - lam by the locus' orientation,
+    so no point is built and rounded on the way; only u is checked.
     """
     if not (tol.tol_interval < u < 1 - tol.tol_interval):
         raise CenterOffLocus(f"parameter {u} outside the open unit interval")
-    nf, h1, h2, _ = _locus_abscissas(q)
-    return _construct(nf, h1 + u * (h2 - h1), tol)
+    rec = _pencil(q)
+    return _construct(rec, 1 - u, u, tol) if rec[3] else _construct(rec, u, 1 - u, tol)
 
 
 def chord_x(q: ConvexQuad) -> ChordX:
     """Open chord cut by the quadrilateral's interior from the center line.
 
     Contains the locus segment strictly; its endpoints lie on the boundary.
-    The ends are the normal-frame crossings ``NormalForm.chord`` stores,
-    mapped out through T^-1 = (B, p0), ``p_start`` on m1's side.  No
-    tolerance is read: a side line parallel to the center line has no
-    crossing in closed form.  s = 1, where the center line is
-    vertical in the normal frame, raises NumericalFailure(_VERTICAL); a
-    parallelogram has no center line, and its normal frame raises.
+    The ends are the record's abscissas lo and hi (``_pencil``), ratios of
+    triangle areas, mapped out along the line, ``p_start`` on m1's side.
+    No tolerance is read: a side line parallel to the center line has no
+    crossing.  A quad whose midpoints coincide has no center line and
+    raises NumericalFailure; a parallelogram's record raises.
     """
-    nf, h1, h2, _ = _locus_abscissas(q)
-    if nf.chord is None:
-        raise NumericalFailure(_VERTICAL)
-    s, t = nf.s, nf.t
-    b11, b12, b21, b22, x0, y0 = nf.inverse
-    ends = []
-    for h in nf.chord:
-        _, k, _ = _dual_entries(s, t, h)
-        ends.append(Point(b11 * h + b12 * k + x0, b21 * h + b22 * k + y0))
-    return ChordX(*ends) if h1 < h2 else ChordX(*reversed(ends))
-
-
-def _chord_abscissas(s: float, t: float, lo: float, hi: float) -> tuple[float, float]:
-    """(h_a, h_b): the abscissas at which the center line y = L(h) leaves
-    the normal-frame quad (0,0), (1,0), (s,t), (0,1), below lo and above
-    hi.  It crosses x = 0 at h = 0, (1,0)-(s,t) at (s + t)/2 and, unless
-    t = 1 makes them parallel to it, y = 0 at (t - s)/(2(t - 1)) and
-    (s,t)-(0,1) at s(s + t - 2)/(2(t - 1)); the chord runs from the
-    nearest crossing at or below lo to the nearest at or above hi, and
-    0 and (s + t)/2 are always among them.  At s = 1 every crossing is at
-    h = 1/2, and ``NormalForm``, which stores the pair, stores None."""
-    crossings = [0.0, (s + t) / 2]
-    if t != 1:
-        crossings += [(t - s) / (2 * (t - 1)), s * (s + t - 2) / (2 * (t - 1))]
-    return max(h for h in crossings if h <= lo), min(h for h in crossings if h >= hi)
+    rec = _pencil(q)
+    if rec[2] is None:
+        raise NumericalFailure(_NO_LINE)
+    x0, y0, _, m13x, m13y, _, _, dx, dy, _, _, lo, hi, _ = rec[2]
+    sc = rec[0][2]
+    ends = [Point(x0 + sc * (m13x + lam * dx), y0 + sc * (m13y + lam * dy)) for lam in (lo, hi)]
+    return ChordX(*reversed(ends)) if rec[3] else ChordX(*ends)
 
 
 def tangent_conic_at_center(q: ConvexQuad, center: Point,
@@ -514,31 +516,22 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
     between the diagonal midpoints give the inscribed ellipse; centers on
     the chord beyond them give a hyperbola tangent to all four side lines,
     where a tangency "at infinity" (contact point with w = 0) means the
-    side line is an asymptote.  Both come from the pass over D(h) of
-    ``inscribe_at_center`` (``_tangent_conic``), at the center's abscissa in
-    the normal form, and so does the classification: the construction
-    knows which side of the diagonal midpoints the center lies on, so the
-    coefficients are not classified again.  The midpoints themselves are
-    degenerate members and are rejected with DegenerateAtMidpoint; a missed
-    side raises NotTangent.
-
-    The guard runs in the normal frame: the center must be on the center
-    line (``_center_abscissa``), its chord parameter (h - h_a)/(h_b - h_a)
-    tol_interval in from either chord end (``NormalForm.chord``), and h
-    more than tol_interval (h_b - h_a) from either midpoint abscissa.
-    These are the ratios along the chord an affine map keeps; at s = 1,
-    with no chord, a center on the line raises NumericalFailure(_VERTICAL).
-    A parallelogram's normal frame raises ParallelogramUnsupported.
+    side line is an asymptote.  Both come from the pass over D(lam) of
+    ``inscribe_at_center`` (``_tangent_conic``), whose class is read off
+    lam, not off the coefficients.  The midpoints themselves are degenerate
+    members and are rejected with DegenerateAtMidpoint; a missed side
+    raises NotTangent.  The guard reads the record: the center must be on
+    the center line (``_center_weights``), its chord parameter
+    (lam - lo)/(hi - lo) tol_interval in from either chord end, and lam
+    more than tol_interval (hi - lo) from 0 and 1, the ratios along the
+    chord an affine map keeps.
     """
-    nf = _locus_abscissas(q)[0]
-    lo, hi = nf.interval
-    h = _center_abscissa(nf, center, tol)
-    if nf.chord is None:
-        raise NumericalFailure(_VERTICAL)
-    h_a, h_b = nf.chord
-    if not (tol.tol_interval < (h - h_a) / (h_b - h_a) < 1 - tol.tol_interval):
+    rec = _pencil(q)
+    lam, mu = _center_weights(rec, center, tol)
+    lo, hi = rec[2][11], rec[2][12]
+    if not (tol.tol_interval < (lam - lo) / (hi - lo) < 1 - tol.tol_interval):
         raise CenterOffLocus("center is not strictly inside the chord")
-    margin = tol.tol_interval * (h_b - h_a)
-    if abs(h - lo) <= margin or abs(h - hi) <= margin:
+    margin = tol.tol_interval * (hi - lo)
+    if abs(lam) <= margin or abs(mu) <= margin:
         raise DegenerateAtMidpoint("center coincides with a diagonal midpoint")
-    return _tangent_conic(nf, h, tol)[:3]
+    return _tangent_conic(rec, lam, mu, tol)[:3]

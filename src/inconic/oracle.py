@@ -1,11 +1,12 @@
 """Conic tools and the paper's focal route, for the oracles, ``verify`` and
-the tests; no construction calls them (it reads everything off D(h), see
-``inscribed``).
+the tests; no construction calls them (it reads everything off the
+diagonal pencil D(lam), see ``inscribed``).
 
 The conic tools classify conics, convert between implicit and metric
 ellipses, measure tangency and map conics and lines.  The focal route is
 the weights of a center in the two side-line triangles, the center line,
-and ``foci_quadratic`` with its check of both triangles' focal numerators,
+the normal frame's dual conic D(h) (``_dual_entries``), and
+``foci_quadratic`` with its check of both triangles' focal numerators,
 written once in ``_focal_coefficients``, which ``marden`` solves too.  The
 package loads this module on first use, so a command-line process compiles
 it only for ``verify``; its table ``_LEFT_FOR_ORACLE`` still resolves the
@@ -28,12 +29,11 @@ from .geometry import (
     Tolerances,
     _central_conic,
     _metric_ellipse,
-    _norm_angle,
     _pull_back_form,
     _Value,
     midpoint,
 )
-from .inscribed import _VERTICAL, NormalForm, _dual_entries, _param_in_interval
+from .inscribed import _VERTICAL, NormalForm, _param_in_interval
 
 
 # --------------------------------------------------------------------------
@@ -208,10 +208,9 @@ def ellipse_from_foci_point(f1: Point, f2: Point, p: Point) -> EllipseGeo:
     if a - cdist <= 1e-12 * a:
         raise DegeneratePoint("point lies on the closed focal segment")
     b = math.sqrt(a * a - cdist * cdist)
-    if cdist < 1e-12 * a:
-        angle = 0.0
-    else:
-        angle = _norm_angle(math.atan2(f2.y - f1.y, f2.x - f1.x))
+    angle = 0.0 if cdist < 1e-12 * a else math.atan2(f2.y - f1.y, f2.x - f1.x)
+    if not -math.pi / 2 < angle <= math.pi / 2:  # atan2 is in [-pi, pi]
+        angle -= math.copysign(math.pi, angle)
     f1o, f2o = (f1, f2) if (f1.x, f1.y) <= (f2.x, f2.y) else (f2, f1)
     return EllipseGeo(midpoint(f1, f2), a, b, angle, f1o, f2o)
 
@@ -283,6 +282,17 @@ def _weights(nf: NormalForm, h) -> tuple[WeightTriple, WeightTriple]:
     ws = WeightTriple((t - 1) * (2 * h - s) / (s * (s - 1)),
                       (t - 1) * (1 - 2 * h) / (s - 1))
     return wt, ws
+
+
+def _dual_entries(s, t, h):
+    """(c, k, det) of the normal frame's dual conic
+    D(h) / (2(s - 1)) = [[0, c, h], [c, 0, k], [h, k, 1]], the diagonal
+    pencil's member centered at abscissa h: c = (s - 2h)/(2(s - 1)),
+    k = L(h), and det = (2h - 1)(s - 2h)(2h(t - 1) + s)/(4(s - 1)^2) the
+    determinant of its shape.  Exact and symbolic types pass through."""
+    e3 = 2 * (s - 1)
+    return ((s - 2 * h) / e3, (2 * h * (t - 1) + s - t) / e3,
+            (2 * h - 1) * (s - 2 * h) * (2 * h * (t - 1) + s) / (e3 * e3))
 
 
 def foci_quadratic(nf: NormalForm, h, tol: Tolerances = DEFAULT_TOL) -> tuple[complex, complex]:

@@ -1,22 +1,24 @@
 """Forward error of the construction against a 50-digit closed form.
 
 The oracle takes the same float vertices and redoes the paper's focal
-construction in mpmath, independently of the polynomial pass over D(h)
-that the package runs: the labeling ``normalize`` chose, the normal form
+construction in mpmath, independently of the diagonal pencil D(lam) that
+the package runs: the labeling ``normalize`` chose, the normal form
 (s, t) and its linear part L, the normal-frame abscissa h, the focal
 quadratic z^2 - 2(h + i L(h)) z + i (s - 2h)/(s - 1) with 2a fixed by the
 contact (0, (s - 2h)/(2h(s - 1))) (the sum of the focal distances for an
 ellipse, their difference for a hyperbola), and the original-frame form
 Q = L^T Q_n L about the center T^-1((f1 + f2)/2).  From Q come the
 semi-axes, the angle and the foci; from its point conic come the contacts,
-as the poles of the four side lines, and the unit-norm coefficients.
+as the poles of the four side lines, and the unit-norm coefficients.  The
+package shares no arithmetic with it: its abscissa lam is u or 1 - u, and
+the oracle's h is lam h02 + (1 - lam) h13, h02 and h13 the abscissas of
+the diagonal midpoints, formed at 50 digits.
 
 Each error is bounded relative to its condition number, with M the largest
 vertex coordinate (every original-frame point is rounded at eps M):
-- the semi-major axis and ``max_area``'s area relative to eps;
-- the semi-minor axis relative to eps/min(u, 1 - u): even an exact
-  construction at the float nearest h loses that much near an end of the
-  locus, where the ellipse flattens;
+- the semi-axes and ``max_area``'s area relative to eps: the pencil's
+  det P = lam (1 - lam)(lam A012 A023 + (1 - lam) A013 A123)/4 holds the
+  minor axis to full relative precision up to the ends of the locus;
 - the angle relative to eps a^2/(a^2 - b^2), the inverse gap between the
   eigenvalues of Q;
 - the foci relative to eps (M + (a^2 + b^2/min(u, 1 - u))/c), c the focal
@@ -27,17 +29,18 @@ vertex coordinate (every original-frame point is rounded at eps M):
 - ``max_area``'s abscissa h0 relative to eps max(1, s);
 - the tangent hyperbola's unit-norm coefficients relative to
   eps (1 + |dk/dh| (max(1, |h|) + ||L|| M)), k the coefficient vector: its
-  h is read off the float center through T, which rounds at eps ||L|| M;
-- apart from those coefficients, the hyperbola's form Q relative to
-  eps (|Q| + |dQ/dh| max(1, |h|)) and its center relative to
-  eps (M + |dp/dh| max(1, |h|)), both at the float h the construction
-  read off the center, so that its rounding is not charged to them.
+  h is read off the float center, which rounds at eps ||L|| M;
+- apart from those coefficients, the hyperbola's shape P (the inverse of
+  its form Q) relative to eps (|P| + |dP/dh| max(1, |h|)) and its center
+  relative to eps (M + |dp/dh| max(1, |h|)), both at the abscissa the
+  construction read off the center, so that its rounding is not charged
+  to them.
 The rates are central differences of the 50-digit construction.
 
 Far from the origin eps M swamps any error in where a point sits on the
 quad.  So the ellipse's center, foci and contacts are also built through
-``_local_form``, the quad's own normal form with its map moved back by
-the offset exactly, and bounded with M the largest vertex coordinate
+``_local_record``, the quad's own pencil record with its origin moved back
+by the offset exactly, and bounded with M the largest vertex coordinate
 after that move: the quad's extent.  The hyperbola's center is checked
 that way only.
 """
@@ -51,11 +54,11 @@ from mpmath import mp, mpc, mpf
 
 import inconic as ic
 from conftest import random_trapezium
-from inconic.inscribed import _construct, _locus_abscissas, _normal_frame, _tangent_conic
+from inconic.inscribed import _center_weights, _construct, _pencil, _tangent_conic
 
 EPS = 2.0 ** -52
-C_MAJOR = 16      # semi-major axis, in eps
-C_MINOR = 8       # semi-minor axis, in eps/min(u, 1 - u)
+C_MAJOR = 4       # semi-major axis, in eps
+C_MINOR = 4       # semi-minor axis, in eps
 C_ANGLE = 16      # angle, in eps a^2/(a^2 - b^2)
 C_POINT = 8       # center, foci and contacts, in their units above
 C_H0 = 8          # max_area's h0, in eps max(1, s)
@@ -91,7 +94,7 @@ def _frame(q):
     mb = ((v[1][0] + v[3][0]) / 2, (v[1][1] + v[3][1]) / 2)
     h1, h2 = (h_13, h_02) if mb < ma else (h_02, h_13)
     return SimpleNamespace(v=v, p0=p0, b=((b11, b12), (b21, b22)), lin=lin, s=s, t=t,
-                           h1=h1, h2=h2)
+                           h1=h1, h2=h2, h02=h_02, h13=h_13)
 
 
 def _focal(frame, h):
@@ -126,7 +129,8 @@ def _focal(frame, h):
     cx = b[0][0] * mx + b[0][1] * my + p0[0]
     cy = b[1][0] * mx + b[1][1] * my + p0[1]
 
-    out = {"ellipse": ellipse, "center": (cx, cy), "form": (q11, q12, q22)}
+    out = {"ellipse": ellipse, "center": (cx, cy), "form": (q11, q12, q22),
+           "shape": (inv[0][0], inv[0][1], inv[1][1])}
     # (x - c)^T Q (x - c) = 1 as a x^2 + b xy + c y^2 + d x + e y + f = 0,
     # scaled as ``Conic`` scales it, up to sign
     coeffs = (q11, 2 * q12, q22, -2 * (q11 * cx + q12 * cy), -2 * (q12 * cx + q22 * cy),
@@ -206,15 +210,17 @@ def oracle_tangent_conic(q: ic.ConvexQuad, center: ic.Point) -> tuple[bool, tupl
                 _rate(frame, h, "coefficients"))
 
 
-def oracle_tangent_form(q: ic.ConvexQuad, h: float, offset: float) -> tuple:
-    """(form Q, center, |dQ/dh|, |d center/dh|) of the 50-digit tangent
-    conic at the float abscissa h itself, the center moved by
+def oracle_tangent_shape(q: ic.ConvexQuad, lam: float, offset: float) -> tuple:
+    """(shape P = Q^-1, center, |dP/dh|, |d center/dh|, h) of the 50-digit
+    tangent conic at the float pencil abscissa lam itself, at normal-frame
+    abscissa h = lam h02 + (1 - lam) h13, the center moved by
     (-offset, -offset) before it is rounded."""
     with mp.workdps(50):
         frame = _frame(q)
-        exact = _focal(frame, mpf(h))
-        return (_point(exact["form"]), _point(exact["center"], offset),
-                _rate(frame, mpf(h), "form"), _rate(frame, mpf(h), "center"))
+        h = mpf(lam) * frame.h02 + (1 - mpf(lam)) * frame.h13
+        exact = _focal(frame, h)
+        return (_point(exact["shape"]), _point(exact["center"], offset),
+                _rate(frame, h, "shape"), _rate(frame, h, "center"), float(h))
 
 
 def oracle_max_area(q: ic.ConvexQuad) -> tuple[float, float]:
@@ -242,27 +248,38 @@ def _dist(p, x, y, offset=0.0):
     return math.hypot(p.x - offset - x, p.y - offset - y)
 
 
-def _local_form(q, offset):
-    """``_normal_frame(q)`` with T and T^-1 moved by (-offset, -offset).
-    The vertex T^-1 starts from lies within a factor 2 of the offset (or
-    the offset is 0), so the move is exact: a construction through it does
-    the moved quad's own normal-frame arithmetic bit for bit, and rounds
-    its points at the quad's extent rather than at the offset."""
-    nf = _normal_frame(q)
-    b11, b12, b21, b22, x0, y0 = nf.inverse
+def _local_record(q, offset):
+    """q's pencil record with its origin v0 moved by (-offset, -offset).
+    v0 lies within a factor 2 of the offset (or the offset is 0), so the
+    move is exact: a construction through it does the moved quad's own
+    unit-scale arithmetic bit for bit, and rounds its points at the quad's
+    extent rather than at the offset."""
+    shape = _pencil(q)[0]
+    x0, y0, sc = shape[:3]
     x1, y1 = x0 - offset, y0 - offset
     assert Fraction(x1) == Fraction(x0) - Fraction(offset)
     assert Fraction(y1) == Fraction(y0) - Fraction(offset)
-    m11, m12, m21, m22 = nf.M
-    moved = (-(m11 * x1 + m12 * y1), -(m21 * x1 + m22 * y1))
-    local = ic.NormalForm(nf.s, nf.t, nf.M, moved, (b11, b12, b21, b22, x1, y1), nf.labeling)
-    assert (local.interval, local.det, local.sides) == (nf.interval, nf.det, nf.sides)
-    return local
+    return ((x1, y1, sc, shape[3], x1 / sc, y1 / sc) + shape[6:],) + _pencil(q)[1:]
+
+
+def _lam_mu(q, u):
+    """The pencil abscissa lam of locus parameter u, and 1 - lam, as
+    ``inscribe_at_param`` forms them."""
+    return (1 - u, u) if _pencil(q)[3] else (u, 1 - u)
+
+
+# a quad whose semi-minor axis near u = 1 lost 9.9 eps/min(u, 1 - u) when
+# the construction ran through the rounded normal-frame abscissa
+FOUND_QUAD = [(-0.98730119503798, 0.6888649528719106),
+              (-0.5481031686572659, -0.7894366195585321),
+              (0.4835098930527457, -0.09502552188349189),
+              (0.4903748916426258, -0.06946889936210887)]
 
 
 def _draws(offset):
     rng = np.random.default_rng(20260101)
-    return [_moved(random_trapezium(rng), offset) for _ in range(40)]
+    quads = [random_trapezium(rng) for _ in range(40)] + [ic.validate_quad(FOUND_QUAD)]
+    return [_moved(q, offset) for q in quads]
 
 
 def test_oracle_matches_the_worked_quad():
@@ -292,26 +309,25 @@ def test_semi_axes_against_the_oracle(offset):
             major, minor = exact["major"], exact["minor"]
             e = ic.inscribe_at_param(q, u).ellipse
             worst_major = max(worst_major, abs(e.semi_major - major) / major / EPS)
-            worst_minor = max(worst_minor,
-                              abs(e.semi_minor - minor) / minor / (EPS / min(u, 1 - u)))
+            worst_minor = max(worst_minor, abs(e.semi_minor - minor) / minor / EPS)
     assert worst_major <= C_MAJOR, f"semi-major error {worst_major:.3g} eps"
-    assert worst_minor <= C_MINOR, f"semi-minor error {worst_minor:.3g} eps/min(u, 1-u)"
+    assert worst_minor <= C_MINOR, f"semi-minor error {worst_minor:.3g} eps"
 
 
 @pytest.mark.parametrize("offset", OFFSETS)
 def test_center_angle_foci_and_contacts_against_the_oracle(offset):
     # each point twice: as ``inscribe_at_param`` returns it, against the
-    # largest coordinate M, and built through ``_local_form``, against the
+    # largest coordinate M, and built through ``_local_record``, against the
     # quad's extent once the offset is subtracted exactly
     keys = ("center", "angle", "foci", "contacts")
     worst = dict.fromkeys(keys + tuple(f"local {k}" for k in keys if k != "angle"), 0.0)
     for q in _draws(offset):
-        local_nf, (_, h1, h2, _) = _local_form(q, offset), _locus_abscissas(q)
+        local_record = _local_record(q, offset)
         frames = (("", offset, _magnitude(q)), ("local ", 0.0, _magnitude(q, offset)))
         for u in PARAMS:
             exact = oracle_inscribed(q, u, rates=True, offset=offset)
             r = ic.inscribe_at_param(q, u)
-            local = _construct(local_nf, h1 + u * (h2 - h1), ic.DEFAULT_TOL)
+            local = _construct(local_record, *_lam_mu(q, u), ic.DEFAULT_TOL)
             e = r.ellipse
             assert (local.ellipse.semi_major, local.ellipse.semi_minor, local.ellipse.angle) == \
                 (e.semi_major, e.semi_minor, e.angle)
@@ -353,15 +369,16 @@ def test_max_area_against_the_oracle(offset):
 @pytest.mark.parametrize("offset", OFFSETS)
 def test_tangent_hyperbolas_against_the_oracle(offset):
     # halfway between each chord end and the diagonal midpoint next to it;
-    # the form Q and the center are checked apart from the coefficients, at
-    # the abscissa h the construction read off the float center, the
-    # center through ``_local_form`` against the quad's extent
-    worst = dict.fromkeys(("coefficients", "form", "center"), 0.0)
+    # the shape P and the center are checked apart from the coefficients,
+    # at the abscissa lam the construction read off the float center, the
+    # center through ``_local_record`` against the quad's extent
+    worst = dict.fromkeys(("coefficients", "shape", "center"), 0.0)
     for q in _draws(offset):
         seg, chord = ic.locus(q), ic.chord_x(q)
-        nf, local_nf = ic.normalize(q), _local_form(q, offset)
+        nf, local_record = ic.normalize(q), _local_record(q, offset)
         lin = nf.T
         reach = math.hypot(lin.m11, lin.m12, lin.m21, lin.m22) * _magnitude(q)
+        sc = _pencil(q)[0][2]
         for end in (chord.p_start, chord.p_end):
             m = min((seg.m1, seg.m2), key=lambda p: _dist(p, end.x, end.y))
             center = ic.Point((end.x + m.x) / 2, (end.y + m.y) / 2)
@@ -373,16 +390,17 @@ def test_tangent_hyperbolas_against_the_oracle(offset):
             worst["coefficients"] = max(worst["coefficients"], distance / (
                 EPS * (1 + rate * (max(1.0, abs(h)) + reach))))
 
-            h_read = lin.apply_xy(center.x, center.y)[0]
-            _, kind, _, form, got, _ = _tangent_conic(local_nf, h_read, ic.DEFAULT_TOL)
+            lam, mu = _center_weights(_pencil(q), center, ic.DEFAULT_TOL)
+            _, kind, _, shape, got, _ = _tangent_conic(local_record, lam, mu, ic.DEFAULT_TOL)
             assert kind is ic.ConicClass.HYPERBOLA
-            want_form, want, form_rate, center_rate = oracle_tangent_form(q, h_read, offset)
+            want_shape, want, shape_rate, center_rate, h_read = \
+                oracle_tangent_shape(q, lam, offset)
             scale = max(1.0, abs(h_read))
-            error = math.hypot(*(g - w for g, w in zip(form, want_form)))
-            unit = EPS * (math.hypot(*want_form) + form_rate * scale)
-            worst["form"] = max(worst["form"], error / unit)
+            error = math.hypot(*(g * sc * sc - w for g, w in zip(shape, want_shape)))
+            unit = EPS * (math.hypot(*want_shape) + shape_rate * scale)
+            worst["shape"] = max(worst["shape"], error / unit)
             unit = EPS * (_magnitude(q, offset) + center_rate * scale)
             worst["center"] = max(worst["center"], math.dist(got, want) / unit)
-    bounds = {"coefficients": C_HYPERBOLA, "form": C_HYPERBOLA, "center": C_POINT}
+    bounds = {"coefficients": C_HYPERBOLA, "shape": C_HYPERBOLA, "center": C_POINT}
     over = {k: f"{worst[k]:.3g}" for k in worst if worst[k] > bounds[k]}
     assert not over, f"errors over their bounds: {over}"

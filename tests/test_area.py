@@ -282,16 +282,25 @@ class TestMaxArea:
         with pytest.raises(errors.ParallelogramUnsupported):
             ic.max_area(q)
 
-    def test_one_normal_form_per_call(self, monkeypatch):
-        calls, frame = [], ic.inscribed._normal_frame
+    def test_no_normal_form_per_call(self, monkeypatch):
+        # max_area reads the quad's pencil record, derived once per quad, and
+        # builds no normal frame: h0 comes from the record's areas
+        def fail(*args):
+            raise AssertionError("max_area built a normal frame")
 
-        def counted(q):
-            calls.append(q)
-            return frame(q)
-        monkeypatch.setattr(ic.inscribed, "_normal_frame", counted)
-        res = ic.max_area(quad_s3t2())
-        assert len(calls) == 1
-        assert res.inscribed.ellipse == res.ellipse
+        frames, stores, store = [], [], ic.inscribed._store_pencil
+
+        def counted(q, record):
+            stores.append(q)
+            store(q, record)
+        monkeypatch.setattr(ic.inscribed, "_frame", fail)
+        monkeypatch.setattr(ic.inscribed, "_store_pencil", counted)
+        q = quad_s3t2()
+        results = [ic.max_area(q) for _ in range(3)]
+        assert stores == [q]
+        for res in results:
+            assert res.inscribed.ellipse == res.ellipse
+            assert res.h0 == pytest.approx((1 + 2 * math.sqrt(7)) / 6, rel=1e-15)
 
     def test_affine_invariance_of_optimizer(self, rng):
         base = ic.max_area(quad_s3t2())

@@ -1,4 +1,5 @@
-"""The paper's results as sympy identities in the affine normal form.
+"""The paper's results as sympy identities, in the affine normal form and
+on the diagonal pencil the construction reads.
 
 With the vertices at p0 = (0,0), p1 = (1,0), p2 = (s,t), p3 = (0,1)
 (homogeneous), the dual conic
@@ -6,21 +7,29 @@ With the vertices at p0 = (0,0), p1 = (1,0), p2 = (s,t), p3 = (0,1)
     D(h) = (2h - 1)(p0 p2^T + p2 p0^T) + (s - 2h)(p1 p3^T + p3 p1^T)
 
 is a member of the tangential pencil spanned by the two diagonals, linear
-in h.  Each test below proves one result for all (s, t, h) at once:
+in h.  Each test on it proves one result for all (s, t, h) at once:
 the center, the tangency to the four sides, the paper's focal quadratic,
 the ellipse/hyperbola split along the center line, and the unique maximal
 area.  Three more evaluate the package's own formulas on symbols: the
-construction's polynomial entries, the weights of the center with the
+normal frame's polynomial entries, the weights of the center with the
 focal numerator's coefficients that ``foci_quadratic``'s focal check
 reads, and those coefficients against the numerator itself.
+
+The construction reads the same pencil over any four vertices,
+D(lam) = lam A + (1 - lam) B with A = p0 p2^T + p2 p0^T and
+B = p1 p3^T + p3 p1^T.  The tests after those prove, for general
+vertices and lam, the closed forms it evaluates: the center
+lam M02 + (1 - lam) M13, each side's contact as a combination of its ends
+weighted by lam and 1 - lam times triangle areas, the shape P and the
+factorization of det P, the point conic, the chord's ends and the
+derivative that ``max_area`` solves.
 """
 from types import SimpleNamespace
 
 import sympy as sp
 
 from inconic.area import area_cubic
-from inconic.inscribed import _dual_entries
-from inconic.oracle import _focal_coefficients, _weights
+from inconic.oracle import _dual_entries, _focal_coefficients, _weights
 
 s, t, h, u, z = sp.symbols("s t h u z")
 P0, P1, P2, P3 = (sp.Matrix(p) for p in ((0, 0, 1), (1, 0, 1), (s, t, 1), (0, 1, 1)))
@@ -144,3 +153,105 @@ def test_focal_coefficients_are_the_numerators_roots():
     numerator = w1 * (z - z2) * (z - z3) + w2 * (z - z1) * (z - z3) + w3 * (z - z1) * (z - z2)
     root_sum, root_product = _focal_coefficients(z1, z2, z3, w1, w2, w3)
     assert sp.expand(numerator - (z ** 2 - root_sum * z + root_product)) == 0
+
+
+# the diagonal pencil over general vertices pi = (xi, yi)
+lam = sp.Symbol("lam")
+mu = 1 - lam
+XS, YS = sp.symbols("x0:4"), sp.symbols("y0:4")
+V = [sp.Matrix([x, y, 1]) for x, y in zip(XS, YS)]
+PENCIL = lam * (V[0] * V[2].T + V[2] * V[0].T) + mu * (V[1] * V[3].T + V[3] * V[1].T)
+MID02 = sp.Matrix([(XS[0] + XS[2]) / 2, (YS[0] + YS[2]) / 2])
+MID13 = sp.Matrix([(XS[1] + XS[3]) / 2, (YS[1] + YS[3]) / 2])
+
+
+def _area(i, j, k):
+    """Doubled signed area Aijk of the triangle pi pj pk."""
+    return (XS[j] - XS[i]) * (YS[k] - YS[i]) - (YS[j] - YS[i]) * (XS[k] - XS[i])
+
+
+def _pencil_center():
+    x, y, w = PENCIL * sp.Matrix([0, 0, 1])
+    return sp.Matrix([x / w, y / w])
+
+
+def test_pencil_center_is_the_weighted_midpoint():
+    # D(lam) is centered at lam M02 + (1 - lam) M13, with corner entry 2
+    assert PENCIL[2, 2] == 2
+    assert _is_zero(_pencil_center() - (lam * MID02 + mu * MID13))
+
+
+def test_pencil_contacts_are_weighted_side_ends():
+    # the pole D l of side pi pi+1, l = pi x pi+1, is lam a pA + (1 - lam) b pB
+    # for its end pA on p0p2 and pB on p1p3, with the areas the kernel reads
+    weights = {0: (0, 1, _area(0, 1, 2), _area(0, 1, 3)),
+               1: (2, 1, _area(0, 1, 2), _area(1, 2, 3)),
+               2: (2, 3, _area(0, 2, 3), _area(1, 2, 3)),
+               3: (0, 3, _area(0, 2, 3), _area(0, 1, 3))}
+    for i, (a, b, wa, wb) in weights.items():
+        line = V[i].cross(V[(i + 1) % 4])
+        pole = PENCIL * line
+        assert sp.expand(pole - (lam * wa * V[a] + mu * wb * V[b])) == sp.zeros(3, 1)
+        assert sp.expand((line.T * pole)[0]) == 0
+
+
+def test_shape_determinant_factors():
+    # P = m m^T - D2/2; with p0 at the origin, as the kernel translates it,
+    # 4P = lam^2 p2 p2^T + mu^2 (p1 - p3)(p1 - p3)^T + lam mu C, and
+    # det P = lam mu (lam A012 A023 + mu A013 A123)/4
+    m = _pencil_center()
+    shape = m * m.T - PENCIL[:2, :2] / 2
+    det = lam * mu * (lam * _area(0, 1, 2) * _area(0, 2, 3)
+                      + mu * _area(0, 1, 3) * _area(1, 2, 3)) / 4
+    assert sp.expand(shape.det() - det) == 0
+    at_origin = {XS[0]: 0, YS[0]: 0}
+    p1, p2, p3 = (sp.Matrix([XS[i], YS[i]]) for i in (1, 2, 3))
+    total = p1 + p3
+    split = (lam ** 2 * p2 * p2.T + mu ** 2 * (p1 - p3) * (p1 - p3).T
+             + lam * mu * (p2 * total.T + total * p2.T - 2 * (p1 * p3.T + p3 * p1.T)))
+    assert sp.expand(4 * shape.subs(at_origin) - split) == sp.zeros(2, 2)
+
+
+def test_point_conic_is_the_shape_about_the_center():
+    # adj D = -4 [[adj P, -adj P m], [-m^T adj P, m^T adj P m - det P]]: the
+    # conic (x - m)^T adj(P) (x - m) = det P that the kernel writes out
+    m = _pencil_center()
+    shape = m * m.T - PENCIL[:2, :2] / 2
+    adj = shape.adjugate()
+    conic = sp.Matrix(sp.BlockMatrix([[adj, -adj * m],
+                                      [-m.T * adj, m.T * adj * m - sp.Matrix([[shape.det()]])]]))
+    assert sp.expand(PENCIL.adjugate() + 4 * conic) == sp.zeros(3, 3)
+
+
+def test_chord_ends_are_area_ratios():
+    # the center line M13 + lam (M02 - M13) meets the side lines p0p1 and
+    # p2p3 at lam = A013/(A013 - A012) and -A123/(A013 - A012), and p1p2
+    # and p3p0 at A123/(A023 - A013) and -A013/(A023 - A013)
+    d1, d2 = _area(0, 2, 3) - _area(0, 1, 3), _area(0, 1, 3) - _area(0, 1, 2)
+    crossings = {(0, 1): _area(0, 1, 3) / d2, (2, 3): -_area(1, 2, 3) / d2,
+                 (1, 2): _area(1, 2, 3) / d1, (3, 0): -_area(0, 1, 3) / d1}
+    for (i, j), at in crossings.items():
+        x, y = MID13 + at * (MID02 - MID13)
+        assert _is_zero(sp.Matrix([[XS[i], YS[i], 1], [XS[j], YS[j], 1], [x, y, 1]]).det())
+    # the two differences are also A123 - A012 and A023 - A123
+    assert sp.expand(d1 - (_area(1, 2, 3) - _area(0, 1, 2))) == 0
+    assert sp.expand(d2 - (_area(0, 2, 3) - _area(1, 2, 3))) == 0
+
+
+def test_max_area_solves_the_derivative_of_det_p():
+    # area^2 / pi^2 = det P: maximize f = lam mu (lam alpha + mu beta); its
+    # derivative is the quadratic max_area solves, alpha/3 at 1/3 and
+    # -beta/3 at 2/3, so its one root in (0, 1) lies in (1/3, 2/3)
+    alpha, beta = sp.symbols("alpha beta", positive=True)
+    f = lam * mu * (lam * alpha + mu * beta)
+    slope = sp.diff(f, lam)
+    assert sp.expand(slope - (-3 * (alpha - beta) * lam ** 2 + 2 * (alpha - 2 * beta) * lam
+                              + beta)) == 0
+    assert sp.expand(slope.subs(lam, sp.Rational(1, 3)) - alpha / 3) == 0
+    assert sp.expand(slope.subs(lam, sp.Rational(2, 3)) + beta / 3) == 0
+    # on the normal form, lam is (2h - 1)/(s - 1), and 4 (s - 1)^2 det P is
+    # the area cubic of the normal-frame abscissa h
+    normal = {XS[0]: 0, YS[0]: 0, XS[1]: 1, YS[1]: 0, XS[2]: s, YS[2]: t, XS[3]: 0, YS[3]: 1}
+    m = _pencil_center()
+    det = (m * m.T - PENCIL[:2, :2] / 2).det().subs(normal).subs(lam, (2 * h - 1) / (s - 1))
+    assert _is_zero(4 * (s - 1) ** 2 * det - area_cubic(SimpleNamespace(s=s, t=t), h))

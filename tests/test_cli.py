@@ -219,6 +219,49 @@ class TestMaxArea:
         assert code == 4
 
 
+# Quads a tiny tol_par lets through as trapezoids although they are
+# parallelograms to within an ulp: s = 1 -+ 2^-52 in the normal frame, and
+# diagonal midpoints that coincide in floats.  Nothing on the diagonal
+# pencil divides by s - 1, so maxarea and inscribe --u build the square's
+# incircle, area pi/4, where the normal frame found no root of its one-ulp
+# interval, a degenerate determinant or a vertical center line.
+NEAR_PARALLELOGRAMS = [
+    pytest.param(["maxarea", "--vertices", "0,0 1,0 0.99999999999999977,1 0,1"],
+                 id="maxarea-s-1-minus-ulp"),
+    pytest.param(["maxarea", "--vertices", "0,0 1,0 1.00000000000000023,1 0,1"],
+                 id="maxarea-s-1-plus-ulp"),
+    pytest.param(["inscribe", "--vertices", "0,0 1,0 1.00000000000000023,1 0,1", "--u", "0.5"],
+                 id="inscribe-s-1-plus-ulp"),
+    pytest.param(["maxarea", "--vertices", "0,0 1,1e-17 1,1 0,1"], id="maxarea-zero-length-locus"),
+    pytest.param(["inscribe", "--vertices", "0,0 1,1e-17 1,1 0,1", "--u", "0.5"],
+                 id="inscribe-zero-length-locus"),
+]
+
+
+@pytest.mark.parametrize("argv", NEAR_PARALLELOGRAMS)
+def test_near_parallelograms_build_the_incircle(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--tol", "tol_par=1e-300")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["area"] == pytest.approx(math.pi / 4, rel=1e-14)
+    assert doc["semi_major"] == pytest.approx(0.5, rel=1e-14)
+    assert doc["center"] == pytest.approx([0.5, 0.5], abs=1e-15)
+
+
+@pytest.mark.parametrize("exponent", ["e-154", "e154"])
+def test_inscribe_builds_where_the_normal_frame_leaves_the_float_range(capsys, exponent):
+    # the worked quad at 1e-154 (the normal frame's form under- and
+    # overflowed) and 1e154 (its basis overflows, as inspect still reports)
+    vertices = f"0,0 1{exponent},0 3{exponent},2{exponent} 0,1{exponent}"
+    code, out, err = run_cli(capsys, "inscribe", "--vertices", vertices, "--u", "0.37")
+    assert (code, err) == (0, "")
+    _, want, _ = run_cli(capsys, "inscribe", "--vertices", QUAD, "--u", "0.37")
+    got, want = json.loads(out), json.loads(want)
+    scale = float("1" + exponent)
+    assert got["semi_major"] == pytest.approx(want["semi_major"] * scale, rel=1e-14)
+    assert got["angle_rad"] == pytest.approx(want["angle_rad"], rel=1e-14)
+
+
 class TestVerify:
     def test_valid_center_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--vertices", QUAD,
@@ -933,23 +976,26 @@ EXIT_CODE_CONTRACT = [
                  "parallelogram: ", id="4-parallelogram"),
     pytest.param(["inscribe", "--vertices", QUAD, "--u", "0.37", "--tol", "tol_tan=1e-30"], 5,
                  "numerical failure: ", id="5-not-tangent"),
-    pytest.param(["inscribe", "--vertices", "0,0 1,1e-17 1,1 0,1", "--u", "0.5",
+    # diagonal midpoints that coincide in floats: a center fixes no conic,
+    # and there is no chord (the parameter and maxarea build, see
+    # test_near_parallelograms_build_the_incircle)
+    pytest.param(["inscribe", "--vertices", "0,0 1,1e-17 1,1 0,1", "--center", "0.5,0.5",
                   "--tol", "tol_par=1e-300"], 5,
-                 "numerical failure: s = 1", id="5-zero-length-locus"),
+                 "numerical failure: the diagonal midpoints coincide: there is no center line",
+                 id="5-zero-length-locus"),
     pytest.param(["inspect", "--vertices", "0,0 1,1e-17 1,1 0,1", "--tol", "tol_par=1e-300"], 5,
-                 "numerical failure: s = 1", id="5-inspect-zero-length-locus"),
-    pytest.param(["maxarea", "--vertices", "0,0 1,1e-17 1,1 0,1", "--tol", "tol_par=1e-300"], 5,
-                 "numerical failure: s = 1: center line is vertical in this labeling",
-                 id="5-maxarea-zero-length-locus"),
+                 "numerical failure: the diagonal midpoints coincide: there is no center line",
+                 id="5-inspect-zero-length-locus"),
     # one rotation's basis is singular to 1e-12 of its size, a fixed threshold
     pytest.param(["inspect", "--vertices", "-1,-1 1e-13,-1e-13 1,1 -1,1",
                   "--tol", "tol_par=1e-300"], 5,
                  "numerical failure: normalization basis is singular",
                  id="5-inspect-singular-basis"),
-    pytest.param(["inscribe", "--vertices", "0,0 1e154,0 3e154,2e154 0,1e154", "--u", "0.37"],
-                 5, "numerical failure: ", id="5-scale-1e154"),
-    pytest.param(["inscribe", "--vertices", "0,0 1e-154,0 3e-154,2e-154 0,1e-154", "--u", "0.37"],
-                 5, "numerical failure: ", id="5-scale-1e-154"),
+    # the normal frame inspect prints: its basis overflows at 1e154 (the
+    # constructions build there, test_inscribe_builds_where_the_normal_...)
+    pytest.param(["inspect", "--vertices", "0,0 1e154,0 3e154,2e154 0,1e154"], 5,
+                 "numerical failure: normalization basis is out of float range",
+                 id="5-scale-1e154"),
     pytest.param(["inspect", "--vertices", "0,0 1e-156,0 3e-156,2e-156 0,1e-156"], 5,
                  "numerical failure: linear part is out of float range", id="5-scale-1e-156"),
     pytest.param(["inspect", "--vertices", "0,0 1e-200,0 3e-200,2e-200 0,1e-200"], 5,

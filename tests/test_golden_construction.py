@@ -13,8 +13,8 @@ draws from the first four and runs the same two calls at centers on the
 center guards' decision boundaries, under the default tolerances and one
 of the stressed sets: chord parameters within a few ``tol_interval`` of
 each diagonal midpoint and each chord end, and points pushed off the
-center line, in the normal frame, by 0.5, 1 and 2 times the miss
-``_center_bound`` allows.
+center line, across it, by 0.5, 1 and 2 times the miss ``_center_bound``
+allows.
 Each output is the ``repr`` of the result, or the class and message of
 what was raised; ``golden/construction.json`` holds a sha256 over them
 per family.  A change that moves one bit of one result, or the class or
@@ -50,7 +50,7 @@ from inconic import (
     tangent_conic_at_center,
     validate_quad,
 )
-from inconic.inscribed import _center_bound, _normal_frame
+from inconic.inscribed import _center_bound, _pencil
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "construction.json"
 OUTCOMES_PATH = Path(__file__).parent / "golden" / "construction_outcomes.json"
@@ -170,17 +170,17 @@ def _guard_centers(q, seg, chord, tol):
         um = _chord_param(chord, m)
         params += [um + k * step for k in GUARD_STEPS]
     centers = [chord.point_at(u) for u in params]
-    # (h, L(h)) moved by dy in the normal frame misses the line by 2|s - 1| dy
-    nf = _normal_frame(q)
-    s, t = nf.s, nf.t
-    (m11, m12, _, _), (tx, _), (b11, b12, b21, b22, x0, y0) = nf.M, nf.translation, nf.inverse
+    # a point moved by r across the line, at unit scale, misses it by
+    # |2d| r; the unit is 2^e (``_pencil``)
+    sc, line = _pencil(q)[0][2], _pencil(q)[2]
+    dx, dy = line[7], line[8]
+    length = math.hypot(dx, dy)
     for p in (seg.point_at(0.5), chord.point_at(0.02), chord.point_at(0.98)):
-        h = m11 * p.x + m12 * p.y + tx
-        k = (2 * h * (t - 1) + s - t) / (2 * (s - 1))
-        dy = _center_bound(nf, p.x, p.y, tol) / (2 * abs(s - 1))
+        r = sc * _center_bound(_pencil(q), p, tol) / (2 * length)
         for f in GUARD_PUSHES:
-            for y in (k + f * dy, k - f * dy):
-                centers.append(Point(b11 * h + b12 * y + x0, b21 * h + b22 * y + y0))
+            for sign in (1, -1):
+                centers.append(Point(p.x - sign * f * r * dy / length,
+                                     p.y + sign * f * r * dx / length))
     return centers
 
 

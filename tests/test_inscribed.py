@@ -17,16 +17,8 @@ from mpmath import mp, mpf
 
 import inconic as ic
 from inconic import errors
-from inconic.inscribed import (
-    _chord_abscissas,
-    _dual_entries,
-    _frame,
-    _locus_abscissas,
-    _normal_frame,
-    _tangent_conic,
-)
-
-from inconic.oracle import _check_focal_form
+from inconic.inscribed import _center_bound, _frame, _pencil, _tangent_conic
+from inconic.oracle import _check_focal_form, _dual_entries
 
 from conftest import (
     contains_point,
@@ -332,22 +324,26 @@ def _normalize_as_before(q):
     return nf
 
 
-def _with_fields(nf, **fields):
-    """nf with the named fields replaced, not checked or derived again by
-    ``NormalForm.__init__``: a hand-made frame."""
-    return ic.geometry._rebuild(ic.NormalForm, [fields.get(name, getattr(nf, name))
-                                                for name in ic.NormalForm.__slots__])
+def _store_counter(monkeypatch):
+    """A list that gets one entry per pencil record a quad stores."""
+    import inconic.inscribed
+    stores, store = [], inconic.inscribed._store_pencil
+
+    def counted(q, record):
+        stores.append(q)
+        store(q, record)
+    monkeypatch.setattr(inconic.inscribed, "_store_pencil", counted)
+    return stores
 
 
 class TestNormalFrame:
-    """A quad's normal frame is one NormalForm, built by its constructor
-    once per quad and stored; every construction reads its fields by name,
-    and ``normalize`` returns the stored object itself."""
+    """The affine normal form is built on demand by ``normalize``, for
+    ``inspect`` and the oracles; no construction builds it, and its
+    labeling is the one the quad's pencil record chose."""
 
     def test_constructions_build_no_normal_form_or_affine_map(self, monkeypatch):
-        # on a quad whose frame is stored: ``chord_x`` below stores it
-        # before the patches, so no construction derives it again; a cold
-        # quad's one derivation is counted in the next test
+        # the constructions read the pencil record alone, on a warm quad
+        # (``chord_x`` below stores its record) and on a cold one
         def fail(*args, **kwargs):
             raise AssertionError("the construction built a NormalForm or an AffineMap")
 
@@ -355,16 +351,17 @@ class TestNormalFrame:
         center, beyond = ic.locus(q).point_at(0.37), ic.chord_x(q).point_at(0.9)
         monkeypatch.setattr(ic.NormalForm, "__init__", fail)
         monkeypatch.setattr(ic.AffineMap, "__init__", fail)
-        ic.inscribe_at_param(q, 0.5)
-        ic.inscribe_at_center(q, center)
-        ic.max_area(q)
-        _, kind, _ = ic.tangent_conic_at_center(q, beyond)
-        assert kind is ic.ConicClass.HYPERBOLA
+        for quad in (q, quad_s3t2()):
+            ic.inscribe_at_param(quad, 0.5)
+            ic.inscribe_at_center(quad, center)
+            ic.max_area(quad)
+            _, kind, _ = ic.tangent_conic_at_center(quad, beyond)
+            assert kind is ic.ConicClass.HYPERBOLA
 
-    def test_a_cold_quad_builds_one_normal_form(self, monkeypatch, rng):
-        # a fresh quad's first call derives its frame: exactly one
-        # NormalForm.__init__, one _affine_det (the frame's check of T) and
-        # no AffineMap; every later call on it reads the stored frame
+    def test_a_cold_quad_derives_one_record(self, monkeypatch, rng):
+        # a fresh quad's first call derives and stores its pencil record,
+        # and every later call on it reads that record back; normalize
+        # builds one NormalForm on each call, whose map is checked once
         shapes = [quad_s3t2(), quad_s4t2(), random_trapezium(rng), random_trapezoid(rng)]
         centers = [(ic.locus(q).point_at(0.37), ic.chord_x(q).point_at(0.9)) for q in shapes]
         counts = {"init": 0, "det": 0}
@@ -378,12 +375,9 @@ class TestNormalFrame:
             counts["det"] += 1
             return affine_det(*args)
 
-        def fail(*args, **kwargs):
-            raise AssertionError("built an AffineMap")
-
+        stores = _store_counter(monkeypatch)
         monkeypatch.setattr(ic.NormalForm, "__init__", counted_init)
         monkeypatch.setattr(ic.inscribed, "_affine_det", counted_det)
-        monkeypatch.setattr(ic.AffineMap, "__init__", fail)
         calls = (lambda q, c, b: ic.inscribe_at_param(q, 0.5),
                  lambda q, c, b: ic.inscribe_at_center(q, c),
                  lambda q, c, b: ic.max_area(q),
@@ -393,12 +387,14 @@ class TestNormalFrame:
         for first in calls:
             for shape, (center, beyond) in zip(shapes, centers):
                 q = ic.ConvexQuad(*shape.vertices, shape.kind)
+                stores.clear()
                 counts.update(init=0, det=0)
                 first(q, center, beyond)
-                assert counts == {"init": 1, "det": 1}
+                assert stores == [q]
                 for call in calls:
                     call(q, center, beyond)
-                assert counts == {"init": 1, "det": 1}
+                assert stores == [q]
+                assert counts["init"] == counts["det"] == 1 + (first is calls[-1])
 
     def test_normalize_matches_the_former_construction(self, rng):
         quads = [quad_s3t2(), quad_s4t2()]
@@ -411,47 +407,44 @@ class TestNormalFrame:
             quads.append(transform_quad(random_trapezium(rng), far))
         assert len(quads) == 122
         assert ic.NormalForm.__slots__ == (
-            "s", "t", "M", "translation", "inverse", "labeling", "interval", "det", "sides",
-            "chord")
+            "s", "t", "M", "translation", "inverse", "labeling", "interval", "det")
         for q in quads:
             want = _normalize_as_before(q)
             got = ic.normalize(q)
-            stored = _locus_abscissas(q)[0]
             assert type(got) is ic.NormalForm
-            assert got is ic.normalize(q) is stored
+            assert got == ic.normalize(q) and got is not ic.normalize(q)
             assert ic.NormalForm(got.s, got.t, got.M, got.translation, got.inverse,
                                  got.labeling) == got
-            assert _normal_frame(q) == got
-            assert got.chord == _chord_abscissas(got.s, got.t, *got.interval)
+            assert _pencil(q)[4] == (got.labeling[0] == 1)
             for name in ic.NormalForm.__slots__:
                 assert getattr(got, name) == getattr(want, name), name
             assert got == want
 
     def test_sides_slot_holds_the_stored_side_lines(self, rng):
-        # the stored frame's side lines: each is a unit line through its two
-        # normal-frame corners, and T^-1 maps it onto the original side it
-        # is paired with; they survive copy, deepcopy and pickle and take
-        # part in equality
+        # the record's sides: each holds a unit line through its two ends at
+        # unit scale, ``side_lines``' side once mapped out, with each end's
+        # triangle area, the one on p0p2 first; they survive copy and pickle
         quads = [quad_s3t2(), quad_s4t2()]
         quads += [random_trapezium(rng) for _ in range(10)]
         quads += [random_trapezoid(rng) for _ in range(10)]
         for q in quads:
-            nf = ic.normalize(q)
-            sides = nf.sides
-            assert _normal_frame(q).sides == sides
-            for other in (copy.copy(nf), copy.deepcopy(nf), pickle.loads(pickle.dumps(nf))):
-                assert other == nf and other.sides == sides
-            assert nf != _with_fields(nf, sides=sides[1:] + sides[:1])
-            assert [side for side, _, _, _ in sides] == list(nf.labeling)
-            corners = [(0.0, 0.0), (1.0, 0.0), (nf.s, nf.t), (0.0, 1.0)]
-            b11, b12, b21, b22, x0, y0 = nf.inverse
-            for j, (side, a, b, c) in enumerate(sides):
-                assert math.hypot(a, b) == pytest.approx(1.0, rel=4e-16)
-                line = q.side_lines()[side]
-                for x, y in (corners[j], corners[(j + 1) % 4]):
-                    assert abs(a * x + b * y + c) <= 8e-16 * (1 + abs(x) + abs(y))
-                    p = ic.Point(b11 * x + b12 * y + x0, b21 * x + b22 * y + y0)
+            shape, sides = _pencil(q)[:2]
+            x0, y0, sc = shape[:3]
+            for other in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+                assert _pencil(other)[1] == sides
+            ends = [((v.x - x0) / sc, (v.y - y0) / sc) for v in q.vertices]
+            for i, (ax, ay, wa, bx, by, wb, g, gx, gy, c2) in enumerate(sides):
+                lam_end, mu_end = (ends[i], ends[i + 1]) if i % 2 == 0 else \
+                    (ends[(i + 1) % 4], ends[i])
+                assert (ax, ay) == pytest.approx(lam_end, abs=1e-15)
+                assert (bx, by) == pytest.approx(mu_end, abs=1e-15)
+                assert wa > 0 and wb > 0
+                line = q.side_lines()[i]
+                for x, y in ((ax, ay), (bx, by)):
+                    p = ic.Point(x0 + sc * x, y0 + sc * y)
                     assert abs(line.eval(p)) <= 1e-12 * max(map(abs, (p.x, p.y, 1.0)))
+                # c2 = 2c^2 and (gx, gy) = 4c (a, b) for the unit line (a, b, c)
+                assert math.hypot(gx, gy) == pytest.approx(2 * math.sqrt(2 * c2), abs=1e-15)
 
     def test_normalize_builds_no_affine_map_and_checks_once(self, monkeypatch):
         # normalize builds no AffineMap on the way and _affine_det runs
@@ -475,29 +468,32 @@ class TestNormalFrame:
 
     def test_a_singular_basis_raises_at_the_fixed_threshold(self):
         # the vertex 1e-13 off the diagonal through its neighbours makes
-        # rotation 1's basis singular to 1e-12 of its size: every entry
-        # point raises, whatever the tolerances of the call
+        # rotation 1's basis singular to 1e-12 of its size: normalize
+        # raises, whatever the tolerances of the call, while the
+        # constructions, which read no basis, build
         tol = ic.Tolerances(tol_par=1e-300)
         q = ic.validate_quad([(-1, -1), (1e-13, -1e-13), (1, 1), (-1, 1)], tol)
         assert q.kind is ic.QuadKind.TRAPEZIUM
-        for call in _entry_calls(q) + _entry_calls(q, tol):
-            assert _outcome(call) == (errors.NumericalFailure, "normalization basis is singular")
+        for calls in (_entry_calls(q), _entry_calls(q, tol)):
+            assert _outcome(calls[-1]) == (errors.NumericalFailure,
+                                           "normalization basis is singular")
+            for call in calls[:-1]:
+                call()
 
-    def test_overflowing_basis_raises_as_before(self):
-        # validate_quad rejects so thin a quad, so it is built directly: the
-        # basis passes _frame's relative singular test, but M = B^-1
-        # overflows, which the map's finiteness check reports
+    def test_a_quad_too_thin_for_floats_raises_in_its_record(self):
+        # validate_quad rejects so thin a quad, so it is built directly: its
+        # triangle areas are about 1e-301 at unit scale and their products
+        # underflow to 0, so the record, which normalize and every
+        # construction read first, raises; the normal frame alone would have
+        # passed _frame's relative singular test, but M = B^-1 overflows
         P = ic.Point
         q = ic.ConvexQuad(P(0.0, 0.0), P(1e-10, 0.0), P(3e-10, 2e-310), P(0.0, 1e-310),
                           ic.QuadKind.TRAPEZIUM)
-        with pytest.raises(ValueError) as before:
+        with pytest.raises(ValueError, match="^affine map entries must be finite$"):
             _normalize_as_before(q)
-        for call in (lambda: ic.normalize(q), lambda: _normal_frame(q),
-                     lambda: ic.inscribe_at_param(q, 0.5)):
-            with pytest.raises(ValueError) as got:
-                call()
-            assert type(got.value) is type(before.value)
-            assert str(got.value) == str(before.value) == "affine map entries must be finite"
+        for call in _entry_calls(q):
+            assert _outcome(call) == (errors.NumericalFailure,
+                                      "triangle areas are not positive in floats")
 
 
 def _outcome(call):
@@ -526,42 +522,28 @@ def _entry_calls(q, tol=ic.DEFAULT_TOL):
 
 
 class TestStoredFrame:
-    """A quad derives its normal frame once and stores it, whatever the
-    Tolerances of the call; the stored frame is not a field."""
+    """A quad derives its pencil record once and stores it, whatever the
+    Tolerances of the call; the stored record is not a field."""
 
     def test_every_entry_point_derives_the_frame_once_per_quad(self, monkeypatch):
-        import inconic.inscribed
-        frames = []
-
-        def counted(*args):
-            frames.append(args)
-            return _frame(*args)
-
         quads = [quad_s3t2(), quad_s4t2(), random_trapezoid(np.random.default_rng(5))]
         calls = [_entry_calls(q) for q in quads]
-        monkeypatch.setattr(inconic.inscribed, "_frame", counted)
+        stores = _store_counter(monkeypatch)
         for q, entries in zip(quads, calls):
             for call in entries * 4:
                 call()
-        assert len(frames) == 2 * len(quads)
+        assert stores == quads
         for i in range(6):  # each entry point alone on a fresh quad
             entry = _entry_calls(quad_s3t2())[i]
-            frames.clear()
+            stores.clear()
             for _ in range(5):
                 entry()
-            assert len(frames) == 2
+            assert len(stores) == 1
 
     def test_other_tolerances_objects_read_the_stored_frame(self, monkeypatch):
-        # the frame depends on the quad alone: calls through DEFAULT_TOL and
+        # the record depends on the quad alone: calls through DEFAULT_TOL and
         # two other Tolerances objects, in turn on one quad, derive it once,
         # and each gets what a fresh quad gives under its own tolerances
-        import inconic.inscribed
-        frames = []
-
-        def counted(*args):
-            frames.append(args)
-            return _frame(*args)
-
         raw = [(0, 0), (2, 1), (3, 2.5), (1, 1)]
         tols = (ic.DEFAULT_TOL, ic.Tolerances(tol_tan=1e-30), ic.Tolerances(tol_interval=0.4))
         want = [[_outcome(call) for call in _entry_calls(ic.validate_quad(raw), tol)]
@@ -569,59 +551,53 @@ class TestStoredFrame:
         assert want[0] != want[1] and want[0] != want[2] and want[1] != want[2]
         shared = ic.validate_quad(raw)
         calls = [_entry_calls(shared, tol) for tol in tols]
-        monkeypatch.setattr(inconic.inscribed, "_frame", counted)
+        stores = _store_counter(monkeypatch)
         for i in (0, 1, 2, 1, 0, 2, 2, 1):
             got = [_outcome(call) for call in calls[i]]
             assert got == want[i] and repr(got) == repr(want[i])
-        assert len(frames) == 2
+        assert stores == [shared]
 
     def test_the_chord_ends_are_derived_once_per_frame(self, monkeypatch):
-        # the frame stores its chord ends: tangent_conic_at_center and
+        # the record stores its chord ends: tangent_conic_at_center and
         # chord_x read them there, under any Tolerances object
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return _chord_abscissas(*args)
-
         q = quad_s4t2()
         chord = ic.chord_x(ic.ConvexQuad(*q.vertices, q.kind))
         centers = [chord.point_at(u) for u in (0.02, 0.37, 0.5, 0.98)]
         want = [ic.tangent_conic_at_center(quad_s4t2(), center) for center in centers]
         loose = ic.Tolerances(tol_tan=1e-7)
-        monkeypatch.setattr(ic.inscribed, "_chord_abscissas", counted)
+        stores = _store_counter(monkeypatch)
         for tol in (ic.DEFAULT_TOL, ic.DEFAULT_TOL, loose, loose, ic.DEFAULT_TOL):
             for _ in range(5):
                 assert [ic.tangent_conic_at_center(q, c, tol) for c in centers] == want
                 assert ic.chord_x(q) == chord
-            assert len(calls) == 1
-        nf = ic.normalize(q)
-        assert calls == [(nf.s, nf.t, *nf.interval)]
+            assert stores == [q]
+        # the ends are ratios of triangle areas: -1/2 and 2 on the worked quad
+        assert _pencil(quad_s3t2())[2][11:13] == (-0.5, 2.0)
 
     def test_a_frame_that_raises_raises_again(self):
         P = ic.Point
         square = ic.validate_quad([(0, 0), (1, 0), (1, 1), (0, 1)])
-        overflowing = ic.ConvexQuad(P(0.0, 0.0), P(1e-10, 0.0), P(3e-10, 2e-310),
-                                    P(0.0, 1e-310), ic.QuadKind.TRAPEZIUM)
-        for q in (square, overflowing):
+        underflowing = ic.ConvexQuad(P(0.0, 0.0), P(1e-10, 0.0), P(3e-10, 2e-310),
+                                     P(0.0, 1e-310), ic.QuadKind.TRAPEZIUM)
+        for q in (square, underflowing):
             for call in _entry_calls(q):
                 first = _outcome(call)
                 assert isinstance(first, tuple) and issubclass(first[0], Exception)
                 for _ in range(3):
                     assert _outcome(call) == first
-            assert not hasattr(q, "_normal")
-        assert _outcome(_entry_calls(overflowing)[0]) == (
-            ValueError, "affine map entries must be finite")
+            assert not hasattr(q, "_pencil")
+        assert _outcome(_entry_calls(underflowing)[0]) == (
+            errors.NumericalFailure, "triangle areas are not positive in floats")
 
     def test_the_stored_frame_is_not_a_field(self):
         used, fresh = quad_s3t2(), quad_s3t2()
         ic.max_area(used)
-        assert hasattr(used, "_normal") and not hasattr(fresh, "_normal")
+        assert hasattr(used, "_pencil") and not hasattr(fresh, "_pencil")
         assert ic.ConvexQuad.__slots__ == ("v0", "v1", "v2", "v3", "kind")
         assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
         want = [repr(call()) for call in _entry_calls(used)]
         for twin in (copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used))):
-            assert twin == used and not hasattr(twin, "_normal")
+            assert twin == used and not hasattr(twin, "_pencil")
             assert [repr(call()) for call in _entry_calls(twin)] == want
 
     def test_threads_sharing_one_quad_get_the_single_thread_results(self):
@@ -680,26 +656,49 @@ class TestFocalHead:
 
 def test_zero_length_center_line_raises_numerical_failure():
     # a quad that is a parallelogram to rounding but classifies as a
-    # trapezoid under a tiny tol_par normalizes to s = t = 1: its locus has
-    # zero length, and each construction raises locus_line's failure; so
-    # do chord_x and the hyperbola guard, whose side crossings all sit at
-    # h = 1/2 there, and max_area, whose interval is that one point
+    # trapezoid under a tiny tol_par has diagonal midpoints that coincide in
+    # floats: a center then fixes no member, so the calls that read one, and
+    # chord_x, raise; its normal form has s = t = 1, and the normal-frame
+    # calls raise locus_line's failure.  The pencil needs no center line:
+    # inscribe_at_param and max_area build its incircle, the member
+    # lam = 1/2, as at a true parallelogram's affine image of the square
     tol = ic.Tolerances(tol_par=1e-300)
     q = ic.validate_quad([(0, 0), (1, 1e-17), (1, 1), (0, 1)], tol)
     nf = ic.normalize(q)
     assert q.kind is ic.QuadKind.TRAPEZOID and (nf.s, nf.t) == (1.0, 1.0)
     center = ic.locus(q).point_at(0.5)
-    calls = (lambda: ic.inscribe_at_param(q, 0.5, tol),
-             lambda: ic.inscribe_at_center(q, center, tol),
-             lambda: ic.weights_from_center(nf, 0.5, tol),
-             lambda: ic.inscribed_area(nf, 0.5, tol),
-             lambda: ic.chord_x(q),
-             lambda: ic.tangent_conic_at_center(q, center, tol),
-             lambda: ic.max_area(q, tol))
-    for call in calls:
+    for call in (lambda: ic.inscribe_at_center(q, center, tol), lambda: ic.chord_x(q),
+                 lambda: ic.tangent_conic_at_center(q, center, tol)):
+        with pytest.raises(errors.NumericalFailure,
+                           match="^the diagonal midpoints coincide: there is no center line$"):
+            call()
+    for call in (lambda: ic.weights_from_center(nf, 0.5, tol),
+                 lambda: ic.inscribed_area(nf, 0.5, tol)):
         with pytest.raises(errors.NumericalFailure,
                            match="^s = 1: center line is vertical in this labeling$"):
             call()
+    incircle = ic.EllipseGeo(ic.Point(0.5, 0.5), 0.5, 0.5, 0.0, ic.Point(0.5, 0.5),
+                             ic.Point(0.5, 0.5))
+    best = ic.max_area(q, tol)
+    assert ic.inscribe_at_param(q, 0.5, tol).ellipse == best.ellipse == incircle
+    assert best.h0 == 0.5
+
+
+@pytest.mark.parametrize("x2", [0.99999999999999977, 1.00000000000000023])
+def test_max_area_one_ulp_from_a_parallelogram(x2):
+    # s = 1 -+ 2^-52, t = 1: the normal frame's one-ulp interval held no
+    # root of its derivative, and at s = 1 + 2^-52 the construction at
+    # u = 1/2 found its determinant degenerate; on the pencil alpha = beta
+    # to rounding and the maximum is the incircle of the unit square
+    tol = ic.Tolerances(tol_par=1e-300)
+    q = ic.validate_quad([(0, 0), (1, 0), (x2, 1), (0, 1)], tol)
+    assert q.kind is ic.QuadKind.TRAPEZOID and abs(ic.normalize(q).s - 1) == 2.0 ** -52
+    best = ic.max_area(q, tol)
+    assert best.area == pytest.approx(math.pi / 4, rel=1e-15)
+    assert math.dist(best.center.as_tuple(), (0.5, 0.5)) < 1e-15
+    e = ic.inscribe_at_param(q, 0.5, tol).ellipse
+    assert e.semi_major == pytest.approx(0.5, rel=1e-15)
+    assert e.semi_minor == pytest.approx(0.5, rel=1e-15)
 
 
 class TestInscribeAtCenter:
@@ -749,7 +748,7 @@ class TestInscribeAtCenter:
 
     def test_only_a_callers_center_gets_the_interval_test(self, monkeypatch):
         # inscribe_at_param has tested its u and max_area has filtered its
-        # root into (lo, hi); _construct tests no h of its own
+        # root into (0, 1); _construct tests no lam of its own
         def fail(*args):
             raise AssertionError("tested the interval")
 
@@ -899,17 +898,18 @@ class TestInscribeAtCenter:
     @pytest.mark.parametrize("eps", [1e-4, 1e-6])
     def test_a_center_the_guard_accepts_does_not_drift(self, eps):
         # near a parallelogram the locus is short (|s - 1| = eps), and a
-        # center the guard lets through 0.9 tol_on off the line sits up to
-        # 10 to 1e3 times 1e-6 of the locus length from the line: the drift
-        # bound allows that miss as well
+        # center the guard lets through 0.9 tol_on off the line, measured
+        # vertically in the normal frame, sits 9 to 900 times 1e-6 of the
+        # locus length from its projection onto the line, the carried
+        # center: the drift bound allows that miss as well
         q = ic.validate_quad([(0, 0), (1, 0), (1 + eps, 1 + eps), (0, 1)])
-        nf, h1, h2, _ = _locus_abscissas(q)
+        nf = ic.normalize(q)
         b11, b12, b21, b22, x0, y0 = nf.inverse
-        h = h1 + 0.37 * (h2 - h1)
+        h = nf.T.apply(ic.locus(q).point_at(0.37)).x
         y = _dual_entries(nf.s, nf.t, h)[1] + 0.9 * ic.DEFAULT_TOL.tol_on
         center = ic.Point(b11 * h + b12 * y + x0, b21 * h + b22 * y + y0)
         got = ic.inscribe_at_center(q, center).ellipse.center
-        assert math.hypot(got.x - center.x, got.y - center.y) > 10 * 1e-6 * ic.locus(q).length()
+        assert math.hypot(got.x - center.x, got.y - center.y) > 9 * 1e-6 * ic.locus(q).length()
 
     @pytest.mark.parametrize("scale", [1.0, 1e-6])
     def test_drift_of_a_share_of_the_quad_raises_at_every_scale(self, monkeypatch, scale):
@@ -1124,9 +1124,11 @@ class TestChordX:
         # 1e6.  Moving a midpoint by d turns the center line by
         # d / |m2 - m1|, so an end is conditioned by kappa = |chord| / |locus|
         # (up to 1e4 near a parallelogram); each end must lie within
-        # 16 kappa eps of the extent (the largest coordinate) of the clip of
-        # the exact center line, which is within 128 eps where kappa < 8.
-        # The former original-frame loop reached 39 kappa eps here.
+        # 4 kappa eps of the extent (the largest coordinate) of the clip of
+        # the exact center line, which is within 32 eps where kappa < 8.
+        # The ends, area ratios on the pencil record, reach 1.1 kappa eps;
+        # the normal frame's crossings reached 14 and the former
+        # original-frame loop 39.
         rng = random.Random(34)
         worst, checked = 0.0, 0
         while checked < 3000:
@@ -1142,7 +1144,7 @@ class TestChordX:
             for got, (x, y) in zip((ch.p_start, ch.p_end), self._chord_at_50_digits(q, seg.m1)):
                 worst = max(worst, math.hypot(got.x - x, got.y - y) / unit)
             checked += 1
-        assert worst <= 16
+        assert worst <= 4
 
     def test_reads_no_parallelism_threshold(self):
         # the crossings are closed forms, so tol_par, which used to skip
@@ -1267,8 +1269,9 @@ class TestCallerCentersFarOut:
     def test_param_weights_are_exact(self, off):
         # h = 1/2 + 0.37 (3/2 - 1/2) on s = 3, t = 2: t1 = (2h - 3)/2, t2 = 1 - 2h
         q = _worked_moved(off)
-        _, h1, h2, _ = _locus_abscissas(q)
-        wt, _ = ic.weights_from_center(ic.normalize(q), h1 + 0.37 * (h2 - h1))
+        nf = ic.normalize(q)
+        h1, h2 = nf.interval
+        wt, _ = ic.weights_from_center(nf, h1 + 0.37 * (h2 - h1))
         assert wt.as_tuple() == (-0.63, -0.74, 2.37)
 
     def test_center_off_the_line_still_rejected_at_the_origin(self):
@@ -1339,21 +1342,14 @@ def _worked_scaled(scale, off=0.0):
 
 
 class TestScaleOutOfFloatRange:
-    """The worked quad builds at every power of ten from 1e-153 to 1e153.
-    det(T)^2 is formed with its power of two split off, and a determinant
-    of the pushed-out form that under- or overflows is taken again at unit
-    scale, so neither leaves the float range before the frame does: from
-    1e154 on the basis overflows (NumericalFailure), and at 1e-154 the
-    pushed-out form itself does (NotAnEllipse), not a bare
-    ZeroDivisionError or OverflowError."""
-
-    @pytest.mark.parametrize("scale", [1e-154])
-    def test_out_of_range_raises_not_an_ellipse(self, scale):
-        q = _worked_scaled(scale)
-        with pytest.raises(errors.NotAnEllipse):
-            ic.inscribe_at_param(q, 0.37)
-        with pytest.raises(errors.NotAnEllipse):
-            ic.max_area(q)
+    """The worked quad builds at every power of ten from 1e-153 to 1e153,
+    and past that wherever validate_quad accepts it: the construction runs
+    on the vertices scaled by a power of two to unit size, so nothing it
+    forms leaves the float range before its outputs do.  Only the normal
+    form, built for ``inspect`` and the oracles, still works at the quad's
+    own scale: from 1e154 on its basis overflows, and from 1e-155 its map
+    does (NumericalFailure), not a bare ZeroDivisionError or
+    OverflowError."""
 
     @pytest.mark.parametrize("scale", [1e78, 1e79, 1e80, 1e81, 1e-77])
     def test_det_squared_past_the_float_range_keeps_full_accuracy(self, scale):
@@ -1368,11 +1364,9 @@ class TestScaleOutOfFloatRange:
         assert ic.inscribe_at_param(_worked_scaled(7.79e-78, 1.07e-271), 0.25).ellipse.area > 0
 
     def test_every_power_of_ten_in_range_keeps_full_accuracy(self):
-        # the determinant of the pushed-out form used to underflow from
-        # about 1e81 (max_area and the hyperbolas) and overflow below about
-        # 1e-77.  At 10^k the vertices round as at its mantissa
-        # m = 10^k / 2^e, and the ellipses and the hyperbola's contacts are
-        # that quad's times 2^e bit for bit.  The
+        # at 10^k the vertices round as at its mantissa m = 10^k / 2^e,
+        # and the ellipses and the hyperbola's contacts are that quad's
+        # times 2^e bit for bit.  The
         # semi-axes stay within 4 ulps of the unscaled ones times the scale;
         # the angle moves with the rounding of the vertices, by 6 ulps at
         # 7 of these scales, and within 4 at the others
@@ -1401,35 +1395,41 @@ class TestScaleOutOfFloatRange:
     @pytest.mark.parametrize("scale", [10.0 ** k for k in range(154, 160)])
     def test_basis_out_of_float_range_is_not_called_singular(self, scale):
         # the basis products overflow from about 1.3e154 on, where the
-        # relative singular test read inf <= inf
+        # relative singular test read inf <= inf; the constructions, which
+        # build no basis, are the unit-size ones times the scale
         q = _worked_scaled(scale)
-        for call in (lambda: ic.normalize(q), lambda: ic.inscribe_at_param(q, 0.37),
-                     lambda: ic.max_area(q)):
-            with pytest.raises(errors.NumericalFailure,
-                               match="^normalization basis is out of float range$"):
-                call()
+        with pytest.raises(errors.NumericalFailure,
+                           match="^normalization basis is out of float range$"):
+            ic.normalize(q)
+        mant, exp = math.frexp(scale)
+        for got, at_mant in ((ic.inscribe_at_param(q, 0.37), ic.inscribe_at_param(
+                _worked_scaled(mant), 0.37)), (ic.max_area(q).inscribed,
+                                               ic.max_area(_worked_scaled(mant)).inscribed)):
+            assert got.ellipse.semi_major == math.ldexp(at_mant.ellipse.semi_major, exp)
 
     @pytest.mark.parametrize("scale", [1e-155, 1e-156])
     def test_normal_map_out_of_float_range_is_not_called_singular(self, scale):
         # M = B^-1 has entries near 1e155 and its products overflow, where
-        # the relative singular test read inf <= inf (SingularMap, det=inf)
+        # the relative singular test read inf <= inf (SingularMap, det=inf);
+        # the constructions build no map
         q = _worked_scaled(scale)
-        for call in (lambda: ic.normalize(q), lambda: ic.inscribe_at_param(q, 0.37),
-                     lambda: ic.max_area(q)):
-            with pytest.raises(errors.NumericalFailure,
-                               match="^linear part is out of float range$"):
-                call()
+        with pytest.raises(errors.NumericalFailure, match="^linear part is out of float range$"):
+            ic.normalize(q)
+        assert ic.inscribe_at_param(q, 0.37).ellipse.semi_minor > 0
+        assert ic.max_area(q).area > 0
 
     def test_overflowing_diagonal_midpoint_is_not_a_finite_point(self):
         # built without validate_quad: v0 + v2 overflows, so no diagonal
-        # midpoint is a finite point; the center guards judge the center in
-        # the normal frame, built first, whose basis products overflow too
+        # midpoint is a finite point; the center guards read the record,
+        # whose unit scale 2^1024 is past the float range too
         q = ic.ConvexQuad(ic.Point(1e308, 0), ic.Point(1.7e308, 0),
                           ic.Point(1.75e308, 1e308), ic.Point(1.05e308, 1.2e308),
                           ic.QuadKind.TRAPEZIUM)
+        with pytest.raises(ValueError, match="^point components must be finite$"):
+            ic.locus(q)
         for call in (ic.inscribe_at_center, ic.tangent_conic_at_center):
             with pytest.raises(errors.NumericalFailure,
-                               match="^normalization basis is out of float range$"):
+                               match="^quadrilateral is out of float range$"):
                 call(q, ic.Point(1.3e308, 5e307))
 
     @pytest.mark.parametrize("scale", [1e-76, 1e77, 1e-153, 1e153])
@@ -1438,6 +1438,61 @@ class TestScaleOutOfFloatRange:
         got = ic.inscribe_at_param(_worked_scaled(scale), 0.37).ellipse
         for g, w in ((got.semi_major, want.semi_major), (got.semi_minor, want.semi_minor)):
             assert g / scale == pytest.approx(w, rel=1e-15)
+
+
+def _times_two_to(x, k):
+    """x 2^k where that is a float as exact as x (zero or a normal float),
+    else None."""
+    y = math.ldexp(x, k)
+    return y if y == 0 or 2.0 ** -1022 <= abs(y) < math.inf else None
+
+
+class TestPowerOfTwoScaling:
+    """The record scales the vertices to unit size by a power of two, which
+    is exact, so a quad scaled by 2^k gives 2^k times the unscaled center,
+    axes, foci and contacts, and the same angle, bit for bit.  The scaled
+    quads are built as ConvexQuad directly: validate_quad's zero-area test
+    leaves the float range from about 2^+-520 on, and inside that range it
+    returns the same quad."""
+
+    @staticmethod
+    def _quads():
+        rng = np.random.default_rng(20261021)
+        return [quad_s3t2(), random_trapezium(rng), random_trapezium(rng)]
+
+    @staticmethod
+    def _values(q):
+        """The floats to compare: (scaled, unscaled-alike) of each call."""
+        results = [ic.inscribe_at_param(q, u) for u in (1e-6, 0.37, 0.9)]
+        results.append(ic.max_area(q).inscribed)
+        lengths, angles = [], []
+        for r in results:
+            e = r.ellipse
+            lengths += [e.center.x, e.center.y, e.semi_major, e.semi_minor,
+                        e.focus1.x, e.focus1.y, e.focus2.x, e.focus2.y]
+            lengths += [c for p in r.tangencies for c in (p.x, p.y)]
+            angles.append(e.angle)
+        return lengths, angles
+
+    def test_outputs_scale_exactly_from_two_to_minus_1000_to_1000(self):
+        checked = 0
+        for q in self._quads():
+            want_lengths, want_angles = self._values(q)
+            for k in range(-1000, 1001, 50):
+                scaled = ic.ConvexQuad(*(ic.Point(math.ldexp(v.x, k), math.ldexp(v.y, k))
+                                         for v in q.vertices), q.kind)
+                try:
+                    assert ic.validate_quad(scaled.vertices) == scaled
+                except errors.NumericalFailure as exc:
+                    assert str(exc) == "quadrilateral is out of float range" and abs(k) > 500
+                lengths, angles = self._values(scaled)
+                assert angles == want_angles, k
+                for got, want in zip(lengths, want_lengths):
+                    want = _times_two_to(want, k)
+                    if want is not None:
+                        assert got == want, k
+                        checked += 1
+        assert checked > 0.97 * 3 * 41 * 4 * 16
 
 
 class TestIncircleAtEveryScale:
@@ -1499,29 +1554,38 @@ class TestFilledOutputs:
                 assert [ic.HomPoint(p.x, p.y, p.w) for p in r.tangencies] == list(r.tangencies)
                 assert type(r) is ic.InscribedResult
                 assert ic.InscribedResult(e, r.conic, r.tangencies) == r
-            nf, h1, h2, _ = _locus_abscissas(q)
-            for h in (h1 + 0.37 * (h2 - h1), h2 + 0.2 * (h2 - h1)):
-                conic, _, contacts, (q11, q12, q22), (cx, cy), _ = \
-                    _tangent_conic(nf, h, ic.DEFAULT_TOL)
+            record = _pencil(q)
+            _, _, _, _, ox, oy, s2, s1, s0, x2, y2, bx, by = record[0][:13]
+            for lam in (0.37, (1 + record[2][12]) / 2):
+                mu = 1 - lam
+                conic, _, contacts, (p11, p12, p22), _, det = \
+                    _tangent_conic(record, lam, mu, ic.DEFAULT_TOL)
                 assert type(conic) is ic.Conic
-                assert conic == ic.Conic(q11, 2 * q12, q22, -2 * (q11 * cx + q12 * cy),
-                                         -2 * (q12 * cx + q22 * cy),
-                                         q11 * cx * cx + 2 * q12 * cx * cy + q22 * cy * cy - 1)
+                # (x - c)^T adj(P) (x - c) = det P at unit scale, c = v0/2^e + m
+                cx, cy = ox + (lam * x2 + mu * bx) / 2, oy + (lam * y2 + mu * by) / 2
+                assert conic == ic.Conic(
+                    p22 * s2, -2 * p12 * s2, p11 * s2, 2 * (p12 * cy - p22 * cx) * s1,
+                    2 * (p12 * cx - p11 * cy) * s1,
+                    (p22 * cx * cx - 2 * p12 * cx * cy + p11 * cy * cy - det) * s0)
                 assert [ic.HomPoint(p.x, p.y, p.w) for p in contacts] == list(contacts)
 
     def test_a_contact_past_the_float_range_raises_as_hom_point_does(self):
-        # the worked frame with a T^-1 that keeps the center at h = 1,
-        # (1, 3/4), at (0, 3/4) exactly, while the contact (9/7, 10/7) on
-        # (s,t)-(0,1) leaves the float range: 1.5 2^1023 * 10/7 overflows
-        nf = normal_form(3.0, 2.0)
-        b12 = 1.5 * 2.0 ** 1023
-        far = _with_fields(nf, inverse=(-0.75 * b12, b12, 0.0, 1.0, 0.0, 0.0))
+        # the worked quad's record with its contacts mapped out through
+        # v0 = (1.7 2^1023, 0) and a unit of 2^1023 (the conic reads its own
+        # copy of them): the contact (1/3, 0), 1/12 at unit scale, lands at
+        # 1.78 2^1023, but (5/3, 2/3), 5/12 at unit scale, leaves the range
+        record = _pencil(quad_s3t2())
+        shape = record[0]
+
+        def mapped(x0, unit):
+            return ((x0, shape[1], unit) + shape[3:],) + record[1:]
+
         with pytest.raises(ValueError, match="^homogeneous components must be finite$"):
-            _tangent_conic(far, 1.0, ic.DEFAULT_TOL)
-        # the same frame with the contact in range builds
-        near = _with_fields(nf, inverse=(-0.375 * b12, 0.5 * b12, 0.0, 1.0, 0.0, 0.0))
-        conic, _, contacts, _, center, _ = _tangent_conic(near, 1.0, ic.DEFAULT_TOL)
-        assert center == (0.0, 0.75)
+            _tangent_conic(mapped(1.7 * 2.0 ** 1023, 2.0 ** 1023), 0.5, 0.5, ic.DEFAULT_TOL)
+        # the same record with the contacts in range builds
+        _, _, contacts, _, center, _ = _tangent_conic(mapped(2.0 ** 1022, 2.0 ** 1022),
+                                                      0.5, 0.5, ic.DEFAULT_TOL)
+        assert center == (1.25 * 2.0 ** 1022, 0.1875 * 2.0 ** 1022)
         assert all(math.isfinite(p.x) for p in contacts)
 
 
@@ -1627,7 +1691,7 @@ def test_only_the_construction_takes_tolerances():
 
 def test_marden_conic_helper_matches_public_result():
     q = quad_s3t2()
-    conic = _tangent_conic(_normal_frame(q), 1.0, ic.DEFAULT_TOL)[0]
+    conic = _tangent_conic(_pencil(q), 0.5, 0.5, ic.DEFAULT_TOL)[0]
     ref = ic.inscribe_at_center(q, ic.Point(1.0, 0.75)).conic
     assert ic.conic_distance(conic, ref) < 1e-12
 

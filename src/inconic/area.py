@@ -89,16 +89,23 @@ def max_area(q: ConvexQuad, tol: Tolerances = DEFAULT_TOL) -> MaxAreaResult:
     with no tol_interval margin, and ``h0`` is its abscissa in the normal
     frame ``normalize`` builds.  Nothing here divides by s - 1, so a quad
     one ulp from a parallelogram builds too; a parallelogram raises
-    ParallelogramUnsupported.
+    ParallelogramUnsupported.  The result is filled through its slot
+    setters, as its ``__init__`` would fill it.
     """
     rec = _pencil(q)
     alpha, beta = rec[0][-2:]
     roots = _real_quadratic_roots(3 * (beta - alpha), 2 * (alpha - 2 * beta), beta)
-    inside = [r for r in roots if 0 < r < 1]
-    if len(inside) != 1:
+    lam, other = roots[0], roots[-1]  # one root twice where f' is linear
+    if not 0 < lam < 1:
+        lam, other = other, lam
+    if not 0 < lam < 1 or (len(roots) == 2 and 0 < other < 1):
         raise NumericalFailure("expected exactly one critical abscissa inside (0, 1)")
-    lam = inside[0]
     result = _construct(rec, lam, 1 - lam, tol)
     ellipse = result.ellipse
-    return MaxAreaResult(ellipse, ellipse.center, ellipse.area,
-                         lam * rec[5] + (1 - lam) * rec[6], result)
+    best = object.__new__(MaxAreaResult)
+    _best_ellipse(best, ellipse)
+    _best_center(best, ellipse.center)
+    _best_area(best, ellipse.area)
+    _best_h0(best, lam * rec[5] + (1 - lam) * rec[6])
+    _best_inscribed(best, result)
+    return best

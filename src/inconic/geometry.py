@@ -39,8 +39,9 @@ class _Value:
     ``__set__`` (``_slot_setters``), which skips ``_fill``'s loop; every
     other type, ``AffineMap`` too, hands ``_fill`` its values in slot
     order.  The construction calls no ``__init__``: it fills its outputs
-    through the setters after the same checks, held once in ``_set_line``,
-    ``_set_conic`` and ``_set_ellipse`` or made inline on the floats."""
+    through the setters after the same checks, held once in ``_set_line``
+    and ``_set_conic`` or made inline on the floats, as ``_metric_ellipse``
+    makes them for the ellipse and its three points in the same pass."""
     __slots__ = ()
 
     def _fill(self, values) -> None:
@@ -142,10 +143,6 @@ class Point(_Value):
 
 def midpoint(p: Point, q: Point) -> Point:
     return Point((p.x + q.x) / 2, (p.y + q.y) / 2)
-
-
-def _cross(ox, oy, ax, ay, bx, by):
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
 def _unit_direction(x: float, y: float) -> tuple[float, float]:
@@ -346,7 +343,9 @@ def validate_quad(vertices, tol: Tolerances = DEFAULT_TOL) -> ConvexQuad:
     lexicographically smallest vertex, with its parallel-pair classification.
     Raises NotConvex when some vertex cross product is not strictly positive,
     DegenerateQuad for repeated vertices or an (almost) zero-area input, and
-    NumericalFailure when the zero-area bound itself over- or underflows.
+    NumericalFailure when the vertices' differences overflow; the zero-area
+    test is made at unit scale, so a quad of any other size is judged as
+    its copy of extent 1 would be.
     A vertex is a Point or exactly two coordinates, else ValueError.
     """
     pts = []
@@ -362,18 +361,25 @@ def validate_quad(vertices, tol: Tolerances = DEFAULT_TOL) -> ConvexQuad:
     # the quad sits nor the unit of its coordinates changes the verdict
     xs, ys = [p.x for p in pts], [p.y for p in pts]
     extent = max(max(xs) - min(xs), max(ys) - min(ys))
+    if not extent < math.inf:  # before the tests below, which inf would pass
+        raise NumericalFailure("quadrilateral is out of float range")
     for i in range(4):
         for j in range(i + 1, 4):
             if math.hypot(pts[i].x - pts[j].x, pts[i].y - pts[j].y) <= 1e-12 * extent:
                 raise DegenerateQuad(f"vertices {i} and {j} coincide")
+    # the shoelace sum with the vertices translated to p0 and scaled by
+    # k = 2^-e to unit size, extent = m 2^e with 1/2 <= m < 1 (2^1023 for a
+    # subnormal extent, whose 2^-e overflows), as the pencil record takes
+    # them: scaling by a power of two is exact, so neither the sum nor its
+    # bound 1e-12 extent^2 over- or underflows, and the verdict is the
+    # unscaled one wherever that is in range
     p0, p1, p2, p3 = pts
-    # the shoelace sum with the vertices translated to p0
-    area2 = (_cross(p0.x, p0.y, p1.x, p1.y, p2.x, p2.y)
-             + _cross(p0.x, p0.y, p2.x, p2.y, p3.x, p3.y))
-    bound = 1e-12 * extent * extent
-    if bound == math.inf or bound == 0.0:  # extent > 0: the vertices are distinct
-        raise NumericalFailure("quadrilateral is out of float range")
-    if abs(area2) <= bound:
+    k = math.ldexp(1.0, min(-math.frexp(extent)[1], 1023))
+    unit, x0, y0 = extent * k, p0.x, p0.y
+    x1, y1, x2, y2 = (p1.x - x0) * k, (p1.y - y0) * k, (p2.x - x0) * k, (p2.y - y0) * k
+    x3, y3 = (p3.x - x0) * k, (p3.y - y0) * k
+    area2 = (x1 * y2 - y1 * x2) + (x2 * y3 - y2 * x3)
+    if abs(area2) <= 1e-12 * unit * unit:
         raise DegenerateQuad("vertex set has (near) zero area")
     if area2 < 0:
         pts.reverse()
@@ -475,7 +481,18 @@ class EllipseGeo(_Value):
 
     def __init__(self, center: Point, semi_major: float, semi_minor: float,
                  angle: float, focus1: Point, focus2: Point):
-        _set_ellipse(self, center, semi_major, semi_minor, angle, focus1, focus2)
+        if not (semi_major > 0 and semi_minor > 0):
+            raise ValueError("semi-axes must be positive")
+        if semi_major < semi_minor:
+            raise ValueError("semi_major must be the larger axis")
+        if not (-math.pi / 2 < angle <= math.pi / 2):
+            raise ValueError("angle must lie in (-pi/2, pi/2]")
+        _ellipse_center(self, center)
+        _ellipse_major(self, semi_major)
+        _ellipse_minor(self, semi_minor)
+        _ellipse_angle(self, angle)
+        _ellipse_focus1(self, focus1)
+        _ellipse_focus2(self, focus2)
 
     @property
     def area(self) -> float:
@@ -510,32 +527,6 @@ def _set_conic(conic: Conic, a: float, b: float, c: float, d: float, e: float,
     return conic
 
 
-def _set_ellipse(ellipse: EllipseGeo, center: Point, semi_major: float, semi_minor: float,
-                 angle: float, focus1: Point, focus2: Point) -> EllipseGeo:
-    """Fill ellipse's slots after ``EllipseGeo``'s checks."""
-    if not (semi_major > 0 and semi_minor > 0):
-        raise ValueError("semi-axes must be positive")
-    if semi_major < semi_minor:
-        raise ValueError("semi_major must be the larger axis")
-    if not (-math.pi / 2 < angle <= math.pi / 2):
-        raise ValueError("angle must lie in (-pi/2, pi/2]")
-    _ellipse_center(ellipse, center)
-    _ellipse_major(ellipse, semi_major)
-    _ellipse_minor(ellipse, semi_minor)
-    _ellipse_angle(ellipse, angle)
-    _ellipse_focus1(ellipse, focus1)
-    _ellipse_focus2(ellipse, focus2)
-    return ellipse
-
-
-def _finite_point(x: float, y: float) -> Point:
-    """Point(x, y) of floats already tested finite."""
-    point = object.__new__(Point)
-    _point_x(point, x)
-    _point_y(point, y)
-    return point
-
-
 def _central_conic(q11: float, q12: float, q22: float, cx: float, cy: float) -> Conic:
     """The conic (x-c)^T Q (x-c) = 1, Q = [[q11, q12], [q12, q22]], canonically scaled."""
     lin_x = -2 * (q11 * cx + q12 * cy)
@@ -562,9 +553,9 @@ def _metric_ellipse(p: float, q: float, r: float, det: float, value: float,
     minor axis over the major by more than 1e-14 of it; axes within 1e-14
     of each other make a circle, with both axes the major one, angle 0 and
     both foci at the center (a circle's axes cross by a few ulps at any
-    scale).  The points and the ellipse are filled after ``Point``'s
-    finiteness test on the foci, which a non-finite center fails too, and
-    ``EllipseGeo``'s checks.
+    scale).  The points and the ellipse are filled through their slot
+    setters, after ``Point``'s finiteness test on the foci, which a
+    non-finite center fails too, and ``EllipseGeo``'s checks.
     """
     lam_hi = (p + r) / 2 + math.hypot((p - r) / 2, q)
     lam_lo = det / lam_hi
@@ -588,10 +579,27 @@ def _metric_ellipse(p: float, q: float, r: float, det: float, value: float,
     isfinite = math.isfinite
     if not (isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)):
         raise ValueError("point components must be finite")
+    # EllipseGeo's other checks hold by construction: semi_minor is at most
+    # semi_major, and the angle lies in (-pi/2, pi/2]
+    if not (semi_major > 0 and semi_minor > 0):
+        raise ValueError("semi-axes must be positive")
     if x2 < x1 or (x2 == x1 and y2 < y1):  # the foci in lexicographic order
         x1, y1, x2, y2 = x2, y2, x1, y1
-    return _set_ellipse(object.__new__(EllipseGeo), _finite_point(cx, cy), semi_major,
-                        semi_minor, angle, _finite_point(x1, y1), _finite_point(x2, y2))
+    new = object.__new__
+    center, focus1, focus2, ellipse = new(Point), new(Point), new(Point), new(EllipseGeo)
+    _point_x(center, cx)
+    _point_y(center, cy)
+    _point_x(focus1, x1)
+    _point_y(focus1, y1)
+    _point_x(focus2, x2)
+    _point_y(focus2, y2)
+    _ellipse_center(ellipse, center)
+    _ellipse_major(ellipse, semi_major)
+    _ellipse_minor(ellipse, semi_minor)
+    _ellipse_angle(ellipse, angle)
+    _ellipse_focus1(ellipse, focus1)
+    _ellipse_focus2(ellipse, focus2)
+    return ellipse
 
 
 def _pull_back_form(q11: float, q12: float, q22: float, m11: float, m12: float,

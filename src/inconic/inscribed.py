@@ -170,7 +170,7 @@ def _pencil(q: ConvexQuad) -> tuple:
     - ``shape``: v0, 2^e, e, v0/2^e, the powers of two the conic's
       quadratic, linear and constant coefficients take, p2, p1 + p3,
       ||B2||_F^2/4, the entries of p2 p2^T, (p1 - p3)(p1 - p3)^T and C over
-      4 (see ``_tangent_conic``), alpha = A012 A023 and beta = A013 A123;
+      4 (see ``_construct``), alpha = A012 A023 and beta = A013 A123;
     - ``sides``: per side, in ``side_lines``' order, its end on p0p2 with
       the area lam weights and its end on p1p3 with the area 1 - lam
       weights, and l^T D l = (1 - lam) g + gx mx + gy my + c2 for its unit
@@ -298,13 +298,14 @@ def _frame(p0: Point, p1: Point, p2: Point, p3: Point):
     (s,t), (0,1): B = (b11, b12, b21, b22) holds the edge vectors p1 - p0
     and p3 - p0 as columns, M = B^-1.  (s, t) is solved from vertex
     differences, so it does not depend on where the quad sits.  A basis
-    is singular as an AffineMap is; one whose products overflow is out of
-    float range, not singular."""
+    is singular as an AffineMap is; one whose products overflow, or all
+    underflow to 0, is out of float range, not singular: a validated
+    quad's edge vectors are never 0."""
     b11, b12 = p1.x - p0.x, p3.x - p0.x
     b21, b22 = p1.y - p0.y, p3.y - p0.y
     det = b11 * b22 - b12 * b21
     size = abs(b11 * b22) + abs(b12 * b21)
-    if not size < math.inf:
+    if not 0 < size < math.inf:
         raise NumericalFailure("normalization basis is out of float range")
     if abs(det) <= _SINGULAR * size:
         raise NumericalFailure("normalization basis is singular")
@@ -328,19 +329,26 @@ def _param_in_interval(lo: float, hi: float, h, tol: Tolerances) -> None:
         raise CenterOffLocus(f"abscissa {h} outside the open interval ({lo}, {hi})")
 
 
-def _tangent_conic(rec: tuple, lam: float, mu: float, tol: Tolerances):
+def _construct(rec: tuple, lam: float, mu: float, tol: Tolerances, metric: bool = True):
     """The member D(lam) = lam A + mu B of the pencil record rec, mu = 1 - lam,
     in one plain-float pass at unit scale.
 
-    Returns (conic, classification, contacts, shape, center, det): ``shape``
-    = (p11, p12, p22) of P = m m^T - D2/2 and ``det`` = det P at unit scale,
-    taken as the product lam mu (lam alpha + mu beta)/4, ``center`` = m in
-    the original frame, ``contacts`` indexed as ``ConvexQuad.side_lines``.
-    The class is read off lam: an ellipse for lam and mu both positive, a
-    hyperbola otherwise.  |det P| at most 1e-12 of P's squared Frobenius
-    norm raises DegeneratePoint: the conic has collapsed onto its focal
-    line.  P must be positive definite for an ellipse (else NotAnEllipse)
-    and indefinite for a hyperbola (else NumericalFailure).  The conic
+    With ``metric``, for the inscribed callers, which have put lam inside
+    (0, 1), the pass goes on in the same frame to the ellipse's axes, angle
+    and foci, read off adj(P) by ``_metric_ellipse`` and scaled by 2^e, and
+    returns the InscribedResult.  Without it, for
+    ``tangent_conic_at_center``, it returns before the metric form:
+    (conic, classification, contacts, shape, center, det), with ``shape``
+    = (p11, p12, p22) of P = m m^T - D2/2, ``det`` = det P at unit scale and
+    ``center`` = m in the original frame.
+
+    det P is taken as the product lam mu (lam alpha + mu beta)/4, and the
+    contacts are indexed as ``ConvexQuad.side_lines``.  The class is read off
+    lam: an ellipse for lam and mu both positive, a hyperbola otherwise.
+    |det P| at most 1e-12 of P's squared Frobenius norm raises
+    DegeneratePoint: the conic has collapsed onto its focal line.  P must be
+    positive definite for an ellipse (else NotAnEllipse) and indefinite for
+    a hyperbola (else NumericalFailure).  The conic
     (x - m)^T adj(P) (x - m) = det P is formed at unit scale, and its
     coefficients then take powers of two that only shrink them.
 
@@ -366,14 +374,15 @@ def _tangent_conic(rec: tuple, lam: float, mu: float, tol: Tolerances):
     if not is_ellipse and not p11 * p22 - p12 * p12 < 0:
         raise NumericalFailure("hyperbola form is not indefinite")
     cx, cy = ox + mx, oy + my
-    conic = _set_conic(object.__new__(Conic), p22 * s2, -2 * p12 * s2, p11 * s2,
+    new = object.__new__
+    conic = _set_conic(new(Conic), p22 * s2, -2 * p12 * s2, p11 * s2,
                        2 * (p12 * cy - p22 * cx) * s1, 2 * (p12 * cx - p11 * cy) * s1,
                        (p22 * cx * cx - 2 * p12 * cx * cy + p11 * cy * cy - det) * s0)
 
     tan_bound = 2 * tol.tol_tan * math.sqrt(mu * mu * nb + 2 * (mx * mx + my * my) + 1)
     infinity2 = tol.tol_infinity * tol.tol_infinity
     contacts = []
-    append, new = contacts.append, object.__new__
+    append = contacts.append
     for ax, ay, wa, bx, by, wb, g, gx, gy, c2 in rec[1]:
         if abs(mu * g + gx * mx + gy * my + c2) >= tan_bound:
             raise NotTangent("side line is not tangent to the conic")
@@ -390,19 +399,14 @@ def _tangent_conic(rec: tuple, lam: float, mu: float, tol: Tolerances):
         _hom_y(contact, y)
         _hom_w(contact, 1.0)
         append(contact)
-    kind = ConicClass.REAL_ELLIPSE if is_ellipse else ConicClass.HYPERBOLA
-    return conic, kind, tuple(contacts), (p11, p12, p22), (x0 + sc * mx, y0 + sc * my), det
-
-
-def _construct(rec: tuple, lam: float, mu: float, tol: Tolerances) -> InscribedResult:
-    """The inscribed ellipse D(lam) of the pencil record rec, mu = 1 - lam,
-    from one ``_tangent_conic`` pass: its axes are read off adj(P) at unit
-    scale and scaled by 2^e.  Its callers have put lam inside (0, 1)."""
-    conic, _, contacts, (p11, p12, p22), (cx, cy), det = _tangent_conic(rec, lam, mu, tol)
-    result = object.__new__(InscribedResult)
-    _result_ellipse(result, _metric_ellipse(p22, -p12, p11, det, det, cx, cy, rec[0][2]))
+    if not metric:
+        kind = ConicClass.REAL_ELLIPSE if is_ellipse else ConicClass.HYPERBOLA
+        return conic, kind, tuple(contacts), (p11, p12, p22), (x0 + sc * mx, y0 + sc * my), det
+    result = new(InscribedResult)
+    _result_ellipse(result, _metric_ellipse(p22, -p12, p11, det, det,
+                                            x0 + sc * mx, y0 + sc * my, sc))
     _result_conic(result, conic)
-    _result_tangencies(result, contacts)
+    _result_tangencies(result, tuple(contacts))
     return result
 
 
@@ -481,11 +485,16 @@ def inscribe_at_param(q: ConvexQuad, u: float,
     """Inscribed ellipse at the locus point m1 + u*(m2 - m1), 0 < u < 1.
 
     u is the abscissa lam itself, or 1 - lam by the locus' orientation,
-    so no point is built and rounded on the way; only u is checked.
+    so no point is built and rounded on the way; only u is checked.  The
+    quad's stored pencil record is read here, and derived by ``_pencil``
+    only on a quad's first construction.
     """
     if not (tol.tol_interval < u < 1 - tol.tol_interval):
         raise CenterOffLocus(f"parameter {u} outside the open unit interval")
-    rec = _pencil(q)
+    try:
+        rec = q._pencil
+    except AttributeError:
+        rec = _pencil(q)
     return _construct(rec, 1 - u, u, tol) if rec[3] else _construct(rec, u, 1 - u, tol)
 
 
@@ -517,10 +526,11 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
     the chord beyond them give a hyperbola tangent to all four side lines,
     where a tangency "at infinity" (contact point with w = 0) means the
     side line is an asymptote.  Both come from the pass over D(lam) of
-    ``inscribe_at_center`` (``_tangent_conic``), whose class is read off
-    lam, not off the coefficients.  The midpoints themselves are degenerate
-    members and are rejected with DegenerateAtMidpoint; a missed side
-    raises NotTangent.  The guard reads the record: the center must be on
+    ``inscribe_at_center`` (``_construct``), which returns here before the
+    metric form, and whose class is read off lam, not off the
+    coefficients.  The midpoints themselves are degenerate members and
+    are rejected with DegenerateAtMidpoint; a missed side raises
+    NotTangent.  The guard reads the record: the center must be on
     the center line (``_center_weights``), its chord parameter
     (lam - lo)/(hi - lo) tol_interval in from either chord end, and lam
     more than tol_interval (hi - lo) from 0 and 1, the ratios along the
@@ -534,4 +544,4 @@ def tangent_conic_at_center(q: ConvexQuad, center: Point,
     margin = tol.tol_interval * (hi - lo)
     if abs(lam) <= margin or abs(mu) <= margin:
         raise DegenerateAtMidpoint("center coincides with a diagonal midpoint")
-    return _tangent_conic(rec, lam, mu, tol)[:3]
+    return _construct(rec, lam, mu, tol, False)[:3]

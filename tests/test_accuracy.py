@@ -54,7 +54,7 @@ from mpmath import mp, mpc, mpf
 
 import inconic as ic
 from conftest import random_trapezium
-from inconic.inscribed import _center_weights, _construct, _pencil, _tangent_conic
+from inconic.inscribed import _center_weights, _construct, _pencil
 
 EPS = 2.0 ** -52
 C_MAJOR = 4       # semi-major axis, in eps
@@ -391,7 +391,7 @@ def test_tangent_hyperbolas_against_the_oracle(offset):
                 EPS * (1 + rate * (max(1.0, abs(h)) + reach))))
 
             lam, mu = _center_weights(_pencil(q), center, ic.DEFAULT_TOL)
-            _, kind, _, shape, got, _ = _tangent_conic(local_record, lam, mu, ic.DEFAULT_TOL)
+            _, kind, _, shape, got, _ = _construct(local_record, lam, mu, ic.DEFAULT_TOL, False)
             assert kind is ic.ConicClass.HYPERBOLA
             want_shape, want, shape_rate, center_rate, h_read = \
                 oracle_tangent_shape(q, lam, offset)

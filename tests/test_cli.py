@@ -998,14 +998,18 @@ EXIT_CODE_CONTRACT = [
                  id="5-scale-1e154"),
     pytest.param(["inspect", "--vertices", "0,0 1e-156,0 3e-156,2e-156 0,1e-156"], 5,
                  "numerical failure: linear part is out of float range", id="5-scale-1e-156"),
+    # validate_quad judges the area at unit size, so these quads pass it:
+    # inspect's basis products underflow to 0 at 1e-200, and verify's
+    # similarity frame overflows at 1e160 (the constructions build there)
     pytest.param(["inspect", "--vertices", "0,0 1e-200,0 3e-200,2e-200 0,1e-200"], 5,
-                 "numerical failure: quadrilateral is out of float range", id="5-scale-1e-200"),
+                 "numerical failure: normalization basis is out of float range",
+                 id="5-scale-1e-200"),
     pytest.param(["verify", "--vertices", "0,0 1e100,0 3e100,2e100 0,1e100", "--u", "0.37"], 5,
                  "numerical failure: ", id="5-verify-scale-1e100"),
     pytest.param(["verify", "--vertices", "0,0 1e155,0 3e155,2e155 0,1e155", "--u", "0.37"], 5,
                  "numerical failure: ", id="5-verify-scale-1e155"),
     pytest.param(["verify", "--vertices", "0,0 1e160,0 3e160,2e160 0,1e160", "--u", "0.37"], 5,
-                 "numerical failure: quadrilateral is out of float range",
+                 "numerical failure: linear part is out of float range",
                  id="5-verify-scale-1e160"),
     pytest.param(["inspect", "--input", "{dir}/missing.json"], 6,
                  "i/o error: ", id="6-missing-input"),

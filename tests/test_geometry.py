@@ -84,21 +84,40 @@ class TestValidateQuad:
 
     @pytest.mark.parametrize("scale", [1e160, 1e161, 1e300])
     def test_quad_past_the_float_range_is_a_numerical_failure(self, scale):
-        # the zero-area bound 1e-12 extent^2 overflows, where it read inf <= inf
-        # and called the quad degenerate
+        # the zero-area test is made on the vertices scaled to unit size,
+        # where its bound 1e-12 extent^2 once overflowed and the quad was
+        # refused: the worked quad validates at any size, and what is past
+        # the float range up here is the normal frame inspect prints, whose
+        # basis products overflow, not the quad or its constructions
+        vertices = [(0, 0), (scale, 0), (3 * scale, 2 * scale), (0, scale)]
+        q = ic.validate_quad(vertices)
+        assert q == ic.ConvexQuad(*(ic.Point(*v) for v in vertices), ic.QuadKind.TRAPEZIUM)
+        with pytest.raises(errors.NumericalFailure,
+                           match="^normalization basis is out of float range$"):
+            ic.normalize(q)
+        assert ic.inscribe_at_param(q, 0.37).ellipse.semi_minor > 0
+
+    def test_vertices_whose_differences_overflow_are_out_of_float_range(self):
+        # an infinite extent passed the relative coincidence test, inf <= inf,
+        # and the quad was called degenerate
         with pytest.raises(errors.NumericalFailure, match="^quadrilateral is out of float range$"):
-            ic.validate_quad([(0, 0), (scale, 0), (3 * scale, 2 * scale), (0, scale)])
-        assert ic.validate_quad([(0, 0), (1e159, 0), (3e159, 2e159), (0, 1e159)]).kind \
-            is ic.QuadKind.TRAPEZIUM
+            ic.validate_quad([(-1.7e308, 0), (1.7e308, 0), (1.7e308, 1), (-1.7e308, 1)])
 
     @pytest.mark.parametrize("scale", [1e-157, 1e-163, 1e-200, 1e-300, 1e-323])
     def test_quad_below_the_float_range_is_a_numerical_failure(self, scale):
-        # the zero-area bound underflows to 0, where it read 0 <= 0 and
-        # called the quad degenerate
-        with pytest.raises(errors.NumericalFailure, match="^quadrilateral is out of float range$"):
-            ic.validate_quad([(0, 0), (scale, 0), (3 * scale, 2 * scale), (0, scale)])
-        assert ic.validate_quad([(0, 0), (1e-156, 0), (3e-156, 2e-156), (0, 1e-156)]).kind \
-            is ic.QuadKind.TRAPEZIUM
+        # the zero-area bound no longer underflows to 0, where it once read
+        # 0 <= 0: the worked quad validates at any size.  Down here the
+        # normal frame's map overflows or its basis products underflow to
+        # 0, and at 1e-323, two subnormal steps, the pencil record's unit
+        # 2^e is past the float range too: each a NumericalFailure, never a
+        # degenerate quad or a singular basis
+        vertices = [(0, 0), (scale, 0), (3 * scale, 2 * scale), (0, scale)]
+        q = ic.validate_quad(vertices)
+        assert q == ic.ConvexQuad(*(ic.Point(*v) for v in vertices), ic.QuadKind.TRAPEZIUM)
+        failure = {1e-157: "linear part", 1e-323: "quadrilateral"}.get(scale,
+                                                                     "normalization basis")
+        with pytest.raises(errors.NumericalFailure, match=f"^{failure} is out of float range$"):
+            ic.normalize(q)
 
     def test_canonical_order_stable_under_rotation_and_reversal(self):
         base = [(0, 0), (1, 0), (3, 2), (0, 1)]

@@ -17,7 +17,7 @@ from mpmath import mp, mpf
 
 import inconic as ic
 from inconic import errors
-from inconic.inscribed import _center_bound, _frame, _pencil, _tangent_conic
+from inconic.inscribed import _center_bound, _construct, _frame, _pencil
 from inconic.oracle import _check_focal_form, _dual_entries
 
 from conftest import (
@@ -1343,13 +1343,14 @@ def _worked_scaled(scale, off=0.0):
 
 class TestScaleOutOfFloatRange:
     """The worked quad builds at every power of ten from 1e-153 to 1e153,
-    and past that wherever validate_quad accepts it: the construction runs
-    on the vertices scaled by a power of two to unit size, so nothing it
-    forms leaves the float range before its outputs do.  Only the normal
-    form, built for ``inspect`` and the oracles, still works at the quad's
-    own scale: from 1e154 on its basis overflows, and from 1e-155 its map
-    does (NumericalFailure), not a bare ZeroDivisionError or
-    OverflowError."""
+    and past that too, since validate_quad judges every quad at unit size:
+    the construction runs on the vertices scaled by a power of two to unit
+    size, so nothing it forms leaves the float range before its outputs
+    do.  Only the normal form, built for ``inspect`` and the oracles, still
+    works at the quad's own scale: from 1e154 on its basis overflows, from
+    1e-155 its map does, and from 1e-162 its basis products underflow to 0
+    (NumericalFailure), not a bare ZeroDivisionError or OverflowError, and
+    not a singular basis."""
 
     @pytest.mark.parametrize("scale", [1e78, 1e79, 1e80, 1e81, 1e-77])
     def test_det_squared_past_the_float_range_keeps_full_accuracy(self, scale):
@@ -1418,6 +1419,22 @@ class TestScaleOutOfFloatRange:
         assert ic.inscribe_at_param(q, 0.37).ellipse.semi_minor > 0
         assert ic.max_area(q).area > 0
 
+    @pytest.mark.parametrize("scale", [1e-162, 1e-200, 1e-300])
+    def test_basis_whose_products_underflow_is_not_called_singular(self, scale):
+        # the basis products underflow to 0 below about 1.6e-162, where the
+        # relative singular test read 0 <= 0; the edge vectors of a
+        # validated quad are never 0, so that is a basis out of float range,
+        # and the constructions are the unit-size ones times the scale
+        q = _worked_scaled(scale)
+        with pytest.raises(errors.NumericalFailure,
+                           match="^normalization basis is out of float range$"):
+            ic.normalize(q)
+        mant, exp = math.frexp(scale)
+        for got, at_mant in ((ic.inscribe_at_param(q, 0.37), ic.inscribe_at_param(
+                _worked_scaled(mant), 0.37)), (ic.max_area(q).inscribed,
+                                               ic.max_area(_worked_scaled(mant)).inscribed)):
+            assert got.ellipse.semi_major == math.ldexp(at_mant.ellipse.semi_major, exp)
+
     def test_overflowing_diagonal_midpoint_is_not_a_finite_point(self):
         # built without validate_quad: v0 + v2 overflows, so no diagonal
         # midpoint is a finite point; the center guards read the record,
@@ -1450,10 +1467,9 @@ def _times_two_to(x, k):
 class TestPowerOfTwoScaling:
     """The record scales the vertices to unit size by a power of two, which
     is exact, so a quad scaled by 2^k gives 2^k times the unscaled center,
-    axes, foci and contacts, and the same angle, bit for bit.  The scaled
-    quads are built as ConvexQuad directly: validate_quad's zero-area test
-    leaves the float range from about 2^+-520 on, and inside that range it
-    returns the same quad."""
+    axes, foci and contacts, and the same angle, bit for bit.  validate_quad
+    judges the area at unit size the same way, so it returns the scaled
+    quad itself at every k."""
 
     @staticmethod
     def _quads():
@@ -1478,13 +1494,13 @@ class TestPowerOfTwoScaling:
         checked = 0
         for q in self._quads():
             want_lengths, want_angles = self._values(q)
-            for k in range(-1000, 1001, 50):
-                scaled = ic.ConvexQuad(*(ic.Point(math.ldexp(v.x, k), math.ldexp(v.y, k))
-                                         for v in q.vertices), q.kind)
-                try:
-                    assert ic.validate_quad(scaled.vertices) == scaled
-                except errors.NumericalFailure as exc:
-                    assert str(exc) == "quadrilateral is out of float range" and abs(k) > 500
+            for k in range(-1000, 1001):
+                scaled = ic.validate_quad([(math.ldexp(v.x, k), math.ldexp(v.y, k))
+                                           for v in q.vertices])
+                assert scaled == ic.ConvexQuad(*(ic.Point(math.ldexp(v.x, k), math.ldexp(v.y, k))
+                                                 for v in q.vertices), q.kind), k
+                if k % 50:
+                    continue
                 lengths, angles = self._values(scaled)
                 assert angles == want_angles, k
                 for got, want in zip(lengths, want_lengths):
@@ -1559,7 +1575,7 @@ class TestFilledOutputs:
             for lam in (0.37, (1 + record[2][12]) / 2):
                 mu = 1 - lam
                 conic, _, contacts, (p11, p12, p22), _, det = \
-                    _tangent_conic(record, lam, mu, ic.DEFAULT_TOL)
+                    _construct(record, lam, mu, ic.DEFAULT_TOL, False)
                 assert type(conic) is ic.Conic
                 # (x - c)^T adj(P) (x - c) = det P at unit scale, c = v0/2^e + m
                 cx, cy = ox + (lam * x2 + mu * bx) / 2, oy + (lam * y2 + mu * by) / 2
@@ -1581,12 +1597,75 @@ class TestFilledOutputs:
             return ((x0, shape[1], unit) + shape[3:],) + record[1:]
 
         with pytest.raises(ValueError, match="^homogeneous components must be finite$"):
-            _tangent_conic(mapped(1.7 * 2.0 ** 1023, 2.0 ** 1023), 0.5, 0.5, ic.DEFAULT_TOL)
+            _construct(mapped(1.7 * 2.0 ** 1023, 2.0 ** 1023), 0.5, 0.5, ic.DEFAULT_TOL, False)
         # the same record with the contacts in range builds
-        _, _, contacts, _, center, _ = _tangent_conic(mapped(2.0 ** 1022, 2.0 ** 1022),
-                                                      0.5, 0.5, ic.DEFAULT_TOL)
+        _, _, contacts, _, center, _ = _construct(mapped(2.0 ** 1022, 2.0 ** 1022),
+                                                  0.5, 0.5, ic.DEFAULT_TOL, False)
         assert center == (1.25 * 2.0 ** 1022, 0.1875 * 2.0 ** 1022)
         assert all(math.isfinite(p.x) for p in contacts)
+
+    @staticmethod
+    def _forbid_value_inits(monkeypatch):
+        """Make the ``__init__`` of every value type raise."""
+        from inconic.geometry import _Value
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a value type's __init__ ran")
+
+        todo = [_Value]
+        while todo:
+            cls = todo.pop()
+            todo.extend(cls.__subclasses__())
+            monkeypatch.setattr(cls, "__init__", boom)
+
+    def test_an_inscribed_construction_is_one_pass(self, monkeypatch):
+        # the member, its contacts and its metric form in one frame: no
+        # value type's __init__ runs, not even on a quad's first
+        # construction, and the metric form is read once per ellipse
+        import inconic.inscribed
+        metric, calls = inconic.inscribed._metric_ellipse, []
+
+        def counted(*args):
+            calls.append(args)
+            return metric(*args)
+
+        quads = [quad_s3t2(), quad_s4t2(), quad_s3t2()]  # the first two fresh
+        center = ic.locus(quads[2]).point_at(0.37)
+        ic.inscribe_at_param(quads[2], 0.5)
+        self._forbid_value_inits(monkeypatch)
+        monkeypatch.setattr(inconic.inscribed, "_metric_ellipse", counted)
+        for q in quads:
+            for u in (0.02, 0.37, 0.98):
+                del calls[:]
+                assert type(ic.inscribe_at_param(q, u)) is ic.InscribedResult
+                assert len(calls) == 1
+        del calls[:]
+        assert type(ic.inscribe_at_center(quads[2], center)) is ic.InscribedResult
+        assert len(calls) == 1
+
+    def test_the_tangent_conic_stops_before_the_metric_form(self, monkeypatch):
+        import inconic.inscribed
+        q = quad_s3t2()
+        chord = ic.chord_x(q)
+
+        def boom(*args):
+            raise AssertionError("tangent_conic_at_center read the metric form")
+
+        monkeypatch.setattr(inconic.inscribed, "_metric_ellipse", boom)
+        for p, kind in ((0.5, ic.ConicClass.REAL_ELLIPSE), (0.9, ic.ConicClass.HYPERBOLA),
+                        (0.1, ic.ConicClass.HYPERBOLA)):
+            assert ic.tangent_conic_at_center(q, chord.point_at(p))[1] is kind
+
+    def test_max_area_fills_its_result_without_its_init(self, monkeypatch):
+        quads = [quad_s3t2(), quad_s4t2(), ic.validate_quad([(0, 0), (2, 0), (2, 2), (0, 1)])]
+        want = [ic.max_area(q) for q in quads]
+        self._forbid_value_inits(monkeypatch)
+        got = [ic.max_area(q) for q in quads]
+        monkeypatch.undo()
+        for g, w in zip(got, want):
+            assert type(g) is ic.MaxAreaResult
+            assert g == w == ic.MaxAreaResult(g.ellipse, g.center, g.area, g.h0, g.inscribed)
+            assert g.center is g.ellipse.center and g.inscribed.ellipse is g.ellipse
 
 
 class TestWeightPositivity:
@@ -1691,7 +1770,7 @@ def test_only_the_construction_takes_tolerances():
 
 def test_marden_conic_helper_matches_public_result():
     q = quad_s3t2()
-    conic = _tangent_conic(_pencil(q), 0.5, 0.5, ic.DEFAULT_TOL)[0]
+    conic = _construct(_pencil(q), 0.5, 0.5, ic.DEFAULT_TOL, False)[0]
     ref = ic.inscribe_at_center(q, ic.Point(1.0, 0.75)).conic
     assert ic.conic_distance(conic, ref) < 1e-12
 

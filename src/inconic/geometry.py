@@ -90,7 +90,7 @@ class Tolerances(_Value):
 
     def __init__(self,
                  tol_tan: float = 1e-8,        # tangency residual acceptance
-                 tol_par: float = 1e-9,        # parallelism of unit edge directions
+                 tol_par: float = 1e-9,        # corner and side-pair cross products over the area
                  tol_interval: float = 1e-9,   # open-interval margin on locus parameters
                  tol_on: float = 1e-9,         # normal-frame miss of the center line
                  tol_infinity: float = 1e-10):  # relative |w| below which a point is at infinity
@@ -331,9 +331,42 @@ class ConvexQuad(_MemoValue):
                 _line_through(x2, y2, x3, y3), _line_through(x3, y3, x0, y0))
 
 
-def _unit(dx: float, dy: float) -> tuple[float, float]:
-    n = math.hypot(dx, dy)
-    return dx / n, dy / n
+def _unit_quad(v0: Point, v1: Point, v2: Point, v3: Point) -> tuple:
+    """(e, x1, y1, x2, y2, x3, y3, A012, A013, A023, A123, d1, d2), the one
+    derivation ``validate_quad`` and ``inscribed._pencil`` read: the
+    vertices relative to v0, scaled by 2^-e to unit size (the largest
+    coordinate in [1/2, 1), or below for e = -1023, where 2^-e would
+    overflow), the doubled areas Aijk of the triangles pi pj pk, and the
+    side pairs' cross products d1 = (p2 - p1) x (p3 - p0) and
+    d2 = (p1 - p0) x (p3 - p2) formed from edge vectors, not as the
+    differences of areas they equal, which cancel.  Where an area's terms
+    exceed 8 times its value, all six are the floats nearest their exact
+    values, the coordinates being integers over one power of two.
+    """
+    x0, y0 = v0.x, v0.y
+    x1, y1, x2, y2, x3, y3 = v1.x - x0, v1.y - y0, v2.x - x0, v2.y - y0, v3.x - x0, v3.y - y0
+    extent = max(abs(x1), abs(y1), abs(x2), abs(y2), abs(x3), abs(y3))
+    if not extent < math.inf:
+        raise NumericalFailure("quadrilateral is out of float range")
+    e = max(math.frexp(extent)[1], -1023)
+    k = math.ldexp(1.0, -e)
+    x1, y1, x2, y2, x3, y3 = x1 * k, y1 * k, x2 * k, y2 * k, x3 * k, y3 * k
+    t1, t2, t3, t4 = x1 * y2, y1 * x2, x1 * y3, y1 * x3
+    t5, t6, t7, t8 = x2 * y3, y2 * x3, (x2 - x1) * (y3 - y1), (y2 - y1) * (x3 - x1)
+    a012, a013, a023, a123 = t1 - t2, t3 - t4, t5 - t6, t7 - t8
+    if (abs(t1) + abs(t2) <= 8 * abs(a012) and abs(t3) + abs(t4) <= 8 * abs(a013)
+            and abs(t5) + abs(t6) <= 8 * abs(a023) and abs(t7) + abs(t8) <= 8 * abs(a123)):
+        return (e, x1, y1, x2, y2, x3, y3, a012, a013, a023, a123,
+                (x2 - x1) * y3 - (y2 - y1) * x3, x1 * (y3 - y2) - y1 * (x3 - x2))
+    ratios = [c.as_integer_ratio() for v in (v0, v1, v2, v3) for c in (v.x, v.y)]
+    shift = max(d for _, d in ratios).bit_length()  # denominators are powers of two
+    n0, m0, n1, m1, n2, m2, n3, m3 = [n << (shift - d.bit_length()) for n, d in ratios]
+    n1, m1, n2, m2, n3, m3 = n1 - n0, m1 - m0, n2 - n0, m2 - m0, n3 - n0, m3 - m0
+    a012, a013, a023 = n1 * m2 - m1 * n2, n1 * m3 - m1 * n3, n2 * m3 - m2 * n3
+    p = 2 * (shift - 1 + e)
+    num, den = (1, 1 << p) if p >= 0 else (1 << -p, 1)
+    return (e, x1, y1, x2, y2, x3, y3) + tuple(
+        a * num / den for a in (a012, a013, a023, a012 + a023 - a013, a023 - a013, a013 - a012))
 
 
 def validate_quad(vertices, tol: Tolerances = DEFAULT_TOL) -> ConvexQuad:
@@ -341,11 +374,13 @@ def validate_quad(vertices, tol: Tolerances = DEFAULT_TOL) -> ConvexQuad:
 
     Returns the quad reordered counterclockwise starting from the
     lexicographically smallest vertex, with its parallel-pair classification.
-    Raises NotConvex when some vertex cross product is not strictly positive,
-    DegenerateQuad for repeated vertices or an (almost) zero-area input, and
-    NumericalFailure when the vertices' differences overflow; the zero-area
-    test is made at unit scale, so a quad of any other size is judged as
-    its copy of extent 1 would be.
+    Raises DegenerateQuad for repeated vertices or an (almost) zero-area
+    input, judged at unit scale, and NumericalFailure when the vertices'
+    differences overflow.  Every other verdict is a ratio to the doubled
+    area A = A012 + A023 of ``_unit_quad`` in the canonical order, which no
+    affine map changes: vertex i = 0..3 raises NotConvex unless its corner
+    triangle's area A013, A012, A123 or A023 exceeds tol_par A, and a side
+    pair is parallel when its cross product d2 or d1 is at most tol_par A.
     A vertex is a Point or exactly two coordinates, else ValueError.
     """
     pts = []
@@ -367,39 +402,24 @@ def validate_quad(vertices, tol: Tolerances = DEFAULT_TOL) -> ConvexQuad:
         for j in range(i + 1, 4):
             if math.hypot(pts[i].x - pts[j].x, pts[i].y - pts[j].y) <= 1e-12 * extent:
                 raise DegenerateQuad(f"vertices {i} and {j} coincide")
-    # the shoelace sum with the vertices translated to p0 and scaled by
-    # k = 2^-e to unit size, extent = m 2^e with 1/2 <= m < 1 (2^1023 for a
-    # subnormal extent, whose 2^-e overflows), as the pencil record takes
-    # them: scaling by a power of two is exact, so neither the sum nor its
-    # bound 1e-12 extent^2 over- or underflows, and the verdict is the
-    # unscaled one wherever that is in range
-    p0, p1, p2, p3 = pts
-    k = math.ldexp(1.0, min(-math.frexp(extent)[1], 1023))
-    unit, x0, y0 = extent * k, p0.x, p0.y
-    x1, y1, x2, y2 = (p1.x - x0) * k, (p1.y - y0) * k, (p2.x - x0) * k, (p2.y - y0) * k
-    x3, y3 = (p3.x - x0) * k, (p3.y - y0) * k
-    area2 = (x1 * y2 - y1 * x2) + (x2 * y3 - y2 * x3)
-    if abs(area2) <= 1e-12 * unit * unit:
-        raise DegenerateQuad("vertex set has (near) zero area")
-    if area2 < 0:
-        pts.reverse()
     start = min(range(4), key=lambda i: (pts[i].x, pts[i].y))
-    pts = pts[start:] + pts[:start]
-
-    dirs = [_unit(pts[(i + 1) % 4].x - pts[i].x, pts[(i + 1) % 4].y - pts[i].y)
-            for i in range(4)]
-    for i in range(4):
-        dx0, dy0 = dirs[i - 1]
-        dx1, dy1 = dirs[i]
-        if dx0 * dy1 - dy0 * dx1 <= tol.tol_par:
+    p0, p1, p2, p3 = pts[start:] + pts[:start]
+    e, _, _, _, _, _, _, a012, a013, a023, a123, d1, d2 = _unit_quad(p0, p1, p2, p3)
+    area = a012 + a023
+    unit = math.ldexp(extent, -e)
+    if abs(area) <= 1e-12 * unit * unit:
+        raise DegenerateQuad("vertex set has (near) zero area")
+    if area < 0:  # clockwise: reversed, v0 stays the smallest vertex
+        p1, p3 = p3, p1
+        _, _, _, _, _, _, _, a012, a013, a023, a123, d1, d2 = _unit_quad(p0, p1, p2, p3)
+        area = a012 + a023
+    bound = tol.tol_par * area
+    for i, corner in enumerate((a013, a012, a123, a023)):
+        if corner <= bound:
             raise NotConvex(f"cross product at vertex {i} is not strictly positive")
-
-    parallel_pairs = 0
-    for i, j in ((0, 2), (1, 3)):
-        if abs(dirs[i][0] * dirs[j][1] - dirs[i][1] * dirs[j][0]) <= tol.tol_par:
-            parallel_pairs += 1
+    parallel_pairs = sum(1 for d in (d2, d1) if abs(d) <= bound)
     kind = (QuadKind.TRAPEZIUM, QuadKind.TRAPEZOID, QuadKind.PARALLELOGRAM)[parallel_pairs]
-    return ConvexQuad(pts[0], pts[1], pts[2], pts[3], kind)
+    return ConvexQuad(p0, p1, p2, p3, kind)
 
 
 # --------------------------------------------------------------------------

@@ -66,6 +66,7 @@ from .geometry import (
     _set_conic,
     _slot_setters,
     _unit_direction,
+    _unit_quad,
 )
 
 _ULP = 2.0 ** -52  # spacing of the floats in [1, 2)
@@ -164,19 +165,20 @@ def _pencil(q: ConvexQuad) -> tuple:
     """q's pencil record, derived on first use and stored in q's private
     ``_pencil`` slot for every later call (a derivation that raises is not
     stored); a parallelogram raises ParallelogramUnsupported, as its
-    inscribed ellipses are not unique.  The vertices are taken relative to
-    v0 and scaled by 2^-e to unit size, p0 = 0, exactly.  The record is
-    (shape, sides, line, flip, turned, h02, h13):
+    inscribed ellipses are not unique.  The unit-scale vertices, p0 = 0,
+    areas Aijk and side-pair cross products d1, d2 are ``_unit_quad``'s.
+    The record is (shape, sides, line, flip, turned, h02, h13):
     - ``shape``: v0, 2^e, e, v0/2^e, the powers of two the conic's
       quadratic, linear and constant coefficients take, p2, p1 + p3,
       ||B2||_F^2/4, the entries of p2 p2^T, (p1 - p3)(p1 - p3)^T and C over
-      4 (see ``_construct``), alpha = A012 A023 and beta = A013 A123;
+      4 (see ``_construct``), the degenerate bound 1e-12 (alpha + beta),
+      alpha = A012 A023 and beta = A013 A123;
     - ``sides``: per side, in ``side_lines``' order, its end on p0p2 with
       the area lam weights and its end on p1p3 with the area 1 - lam
       weights, and l^T D l = (1 - lam) g + gx mx + gy my + c2 for its unit
       line l = (a, b, c): g = l^T B2 l, (gx, gy) = 4c (a, b), c2 = 2c^2;
     - ``line``: v0, 2^-e, M13, M02, d = M02 - M13, |d|^2, the labeling's
-      |A023 - A013| or |A013 - A012| (``_center_bound``), the chord's ends
+      |d1| or |d2| (``_center_bound``), the chord's ends
       lo < 0 < 1 < hi and the locus length; None where the midpoints meet;
     - ``flip``: ``locus``' m1 is M02, so lam = 1 - u; else lam = u;
     - ``turned``: ``normalize``'s labeling starts at v1, of the two cyclic
@@ -189,24 +191,11 @@ def _pencil(q: ConvexQuad) -> tuple:
         pass
     if q.kind is QuadKind.PARALLELOGRAM:
         raise ParallelogramUnsupported("no unique inscribed ellipse and no center line")
-    v0, v1, v2, v3 = q.v0, q.v1, q.v2, q.v3
-    x0, y0 = v0.x, v0.y
-    x1, y1, x2, y2, x3, y3 = v1.x - x0, v1.y - y0, v2.x - x0, v2.y - y0, v3.x - x0, v3.y - y0
-    extent = max(abs(x1), abs(y1), abs(x2), abs(y2), abs(x3), abs(y3))
-    e = math.frexp(extent)[1]
-    if not (extent < math.inf and -1021 <= e <= 1023):  # 2^e and 2^-e normal floats
+    x0, y0 = q.v0.x, q.v0.y
+    e, x1, y1, x2, y2, x3, y3, a012, a013, a023, a123, d1, d2 = _unit_quad(*q.vertices)
+    if not -1021 <= e <= 1023:  # 2^e and 2^-e normal floats
         raise NumericalFailure("quadrilateral is out of float range")
     k, sc = math.ldexp(1.0, -e), math.ldexp(1.0, e)
-    x1, y1, x2, y2, x3, y3 = x1 * k, y1 * k, x2 * k, y2 * k, x3 * k, y3 * k
-    t1, t2, t3, t4 = x1 * y2, y1 * x2, x1 * y3, y1 * x3
-    t5, t6, t7, t8 = x2 * y3, y2 * x3, (x2 - x1) * (y3 - y1), (y2 - y1) * (x3 - x1)
-    a012, a013, a023, a123 = t1 - t2, t3 - t4, t5 - t6, t7 - t8
-    if (abs(t1) + abs(t2) > 8 * abs(a012) or abs(t3) + abs(t4) > 8 * abs(a013)
-            or abs(t5) + abs(t6) > 8 * abs(a023) or abs(t7) + abs(t8) > 8 * abs(a123)):
-        # a cross product whose terms exceed 8 times its value is taken exactly
-        a012, a013, a023, a123, d1, d2 = _unit_areas(q, e)
-    else:
-        d1, d2 = a023 - a013, a013 - a012
     alpha, beta = a012 * a023, a013 * a123
     if not (min(a012, a013, a023, a123) > 0 and alpha > 0 and beta > 0):
         raise NumericalFailure("triangle areas are not positive in floats")
@@ -240,27 +229,12 @@ def _pencil(q: ConvexQuad) -> tuple:
              bxx * bxx + 2 * bxy * bxy + byy * byy,
              x2 * x2 / 4, x2 * y2 / 4, y2 * y2 / 4, ex * ex / 4, ex * ey / 4, ey * ey / 4,
              (x2 * sx - 2 * bxx) / 2, (x2 * sy + sx * y2) / 4 - bxy, (y2 * sy - 2 * byy) / 2,
-             alpha, beta)
+             1e-12 * (alpha + beta), alpha, beta)
     h02, h13 = (0.5, a013 / a012 / 2) if turned else (a023 / a013 / 2, 0.5)
     ma, mb = _midpoint_pairs(q)
     record = (shape, tuple(sides), line, not mb < ma, turned, h02, h13)
     _store_pencil(q, record)
     return record
-
-
-def _unit_areas(q: ConvexQuad, e: int) -> tuple[float, ...]:
-    """(A012, A013, A023, A123, A023 - A013, A013 - A012) over 2^(2e), each
-    the float nearest the exact value: q's coordinates are integers over
-    one power of two, so their cross products are exact integers."""
-    ratios = [c.as_integer_ratio() for v in q.vertices for c in (v.x, v.y)]
-    shift = max(d for _, d in ratios).bit_length()  # denominators are powers of two
-    x0, y0, x1, y1, x2, y2, x3, y3 = [n << (shift - d.bit_length()) for n, d in ratios]
-    x1, y1, x2, y2, x3, y3 = x1 - x0, y1 - y0, x2 - x0, y2 - y0, x3 - x0, y3 - y0
-    a012, a013, a023 = x1 * y2 - y1 * x2, x1 * y3 - y1 * x3, x2 * y3 - y2 * x3
-    p = 2 * (shift - 1 + e)
-    num, den = (1, 1 << p) if p >= 0 else (1 << -p, 1)
-    return tuple(a * num / den for a in (a012, a013, a023, a012 + a023 - a013,
-                                         a023 - a013, a013 - a012))
 
 
 def normalize(q: ConvexQuad) -> NormalForm:
@@ -345,12 +319,12 @@ def _construct(rec: tuple, lam: float, mu: float, tol: Tolerances, metric: bool 
     det P is taken as the product lam mu (lam alpha + mu beta)/4, and the
     contacts are indexed as ``ConvexQuad.side_lines``.  The class is read off
     lam: an ellipse for lam and mu both positive, a hyperbola otherwise.
-    |det P| at most 1e-12 of P's squared Frobenius norm raises
-    DegeneratePoint: the conic has collapsed onto its focal line.  P must be
-    positive definite for an ellipse (else NotAnEllipse) and indefinite for
-    a hyperbola (else NumericalFailure).  The conic
-    (x - m)^T adj(P) (x - m) = det P is formed at unit scale, and its
-    coefficients then take powers of two that only shrink them.
+    |det P| at most 1e-12 (alpha + beta), both sides scaling by det(M)^2
+    under a map M, raises DegeneratePoint: the conic has collapsed onto its
+    focal line.  P must be positive definite for an ellipse (else
+    NotAnEllipse) and indefinite for a hyperbola (else NumericalFailure).
+    The conic (x - m)^T adj(P) (x - m) = det P is formed at unit scale, and
+    its coefficients then take powers of two that only shrink them.
 
     Each unit side line l must have |l^T D l| / ||D||_F, on D's entries,
     below tol_tan (else NotTangent).  Its contact, the pole D l, is
@@ -360,13 +334,13 @@ def _construct(rec: tuple, lam: float, mu: float, tol: Tolerances, metric: bool 
     norm, and a finite one is filled after HomPoint's finiteness test.
     """
     (x0, y0, sc, _, ox, oy, s2, s1, s0, x2, y2, bx, by, nb, a11, a12, a22, b11, b12, b22,
-     c11, c12, c22, alpha, beta) = rec[0]
+     c11, c12, c22, flat, alpha, beta) = rec[0]
     mx, my = (lam * x2 + mu * bx) / 2, (lam * y2 + mu * by) / 2
     ll, mm, lm = lam * lam, mu * mu, lam * mu
     p11, p12, p22 = (ll * a11 + mm * b11 + lm * c11, ll * a12 + mm * b12 + lm * c12,
                      ll * a22 + mm * b22 + lm * c22)
     det = lam * mu * (lam * alpha + mu * beta) / 4
-    if abs(det) <= 1e-12 * (p11 * p11 + 2 * p12 * p12 + p22 * p22):
+    if abs(det) <= flat:
         raise DegeneratePoint("contact point lies on the focal line")
     is_ellipse = lam > 0 and mu > 0
     if is_ellipse and not (p11 > 0 and p11 * p22 - p12 * p12 > 0):
@@ -430,13 +404,13 @@ def _center_weights(rec: tuple, center: Point, tol: Tolerances) -> tuple[float, 
 
 def _center_bound(rec: tuple, center: Point, tol: Tolerances) -> float:
     """Largest |2 d x (c - M13)| (record units) at which the center c
-    counts as on the center line: tol_on |delta|, with delta = A023 - A013
-    (A013 - A012 in the labeling that starts at v1), which is a vertical
-    miss of tol_on in the unit-size normal frame, or 4 ulps of the terms
-    that form that cross product from the center's coordinates, where that
-    is more.  Both are ratios of areas or scale with the quad, so an affine
-    copy of the quad and its center gets the same verdict at any scale and
-    offset."""
+    counts as on the center line: tol_on |delta|, with delta the side-pair
+    cross product d1 = A023 - A013 (d2 = A013 - A012 in the labeling that
+    starts at v1), a vertical miss of tol_on in the unit-size normal frame,
+    or 4 ulps of the terms that form that cross product from the center's
+    coordinates, where that is more.  Both are ratios of areas or scale
+    with the quad, so an affine copy of the quad and its center gets the
+    same verdict at any scale and offset."""
     x0, y0, k, m13x, m13y, m02x, m02y, dx, dy, _, delta, _, _, _ = rec[2]
     rx, ry = (center.x - x0) * k - m13x, (center.y - y0) * k - m13y
     rounding = 4 * _ULP * (abs(dx) * ((abs(center.y) + abs(y0)) * k + abs(m13y))

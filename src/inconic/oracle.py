@@ -256,10 +256,11 @@ def locus_line(nf: NormalForm, tol: Tolerances = DEFAULT_TOL) -> LocusLine:
     Requires s != 1: otherwise the line is vertical and this slope form
     does not exist.  ``normalize`` keeps |s-1| away from zero, so only a
     quadrilateral that is numerically a parallelogram in both labelings
-    reaches the guard, which raises NumericalFailure.
+    reaches the guard, validate_quad's |s - 1| <= tol_par (s + t), which
+    raises NumericalFailure.
     """
     s, t = nf.s, nf.t
-    if abs(s - 1) <= tol.tol_par:
+    if abs(s - 1) <= tol.tol_par * (s + t):
         raise NumericalFailure(_VERTICAL)
     return LocusLine((t - 1) / (s - 1), (s - t) / (2 * (s - 1)), nf.interval)
 
@@ -308,7 +309,7 @@ def foci_quadratic(nf: NormalForm, h, tol: Tolerances = DEFAULT_TOL) -> tuple[co
     that form (``_check_focal_form``); the construction runs neither.
     """
     s, t = nf.s, nf.t
-    if abs(s - 1) <= tol.tol_par:
+    if abs(s - 1) <= tol.tol_par * (s + t):
         raise NumericalFailure(_VERTICAL)
     c, k, _ = _dual_entries(s, t, h)
     _check_focal_form(s, t, h, k, *_weights(nf, h), tol)
@@ -329,13 +330,13 @@ def _check_focal_form(s, t, h, k, wt: WeightTriple, ws: WeightTriple,
     triangles (0, 1, -it/(s-1)) under wt and (0, i, -s/(t-1)) under ws
     have root sum 2(h + ik) and root product i(s - 2h)/(s - 1): always for
     the first triangle, and for the second only when |t - 1| > tol_par
-    (with one parallel side pair it does not exist).  k is L(h) and s != 1.
+    (s + t) (with one parallel side pair it does not exist).  k is L(h), s != 1.
     """
     root_sum, root_product = complex(2 * h, 2 * k), complex(0, (s - 2 * h) / (s - 1))
     sum_bound = 1e-10 * max(1.0, abs(root_sum))
     product_bound = 1e-10 * max(1.0, abs(root_product))
     triangles = [((0, 1, complex(0, -t / (s - 1))), wt)]
-    if abs(t - 1) > tol.tol_par:
+    if abs(t - 1) > tol.tol_par * (s + t):
         triangles.append(((0, 1j, -s / (t - 1)), ws))
     for vertices, w in triangles:
         got_sum, got_product = _focal_coefficients(*vertices, *w.as_tuple())
